@@ -30,6 +30,18 @@ from typing import Any, Dict, List, Optional, Tuple
 _FORCED: Optional[bool] = None  # programmatic override; None defers to env
 
 
+def _resolve() -> bool:
+    if _FORCED is not None:
+        return _FORCED
+    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+
+
+# The resolved flag.  Per-packet callers (Packet.acquire/release) ask on
+# every packet, so REPRO_SANITIZE is read here, at import, and again only
+# when the programmatic override changes — never per call.
+_ENABLED: bool = _resolve()
+
+
 class InvariantViolation(AssertionError):
     """A protocol or kernel invariant was broken (sanitizers enabled).
 
@@ -47,9 +59,13 @@ class InvariantViolation(AssertionError):
 
 def sanitizers_enabled() -> bool:
     """True when sanitizers are on (REPRO_SANITIZE=1 or forced in-process)."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+    return _ENABLED
+
+
+def _force(on: Optional[bool]) -> None:
+    global _FORCED, _ENABLED
+    _FORCED = on
+    _ENABLED = _resolve()
 
 
 def enable_sanitizers(on: bool = True) -> None:
@@ -59,14 +75,12 @@ def enable_sanitizers(on: bool = True) -> None:
     factories are consulted once, at construction time, exactly like
     metrics enablement.
     """
-    global _FORCED
-    _FORCED = on
+    _force(on)
 
 
 def reset_sanitizers() -> None:
     """Drop any programmatic override; the environment decides again."""
-    global _FORCED
-    _FORCED = None
+    _force(None)
 
 
 class sanitized:
@@ -77,14 +91,12 @@ class sanitized:
         self._prev: Optional[bool] = None
 
     def __enter__(self) -> "sanitized":
-        global _FORCED
         self._prev = _FORCED
-        _FORCED = self._on
+        _force(self._on)
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        global _FORCED
-        _FORCED = self._prev
+        _force(self._prev)
 
 
 def _fail(layer: str, invariant: str, detail: str) -> None:
@@ -177,9 +189,15 @@ class KernelSanitizer:
                 )
         live = 0
         cancelled = 0
+        armed = set()  # RestartableTimer handles: one live event each
         for entry in heap:
             obj = entry[2]
-            if getattr(obj, "cancelled", False):
+            if hasattr(obj, "deadline"):
+                # stale and superseded entries are neither live nor counted
+                # as cancelled; an armed handle always has one tracked entry
+                if obj.deadline is not None and entry[1] == obj._entry_key:
+                    armed.add(obj)
+            elif getattr(obj, "cancelled", False):
                 cancelled += 1
             else:
                 live += 1
@@ -190,6 +208,7 @@ class KernelSanitizer:
                         f"live heap entry at t={entry[0]}ns points at a "
                         "recycled (poisoned) Timer",
                     )
+        live += len(armed)
         if live != kernel._live_events:
             _fail(
                 "kernel",

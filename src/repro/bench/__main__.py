@@ -26,8 +26,11 @@ serial run (CI's parallel determinism gate relies on *this*).
 
 ``--profile`` wraps the run in :mod:`cProfile` and prints the top 20
 functions by cumulative time, for hot-path hunts without ad-hoc
-scripts.  With ``--jobs > 1`` only the parent process is profiled,
-which is rarely what you want — profile serial runs.
+scripts (read from ``Profile.getstats()``, one row per code object:
+``pstats`` keys rows by file:line:name and so merges every generated
+dataclass ``__init__`` into one).  With ``--jobs > 1`` only the parent
+process is profiled, which is rarely what you want — profile serial
+runs.
 """
 
 from __future__ import annotations
@@ -144,6 +147,31 @@ def _run_parallel(names: list[str], jobs: int, with_metrics: bool, doc: dict) ->
     print(f"  [{', '.join(names)}: {elapsed:.1f}s wall across {jobs} jobs]")
 
 
+def profile_table(profiler, top: int = 20) -> str:
+    """The ``top`` functions by cumulative time, one row per code object.
+
+    Generated code (``<string>``: dataclass ``__init__``/``__eq__``)
+    shares file, line and name across classes, so its rows also carry
+    the parameter names, which tell the classes apart.
+    """
+    rows = []
+    for entry in profiler.getstats():
+        code = entry.code
+        if isinstance(code, str):  # builtin
+            label = code
+        else:
+            name = getattr(code, "co_qualname", code.co_name)  # 3.11+
+            if code.co_filename.startswith("<"):
+                name += "(" + ", ".join(code.co_varnames[: code.co_argcount]) + ")"
+            label = f"{code.co_filename}:{code.co_firstlineno}({name})"
+        rows.append((entry.totaltime, entry.inlinetime, entry.callcount, label))
+    rows.sort(key=lambda row: (-row[0], row[3]))
+    lines = [f"{'ncalls':>10} {'tottime':>9} {'cumtime':>9}  function"]
+    for cum, own, calls, label in rows[:top]:
+        lines.append(f"{calls:>10} {own:>9.3f} {cum:>9.3f}  {label}")
+    return "\n".join(lines)
+
+
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
     if args.jobs < 1:
@@ -182,11 +210,9 @@ def main(argv: list[str]) -> int:
             _run_serial(names, with_metrics, doc)
     finally:
         if profiler is not None:
-            import pstats
-
             profiler.disable()
             print()
-            pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
+            print(profile_table(profiler))
     if args.metrics_json is not None:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -4,11 +4,21 @@ A transmitter can only push one packet onto the wire at a time; packets
 that arrive while the transmitter is busy wait in a byte-bounded queue and
 are dropped (tail drop) when it overflows.  Propagation is a pure delay, so
 multiple packets can be in flight simultaneously.
+
+One kernel event per hop: the transmitter is a single FIFO feeder, so the
+instant a packet finishes serialising is known when it is accepted, and
+:meth:`Link.send` posts the sink call directly at that instant plus the
+propagation delay.  Nothing observes the end of serialisation except the
+byte count of the queue, which is settled lazily: accepted packets wait in
+a FIFO of ``(serialisation end, size)`` and leave the count the next time
+anybody looks (the next ``send``, ``queued_bytes``, the metrics probe).
+A packet whose serialisation ends at exactly ``now`` has left the queue.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque, Optional, Tuple
 
 from ..simkernel import Kernel
 from .packet import Packet
@@ -42,16 +52,17 @@ class Link:
         self.queue_bytes = queue_bytes
         self.sink = sink
         self._ready_at = 0  # virtual time the transmitter becomes idle
+        # bytes accepted and not yet settled out of _serialising; read
+        # through queued_bytes, which settles first
         self._queued_bytes = 0
-        # prebound completion callback: one bound-method allocation per
-        # link instead of one per transmitted packet
-        self._tx_complete_cb = self._tx_complete
+        self._serialising: Deque[Tuple[int, int]] = deque()  # (done, size)
         self.up = True  # administrative state (repro.faults link: targets)
-        # PDES hook: when set, transmission completions hand
-        # ``(link, packet)`` here instead of scheduling local propagation
-        # — the packet is leaving this shard and will be delivered by the
-        # peer shard that owns the receiving end (see repro.simkernel.pdes)
-        self.divert: Optional[Callable[["Link", Packet], None]] = None
+        # PDES hook: when set, an accepted packet is handed here as
+        # ``(link, packet, deliver_at)`` instead of being scheduled onto
+        # the local sink — the packet is leaving this shard and will be
+        # delivered by the peer shard that owns the receiving end (see
+        # repro.simkernel.pdes)
+        self.divert: Optional[Callable[["Link", Packet, int], None]] = None
         # statistics
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -64,7 +75,7 @@ class Link:
         scope.probe("dropped_packets", lambda: self.dropped_packets)
         scope.probe("dropped_bytes", lambda: self.dropped_bytes)
         scope.probe("admin_down_drops", lambda: self.admin_down_drops)
-        scope.probe("queued_bytes", lambda: self._queued_bytes)
+        scope.probe("queued_bytes", lambda: self.queued_bytes)
         self._occupancy_hist = (
             scope.histogram("queue_occupancy_bytes", QUEUE_OCCUPANCY_EDGES)
             if kernel.metrics.enabled
@@ -82,18 +93,42 @@ class Link:
     @property
     def queued_bytes(self) -> int:
         """Bytes currently waiting for (or occupying) the transmitter."""
-        return self._queued_bytes
+        now = self.kernel._now
+        if self._ready_at <= now:
+            return 0
+        return self._settle(now)
+
+    def _settle(self, now: int) -> int:
+        """Transmitter busy past ``now``: drop what has been serialised by
+        ``now`` from the byte count."""
+        serialising = self._serialising
+        queued = self._queued_bytes
+        # terminates: the last entry ends at _ready_at, which is > now
+        while serialising[0][0] <= now:
+            queued -= serialising.popleft()[1]
+        self._queued_bytes = queued
+        return queued
 
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet``; returns False if tail-dropped."""
-        if self.sink is None:
+        sink = self.sink
+        if sink is None:
             raise RuntimeError(f"link {self.name} has no sink connected")
         if not self.up:
             self.admin_down_drops += 1
             packet.release()
             return False
+        kernel = self.kernel
+        now = kernel._now
         size = packet.wire_size
-        queued = self._queued_bytes + size
+        start = self._ready_at
+        if start <= now:
+            # transmitter idle: everything accepted earlier has left
+            start = now
+            queued = size
+            self._serialising.clear()
+        else:
+            queued = self._settle(now) + size
         if queued > self.queue_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += size
@@ -103,29 +138,18 @@ class Link:
         if self._occupancy_hist is not None:
             self._occupancy_hist.observe(queued)
         # hot path: serialisation delay inlined (identical arithmetic to
-        # simkernel.units.tx_time_ns) and completion scheduled through the
+        # simkernel.units.tx_time_ns) and delivery scheduled through the
         # fire-and-forget kernel path — a transmission is never cancelled
-        kernel = self.kernel
-        now = kernel._now
-        start = self._ready_at
-        if start < now:
-            start = now
         bandwidth = self.bandwidth_bps
         tx_ns = (size * 8_000_000_000 + bandwidth - 1) // bandwidth
         done = start + (tx_ns if tx_ns > 0 else 1)
         self._ready_at = done
+        self._serialising.append((done, size))
         self.tx_packets += 1
         self.tx_bytes += size
-        kernel.post_at(done, self._tx_complete_cb, packet)
-        return True
-
-    def _tx_complete(self, packet: Packet) -> None:
-        self._queued_bytes -= packet.wire_size
         divert = self.divert
         if divert is not None:
-            divert(self, packet)
-            return
-        if self.prop_delay_ns:
-            self.kernel.post_after(self.prop_delay_ns, self.sink, packet)
+            divert(self, packet, done + self.prop_delay_ns)
         else:
-            self.sink(packet)
+            kernel.post_at(done + self.prop_delay_ns, sink, packet)
+        return True

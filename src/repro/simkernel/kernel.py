@@ -30,6 +30,13 @@ Hot-path design (the simulator spends most of its wall-clock time here):
   handle and cancelling it later is a no-op until the object is reused,
   and undefined after.  ``REPRO_SANITIZE=1`` poisons pooled timers to
   catch use-after-recycle (see :mod:`repro.analyze.sanitize`).
+* protocol timers that are re-armed far more often than they fire
+  (retransmission, delayed ACK/SACK, autoclose) use a
+  :class:`RestartableTimer`: restart and cancel only move or clear a
+  deadline on a handle the owner keeps for life; the handle's one heap
+  entry is left where it is and, if it surfaces before the deadline,
+  re-posts itself there.  Per-ACK timer churn therefore allocates
+  nothing and leaves nothing dead in the heap.
 * live-timer accounting is O(1): a maintained counter is incremented on
   schedule and decremented on fire/cancel, so the ``pending_timers``
   metrics probe never scans the heap;
@@ -109,6 +116,102 @@ class Timer:
             kernel._note_cancelled()
 
 
+class RestartableTimer:
+    """A protocol timer its owner re-arms many times between expiries.
+
+    Created idle by :meth:`Kernel.timer` and kept for the owner's life.
+    The contract:
+
+    * :meth:`restart` arms (or re-arms) the timer ``delay`` ns from now,
+      :meth:`cancel` disarms it; ``deadline`` is the absolute expiry, or
+      ``None`` while idle.  The callback fires exactly once per arming,
+      at the deadline of the *last* restart, and the timer is idle again
+      before the callback runs (so the callback may restart it).
+    * the handle tracks at most one heap entry.  Restarting to a later
+      deadline, or cancelling, leaves that entry alone: when it surfaces
+      the kernel re-posts it at the current deadline (or drops it if the
+      timer is idle) without counting an event, ticking the watchdog or
+      touching ``pending_events``.  Only a restart to an *earlier*
+      position pushes a fresh entry; the superseded one is recognised by
+      its key and dropped.
+    * tie-break: every ``restart`` draws a sequence number, exactly as the
+      ``call_after`` it replaces did, and the entry that finally fires
+      carries the number of the last restart.  The whole run therefore
+      pops events in the same ``(when, seq)`` order as it would with
+      ``cancel(); call_after()`` — same-time ties included.
+    """
+
+    __slots__ = ("deadline", "fn", "args", "_kernel", "_key", "_entry_when", "_entry_key")
+
+    def __init__(self, kernel: "Kernel", fn: Callable, args: tuple) -> None:
+        self.deadline: Optional[int] = None
+        self.fn = fn
+        self.args = args
+        self._kernel = kernel
+        self._key = 0  # heap key (seq ^ mask) drawn by the last restart
+        # timestamp and key of the tracked heap entry (None: no entry)
+        self._entry_when: Optional[int] = None
+        self._entry_key: Optional[int] = None
+
+    def restart(self, delay: int) -> None:
+        """Arm, or re-arm, to fire ``delay`` ns from now."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        kernel = self._kernel
+        kernel._seq = seq = kernel._seq + 1
+        if seq >= kernel.SEQ_LIMIT and not kernel._seq_mask:
+            kernel._seq = seq = kernel._renumber_seq()
+        self._key = key = seq ^ kernel._seq_mask
+        deadline = kernel._now + delay
+        if self.deadline is None:
+            kernel._live_events += 1
+        self.deadline = deadline
+        entry_when = self._entry_when
+        # keep the tracked entry only while it sorts before the firing
+        # position (a same-instant key can sort lower under a
+        # perturbation mask, never under FIFO)
+        if (
+            entry_when is None
+            or deadline < entry_when
+            or (deadline == entry_when and key < self._entry_key)
+        ):
+            self._post(deadline, key)
+
+    def cancel(self) -> None:
+        """Disarm (no-op when idle)."""
+        if self.deadline is not None:
+            self.deadline = None
+            self._kernel._live_events -= 1
+
+    def _post(self, when: int, key: int) -> None:
+        """Push the entry ``(when, key)`` and track it."""
+        self._entry_when = when
+        self._entry_key = key
+        kernel = self._kernel
+        heappush(kernel._heap, (when, key, self, None))
+        hist = kernel._heap_depth_hist
+        if hist is not None:
+            hist.observe(len(kernel._heap))
+
+    def _due(self, key: int) -> bool:
+        """The heap entry ``key`` of this handle surfaced: fire now?
+
+        Called by the run loops.  False for a superseded entry, an idle
+        timer, or one restarted since the entry was pushed (the entry is
+        then re-posted at the deadline under the last restart's key).
+        """
+        if key != self._entry_key:
+            return False  # superseded by a restart to an earlier position
+        if self.deadline is None:
+            self._entry_when = self._entry_key = None
+            return False
+        if key != self._key:
+            self._post(self.deadline, self._key)
+            return False
+        self.deadline = self._entry_when = self._entry_key = None
+        return True
+
+
 class WatchdogExpired(RuntimeError):
     """An armed kernel progress watchdog tripped.
 
@@ -131,6 +234,10 @@ def _hot_heap_labels(heap: list, top: int = 5) -> str:
         obj = entry[2]
         if type(obj) is Timer:
             if obj.cancelled:
+                continue
+            fn = obj.fn
+        elif type(obj) is RestartableTimer:
+            if obj.deadline is None or entry[1] != obj._entry_key:
                 continue
             fn = obj.fn
         else:
@@ -260,9 +367,11 @@ class Kernel:
     ) -> None:
         self.seed = seed
         self._now = 0
-        # entries are flat (when, seq ^ mask, Timer, None) from call_at or
-        # (when, seq ^ mask, fn, args) from post_at; (when, seq ^ mask) is
-        # unique so the third element is never compared
+        # entries are flat (when, seq ^ mask, handle, None) from call_at or
+        # a RestartableTimer, or (when, seq ^ mask, fn, args) from post_at
+        # (args is always a tuple there, so ``args is None`` tells the two
+        # apart); (when, seq ^ mask) is unique so the third element is
+        # never compared
         self._heap: list[tuple] = []
         self._seq = 0
         self._seq_mask = (
@@ -424,6 +533,10 @@ class Kernel:
         if hist is not None:
             hist.observe(len(self._heap))
 
+    def timer(self, fn: Callable, *args: Any) -> RestartableTimer:
+        """An idle :class:`RestartableTimer` that will call ``fn(*args)``."""
+        return RestartableTimer(self, fn, args)
+
     def call_window(
         self,
         start: int,
@@ -511,10 +624,29 @@ class Kernel:
         numbers stay correct (merely big-int slow), while renumbering
         could collide re-keyed entries with future masked keys.
         """
-        entries = sorted(self._heap)
-        self._heap[:] = [
-            (entry[0], i, entry[2], entry[3]) for i, entry in enumerate(entries, 1)
-        ]
+        # A RestartableTimer restarted since its entry was pushed holds its
+        # firing key outside the heap; bring that key in first (move the
+        # tracked entry to where it would re-post itself anyway, drop the
+        # superseded and idle ones) so one sort re-keys everything.
+        entries = []
+        for entry in self._heap:
+            obj = entry[2]
+            if type(obj) is RestartableTimer:
+                if entry[1] != obj._entry_key:
+                    continue
+                if obj.deadline is None:
+                    obj._entry_when = obj._entry_key = None
+                    continue
+                entry = (obj.deadline, obj._key, obj, None)
+            entries.append(entry)
+        entries.sort()
+        for i, entry in enumerate(entries, 1):
+            obj = entry[2]
+            if type(obj) is RestartableTimer:
+                obj._entry_when = entry[0]
+                obj._key = obj._entry_key = i
+            entries[i - 1] = (entry[0], i, obj, entry[3])
+        self._heap[:] = entries
         self._seq_renumbers += 1
         return len(entries) + 1
 
@@ -594,7 +726,10 @@ class Kernel:
                     return processed
                 heappop(heap)
                 obj = entry[2]
-                if type(obj) is Timer:
+                args = entry[3]
+                if args is not None:
+                    fn = obj
+                elif type(obj) is Timer:
                     if obj.cancelled:
                         self._cancelled_in_heap -= 1
                         self._recycle_timer(obj)
@@ -604,9 +739,11 @@ class Kernel:
                     if san is not None and fn is POOL_POISON:
                         san.pool_corruption("timer", obj)
                     self._recycle_timer(obj)
+                elif obj._due(entry[1]):
+                    fn = obj.fn
+                    args = obj.args
                 else:
-                    fn = obj
-                    args = entry[3]
+                    continue
                 self._live_events -= 1
                 if san is not None:
                     san.on_fire(when)
@@ -648,8 +785,10 @@ class Kernel:
                             f"event heap drained at t={self._now}ns but {fut!r} "
                             "is still pending (simulation deadlock)"
                         )
-                    when, _seq, obj, args = pop(heap)
-                    if type(obj) is Timer:
+                    when, key, obj, args = pop(heap)
+                    if args is not None:
+                        fn = obj
+                    elif type(obj) is Timer:
                         if obj.cancelled:
                             self._cancelled_in_heap -= 1
                             self._recycle_timer(obj)
@@ -659,8 +798,11 @@ class Kernel:
                         if san is not None and fn is POOL_POISON:
                             san.pool_corruption("timer", obj)
                         self._recycle_timer(obj)
+                    elif obj._due(key):
+                        fn = obj.fn
+                        args = obj.args
                     else:
-                        fn = obj
+                        continue
                     self._live_events -= 1
                     if san is not None:
                         san.on_fire(when)
@@ -684,7 +826,10 @@ class Kernel:
                     )
                 heappop(heap)
                 obj = entry[2]
-                if type(obj) is Timer:
+                args = entry[3]
+                if args is not None:
+                    fn = obj
+                elif type(obj) is Timer:
                     if obj.cancelled:
                         self._cancelled_in_heap -= 1
                         self._recycle_timer(obj)
@@ -694,9 +839,11 @@ class Kernel:
                     if san is not None and fn is POOL_POISON:
                         san.pool_corruption("timer", obj)
                     self._recycle_timer(obj)
+                elif obj._due(entry[1]):
+                    fn = obj.fn
+                    args = obj.args
                 else:
-                    fn = obj
-                    args = entry[3]
+                    continue
                 self._live_events -= 1
                 if san is not None:
                     san.on_fire(entry[0])

@@ -8,13 +8,15 @@ parallelises a single large world.  The design is classic conservative
   seed, same construction order, so every RNG stream, vtag, and cookie
   secret matches), but only *spawns* the MPI ranks it owns;
 * links whose transmitter and receiver live on different shards are
-  **cut**: their transmission completions are diverted into an outbox
-  instead of scheduling local propagation (:attr:`Link.divert`);
+  **cut**: a packet they accept is diverted, with its computed delivery
+  time, into an outbox instead of being scheduled onto the local sink
+  (:attr:`Link.divert`);
 * the minimum propagation delay over the cut links is the **lookahead**
   ``L``: an event executed at time ``t`` can only cause a cross-shard
-  delivery at ``t + L`` or later, so all shards may safely run the
-  window ``[.., M + L - 1]`` where ``M`` is the global minimum
-  next-event time;
+  delivery at ``t + L`` or later (later by the serialisation time, in
+  fact, since the divert happens when the packet is accepted), so all
+  shards may safely run the window ``[.., M + L - 1]`` where ``M`` is
+  the global minimum next-event time;
 * between windows a coordinator exchanges outboxes and each shard posts
   the inbound packets at their propagation-arrival times, sorted by
   ``(deliver_time, link_name)`` so the merge order is deterministic;
@@ -214,10 +216,8 @@ class _Shard:
         self.ranks = plan.ranks_of(shard_id)
         self.tasks: List[Any] = []
 
-    def _divert(self, link: Any, packet: Any) -> None:
-        self.outbox.append(
-            (self.kernel.now + link.prop_delay_ns, link.name, packet)
-        )
+    def _divert(self, link: Any, packet: Any, deliver_at: int) -> None:
+        self.outbox.append((deliver_at, link.name, packet))
 
     def start(self, app: Callable, args: tuple) -> None:
         self.tasks = self.world.spawn_ranks(app, args, self.ranks)

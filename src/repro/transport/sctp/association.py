@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...analyze.sanitize import sctp_sanitizer
 from ...network.packet import IP_HEADER, Packet
-from ...simkernel import MILLISECOND, SECOND, Timer
+from ...simkernel import MILLISECOND, SECOND, RestartableTimer
 from ...util.blobs import Blob
 from ..base import KAME_SCTP_TIMERS, TimerPersonality
 from .chunks import (
@@ -205,8 +205,11 @@ class Association:
         self.peer_vtag = 0  # learned from INIT/INIT-ACK
         self.my_initial_tsn = rng.randrange(1, 1 << 30)
 
-        # paths: peer primary first; more learned during handshake
+        # paths: peer primary first; more learned during handshake.  Each
+        # path owns a T3-rtx and a heartbeat timer (created with the path)
         self.paths: "OrderedDict[str, PathState]" = OrderedDict()
+        self._t3_timers: Dict[str, RestartableTimer] = {}
+        self._hb_timers: Dict[str, RestartableTimer] = {}
         self.primary_addr = peer_addr
         self._add_path(peer_addr)
 
@@ -227,7 +230,6 @@ class Association:
         self.outstanding_bytes = 0
         self.peer_rwnd = self.config.rcvbuf  # replaced at handshake
         self.cum_tsn_acked = self.my_initial_tsn - 1
-        self._t3_timers: Dict[str, Timer] = {}
         self._rtt_probe: Dict[str, Tuple[int, int]] = {}  # addr -> (tsn, sent_at)
         self._source_cache: Dict[str, str] = {}  # dest addr -> local addr
         self._next_window_probe_ns = 0  # zero-window probes are RTO-paced
@@ -237,7 +239,7 @@ class Association:
         self._any_marked = False
         self._assoc_error_count = 0
         self._init_retries = 0
-        self._t1_timer: Optional[Timer] = None
+        self._t1_timer = self.kernel.timer(self._on_t1)
 
         # receiver
         self.peer_initial_tsn = 0
@@ -246,17 +248,16 @@ class Association:
         self.inbound: Optional[InboundStreams] = None
         self._owner_buffered = 0  # delivered to socket, not yet read by app
         self._packets_since_sack = 0
-        self._sack_timer: Optional[Timer] = None
+        self._sack_timer = self.kernel.timer(self._on_sack_timer)
         self._dups_since_sack = 0
         # RFC 4960 §6.4: replies go to the source of the packet that
         # triggered them, so SACKs keep flowing after a path failure
         self._last_data_src: Optional[str] = None
 
         # other timers
-        self._t2_timer: Optional[Timer] = None
-        self._hb_timers: Dict[str, Timer] = {}
+        self._t2_timer = self.kernel.timer(self._on_t2)
         self._hb_pending: Dict[str, int] = {}  # addr -> nonce awaiting ack
-        self._autoclose_timer: Optional[Timer] = None
+        self._autoclose_timer = self.kernel.timer(self._on_autoclose)
         self._nonce = 0
         self._shutdown_requested = False
         self._cookie: Optional[StateCookie] = None
@@ -367,7 +368,7 @@ class Association:
             self._add_path(addr)
         self.endpoint.register_association(self, chunk.addresses)
         self.state = COOKIE_ECHOED
-        self._cancel_t1()
+        self._t1_timer.cancel()
         self._cookie = chunk.cookie
         self._send_cookie_echo()
 
@@ -431,6 +432,8 @@ class Association:
             timers=self.config.timers,
             path_max_retrans=self.config.path_max_retrans,
         )
+        self._t3_timers[addr] = self.kernel.timer(self._on_t3, addr)
+        self._hb_timers[addr] = self.kernel.timer(self._on_heartbeat_timer, addr)
 
     # ------------------------------------------------------------------
     # application sending
@@ -724,7 +727,7 @@ class Association:
             elif isinstance(chunk, CookieAckChunk):
                 if self.state == COOKIE_ECHOED:
                     self.state = ESTABLISHED
-                    self._cancel_t1()
+                    self._t1_timer.cancel()
                     self._start_heartbeats()
                     self.on_established()
                     self._try_send()
@@ -781,13 +784,10 @@ class Association:
             self._send_sack()  # report gaps/dups immediately (RFC 4960 §6.7)
         elif self._packets_since_sack >= self.config.sack_every_packets:
             self._send_sack()
-        elif self._sack_timer is None:
-            self._sack_timer = self.kernel.call_after(
-                self.config.sack_delay_ns, self._on_sack_timer
-            )
+        elif self._sack_timer.deadline is None:
+            self._sack_timer.restart(self.config.sack_delay_ns)
 
     def _on_sack_timer(self) -> None:
-        self._sack_timer = None
         if self.state != CLOSED and self._packets_since_sack > 0:
             self._send_sack()
 
@@ -824,9 +824,7 @@ class Association:
         self.stats.gap_blocks_sent += len(sack.gaps)
         self._packets_since_sack = 0
         self._dups_since_sack = 0
-        if self._sack_timer is not None:
-            self._sack_timer.cancel()
-            self._sack_timer = None
+        self._sack_timer.cancel()
         self.stats.sacks_sent += 1
         return sack
 
@@ -960,7 +958,7 @@ class Association:
         for addr, path in self.paths.items():
             path.on_cum_advance(self.cum_tsn_acked)
             if path.outstanding_bytes <= 0:
-                self._cancel_t3(addr)
+                self._t3_timers[addr].cancel()
             elif cum_advanced:
                 self._arm_t3(addr, restart=True)
 
@@ -1083,23 +1081,11 @@ class Association:
             self._arm_t3(dest_path.addr, restart=True)
 
     def _arm_t3(self, addr: str, restart: bool = False) -> None:
-        timer = self._t3_timers.get(addr)
-        if timer is not None:
-            if not restart:
-                return
-            timer.cancel()
-        path = self.paths[addr]
-        self._t3_timers[addr] = self.kernel.call_after(
-            path.rto.rto_ns, self._on_t3, addr
-        )
-
-    def _cancel_t3(self, addr: str) -> None:
-        timer = self._t3_timers.pop(addr, None)
-        if timer is not None:
-            timer.cancel()
+        timer = self._t3_timers[addr]
+        if restart or timer.deadline is None:
+            timer.restart(self.paths[addr].rto.rto_ns)
 
     def _on_t3(self, addr: str) -> None:
-        self._t3_timers.pop(addr, None)
         path = self.paths.get(addr)
         if path is None or self.state == CLOSED:
             return
@@ -1138,17 +1124,11 @@ class Association:
             self._arm_heartbeat(addr)
 
     def _arm_heartbeat(self, addr: str) -> None:
-        old = self._hb_timers.get(addr)
-        if old is not None:
-            old.cancel()
-        path = self.paths[addr]
-        interval = self.config.heartbeat_interval_ns + path.rto.rto_ns
-        self._hb_timers[addr] = self.kernel.call_after(
-            interval, self._on_heartbeat_timer, addr
+        self._hb_timers[addr].restart(
+            self.config.heartbeat_interval_ns + self.paths[addr].rto.rto_ns
         )
 
     def _on_heartbeat_timer(self, addr: str) -> None:
-        self._hb_timers.pop(addr, None)
         if self.state != ESTABLISHED:
             return
         path = self.paths.get(addr)
@@ -1193,17 +1173,9 @@ class Association:
 
     # -- T1 (handshake) timer ---------------------------------------------------
     def _arm_t1(self) -> None:
-        self._cancel_t1()
-        rto = self.paths[self.primary_addr].rto
-        self._t1_timer = self.kernel.call_after(rto.rto_ns, self._on_t1)
-
-    def _cancel_t1(self) -> None:
-        if self._t1_timer is not None:
-            self._t1_timer.cancel()
-            self._t1_timer = None
+        self._t1_timer.restart(self.paths[self.primary_addr].rto.rto_ns)
 
     def _on_t1(self) -> None:
-        self._t1_timer = None
         self._init_retries += 1
         if self._init_retries > self.config.max_init_retrans:
             self._teardown("handshake timed out")
@@ -1254,13 +1226,9 @@ class Association:
         self._teardown(None)
 
     def _arm_t2(self) -> None:
-        if self._t2_timer is not None:
-            self._t2_timer.cancel()
-        rto = self.paths[self.primary_addr].rto
-        self._t2_timer = self.kernel.call_after(rto.rto_ns, self._on_t2)
+        self._t2_timer.restart(self.paths[self.primary_addr].rto.rto_ns)
 
     def _on_t2(self) -> None:
-        self._t2_timer = None
         if self.state == SHUTDOWN_SENT:
             self._transmit_chunks([ShutdownChunk(self.rcv_cum_tsn)], self.primary_addr)
             self._arm_t2()
@@ -1277,14 +1245,9 @@ class Association:
     def _touch_autoclose(self) -> None:
         if self.config.autoclose_ns <= 0:
             return
-        if self._autoclose_timer is not None:
-            self._autoclose_timer.cancel()
-        self._autoclose_timer = self.kernel.call_after(
-            self.config.autoclose_ns, self._on_autoclose
-        )
+        self._autoclose_timer.restart(self.config.autoclose_ns)
 
     def _on_autoclose(self) -> None:
-        self._autoclose_timer = None
         if self.state == ESTABLISHED and not self.outstanding and not self.scheduler.has_pending():
             self.close()
 
@@ -1297,13 +1260,10 @@ class Association:
             self._t2_timer,
             self._sack_timer,
             self._autoclose_timer,
+            *self._t3_timers.values(),
+            *self._hb_timers.values(),
         ):
-            if timer is not None:
-                timer.cancel()
-        for timer in list(self._t3_timers.values()) + list(self._hb_timers.values()):
             timer.cancel()
-        self._t3_timers.clear()
-        self._hb_timers.clear()
         self.endpoint.forget(self)
         self.on_closed(error)
 

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ...analyze.sanitize import tcp_sanitizer
 from ...network.packet import Packet
-from ...simkernel import MILLISECOND, Timer
+from ...simkernel import MILLISECOND
 from ...util.blobs import Blob, ChunkList
 from ..base import BSD_TCP_TIMERS, RTOEstimator, TimerPersonality
 from .buffers import ReassemblyBuffer, SendBuffer
@@ -155,10 +155,10 @@ class TCPConnection:
         self._rtt_seq: Optional[int] = None
         self._rtt_sent_at = 0
 
-        # timers
-        self._rtx_timer: Optional[Timer] = None
-        self._delack_timer: Optional[Timer] = None
-        self._persist_timer: Optional[Timer] = None
+        # timers: one restartable handle each, idle until armed
+        self._rtx_timer = self.kernel.timer(self._on_rtx_timeout)
+        self._delack_timer = self.kernel.timer(self._on_delack)
+        self._persist_timer = self.kernel.timer(self._on_persist)
         self._persist_backoff = 0
         self._syn_retries = 0
 
@@ -265,7 +265,7 @@ class TCPConnection:
             if flags & ACK and seg.ack == self.snd_nxt:
                 self.state = ESTABLISHED
                 self.snd_una = seg.ack
-                self._cancel_rtx()
+                self._rtx_timer.cancel()
                 self.on_established()
                 # fall through: the ACK may carry data
             elif flags & SYN:
@@ -298,7 +298,7 @@ class TCPConnection:
             self.snd_una = seg.ack
             self._init_receiver(seg)
             self.state = ESTABLISHED
-            self._cancel_rtx()
+            self._rtx_timer.cancel()
             self._syn_retries = 0
             self._send_ack_now()
             self.on_established()
@@ -315,7 +315,7 @@ class TCPConnection:
         ack = seg.ack
         prev_wnd = self.snd_wnd
         self.snd_wnd = seg.window
-        if self._persist_timer is not None and self.snd_wnd > 0:
+        if self._persist_timer.deadline is not None and self.snd_wnd > 0:
             self._cancel_persist()
 
         if seg.sack_blocks:
@@ -368,7 +368,7 @@ class TCPConnection:
         if self._flight_size() > 0:
             self._arm_rtx(restart=True)
         else:
-            self._cancel_rtx()
+            self._rtx_timer.cancel()
 
         if freed > 0 and self.writable_bytes() > 0:
             self.on_writable()
@@ -491,7 +491,7 @@ class TCPConnection:
 
     def _enter_time_wait(self) -> None:
         self.state = TIME_WAIT
-        self._cancel_rtx()
+        self._rtx_timer.cancel()
         self.kernel.call_after(self.config.time_wait_ns, self._teardown, None)
 
     # ------------------------------------------------------------------
@@ -564,7 +564,7 @@ class TCPConnection:
         self._transmit(seg)
 
     def _send_ack_now(self) -> None:
-        self._cancel_delack()
+        self._delack_timer.cancel()
         self._segs_since_ack = 0
         seg = self._make_segment(ACK, seq=self.snd_nxt, ack=self._rcv_nxt())
         self._transmit(seg)
@@ -572,7 +572,7 @@ class TCPConnection:
 
     def _ack_sent(self) -> None:
         # data segments carry the current ack: cancel any delayed ACK
-        self._cancel_delack()
+        self._delack_timer.cancel()
         self._segs_since_ack = 0
 
     def _rcv_nxt(self) -> int:
@@ -634,18 +634,11 @@ class TCPConnection:
     # timers
     # ------------------------------------------------------------------
     def _arm_rtx(self, restart: bool = False) -> None:
-        if restart:
-            self._cancel_rtx()
-        if self._rtx_timer is None:
-            self._rtx_timer = self.kernel.call_after(self.rto.rto_ns, self._on_rtx_timeout)
-
-    def _cancel_rtx(self) -> None:
-        if self._rtx_timer is not None:
-            self._rtx_timer.cancel()
-            self._rtx_timer = None
+        timer = self._rtx_timer
+        if restart or timer.deadline is None:
+            timer.restart(self.rto.rto_ns)
 
     def _on_rtx_timeout(self) -> None:
-        self._rtx_timer = None
         if self.state == SYN_SENT:
             self._syn_retries += 1
             if self._syn_retries > self.config.max_syn_retries:
@@ -683,36 +676,25 @@ class TCPConnection:
         self._arm_rtx()
 
     def _arm_delack(self) -> None:
-        if self._delack_timer is None:
-            self._delack_timer = self.kernel.call_after(
-                self.config.delayed_ack_ns, self._on_delack
-            )
-
-    def _cancel_delack(self) -> None:
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
-            self._delack_timer = None
+        timer = self._delack_timer
+        if timer.deadline is None:
+            timer.restart(self.config.delayed_ack_ns)
 
     def _on_delack(self) -> None:
-        self._delack_timer = None
         if self.state != CLOSED:
             self._send_ack_now()
 
     def _arm_persist(self) -> None:
-        if self._persist_timer is not None:
-            return
-        interval = self.rto.rto_ns << min(self._persist_backoff, 4)
-        self._persist_timer = self.kernel.call_after(interval, self._on_persist)
+        timer = self._persist_timer
+        if timer.deadline is None:
+            timer.restart(self.rto.rto_ns << min(self._persist_backoff, 4))
 
     def _cancel_persist(self) -> None:
-        if self._persist_timer is not None:
-            self._persist_timer.cancel()
-            self._persist_timer = None
+        self._persist_timer.cancel()
         self._persist_backoff = 0
         self._try_send()
 
     def _on_persist(self) -> None:
-        self._persist_timer = None
         if self.snd_wnd > 0 or self.state == CLOSED:
             return
         # window probe: one byte past the right window edge
@@ -729,11 +711,9 @@ class TCPConnection:
         if self.state == CLOSED:
             return
         self.state = CLOSED
-        self._cancel_rtx()
-        self._cancel_delack()
-        if self._persist_timer is not None:
-            self._persist_timer.cancel()
-            self._persist_timer = None
+        self._rtx_timer.cancel()
+        self._delack_timer.cancel()
+        self._persist_timer.cancel()
         self.endpoint.forget(self)
         self.on_closed(error)
 

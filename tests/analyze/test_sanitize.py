@@ -56,6 +56,31 @@ def test_sanitized_context_restores_previous_state():
         assert sanitizers_enabled()
 
 
+def test_flag_is_resolved_once_not_per_call(monkeypatch):
+    """Packet.acquire/release ask per packet: the environment is read when
+    the override changes (and at import), never by the query itself."""
+    import os
+
+    from repro.analyze.sanitize import enable_sanitizers, reset_sanitizers
+
+    try:
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        reset_sanitizers()  # re-resolves: the environment decides
+        assert sanitizers_enabled()
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        monkeypatch.setattr(os.environ, "get", None)  # any read would raise
+        assert sanitizers_enabled()  # still the resolved value
+        monkeypatch.undo()
+        enable_sanitizers(False)
+        assert not sanitizers_enabled()
+        with sanitized(True):
+            assert sanitizers_enabled()
+        assert not sanitizers_enabled()
+    finally:
+        monkeypatch.undo()
+        reset_sanitizers()
+
+
 # ---------------------------------------------------------------------------
 # kernel layer
 # ---------------------------------------------------------------------------

@@ -54,3 +54,33 @@ def test_fig10_11_12_reference_ratios():
     # ... ~35% single-stream penalty at 2% loss (fig 12)
     m10, m1 = FIG12_PAPER[("short", 0.02)]
     assert 1.3 < m1 / m10 < 1.4
+
+
+def test_profile_table_keeps_dataclass_inits_apart():
+    """``--profile`` reads getstats() per code object: pstats keys rows by
+    file:line:name, under which every generated ``__init__`` collides."""
+    import cProfile
+    from dataclasses import dataclass
+
+    from repro.bench.__main__ import profile_table
+
+    @dataclass
+    class Alpha:
+        left: int
+
+    @dataclass
+    class Beta:
+        right: int
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for i in range(30):
+        Alpha(i)
+    for i in range(70):
+        Beta(i)
+    profiler.disable()
+    rows = [line.split(None, 3) for line in profile_table(profiler, top=50).splitlines()[1:]]
+    inits = {row[3]: int(row[0]) for row in rows if "__init__" in row[3]}
+    assert sorted(inits.values()) == [30, 70]
+    assert any("self, left" in label for label in inits)
+    assert any("self, right" in label for label in inits)

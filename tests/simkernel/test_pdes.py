@@ -116,6 +116,41 @@ def test_tcp_world_serial_vs_sharded_identical():
     )
 
 
+@pytest.mark.parametrize("rpi", ["tcp", "sctp"])
+def test_multi_packet_bursts_across_the_cut_keep_event_counts_equal(rpi):
+    # 16 KiB messages: a dozen back-to-back frames queue on each cut
+    # link, so the divert hands over packets whose serialisation has not
+    # even started; with one event per hop the sending shard fires
+    # nothing for them and the receiving shard fires the delivery, which
+    # must add up to exactly the serial count
+    _parity(
+        WorldConfig(n_procs=2, rpi=rpi, seed=7),
+        make_pingpong(16 * 1024, 3),
+        n_shards=2,
+        horizon_ns=SECOND,
+    )
+
+
+def test_divert_happens_at_send_time_with_the_delivery_instant():
+    from repro.network import Link, Packet
+
+    k = Kernel()
+    link = Link(k, "cut", 1_000_000_000, prop_delay_ns=5_000, sink=lambda p: None)
+    diverted = []
+    link.divert = lambda lnk, packet, deliver_at: diverted.append(
+        (lnk.name, packet.payload, deliver_at)
+    )
+    for i in range(2):
+        link.send(Packet(src="a", dst="b", proto="t", payload=i, wire_size=1500))
+    # handed over immediately, nothing scheduled locally; the second
+    # frame serialises behind the first (12 us each) before propagating
+    assert diverted == [("cut", 0, 17_000), ("cut", 1, 29_000)]
+    assert k.pending_events() == 0
+    # lookahead: delivery is at least serialisation + propagation away
+    assert all(at - k.now > link.prop_delay_ns for _, _, at in diverted)
+    assert link.queued_bytes == 3000 and link.tx_packets == 2
+
+
 def test_horizon_too_short_raises():
     from repro.simkernel.pdes import HorizonError
 

@@ -1,0 +1,233 @@
+"""RestartableTimer: the one handle behind every protocol timer.
+
+The contract (see the class docstring): fires once per arming at the
+deadline of the last restart; restart/cancel leave the tracked heap entry
+where it is; an entry that surfaces early is re-posted, uncounted; and
+the whole run pops events in exactly the order ``cancel(); call_after()``
+would have produced.
+"""
+
+import random
+
+import pytest
+
+from repro.analyze.sanitize import KernelSanitizer, sanitized
+from repro.simkernel import Kernel, RestartableTimer, WatchdogExpired
+from repro.simkernel.futures import Future
+from repro.simkernel.kernel import DeadlockError
+
+
+def _recording(k):
+    fired = []
+    return fired, k.timer(lambda: fired.append(k.now))
+
+
+def test_restart_later_fires_once_at_the_final_deadline():
+    k = Kernel()
+    fired, timer = _recording(k)
+    assert isinstance(timer, RestartableTimer) and timer.deadline is None
+    timer.restart(100)
+    for at in (10, 20, 30):
+        k.post_at(at, timer.restart, 100)
+    assert len(k._heap) == 4  # one entry for the timer, three posts
+    k.run()
+    assert fired == [130]
+    assert timer.deadline is None
+    # 3 posts + 1 expiry: the entry surfacing early at t=100 is not an event
+    assert k.events_processed == 4
+
+
+def test_restart_earlier_fires_at_the_earlier_deadline_only():
+    k = Kernel()
+    fired, timer = _recording(k)
+    timer.restart(1_000)
+    k.post_at(10, timer.restart, 50)
+    k.run()
+    assert fired == [60]
+    # the superseded entry drained without moving the clock, like a
+    # cancelled Timer's would
+    assert k.now == 60 and not k._heap
+    assert k.events_processed == 2 and k.pending_events() == 0
+
+
+def test_cancel_then_rearm():
+    k = Kernel()
+    fired, timer = _recording(k)
+    timer.restart(100)
+    k.post_at(10, timer.cancel)
+    k.post_at(20, timer.restart, 30)  # earlier than the stale entry
+    k.post_at(60, timer.restart, 200)  # idle again by now; later than it
+    k.run()
+    assert fired == [50, 260]
+
+
+def test_callback_may_restart_its_own_timer():
+    k = Kernel()
+    fired = []
+
+    def tick():
+        fired.append(k.now)
+        if len(fired) < 3:
+            timer.restart(7)
+
+    timer = k.timer(tick)
+    timer.restart(7)
+    k.run()
+    assert fired == [7, 14, 21]
+
+
+def test_cancel_leaves_no_live_event():
+    k = Kernel()
+    fired, timer = _recording(k)
+    timer.restart(100)
+    assert k.pending_events() == 1
+    timer.restart(500)
+    assert k.pending_events() == 1
+    timer.cancel()
+    timer.cancel()  # idempotent
+    assert k.pending_events() == 0
+    # deadlock detection sees through the stale entry
+    with pytest.raises(DeadlockError):
+        k.run_until(Future(name="never"))
+    assert fired == [] and k.events_processed == 0 and not k._heap
+
+
+def test_stale_entries_neither_count_nor_tick_the_watchdog():
+    k = Kernel()
+    fired, timer = _recording(k)
+    k.arm_watchdog(max_events=2)
+    timer.restart(10)
+    timer.restart(20)
+    timer.restart(30)  # surfaces at 10, re-posts at 30: one event in all
+    k.run()
+    assert fired == [30] and k.events_processed == 1
+    timer.restart(5)
+    with pytest.raises(WatchdogExpired):
+        k.run()  # the second real event exhausts the budget
+
+
+def test_watchdog_dump_labels_armed_timers_only():
+    k = Kernel()
+
+    def retransmit():
+        pass
+
+    def delayed_ack():
+        pass
+
+    k.arm_watchdog(max_events=1)
+    k.timer(retransmit).restart(50)
+    idle = k.timer(delayed_ack)
+    idle.restart(60)
+    idle.cancel()  # its entry is still queued, but it is not pending work
+    k.post_at(1, lambda: None)
+    with pytest.raises(WatchdogExpired) as err:
+        k.run()
+    assert "retransmit x1" in str(err.value)
+    assert "delayed_ack" not in str(err.value)
+
+
+def test_negative_delay_rejected():
+    with pytest.raises(ValueError):
+        Kernel().timer(lambda: None).restart(-1)
+
+
+# ---------------------------------------------------------------------------
+# exact equivalence with the cancel(); call_after() idiom it replaces
+# ---------------------------------------------------------------------------
+class _CancelAndCallAfter:
+    """Reference: the hand-rolled idiom the transports used to carry."""
+
+    def __init__(self, kernel, fn, *args):
+        self.kernel, self.fn, self.args = kernel, fn, args
+        self.timer = None
+
+    def restart(self, delay):
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = self.kernel.call_after(delay, self._fire)
+
+    def cancel(self):
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def _fire(self):
+        self.timer = None
+        self.fn(*self.args)
+
+
+def _churn(make_timer, seed, tiebreak_mask, seq_limit=None):
+    """Several timers restarted/cancelled at random among plain events,
+    with delays drawn from a tiny set so same-instant ties are constant."""
+    k = Kernel(tiebreak_mask=tiebreak_mask)
+    if seq_limit is not None:
+        k.SEQ_LIMIT = seq_limit
+    rng = random.Random(seed)
+    log = []
+    timers = [make_timer(k, log.append, ("timer", i)) for i in range(4)]
+
+    def step(n):
+        log.append(("step", n, k.now, k.pending_events()))
+        timer = rng.choice(timers)
+        if rng.random() < 0.2:
+            timer.cancel()
+        else:
+            timer.restart(rng.choice((0, 5, 5, 10, 20, 40)))
+        if n:
+            k.post_after(rng.choice((0, 5, 5, 10)), step, n - 1)
+
+    k.post_at(0, step, 300)
+    k.post_at(0, step, 300)
+    k.run()
+    return log, k.events_processed, k.now, k.seq_renumbers
+
+
+@pytest.mark.parametrize("tiebreak_mask", [0, (1 << 40) - 1])
+@pytest.mark.parametrize("seed", range(5))
+def test_event_order_identical_to_cancel_and_call_after(seed, tiebreak_mask):
+    got = _churn(lambda k, fn, arg: k.timer(fn, arg), seed, tiebreak_mask)
+    want = _churn(_CancelAndCallAfter, seed, tiebreak_mask)
+    assert got == want
+    assert sum(1 for entry in got[0] if entry[0] == "timer") > 50
+
+
+def test_seq_renumbering_keeps_restarted_timers_in_order():
+    # a tiny SEQ_LIMIT forces renumbering while restarted timers hold
+    # their firing key outside the heap; order must still match a run
+    # that never renumbers
+    got = _churn(lambda k, fn, arg: k.timer(fn, arg), 3, 0, seq_limit=64)
+    want = _churn(lambda k, fn, arg: k.timer(fn, arg), 3, 0)
+    assert got[3] > 5 and want[3] == 0
+    assert got[:3] == want[:3]
+
+
+# ---------------------------------------------------------------------------
+# sanitizers: heap audit and the Timer/Packet pools alongside the new handle
+# ---------------------------------------------------------------------------
+def test_heap_audit_and_pool_poison_checks_pass_with_restartable_timers(monkeypatch):
+    # full heap audit on every fired event
+    monkeypatch.setattr(KernelSanitizer, "AUDIT_EVERY", 1)
+    with sanitized():
+        k = Kernel()
+        fired, timer = _recording(k)
+        other = k.timer(lambda: None)
+        for at in range(0, 400, 10):
+            k.post_at(at, timer.restart, 25 if at % 40 else 5)
+            k.post_at(at, k.call_after(15, lambda: None).cancel)  # pooled Timers too
+            k.post_at(at, other.restart, 1_000)
+        k.post_at(395, other.cancel)
+        k.run()
+        k._san.audit()
+        assert fired and k.pending_events() == 0
+
+
+def test_sanitized_lossy_worlds_run_clean():
+    from repro.core.world import World, WorldConfig
+    from repro.workloads.mpbench import make_pingpong
+
+    with sanitized():
+        for rpi in ("tcp", "sctp"):
+            world = World(WorldConfig(n_procs=2, rpi=rpi, loss_rate=0.02, seed=4))
+            world.run(make_pingpong(30 * 1024, 10))
+            world.kernel._san.audit()
