@@ -17,7 +17,7 @@ Subcommands
     The CI umbrella: lint + flow against the committed baseline in one
     blocking step.  Exits nonzero if either stage reports anything new.
 
-``perturb EXPERIMENT:CELL [--modes lifo,shuffle:7] [--json FILE]``
+``perturb EXPERIMENT name=value ... [--modes lifo,shuffle:7] [--json FILE]``
     Schedule-perturbation race detector on one bench cell.  Exits 1 when
     any perturbed tie-break produces a different metrics digest than the
     production FIFO order.

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Mask bits available for tie-break perturbation.  Sequence numbers are
 #: monotonically increasing ints; 62 bits keeps masked keys well inside
@@ -209,22 +209,34 @@ def perturb_run(
 
 def perturb_cell(
     experiment: str,
-    cell: str,
+    params: Mapping[str, Any],
     modes: Sequence[str] = ("lifo",),
 ) -> PerturbResult:
-    """Perturb one bench-harness experiment cell (e.g. ``fig8`` / ``1024``)."""
-    from ..bench.harness import run_experiment_cell
+    """Perturb one bench-harness cell (e.g. ``fig8`` / ``{"size": 1024}``)."""
+    from ..bench.harness import cell_id, run_sweep_cell
 
     def run() -> Any:
-        rows = run_experiment_cell(experiment, cell)
-        return [row.to_jsonable() for row in rows]
+        return [row.to_jsonable() for row in run_sweep_cell(experiment, params)]
 
-    return perturb_run(run, modes=modes, label=f"{experiment}:{cell}")
+    return perturb_run(run, modes=modes, label=cell_id(experiment, params))
+
+
+def _parse_param(text: str) -> Tuple[str, Any]:
+    """One ``name=value`` CLI token; the value is JSON when it parses."""
+    name, sep, raw = text.partition("=")
+    if not sep or not name:
+        raise ValueError(f"parameter {text!r} must look like name=value")
+    try:
+        return name, json.loads(raw)
+    except json.JSONDecodeError:
+        return name, raw
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI body for ``python -m repro.analyze perturb`` (returns exit code)."""
     import argparse
+
+    from ..bench.harness import MATRICES, resolve_sweep_params
 
     parser = argparse.ArgumentParser(
         prog="repro-analyze perturb",
@@ -234,9 +246,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "cell",
-        metavar="EXPERIMENT:CELL",
-        help="bench cell to perturb, e.g. fig8:1024 (see repro.bench --list)",
+        "experiment",
+        metavar="EXPERIMENT",
+        help=f"experiment to perturb: {', '.join(MATRICES)}",
+    )
+    parser.add_argument(
+        "params",
+        nargs="*",
+        metavar="name=value",
+        help="the cell's parameters, e.g. size=1024: every axis of the "
+        "experiment plus any free parameter to override (values are JSON, "
+        "else taken as strings)",
     )
     parser.add_argument(
         "--modes",
@@ -251,14 +271,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if ":" not in args.cell:
-        parser.error(f"cell spec {args.cell!r} must look like EXPERIMENT:KEY")
-    experiment, key = args.cell.split(":", 1)
+    try:
+        params = dict(_parse_param(text) for text in args.params)
+        resolve_sweep_params(args.experiment, params)
+    except (KeyError, ValueError) as err:
+        parser.error(str(err.args[0]))
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         parse_mode(mode)  # validate before paying for any simulation
 
-    result = perturb_cell(experiment, key, modes=modes)
+    result = perturb_cell(args.experiment, params, modes=modes)
     if args.json:
         import sys
         from pathlib import Path

@@ -1,8 +1,7 @@
-"""Command-line experiment runner: ``python -m repro.bench <experiment>``.
+"""Command-line experiment runner: ``python -m repro.bench <figure>``.
 
-Runs one (or all) of the paper's experiments and prints the
-paper-vs-measured table, without pytest.  Useful for quick interactive
-exploration and for scripting sweeps.
+Runs one (or all) of the paper's figures — the titled registry entries
+of :mod:`repro.bench.harness` — and prints the paper-vs-measured table.
 
     python -m repro.bench fig8
     python -m repro.bench table1 fig10
@@ -12,17 +11,17 @@ exploration and for scripting sweeps.
     python -m repro.bench fig8 --profile
     REPRO_FULL=1 python -m repro.bench fig9
 
+A figure is its entry's ``default_cells``: isolated deterministic
+simulations, merged in enumeration order.  ``--jobs N`` only changes
+*where* they run (N supervised worker processes instead of this one),
+so tables and ``--metrics-json`` are byte-identical for every N (CI's
+parallel determinism gate relies on this).
+
 ``--metrics-json PATH`` additionally enables the metrics registry for
 every simulated world and writes one deterministic JSON document: per
-experiment, the result rows plus one full metrics snapshot per world
-run.  The document contains no wall-clock time and is byte-identical
-across same-seed invocations (CI's determinism gate relies on this).
-
-``--jobs N`` shards every experiment's cell matrix across N worker
-processes (each (protocol, loss, size, fanout) cell is an isolated
-deterministic simulation) and merges results in enumeration order, so
-the output — including ``--metrics-json`` — is byte-identical to a
-serial run (CI's parallel determinism gate relies on *this*).
+figure, the result rows plus one full metrics snapshot per world run.
+The document contains no wall-clock time and is byte-identical across
+same-seed invocations (CI's determinism gate relies on *this*).
 
 ``--profile`` wraps the run in :mod:`cProfile` and prints the top 20
 functions by cumulative time, for hot-path hunts without ad-hoc
@@ -36,41 +35,19 @@ runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
+from typing import Iterator, List, Tuple
 
-from . import (
-    ExperimentRow,
-    chaos_matrix,
-    fig8_pingpong_noloss,
-    fig9_nas,
-    fig10_farm,
-    fig11_farm_fanout,
-    fig12_hol_blocking,
-    format_table,
-    interleave_matrix,
-    multihoming_failover,
-    table1_pingpong_loss,
-)
-from ..metrics import MetricsCollector
-
-EXPERIMENTS = {
-    "fig8": ("Fig. 8: ping-pong throughput (no loss)", fig8_pingpong_noloss),
-    "table1": ("Table 1: ping-pong throughput under loss", table1_pingpong_loss),
-    "fig9": ("Fig. 9: NPB class B Mop/s (8 procs)", fig9_nas),
-    "fig10": ("Fig. 10: farm run times, fanout=1", fig10_farm),
-    "fig11": ("Fig. 11: farm run times, fanout=10", fig11_farm_fanout),
-    "fig12": ("Fig. 12: 10 streams vs 1 stream (SCTP)", fig12_hol_blocking),
-    "failover": ("Multihoming: primary-path failure mid-run", multihoming_failover),
-    "interleave": ("RFC 8260: small-message latency under bulk", interleave_matrix),
-    "chaos": ("Chaos matrix: fault scenarios x both stacks", chaos_matrix),
-}
+from ..supervise import STRICT, supervised_map
+from .harness import MATRICES, ExperimentRow, cell_id, default_cells, format_table, run_cell_task
 
 METRICS_SCHEMA = 1
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str], figures: List[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Run the paper's experiments.",
@@ -79,7 +56,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         "experiments",
         nargs="*",
         default=["all"],
-        help=f"experiment names ({', '.join(EXPERIMENTS)}) or 'all'",
+        help=f"experiment names ({', '.join(figures)}) or 'all'",
     )
     parser.add_argument(
         "--metrics-json",
@@ -104,47 +81,31 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _run_serial(names: list[str], with_metrics: bool, doc: dict) -> None:
-    """The original in-process path (one collector per experiment)."""
+def run_figures(
+    names: List[str], jobs: int, with_metrics: bool
+) -> Iterator[Tuple[str, List[dict], List[dict]]]:
+    """Yield ``(figure, rows, metrics runs)`` for every named figure.
+
+    All figures' cells form one task list, run in this process (lazily:
+    a figure is yielded as soon as its last cell finishes) or by ``jobs``
+    supervised workers (strictly: a lost worker raises naming its cell),
+    and concatenated per figure in enumeration, never completion, order.
+    """
+    cells = {name: default_cells(name) for name in names}
+    items = [(name, params, with_metrics) for name in names for params in cells[name]]
+    if jobs <= 1:
+        outputs = map(run_cell_task, items)
+    else:
+        ids = [cell_id(name, params) for name, params, _ in items]
+        fanned = supervised_map(run_cell_task, items, jobs=jobs, policy=STRICT, task_ids=ids)
+        outputs = iter(fanned.unwrap())
     for name in names:
-        title, fn = EXPERIMENTS[name]
-        started = time.time()  # repro: allow[AN101] — wall display only
-        if with_metrics:
-            with MetricsCollector() as collector:
-                rows = fn()
-            doc["experiments"][name] = {
-                "title": title,
-                "rows": [row.to_jsonable() for row in rows],
-                "runs": collector.runs,
-            }
-        else:
-            rows = fn()
-        print(format_table(title, rows))
-        # wall time goes to stdout only: the JSON must be run-invariant
-        elapsed = time.time() - started  # repro: allow[AN101] — wall display only
-        print(f"  [{name}: {elapsed:.1f}s wall]")
-        print()
-
-
-def _run_parallel(names: list[str], jobs: int, with_metrics: bool, doc: dict) -> None:
-    """Cell-sharded fan-out; merged output matches the serial path."""
-    from .parallel import run_experiments
-
-    started = time.time()  # repro: allow[AN101] — wall display only
-    merged = run_experiments(names, jobs=jobs, with_metrics=with_metrics)
-    elapsed = time.time() - started  # repro: allow[AN101] — wall display only
-    for name in names:
-        title, _ = EXPERIMENTS[name]
-        rows = [ExperimentRow.from_jsonable(d) for d in merged[name]["rows"]]
-        if with_metrics:
-            doc["experiments"][name] = {
-                "title": title,
-                "rows": merged[name]["rows"],
-                "runs": merged[name]["runs"],
-            }
-        print(format_table(title, rows))
-        print()
-    print(f"  [{', '.join(names)}: {elapsed:.1f}s wall across {jobs} jobs]")
+        rows: List[dict] = []
+        runs: List[dict] = []
+        for cell_rows, cell_runs in itertools.islice(outputs, len(cells[name])):
+            rows += cell_rows
+            runs += cell_runs
+        yield name, rows, runs
 
 
 def profile_table(profiler, top: int = 20) -> str:
@@ -173,17 +134,17 @@ def profile_table(profiler, top: int = 20) -> str:
 
 
 def main(argv: list[str]) -> int:
-    args = _parse_args(argv)
+    # the figures, in the order ``all`` runs them
+    titles = {name: m.title for name, m in MATRICES.items() if m.title is not None}
+    args = _parse_args(argv, list(titles))
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}")
         return 2
-    names = args.experiments or ["all"]
-    if names == ["all"]:
-        names = list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
+    names = list(titles) if args.experiments == ["all"] else args.experiments
+    unknown = [n for n in names if n not in titles]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}")
-        print(f"available: {', '.join(EXPERIMENTS)}, all")
+        print(f"available: {', '.join(titles)}, all")
         return 2
     if args.metrics_json is not None:
         # fail before running minutes of experiments, not after
@@ -202,12 +163,16 @@ def main(argv: list[str]) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     doc = {"schema": METRICS_SCHEMA, "experiments": {}}
-    with_metrics = args.metrics_json is not None
+    started = time.time()  # repro: allow[AN101] — wall display only
     try:
-        if args.jobs > 1:
-            _run_parallel(names, args.jobs, with_metrics, doc)
-        else:
-            _run_serial(names, with_metrics, doc)
+        for name, rows, runs in run_figures(names, args.jobs, args.metrics_json is not None):
+            doc["experiments"][name] = {"title": titles[name], "rows": rows, "runs": runs}
+            table = [ExperimentRow(**row) for row in rows]
+            print(format_table(titles[name], table))
+            print()
+        # wall time goes to stdout only: the JSON must be run-invariant
+        elapsed = time.time() - started  # repro: allow[AN101] — wall display only
+        print(f"  [{', '.join(names)}: {elapsed:.1f}s wall, --jobs {args.jobs}]")
     finally:
         if profiler is not None:
             profiler.disable()

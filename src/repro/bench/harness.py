@@ -10,12 +10,16 @@ they are per-message effects; EXPERIMENTS.md records both.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.world import WorldConfig
+from ..metrics import MetricsCollector
 from ..metrics.registry import _coerce
 from ..workloads.farm import FarmParams, run_farm
 from ..workloads.interleave_mix import run_interleave_mix
@@ -45,23 +49,14 @@ class ExperimentRow:
     note: str = ""
 
     def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON form (numpy scalars coerced) for ``--metrics-json``."""
+        """Plain-JSON form (numpy scalars coerced): what workers ship back
+        and ``--metrics-json`` writes; ``ExperimentRow(**doc)`` inverts it."""
         return {
             "label": self.label,
             "measured": {k: _coerce(v) for k, v in self.measured.items()},
             "paper": {k: _coerce(v) for k, v in self.paper.items()},
             "note": self.note,
         }
-
-    @classmethod
-    def from_jsonable(cls, doc: Dict[str, Any]) -> "ExperimentRow":
-        """Rebuild a row a worker process shipped back as plain JSON."""
-        return cls(
-            label=doc["label"],
-            measured=dict(doc["measured"]),
-            paper=dict(doc.get("paper", {})),
-            note=doc.get("note", ""),
-        )
 
 
 def format_table(title: str, rows: List[ExperimentRow]) -> str:
@@ -112,15 +107,6 @@ def _fig8_cell(
     ]
 
 
-def fig8_pingpong_noloss(seed: int = 1, iterations: Optional[int] = None) -> List[ExperimentRow]:
-    """TCP wins small, SCTP wins large; paper crossover ~22 KiB."""
-    return [
-        row
-        for size in FIG8_SIZES
-        for row in _fig8_cell(size, seed=seed, iterations=iterations)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Table 1 — ping-pong under loss
 # ---------------------------------------------------------------------------
@@ -133,7 +119,12 @@ TABLE1_PAPER = {
 
 
 def _table1_cell(size: int, loss: float, seeds=(1, 2, 3, 4, 5)) -> List[ExperimentRow]:
-    """One Table-1 cell: both protocols at one (size, loss), seed-averaged."""
+    """One Table-1 cell: both protocols at one (size, loss), seed-averaged.
+
+    Individual runs are dominated by whether a tail-drop timeout (with
+    backoff) lands in the measured window, hence the seed average; why
+    our factors (~1-2x) sit below the paper's (3-43x) is in
+    EXPERIMENTS.md."""
     iters = scaled(50, 100) if size <= 64 * 1024 else scaled(16, 40)
     tcp_bps = sctp_bps = 0.0
     for seed in seeds:
@@ -166,35 +157,19 @@ def _table1_cell(size: int, loss: float, seeds=(1, 2, 3, 4, 5)) -> List[Experime
     ]
 
 
-def table1_pingpong_loss(seeds=(1, 2, 3, 4, 5)) -> List[ExperimentRow]:
-    """SCTP ahead of TCP under loss, both message sizes.
-
-    Individual runs are dominated by whether a tail-drop timeout (with
-    backoff) lands in the measured window, so each cell averages several
-    seeds.  Our measured factors (~1-2x) are far below the paper's
-    (3-43x); EXPERIMENTS.md discusses why faithful SACK recovery on both
-    stacks narrows the gap the paper observed."""
-    return [
-        row
-        for size in (30 * 1024, 300 * 1024)
-        for loss in (0.01, 0.02)
-        for row in _table1_cell(size, loss, seeds=seeds)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Fig. 9 — NAS parallel benchmarks, class B, Mop/s
 # ---------------------------------------------------------------------------
 FIG9_ORDER = ["LU", "SP", "EP", "CG", "BT", "MG", "IS"]
 
 
-def _fig9_cell(name: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
+def _fig9_cell(kernel: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
     """One fig9 cell: both protocols on one NPB kernel."""
-    tcp = run_npb(name, cls, rpi="tcp", seed=seed, limit_ns=LIMIT_NS)
-    sctp = run_npb(name, cls, rpi="sctp", seed=seed, limit_ns=LIMIT_NS)
+    tcp = run_npb(kernel, cls, rpi="tcp", seed=seed, limit_ns=LIMIT_NS)
+    sctp = run_npb(kernel, cls, rpi="sctp", seed=seed, limit_ns=LIMIT_NS)
     return [
         ExperimentRow(
-            label=f"NPB {name}.{cls}",
+            label=f"NPB {kernel}.{cls}",
             measured={
                 "sctp_Mops": sctp.mops,
                 "tcp_Mops": tcp.mops,
@@ -203,17 +178,10 @@ def _fig9_cell(name: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
             },
             paper={
                 "shape": "TCP ahead on MG,BT; comparable elsewhere"
-                if name in ("MG", "BT")
+                if kernel in ("MG", "BT")
                 else "comparable"
             },
         )
-    ]
-
-
-def fig9_nas(cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
-    """SCTP comparable to TCP overall; TCP ahead on MG and BT."""
-    return [
-        row for name in FIG9_ORDER for row in _fig9_cell(name, cls=cls, seed=seed)
     ]
 
 
@@ -279,25 +247,6 @@ def _farm_cell(
     ]
 
 
-def _farm_rows(fanout: int, paper: Dict, seed: int) -> List[ExperimentRow]:
-    return [
-        row
-        for size_label in ("short", "long")
-        for loss in (0.00, 0.01, 0.02)
-        for row in _farm_cell(fanout, size_label, loss, seed=seed)
-    ]
-
-
-def fig10_farm(seed: int = 1) -> List[ExperimentRow]:
-    """Fanout=1: SCTP ~10x faster (short, loss), ~2.6x (long, loss)."""
-    return _farm_rows(1, FIG10_PAPER, seed)
-
-
-def fig11_farm_fanout(seed: int = 1) -> List[ExperimentRow]:
-    """Fanout=10: TCP degrades further, especially for long messages."""
-    return _farm_rows(10, FIG11_PAPER, seed)
-
-
 # ---------------------------------------------------------------------------
 # Fig. 12 — head-of-line blocking: 10-stream vs 1-stream SCTP
 # ---------------------------------------------------------------------------
@@ -312,7 +261,11 @@ FIG12_PAPER = {  # (size_label, loss) -> (streams10_s, stream1_s)
 
 
 def _fig12_cell(size_label: str, loss: float, seeds=(1, 2, 3)) -> List[ExperimentRow]:
-    """One fig12 cell: 10-stream vs 1-stream SCTP at one (size, loss)."""
+    """One fig12 cell: 10-stream vs 1-stream SCTP at one (size, loss).
+
+    Run times at demo scale are dominated by a handful of retransmission
+    timeouts, so each lossy cell averages several seeds (the paper
+    averaged six runs of 10,000 tasks for the same reason — §4.2.1)."""
     params = _farm_params(size_label, fanout=10)
     multi_s = single_s = 0.0
     use_seeds = seeds if loss > 0 else seeds[:1]
@@ -343,20 +296,6 @@ def _fig12_cell(size_label: str, loss: float, seeds=(1, 2, 3)) -> List[Experimen
             },
             note=f"mean of {len(use_seeds)} seeds",
         )
-    ]
-
-
-def fig12_hol_blocking(seeds=(1, 2, 3)) -> List[ExperimentRow]:
-    """The multistreaming ablation: 1 stream re-introduces HOL blocking.
-
-    Run times at demo scale are dominated by a handful of retransmission
-    timeouts, so each cell averages several seeds (the paper averaged six
-    runs of 10,000 tasks for the same reason — §4.2.1)."""
-    return [
-        row
-        for size_label in ("short", "long")
-        for loss in (0.00, 0.01, 0.02)
-        for row in _fig12_cell(size_label, loss, seeds=seeds)
     ]
 
 
@@ -447,12 +386,16 @@ def multihoming_failover(seed: int = 1) -> List[ExperimentRow]:
 # Chaos matrix — repro.faults scenario library x both stacks
 # ---------------------------------------------------------------------------
 def _chaos_cell(rpi: str, seed: int = 1) -> List[ExperimentRow]:
-    """One chaos-matrix shard: the fault-free baseline plus every
-    scenario for one stack.
+    """One chaos-matrix cell: the fault-free baseline plus every
+    canonical fault scenario for one stack.
 
-    The baseline run lives *inside* the shard (its elapsed time
-    normalises every scenario row), so shards are fully independent —
-    the property the parallel fan-out relies on.
+    Per scenario: run time vs the fault-free baseline of the same seed,
+    the longest data-delivery stall the application felt, time-to-recovery
+    after the fault hit, and the transport counters that explain *how*
+    the stack coped (RTO backoff and SACK fast retransmit, SCTP path
+    failover, integrity drops).  The baseline run lives *inside* the
+    cell (its elapsed time normalises every scenario row), so cells are
+    fully independent — the property the parallel fan-out relies on.
     """
     from ..faults import (
         bernoulli_loss,
@@ -501,43 +444,6 @@ def _chaos_cell(rpi: str, seed: int = 1) -> List[ExperimentRow]:
                 note=f"baseline {base_s:.3g}s",
             )
         )
-    return rows
-
-
-def chaos_matrix(seed: int = 1, jobs: int = 1) -> List[ExperimentRow]:
-    """Run every canonical fault scenario against both stacks.
-
-    Per cell: run time vs a fault-free baseline of the same seed
-    (goodput degradation), the longest data-delivery stall the
-    application felt, time-to-recovery after the fault hit, and the
-    transport counters that explain *how* the stack coped (RTO backoff
-    and SACK fast retransmit, SCTP path failover, integrity drops).
-
-    ``jobs > 1`` shards the per-stack cells across worker processes via
-    :mod:`repro.bench.parallel`; the rows are identical to a serial run.
-    """
-    if jobs > 1:
-        if seed != 1:
-            raise ValueError("parallel chaos_matrix supports the default seed only")
-        from .parallel import run_experiments
-
-        merged = run_experiments(["chaos"], jobs=jobs)
-        return [ExperimentRow.from_jsonable(d) for d in merged["chaos"]["rows"]]
-    return _chaos_cell("tcp", seed) + _chaos_cell("sctp", seed)
-
-
-def interleave_matrix() -> List[ExperimentRow]:
-    """Small-message latency under concurrent bulk, RFC 8260 on/off.
-
-    Runs the default ``interleave`` cell matrix (SCTP only; the TCP
-    baseline and the wfq/prio schedulers are addressable via
-    ``repro.sweep`` — see ``benchmarks/sweep_interleave.json``).  The
-    serial order matches the cell enumeration, so a ``--jobs`` sharded
-    run merges to byte-identical output.
-    """
-    rows: List[ExperimentRow] = []
-    for key in experiment_cells("interleave"):
-        rows.extend(run_experiment_cell("interleave", key))
     return rows
 
 
@@ -718,26 +624,18 @@ def _interleave_cell(
 
 
 # ---------------------------------------------------------------------------
-# Cell decomposition — the unit of parallel fan-out and of repro.sweep
+# The experiment registry — the one way to address, run and fan out a cell
 # ---------------------------------------------------------------------------
 # Every experiment is a matrix of independent deterministic cells (the
 # property the paper's Dummynet testbed had: each (seed, scenario) run is
-# isolated).  The registry below makes that matrix *structured*: each
-# experiment declares named axes (with a default enumeration and optional
-# closed choice sets) plus overridable free parameters, and a runner
-# taking one keyword argument per axis/free name.
+# isolated).  An entry declares named axes (a default enumeration, an
+# optional closed choice set) and a runner taking one keyword per axis;
+# the runner's other keyword defaults are the overridable free parameters.
 #
-# Two addressing schemes derive from it:
-#
-# * legacy key strings (``experiment_cells`` / ``run_experiment_cell``):
-#   the colon-joined default axis product, unchanged from before this
-#   registry existed — ``repro.bench.parallel`` shards on these, and a
-#   sharded run merged in enumeration order reproduces the serial output
-#   byte for byte;
-# * parameter mappings (``resolve_sweep_params`` / ``run_sweep_cell``):
-#   ``repro.sweep`` addresses any cell — including off-enumeration points
-#   like ``loss=0.05`` or a fault-scenario axis — as a validated dict,
-#   which is also what its content digests are computed over.
+# A cell is always ``(experiment, params)``: ``resolve_sweep_params``
+# validates the mapping (``repro.sweep`` digests are computed over the
+# result) and ``run_sweep_cell`` runs it — off-enumeration points like
+# ``loss=0.05`` or a fault scenario included.
 
 
 @dataclass(frozen=True)
@@ -745,104 +643,75 @@ class Axis:
     """One named dimension of an experiment's cell matrix."""
 
     name: str
-    values: Tuple[Any, ...]  # default enumeration (legacy key product)
+    values: Tuple[Any, ...]  # default enumeration (the figure's cells)
     coerce: Callable[[Any], Any]
     choices: Optional[Tuple[Any, ...]] = None  # legal set; None = open axis
 
 
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    """A sweep-addressable experiment: axes, free params, and a runner."""
+    """A registry entry: axes, a runner, and (for paper figures) a title."""
 
-    name: str
     axes: Tuple[Axis, ...]
     run: Callable[..., List[ExperimentRow]]
-    free: Tuple[Tuple[str, Any], ...] = ()
+    title: Optional[str] = None  # set = a figure ``python -m repro.bench`` runs
 
+    @cached_property
+    def free(self) -> Tuple[Tuple[str, Any], ...]:
+        """Overridable ``(name, default)`` pairs: every non-axis keyword of
+        the runner that has a default, in signature order."""
+        axis_names = {axis.name for axis in self.axes}
+        return tuple(
+            (param.name, param.default)
+            for param in inspect.signature(self.run).parameters.values()
+            if param.name not in axis_names and param.default is not param.empty
+        )
+
+
+_SIZE_LABEL = Axis("size_label", ("short", "long"), str, choices=("short", "long"))
+_FARM_LOSS = Axis("loss", (0.0, 0.01, 0.02), float)
 
 MATRICES: Dict[str, ExperimentMatrix] = {
     "fig8": ExperimentMatrix(
-        "fig8",
         (Axis("size", tuple(FIG8_SIZES), int),),
-        lambda size, seed=1, iterations=None: _fig8_cell(
-            size, seed=seed, iterations=iterations
-        ),
-        (("seed", 1), ("iterations", None)),
+        _fig8_cell,
+        title="Fig. 8: ping-pong throughput (no loss)",
     ),
     "table1": ExperimentMatrix(
-        "table1",
         (
             Axis("size", (30 * 1024, 300 * 1024), int),
             Axis("loss", (0.01, 0.02), float),
         ),
-        lambda size, loss, seeds=(1, 2, 3, 4, 5): _table1_cell(size, loss, seeds=seeds),
-        (("seeds", (1, 2, 3, 4, 5)),),
+        _table1_cell,
+        title="Table 1: ping-pong throughput under loss",
     ),
     "fig9": ExperimentMatrix(
-        "fig9",
         (Axis("kernel", tuple(FIG9_ORDER), str, choices=tuple(FIG9_ORDER)),),
-        lambda kernel, cls="B", seed=1: _fig9_cell(kernel, cls=cls, seed=seed),
-        (("cls", "B"), ("seed", 1)),
+        _fig9_cell,
+        title="Fig. 9: NPB class B Mop/s (8 procs)",
     ),
     "fig10": ExperimentMatrix(
-        "fig10",
-        (
-            Axis("size_label", ("short", "long"), str, choices=("short", "long")),
-            Axis("loss", (0.0, 0.01, 0.02), float),
-        ),
-        lambda size_label, loss, seed=1: _farm_cell(1, size_label, loss, seed=seed),
-        (("seed", 1),),
+        (_SIZE_LABEL, _FARM_LOSS),
+        partial(_farm_cell, 1),
+        title="Fig. 10: farm run times, fanout=1",
     ),
     "fig11": ExperimentMatrix(
-        "fig11",
-        (
-            Axis("size_label", ("short", "long"), str, choices=("short", "long")),
-            Axis("loss", (0.0, 0.01, 0.02), float),
-        ),
-        lambda size_label, loss, seed=1: _farm_cell(10, size_label, loss, seed=seed),
-        (("seed", 1),),
+        (_SIZE_LABEL, _FARM_LOSS),
+        partial(_farm_cell, 10),
+        title="Fig. 11: farm run times, fanout=10",
     ),
     "fig12": ExperimentMatrix(
-        "fig12",
-        (
-            Axis("size_label", ("short", "long"), str, choices=("short", "long")),
-            Axis("loss", (0.0, 0.01, 0.02), float),
-        ),
-        lambda size_label, loss, seeds=(1, 2, 3): _fig12_cell(
-            size_label, loss, seeds=seeds
-        ),
-        (("seeds", (1, 2, 3)),),
+        (_SIZE_LABEL, _FARM_LOSS),
+        _fig12_cell,
+        title="Fig. 12: 10 streams vs 1 stream (SCTP)",
     ),
     "failover": ExperimentMatrix(
-        "failover",
-        (Axis("variant", ("default",), str, choices=("default",)),),
-        lambda variant, seed=1: multihoming_failover(seed=seed),
-        (("seed", 1),),
+        (),
+        multihoming_failover,
+        title="Multihoming: primary-path failure mid-run",
     ),
-    "chaos": ExperimentMatrix(
-        "chaos",
-        (Axis("rpi", ("tcp", "sctp"), str, choices=("tcp", "sctp")),),
-        lambda rpi, seed=1: _chaos_cell(rpi, seed=seed),
-        (("seed", 1),),
-    ),
-    "pingpong": ExperimentMatrix(
-        "pingpong",
-        (
-            Axis("protocol", ("tcp", "sctp"), str, choices=("tcp", "sctp")),
-            Axis("size", (1024, 30 * 1024), int),
-            Axis("loss", (0.0,), float),
-        ),
-        _pingpong_cell,
-        (
-            ("seed", 1),
-            ("iterations", None),
-            ("scenario", "none"),
-            ("interleaving", "off"),
-            ("scheduler", "fcfs"),
-        ),
-    ),
+    # SCTP only; the TCP baseline, wfq/prio and lossy cells: benchmarks/sweep_interleave.json
     "interleave": ExperimentMatrix(
-        "interleave",
         (
             Axis("protocol", ("sctp",), str, choices=("tcp", "sctp")),
             Axis("interleaving", ("off", "on"), _interleave_flag,
@@ -851,32 +720,28 @@ MATRICES: Dict[str, ExperimentMatrix] = {
                  choices=("fcfs", "rr", "wfq", "prio")),
         ),
         _interleave_cell,
+        title="RFC 8260: small-message latency under bulk",
+    ),
+    "chaos": ExperimentMatrix(
+        (Axis("rpi", ("tcp", "sctp"), str, choices=("tcp", "sctp")),),
+        _chaos_cell,
+        title="Chaos matrix: fault scenarios x both stacks",
+    ),
+    "pingpong": ExperimentMatrix(
         (
-            ("loss", 0.0),
-            ("seed", 1),
-            ("rounds", None),
-            ("bulk_kib", 128),
-            ("small_bytes", 1024),
-            ("bulks_per_round", 1),
+            Axis("protocol", ("tcp", "sctp"), str, choices=("tcp", "sctp")),
+            Axis("size", (1024, 30 * 1024), int),
+            Axis("loss", (0.0,), float),
         ),
+        _pingpong_cell,
     ),
     "farm": ExperimentMatrix(
-        "farm",
         (
             Axis("protocol", ("tcp", "sctp"), str, choices=("tcp", "sctp")),
             Axis("size_label", ("short",), str, choices=("short", "long")),
             Axis("loss", (0.0, 0.01), float),
         ),
         _farm_sweep_cell,
-        (
-            ("fanout", 1),
-            ("seed", 1),
-            ("num_streams", 10),
-            ("num_tasks", None),
-            ("scenario", "none"),
-            ("interleaving", "off"),
-            ("scheduler", "fcfs"),
-        ),
     ),
 }
 
@@ -888,23 +753,35 @@ def _matrix(name: str) -> ExperimentMatrix:
         raise KeyError(f"unknown experiment: {name!r}") from None
 
 
-def sweep_experiments() -> List[str]:
-    """Every sweep-addressable experiment name, in registry order."""
-    return list(MATRICES)
+def default_cells(name: str) -> List[Dict[str, Any]]:
+    """The figure: one experiment's default axis product as parameter
+    dicts, in enumeration order (one empty dict for an entry without axes)."""
+    axes = _matrix(name).axes
+    return [
+        dict(zip((axis.name for axis in axes), combo))
+        for combo in itertools.product(*(axis.values for axis in axes))
+    ]
 
 
-def sweep_axis_names(name: str) -> List[str]:
-    """Ordered axis names of one experiment (id/key canonical order)."""
-    return [axis.name for axis in _matrix(name).axes]
+def _fmt_value(value: Any) -> str:
+    if isinstance(value, float):
+        return format(value, "g")
+    if isinstance(value, (list, tuple)):
+        return "(" + "+".join(_fmt_value(v) for v in value) + ")"
+    return str(value)
 
 
-def sweep_free_names(name: str) -> List[str]:
-    """Overridable free-parameter names of one experiment."""
-    return [key for key, _default in _matrix(name).free]
+def cell_id(experiment: str, params: Mapping[str, Any]) -> str:
+    """Canonical cell id: axes in registry order, then sorted extras."""
+    axis_order = [axis.name for axis in _matrix(experiment).axes]
+    ordered = [name for name in axis_order if name in params]
+    ordered += sorted(name for name in params if name not in axis_order)
+    inner = ",".join(f"{name}={_fmt_value(params[name])}" for name in ordered)
+    return f"{experiment}[{inner}]"
 
 
 def resolve_sweep_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate and coerce one sweep cell's parameters.
+    """Validate and coerce one cell's parameters.
 
     Returns the *resolved* mapping — every axis coerced and checked
     against its choice set, every free parameter filled with its default
@@ -947,27 +824,27 @@ def resolve_sweep_params(name: str, params: Mapping[str, Any]) -> Dict[str, Any]
 
 
 def run_sweep_cell(name: str, params: Mapping[str, Any]) -> List[ExperimentRow]:
-    """Run one sweep-addressed cell from a (validated) parameter mapping."""
+    """Run one cell from its (validated here) parameter mapping."""
     resolved = resolve_sweep_params(name, params)
     return _matrix(name).run(**resolved)
 
 
-def experiment_cells(name: str) -> List[str]:
-    """Stable, ordered cell keys of one experiment's default matrix."""
-    matrix = _matrix(name)
-    return [
-        ":".join(str(value) for value in combo)
-        for combo in itertools.product(*(axis.values for axis in matrix.axes))
-    ]
+class CellError(RuntimeError):
+    """A cell failed; the message carries its ``cell_id``."""
 
 
-def run_experiment_cell(name: str, key: str) -> List[ExperimentRow]:
-    """Run one default-matrix cell (at the scale/seeds the CLI uses)."""
-    matrix = _matrix(name)
-    if key not in experiment_cells(name):
-        raise KeyError(f"unknown cell {key!r} for experiment {name!r}")
-    parts = key.split(":")
-    params = {
-        axis.name: axis.coerce(part) for axis, part in zip(matrix.axes, parts)
-    }
-    return matrix.run(**params)
+def run_cell_task(item: Tuple[str, Mapping[str, Any], bool]) -> Tuple[List[dict], List[dict]]:
+    """Worker body of every fan-out: one ``(experiment, params,
+    with_metrics)`` cell to plain ``(rows, metrics runs)`` data.
+
+    Module-level and fed plain data, so it crosses a process boundary
+    under any start method; the outputs carry no wall-clock values.
+    """
+    name, params, with_metrics = item
+    try:
+        with MetricsCollector() if with_metrics else nullcontext() as collector:
+            rows = run_sweep_cell(name, params)
+    except Exception as exc:
+        # name the failing cell instead of a bare multiprocessing stack
+        raise CellError(f"cell {cell_id(name, params)} failed: {exc!r}") from exc
+    return [row.to_jsonable() for row in rows], collector.runs if with_metrics else []

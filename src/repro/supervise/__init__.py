@@ -15,8 +15,10 @@ Three layers:
   (exit code), hang detection (heartbeat pipe), bounded retry with
   seeded deterministic exponential backoff, and quarantine of
   persistently failing tasks into a structured failure manifest.
-  ``repro.bench.parallel.pool_map`` and ``repro.sweep`` fan out
-  through it.
+  ``python -m repro.bench --jobs`` and ``repro.sweep`` fan out
+  through it directly (strictly — :data:`STRICT` plus
+  :meth:`SupervisedOutcome.unwrap` — unless a caller supplies its own
+  retry/quarantine policy).
 * shard supervision in :mod:`repro.simkernel.pdes` — a dead or stalled
   PDES shard triggers terminate-and-reap of the whole cohort and a
   graceful degradation to the serial leg (``degraded: true``), whose
@@ -37,7 +39,9 @@ from .executor import (
     ERROR,
     HANG,
     OK,
+    STRICT,
     SupervisedOutcome,
+    SuperviseError,
     SupervisePolicy,
     backoff_delay,
     current_attempt,
@@ -50,6 +54,8 @@ __all__ = [
     "ERROR",
     "HANG",
     "OK",
+    "STRICT",
+    "SuperviseError",
     "SupervisePolicy",
     "SupervisedOutcome",
     "backoff_delay",

@@ -104,6 +104,12 @@ class SupervisePolicy:
             raise ValueError(f"heartbeat_s must be positive: {self.heartbeat_s}")
 
 
+# the stance for deterministic simulations: a failed attempt would fail
+# identically again, so no retry and no deadline — pair with
+# SupervisedOutcome.unwrap() to turn the first lost task into an error
+STRICT = SupervisePolicy(max_attempts=1)
+
+
 @dataclass
 class SupervisedOutcome:
     """One fan-out's results plus what the supervisor had to do."""
@@ -115,6 +121,20 @@ class SupervisedOutcome:
     @property
     def ok(self) -> bool:
         return not self.quarantined
+
+    def unwrap(self) -> List[Any]:
+        """Strict reading: every result, or :class:`SuperviseError` naming
+        the first lost task with its last attempt's traceback or exit code."""
+        if self.quarantined:
+            first = next(
+                rec for rec in self.manifest if rec["outcome"] == "quarantined"
+            )
+            raise SuperviseError(
+                f"worker for task {first['task']} failed "
+                f"({len(self.quarantined)} of {len(self.results)} tasks lost): "
+                f"{first['attempts'][-1]['detail']}"
+            )
+        return self.results
 
 
 def backoff_delay(policy: SupervisePolicy, task_id: str, attempt: int) -> float:

@@ -116,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     result = run_sweep(spec, jobs=args.jobs, cache=cache, supervise=policy)
     for cell in result.doc["cells"]:
-        rows = [ExperimentRow.from_jsonable(row) for row in cell["rows"]]
+        rows = [ExperimentRow(**row) for row in cell["rows"]]
         print(format_table(cell["id"], rows))
     print(
         f"\nsweep {spec.name!r}: {len(spec.cells)} cells "

@@ -16,16 +16,15 @@ hostnames — which is what makes a cache hit byte-equivalent to a rerun.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..bench.harness import full_scale
 
 DIGEST_SCHEMA = 1
-
-_code_version_memo: Optional[str] = None
 
 
 def canonical_json(obj: Any) -> str:
@@ -33,23 +32,38 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def _source_tree() -> Tuple[str, Dict[str, int]]:
+    """One walk over every ``repro`` source file (memoised per process):
+    the content digest and the physical line count per package."""
+    root = Path(__file__).resolve().parent.parent  # src/repro
+    hasher = hashlib.sha256()
+    lines: Dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        data = path.read_bytes()
+        hasher.update(rel.as_posix().encode())
+        hasher.update(b"\0")
+        hasher.update(data)
+        hasher.update(b"\0")
+        package = rel.parts[0] if len(rel.parts) > 1 else "."
+        lines[package] = lines.get(package, 0) + data.count(b"\n")
+    return hasher.hexdigest()[:16], lines
+
+
 def code_version() -> str:
-    """Digest of every ``repro`` source file (memoised per process).
+    """Digest of every ``repro`` source file.
 
     Computed from file contents rather than a VCS revision so dirty
     working trees invalidate correctly and the cache works without git.
     """
-    global _code_version_memo
-    if _code_version_memo is None:
-        root = Path(__file__).resolve().parent.parent  # src/repro
-        hasher = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            hasher.update(path.relative_to(root).as_posix().encode())
-            hasher.update(b"\0")
-            hasher.update(path.read_bytes())
-            hasher.update(b"\0")
-        _code_version_memo = hasher.hexdigest()[:16]
-    return _code_version_memo
+    return _source_tree()[0]
+
+
+def source_lines() -> Dict[str, int]:
+    """Physical ``.py`` lines per ``src/repro/<package>`` (``.`` = top-level
+    files) — the "least code" metric trajectory entries record."""
+    return dict(_source_tree()[1])
 
 
 def current_scale() -> str:

@@ -11,6 +11,8 @@ instead of a single latest number.  Each entry records:
   for a given tree);
 * ``cells`` — per-cell numeric scores distilled from the merged sweep
   document (label -> metric -> value);
+* ``lines`` — physical source lines per ``src/repro/<package>``, so
+  "least code" is tracked on the same curve as events/s;
 * ``simperf`` — the calibration-normalized scores from
   ``benchmarks/bench_simperf.py``, the hardware-independent perf curve
   the trajectory CI gate compares against;
@@ -34,7 +36,7 @@ import subprocess
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from .digest import canonical_json
+from .digest import canonical_json, source_lines
 
 TRAJECTORY_SCHEMA = 1
 BEGIN_MARK = "<!-- sweep-trajectory:begin -->"
@@ -188,6 +190,7 @@ def build_entry(
         "code_version": sweep_doc.get("code_version", "?"),
         "cells": cells,
         "derived": derive_summaries(cells),
+        "lines": source_lines(),
     }
     failures = sweep_doc.get("failures")
     if failures:
@@ -260,7 +263,8 @@ def gate_simperf(
 def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
     """Markdown trend table over the trajectory's most recent entries."""
     entries = trajectory.get("entries", [])[-limit:]
-    header = ["run", "date", "git", "scale", "cells", "sctp/tcp (med)", "crossovers"]
+    header = ["run", "date", "git", "scale", "cells", "src lines",
+              "sctp/tcp (med)", "crossovers"]
     header += [f"{name} (norm)" for name in _SIMPERF_COLUMNS]
     lines = [
         "| " + " | ".join(header) + " |",
@@ -284,6 +288,8 @@ def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
             str(entry.get("git_sha", "?"))[:9],
             entry.get("scale", "?"),
             str(len(entry.get("cells", {}))),
+            # entries predating the lines field leave the column blank
+            f"{sum(entry['lines'].values()):,}" if entry.get("lines") else "",
             f"{statistics.median(ratio_values):.3f}" if ratio_values else "—",
             str(n_crossovers) if ratio_values else "—",
         ]

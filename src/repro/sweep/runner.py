@@ -5,9 +5,11 @@ The runner is a thin deterministic pipeline:
 1. digest every cell of the (already expanded and validated) spec;
 2. satisfy what it can from the :class:`~repro.sweep.cache.SweepCache`
    (a corrupted entry is a logged miss, never an abort);
-3. run the remaining *dirty* cells under a concurrency cap via
-   :func:`repro.bench.parallel.pool_map` — the same order-preserving
-   supervised fan-out the legacy ``--jobs`` bench path uses; with a
+3. run the remaining *dirty* cells — in this process for ``jobs <= 1``,
+   else under a concurrency cap via
+   :func:`repro.supervise.supervised_map`, the same order-preserving
+   fan-out ``python -m repro.bench --jobs`` uses (strict: a lost
+   worker raises naming its cell); with a
    :class:`~repro.supervise.SupervisePolicy` (``supervise=``) the cells
    additionally get per-attempt deadlines, crash/hang detection,
    bounded deterministic retry, and quarantine;
@@ -28,13 +30,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..bench import harness
-from ..bench.parallel import CellError, pool_map
-from ..supervise import SupervisePolicy, supervised_map
+from ..bench.harness import run_cell_task
+from ..supervise import STRICT, SupervisePolicy, supervised_map
 from .cache import SweepCache
-from .digest import canonical_json, cell_digest, code_version, current_scale
+from .digest import cell_digest, code_version, current_scale
 from .spec import SweepSpec
 
 RESULT_SCHEMA = 1
@@ -49,20 +50,6 @@ class SweepRunResult:
     cached: List[str] = field(default_factory=list)  # cell ids from cache
     quarantined: List[str] = field(default_factory=list)  # cell ids lost
     manifest: List[Dict[str, Any]] = field(default_factory=list)
-
-
-def _run_sweep_item(item: Tuple[str, str]) -> List[Dict[str, Any]]:
-    """Worker body: one (experiment, params-JSON) cell to plain rows."""
-    experiment, params_json = item
-    try:
-        rows = harness.run_sweep_cell(experiment, json.loads(params_json))
-    except Exception as exc:
-        # keep the failing cell's identity and resolved params in the
-        # parent traceback instead of a bare multiprocessing stack
-        raise CellError(
-            f"sweep cell {experiment} with params {params_json} failed: {exc!r}"
-        ) from exc
-    return [row.to_jsonable() for row in rows]
 
 
 def run_sweep(
@@ -104,20 +91,20 @@ def run_sweep(
     quarantined: List[str] = []
     executed: List[str] = []
     if dirty:
-        items = [
-            (cell.experiment, canonical_json(cell.resolved)) for cell, _ in dirty
-        ]
+        items = [(cell.experiment, cell.resolved, False) for cell, _ in dirty]
         ids = [cell.id for cell, _ in dirty]
-        if supervise is None:
-            outputs = pool_map(_run_sweep_item, items, jobs, task_ids=ids)
+        if supervise is None and jobs <= 1:
+            outputs = [run_cell_task(item) for item in items]
         else:
             outcome = supervised_map(
-                _run_sweep_item,
+                run_cell_task,
                 items,
                 jobs=max(1, jobs),
-                policy=supervise,
+                policy=supervise or STRICT,
                 task_ids=ids,
             )
+            if supervise is None:
+                outcome.unwrap()  # strict: raise naming the first lost cell
             outputs = outcome.results
             manifest = [
                 {"cell": rec["task"], "outcome": rec["outcome"],
@@ -125,9 +112,10 @@ def run_sweep(
                 for rec in outcome.manifest
             ]
             quarantined = list(outcome.quarantined)
-        for (cell, digest), rows in zip(dirty, outputs):
-            if rows is None and cell.id in quarantined:
+        for (cell, digest), output in zip(dirty, outputs):
+            if output is None and cell.id in quarantined:
                 continue  # salvage: quarantined cells just don't merge
+            rows = output[0]
             rows_by_digest[digest] = rows
             executed.append(cell.id)
             if cache is not None:

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple
 
 from ..bench import harness
+from ..bench.harness import cell_id
 
 
 class SweepError(ValueError):
@@ -89,23 +90,6 @@ class SweepSpec:
         return list(seen)
 
 
-def _fmt_value(value: Any) -> str:
-    if isinstance(value, float):
-        return format(value, "g")
-    if isinstance(value, (list, tuple)):
-        return "(" + "+".join(_fmt_value(v) for v in value) + ")"
-    return str(value)
-
-
-def cell_id(experiment: str, params: Mapping[str, Any]) -> str:
-    """Canonical cell id: axes in registry order, then sorted extras."""
-    axis_order = harness.sweep_axis_names(experiment)
-    ordered = [name for name in axis_order if name in params]
-    ordered += sorted(name for name in params if name not in axis_order)
-    inner = ",".join(f"{name}={_fmt_value(params[name])}" for name in ordered)
-    return f"{experiment}[{inner}]"
-
-
 _TOP_KEYS = {"name", "description", "schema", "sweeps"}
 _BLOCK_KEYS = {"experiment", "matrix", "cells", "params"}
 
@@ -137,10 +121,10 @@ def spec_from_dict(doc: Any) -> SweepSpec:
         experiment = block.get("experiment")
         if not isinstance(experiment, str) or not experiment:
             raise SweepError(f"{where}: needs an 'experiment' name")
-        if experiment not in harness.sweep_experiments():
+        if experiment not in harness.MATRICES:
             raise SweepError(
                 f"{where}: unknown experiment {experiment!r} "
-                f"(known: {', '.join(harness.sweep_experiments())})"
+                f"(known: {', '.join(harness.MATRICES)})"
             )
         base = block.get("params", {})
         if not isinstance(base, Mapping):

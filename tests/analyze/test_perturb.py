@@ -200,6 +200,24 @@ def test_cli_rejects_bad_specs(capsys):
     from repro.analyze.perturb import main
 
     with pytest.raises(SystemExit):
-        main(["fig8"])  # missing :CELL
+        main(["fig8"])  # missing the size axis
+    assert "missing axis 'size'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["fig8", "size"])  # not name=value
+    with pytest.raises(SystemExit):
+        main(["fig8", "size=1024", "bogus=1"])
+    assert "unknown parameter" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["nonesuch", "size=1024"])
     with pytest.raises(ValueError):
-        main(["fig8:1024", "--modes", "coinflip"])
+        main(["fig8", "size=1024", "--modes", "coinflip"])
+
+
+def test_cli_params_are_json_with_string_fallback():
+    from repro.analyze.perturb import _parse_param
+
+    assert _parse_param("size=1024") == ("size", 1024)
+    assert _parse_param("loss=0.01") == ("loss", 0.01)
+    assert _parse_param("seeds=[1,2]") == ("seeds", [1, 2])
+    assert _parse_param("scheduler=rr") == ("scheduler", "rr")
+    assert _parse_param("interleaving=on") == ("interleaving", "on")

@@ -376,14 +376,12 @@ def test_option_b_non_interleaving():
 # ---------------------------------------------------------------------------
 def run_fig8_cell_digest():
     from repro.analyze.perturb import digest_payload, filter_schedule_sensitive
-    from repro.bench.harness import run_experiment_cell
-    from repro.metrics import MetricsCollector
+    from repro.bench.harness import run_cell_task
 
-    with MetricsCollector() as collector:
-        rows = [row.to_jsonable() for row in run_experiment_cell("fig8", "1024")]
+    rows, runs = run_cell_task(("fig8", {"size": 1024}, True))
     runs = [
         {"label": run["label"], "metrics": filter_schedule_sensitive(run["metrics"])}
-        for run in collector.runs
+        for run in runs
     ]
     return digest_payload({"rows": rows, "runs": runs})
 

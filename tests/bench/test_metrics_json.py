@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench import ExperimentRow
+from repro.bench import ExperimentRow, harness
 from repro.bench import __main__ as bench_main
 from repro.core.world import run_app
 from repro.metrics import MetricsCollector
@@ -27,6 +27,9 @@ def _tiny_experiment(seed: int = 5):
     ]
 
 
+TINY = harness.ExperimentMatrix((), _tiny_experiment, title="Tiny exchange")
+
+
 def test_same_seed_runs_serialise_byte_identically():
     def one():
         with MetricsCollector() as col:
@@ -46,9 +49,7 @@ def test_row_to_jsonable_round_trips():
 
 def test_cli_writes_metrics_json(tmp_path, monkeypatch, capsys):
     out = tmp_path / "m.json"
-    monkeypatch.setitem(
-        bench_main.EXPERIMENTS, "tiny", ("Tiny exchange", _tiny_experiment)
-    )
+    monkeypatch.setitem(harness.MATRICES, "tiny", TINY)
     rc = bench_main.main(["tiny", "--metrics-json", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
@@ -66,9 +67,7 @@ def test_cli_writes_metrics_json(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_without_flag_collects_nothing(monkeypatch):
-    monkeypatch.setitem(
-        bench_main.EXPERIMENTS, "tiny", ("Tiny exchange", _tiny_experiment)
-    )
+    monkeypatch.setitem(harness.MATRICES, "tiny", TINY)
     assert bench_main.main(["tiny"]) == 0
 
 

@@ -1,73 +1,76 @@
-"""Parallel bench fan-out: cell decomposition and serial/parallel parity.
+"""Bench fan-out: cell decomposition and serial/parallel parity.
 
 The CI gate diffs full serial vs ``--jobs 4`` metrics documents byte for
 byte; these tests cover the same contract at unit scale so a parity
 break is caught in seconds, not at the end of a matrix run.
 """
 
-import json
+import os
 
 import pytest
 
+from repro.bench import __main__ as bench_main
 from repro.bench import harness, multihoming_failover
-from repro.bench.parallel import run_experiments
+from repro.supervise import STRICT, SuperviseError, supervised_map
 
 
-def test_experiment_cells_are_stable_and_ordered():
-    first = harness.experiment_cells("fig8")
-    second = harness.experiment_cells("fig8")
+def test_default_cells_are_stable_and_ordered():
+    first = harness.default_cells("fig8")
+    second = harness.default_cells("fig8")
     assert first and first == second
-    assert all(isinstance(key, str) for key in first)
-    assert len(set(first)) == len(first)
+    assert all(list(cell) == ["size"] for cell in first)
+    assert len({cell["size"] for cell in first}) == len(first)
 
 
 def test_unknown_experiment_and_cell_raise():
     with pytest.raises(KeyError):
-        harness.experiment_cells("nope")
+        harness.default_cells("nope")
     with pytest.raises(KeyError):
-        harness.run_experiment_cell("nope", "1")
-    with pytest.raises(KeyError):
-        harness.run_experiment_cell("fig8", "no-such-cell")
+        harness.run_sweep_cell("nope", {"size": 1})
+    with pytest.raises(ValueError, match="unknown parameter"):
+        harness.run_sweep_cell("fig8", {"size": 1, "no_such_param": 2})
 
 
 def test_cell_union_matches_full_experiment():
-    """Running an experiment cell-by-cell reproduces the monolithic run."""
-    merged = run_experiments(["failover"], jobs=1)
-    direct = [row.to_jsonable() for row in multihoming_failover()]
-    assert merged["failover"]["rows"] == direct
+    """Running a figure cell-by-cell reproduces the cell function's run."""
+    ((name, rows, runs),) = bench_main.run_figures(["failover"], 1, False)
+    assert name == "failover" and runs == []
+    assert rows == [row.to_jsonable() for row in multihoming_failover()]
 
 
-def test_parallel_matches_serial_including_metrics():
-    """jobs=2 fan-out merges to the exact serial document (cell order,
-    rows, and metrics snapshots)."""
-    serial = run_experiments(["fig8"], jobs=1, with_metrics=True)
-    parallel = run_experiments(["fig8"], jobs=2, with_metrics=True)
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-    assert serial["fig8"]["rows"]  # non-vacuous
-    assert serial["fig8"]["runs"]
+def test_parallel_matches_serial_including_metrics(tmp_path):
+    """--jobs 2 merges to the exact --jobs 1 file (cell order, rows, and
+    metrics snapshots)."""
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    assert bench_main.main(["fig8", "--metrics-json", str(serial)]) == 0
+    assert bench_main.main(
+        ["fig8", "--jobs", "2", "--metrics-json", str(parallel)]
+    ) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert b'"rows"' in serial.read_bytes()  # non-vacuous
+    assert b'"runs"' in serial.read_bytes()
 
 
-def test_worker_exception_names_the_failing_cell():
-    """A failing cell's identity and the original exception survive into
-    the parent-side error instead of a bare multiprocessing traceback."""
-    from repro.bench.parallel import _run_cell, CellError
-
-    with pytest.raises(CellError, match=r"fig8:no-such-cell"):
-        _run_cell(("fig8", "no-such-cell", False))
+def test_failing_cell_reports_experiment_and_params():
+    """A failing cell's id (experiment + params) and the original exception
+    survive into the raised error instead of a bare multiprocessing traceback."""
+    with pytest.raises(harness.CellError, match=r"pingpong\[.*size=64.*scenario=gremlins\]"):
+        harness.run_cell_task(
+            ("pingpong", {"protocol": "tcp", "size": 64, "loss": 0.0,
+                          "scenario": "gremlins"}, False)
+        )
 
 
 def test_parallel_worker_crash_is_attributed():
-    """Strict pool_map raises naming the failed task, not a hung join."""
-    from repro.bench.parallel import pool_map
-    from repro.supervise.executor import SuperviseError
-
+    """The strict executor raises naming the lost task, not a hung join."""
+    outcome = supervised_map(
+        _crash_item, [1, 2], jobs=2, policy=STRICT, task_ids=["cell-a", "cell-b"]
+    )
     with pytest.raises(SuperviseError, match="cell-b"):
-        pool_map(_crash_item, [1, 2], jobs=2, task_ids=["cell-a", "cell-b"])
+        outcome.unwrap()
 
 
 def _crash_item(x):
     if x == 2:
-        import os
-
         os._exit(3)  # simulate a segfault/OOM-killed worker
     return x

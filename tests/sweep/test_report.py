@@ -1,8 +1,11 @@
 """Trajectory reporting: normalized entries, the simperf curve gate,
 and the generated EXPERIMENTS.md trend table."""
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sweep import (
     BEGIN_MARK,
     END_MARK,
@@ -59,6 +62,12 @@ def test_entry_is_normalized_and_numeric_only():
     assert entry["git_sha"] == "deadbeef"
     # run id is a pure function of (sha, sweep doc)
     assert entry["run_id"] == _entry()["run_id"]
+    # "least code" rides along: physical .py lines per src/repro package
+    bench_dir = Path(repro.__file__).parent / "bench"
+    assert entry["lines"]["bench"] == sum(
+        len(path.read_bytes().splitlines()) for path in bench_dir.rglob("*.py")
+    )
+    assert set(entry["lines"]) >= {"simkernel", "transport", "sweep", "."}
 
 
 def test_append_and_load_roundtrip(tmp_path):
@@ -93,6 +102,11 @@ def test_trend_table_renders_entries():
     assert "| run |" in table.splitlines()[0]
     assert _entry()["run_id"] in table
     assert "0.500" in table  # kernel_events normalized
+    header, _rule, row = (line.split(" | ") for line in table.splitlines())
+    column = header.index("src lines")
+    assert row[column] == f"{sum(_entry()['lines'].values()):,}"
+    old = {k: v for k, v in _entry().items() if k != "lines"}
+    assert render_trend_table({"entries": [old]}).splitlines()[2].split(" | ")[column] == ""
     empty = render_trend_table({"entries": []})
     assert "no recorded runs" in empty
 
