@@ -607,6 +607,16 @@ class OptionBSanitizer:
         else:
             self._in_progress[key] = unit
 
+    def on_admitted_piece_refused(self, key: Tuple[int, int], size: int) -> None:
+        """``sendmsg`` refused a piece the RPI's send-room test had admitted:
+        the test and ``Association.send_message``'s buffer check diverged."""
+        _fail(
+            "rpi",
+            "send admission agrees with sendmsg",
+            f"stream key {key}: a {size}-byte piece passed the send-room "
+            "test but sendmsg answered EAGAIN",
+        )
+
 
 # ---------------------------------------------------------------------------
 # factories: the only API instrumented code calls

@@ -30,7 +30,7 @@ TAG_SCAN = 8
 def _coll_isend(comm, data: Any, dest: int, tag: int) -> SendRequest:
     body, extra = encode_payload(data)
     req = SendRequest(
-        owner_rank=comm.process.rank,
+        rpi=comm.rpi,
         dest=comm._to_world(dest),
         tag=tag,
         context=collective_context(comm.cid),
@@ -45,7 +45,7 @@ def _coll_isend(comm, data: Any, dest: int, tag: int) -> SendRequest:
 
 def _coll_irecv(comm, source: int, tag: int) -> RecvRequest:
     req = RecvRequest(
-        owner_rank=comm.process.rank,
+        rpi=comm.rpi,
         source=comm._to_world(source),
         tag=tag,
         context=collective_context(comm.cid),

@@ -44,7 +44,7 @@ class Communicator:
         self._check_tag(tag)
         body, extra = encode_payload(data)
         req = SendRequest(
-            owner_rank=self.process.rank,
+            rpi=self.rpi,
             dest=self._to_world(dest),
             tag=tag,
             context=pt2pt_context(self.cid),
@@ -70,7 +70,7 @@ class Communicator:
             self._check_peer(source)
             source = self._to_world(source)
         req = RecvRequest(
-            owner_rank=self.process.rank,
+            rpi=self.rpi,
             source=source,
             tag=tag,
             context=pt2pt_context(self.cid),
@@ -103,10 +103,21 @@ class Communicator:
         request.future.result()  # re-raise failures
         return request
 
+    async def _next_completion(self) -> None:
+        """Progress until some request of this rank completes or fails.
+
+        Between completions no ``done`` flag changes, so ``waitall`` and
+        ``waitany`` look at their lists again only after this returns."""
+        rpi = self.rpi
+        seen = rpi.completions
+        while rpi.completions == seen:
+            await rpi.advance_once()
+
     async def waitall(self, requests: Sequence[Request]) -> List[Request]:
         """MPI_Waitall."""
-        while not all(r.done for r in requests):
-            await self.rpi.advance_once()
+        for request in requests:  # a cursor: finished ones are not re-read
+            while not request.done:
+                await self._next_completion()
         for request in requests:
             request.future.result()
         return list(requests)
@@ -120,7 +131,7 @@ class Communicator:
                 if request.done:
                     request.future.result()
                     return i, request
-            await self.rpi.advance_once()
+            await self._next_completion()
 
     def test(self, request: Request) -> bool:
         """MPI_Test: one non-blocking progression step, then check."""

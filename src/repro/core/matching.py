@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..util.blobs import ChunkList
+from .constants import ANY_SOURCE, ANY_TAG
 from .envelope import Envelope
 from .request import RecvRequest
 
@@ -104,13 +105,14 @@ class UnexpectedMessageTable:
 
     def peek_match(self, source: int, tag: int, context: int) -> Optional[Envelope]:
         """Probe support: earliest buffered envelope matching the triple."""
-        probe = RecvRequest(owner_rank=-1, source=source, tag=tag, context=context)
         best: Optional[UnexpectedMessage] = None
-        for bucket in self._buckets.values():
-            if not bucket:
-                continue
-            env = bucket[0].envelope
-            if probe.matches(env.tag, env.context, env.rank):
-                if best is None or bucket[0].arrival_order < best.arrival_order:
-                    best = bucket[0]
+        for (ctx, rank, env_tag), bucket in self._buckets.items():
+            if (
+                bucket
+                and ctx == context
+                and source in (ANY_SOURCE, rank)
+                and tag in (ANY_TAG, env_tag)
+                and (best is None or bucket[0].arrival_order < best.arrival_order)
+            ):
+                best = bucket[0]
         return best.envelope if best else None

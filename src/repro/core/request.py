@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from ..simkernel import Future
 from ..util.blobs import ChunkList
+from .constants import ANY_SOURCE, ANY_TAG
 
 # request protocol states
 S_INIT = "init"
@@ -22,6 +23,8 @@ S_SSEND_WAIT_ACK = "ssend_wait_ack"  # sync short: body out, awaiting ack
 S_RECV_POSTED = "recv_posted"
 S_RECV_BODY = "recv_body"  # long recv: ack sent, body arriving
 S_DONE = "done"
+
+_FUTURE_NAME = {"send": "send-req", "recv": "recv-req"}
 
 
 @dataclass
@@ -34,44 +37,43 @@ class Status:
 
 
 class Request:
-    """One in-flight communication request."""
+    """One in-flight communication request.
 
-    _next_id = 1
+    Ids and the completion count live on the owning rank's RPI, so they
+    restart with every world and nothing process-global is written.
+    """
 
-    def __init__(self, kind: str, owner_rank: int) -> None:
+    def __init__(self, kind: str, rpi) -> None:
         self.kind = kind  # "send" | "recv"
-        self.owner_rank = owner_rank
-        self.id = Request._next_id
-        Request._next_id += 1
+        self.rpi = rpi  # the owning rank's progression engine
+        self.id = rpi.next_request_id()
         self.state = S_INIT
-        self.future = Future(name=f"{kind}-req-{self.id}")
+        self.done = False  # set by complete()/fail(), never cleared
+        self.future = Future(name=_FUTURE_NAME[kind])
         self.status = Status()
         self.data: Any = None  # decoded payload (recv side)
 
-    @property
-    def done(self) -> bool:
-        """Whether the request has completed."""
-        return self.state == S_DONE
-
     def complete(self, data: Any = None) -> None:
-        """Mark done and wake any waiter."""
-        if self.state == S_DONE:
+        """Mark done and tell the rank's waiters something completed."""
+        if self.done:
             return
         self.state = S_DONE
+        self.done = True
         self.data = data
-        if not self.future.done():
-            self.future.set_result(self)
+        self.rpi.completions += 1
+        self.future.set_result(self)
 
     def fail(self, exc: BaseException) -> None:
         """Complete the request with an error."""
-        if self.state == S_DONE:
+        if self.done:
             return
         self.state = S_DONE
-        if not self.future.done():
-            self.future.set_exception(exc)
+        self.done = True
+        self.rpi.completions += 1
+        self.future.set_exception(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Request #{self.id} {self.kind} {self.state}>"
+        return f"<Request r{self.rpi.rank}#{self.id} {self.kind} {self.state}>"
 
 
 class SendRequest(Request):
@@ -79,7 +81,7 @@ class SendRequest(Request):
 
     def __init__(
         self,
-        owner_rank: int,
+        rpi,
         dest: int,
         tag: int,
         context: int,
@@ -88,7 +90,7 @@ class SendRequest(Request):
         synchronous: bool,
         seqnum: int,
     ) -> None:
-        super().__init__("send", owner_rank)
+        super().__init__("send", rpi)
         self.dest = dest
         self.tag = tag
         self.context = context
@@ -96,7 +98,7 @@ class SendRequest(Request):
         self.flags_extra = flags_extra
         self.synchronous = synchronous
         self.seqnum = seqnum
-        self.status.source = owner_rank
+        self.status.source = rpi.rank
         self.status.tag = tag
         self.status.length = body.nbytes
 
@@ -104,8 +106,8 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """Posted receive: matching criteria plus an accumulation buffer."""
 
-    def __init__(self, owner_rank: int, source: int, tag: int, context: int) -> None:
-        super().__init__("recv", owner_rank)
+    def __init__(self, rpi, source: int, tag: int, context: int) -> None:
+        super().__init__("recv", rpi)
         self.source = source  # may be ANY_SOURCE
         self.tag = tag  # may be ANY_TAG
         self.context = context
@@ -117,8 +119,6 @@ class RecvRequest(Request):
 
     def matches(self, env_tag: int, env_context: int, env_rank: int) -> bool:
         """MPI matching rule with wildcards."""
-        from .constants import ANY_SOURCE, ANY_TAG
-
         if self.context != env_context:
             return False
         if self.source != ANY_SOURCE and self.source != env_rank:

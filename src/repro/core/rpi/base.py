@@ -93,6 +93,10 @@ class BaseRPI:
         # receives whose long body is arriving, keyed by (src, seqnum)
         self._recvs_awaiting_body: Dict[Tuple[int, int], RecvRequest] = {}
         self._seq = 0
+        self._request_ids = 0
+        # requests of this rank completed or failed so far; the waiters in
+        # Communicator rescan their lists only when this has moved
+        self.completions = 0
         self._wake = AsyncEvent(name=f"rpi-wake-{self.rank}")
         # init-time control hook (world install: hello/barrier bookkeeping)
         self._control_sink: Optional[Callable[[int, Envelope], None]] = None
@@ -152,6 +156,11 @@ class BaseRPI:
         """Sender-unique sequence number for ACK/body pairing."""
         self._seq += 1
         return self._seq
+
+    def next_request_id(self) -> int:
+        """Request ids restart at 1 per rank per world."""
+        self._request_ids += 1
+        return self._request_ids
 
     def poke(self) -> bool:
         """One non-blocking progression step (MPI_Test's pump)."""

@@ -6,7 +6,10 @@ mapped to the paper section it implements:
 * **one socket, many associations** (§3.1/§3.3): a single one-to-many
   SCTP socket; associations are mapped to ranks via a HELLO envelope;
   no ``select()`` — the RPI simply tries ``sctp_recvmsg``/``sctp_sendmsg``
-  and advances other requests on EAGAIN,
+  and advances other requests on EAGAIN.  A refused ``sctp_sendmsg``
+  costs no virtual time, so the simulator does not make the call: the
+  pump reads each association's send room and passes over a queue head
+  that cannot fit, before packing or slicing anything (DESIGN §9.4),
 * **TRC -> stream mapping** (§3.2.1): messages hash (context, tag) onto a
   fixed pool of stream numbers (10 by default), so differently-tagged
   messages from the same peer are delivered independently —
@@ -51,12 +54,10 @@ class _SctpOutUnit:
 
     env: Envelope
     body: ChunkList
+    next_size: int  # wire bytes of the next piece; 0 once the unit is out
     on_sent: Optional[Callable[[], None]] = None
     env_sent: bool = False
     body_offset: int = 0
-
-    def done(self) -> bool:
-        return self.env_sent and self.body_offset >= self.body.nbytes
 
 
 class SCTPRPI(BaseRPI):
@@ -95,7 +96,8 @@ class SCTPRPI(BaseRPI):
         if scheduler is not None:
             overrides["scheduler"] = scheduler
         self.sctp_config = SCTPConfig(**{**base.__dict__, **overrides})
-        if self.long_piece_size + ENVELOPE_SIZE > self.sctp_config.max_message_size:
+        self._msg_limit = self.sctp_config.max_message_size
+        if self.long_piece_size + ENVELOPE_SIZE > self._msg_limit:
             raise ValueError("long piece size exceeds the sctp_sendmsg limit")
         self.sock: Optional[OneToManySocket] = None
         self._rank_by_assoc: Dict[int, int] = {}
@@ -178,18 +180,21 @@ class SCTPRPI(BaseRPI):
     # ------------------------------------------------------------------
     def _enqueue_unit(self, dest, env, body, on_sent=None) -> None:
         stream = self.stream_for(env.context, env.tag)
-        unit = _SctpOutUnit(
-            env=env, body=body if body is not None else ChunkList(), on_sent=on_sent
+        if body is None:
+            body = ChunkList()
+        first = ENVELOPE_SIZE + min(self.long_piece_size, body.nbytes)
+        self._outq.setdefault((dest, stream), deque()).append(
+            _SctpOutUnit(env, body, first, on_sent)
         )
-        self._outq.setdefault((dest, stream), deque()).append(unit)
         self.stats.units_sent += 1
-        self.stats.bytes_sent += ENVELOPE_SIZE + unit.body.nbytes
+        self.stats.bytes_sent += ENVELOPE_SIZE + body.nbytes
 
     def _pump(self) -> bool:
         progressed = False
+        sock = self.sock
         # inbound: drain the one socket
         while True:
-            msg = self.sock.recvmsg() if self.sock is not None else None
+            msg = sock.recvmsg() if sock is not None else None
             if msg is None:
                 break
             self.host.cpu.charge(
@@ -198,50 +203,59 @@ class SCTPRPI(BaseRPI):
             self._dispatch(msg)
             progressed = True
         # outbound: only the head of each (rank, stream) queue may write
-        # (Option B); EAGAIN on one stream does not stop the others.
+        # (Option B).  A head whose next piece exceeds the association's
+        # send room is exactly what sendmsg would refuse (EAGAIN): it is
+        # passed over before anything is built, and the other streams and
+        # associations go on.  An oversize piece is not passed over, so
+        # MessageTooBig still surfaces.
+        limit = self._msg_limit
+        room: Dict[int, int] = {}  # rank -> send room, read once per pump
         for (rank, stream), queue in self._outq.items():
             if not queue:
                 continue
-            assoc_id = self._assoc_by_rank.get(rank)
-            if assoc_id is None:
-                continue  # association still coming up (init)
-            while queue:
+            free = room.get(rank)
+            if free is None:
+                assoc_id = self._assoc_by_rank.get(rank)
+                if assoc_id is None:
+                    continue  # association still coming up (init)
+                free = room[rank] = sock.send_room(assoc_id)
+            while queue and not free < queue[0].next_size <= limit:
                 unit = queue[0]
-                if self._transmit_some(assoc_id, stream, unit):
-                    progressed = True
-                if unit.done():
+                assoc_id = self._assoc_by_rank[rank]
+                if not self._send_piece(assoc_id, stream, unit):
+                    break
+                progressed = True
+                free = room[rank] = sock.send_room(assoc_id)
+                if unit.next_size == 0:
                     queue.popleft()
                     if unit.on_sent is not None:
                         unit.on_sent()
-                else:
-                    break  # sndbuf full: advance other streams/assocs
         return progressed
 
-    def _transmit_some(self, assoc_id: int, stream: int, unit: _SctpOutUnit) -> bool:
-        sent_any = False
-        while not unit.done():
-            if not unit.env_sent:
-                take = min(self.long_piece_size, unit.body.nbytes)
-                wire = ChunkList([unit.env.pack()])
-                wire.extend(unit.body.slice(0, take))
-                next_offset = take
-            else:
-                take = min(
-                    self.long_piece_size, unit.body.nbytes - unit.body_offset
-                )
-                wire = unit.body.slice(unit.body_offset, unit.body_offset + take)
-                next_offset = unit.body_offset + take
-            if not self.sock.sendmsg(assoc_id, stream, wire):
-                break  # EAGAIN
-            self.host.cpu.charge(
-                self._mw_base_ns + self._mw_per_kib_ns * wire.nbytes // 1024
-            )
-            unit.env_sent = True
-            unit.body_offset = next_offset
-            sent_any = True
+    def _send_piece(self, assoc_id: int, stream: int, unit: _SctpOutUnit) -> bool:
+        """Build the unit's next piece and hand it to sendmsg."""
+        size = unit.next_size
+        if unit.env_sent:
+            end = unit.body_offset + size
+            wire = unit.body.slice(unit.body_offset, end)
+        else:
+            end = size - ENVELOPE_SIZE
+            wire = ChunkList([unit.env.pack()])
+            if end:
+                wire.extend(unit.body.slice(0, end))
+        if not self.sock.sendmsg(assoc_id, stream, wire):
+            # sendmsg stays the authority on EAGAIN; _pump's admission
+            # test is meant to agree with it and the sanitizer checks that
             if self._san_b is not None:
-                self._san_b.on_piece_sent((assoc_id, stream), unit, unit.done())
-        return sent_any
+                self._san_b.on_admitted_piece_refused((assoc_id, stream), size)
+            return False
+        self.host.cpu.charge(self._mw_base_ns + self._mw_per_kib_ns * size // 1024)
+        unit.env_sent = True
+        unit.body_offset = end
+        unit.next_size = min(self.long_piece_size, unit.body.nbytes - end)
+        if self._san_b is not None:
+            self._san_b.on_piece_sent((assoc_id, stream), unit, unit.next_size == 0)
+        return True
 
     def _dispatch(self, msg) -> None:
         rank = self._rank_by_assoc.get(msg.assoc_id)

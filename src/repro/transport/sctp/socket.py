@@ -20,9 +20,24 @@ from typing import Callable, Deque, Dict, Optional
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
-from .association import Association, SCTPConfig
+from .association import (
+    SHUTDOWN_ACK_SENT,
+    SHUTDOWN_PENDING,
+    SHUTDOWN_RECEIVED,
+    SHUTDOWN_SENT,
+    Association,
+    SCTPConfig,
+)
 from .endpoint import ListenerHooks, SCTPEndpoint
 from .streams import AssembledMessage
+
+# association states in which send_message raises BrokenPipeError
+_SHUTDOWN_STATES = (
+    SHUTDOWN_PENDING,
+    SHUTDOWN_SENT,
+    SHUTDOWN_RECEIVED,
+    SHUTDOWN_ACK_SENT,
+)
 
 
 class MessageTooBig(ValueError):
@@ -176,6 +191,20 @@ class OneToManySocket:
     def sndbuf_free(self, assoc_id: int) -> int:
         """Free send-buffer space on one association."""
         return self._assocs[assoc_id].sndbuf_free()
+
+    def send_room(self, assoc_id: int) -> int:
+        """Largest payload ``sendmsg`` would not refuse (answer False) now.
+
+        Lets a caller pass over a message that cannot be accepted without
+        building it.  Only the refusal is predicted: where ``sendmsg``
+        raises instead (socket closed, association shutting down) nothing
+        is refused, the sendmsg limit is reported, and the caller makes
+        the call that raises.
+        """
+        assoc = self._assocs[assoc_id]
+        if self.closed or assoc.state in _SHUTDOWN_STATES:
+            return assoc.config.max_message_size
+        return assoc.sndbuf_free()
 
     def recvmsg(self) -> Optional[ReceivedMessage]:
         """Next whole message in arrival order, or None (would block)."""

@@ -13,8 +13,18 @@ def env(tag=0, context=0, rank=0, length=0, seqnum=0):
     return Envelope(length, tag, context, rank, FLAG_SHORT, seqnum)
 
 
+class _StubRPI:
+    """The part of an RPI a request touches: rank, ids, completion count."""
+
+    rank = 0
+    completions = 0
+
+    def next_request_id(self):
+        return 1
+
+
 def recv(source=ANY_SOURCE, tag=ANY_TAG, context=0):
-    return RecvRequest(owner_rank=0, source=source, tag=tag, context=context)
+    return RecvRequest(_StubRPI(), source=source, tag=tag, context=context)
 
 
 def body(data=b"x"):

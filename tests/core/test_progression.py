@@ -107,37 +107,42 @@ def test_many_interleaved_longs_and_shorts(rpi):
     assert all(r.results)
 
 
-def test_sctp_option_b_no_interleave_on_stream():
+def test_sctp_option_b_no_interleave_on_stream(monkeypatch):
     """While the head unit of a (rank, stream) queue is mid-transmission,
     the next unit must not start (Option B, §3.4.2) — but other streams
     keep flowing."""
     from repro.core.envelope import Envelope
-    from repro.core.constants import FLAG_SHORT
-    from repro.core.world import World, WorldConfig
-    from repro.transport.sctp import SCTPConfig
 
     # a tiny association send buffer forces EAGAIN mid-unit
     cfg = WorldConfig(n_procs=2, rpi="sctp", seed=1)
     world = World(cfg)
+    packed = []  # every envelope serialised, in order
+    pack = Envelope.pack
+    monkeypatch.setattr(Envelope, "pack", lambda env: packed.append(env) or pack(env))
 
     async def app(comm):
         if comm.rank != 0:
-            a = await comm.recv(source=0, tag=3)
-            b = await comm.recv(source=0, tag=3)
-            c = await comm.recv(source=0, tag=4)
-            return (a.nbytes, b.nbytes, c.nbytes)
+            # all posted up front, so both rendezvous are acked at once
+            recvs = [comm.irecv(source=0, tag=t) for t in (3, 3, 4)]
+            await comm.waitall(recvs)
+            return tuple(r.data.nbytes for r in recvs)
         rpi = comm.rpi
         # two units on one stream, one on another
         r1 = comm.isend(SyntheticBlob(400_000), dest=1, tag=3)
         r2 = comm.isend(SyntheticBlob(400_000), dest=1, tag=3)
         r3 = comm.isend(SyntheticBlob(1_000), dest=1, tag=4)
-        # the first 400 KB unit cannot fit the 220 KB sndbuf: queue state
-        # must show the same-stream queue with a parked second unit whose
-        # transmission has not begun
-        same_stream = [q for k, q in rpi._outq.items() if len(q) >= 1]
-        for q in same_stream:
-            for unit in list(q)[1:]:
-                assert not unit.env_sent  # Option B: strictly FIFO
+        # both are rendezvous sends: once the two ACKs are in, the long
+        # bodies share a queue.  The first 400 KB body cannot fit the
+        # 220 KB sndbuf, so the head is mid-body and blocked, and nothing
+        # of the parked one has begun or been built -- its envelope is not
+        # even packed, whereas the head's and the other stream's are
+        while not any(len(q) == 2 for q in rpi._outq.values()):
+            await rpi.advance_once()
+        (head, parked), = [q for q in rpi._outq.values() if len(q) == 2]
+        assert head.env_sent and head.next_size > 0
+        assert not parked.env_sent  # Option B: strictly FIFO
+        assert head.env in packed and parked.env not in packed
+        assert r3.done and not r1.done
         await comm.waitall([r1, r2, r3])
         return True
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.analyze.sanitize import InvariantViolation, sanitized
 from repro.core import run_app
 from repro.core.world import World, WorldConfig
+from repro.transport.sctp import MessageTooBig
+from repro.util.blobs import SyntheticBlob
 
 LIMIT = 300_000_000_000
 
@@ -141,3 +144,53 @@ def test_world_result_reports_duration():
     assert r.duration_ns >= 0
     assert r.total_ns >= r.duration_ns
     assert r.duration_s == r.duration_ns / 1e9
+
+
+# ---------------------------------------------------------------------------
+# SCTP RPI send admission (DESIGN §9.4)
+# ---------------------------------------------------------------------------
+def _overfill_with_blind_admission(comm):
+    """Eight eager 60 KiB sends into a 220 KiB buffer, with the send-room
+    test told everything fits: sendmsg has to refuse some."""
+    comm.rpi.sock.send_room = lambda _assoc_id: 1 << 40
+    return [comm.isend(SyntheticBlob(60_000), dest=1, tag=t) for t in range(8)]
+
+
+def test_sendmsg_stays_the_authority_on_eagain():
+    """If the admission test ever admits too much, the refusal from
+    sendmsg still parks the piece: nothing is lost or reordered."""
+    async def app(comm):
+        if comm.rank == 0:
+            await comm.waitall(_overfill_with_blind_admission(comm))
+            return None
+        return [(await comm.recv(source=0, tag=t)).nbytes for t in range(8)]
+
+    with sanitized(False):
+        result = run_app(app, n_procs=2, rpi="sctp", seed=1, limit_ns=LIMIT)
+    assert result.results[1] == [60_000] * 8
+
+
+def test_refusal_after_admission_trips_the_sanitizer():
+    async def app(comm):
+        if comm.rank == 0:
+            with pytest.raises(InvariantViolation, match="send admission"):
+                _overfill_with_blind_admission(comm)
+        return None
+
+    with sanitized():
+        run_app(app, n_procs=2, rpi="sctp", seed=1, limit_ns=LIMIT, finalize_barrier=False)
+
+
+def test_oversize_piece_still_raises_message_too_big():
+    """The admission test passes over only what sendmsg would refuse: a
+    piece above the sendmsg limit is handed over and raises, full buffer
+    or not."""
+    async def app(comm):
+        if comm.rank == 0:
+            comm.rpi.long_piece_size = 300 * 1024  # above the 220 KiB limit
+            comm.rpi.eager_limit = 400 * 1024
+            with pytest.raises(MessageTooBig):
+                comm.isend(SyntheticBlob(300 * 1024), dest=1, tag=0)
+        return None
+
+    run_app(app, n_procs=2, rpi="sctp", seed=1, limit_ns=LIMIT, finalize_barrier=False)

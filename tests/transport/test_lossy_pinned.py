@@ -10,6 +10,7 @@ timers and two-event links.  Values below were produced by that commit.
 
 import pytest
 
+from repro.analyze.sanitize import sanitized
 from repro.core.world import World, WorldConfig
 from repro.workloads.farm import FarmParams, make_farm
 from repro.workloads.mpbench import make_pingpong
@@ -50,3 +51,77 @@ def test_lossy_farm_results_pinned(rpi, seed):
     result = world.run(make_farm(FarmParams(num_tasks=40, fanout=10)))
     manager = result.results[0]
     assert (manager.elapsed_ns, manager.per_worker_tasks) == FARM[(rpi, seed)]
+
+
+# The ledger's farm_lossy world (8 ranks, 200 tasks x 30 KiB, fanout 10,
+# ten streams, 1 % loss): the manager's send queues block on the send
+# buffer throughout.  Pinned from the commit before the RPIs stopped
+# attempting sends that cannot fit and rescanning request lists every
+# step: (rpi, seed) -> manager elapsed ns, tasks per worker, and per
+# rank units_sent / advance_calls -- a progression step that moved, or a
+# send accepted at another instant, shows in every one of them.
+BLOCKED_FARM = {
+    ("tcp", 1): (
+        3000121837,
+        {1: 100, 2: 0, 3: 0, 4: 70, 5: 30, 6: 0, 7: 0},
+        [300, 127, 17, 15, 93, 46, 13, 11],
+        [2606, 1942, 25, 25, 1116, 510, 28, 40],
+    ),
+    ("tcp", 7): (
+        3000668605,
+        {1: 0, 2: 100, 3: 0, 4: 100, 5: 0, 6: 0, 7: 0},
+        [300, 17, 127, 15, 126, 13, 13, 11],
+        [2522, 23, 1682, 8, 1435, 32, 36, 39],
+    ),
+    ("tcp", 23): (
+        3660836066,
+        {1: 0, 2: 70, 3: 100, 4: 30, 5: 0, 6: 0, 7: 0},
+        [300, 17, 94, 125, 49, 13, 13, 11],
+        [2403, 23, 1332, 1530, 472, 32, 36, 28],
+    ),
+    ("sctp", 1): (
+        282465127,
+        {1: 60, 2: 50, 3: 40, 4: 20, 5: 20, 6: 10, 7: 0},
+        [307, 84, 73, 60, 39, 36, 25, 12],
+        [2822, 142, 119, 104, 64, 30, 47, 37],
+    ),
+    ("sctp", 7): (
+        1000704737,
+        {1: 70, 2: 40, 3: 40, 4: 30, 5: 20, 6: 0, 7: 0},
+        [307, 95, 62, 60, 50, 36, 14, 12],
+        [2955, 119, 105, 97, 85, 65, 38, 37],
+    ),
+    ("sctp", 23): (
+        1276200315,
+        {1: 60, 2: 50, 3: 40, 4: 30, 5: 20, 6: 0, 7: 0},
+        [307, 84, 73, 60, 50, 36, 14, 12],
+        [3479, 133, 120, 101, 84, 65, 38, 37],
+    ),
+}
+
+
+def _blocked_farm(rpi, seed):
+    world = World(WorldConfig(
+        n_procs=8, rpi=rpi, loss_rate=0.01, seed=seed, num_streams=10
+    ))
+    result = world.run(make_farm(FarmParams(num_tasks=200, fanout=10)))
+    manager = result.results[0]
+    stats = [proc.rpi.stats for proc in world.processes]
+    return (
+        manager.elapsed_ns,
+        manager.per_worker_tasks,
+        [s.units_sent for s in stats],
+        [s.advance_calls for s in stats],
+    )
+
+
+@pytest.mark.parametrize("rpi,seed", sorted(BLOCKED_FARM))
+def test_lossy_blocked_farm_pinned(rpi, seed):
+    assert _blocked_farm(rpi, seed) == BLOCKED_FARM[(rpi, seed)]
+
+
+def test_lossy_blocked_farm_sanitized():
+    """Same bytes with every sanitizer armed, including the one that
+    fails when sendmsg refuses a piece the RPI's send-room test admitted."""
+    with sanitized():
+        assert _blocked_farm("sctp", 1) == BLOCKED_FARM[("sctp", 1)]

@@ -68,6 +68,34 @@ def test_sendmsg_eagain_when_buffer_full():
     assert s0.sendmsg(aid, 0, SyntheticBlob(10_000))
 
 
+def test_send_room_predicts_exactly_the_refusals():
+    """``send_room`` is the buffer test of ``sendmsg`` without the
+    message: a payload is refused iff it is larger than the room."""
+    kernel, cluster = make_cluster()
+    cfg = SCTPConfig(sndbuf=40_000)
+    s0, s1, aid = sctp_pair(kernel, cluster, config=cfg)
+    assert s0.send_room(aid) == 40_000
+    assert s0.sendmsg(aid, 0, SyntheticBlob(30_000))
+    assert s0.send_room(aid) == 10_000
+    assert not s0.sendmsg(aid, 0, SyntheticBlob(10_001))  # refused: nothing changed
+    assert s0.send_room(aid) == 10_000
+    assert s0.sendmsg(aid, 0, SyntheticBlob(10_000))
+    assert s0.send_room(aid) == 0
+
+
+def test_send_room_never_hides_an_error():
+    """Where ``sendmsg`` would raise rather than refuse, the room is the
+    sendmsg limit, so a caller that skips on lack of room still calls."""
+    kernel, cluster = make_cluster()
+    cfg = SCTPConfig(sndbuf=40_000)
+    s0, s1, aid = sctp_pair(kernel, cluster, config=cfg)
+    assert s0.sendmsg(aid, 0, SyntheticBlob(40_000))  # buffer full
+    s0.association(aid).close()  # SHUTDOWN_PENDING: data still outstanding
+    assert s0.send_room(aid) == 40_000
+    with pytest.raises(BrokenPipeError):
+        s0.sendmsg(aid, 0, SyntheticBlob(1))
+
+
 def test_per_stream_ssn_assignment():
     kernel, cluster = make_cluster()
     s0, s1, aid = sctp_pair(kernel, cluster)
