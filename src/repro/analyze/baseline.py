@@ -1,9 +1,9 @@
 """Machine-readable finding baseline for :mod:`repro.analyze.flow`.
 
 The flow analyzer is conservative by design, and a few of its findings
-over this tree are *accepted behaviour* (the Packet free-list is a
-module-global by construction; ``REPRO_FULL`` is deliberately part of
-the sweep-cache key).  Rather than sprinkle ``allow`` comments for
+over this tree are *accepted behaviour* (``REPRO_FULL`` is deliberately
+part of the sweep-cache key; the supervised child's attempt counter is
+child-local by design).  Rather than sprinkle ``allow`` comments for
 whole-program findings whose anchor line is far from the decision that
 justifies them, accepted findings live in a committed baseline file
 (``ANALYZE_baseline.json`` at the repo root) that CI diffs against:

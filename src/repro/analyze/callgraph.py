@@ -11,7 +11,7 @@ The model is deliberately static and conservative:
 * a :class:`Program` is every ``.py`` file under one package root,
   parsed once, with per-module import tables, module-level (global)
   variable names, and every function/method indexed by dotted qualname
-  (``repro.network.packet.Packet.acquire``);
+  (``repro.network.packet.Packet.describe``);
 * call resolution handles the cases that matter in this codebase —
   module-local calls, ``from x import f`` / ``import x as y`` aliases,
   ``self.method()`` within a class (following statically-resolvable
@@ -44,10 +44,10 @@ BY_NAME_CAP = 12
 class FunctionInfo:
     """One function or method definition in the program."""
 
-    qualname: str  # "repro.network.packet.Packet.acquire"
+    qualname: str  # "repro.network.packet.Packet.describe"
     module: str  # "repro.network.packet"
     path: str  # source file (as given to Program.load)
-    name: str  # bare name ("acquire")
+    name: str  # bare name ("describe")
     class_name: Optional[str]  # enclosing class, None for module-level
     params: Tuple[str, ...]  # positional-or-keyword parameter names, in order
     lineno: int

@@ -280,11 +280,6 @@ def _sink_of_call(
             return "kernel scheduling argument", dotted_name(func) or attr
         if attr in METRIC_SINK_METHODS:
             return "metrics value", dotted_name(func) or attr
-        if attr == "acquire":
-            dotted = dotted_name(func)
-            resolved = program.resolve_dotted(module, dotted) if dotted else ""
-            if resolved.endswith("Packet.acquire") or dotted.endswith("Packet.acquire"):
-                return "packet field", dotted or "Packet.acquire"
         if attr in _HASHLIB_CTORS or attr == "update":
             dotted = dotted_name(func)
             base = dotted_name(func.value)

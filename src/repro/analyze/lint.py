@@ -83,7 +83,7 @@ _SEEDABLE_NUMPY = {"default_rng", "Generator", "SeedSequence", "RandomState"}
 # AN105: kernel attributes that are scheduling internals.  Loads of _now
 # are tolerated (documented hot-path idiom for reading the clock); loads
 # of _heap are not, because the only reason to read the heap is to poke it.
-_KERNEL_INTERNAL_STORE = {"_heap", "_seq", "_now", "_live_events", "_cancelled_in_heap"}
+_KERNEL_INTERNAL_STORE = {"_heap", "_seq", "_now", "_live_events"}
 _KERNEL_INTERNAL_LOAD = {"_heap", "_seq"}
 
 _ALLOW_LINE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s-]+)\]")

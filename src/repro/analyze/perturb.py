@@ -12,15 +12,14 @@ FIFO schedule was hiding.
 
 Mechanism: every heap key the kernel pushes is ``(when, seq ^ mask)``.
 XOR with a fixed mask is a bijection on the sequence numbers, so keys
-stay unique (heap compaction stays order-preserving) and events at
-*different* times are untouched; only the order *within* one timestamp
-changes.  ``mask=0`` is the production FIFO order; the all-ones mask
+stay unique and events at *different* times are untouched; only the
+order *within* one timestamp changes.  ``mask=0`` is the production FIFO order; the all-ones mask
 reverses every tie; a hash-derived mask deterministically shuffles them.
 
 What must match across tie-breaks: every virtual-time output (durations,
 bytes, retransmit counts — all transport and RPI metrics).  What may
 legitimately differ: kernel *heap diagnostics* (depth histogram,
-compaction count, lazily-cancelled entries) and link *queue-occupancy
+pending and processed event counts) and link *queue-occupancy
 histograms* (sampled at enqueue instants, so same-timestamp enqueue
 order shows through) — those measure the schedule itself, so
 :data:`SCHEDULE_SENSITIVE_PREFIXES` and
@@ -54,13 +53,11 @@ def shuffle_mask(seed: int) -> int:
 
 
 #: Metric-key prefixes excluded from digests: they observe the *schedule*
-#: (heap shape, lazy-deletion churn), not the simulated system, so a
+#: (heap shape, event counts), not the simulated system, so a
 #: tie-break perturbation legitimately changes them.
 SCHEDULE_SENSITIVE_PREFIXES: Tuple[str, ...] = (
     "kernel.timer_heap_depth",
     "kernel.pending_timers",
-    "kernel.cancelled_in_heap",
-    "kernel.heap_compactions",
     "kernel.events_processed",
     "kernel.tasks_spawned",
 )

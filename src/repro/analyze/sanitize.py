@@ -36,9 +36,8 @@ def _resolve() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
-# The resolved flag.  Per-packet callers (Packet.acquire/release) ask on
-# every packet, so REPRO_SANITIZE is read here, at import, and again only
-# when the programmatic override changes — never per call.
+# The resolved flag: REPRO_SANITIZE is read here, at import, and again
+# only when the programmatic override changes — never per call.
 _ENABLED: bool = _resolve()
 
 
@@ -103,36 +102,6 @@ def _fail(layer: str, invariant: str, detail: str) -> None:
     raise InvariantViolation(layer, invariant, detail)
 
 
-class _PoolPoison:
-    """Sentinel stored in the fields of pooled (recycled) objects.
-
-    When sanitizers are on, the kernel's Timer pool and the network's
-    Packet pool overwrite payload fields with this object on recycle and
-    assert it is still present on reacquisition.  Any code path that
-    holds a stale handle and touches it after recycling either reads the
-    poison (caught at the next acquire/fire) or overwrites it (caught as
-    pool corruption) — the use-after-free of a pooled design.
-
-    Calling it raises immediately: a poisoned callback reaching a
-    dispatch loop is the worst version of the bug.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, *args: Any, **kwargs: Any) -> None:
-        _fail(
-            "kernel",
-            "pool use-after-recycle",
-            "a poisoned (recycled) pool slot was dispatched as a callback",
-        )
-
-    def __repr__(self) -> str:
-        return "<POOL_POISON>"
-
-
-POOL_POISON = _PoolPoison()
-
-
 # ---------------------------------------------------------------------------
 # kernel: virtual-time monotonicity + timer-heap integrity
 # ---------------------------------------------------------------------------
@@ -143,11 +112,8 @@ class KernelSanitizer:
 
     * virtual time is monotone: no event fires at ``when < now``;
     * the heap satisfies the heap property over ``(when, seq)`` keys;
-    * the O(1) ``pending_events`` / ``cancelled_in_heap`` counters agree
-      with an actual scan of the heap;
-    * pool hygiene: every Timer waiting in the free list is poisoned,
-      and no live (non-cancelled) heap entry points at a recycled Timer
-      — the use-after-recycle a pooled core can otherwise hide.
+    * the O(1) ``pending_events`` counter agrees with an actual scan of
+      the heap.
 
     The full heap audit is O(n), so it runs every ``AUDIT_EVERY`` fired
     events rather than per event; the monotonicity check is per event.
@@ -188,27 +154,15 @@ class KernelSanitizer:
                     f"{heap[parent][:2]} > child key {heap[i][:2]}",
                 )
         live = 0
-        cancelled = 0
-        armed = set()  # RestartableTimer handles: one live event each
         for entry in heap:
             obj = entry[2]
-            if hasattr(obj, "deadline"):
-                # stale and superseded entries are neither live nor counted
-                # as cancelled; an armed handle always has one tracked entry
-                if obj.deadline is not None and entry[1] == obj._entry_key:
-                    armed.add(obj)
-            elif getattr(obj, "cancelled", False):
-                cancelled += 1
-            else:
+            # a fire-and-forget entry is always live; a handle's entry only
+            # while the handle is armed and the entry is the one it tracks
+            # (keys are unique, so that is one entry per armed handle)
+            if entry[3] is not None or (
+                obj.deadline is not None and entry[1] == obj._entry_key
+            ):
                 live += 1
-                if getattr(obj, "fn", None) is POOL_POISON:
-                    _fail(
-                        "kernel",
-                        "pool use-after-recycle",
-                        f"live heap entry at t={entry[0]}ns points at a "
-                        "recycled (poisoned) Timer",
-                    )
-        live += len(armed)
         if live != kernel._live_events:
             _fail(
                 "kernel",
@@ -216,30 +170,6 @@ class KernelSanitizer:
                 f"counter says {kernel._live_events} live events but the heap "
                 f"holds {live}",
             )
-        if cancelled != kernel._cancelled_in_heap:
-            _fail(
-                "kernel",
-                "cancelled-in-heap accounting",
-                f"counter says {kernel._cancelled_in_heap} lazily-deleted "
-                f"entries but the heap holds {cancelled}",
-            )
-        for timer in getattr(kernel, "_timer_pool", ()):
-            if timer.fn is not POOL_POISON or timer.args is not POOL_POISON:
-                _fail(
-                    "kernel",
-                    "pool hygiene",
-                    "a Timer in the free list is not poisoned: something "
-                    "wrote to a recycled handle",
-                )
-
-    def pool_corruption(self, pool: str, obj: Any) -> None:
-        """A pooled object failed its acquire/dispatch poison check."""
-        _fail(
-            "kernel",
-            "pool use-after-recycle",
-            f"{pool} pool slot was touched after recycling: {obj!r} no "
-            "longer carries the poison sentinel",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +590,6 @@ def option_b_sanitizer() -> Optional[OptionBSanitizer]:
 
 __all__: List[str] = [
     "InvariantViolation",
-    "POOL_POISON",
     "sanitizers_enabled",
     "enable_sanitizers",
     "reset_sanitizers",

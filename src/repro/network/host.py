@@ -39,7 +39,7 @@ class HostCPU:
             raise ValueError(f"negative CPU cost: {cost_ns}")
         # per-packet hot path: avoid max()/property overhead, and schedule
         # through the fire-and-forget kernel path (CPU work is never
-        # cancelled, so no Timer handle is needed)
+        # cancelled, so no handle is needed)
         kernel = self.kernel
         now = kernel._now
         start = self._busy_until
@@ -100,11 +100,6 @@ class Host:
         # stored bound method is cheaper than re-binding it each time
         self._nic_send_by_addr: Dict[str, Callable[[Packet], None]] = {}
         self._handler_recv: Dict[str, Callable[[Packet], None]] = {}
-        # with CRC32c off (the paper's configuration) packet CPU costs are
-        # size-independent, so they can be memoised per protocol
-        self._packet_cost_cache: Optional[Dict[str, tuple]] = (
-            {} if self.cost_model.crc32c_per_kib_ns == 0 else None
-        )
         self._handlers: Dict[str, Any] = {}
         self.rx_packets = 0
         self.tx_packets = 0
@@ -157,29 +152,13 @@ class Host:
         return self._handlers[proto]
 
     # -- data path ---------------------------------------------------------
-    def _packet_costs(self, proto: str, wire_size: int) -> tuple:
-        """(send_cost, recv_cost) for one packet, memoised when constant."""
-        cache = self._packet_cost_cache
-        if cache is not None:
-            costs = cache.get(proto)
-            if costs is None:
-                costs = cache[proto] = (
-                    self.cost_model.packet_send_cost(proto, wire_size),
-                    self.cost_model.packet_recv_cost(proto, wire_size),
-                )
-            return costs
-        return (
-            self.cost_model.packet_send_cost(proto, wire_size),
-            self.cost_model.packet_recv_cost(proto, wire_size),
-        )
-
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` out of the NIC owning ``packet.src``,
         charging the protocol's per-packet send CPU first."""
         nic_send = self._nic_send_by_addr.get(packet.src)
         if nic_send is None:
             nic_send = self.interfaces[0].send  # unknown src: primary NIC
-        cost = self._packet_costs(packet.proto, packet.wire_size)[0]
+        cost = self.cost_model.packet_send_cost(packet.proto, packet.wire_size)
         self.tx_packets += 1
         if self.taps:
             for tap in self.taps:
@@ -204,13 +183,12 @@ class Host:
         """Ingress path: charge receive CPU, then demux to the transport."""
         handler_recv = self._handler_recv.get(packet.proto)
         if handler_recv is None:
-            packet.release()
             return  # no listener: silently dropped, like an unhandled proto
         self.rx_packets += 1
         if self.taps:
             for tap in self.taps:
                 tap("rx", self, packet)
-        cost = self._packet_costs(packet.proto, packet.wire_size)[1]
+        cost = self.cost_model.packet_recv_cost(packet.proto, packet.wire_size)
         cpu = self.cpu
         kernel = cpu.kernel
         now = kernel._now

@@ -116,7 +116,6 @@ class Link:
             raise RuntimeError(f"link {self.name} has no sink connected")
         if not self.up:
             self.admin_down_drops += 1
-            packet.release()
             return False
         kernel = self.kernel
         now = kernel._now
@@ -132,7 +131,6 @@ class Link:
         if queued > self.queue_bytes:
             self.dropped_packets += 1
             self.dropped_bytes += size
-            packet.release()
             return False
         self._queued_bytes = queued
         if self._occupancy_hist is not None:

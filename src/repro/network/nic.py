@@ -32,7 +32,6 @@ class NIC:
     def send(self, packet: Packet) -> None:
         """Transmit if the interface is up; silently drop otherwise."""
         if not self.up:
-            packet.release()
             return
         if self.egress is None:
             raise RuntimeError(f"NIC {self.addr} has no egress connected")
@@ -42,7 +41,6 @@ class NIC:
     def receive(self, packet: Packet) -> None:
         """Ingress from the wire; hands the packet to the owning host."""
         if not self.up or self.host is None:
-            packet.release()
             return
         self.rx_packets += 1
         self.host.deliver(packet)

@@ -12,10 +12,7 @@ protocol has legitimately delivered it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
-
-from ..analyze.sanitize import POOL_POISON, sanitizers_enabled
 
 _packet_ids = itertools.count(1)
 _next_packet_id = _packet_ids.__next__  # bound method: no lambda per packet
@@ -23,93 +20,31 @@ _next_packet_id = _packet_ids.__next__  # bound method: no lambda per packet
 IP_HEADER = 20
 
 
-@dataclass(slots=True)
 class Packet:
-    """One simulated IP datagram (slotted: one per wire transmission).
+    """One simulated IP datagram (slotted: one per wire transmission)."""
 
-    Transports create packets via :meth:`acquire` and the network layer
-    returns them to a free-list pool via :meth:`release` at each point a
-    datagram leaves the simulation (delivered to a transport, dropped by
-    a queue, admin-down link, or unroutable address), so steady-state
-    traffic recycles a handful of Packet objects instead of allocating
-    one per wire transmission.  Direct construction still works — tests
-    and the fault injector build packets by hand — and such packets are
-    simply never pooled (``release`` on them is a no-op).
-    """
+    __slots__ = ("src", "dst", "proto", "payload", "wire_size", "pkt_id", "corrupted")
 
-    src: str
-    dst: str
-    proto: str  # "tcp" | "sctp" (plus anything tests register)
-    payload: Any
-    wire_size: int  # total on-wire bytes including IP + transport headers
-    pkt_id: int = field(default_factory=_next_packet_id)
-    # set by the Corrupt impairment (repro.faults): the datagram still
-    # occupies the wire, but the receiving transport's integrity check
-    # (SCTP CRC32c, TCP checksum) must reject it on arrival
-    corrupted: bool = False
-    # True only for acquire()d packets currently out of the pool; guards
-    # against pooling hand-built packets and against double release
-    _pooled: bool = field(default=False, repr=False, compare=False)
+    def __init__(self, src: str, dst: str, proto: str, payload: Any, wire_size: int) -> None:
+        if wire_size <= 0:
+            raise ValueError(f"packet must occupy wire bytes, got {wire_size}")
+        self.src = src
+        self.dst = dst
+        self.proto = proto  # "tcp" | "sctp" (plus anything tests register)
+        self.payload = payload
+        self.wire_size = wire_size  # total on-wire bytes including IP + transport headers
+        self.pkt_id = _next_packet_id()
+        # set by the Corrupt impairment (repro.faults): the datagram still
+        # occupies the wire, but the receiving transport's integrity check
+        # (SCTP CRC32c, TCP checksum) must reject it on arrival
+        self.corrupted = False
 
-    def __post_init__(self) -> None:
-        if self.wire_size <= 0:
-            raise ValueError(f"packet must occupy wire bytes, got {self.wire_size}")
-
-    @classmethod
-    def acquire(
-        cls, src: str, dst: str, proto: str, payload: Any, wire_size: int
-    ) -> "Packet":
-        """A pooled packet: recycled if the free list has one, else new.
-
-        Draws a fresh ``pkt_id`` either way, so ids stay unique over a
-        run and independent of pool hits (they are not part of any
-        metrics output, which is what lets serial and sharded runs of
-        one world produce identical metrics despite different pooling).
-        """
-        pool = _pool
-        if pool:
-            pkt = pool.pop()
-            payload_slot = pkt.payload
-            # None is the non-sanitized release sentinel: the pool is
-            # process-global, so entries released before sanitizers were
-            # switched on legitimately carry it instead of the poison
-            if (
-                payload_slot is not None
-                and payload_slot is not POOL_POISON
-                and sanitizers_enabled()
-            ):
-                raise AssertionError(
-                    f"[network] pool use-after-recycle: pooled {pkt!r} was "
-                    "touched while on the free list"
-                )
-            pkt.src = src
-            pkt.dst = dst
-            pkt.proto = proto
-            pkt.payload = payload
-            pkt.wire_size = wire_size
-            pkt.pkt_id = _next_packet_id()
-            pkt.corrupted = False
-            pkt._pooled = True
-            return pkt
-        pkt = cls(src, dst, proto, payload, wire_size)
-        pkt._pooled = True
-        return pkt
-
-    def release(self) -> None:
-        """Return this packet to the pool (no-op for hand-built packets).
-
-        Call only at a point where the datagram is finished — delivered,
-        dropped, or rejected — and no reference is retained.  Safe to
-        call twice (the second call is a no-op) and safe on packets that
-        were constructed directly rather than acquired.
-        """
-        if not self._pooled:
-            return
-        self._pooled = False
-        # drop the payload reference so pooled packets don't pin PDUs;
-        # under sanitizers, poison it to catch use-after-release
-        self.payload = POOL_POISON if sanitizers_enabled() else None
-        _pool.append(self)
+    def __repr__(self) -> str:
+        return (
+            f"Packet(src={self.src!r}, dst={self.dst!r}, proto={self.proto!r}, "
+            f"payload={self.payload!r}, wire_size={self.wire_size!r}, "
+            f"pkt_id={self.pkt_id!r}, corrupted={self.corrupted!r})"
+        )
 
     def describe(self) -> str:
         """Short human-readable trace line for logging/tests."""
@@ -118,8 +53,3 @@ class Packet:
             f"#{self.pkt_id} {self.proto} {self.src}->{self.dst} "
             f"{self.wire_size}B{flag} {self.payload!r}"
         )
-
-
-# module-level free list shared by every world in the process (packets
-# carry no kernel reference, so cross-world reuse is harmless)
-_pool: list = []

@@ -37,12 +37,10 @@ class Switch:
 
     def _forward(self, packet: Packet) -> None:
         if not self.up:
-            packet.release()
             return
         out = self._ports.get(packet.dst)
         if out is None:
             self.unroutable += 1
-            packet.release()
             return
         self.forwarded += 1
         out.send(packet)

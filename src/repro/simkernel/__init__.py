@@ -4,7 +4,7 @@ This package is the foundation every other subsystem (network links,
 transport protocol timers, MPI processes) runs on.  It provides:
 
 * :class:`~repro.simkernel.kernel.Kernel` -- the event loop with an integer
-  nanosecond clock, cancellable timers and restartable protocol timers,
+  nanosecond clock and one cancellable, restartable timer handle,
 * :class:`~repro.simkernel.futures.Future` / :class:`~repro.simkernel.futures.Task`
   -- asyncio-like primitives driven by the virtual clock instead of wall time,
 * synchronisation helpers (:func:`~repro.simkernel.sync.wait_all`,
@@ -19,7 +19,7 @@ simulation is a pure function of its configuration and seed.
 """
 
 from .futures import CancelledError, Future, Task
-from .kernel import Kernel, RestartableTimer, Timer, WatchdogExpired
+from .kernel import Kernel, RestartableTimer, WatchdogExpired
 from .sync import AsyncEvent, AsyncQueue, wait_all, wait_any
 from .units import GBIT_PER_S, MBIT_PER_S, MICROSECOND, MILLISECOND, SECOND, tx_time_ns
 
@@ -36,7 +36,6 @@ __all__ = [
     "RestartableTimer",
     "SECOND",
     "Task",
-    "Timer",
     "WatchdogExpired",
     "tx_time_ns",
     "wait_all",

@@ -7,50 +7,27 @@ identical event sequences.
 
 Hot-path design (the simulator spends most of its wall-clock time here):
 
-* heap entries are single flat tuples ``(when, seq ^ mask, obj, args)``
-  where ``obj`` is either a pooled :class:`Timer` (cancellable path) or a
-  bare callable (fire-and-forget path).  One allocation per scheduled
-  event — the nested ``(fn, args)`` payload tuple of earlier revisions is
-  gone.  (A parallel-array core with packed integer keys and slot indices
-  was prototyped and measured *slower* in CPython: the big-int shift/mask
-  temporaries needed to pack ``when``/``seq``/``slot`` into one key cost
-  more than the single tuple they replace — see DESIGN.md § event-core
-  layout for the numbers.  The free-list idea survives as the Timer and
-  Packet object pools.)
-* two scheduling paths share one heap and one sequence counter, so event
-  *order* is identical whichever a caller uses: :meth:`Kernel.call_at`
-  returns a cancellable :class:`Timer` handle, while :meth:`Kernel.post_at`
-  is the fire-and-forget path the per-packet machinery (links, host CPUs,
-  pipes) uses;
-* :class:`Timer` objects are recycled through a free-list pool: a timer
-  is returned to the pool when its heap entry is consumed (fired, or
-  popped/compacted after cancellation), so steady-state retransmission
-  churn allocates no Timer objects at all.  The contract is that a Timer
-  handle is *dead* once it has fired or been cancelled — holding a stale
-  handle and cancelling it later is a no-op until the object is reused,
-  and undefined after.  ``REPRO_SANITIZE=1`` poisons pooled timers to
-  catch use-after-recycle (see :mod:`repro.analyze.sanitize`).
-* protocol timers that are re-armed far more often than they fire
-  (retransmission, delayed ACK/SACK, autoclose) use a
-  :class:`RestartableTimer`: restart and cancel only move or clear a
-  deadline on a handle the owner keeps for life; the handle's one heap
-  entry is left where it is and, if it surfaces before the deadline,
-  re-posts itself there.  Per-ACK timer churn therefore allocates
-  nothing and leaves nothing dead in the heap.
-* live-timer accounting is O(1): a maintained counter is incremented on
-  schedule and decremented on fire/cancel, so the ``pending_timers``
-  metrics probe never scans the heap;
-* cancellation is lazy (the heap entry stays until popped), but when
-  cancelled entries dominate a large heap the kernel compacts it in place,
-  so a long idle simulation that cancelled thousands of retransmission
-  timers doesn't drag them along forever.  Compaction preserves event
-  order exactly because heap keys ``(when, seq)`` are unique.
-* the sequence counter is renumbered (order-preserving) when it reaches
-  :data:`Kernel.SEQ_LIMIT` under the production FIFO mask, so keys stay
-  small machine integers over arbitrarily long runs.  Under a non-zero
-  perturbation mask the counter simply keeps growing — XOR stays a
-  bijection at any width, so correctness is unaffected and only
-  perturbation runs (which are short by construction) pay big-int keys.
+* heap entries are flat tuples ``(when, seq ^ mask, obj, args)``: ``obj``
+  is a bare callable with its ``args`` tuple (fire-and-forget, from
+  :meth:`Kernel.post_at`), or a :class:`RestartableTimer` with ``args``
+  ``None`` (every cancellable path).  One allocation per scheduled
+  event.  Both kinds share the heap and the sequence counter, so event
+  *order* does not depend on which a caller uses.  (DESIGN.md §9.1
+  records the layouts and caches that were measured and rejected or
+  removed.)
+* there is one handle class.  :meth:`Kernel.timer` returns it idle, for
+  protocol timers re-armed far more often than they fire
+  (retransmission, delayed ACK/SACK, autoclose); :meth:`Kernel.call_at`
+  and :meth:`Kernel.call_after` return it armed, for one-shots.  Restart
+  and cancel only move or clear a deadline; the handle's one heap entry
+  stays where it is and, if it surfaces before the deadline, re-posts
+  itself there.  A handle is safe to keep and to cancel at any time.
+  Later restarts and cancels push nothing, so what a handle leaves dead
+  in the heap is its one tracked entry, plus one superseded entry per
+  restart to an *earlier* deadline — not one per re-arm.
+* live-event accounting is O(1): a counter is incremented on schedule
+  and decremented on fire/cancel, so the ``pending_timers`` metrics
+  probe never scans the heap.
 """
 
 from __future__ import annotations
@@ -60,10 +37,10 @@ import os
 import random
 import time
 from collections import Counter
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Coroutine, Iterable, Optional
 
-from ..analyze.sanitize import POOL_POISON, kernel_sanitizer
+from ..analyze.sanitize import kernel_sanitizer
 from ..metrics.registry import MetricsRegistry
 from .futures import _PENDING, Future, Task
 
@@ -73,54 +50,21 @@ HEAP_DEPTH_EDGES = (4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 # Same-time tie-break mask XORed into every heap sequence key.  0 is the
 # production FIFO order; repro.analyze.perturb installs non-zero masks
 # (reversal, seed-shuffle) to prove results don't depend on the order of
-# equal-timestamp events.  XOR is a bijection, so keys stay unique and
-# compaction stays order-preserving under any mask.  Module-level so the
-# race detector reaches kernels constructed deep inside the bench
-# harness; individual kernels can override via ``tiebreak_mask=``.
+# equal-timestamp events.  XOR is a bijection, so keys stay unique under
+# any mask.  Module-level so the race detector reaches kernels
+# constructed deep inside the bench harness; individual kernels can
+# override via ``tiebreak_mask=``.
 DEFAULT_TIEBREAK_MASK = 0
 
 
-class Timer:
-    """Handle for a scheduled callback; supports O(1) cancellation.
-
-    Timers are pooled: once a timer has fired or been cancelled the
-    handle is dead and the object may be reused for a later
-    ``call_at``/``call_after``.  Callers must drop (or null out) handles
-    on fire/cancel — every transport in this repo does — and never
-    cancel a handle that might already have fired and been reused.
-    """
-
-    __slots__ = ("when", "fn", "args", "cancelled", "_kernel")
-
-    def __init__(
-        self, when: int, fn: Callable, args: tuple, kernel: Optional["Kernel"] = None
-    ) -> None:
-        self.when = when
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Back-reference for live-timer accounting; detached (set to None)
-        # when the timer fires, so a late cancel() is a pure no-op.
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (no-op if already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self.fn = None
-        self.args = ()
-        kernel = self._kernel
-        if kernel is not None:
-            self._kernel = None
-            kernel._note_cancelled()
-
-
 class RestartableTimer:
-    """A protocol timer its owner re-arms many times between expiries.
+    """The kernel's one cancellable handle.
 
-    Created idle by :meth:`Kernel.timer` and kept for the owner's life.
-    The contract:
+    :meth:`Kernel.timer` returns it idle, for a protocol timer its owner
+    keeps for life and re-arms many times between expiries;
+    :meth:`Kernel.call_at` / :meth:`Kernel.call_after` return it armed.
+    A handle may be kept and cancelled at any time, fired or not.  The
+    contract:
 
     * :meth:`restart` arms (or re-arms) the timer ``delay`` ns from now,
       :meth:`cancel` disarms it; ``deadline`` is the absolute expiry, or
@@ -134,11 +78,11 @@ class RestartableTimer:
       touching ``pending_events``.  Only a restart to an *earlier*
       position pushes a fresh entry; the superseded one is recognised by
       its key and dropped.
-    * tie-break: every ``restart`` draws a sequence number, exactly as the
-      ``call_after`` it replaces did, and the entry that finally fires
-      carries the number of the last restart.  The whole run therefore
-      pops events in the same ``(when, seq)`` order as it would with
-      ``cancel(); call_after()`` — same-time ties included.
+    * tie-break: every ``restart`` draws one sequence number, and the
+      entry that finally fires carries the number of the last restart.
+      The whole run therefore pops events in the same ``(when, seq)``
+      order as it would with a fresh ``call_after`` per arming —
+      same-time ties included.
     """
 
     __slots__ = ("deadline", "fn", "args", "_kernel", "_key", "_entry_when", "_entry_key")
@@ -159,8 +103,6 @@ class RestartableTimer:
             raise ValueError(f"negative delay: {delay}")
         kernel = self._kernel
         kernel._seq = seq = kernel._seq + 1
-        if seq >= kernel.SEQ_LIMIT and not kernel._seq_mask:
-            kernel._seq = seq = kernel._renumber_seq()
         self._key = key = seq ^ kernel._seq_mask
         deadline = kernel._now + delay
         if self.deadline is None:
@@ -231,17 +173,11 @@ def _hot_heap_labels(heap: list, top: int = 5) -> str:
     """
     counts: Counter = Counter()
     for entry in heap:
-        obj = entry[2]
-        if type(obj) is Timer:
-            if obj.cancelled:
+        fn = entry[2]
+        if entry[3] is None:  # a handle: skip idle and superseded entries
+            if fn.deadline is None or entry[1] != fn._entry_key:
                 continue
-            fn = obj.fn
-        elif type(obj) is RestartableTimer:
-            if obj.deadline is None or entry[1] != obj._entry_key:
-                continue
-            fn = obj.fn
-        else:
-            fn = obj
+            fn = fn.fn
         counts[getattr(fn, "__qualname__", None) or repr(fn)] += 1
     if not counts:
         return "(heap empty)"
@@ -350,15 +286,6 @@ _ENV_WATCHDOG = _watchdog_env()
 class Kernel:
     """Discrete-event loop with an integer nanosecond virtual clock."""
 
-    # lazy-deletion compaction policy: rebuild the heap once it holds at
-    # least COMPACT_MIN_HEAP entries and more than half are cancelled
-    COMPACT_MIN_HEAP = 1024
-
-    # sequence-counter renumber threshold: far beyond any realistic event
-    # count, and overridable per instance so tests can exercise the
-    # order-preserving renumbering cheaply
-    SEQ_LIMIT = 1 << 62
-
     def __init__(
         self,
         seed: int = 0,
@@ -367,8 +294,8 @@ class Kernel:
     ) -> None:
         self.seed = seed
         self._now = 0
-        # entries are flat (when, seq ^ mask, handle, None) from call_at or
-        # a RestartableTimer, or (when, seq ^ mask, fn, args) from post_at
+        # entries are flat (when, seq ^ mask, handle, None) from a
+        # RestartableTimer, or (when, seq ^ mask, fn, args) from post_at
         # (args is always a tuple there, so ``args is None`` tells the two
         # apart); (when, seq ^ mask) is unique so the third element is
         # never compared
@@ -389,13 +316,8 @@ class Kernel:
                 max_stall_events=_ENV_WATCHDOG["stall"],
                 check_every=_ENV_WATCHDOG["every"],
             )
-        # Timer free list: dead handles awaiting reuse (never scheduled)
-        self._timer_pool: list[Timer] = []
         self._events_processed = 0
         self._live_events = 0  # scheduled, not yet fired or cancelled
-        self._cancelled_in_heap = 0  # lazy-deleted entries awaiting pop
-        self._compactions = 0
-        self._seq_renumbers = 0
         self._tasks: list[Task] = []
         self._rng_cache: dict[str, random.Random] = {}
         # The kernel owns the metrics registry every layer registers into.
@@ -405,8 +327,6 @@ class Kernel:
         scope = self.metrics.scope("kernel")
         scope.probe("events_processed", lambda: self._events_processed)
         scope.probe("pending_timers", self.pending_events)
-        scope.probe("cancelled_in_heap", lambda: self._cancelled_in_heap)
-        scope.probe("heap_compactions", lambda: self._compactions)
         scope.probe("tasks_spawned", lambda: len(self._tasks))
         scope.probe("now_ns", lambda: self._now)
         # heap-depth histogram observed on every schedule; None when the
@@ -441,59 +361,16 @@ class Kernel:
         return stream
 
     # -- scheduling ------------------------------------------------------
-    def _acquire_timer(self, when: int, fn: Callable, args: tuple) -> Timer:
-        """A Timer bound to this kernel, recycled from the pool if possible."""
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            if self._san is not None and timer.fn is not POOL_POISON:
-                self._san.pool_corruption("timer", timer)
-            timer.when = when
-            timer.fn = fn
-            timer.args = args
-            timer.cancelled = False
-            timer._kernel = self
-            return timer
-        return Timer(when, fn, args, self)
-
-    def _recycle_timer(self, timer: Timer) -> None:
-        """Return a consumed (fired or cancel-popped) handle to the pool."""
-        timer.cancelled = True  # dead: a stale cancel() is a no-op
-        timer._kernel = None
-        if self._san is not None:
-            timer.fn = POOL_POISON
-            timer.args = POOL_POISON
-        self._timer_pool.append(timer)
-
-    def call_at(self, when: int, fn: Callable, *args: Any) -> Timer:
+    def call_at(self, when: int, fn: Callable, *args: Any) -> RestartableTimer:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
         if when < self._now:
             raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        timer = self._acquire_timer(when, fn, args)
-        self._seq = seq = self._seq + 1
-        if seq >= self.SEQ_LIMIT and not self._seq_mask:
-            self._seq = seq = self._renumber_seq()
-        heappush(self._heap, (when, seq ^ self._seq_mask, timer, None))
-        self._live_events += 1
-        hist = self._heap_depth_hist
-        if hist is not None:
-            hist.observe(len(self._heap))
-        return timer
+        return self.call_after(when - self._now, fn, *args)
 
-    def call_after(self, delay: int, fn: Callable, *args: Any) -> Timer:
+    def call_after(self, delay: int, fn: Callable, *args: Any) -> RestartableTimer:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        # body of call_at inlined (minus the past-check: now+delay >= now)
-        timer = self._acquire_timer(self._now + delay, fn, args)
-        self._seq = seq = self._seq + 1
-        if seq >= self.SEQ_LIMIT and not self._seq_mask:
-            self._seq = seq = self._renumber_seq()
-        heappush(self._heap, (timer.when, seq ^ self._seq_mask, timer, None))
-        self._live_events += 1
-        hist = self._heap_depth_hist
-        if hist is not None:
-            hist.observe(len(self._heap))
+        timer = RestartableTimer(self, fn, args)
+        timer.restart(delay)
         return timer
 
     def post_at(self, when: int, fn: Callable, *args: Any) -> None:
@@ -507,8 +384,6 @@ class Kernel:
         if when < self._now:
             raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
         self._seq = seq = self._seq + 1
-        if seq >= self.SEQ_LIMIT and not self._seq_mask:
-            self._seq = seq = self._renumber_seq()
         heappush(self._heap, (when, seq ^ self._seq_mask, fn, args))
         self._live_events += 1
         hist = self._heap_depth_hist
@@ -525,8 +400,6 @@ class Kernel:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         self._seq = seq = self._seq + 1
-        if seq >= self.SEQ_LIMIT and not self._seq_mask:
-            self._seq = seq = self._renumber_seq()
         heappush(self._heap, (self._now + delay, seq ^ self._seq_mask, fn, args))
         self._live_events += 1
         hist = self._heap_depth_hist
@@ -578,77 +451,6 @@ class Kernel:
         self._tasks.append(task)
         task.start()
         return task
-
-    # -- heap maintenance --------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Account one Timer.cancel(); compact if dead entries dominate."""
-        self._live_events -= 1
-        self._cancelled_in_heap += 1
-        heap_size = len(self._heap)
-        if heap_size >= self.COMPACT_MIN_HEAP and 2 * self._cancelled_in_heap > heap_size:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop lazily-deleted entries and re-heapify, in place.
-
-        Order-preserving: heap keys ``(when, seq)`` are unique, so any
-        valid heap over the surviving entries pops in the same total
-        order.  In-place (slice assignment) so a ``run()`` loop holding a
-        reference to the heap list sees the compacted state.  The Timer
-        handles behind the dropped entries go back to the pool.
-        """
-        survivors = []
-        append = survivors.append
-        recycle = self._recycle_timer
-        for entry in self._heap:
-            obj = entry[2]
-            if type(obj) is Timer and obj.cancelled:
-                recycle(obj)
-            else:
-                append(entry)
-        self._heap[:] = survivors
-        heapify(self._heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
-
-    def _renumber_seq(self) -> int:
-        """Compact the sequence space, preserving pop order; new top seq.
-
-        Only reached under the production FIFO mask (``_seq_mask == 0``):
-        queued entries are re-keyed ``1..n`` in pop order (a sorted list
-        satisfies the heap property, so no re-heapify is needed) and the
-        counter restarts at ``n + 1``, which keeps every future key above
-        every queued key — FIFO tie-breaking is exactly preserved.  Under
-        a non-zero perturbation mask the caller skips renumbering: XOR is
-        a bijection at any integer width, so ever-growing sequence
-        numbers stay correct (merely big-int slow), while renumbering
-        could collide re-keyed entries with future masked keys.
-        """
-        # A RestartableTimer restarted since its entry was pushed holds its
-        # firing key outside the heap; bring that key in first (move the
-        # tracked entry to where it would re-post itself anyway, drop the
-        # superseded and idle ones) so one sort re-keys everything.
-        entries = []
-        for entry in self._heap:
-            obj = entry[2]
-            if type(obj) is RestartableTimer:
-                if entry[1] != obj._entry_key:
-                    continue
-                if obj.deadline is None:
-                    obj._entry_when = obj._entry_key = None
-                    continue
-                entry = (obj.deadline, obj._key, obj, None)
-            entries.append(entry)
-        entries.sort()
-        for i, entry in enumerate(entries, 1):
-            obj = entry[2]
-            if type(obj) is RestartableTimer:
-                obj._entry_when = entry[0]
-                obj._key = obj._entry_key = i
-            entries[i - 1] = (entry[0], i, obj, entry[3])
-        self._heap[:] = entries
-        self._seq_renumbers += 1
-        return len(entries) + 1
 
     # -- watchdog --------------------------------------------------------
     def arm_watchdog(
@@ -703,9 +505,10 @@ class Kernel:
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the earliest queued entry, or None when idle.
 
-        Conservative: a lazily-cancelled head counts (its timestamp is a
-        lower bound on the next real event), which is exactly what the
-        parallel-DES lookahead computation needs.
+        Conservative: the head may belong to a cancelled or restarted
+        handle (its timestamp is a lower bound on the next real event),
+        which is exactly what the parallel-DES lookahead computation
+        needs.
         """
         heap = self._heap
         return heap[0][0] if heap else None
@@ -713,7 +516,7 @@ class Kernel:
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Process events until the heap drains, ``until`` is reached, or
         ``max_events`` fire.  Returns the number of events processed."""
-        heap = self._heap  # _compact() mutates in place, never rebinds
+        heap = self._heap
         san = self._san
         wd = self._watchdog
         processed = 0
@@ -725,25 +528,13 @@ class Kernel:
                     self._now = until
                     return processed
                 heappop(heap)
-                obj = entry[2]
+                fn = entry[2]
                 args = entry[3]
-                if args is not None:
-                    fn = obj
-                elif type(obj) is Timer:
-                    if obj.cancelled:
-                        self._cancelled_in_heap -= 1
-                        self._recycle_timer(obj)
+                if args is None:  # a handle, not a bare callable
+                    if not fn._due(entry[1]):
                         continue
-                    fn = obj.fn
-                    args = obj.args
-                    if san is not None and fn is POOL_POISON:
-                        san.pool_corruption("timer", obj)
-                    self._recycle_timer(obj)
-                elif obj._due(entry[1]):
-                    fn = obj.fn
-                    args = obj.args
-                else:
-                    continue
+                    args = fn.args
+                    fn = fn.fn
                 self._live_events -= 1
                 if san is not None:
                     san.on_fire(when)
@@ -770,48 +561,12 @@ class Kernel:
         event (frame setup, try/finally, loop re-entry); semantics and
         event order are identical to ``run(max_events=1)`` in a loop.
         """
-        heap = self._heap  # _compact() mutates in place, never rebinds
+        heap = self._heap
         san = self._san
         wd = self._watchdog
+        ceiling = float("inf") if limit is None else limit
         processed = 0
         try:
-            if limit is None:
-                # no-limit variant: pop-and-unpack directly, no peek and no
-                # per-event limit test (this is the common World.run path)
-                pop = heappop  # local: one global lookup per run, not per event
-                while fut._state is _PENDING:
-                    if not heap:
-                        raise DeadlockError(
-                            f"event heap drained at t={self._now}ns but {fut!r} "
-                            "is still pending (simulation deadlock)"
-                        )
-                    when, key, obj, args = pop(heap)
-                    if args is not None:
-                        fn = obj
-                    elif type(obj) is Timer:
-                        if obj.cancelled:
-                            self._cancelled_in_heap -= 1
-                            self._recycle_timer(obj)
-                            continue
-                        fn = obj.fn
-                        args = obj.args
-                        if san is not None and fn is POOL_POISON:
-                            san.pool_corruption("timer", obj)
-                        self._recycle_timer(obj)
-                    elif obj._due(key):
-                        fn = obj.fn
-                        args = obj.args
-                    else:
-                        continue
-                    self._live_events -= 1
-                    if san is not None:
-                        san.on_fire(when)
-                    self._now = when
-                    fn(*args)
-                    processed += 1
-                    if wd is not None:
-                        wd.tick(when)
-                return fut.result()
             # fut._state check == Future.done(), minus a method call per event
             while fut._state is _PENDING:
                 if not heap:
@@ -820,38 +575,27 @@ class Kernel:
                         "still pending (simulation deadlock)"
                     )
                 entry = heap[0]
-                if entry[0] > limit:
+                when = entry[0]
+                if when > ceiling:
                     raise TimeoutError(
                         f"{fut!r} still pending at virtual time limit {limit}ns"
                     )
                 heappop(heap)
-                obj = entry[2]
+                fn = entry[2]
                 args = entry[3]
-                if args is not None:
-                    fn = obj
-                elif type(obj) is Timer:
-                    if obj.cancelled:
-                        self._cancelled_in_heap -= 1
-                        self._recycle_timer(obj)
+                if args is None:  # a handle, not a bare callable
+                    if not fn._due(entry[1]):
                         continue
-                    fn = obj.fn
-                    args = obj.args
-                    if san is not None and fn is POOL_POISON:
-                        san.pool_corruption("timer", obj)
-                    self._recycle_timer(obj)
-                elif obj._due(entry[1]):
-                    fn = obj.fn
-                    args = obj.args
-                else:
-                    continue
+                    args = fn.args
+                    fn = fn.fn
                 self._live_events -= 1
                 if san is not None:
-                    san.on_fire(entry[0])
-                self._now = entry[0]
+                    san.on_fire(when)
+                self._now = when
                 fn(*args)
                 processed += 1
                 if wd is not None:
-                    wd.tick(entry[0])
+                    wd.tick(when)
         finally:
             self._events_processed += processed
         return fut.result()
@@ -864,16 +608,6 @@ class Kernel:
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued — O(1), maintained."""
         return self._live_events
-
-    @property
-    def heap_compactions(self) -> int:
-        """Times the timer heap was compacted (for diagnostics/tests)."""
-        return self._compactions
-
-    @property
-    def seq_renumbers(self) -> int:
-        """Times the sequence counter was renumbered (for diagnostics/tests)."""
-        return self._seq_renumbers
 
     def failed_tasks(self) -> Iterable[Task]:
         """Tasks that completed with an exception (useful in test asserts)."""

@@ -16,7 +16,7 @@ Layers (each its own module, composable from Python as well as the CLI):
 ``digest``     content digests: (resolved params, code version, scale)
 ``cache``      digest-keyed per-cell result cache (atomic, resumable)
 ``runner``     cache-aware fan-out + deterministic spec-order merge
-``report``     trajectory entries, trend table, simperf curve gate
+``report``     trajectory entries (sweep cells + ledger medians), trend table
 ``verify``     the run-twice/cmp + warm-resume CI gate as one call
 =============  ==========================================================
 """
@@ -29,7 +29,6 @@ from .report import (
     append_trajectory,
     build_entry,
     derive_summaries,
-    gate_simperf,
     load_trajectory,
     render_trend_table,
     update_experiments_md,
@@ -55,7 +54,6 @@ __all__ = [
     "current_scale",
     "derive_summaries",
     "dumps_result",
-    "gate_simperf",
     "load_spec",
     "load_trajectory",
     "merge_cells",

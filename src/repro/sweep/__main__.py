@@ -11,11 +11,11 @@
     # cache kill) in one call
     python -m repro.sweep verify benchmarks/sweep_smoke.json --jobs 4
 
-    # append a normalized snapshot to the committed trajectory, gate on
-    # the simperf curve, and regenerate the EXPERIMENTS.md trend table
+    # append a normalized snapshot (with the ledger's end-to-end medians)
+    # to the committed trajectory and regenerate the EXPERIMENTS.md table
     python -m repro.sweep report --sweep sweep_result.json \\
-        --simperf BENCH_simperf.json --trajectory BENCH_trajectory.json \\
-        --experiments-md EXPERIMENTS.md --max-regression 0.30
+        --ledger results.json --trajectory BENCH_trajectory.json \\
+        --experiments-md EXPERIMENTS.md
 
 Exit codes: 0 success, 1 gate/verify failure, 2 usage/spec error.
 """
@@ -32,8 +32,6 @@ from .cache import SweepCache
 from .report import (
     append_trajectory,
     build_entry,
-    gate_simperf,
-    load_trajectory,
     update_experiments_md,
 )
 from .runner import dumps_result, run_sweep
@@ -81,21 +79,18 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     verifyp.add_argument("--jobs", type=int, default=4, metavar="N")
 
     reportp = sub.add_parser(
-        "report", help="append a trajectory entry, gate the perf curve"
+        "report", help="append a trajectory entry, regenerate the trend table"
     )
     reportp.add_argument("--sweep", required=True, metavar="PATH",
                          help="merged sweep result document (from 'run --out')")
-    reportp.add_argument("--simperf", metavar="PATH", default=None,
-                         help="bench_simperf.py --json output to record/gate")
+    reportp.add_argument("--ledger", metavar="PATH", default=None,
+                         help="benchmarks/ledger/run.py --out document whose "
+                         "end-to-end medians to record (read only)")
     reportp.add_argument("--trajectory", metavar="PATH",
                          default="BENCH_trajectory.json",
                          help="trajectory file to append to (default: %(default)s)")
     reportp.add_argument("--experiments-md", metavar="PATH", default=None,
                          help="regenerate the trend table in this markdown file")
-    reportp.add_argument("--max-regression", type=float, default=None,
-                         metavar="FRAC",
-                         help="fail if any simperf normalized score drops more "
-                         "than FRAC below the last committed trajectory entry")
     reportp.add_argument("--git-sha", default=None, help=argparse.SUPPRESS)
     reportp.add_argument("--date", default=None, help=argparse.SUPPRESS)
     return parser.parse_args(argv)
@@ -172,26 +167,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.sweep, encoding="utf-8") as fh:
         sweep_doc = json.load(fh)
-    simperf_doc = None
-    if args.simperf is not None:
-        with open(args.simperf, encoding="utf-8") as fh:
-            simperf_doc = json.load(fh)
+    ledger_doc = None
+    if args.ledger is not None:
+        with open(args.ledger, encoding="utf-8") as fh:
+            ledger_doc = json.load(fh)
     entry = build_entry(
-        sweep_doc, simperf_doc=simperf_doc, git_sha=args.git_sha, date=args.date
+        sweep_doc, ledger_doc=ledger_doc, git_sha=args.git_sha, date=args.date
     )
-    trajectory = load_trajectory(args.trajectory)
-    last = trajectory["entries"][-1] if trajectory["entries"] else None
-    if args.max_regression is not None:
-        failures = gate_simperf(last, entry, args.max_regression)
-        if failures:
-            print("TRAJECTORY PERF REGRESSION:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(
-            f"trajectory perf gate OK (no simperf score "
-            f">{args.max_regression:.0%} below the last entry)"
-        )
     trajectory = append_trajectory(args.trajectory, entry)
     print(
         f"appended run {entry['run_id']} (git {entry['git_sha'][:9]}, "

@@ -12,19 +12,18 @@ instead of a single latest number.  Each entry records:
 * ``cells`` — per-cell numeric scores distilled from the merged sweep
   document (label -> metric -> value);
 * ``lines`` — physical source lines per ``src/repro/<package>``, so
-  "least code" is tracked on the same curve as events/s;
-* ``simperf`` — the calibration-normalized scores from
-  ``benchmarks/bench_simperf.py``, the hardware-independent perf curve
-  the trajectory CI gate compares against;
+  "least code" is tracked on the same curve as wall seconds;
+* ``ledger`` — each workload's end-to-end medians (``run_s``,
+  ``setup_s``, ``peak_rss_mb``) from the document
+  ``benchmarks/ledger/run.py --out`` writes.  They are calibrated wall
+  seconds on whatever machine ran them: a curve to read, never a gate
+  (entries of schema 1 carry a ``simperf`` block of events/s scores
+  instead, kept in the file and no longer rendered);
 * ``derived`` — cross-cell summaries distilled from the cells: the
   SCTP/TCP metric ratio of every protocol-paired cell, and the loss
   values where a ratio crosses 1.0 (the paper's protocol-crossover
   points).  These are *recomputed* from the cells, never measured, so
   older entries without the field render identically.
-
-The gate (:func:`gate_simperf`) fails when any normalized simperf score
-drops more than a threshold below the *last committed* entry — the
-sweep-era replacement for the old fixed-baseline perf-smoke check.
 """
 
 from __future__ import annotations
@@ -38,12 +37,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .digest import canonical_json, source_lines
 
-TRAJECTORY_SCHEMA = 1
+TRAJECTORY_SCHEMA = 2
 BEGIN_MARK = "<!-- sweep-trajectory:begin -->"
 END_MARK = "<!-- sweep-trajectory:end -->"
 
-# simperf benches get one trend-table column each, in this order
-_SIMPERF_COLUMNS = ("kernel_events", "timer_churn", "link_packets", "fig8_cell")
+# ledger workloads get one run_s trend-table column each, in this order
+_LEDGER_COLUMNS = (
+    "pingpong_16k", "pingpong_64b", "farm_lossy", "halo_pods", "sweep_interleave"
+)
 
 
 def _git(args: List[str]) -> Optional[str]:
@@ -157,7 +158,7 @@ def derive_summaries(
 
 def build_entry(
     sweep_doc: Dict[str, Any],
-    simperf_doc: Optional[Dict[str, Any]] = None,
+    ledger_doc: Optional[Dict[str, Any]] = None,
     git_sha: Optional[str] = None,
     date: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -197,11 +198,13 @@ def build_entry(
         # a salvaged partial run: record what was lost alongside what
         # survived, so the trajectory shows the run was degraded
         entry["failures"] = failures
-    if simperf_doc is not None:
-        entry["simperf"] = {
-            name: bench["normalized"]
-            for name, bench in sorted(simperf_doc.get("benches", {}).items())
-            if isinstance(bench, dict) and "normalized" in bench
+    if ledger_doc is not None:
+        entry["ledger"] = {
+            name: {
+                metric: row["value"]
+                for metric, row in sorted(workload["end_to_end"].items())
+            }
+            for name, workload in sorted(ledger_doc["workloads"].items())
         }
     return entry
 
@@ -220,6 +223,7 @@ def load_trajectory(path: str) -> Dict[str, Any]:
 def append_trajectory(path: str, entry: Dict[str, Any]) -> Dict[str, Any]:
     """Append one entry to the trajectory file (created if missing)."""
     doc = load_trajectory(path)
+    doc["schema"] = TRAJECTORY_SCHEMA
     doc["entries"].append(entry)
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -227,51 +231,18 @@ def append_trajectory(path: str, entry: Dict[str, Any]) -> Dict[str, Any]:
     return doc
 
 
-def gate_simperf(
-    last_entry: Optional[Dict[str, Any]],
-    entry: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Regression messages vs the last committed entry (empty = pass).
-
-    Only simperf normalized scores gate — sweep cell scores are virtual
-    -time results whose drift means a *behaviour* change, which the
-    determinism gates already catch far more precisely.
-    """
-    if not last_entry:
-        return []
-    baseline = last_entry.get("simperf") or {}
-    current = entry.get("simperf") or {}
-    if baseline and not current:
-        return ["trajectory entry has no simperf scores but the last entry does"]
-    failures = []
-    for name, base in sorted(baseline.items()):
-        cur = current.get(name)
-        if cur is None:
-            failures.append(f"{name}: present in last trajectory entry but not now")
-            continue
-        floor = base * (1.0 - max_regression)
-        if cur < floor:
-            failures.append(
-                f"{name}: normalized score {cur:.4f} is "
-                f"{1 - cur / base:.0%} below the last trajectory entry's "
-                f"{base:.4f} (allowed: {max_regression:.0%})"
-            )
-    return failures
-
-
 def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
     """Markdown trend table over the trajectory's most recent entries."""
     entries = trajectory.get("entries", [])[-limit:]
     header = ["run", "date", "git", "scale", "cells", "src lines",
               "sctp/tcp (med)", "crossovers"]
-    header += [f"{name} (norm)" for name in _SIMPERF_COLUMNS]
+    header += [f"{name} run_s" for name in _LEDGER_COLUMNS]
     lines = [
         "| " + " | ".join(header) + " |",
         "|" + "---|" * len(header),
     ]
     for entry in entries:
-        simperf = entry.get("simperf") or {}
+        ledger = entry.get("ledger") or {}
         # entries predating the derived field are summarized on the fly
         derived = entry.get("derived") or derive_summaries(entry.get("cells") or {})
         ratio_values = [
@@ -293,9 +264,9 @@ def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
             f"{statistics.median(ratio_values):.3f}" if ratio_values else "—",
             str(n_crossovers) if ratio_values else "—",
         ]
-        for name in _SIMPERF_COLUMNS:
-            value = simperf.get(name)
-            row.append(f"{value:.3f}" if isinstance(value, (int, float)) else "—")
+        for name in _LEDGER_COLUMNS:
+            value = ledger.get(name, {}).get("run_s")
+            row.append(f"{value:.3f}" if value is not None else "—")
         lines.append("| " + " | ".join(row) + " |")
     if not entries:
         lines.append("| _no recorded runs yet_ |" + " |" * (len(header) - 1))

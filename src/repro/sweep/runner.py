@@ -23,7 +23,7 @@ Steps 2-3 are the only stateful parts; the merge is a pure function
 (:func:`merge_cells`) of the spec and a ``{digest: rows}`` mapping, so
 the merged document is byte-identical whether cells came from the
 cache, a serial run, or a shuffled parallel completion — the property
-CI's ``sweep-gate`` diffs for.
+CI's ``sweep-ledger`` job diffs for.
 """
 
 from __future__ import annotations

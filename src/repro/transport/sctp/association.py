@@ -681,9 +681,7 @@ class Association:
         )
         src = self._source_for(dest_addr)
         self.stats.packets_sent += 1
-        self.host.send(
-            Packet.acquire(src, dest_addr, "sctp", pkt, pkt.wire_size())
-        )
+        self.host.send(Packet(src, dest_addr, "sctp", pkt, pkt.wire_size()))
 
     def _source_for(self, dest_addr: str) -> str:
         """Pick the local address on the same subnet as the destination.

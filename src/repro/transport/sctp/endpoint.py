@@ -192,7 +192,6 @@ class SCTPEndpoint:
             # The mandatory CRC32c over the whole packet fails; RFC 4960
             # §6.8 says discard silently (paper §3.5.2 robustness claim).
             self.crc32c_drops += 1
-            packet.release()
             return
         pkt: SCTPPacket = packet.payload
         key = (pkt.dst_port, packet.src, pkt.src_port)
@@ -202,29 +201,22 @@ class SCTPEndpoint:
             # (blind injection, packets from a dead incarnation) is dropped.
             if pkt.vtag != assoc.my_vtag:
                 self.bad_vtag_drops += 1
-                packet.release()
                 return
             # the datagram terminates here: only the SCTP packet travels on
-            src = packet.src
-            packet.release()
-            assoc.on_packet(pkt, src)
+            assoc.on_packet(pkt, packet.src)
             return
 
         # no association: only handshake chunks are acceptable
         for chunk in pkt.chunks:
             if isinstance(chunk, InitChunk):
                 self._on_ootb_init(chunk, pkt, packet)
-                packet.release()
                 return
             if isinstance(chunk, CookieEchoChunk):
                 self._on_ootb_cookie_echo(chunk, pkt, packet)
-                packet.release()
                 return
             if isinstance(chunk, AbortChunk):
-                packet.release()
                 return  # never respond to an OOTB abort
         self.ootb_packets += 1
-        packet.release()
 
     def _on_ootb_init(self, init: InitChunk, pkt: SCTPPacket, packet: Packet) -> None:
         hooks = self._listeners.get(pkt.dst_port)
@@ -252,7 +244,7 @@ class SCTPEndpoint:
             ),
         )
         self.host.send(
-            Packet.acquire(packet.dst, packet.src, "sctp", reply, reply.wire_size())
+            Packet(packet.dst, packet.src, "sctp", reply, reply.wire_size())
         )
 
     def _on_ootb_cookie_echo(
@@ -272,7 +264,7 @@ class SCTPEndpoint:
                 chunks=(AbortChunk(error),),
             )
             self.host.send(
-                Packet.acquire(packet.dst, packet.src, "sctp", abort, abort.wire_size())
+                Packet(packet.dst, packet.src, "sctp", abort, abort.wire_size())
             )
             return
         assoc = Association.from_cookie(

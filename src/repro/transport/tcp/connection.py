@@ -625,10 +625,9 @@ class TCPConnection:
 
     def _transmit(self, seg: TCPSegment) -> None:
         self.stats.segments_sent += 1
-        packet = Packet.acquire(
-            self.local_addr, self.remote_addr, "tcp", seg, seg.wire_size()
+        self.host.send(
+            Packet(self.local_addr, self.remote_addr, "tcp", seg, seg.wire_size())
         )
-        self.host.send(packet)
 
     # ------------------------------------------------------------------
     # timers

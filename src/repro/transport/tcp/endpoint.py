@@ -115,14 +115,12 @@ class TCPEndpoint:
             # Internet checksum failure: the segment never reaches the
             # connection (silently discarded, recovered by retransmission).
             self.checksum_drops += 1
-            packet.release()
             return
         seg: TCPSegment = packet.payload
         key = (seg.dst_port, packet.src, seg.src_port)
         conn = self._conns.get(key)
         if conn is not None:
             # the datagram terminates here: only the segment travels on
-            packet.release()
             conn.on_segment(seg)
             return
         hooks = self._listeners.get(seg.dst_port)
@@ -136,13 +134,11 @@ class TCPEndpoint:
                 config=hooks.config or self.default_config,
             )
             self._conns[key] = conn
-            packet.release()
             hooks.on_new_connection(conn)
             conn.open_passive(seg)
             return
         if not seg.has(RST):
             self._send_rst(packet, seg)
-        packet.release()
 
     def _send_rst(self, packet: Packet, seg: TCPSegment) -> None:
         rst = TCPSegment(
@@ -154,9 +150,7 @@ class TCPEndpoint:
             window=0,
         )
         self.host.send(
-            Packet.acquire(
-                packet.dst, packet.src, "tcp", rst, IP_HEADER + TCP_HEADER
-            )
+            Packet(packet.dst, packet.src, "tcp", rst, IP_HEADER + TCP_HEADER)
         )
 
 

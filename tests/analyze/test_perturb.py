@@ -80,7 +80,7 @@ def test_digest_is_key_order_invariant():
 def test_filter_schedule_sensitive():
     snapshot = {
         "kernel.timer_heap_depth.p99": 12,
-        "kernel.heap_compactions": 3,
+        "kernel.pending_timers": 3,
         "kernel.now_ns": 42,
         "tcp.segments_sent": 9,
         # occupancy histograms sample at enqueue instants: same-timestamp

@@ -57,8 +57,8 @@ def test_sanitized_context_restores_previous_state():
 
 
 def test_flag_is_resolved_once_not_per_call(monkeypatch):
-    """Packet.acquire/release ask per packet: the environment is read when
-    the override changes (and at import), never by the query itself."""
+    """The environment is read when the override changes (and at import),
+    never by the query itself."""
     import os
 
     from repro.analyze.sanitize import enable_sanitizers, reset_sanitizers
@@ -84,16 +84,23 @@ def test_flag_is_resolved_once_not_per_call(monkeypatch):
 # ---------------------------------------------------------------------------
 # kernel layer
 # ---------------------------------------------------------------------------
-def fake_kernel(heap, now=0, live=None, cancelled=0):
+def fake_kernel(heap, now=0, live=None):
     if live is None:
         live = len(heap)
-    return SimpleNamespace(
-        _heap=heap, _now=now, _live_events=live, _cancelled_in_heap=cancelled
+    return SimpleNamespace(_heap=heap, _now=now, _live_events=live)
+
+
+def post(when, key):
+    """A fire-and-forget heap entry."""
+    return (when, key, print, ())
+
+
+def handle(when, key, armed=True, tracked=True):
+    """A handle's heap entry: armed or idle, tracked or superseded."""
+    obj = SimpleNamespace(
+        deadline=when if armed else None, _entry_key=key if tracked else key + 100
     )
-
-
-def timer(cancelled=False):
-    return SimpleNamespace(cancelled=cancelled)
+    return (when, key, obj, None)
 
 
 def test_kernel_time_travel_trips():
@@ -104,20 +111,21 @@ def test_kernel_time_travel_trips():
 
 
 def test_kernel_heap_property_audit():
-    good = [(1, 0, timer()), (5, 1, timer()), (3, 2, timer())]
+    good = [post(1, 0), handle(5, 1), post(3, 2)]
     KernelSanitizer(fake_kernel(good)).audit()  # valid binary min-heap
-    broken = [(5, 0, timer()), (1, 1, timer())]  # parent key > child key
+    broken = [post(5, 0), handle(1, 1)]  # parent key > child key
     with pytest.raises(InvariantViolation, match="heap integrity"):
         KernelSanitizer(fake_kernel(broken)).audit()
 
 
 def test_kernel_counter_agreement_audit():
-    heap = [(1, 0, timer()), (2, 1, timer(cancelled=True))]
-    KernelSanitizer(fake_kernel(heap, live=1, cancelled=1)).audit()
-    with pytest.raises(InvariantViolation, match="pending-events"):
-        KernelSanitizer(fake_kernel(heap, live=2, cancelled=1)).audit()
-    with pytest.raises(InvariantViolation, match="cancelled-in-heap"):
-        KernelSanitizer(fake_kernel(heap, live=1, cancelled=0)).audit()
+    # one post, one armed handle; a cancelled handle's entry and a
+    # superseded entry are queued but not pending
+    heap = [post(1, 0), handle(2, 1), handle(3, 2, armed=False), handle(4, 3, tracked=False)]
+    KernelSanitizer(fake_kernel(heap, live=2)).audit()
+    for wrong in (1, 3, 4):
+        with pytest.raises(InvariantViolation, match="pending-events"):
+            KernelSanitizer(fake_kernel(heap, live=wrong)).audit()
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,24 @@ def test_cancel_unarms_future_events():
     assert len(sinks["p"]) == 1, "cancelled scenario must not fire"
 
 
+def test_cancel_mid_window_spares_unrelated_callbacks():
+    """Cancelling after the window opened stops its ``off`` leg only: the
+    already-fired ``on`` handle must not reach somebody else's event."""
+    k = Kernel(seed=1)
+    pipes, sinks = make_pipes(k, ["p"])
+    scenario = FaultScenario("s", [FaultEvent(1000, 5000, "p", Blackhole())])
+    armed = scenario.arm(k, pipes)
+    k.run(until=2000)
+    assert armed.active == 1
+    unrelated = []
+    k.call_after(10_000, unrelated.append, "fired")
+    armed.cancel()
+    assert k.pending_events() == 1
+    k.run()
+    assert unrelated == ["fired"]
+    assert armed.active == 1 and pipes["p"].armed_impairments, "off never ran"
+
+
 def test_link_target_downs_link_for_window():
     k = Kernel(seed=1)
     delivered = []

@@ -12,6 +12,7 @@ link hop was one event and timers restartable these read 7.46 (TCP) and
 import pytest
 
 from repro.core.world import World, WorldConfig
+from repro.simkernel import kernel as kernel_mod
 from repro.workloads.mpbench import make_pingpong
 
 # measured 5.47 / 4.11; one more event per packet on either stack
@@ -22,16 +23,33 @@ HEAP_DEPTH_MEAN_MAX = 64  # measured 21-23
 
 
 def _pingpong_counts(rpi):
-    world = World(WorldConfig(n_procs=2, rpi=rpi, seed=1, metrics_enabled=True))
-    world.run(make_pingpong(16 * 1024, 50))
+    handles = []
+
+    class CountedHandle(kernel_mod.RestartableTimer):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            handles.append(self)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(kernel_mod, "RestartableTimer", CountedHandle)
+    try:
+        world = World(WorldConfig(n_procs=2, rpi=rpi, seed=1, metrics_enabled=True))
+        world.run(make_pingpong(16 * 1024, 50))
+    finally:
+        patch.undo()
     snap = world.metrics.snapshot()
+    kernel = world.kernel
+    # what is queued and will never fire, against the handles that can own it
+    dead_entries = len(kernel._heap) - kernel.pending_events()
     packets = sum(
         value
         for key, value in snap.items()
         if key.startswith("host.") and key.endswith(".tx_packets")
     )
     depth = snap["kernel.timer_heap_depth/sum"] / snap["kernel.timer_heap_depth/count"]
-    return snap["kernel.events_processed"], packets, depth, snap["kernel.heap_compactions"]
+    return snap["kernel.events_processed"], packets, depth, dead_entries, len(handles)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +59,7 @@ def counts():
 
 @pytest.mark.parametrize("rpi", ["tcp", "sctp"])
 def test_events_per_packet_within_budget(counts, rpi):
-    events, packets, _depth, _compactions = counts[rpi]
+    events, packets = counts[rpi][:2]
     assert packets > 1500
     assert events / packets <= EVENTS_PER_PACKET_MAX[rpi]
 
@@ -54,6 +72,9 @@ def test_events_per_packet_both_stacks(counts):
 
 @pytest.mark.parametrize("rpi", ["tcp", "sctp"])
 def test_timer_heap_stays_shallow(counts, rpi):
-    _events, _packets, depth, compactions = counts[rpi]
+    _events, _packets, depth, dead_entries, handles = counts[rpi]
     assert depth <= HEAP_DEPTH_MEAN_MAX
-    assert compactions == 0  # nothing dead accumulates to compact
+    # dead entries are bounded by the handles created (measured 6 for
+    # tcp, 12 for sctp), not by the restarts made
+    assert 0 < handles < 40
+    assert dead_entries <= handles

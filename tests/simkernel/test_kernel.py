@@ -62,6 +62,35 @@ def test_cancel_after_fire_is_noop():
     timer = k.call_after(1, lambda: None)
     k.run()
     timer.cancel()  # must not raise
+    # ...and stays a no-op however much is scheduled afterwards
+    fired = []
+    for i in range(10_000):
+        k.call_after(1 + i, fired.append, i)
+    assert k.pending_events() == 10_000
+    timer.cancel()
+    assert k.pending_events() == 10_000
+    assert k.run() == 10_000
+    assert fired == list(range(10_000))
+
+
+def test_kept_handle_never_cancels_somebody_elses_callback():
+    """A handle kept past its firing stays the caller's own: cancelling
+    it later must not reach a callback scheduled in between."""
+    k = Kernel()
+    log = []
+    kept = k.call_window(1000, 5000, lambda: log.append("on"), lambda: log.append("off"))
+    assert k.pending_events() == 2
+    k.run(until=2000)
+    assert log == ["on"] and k.pending_events() == 1
+    k.call_after(10_000, log.append, "victim")
+    assert k.pending_events() == 2
+    for _ in range(2):  # the second round is a double cancel: accounted once
+        for handle in kept:
+            handle.cancel()
+        assert k.pending_events() == 1
+    assert k.run() == 1
+    assert log == ["on", "victim"]
+    assert k.pending_events() == 0
 
 
 def test_run_until_time_limit():

@@ -1,9 +1,7 @@
-"""Hot-path accounting: O(1) pending_events, heap compaction, run edges.
+"""Hot-path accounting: O(1) pending_events and run-loop edges.
 
-These are the regression tests for the fast-path work: live-timer
-accounting must stay a maintained counter (not a heap scan), lazy
-deletion must compact once cancelled entries dominate a large heap, and
-compaction must never change event order.
+Live-event accounting must stay a maintained counter (not a heap scan)
+that is exact the moment a handle is cancelled.
 """
 
 import pytest
@@ -18,8 +16,8 @@ def _noop() -> None:
 
 # -- O(1) live-event accounting ---------------------------------------------
 def test_pending_events_after_10k_cancellations():
-    """10k cancelled retransmission-style timers: the live counter is
-    maintained, and the dead entries do not linger in the heap."""
+    """10k cancelled one-shots: the live counter is exact at once, and
+    the dead entries (one per handle, never more) drain unfired."""
     k = Kernel()
     keep = [k.call_after(50_000 + i, _noop) for i in range(3)]
     churn = [k.call_after(1_000 + i, _noop) for i in range(10_000)]
@@ -28,13 +26,10 @@ def test_pending_events_after_10k_cancellations():
         timer.cancel()
     # counter is exact immediately, without running the kernel
     assert k.pending_events() == len(keep)
-    # a heap that was >50% cancelled and >=1024 entries must have been
-    # compacted, so the 10k dead entries are gone, not just flagged
-    assert k.heap_compactions >= 1
-    assert len(k._heap) < 1024
-    assert k._cancelled_in_heap < 1024
+    assert len(k._heap) == 10_003
     assert k.run() == len(keep)
     assert k.pending_events() == 0
+    assert not k._heap
 
 
 def test_pending_events_counter_tracks_fire_and_cancel():
@@ -58,86 +53,6 @@ def test_double_cancel_accounts_once():
     t.cancel()
     assert k.pending_events() == 1
     assert k.run() == 1
-
-
-# -- lazy-deletion compaction -----------------------------------------------
-def test_compaction_needs_min_heap_size():
-    """Below COMPACT_MIN_HEAP entries, cancellation stays lazy."""
-    k = Kernel()
-    timers = [k.call_after(1 + i, _noop) for i in range(Kernel.COMPACT_MIN_HEAP - 1)]
-    for t in timers:
-        t.cancel()
-    assert k.heap_compactions == 0
-    assert k._cancelled_in_heap == len(timers)
-    # crossing the size threshold with a majority cancelled compacts
-    extra = k.call_after(10_000, _noop)
-    extra.cancel()
-    assert k.heap_compactions == 1
-    assert k._cancelled_in_heap == 0
-    assert len(k._heap) == 0
-
-
-def test_compaction_needs_cancelled_majority():
-    """Exactly half cancelled is not enough; one more tips it."""
-    k = Kernel()
-    n = 2 * Kernel.COMPACT_MIN_HEAP
-    timers = [k.call_after(1 + i, _noop) for i in range(n)]
-    for t in timers[: n // 2]:
-        t.cancel()
-    assert k.heap_compactions == 0
-    timers[n // 2].cancel()
-    assert k.heap_compactions == 1
-    assert k._cancelled_in_heap == 0
-    assert len(k._heap) == n // 2 - 1
-    assert k.pending_events() == n // 2 - 1
-
-
-def test_compaction_preserves_fire_order():
-    """An aggressively-compacting kernel fires the survivors in exactly
-    the order a never-compacting kernel does (keys are unique)."""
-
-    def program(k: Kernel, record):
-        timers = {}
-        for i in range(512):
-            # interleave cancellable and surviving timers at clashing times
-            timers[i] = k.call_after(1 + (i % 17), record, ("t", i))
-            if i % 4 == 0:  # some fire-and-forget entries, not so many
-                k.post_after(1 + (i % 17), record, ("p", i))  # that cancelled
-                # timers can never reach a majority of the heap
-        for i in range(512):
-            if i % 4 != 3:  # cancel a clear majority of the heap
-                timers[i].cancel()
-        k.run()
-
-    eager = Kernel()
-    eager.COMPACT_MIN_HEAP = 4  # per-instance: compact almost every cancel
-    lazy = Kernel()
-    lazy.COMPACT_MIN_HEAP = 1 << 30  # never compact
-
-    fired_eager, fired_lazy = [], []
-    program(eager, fired_eager.append)
-    program(lazy, fired_lazy.append)
-    assert eager.heap_compactions > 0
-    assert lazy.heap_compactions == 0
-    assert fired_eager == fired_lazy
-
-
-def test_compaction_during_run_keeps_heap_reference_valid():
-    """run() holds the heap list; in-place compaction must stay visible."""
-    k = Kernel()
-    k.COMPACT_MIN_HEAP = 8
-    fired = []
-    victims = [k.call_after(100 + i, fired.append, ("no", i)) for i in range(64)]
-    k.call_after(200, fired.append, "survivor")
-
-    def cancel_all():
-        for t in victims:
-            t.cancel()
-
-    k.call_after(1, cancel_all)  # compaction happens mid-run
-    k.run()
-    assert fired == ["survivor"]
-    assert k.heap_compactions >= 1
 
 
 # -- run(until=...) edge cases ----------------------------------------------

@@ -3,10 +3,11 @@
 The contract (see the class docstring): fires once per arming at the
 deadline of the last restart; restart/cancel leave the tracked heap entry
 where it is; an entry that surfaces early is re-posted, uncounted; and
-the whole run pops events in exactly the order ``cancel(); call_after()``
-would have produced.
+the whole run pops events in exactly the order a fresh ``call_after``
+per arming would have produced.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -44,8 +45,7 @@ def test_restart_earlier_fires_at_the_earlier_deadline_only():
     k.post_at(10, timer.restart, 50)
     k.run()
     assert fired == [60]
-    # the superseded entry drained without moving the clock, like a
-    # cancelled Timer's would
+    # the superseded entry drained without moving the clock
     assert k.now == 60 and not k._heap
     assert k.events_processed == 2 and k.pending_events() == 0
 
@@ -133,10 +133,11 @@ def test_negative_delay_rejected():
 
 
 # ---------------------------------------------------------------------------
-# exact equivalence with the cancel(); call_after() idiom it replaces
+# exact equivalence with a fresh one-shot per arming
 # ---------------------------------------------------------------------------
 class _CancelAndCallAfter:
-    """Reference: the hand-rolled idiom the transports used to carry."""
+    """Reference: a fresh handle per arming never takes the re-post or
+    supersede branch, so it checks them independently."""
 
     def __init__(self, kernel, fn, *args):
         self.kernel, self.fn, self.args = kernel, fn, args
@@ -157,12 +158,10 @@ class _CancelAndCallAfter:
         self.fn(*self.args)
 
 
-def _churn(make_timer, seed, tiebreak_mask, seq_limit=None):
+def _churn(make_timer, seed, tiebreak_mask):
     """Several timers restarted/cancelled at random among plain events,
     with delays drawn from a tiny set so same-instant ties are constant."""
     k = Kernel(tiebreak_mask=tiebreak_mask)
-    if seq_limit is not None:
-        k.SEQ_LIMIT = seq_limit
     rng = random.Random(seed)
     log = []
     timers = [make_timer(k, log.append, ("timer", i)) for i in range(4)]
@@ -180,30 +179,40 @@ def _churn(make_timer, seed, tiebreak_mask, seq_limit=None):
     k.post_at(0, step, 300)
     k.post_at(0, step, 300)
     k.run()
-    return log, k.events_processed, k.now, k.seq_renumbers
+    return log, k.events_processed, k.now
 
 
-@pytest.mark.parametrize("tiebreak_mask", [0, (1 << 40) - 1])
+_LIFO = (1 << 40) - 1
+
+# sha256(repr(_churn(...))) taken at the last commit where call_after
+# returned an independent pooled one-shot class, i.e. where the reference
+# side shared no code with the handle under test
+_CHURN_SHA256 = {
+    (0, 0): "2da59ffbfce341e2e296d404a5dd0d90373a30c6c9b4808db1d31109f9747ce2",
+    (1, 0): "757706ab4c48d8e47e3eb5b824ba58afb6a62b5c5e72455e671329b9113e9124",
+    (2, 0): "9fff4463208eef6149dd65717a6c30a8b2988c29c6a7ee5bc41eed0bf3a968b8",
+    (3, 0): "971584a9d0d83827fc3cf8064070ab74b5edf7c9aef00aff444cd9743557163c",
+    (4, 0): "cdeb243c283cb87cff1901bb0c2d8fc7ffb9258dca06388c3fbf489c6f2d5afc",
+    (0, _LIFO): "f91c9fb7558e77bf179b00c311d08811b12454ae0f3927abb0dd2902e6e0a4bb",
+    (1, _LIFO): "a89360f2884995b505a542ac44e55d16224ff36ebf096d91339a731268ad8116",
+    (2, _LIFO): "7f39a09214322733bcc2be6b6b252e30617cca24f38d4429206d99032c249c11",
+    (3, _LIFO): "95b5ce1ab0d40891ef7b5e99bf3388162d9b2f603847b8d987c87837beaf96f8",
+    (4, _LIFO): "5233bd43c5501c733fbf7de9349ab8dbabccb9a55dc604431da8ffbe284e1ac0",
+}
+
+
+@pytest.mark.parametrize("tiebreak_mask", [0, _LIFO])
 @pytest.mark.parametrize("seed", range(5))
 def test_event_order_identical_to_cancel_and_call_after(seed, tiebreak_mask):
     got = _churn(lambda k, fn, arg: k.timer(fn, arg), seed, tiebreak_mask)
     want = _churn(_CancelAndCallAfter, seed, tiebreak_mask)
     assert got == want
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == _CHURN_SHA256[seed, tiebreak_mask]
     assert sum(1 for entry in got[0] if entry[0] == "timer") > 50
 
 
-def test_seq_renumbering_keeps_restarted_timers_in_order():
-    # a tiny SEQ_LIMIT forces renumbering while restarted timers hold
-    # their firing key outside the heap; order must still match a run
-    # that never renumbers
-    got = _churn(lambda k, fn, arg: k.timer(fn, arg), 3, 0, seq_limit=64)
-    want = _churn(lambda k, fn, arg: k.timer(fn, arg), 3, 0)
-    assert got[3] > 5 and want[3] == 0
-    assert got[:3] == want[:3]
-
-
 # ---------------------------------------------------------------------------
-# sanitizers: heap audit and the Timer/Packet pools alongside the new handle
+# sanitizers: the heap audit alongside restarted, cancelled and one-shot handles
 # ---------------------------------------------------------------------------
 def test_heap_audit_and_pool_poison_checks_pass_with_restartable_timers(monkeypatch):
     # full heap audit on every fired event
@@ -214,7 +223,7 @@ def test_heap_audit_and_pool_poison_checks_pass_with_restartable_timers(monkeypa
         other = k.timer(lambda: None)
         for at in range(0, 400, 10):
             k.post_at(at, timer.restart, 25 if at % 40 else 5)
-            k.post_at(at, k.call_after(15, lambda: None).cancel)  # pooled Timers too
+            k.post_at(at, k.call_after(15, lambda: None).cancel)  # one-shots too
             k.post_at(at, other.restart, 1_000)
         k.post_at(395, other.cancel)
         k.run()

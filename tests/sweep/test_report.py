@@ -1,9 +1,7 @@
-"""Trajectory reporting: normalized entries, the simperf curve gate,
-and the generated EXPERIMENTS.md trend table."""
+"""Trajectory reporting: normalized entries, the ledger's end-to-end
+medians, and the generated EXPERIMENTS.md trend table."""
 
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.sweep import (
@@ -12,7 +10,6 @@ from repro.sweep import (
     append_trajectory,
     build_entry,
     derive_summaries,
-    gate_simperf,
     load_trajectory,
     render_trend_table,
     update_experiments_md,
@@ -41,11 +38,18 @@ SWEEP_DOC = {
     ],
 }
 
-SIMPERF_DOC = {
+# the shape benchmarks/ledger/run.py --out writes, cut to what is read
+LEDGER_DOC = {
     "schema": 1,
-    "benches": {
-        "kernel_events": {"normalized": 0.5},
-        "fig8_cell": {"normalized": 0.25},
+    "workloads": {
+        "pingpong_16k": {
+            "end_to_end": {
+                "run_s": {"value": 0.5, "q1": 0.4, "q3": 0.6, "n": 15, "unit": "s"},
+                "setup_s": {"value": 0.17, "unit": "s"},
+                "peak_rss_mb": {"value": 33.0, "unit": "MiB"},
+            },
+            "per_layer": {"simkernel.calls": {"value": 418252, "unit": "count"}},
+        },
     },
 }
 
@@ -55,10 +59,13 @@ def _entry(**kwargs):
 
 
 def test_entry_is_normalized_and_numeric_only():
-    entry = _entry(simperf_doc=SIMPERF_DOC)
+    entry = _entry(ledger_doc=LEDGER_DOC)
     scores = entry["cells"]["pingpong[protocol=tcp]"]["pingpong tcp"]
     assert scores == {"MBps": 58.6}  # bools and strings dropped
-    assert entry["simperf"] == {"fig8_cell": 0.25, "kernel_events": 0.5}
+    assert entry["ledger"] == {
+        "pingpong_16k": {"run_s": 0.5, "setup_s": 0.17, "peak_rss_mb": 33.0}
+    }
+    assert entry["schema"] == 2
     assert entry["git_sha"] == "deadbeef"
     # run id is a pure function of (sha, sweep doc)
     assert entry["run_id"] == _entry()["run_id"]
@@ -73,40 +80,27 @@ def test_entry_is_normalized_and_numeric_only():
 def test_append_and_load_roundtrip(tmp_path):
     path = str(tmp_path / "BENCH_trajectory.json")
     assert load_trajectory(path)["entries"] == []
-    doc = append_trajectory(path, _entry(simperf_doc=SIMPERF_DOC))
+    doc = append_trajectory(path, _entry(ledger_doc=LEDGER_DOC))
     assert len(doc["entries"]) == 1
-    doc = append_trajectory(path, _entry(simperf_doc=SIMPERF_DOC))
+    doc = append_trajectory(path, _entry(ledger_doc=LEDGER_DOC))
     assert len(load_trajectory(path)["entries"]) == 2
 
 
-@pytest.mark.parametrize(
-    "last, current, n_failures",
-    [
-        (None, {"kernel_events": 0.1}, 0),  # first entry: nothing to gate
-        ({"kernel_events": 0.5}, {"kernel_events": 0.4}, 0),  # -20% ok
-        ({"kernel_events": 0.5}, {"kernel_events": 0.3}, 1),  # -40% fails
-        ({"kernel_events": 0.5}, {}, 1),  # scores vanished
-        ({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.1}, 2),
-    ],
-)
-def test_gate_simperf(last, current, n_failures):
-    last_entry = {"simperf": last} if last is not None else None
-    entry = {"simperf": current}
-    failures = gate_simperf(last_entry, entry, max_regression=0.30)
-    assert len(failures) == n_failures
-
-
 def test_trend_table_renders_entries():
-    trajectory = {"entries": [_entry(simperf_doc=SIMPERF_DOC)]}
+    trajectory = {"entries": [_entry(ledger_doc=LEDGER_DOC)]}
     table = render_trend_table(trajectory)
     assert "| run |" in table.splitlines()[0]
     assert _entry()["run_id"] in table
-    assert "0.500" in table  # kernel_events normalized
     header, _rule, row = (line.split(" | ") for line in table.splitlines())
+    assert row[header.index("pingpong_16k run_s")] == "0.500"
+    assert row[header.index("halo_pods run_s")] == "—"  # not in the document
     column = header.index("src lines")
     assert row[column] == f"{sum(_entry()['lines'].values()):,}"
+    # a schema-1 entry: no lines, and a simperf block that is not rendered
     old = {k: v for k, v in _entry().items() if k != "lines"}
-    assert render_trend_table({"entries": [old]}).splitlines()[2].split(" | ")[column] == ""
+    old["simperf"] = {"kernel_events": 0.123}
+    old_row = render_trend_table({"entries": [old]}).splitlines()[2]
+    assert old_row.split(" | ")[column] == "" and "0.123" not in old_row
     empty = render_trend_table({"entries": []})
     assert "no recorded runs" in empty
 

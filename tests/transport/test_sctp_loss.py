@@ -57,8 +57,7 @@ def test_duplicate_tsns_detected_not_delivered_twice():
     sink = pipe.sink
 
     def duplicator(pkt):
-        # copy first: a duplicate is a distinct wire datagram, and the
-        # original may be released back to the packet pool on delivery
+        # a duplicate is a distinct wire datagram
         dup = None
         if pkt.proto == "sctp" and pkt.payload.data_chunks():
             dup = copy_packet(pkt)
