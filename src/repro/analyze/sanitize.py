@@ -380,13 +380,18 @@ class StreamOrderSanitizer:
 
     Watches the messages :class:`InboundStreams` releases to the
     application: within one stream, ordered messages must surface with
-    consecutive SSNs starting at 0.  Unordered messages are exempt.
+    consecutive SSNs (mod 2**16) starting at 0.  Unordered messages are
+    exempt.
     """
 
     __slots__ = ("_next_ssn",)
 
     def __init__(self) -> None:
         self._next_ssn: Dict[int, int] = {}
+
+    def seed(self, sid: int, ssn: int) -> None:
+        """``InboundStreams.seed`` moved the stream's starting point."""
+        self._next_ssn[sid] = ssn
 
     def on_deliver(self, messages: Any) -> None:
         for message in messages:
@@ -402,7 +407,7 @@ class StreamOrderSanitizer:
                     f"stream {message.sid} delivered SSN {message.ssn}, "
                     f"expected {expected}",
                 )
-            self._next_ssn[message.sid] = expected + 1
+            self._next_ssn[message.sid] = (expected + 1) & 0xFFFF
 
 
 class IDataSanitizer:

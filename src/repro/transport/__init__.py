@@ -7,8 +7,8 @@
 * :mod:`repro.transport.sctp` — an RFC 2960/4960 + KAME-flavoured SCTP:
   4-way cookie handshake, verification tags, multistreaming (TSN/SSN/SNo),
   fragmentation + bundling, unlimited-gap SACK, byte-counted congestion
-  control, multihoming with heartbeats and failover, one-to-one and
-  one-to-many socket styles.
+  control, multihoming with heartbeats and failover, the one-to-many
+  socket style.
 
 Both register as protocol handlers on :class:`repro.network.Host` objects
 and expose non-blocking socket APIs the MPI middleware's RPI modules use.

@@ -13,13 +13,14 @@ Everything the paper relies on is here:
   slow start entered whenever cwnd <= ssthresh (§4.1.1's list),
 * multihoming: per-destination cwnd/RTO, heartbeats, failover, and
   retransmissions directed to an alternate active path,
-* one-to-one and one-to-many socket styles, autoclose, and no half-close,
-* RFC 8260 user-message interleaving (I-DATA chunks, MID/FSN reassembly)
+* the one-to-many socket style, autoclose, and no half-close,
+* RFC 8260 user-message interleaving (I-DATA chunks: a second encoding
+  for the one reassembly-and-ordering engine in :mod:`.streams`)
   negotiated at association setup, with pluggable stream schedulers
   (fcfs/rr/wfq/prio) deciding which stream's message transmits next.
 """
 
-from .association import Association, SCTPConfig
+from .association import Association, MessageTooBig, SCTPConfig
 from .chunks import (
     AbortChunk,
     CookieAckChunk,
@@ -28,7 +29,6 @@ from .chunks import (
     HeartbeatAckChunk,
     HeartbeatChunk,
     IDataChunk,
-    IForwardTsnChunk,
     InitAckChunk,
     InitChunk,
     SackChunk,
@@ -38,7 +38,6 @@ from .chunks import (
     ShutdownCompleteChunk,
 )
 from .endpoint import SCTPEndpoint
-from .interleave import InterleavedReassembly, OutboundInterleave
 from .sched import (
     SCHEDULER_NAMES,
     FCFSScheduler,
@@ -48,7 +47,7 @@ from .sched import (
     WeightedFairScheduler,
     make_scheduler,
 )
-from .socket import MessageTooBig, OneToManySocket, OneToOneSocket, ReceivedMessage
+from .socket import OneToManySocket, ReceivedMessage
 
 __all__ = [
     "AbortChunk",
@@ -60,14 +59,10 @@ __all__ = [
     "HeartbeatAckChunk",
     "HeartbeatChunk",
     "IDataChunk",
-    "IForwardTsnChunk",
     "InitAckChunk",
     "InitChunk",
-    "InterleavedReassembly",
     "MessageTooBig",
     "OneToManySocket",
-    "OneToOneSocket",
-    "OutboundInterleave",
     "PriorityScheduler",
     "ReceivedMessage",
     "RoundRobinScheduler",

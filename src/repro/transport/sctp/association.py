@@ -13,9 +13,17 @@ Design choices that matter for the paper's results:
   waiting for timeouts (Table 1's loss results).
 * **Retransmissions prefer an alternate active path** when one exists
   (§4.1.1, final bullet), falling back to the same path when single-homed.
-* **Stream-independent delivery** — see :mod:`.streams`.
+* **Stream-independent delivery** — see :mod:`.streams`, which also
+  hands out the SSN or MID a message gets at its first fragment.
 * **Timeout personality** — KAME fine-grained timers (RTO.Min = 1 s), vs
   the BSD TCP 500 ms tick quantisation in :mod:`repro.transport.tcp`.
+
+The data path has one of each: ``_try_send`` is the only loop that builds
+and transmits new-data packets (to the active path, or round-robin to
+every active path under CMT); ``_retransmit_marked`` is the only place
+that picks a retransmission destination (``_flush_marked`` repeats it
+while cwnd has room); and ``_on_sack`` accounts for an acknowledged
+chunk in one body, whether the cumulative point or a gap block covered it.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .chunks import (
     StateCookie,
     _pad4,
 )
-from .interleave import OutboundInterleave
 from .paths import ACTIVE, PathState
 from .sched import QueuedMessage, make_scheduler
 from .streams import InboundStreams, OutboundStreams
@@ -65,6 +72,17 @@ SHUTDOWN_PENDING = "SHUTDOWN_PENDING"
 SHUTDOWN_SENT = "SHUTDOWN_SENT"
 SHUTDOWN_RECEIVED = "SHUTDOWN_RECEIVED"
 SHUTDOWN_ACK_SENT = "SHUTDOWN_ACK_SENT"
+# states in which send_message raises BrokenPipeError
+SHUTDOWN_STATES = (
+    SHUTDOWN_PENDING,
+    SHUTDOWN_SENT,
+    SHUTDOWN_RECEIVED,
+    SHUTDOWN_ACK_SENT,
+)
+
+
+class MessageTooBig(ValueError):
+    """Message exceeds the sctp_sendmsg limit (the send buffer size)."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +241,6 @@ class Association:
             self.config.stream_weights,
             self.config.stream_priorities,
         )
-        self.out_interleave = OutboundInterleave(self.config.n_out_streams)
         self.interleaving_active = False  # negotiated at establishment
         self.queued_bytes = 0
         self.outstanding: "OrderedDict[int, TxRecord]" = OrderedDict()
@@ -443,27 +460,25 @@ class Association:
     ) -> bool:
         """Queue one user message; False when the send buffer is full.
 
-        Raises ``ValueError`` for messages above the sctp_sendmsg limit
-        (the send buffer size) — middleware must split those itself.
+        Raises :class:`MessageTooBig` for messages above the sctp_sendmsg
+        limit (the send buffer size) — middleware must split those itself
+        — and ``ValueError`` for a stream the association does not have.
         """
-        if self.state in (
-            SHUTDOWN_PENDING,
-            SHUTDOWN_SENT,
-            SHUTDOWN_RECEIVED,
-            SHUTDOWN_ACK_SENT,
-        ):
+        if self.state in SHUTDOWN_STATES:
             raise BrokenPipeError(f"send in state {self.state}")
-        if payload.nbytes > self.config.max_message_size:
+        # unordered messages too: the U bit lifts ordering, not the
+        # stream, and the peer rejects a stream id it did not negotiate
+        if not 0 <= sid < self.outbound.n_streams:
             raise ValueError(
+                f"stream {sid} out of range (have {self.outbound.n_streams})"
+            )
+        if payload.nbytes > self.config.max_message_size:
+            raise MessageTooBig(
                 f"message of {payload.nbytes} bytes exceeds the sctp_sendmsg "
                 f"limit of {self.config.max_message_size} (the send buffer)"
             )
         if self.queued_bytes + self.outstanding_bytes + payload.nbytes > self.config.sndbuf:
             return False
-        if not unordered and not 0 <= sid < self.outbound.n_streams:
-            raise ValueError(
-                f"stream {sid} out of range (have {self.outbound.n_streams})"
-            )
         # messages queue unfragmented; the scheduler decides which one
         # supplies the next fragment, and _dequeue_for_bundle cuts it
         # (assigning the TSN, and the SSN/MID on the first fragment)
@@ -563,10 +578,7 @@ class Association:
             end = take == remaining
             if begin:
                 head.idata = idata
-                if idata:
-                    head.seq = self.out_interleave.next_mid(head.sid, head.unordered)
-                else:
-                    head.seq = 0 if head.unordered else self.outbound.next_ssn(head.sid)
+                head.seq = self.outbound.next_seq(head.sid, head.unordered, idata)
             if begin and end:
                 # single-fragment fast path: no slicing
                 fragment = head.payload
@@ -614,48 +626,19 @@ class Association:
     def _try_send(self) -> None:
         if self.state not in (ESTABLISHED, SHUTDOWN_PENDING, SHUTDOWN_RECEIVED):
             return
-        if self.config.cmt:
-            self._try_send_cmt()
-            self._maybe_send_shutdown()
-            return
-        path = self._active_path()
-        if path is None:
-            return
-        while self.scheduler.has_pending() and path.can_send():
-            if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
-                break
-            chunks: List[Chunk] = []
-            budget = self.config.packet_chunk_budget
-            if self._sack_is_pending():
-                sack = self._build_sack()
-                chunks.append(sack)
-                budget -= sack.wire_size()
-            data = self._dequeue_for_bundle(budget, path.addr)
-            if not data:
-                if chunks:
-                    # a pending SACK left no room for a full-size chunk:
-                    # send it alone and retry with the whole packet budget
-                    self._transmit_chunks(chunks, path.addr)
-                    continue
-                break
-            chunks.extend(data)
-            self._transmit_chunks(chunks, path.addr)
-            self._arm_t3(path.addr)
-        self._maybe_send_shutdown()
-
-    def _try_send_cmt(self) -> None:
-        """CMT transmission: round-robin packets over every active path
-        with congestion-window room."""
-        progress = True
-        while self.scheduler.has_pending() and progress:
-            progress = False
-            for path in self._active_paths():
-                if not self.scheduler.has_pending():
-                    break
+        # new data goes to the active path or, under CMT, round-robin to
+        # every ACTIVE path: one packet per path with congestion-window
+        # room per round, until a round sends nothing
+        paths = self._active_paths() if self.config.cmt else [self._active_path()]
+        sent = True
+        while sent and self.scheduler.has_pending():
+            sent = False
+            for path in paths:
                 if not path.can_send():
                     continue
                 if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
-                    return
+                    sent = False  # peer window closed: stop, not just this round
+                    break
                 chunks: List[Chunk] = []
                 budget = self.config.packet_chunk_budget
                 if self._sack_is_pending():
@@ -663,14 +646,17 @@ class Association:
                     chunks.append(sack)
                     budget -= sack.wire_size()
                 data = self._dequeue_for_bundle(budget, path.addr)
-                if not data:
-                    if chunks:
-                        self._transmit_chunks(chunks, path.addr)
+                if not chunks and not data:
                     continue
+                # a pending SACK may have left no room for a full-size
+                # chunk: it then goes alone and the next round has the
+                # whole packet budget
                 chunks.extend(data)
                 self._transmit_chunks(chunks, path.addr)
-                self._arm_t3(path.addr)
-                progress = True
+                if data:
+                    self._arm_t3(path.addr)
+                sent = True
+        self._maybe_send_shutdown()
 
     def _transmit_chunks(self, chunks: List[Chunk], dest_addr: str, vtag=None) -> None:
         pkt = SCTPPacket(
@@ -846,22 +832,35 @@ class Association:
         }
         cum_advanced = sack.cum_tsn > self.cum_tsn_acked
 
-        # cumulative acknowledgement — per-TSN hot loop, with the bodies
-        # of _account_acked/_maybe_rtt_sample inlined (several chunks are
-        # popped per SACK; the helper frames dominated the loop)
-        highest_newly_acked = None  # HTNA, RFC 4960 §7.2.4
-        htna_per_path: Dict[str, int] = {}  # CMT split fast retransmit
+        # what this SACK acknowledges: records at or below the cumulative
+        # point leave `outstanding` (it is TSN-ordered, so they are at its
+        # head); gap-acked ones stay until the cumulative point passes
+        # them.  (The set of gap-acked TSNs is built only when the SACK
+        # carries gap blocks — overwhelmingly it does not.)
         outstanding = self.outstanding
-        paths = self.paths
-        rtt_probe = self._rtt_probe
         cum_tsn = sack.cum_tsn
+        acked: List[TxRecord] = []
         while outstanding:
             tsn = next(iter(outstanding))
             if tsn > cum_tsn:
                 break
-            record = outstanding.pop(tsn)
+            acked.append(outstanding.pop(tsn))
+        for tsn in sack.acked_tsns() if sack.gaps else ():
+            record = outstanding.get(tsn)
+            if record is not None and not record.gap_acked:
+                acked.append(record)
+        self.cum_tsn_acked = max(self.cum_tsn_acked, cum_tsn)
+
+        # one accounting body for both kinds — per-TSN hot loop, no
+        # helper calls (several chunks are acknowledged per SACK)
+        highest_newly_acked = None  # HTNA, RFC 4960 §7.2.4
+        htna_per_path: Dict[str, int] = {}  # CMT split fast retransmit
+        paths = self.paths
+        rtt_probe = self._rtt_probe
+        for record in acked:
+            tsn = record.chunk.tsn
             addr = record.path_addr
-            if not record.gap_acked:
+            if not record.gap_acked:  # else counted when it was gap-acked
                 size = record.chunk.payload.nbytes
                 self.outstanding_bytes -= size
                 path = paths.get(addr)
@@ -869,32 +868,20 @@ class Association:
                     left = path.outstanding_bytes - size
                     path.outstanding_bytes = left if left > 0 else 0
                 newly_acked[addr] = newly_acked.get(addr, 0) + size
-            probe = rtt_probe.get(addr)
-            if probe is not None and record.chunk.tsn == probe[0]:
-                del rtt_probe[addr]
-                if record.transmit_count == 1:  # Karn's rule
-                    paths[addr].rto.observe(self.kernel._now - probe[1])
-            highest_newly_acked = tsn
-            htna_per_path[addr] = tsn
-        self.cum_tsn_acked = max(self.cum_tsn_acked, sack.cum_tsn)
-
-        # gap acknowledgements (skip the set build entirely when the SACK
-        # carries no gap blocks — the overwhelmingly common case)
-        gap_acked_tsns = sack.acked_tsns() if sack.gaps else ()
-        for tsn in gap_acked_tsns:
-            record = self.outstanding.get(tsn)
-            if record is not None and not record.gap_acked:
-                record.gap_acked = True
-                # a gap-acked chunk is no longer outstanding anywhere:
-                # never retransmit it, even if a timeout marked it already
-                record.marked_for_rtx = False
-                self._account_acked(record, newly_acked, count_bytes=True)
-                self._maybe_rtt_sample(record)
-                if highest_newly_acked is None or tsn > highest_newly_acked:
-                    highest_newly_acked = tsn
-                htna_per_path[record.path_addr] = max(
-                    htna_per_path.get(record.path_addr, 0), tsn
-                )
+                probe = rtt_probe.get(addr)
+                if probe is not None and tsn == probe[0]:
+                    del rtt_probe[addr]
+                    if record.transmit_count == 1:  # Karn's rule
+                        paths[addr].rto.observe(self.kernel._now - probe[1])
+                if tsn > cum_tsn:
+                    record.gap_acked = True
+                    # a gap-acked chunk is no longer outstanding anywhere:
+                    # never retransmit it, even if a timeout marked it already
+                    record.marked_for_rtx = False
+            if highest_newly_acked is None or tsn > highest_newly_acked:
+                highest_newly_acked = tsn
+            if tsn > htna_per_path.get(addr, 0):
+                htna_per_path[addr] = tsn
 
         if cum_advanced:
             self._assoc_error_count = 0
@@ -972,81 +959,46 @@ class Association:
         if total_acked > 0 and self.sndbuf_free() > 0:
             self.on_writable()
 
-    def _account_acked(
-        self, record: TxRecord, newly_acked: Dict[str, int], count_bytes: bool
-    ) -> None:
-        if not count_bytes:
-            return
-        size = record.chunk.payload.nbytes
-        self.outstanding_bytes -= size
-        path = self.paths.get(record.path_addr)
-        if path is not None:
-            path.outstanding_bytes = max(0, path.outstanding_bytes - size)
-        newly_acked[record.path_addr] = newly_acked.get(record.path_addr, 0) + size
-
-    def _maybe_rtt_sample(self, record: TxRecord) -> None:
-        probe = self._rtt_probe.get(record.path_addr)
-        if probe is None:
-            return
-        probe_tsn, sent_at = probe
-        if record.chunk.tsn == probe_tsn:
-            del self._rtt_probe[record.path_addr]
-            if record.transmit_count == 1:  # Karn's rule
-                self.paths[record.path_addr].rto.observe(self.kernel.now - sent_at)
-
     # -- retransmission -------------------------------------------------------
     def _flush_marked(self) -> None:
         """Retransmit remaining marked chunks while cwnd has room.
 
         :meth:`_retransmit_marked` sends one bundled packet per call (the
         RFC's timeout rule); after a SACK frees cwnd the rest must follow
-        immediately rather than wait for further timer expiries.
+        immediately rather than wait for further timer expiries.  A call
+        that sends nothing (no room, or an oversized chunk) ends the
+        flush and leaves the rest to T3.
         """
         if not self._any_marked:
             return  # loss-free steady state: skip the outstanding scan
-        while True:
-            marked = [r for r in self.outstanding.values() if r.marked_for_rtx]
-            if not marked:
-                self._any_marked = False
-                return
-            origin = marked[0].path_addr
-            dest = None
-            if self.config.retransmit_to_alternate:
-                dest = self._alternate_path(origin)
-            if dest is None:
-                dest = self.paths.get(origin) or self._active_path()
-            if dest is None or not dest.can_send():
-                return
-            self._retransmit_marked()
-            still_marked = sum(
-                1 for r in self.outstanding.values() if r.marked_for_rtx
-            )
-            if still_marked >= len(marked):
-                return  # no progress (oversized chunk): leave it to T3
+        while self._retransmit_marked(within_cwnd=True):
+            pass
 
-    def _retransmit_marked(self) -> None:
+    def _retransmit_marked(self, within_cwnd: bool = False) -> int:
         """Send marked chunks, one bundled packet, preferring an alternate
-        active path (paper §4.1.1: retransmissions use alternates)."""
+        active path (paper §4.1.1: retransmissions use alternates).
+        Returns the number of chunks sent; ``within_cwnd`` sends only if
+        the destination's congestion window has room."""
         marked = [
             r
             for r in self.outstanding.values()
             if r.marked_for_rtx and not r.gap_acked
         ]
         if not marked:
-            return
+            self._any_marked = False
+            return 0
         origin = marked[0].path_addr
         dest_path = None
         if self.config.retransmit_to_alternate:
             dest_path = self._alternate_path(origin)
         if dest_path is None:
             dest_path = self.paths.get(origin) or self._active_path()
-        if dest_path is None:
-            return
+        if dest_path is None or (within_cwnd and not dest_path.can_send()):
+            return 0
         # no SACK bundling here: retransmissions must never be crowded out
         chunks: List[Chunk] = []
         sent_records: List[TxRecord] = []
         budget = self.config.packet_chunk_budget
-        n_data = 0
         for record in marked:
             size = record.chunk.wire_size()
             if size > budget:
@@ -1071,12 +1023,12 @@ class Association:
             # Karn: no RTT sample from anything retransmitted
             self._rtt_probe.pop(dest_path.addr, None)
             self.stats.retransmitted_chunks += 1
-            n_data += 1
-        if n_data > 0:
+        if chunks:
             if self._san is not None:
                 self._san.on_retransmit(sent_records, "marked")
             self._transmit_chunks(chunks, dest_path.addr)
             self._arm_t3(dest_path.addr, restart=True)
+        return len(chunks)
 
     def _arm_t3(self, addr: str, restart: bool = False) -> None:
         timer = self._t3_timers[addr]

@@ -97,24 +97,6 @@ class IDataChunk(DataChunk):
 
 
 @dataclass(slots=True)
-class IForwardTsnChunk(Chunk):
-    """RFC 8260 §2.3 I-FORWARD-TSN.
-
-    Wire format reserved for partial reliability (PR-SCTP) over I-DATA:
-    each skip entry abandons one (stream, MID) up to the new cumulative
-    TSN.  Nothing emits it yet — it exists so the chunk registry covers
-    the full RFC 8260 surface and PR-SCTP can land without wire changes.
-    """
-
-    new_cum_tsn: int
-    # (sid, unordered-flag, mid) per abandoned message
-    skips: Tuple[Tuple[int, int, int], ...] = ()
-
-    def wire_size(self) -> int:
-        return _pad4(8 + 8 * len(self.skips))
-
-
-@dataclass(slots=True)
 class SackChunk(Chunk):
     """Selective acknowledgement: cumulative TSN + gap-ack blocks."""
 

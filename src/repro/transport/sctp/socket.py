@@ -1,11 +1,10 @@
-"""SCTP socket styles: one-to-many (UDP-like) and one-to-one (TCP-like).
+"""The one-to-many (UDP-like) SCTP socket.
 
-The one-to-many socket is the heart of the paper's scalability story
-(§3.1/§3.3): a *single* descriptor receives whole, framed messages from
-every association; the application learns the association id and stream
-number only after reading — exactly the two-level demultiplexing the
-SCTP RPI performs.  No ``select()`` over N descriptors, no per-peer
-socket state.
+It is the heart of the paper's scalability story (§3.1/§3.3): a *single*
+descriptor receives whole, framed messages from every association; the
+application learns the association id and stream number only after
+reading — exactly the two-level demultiplexing the SCTP RPI performs.
+No ``select()`` over N descriptors, no per-peer socket state.
 
 ``recvmsg`` is non-blocking and returns ``None`` when nothing is queued
 (the RPI's EAGAIN); ``sendmsg`` returns False when the association's send
@@ -20,28 +19,9 @@ from typing import Callable, Deque, Dict, Optional
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
-from .association import (
-    SHUTDOWN_ACK_SENT,
-    SHUTDOWN_PENDING,
-    SHUTDOWN_RECEIVED,
-    SHUTDOWN_SENT,
-    Association,
-    SCTPConfig,
-)
+from .association import SHUTDOWN_STATES, Association, SCTPConfig
 from .endpoint import ListenerHooks, SCTPEndpoint
 from .streams import AssembledMessage
-
-# association states in which send_message raises BrokenPipeError
-_SHUTDOWN_STATES = (
-    SHUTDOWN_PENDING,
-    SHUTDOWN_SENT,
-    SHUTDOWN_RECEIVED,
-    SHUTDOWN_ACK_SENT,
-)
-
-
-class MessageTooBig(ValueError):
-    """Message exceeds the sctp_sendmsg limit (the send buffer size)."""
 
 
 def _apply_options(
@@ -179,14 +159,16 @@ class OneToManySocket:
         unordered: bool = False,
         ppid: int = 0,
     ) -> bool:
-        """Queue one whole message; False = would block (EAGAIN)."""
+        """Queue one whole message; False = would block (EAGAIN).
+
+        Raises ``MessageTooBig`` above the sctp_sendmsg limit and
+        ``ValueError`` for a stream the association does not have.
+        """
         if self.closed:
             raise OSError("socket closed")
-        assoc = self._assocs[assoc_id]
-        try:
-            return assoc.send_message(stream, payload, unordered=unordered, ppid=ppid)
-        except ValueError as err:
-            raise MessageTooBig(str(err)) from err
+        return self._assocs[assoc_id].send_message(
+            stream, payload, unordered=unordered, ppid=ppid
+        )
 
     def sndbuf_free(self, assoc_id: int) -> int:
         """Free send-buffer space on one association."""
@@ -202,7 +184,7 @@ class OneToManySocket:
         the call that raises.
         """
         assoc = self._assocs[assoc_id]
-        if self.closed or assoc.state in _SHUTDOWN_STATES:
+        if self.closed or assoc.state in SHUTDOWN_STATES:
             return assoc.config.max_message_size
         return assoc.sndbuf_free()
 
@@ -259,92 +241,6 @@ class OneToManySocket:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OneToManySocket port={self.port} assocs={len(self._assocs)}>"
-
-
-class OneToOneSocket:
-    """TCP-style SCTP socket: exactly one association.
-
-    Exists because SCTP defined it for easy porting of TCP applications
-    (§2.1); our tests use it to exercise associations in isolation.
-    """
-
-    def __init__(
-        self,
-        endpoint: SCTPEndpoint,
-        config: Optional[SCTPConfig] = None,
-        *,
-        interleaving: Optional[bool] = None,
-        scheduler: Optional[str] = None,
-    ) -> None:
-        self.endpoint = endpoint
-        self.config = _apply_options(
-            config or endpoint.default_config, interleaving, scheduler
-        )
-        self.assoc: Optional[Association] = None
-        self._inbox: Deque[ReceivedMessage] = deque()
-        self._readers: Deque[Future] = deque()
-
-    def connect(self, peer_addr: str, peer_port: int) -> Future:
-        """Active open; future resolves to self when established."""
-        assoc = self.endpoint.create_association(
-            peer_addr, peer_port, config=self.config
-        )
-        self._install(assoc)
-        fut = Future(name=f"sctp-1to1-connect:{peer_addr}")
-        assoc.on_established = lambda: fut.done() or fut.set_result(self)
-        prev_closed = assoc.on_closed
-        assoc.on_closed = lambda err: (
-            None if fut.done() else fut.set_exception(ConnectionError(err or "failed")),
-            prev_closed(err),
-        )[-1]
-        assoc.connect()
-        return fut
-
-    def _install(self, assoc: Association) -> None:
-        self.assoc = assoc
-        assoc.on_message = self._deliver
-
-    def adopt(self, assoc: Association) -> None:
-        """Server side: wrap an association accepted elsewhere."""
-        self._install(assoc)
-
-    def _deliver(self, message: AssembledMessage) -> None:
-        received = ReceivedMessage(self.assoc.assoc_id, message)
-        while self._readers:
-            fut = self._readers.popleft()
-            if not fut.done():
-                self.assoc.credit_receive_buffer(received.nbytes)
-                fut.set_result(received)
-                return
-        self._inbox.append(received)
-
-    def sendmsg(self, stream: int, payload: Blob, unordered: bool = False) -> bool:
-        """Queue a message on the single association."""
-        if self.assoc is None:
-            raise OSError("socket not connected")
-        return self.assoc.send_message(stream, payload, unordered=unordered)
-
-    def recvmsg(self) -> Optional[ReceivedMessage]:
-        """Non-blocking receive."""
-        if not self._inbox:
-            return None
-        msg = self._inbox.popleft()
-        self.assoc.credit_receive_buffer(msg.nbytes)
-        return msg
-
-    def recvmsg_wait(self) -> Future:
-        """Blocking (future-based) receive."""
-        fut = Future(name="sctp-1to1-recvmsg")
-        if self._inbox:
-            fut.set_result(self.recvmsg())
-        else:
-            self._readers.append(fut)
-        return fut
-
-    def close(self) -> None:
-        """Graceful shutdown."""
-        if self.assoc is not None:
-            self.assoc.close()
 
 
 def _noop() -> None:

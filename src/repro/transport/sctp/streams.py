@@ -1,12 +1,36 @@
 """Stream machinery: reassembly and per-stream ordered delivery.
 
 This module is where SCTP's head-of-line-blocking cure lives.  Inbound
-DATA chunks are first *reassembled* into whole user messages (fragments of
-one message occupy consecutive TSNs between the B and E bits) and then
-*ordered* — but only against other messages of the same stream, via the
-SSN.  A complete message on stream 2 is delivered even while stream 1
-still has holes; contrast the TCP receive path, which cannot release
-anything past a missing byte (paper Fig. 4/5).
+data chunks are first *reassembled* into whole user messages and then
+*ordered* — but only against other messages of the same stream.  A
+complete message on stream 2 is delivered even while stream 1 still has
+holes; contrast the TCP receive path, which cannot release anything past
+a missing byte (paper Fig. 4/5).
+
+Two encodings, one engine.  Legacy DATA (RFC 4960) and I-DATA (RFC 8260)
+differ only in where a fragment says it belongs:
+
+=========  ==========================  ==========  ==================
+encoding   space                       index       ordered by
+=========  ==========================  ==========  ==================
+DATA       the whole association       TSN         SSN, 16 bits
+I-DATA     one message (sid, U, MID)   FSN         MID, 32 bits
+=========  ==========================  ==========  ==================
+
+A message is a run of consecutive indices in one space that starts at a
+B fragment and stops at an E fragment.  For DATA that *is* the identity
+(RFC 4960 §6.9): the SSN cannot name a message, because every unordered
+message of a stream may carry the same one — which is also why DATA
+fragments must stay contiguous on the wire and a large message
+monopolises the association.  I-DATA numbers the fragments inside each
+message instead, so messages may interleave freely.
+
+:class:`InboundStreams` keeps, per space, the fragments by index and the
+two open ends of every run, so an arrival joins its neighbours with a
+constant number of dictionary operations whatever the arrival order.
+Ordered delivery then follows one per-stream succession — SSN or MID,
+wrapped through its mask — and unordered messages deliver the moment
+they are complete.  :class:`OutboundStreams` is the matching allocator.
 """
 
 from __future__ import annotations
@@ -17,6 +41,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...analyze.sanitize import idata_sanitizer, stream_sanitizer
 from ...util.blobs import ChunkList
 from .chunks import DataChunk
+
+SSN_MASK = 0xFFFF  # RFC 4960 §3.3.1: 16-bit stream sequence number
+MID_MASK = 0xFFFFFFFF  # RFC 8260 §2.1: 32-bit message identifier
 
 
 @dataclass(slots=True)
@@ -43,66 +70,83 @@ class AssembledMessage:
 
 
 class OutboundStreams:
-    """Per-stream SSN counters for the sending side."""
+    """Per-stream sequence allocator for the sending side: SSNs under
+    DATA, MIDs under I-DATA (an association speaks one encoding).
+
+    Ordered and unordered messages draw from *separate* spaces: under
+    I-DATA the U bit is part of the message identity (RFC 8260 §2.1), and
+    an unordered DATA chunk may carry any SSN (RFC 4960 §6.6) but must
+    not use up one the receiver is waiting for.
+    """
 
     def __init__(self, n_streams: int) -> None:
         self.n_streams = n_streams
-        self._next_ssn = [0] * n_streams
+        self._next_seq = ([0] * n_streams, [0] * n_streams)  # by U bit
 
-    def next_ssn(self, sid: int) -> int:
-        """Claim the next stream sequence number on ``sid``."""
+    def next_seq(self, sid: int, unordered: bool = False, idata: bool = False) -> int:
+        """Claim the next SSN (or MID, with ``idata``) on ``sid``."""
         if not 0 <= sid < self.n_streams:
             raise ValueError(f"stream {sid} out of range (have {self.n_streams})")
-        ssn = self._next_ssn[sid]
-        self._next_ssn[sid] = ssn + 1
-        return ssn
+        counters = self._next_seq[unordered]
+        seq = counters[sid]
+        counters[sid] = (seq + 1) & (MID_MASK if idata else SSN_MASK)
+        return seq
+
+    def seed(self, sid: int, value: int, unordered: bool = False) -> None:
+        """Start ``sid``'s sequence space at ``value`` (wraparound testing)."""
+        self._next_seq[unordered][sid] = value
 
 
 class InboundStreams:
     """Reassembly + per-stream ordering for the receiving side.
 
-    When given a ``clock`` (virtual-time callable), it also measures
+    Through its ``clock`` (virtual-time callable) it also measures
     head-of-line stall time: the nanoseconds each *complete* message
-    spends parked behind a missing earlier SSN of its own stream.  This
-    is the counter that explains the paper's Fig. 12 — with one stream
-    every loss stalls everything behind it; with ten, only one stream's
-    messages wait.
+    spends parked behind a missing earlier SSN/MID of its own stream.
+    This is the counter that explains the paper's Fig. 12 — with one
+    stream every loss stalls everything behind it; with ten, only one
+    stream's messages wait.
     """
 
-    def __init__(self, n_streams: int, clock: Optional[Callable[[], int]] = None) -> None:
+    def __init__(self, n_streams: int, clock: Callable[[], int] = lambda: 0) -> None:
         self.n_streams = n_streams
-        # fragments of incomplete messages, grouped by message identity:
-        # key -> [fragments by TSN, B-fragment TSN or None, E-TSN or None]
-        self._partial: Dict[Tuple[int, int, bool], list] = {}
-        # complete but out-of-SSN-order messages, per stream
-        self._pending: Dict[int, Dict[int, AssembledMessage]] = {}
-        self._next_ssn = [0] * n_streams
+        # incomplete messages: space -> (fragments by index, and for each
+        # run of consecutive indices its two open ends: the index it waits
+        # for on the right -> its first index, the index it waits for on
+        # the left -> its last index).  A space goes when it empties.
+        self._spaces: Dict[
+            Optional[Tuple[int, bool, int]],
+            Tuple[Dict[int, DataChunk], Dict[int, int], Dict[int, int]],
+        ] = {}
+        # complete but out-of-order messages, per stream, by SSN/MID
+        self._pending: List[Dict[int, AssembledMessage]] = [
+            {} for _ in range(n_streams)
+        ]
+        self._next_seq = [0] * n_streams
         self.buffered_bytes = 0  # fragments + undeliverable messages
         self._clock = clock
-        self._parked_at: Dict[Tuple[int, int], int] = {}  # (sid, ssn) -> t_ns
+        # when each message in _pending got there: (sid, seq) -> t_ns
+        self._parked_at: Dict[Tuple[int, int], int] = {}
         self.hol_stall_ns = 0  # total time complete messages waited for order
         self.hol_stall_ns_per_stream = [0] * n_streams  # same, by stream
         self.parked_messages_max = 0  # peak complete-but-undeliverable backlog
         self.delivered_per_stream = [0] * n_streams
-        # per-stream SSN-order sanitizer; None unless REPRO_SANITIZE is on
+        # per-stream SSN-order sanitizer and RFC 8260 legality sanitizer
+        # (which also audits MID order); None unless REPRO_SANITIZE is on
         self._san = stream_sanitizer()
-        # RFC 8260 legality sanitizer, shared with the I-DATA path
         self._san_idata = idata_sanitizer()
-        # I-DATA reassembly rides alongside (lazy import: interleave.py
-        # needs AssembledMessage from this module)
-        from .interleave import InterleavedReassembly
 
-        self.interleaved = InterleavedReassembly(self)
-
-    def _key(self, chunk: DataChunk) -> Tuple[int, int, bool]:
-        return (chunk.sid, chunk.ssn, chunk.unordered)
+    def seed(self, sid: int, value: int) -> None:
+        """Set the next expected ordered SSN/MID on ``sid`` (wraparound tests)."""
+        self._next_seq[sid] = value
+        if self._san is not None:
+            self._san.seed(sid, value)
 
     def on_data(self, chunk: DataChunk) -> List[AssembledMessage]:
-        """Ingest one DATA chunk; returns messages now deliverable, in order."""
+        """Ingest one DATA or I-DATA chunk; returns the messages now
+        deliverable, in order."""
         if self._san_idata is not None:
             self._san_idata.on_chunk(chunk)
-        if chunk.is_idata:
-            return self.interleaved.on_idata(chunk)
         if not 0 <= chunk.sid < self.n_streams:
             raise ValueError(
                 f"inbound stream {chunk.sid} out of range (negotiated "
@@ -110,94 +154,87 @@ class InboundStreams:
             )
         self.buffered_bytes += chunk.payload.nbytes
         if chunk.begin and chunk.end:
-            message = AssembledMessage(
-                sid=chunk.sid,
-                ssn=chunk.ssn,
-                unordered=chunk.unordered,
-                ppid=chunk.ppid,
-                data=ChunkList([chunk.payload]),
-                first_tsn=chunk.tsn,
-                last_tsn=chunk.tsn,
+            # a whole message in one chunk has no neighbours to find: it
+            # skips the space (a fast path kept on measurement, DESIGN §9.1)
+            head = tail = chunk
+            data = ChunkList([chunk.payload])
+        else:
+            if chunk.is_idata:
+                space, index = (chunk.sid, chunk.unordered, chunk.mid), chunk.fsn
+            else:
+                space, index = None, chunk.tsn
+            state = self._spaces.get(space)
+            if state is None:
+                state = self._spaces[space] = ({}, {}, {})
+            frags, ends_before, starts_after = state
+            # join the run that ends just before this index and the one
+            # that starts just after it; a B fragment never extends to the
+            # left nor an E fragment to the right, so neighbouring
+            # messages in TSN space stay apart
+            first = index if chunk.begin else ends_before.pop(index, index)
+            last = index if chunk.end else starts_after.pop(index, index)
+            frags[index] = chunk
+            head = frags[first]
+            tail = frags[last]
+            if not (head.begin and tail.end):
+                if not head.begin:
+                    starts_after[first - 1] = last
+                if not tail.end:
+                    ends_before[last + 1] = first
+                return []
+            if chunk.is_idata and self._san_idata is not None:
+                self._san_idata.on_assembled(chunk.sid, chunk.mid, frags, last)
+            data = ChunkList([frags.pop(i).payload for i in range(first, last + 1)])
+            if not frags:
+                del self._spaces[space]
+        return self._offer_complete(
+            AssembledMessage(
+                sid=head.sid,
+                ssn=head.ssn,
+                unordered=head.unordered,
+                ppid=head.ppid,
+                data=data,
+                # fragments are cut, and TSNs assigned, in index order
+                first_tsn=head.tsn,
+                last_tsn=tail.tsn,
+                mid=head.mid if head.is_idata else None,
             )
-            return self._offer_complete(message)
-
-        key = self._key(chunk)
-        entry = self._partial.get(key)
-        if entry is None:
-            # [fragments by TSN, TSN of the B fragment, TSN of the E one]
-            entry = self._partial[key] = [{}, None, None]
-        frags = entry[0]
-        frags[chunk.tsn] = chunk
-        if chunk.begin:
-            entry[1] = chunk.tsn
-        if chunk.end:
-            entry[2] = chunk.tsn
-        # assemble only once every fragment between B and E has arrived:
-        # fragment TSNs are contiguous and each is delivered at most once
-        # (the association dedupes), so a simple count detects completion
-        # without rescanning the fragment set on every arrival
-        first = entry[1]
-        last = entry[2]
-        if first is None or last is None or last < first:
-            return []
-        if len(frags) != last - first + 1:
-            return []
-        message = self._assemble(frags, first, last)
-        del self._partial[key]
-        return self._offer_complete(message)
-
-    def _assemble(
-        self, frags: Dict[int, DataChunk], first: int, last: int
-    ) -> AssembledMessage:
-        data = ChunkList()
-        for tsn in range(first, last + 1):
-            data.append(frags[tsn].payload)
-        head = frags[first]
-        return AssembledMessage(
-            sid=head.sid,
-            ssn=head.ssn,
-            unordered=head.unordered,
-            ppid=head.ppid,
-            data=data,
-            first_tsn=first,
-            last_tsn=last,
         )
 
     def _offer_complete(self, message: AssembledMessage) -> List[AssembledMessage]:
+        sid = message.sid
+        if message.mid is None:
+            seq, mask, san = message.ssn, SSN_MASK, self._san
+        else:
+            seq, mask, san = message.mid, MID_MASK, self._san_idata
         if message.unordered:
             self.buffered_bytes -= message.nbytes
-            self.delivered_per_stream[message.sid] += 1
-            return [message]
-        sid = message.sid
-        pending = self._pending.setdefault(sid, {})
-        pending[message.ssn] = message
-        if self._clock is not None:
-            self._parked_at[(sid, message.ssn)] = self._clock()
-            backlog = sum(len(p) for p in self._pending.values())
-            if backlog > self.parked_messages_max:
-                self.parked_messages_max = backlog
-        out: List[AssembledMessage] = []
-        while self._next_ssn[sid] in pending:
-            msg = pending.pop(self._next_ssn[sid])
-            self._next_ssn[sid] += 1
-            self.buffered_bytes -= msg.nbytes
             self.delivered_per_stream[sid] += 1
-            if self._clock is not None:
-                parked = self._parked_at.pop((sid, msg.ssn), None)
-                if parked is not None:
-                    stall = self._clock() - parked
-                    self.hol_stall_ns += stall
-                    self.hol_stall_ns_per_stream[sid] += stall
-            out.append(msg)
-        if self._san is not None:
-            self._san.on_deliver(out)
+            out = [message]
+        else:
+            clock = self._clock
+            pending = self._pending[sid]
+            pending[seq] = message
+            self._parked_at[(sid, seq)] = clock()
+            if len(self._parked_at) > self.parked_messages_max:
+                self.parked_messages_max = len(self._parked_at)
+            out = []
+            nxt = self._next_seq[sid]
+            while nxt in pending:
+                msg = pending.pop(nxt)
+                self.buffered_bytes -= msg.nbytes
+                self.delivered_per_stream[sid] += 1
+                stall = clock() - self._parked_at.pop((sid, nxt))
+                self.hol_stall_ns += stall
+                self.hol_stall_ns_per_stream[sid] += stall
+                out.append(msg)
+                nxt = (nxt + 1) & mask
+            self._next_seq[sid] = nxt
+        if san is not None:
+            san.on_deliver(out)
         return out
 
     @property
     def has_undelivered(self) -> bool:
         """Data parked waiting for fragments or earlier SSNs/MIDs."""
-        return (
-            bool(self._partial)
-            or any(self._pending.values())
-            or self.interleaved.has_undelivered
-        )
+        return bool(self._spaces or self._parked_at)

@@ -8,9 +8,13 @@ from repro.transport.sctp import (
     SCTPConfig,
     SCTPEndpoint,
 )
-from repro.transport.sctp.chunks import IDataChunk
-from repro.transport.sctp.interleave import MID_MASK, OutboundInterleave
-from repro.transport.sctp.streams import InboundStreams
+from repro.transport.sctp.chunks import DataChunk, IDataChunk
+from repro.transport.sctp.streams import (
+    MID_MASK,
+    SSN_MASK,
+    InboundStreams,
+    OutboundStreams,
+)
 from repro.util.blobs import RealBlob
 
 from ..conftest import make_cluster
@@ -23,24 +27,41 @@ def idchunk(tsn, sid, mid, fsn=0, data=b"x", begin=True, end=True, unordered=Fal
     )
 
 
+def seqchunk(idata, tsn, seq, data):
+    """One whole ordered message on stream 0 whose SSN (DATA) or MID
+    (I-DATA) is ``seq``."""
+    if idata:
+        return idchunk(tsn, 0, mid=seq, data=data)
+    return DataChunk(tsn=tsn, sid=0, ssn=seq, payload=RealBlob(data))
+
+
+# the sequence space wraps at the width its encoding gives it: one
+# masked path for the 16-bit SSN and the 32-bit MID
+WRAPS = [
+    pytest.param(False, SSN_MASK, id="data"),
+    pytest.param(True, MID_MASK, id="idata"),
+]
+
+
 # ---------------------------------------------------------------------------
 # outbound MID allocation
 # ---------------------------------------------------------------------------
 def test_outbound_mid_spaces_are_separate():
-    out = OutboundInterleave(2)
-    assert [out.next_mid(0, False), out.next_mid(0, False)] == [0, 1]
+    out = OutboundStreams(2)
+    assert [out.next_seq(0, False, True), out.next_seq(0, False, True)] == [0, 1]
     # unordered draws from its own space (the U bit is part of identity)
-    assert out.next_mid(0, True) == 0
-    assert out.next_mid(1, False) == 0
+    assert out.next_seq(0, True, True) == 0
+    assert out.next_seq(1, False, True) == 0
     with pytest.raises(ValueError):
-        out.next_mid(2, False)
+        out.next_seq(2, False, True)
 
 
-def test_outbound_mid_wraps_at_32_bits():
-    out = OutboundInterleave(1)
-    out.seed_mid(0, MID_MASK)
-    assert out.next_mid(0, False) == MID_MASK
-    assert out.next_mid(0, False) == 0
+@pytest.mark.parametrize("idata, mask", WRAPS)
+def test_outbound_mid_wraps_at_32_bits(idata, mask):
+    out = OutboundStreams(1)
+    out.seed(0, mask)
+    assert out.next_seq(0, False, idata) == mask
+    assert out.next_seq(0, False, idata) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +125,26 @@ def test_unordered_idata_delivers_on_completion():
     assert out[0].unordered
 
 
-def test_receiver_mid_wraparound():
+@pytest.mark.parametrize("idata, mask", WRAPS)
+def test_receiver_mid_wraparound(idata, mask):
     inb = InboundStreams(1)
-    inb.interleaved.seed_mid(0, MID_MASK)
-    # deliver mid 2**32-1 then mid 0: succession wraps, both flow
-    msgs = inb.on_data(idchunk(1, 0, mid=MID_MASK, data=b"last"))
+    inb.seed(0, mask)
+    # deliver the last number then 0: succession wraps, both flow
+    msgs = inb.on_data(seqchunk(idata, 1, mask, b"last"))
     assert [m.data.to_bytes() for m in msgs] == [b"last"]
-    msgs = inb.on_data(idchunk(2, 0, mid=0, data=b"wrapped"))
+    msgs = inb.on_data(seqchunk(idata, 2, 0, b"wrapped"))
     assert [m.data.to_bytes() for m in msgs] == [b"wrapped"]
 
 
-def test_wrapped_mid_parks_across_boundary():
+@pytest.mark.parametrize("idata, mask", WRAPS)
+def test_wrapped_mid_parks_across_boundary(idata, mask):
     inb = InboundStreams(1)
-    inb.interleaved.seed_mid(0, MID_MASK)
-    # mid 0 (post-wrap) arrives before mid 2**32-1: parked, then both
-    assert inb.on_data(idchunk(1, 0, mid=0, data=b"after")) == []
-    msgs = inb.on_data(idchunk(2, 0, mid=MID_MASK, data=b"before"))
+    inb.seed(0, mask)
+    # 0 (post-wrap) arrives before the last number: parked, then both
+    assert inb.on_data(seqchunk(idata, 1, 0, b"after")) == []
+    msgs = inb.on_data(seqchunk(idata, 2, mask, b"before"))
     assert [m.data.to_bytes() for m in msgs] == [b"before", b"after"]
+    assert not inb.has_undelivered
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """SCTP loss recovery: SACK gaps, fast retransmit, T3, integrity."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analyze.sanitize import sanitized
 from repro.faults.impairments import copy_packet
 from repro.simkernel import SECOND
 from repro.transport.sctp import SCTPConfig
@@ -47,6 +49,31 @@ def test_per_stream_order_holds_under_loss():
     for sids in per_stream.values():
         assert sids == sorted(sids)  # SSN order per stream, no gaps skipped
     assert sum(len(v) for v in per_stream.values()) == 24
+
+
+def _unordered_bulk(seed):
+    kernel, cluster = make_cluster(loss_rate=0.05, seed=seed)
+    s0, s1, aid = sctp_pair(kernel, cluster)
+    for i in range(40):
+        assert s0.sendmsg(aid, 0, RealBlob(bytes([i]) * 4000), unordered=True)
+    msgs = pump_messages(kernel, s1, 40, limit_s=600)
+    # retransmitted fragments land between those of later messages, and
+    # every message of the stream is unordered: none may swallow another
+    assert sorted(m.data.to_bytes() for m in msgs) == [
+        bytes([i]) * 4000 for i in range(40)
+    ]
+    server_assoc = next(iter(s1._assocs.values()))
+    assert server_assoc.inbound.buffered_bytes == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_unordered_fragmented_messages_survive_loss(seed):
+    _unordered_bulk(seed)
+
+
+def test_unordered_fragmented_messages_survive_loss_sanitized():
+    with sanitized():
+        _unordered_bulk(1)
 
 
 def test_duplicate_tsns_detected_not_delivered_twice():

@@ -1,9 +1,13 @@
 """Stream reassembly + per-stream ordering (the HOL-blocking cure)."""
 
+from collections import Counter
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.transport.sctp.chunks import DataChunk
+from repro.analyze.sanitize import sanitized
+from repro.transport.sctp.chunks import DataChunk, IDataChunk
 from repro.transport.sctp.streams import InboundStreams, OutboundStreams
 from repro.util.blobs import RealBlob
 
@@ -17,9 +21,9 @@ def chunk(tsn, sid, ssn, data=b"x", begin=True, end=True, unordered=False):
 
 def test_outbound_ssn_per_stream():
     out = OutboundStreams(3)
-    assert [out.next_ssn(0), out.next_ssn(0), out.next_ssn(1)] == [0, 1, 0]
+    assert [out.next_seq(0), out.next_seq(0), out.next_seq(1)] == [0, 1, 0]
     with pytest.raises(ValueError):
-        out.next_ssn(3)
+        out.next_seq(3)
 
 
 def test_single_chunk_message_delivers_immediately():
@@ -67,6 +71,37 @@ def test_unordered_bypasses_ssn():
     assert [m.data.to_bytes() for m in out] == [b"now"]
 
 
+def _two_unordered_messages():
+    """Two unordered 3-fragment messages on one stream, TSNs 10-12 and
+    13-15.  Unordered DATA carries no usable SSN (here both say 0), so
+    only TSN contiguity between B and E tells the two apart."""
+    return {
+        tsn: chunk(
+            tsn, 0, 0, bytes([tsn]), begin=tsn in (10, 13), end=tsn in (12, 15),
+            unordered=True,
+        )
+        for tsn in range(10, 16)
+    }
+
+
+def test_unordered_fragmented_messages_do_not_merge():
+    frags = _two_unordered_messages()
+    inb = InboundStreams(1)
+    got = [m for tsn in (10, 13, 11, 12, 14, 15) for m in inb.on_data(frags[tsn])]
+    assert [m.data.to_bytes() for m in got] == [b"\x0a\x0b\x0c", b"\x0d\x0e\x0f"]
+    assert inb.buffered_bytes == 0
+    assert not inb.has_undelivered
+
+
+def test_unordered_fragmented_messages_any_arrival_order():
+    frags = _two_unordered_messages()
+    for order in permutations(frags):
+        inb = InboundStreams(1)
+        got = [m.data.to_bytes() for tsn in order for m in inb.on_data(frags[tsn])]
+        assert sorted(got) == [b"\x0a\x0b\x0c", b"\x0d\x0e\x0f"], order
+        assert inb.buffered_bytes == 0 and not inb.has_undelivered, order
+
+
 def test_stream_id_out_of_range_rejected():
     inb = InboundStreams(2)
     with pytest.raises(ValueError):
@@ -85,7 +120,7 @@ def test_any_arrival_order_delivers_each_stream_in_ssn_order(data):
     expected = {s: [] for s in range(n_streams)}
     for _ in range(data.draw(st.integers(1, 8))):
         sid = data.draw(st.integers(0, n_streams - 1))
-        ssn = out.next_ssn(sid)
+        ssn = out.next_seq(sid)
         body = data.draw(st.binary(min_size=1, max_size=12))
         expected[sid].append(body)
         frag_at = data.draw(st.integers(0, len(body)))
@@ -106,3 +141,68 @@ def test_any_arrival_order_delivers_each_stream_in_ssn_order(data):
             got[msg.sid].append(msg.data.to_bytes())
     assert got == expected
     assert inb.buffered_bytes == 0
+
+
+N_STREAMS = 3
+
+
+def _feed(chunks, order, owner, ordered):
+    """Run one InboundStreams over ``chunks`` in ``order``; returns what
+    it delivered.  ``owner[i]`` is the message chunk ``i`` belongs to."""
+    inb = InboundStreams(N_STREAMS)
+    missing = Counter(owner)  # fragments yet to arrive, per message
+    held = peak = 0  # complete ordered messages not yet delivered
+    got = []
+    for i in order:
+        missing[owner[i]] -= 1
+        if not missing[owner[i]] and ordered[owner[i]]:
+            held += 1
+            peak = max(peak, held)
+        msgs = inb.on_data(chunks[i])
+        held -= sum(not m.unordered for m in msgs)
+        assert inb.parked_messages_max <= peak
+        got.extend(msgs)
+    assert inb.buffered_bytes == 0
+    assert not inb.has_undelivered
+    return [(m.sid, m.unordered, m.data.to_bytes()) for m in got]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_engine_under_both_encodings(data):
+    """Property: the same messages, cut once as DATA and once as I-DATA,
+    fed in an arbitrary arrival order -> every message exactly once with
+    its bytes, ordered messages of a stream in send order, nothing left
+    behind, and the same deliveries from both encodings.  Sanitizers on:
+    FSN contiguity, mode exclusivity and SSN/MID order are audited too."""
+    specs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, N_STREAMS - 1), st.integers(1, 6), st.booleans()),
+            min_size=1, max_size=8,
+        )
+    )
+    wire = {False: [], True: []}  # idata -> chunks
+    out = {False: OutboundStreams(N_STREAMS), True: OutboundStreams(N_STREAMS)}
+    owner, sent = [], []
+    for n, (sid, n_frags, unordered) in enumerate(specs):
+        seq = {idata: out[idata].next_seq(sid, unordered, idata) for idata in out}
+        for fsn in range(n_frags):
+            # TSNs run on through each message: DATA fragments are contiguous
+            common = dict(
+                tsn=len(owner), sid=sid, payload=RealBlob(bytes([n, fsn])),
+                begin=fsn == 0, end=fsn == n_frags - 1, unordered=unordered,
+            )
+            wire[False].append(DataChunk(ssn=seq[False], **common))
+            wire[True].append(IDataChunk(ssn=0, mid=seq[True], fsn=fsn, **common))
+            owner.append(n)
+        sent.append((sid, unordered, bytes(b for f in range(n_frags) for b in (n, f))))
+    order = data.draw(st.permutations(range(len(owner))))
+    ordered = [not unordered for _, _, unordered in specs]
+    with sanitized():
+        got = {idata: _feed(wire[idata], order, owner, ordered) for idata in wire}
+    for delivered in got.values():
+        assert sorted(delivered) == sorted(sent)  # bodies are unique: exactly once
+        for sid in range(N_STREAMS):
+            in_order = [m for m in sent if m[0] == sid and not m[1]]
+            assert [m for m in delivered if m[0] == sid and not m[1]] == in_order
+    assert sorted(got[False]) == sorted(got[True])

@@ -54,6 +54,24 @@ def test_message_above_sendmsg_limit_rejected():
         s0.sendmsg(aid, 0, SyntheticBlob(50_001))
 
 
+def test_stream_id_validated_for_every_send():
+    """A stream the association does not have is refused at the sender,
+    unordered or not, as ValueError (not as a size error) — before it
+    can reach a peer whose inbound side would reject it mid-run."""
+    kernel, cluster = make_cluster()
+    s0, s1, aid = sctp_pair(kernel, cluster)
+    assoc = s0.association(aid)
+    sent = assoc.stats.packets_sent
+    for unordered in (False, True):
+        with pytest.raises(ValueError, match="stream 99 out of range") as err:
+            s0.sendmsg(aid, 99, RealBlob(b"stray"), unordered=unordered)
+        assert not isinstance(err.value, MessageTooBig)
+    assert assoc.queued_bytes == 0 and assoc.stats.packets_sent == sent
+    # the peer's kernel keeps running and the association still works
+    assert s0.sendmsg(aid, 9, RealBlob(b"fine"), unordered=True)
+    assert pump_messages(kernel, s1, 1)[0].data.to_bytes() == b"fine"
+
+
 def test_sendmsg_eagain_when_buffer_full():
     kernel, cluster = make_cluster()
     cfg = SCTPConfig(sndbuf=40_000)
@@ -151,19 +169,3 @@ def test_bidirectional_transfer():
     got1 = pump_messages(kernel, s1, 1)
     assert got0[0].data.to_bytes() == b"pong"
     assert got1[0].data.to_bytes() == b"ping"
-
-
-def test_one_to_one_socket_style():
-    from repro.transport.sctp import OneToOneSocket, SCTPEndpoint, OneToManySocket
-
-    kernel, cluster = make_cluster()
-    cfg = SCTPConfig()
-    e0 = SCTPEndpoint(cluster.hosts[0], cfg)
-    e1 = SCTPEndpoint(cluster.hosts[1], cfg)
-    server = OneToManySocket(e1, 6100, cfg)  # acceptor side
-    client = OneToOneSocket(e0, cfg)
-    fut = client.connect(cluster.host_address(1), 6100)
-    kernel.run_until(fut, limit=10 * SECOND)
-    assert client.sendmsg(0, RealBlob(b"hello 1-1"))
-    got = pump_messages(kernel, server, 1)
-    assert got[0].data.to_bytes() == b"hello 1-1"
