@@ -1,52 +1,23 @@
-"""Correctness tooling for the reproduction: lint, sanitizers, perturbation.
+"""Correctness tooling for the reproduction: static analyzer, sanitizers, perturbation.
 
 Three instruments, one goal — making the simulator's determinism and
 protocol conformance *checkable* instead of assumed:
 
-* :mod:`repro.analyze.lint` — static AST pass flagging nondeterminism
-  hazards (wall clocks, global randomness, set iteration, ``id()``
-  ordering, kernel-internal pokes);
+* :mod:`repro.analyze.ci` — the static analyzer: one parsed program
+  (:mod:`~repro.analyze.callgraph`), the syntactic rules
+  (:mod:`~repro.analyze.lint`: wall clocks, global randomness, set
+  iteration, ``id()`` ordering, kernel-internal pokes) and the
+  whole-program rules (:mod:`~repro.analyze.flow`: determinism taint,
+  fork purity), one suppression pass, one report;
 * :mod:`repro.analyze.sanitize` — opt-in runtime invariant checkers for
   the kernel, both transports, and both RPIs (``REPRO_SANITIZE=1``);
 * :mod:`repro.analyze.perturb` — schedule-perturbation race detector
   that re-runs scenarios under reversed/shuffled same-time tie-breaking.
 
-CLI: ``python -m repro.analyze {lint,perturb} ...`` (also installed as
+CLI: ``python -m repro.analyze {ci,perturb} ...`` (also installed as
 the ``repro-analyze`` console script).
+
+Nothing is re-exported here: the simulator reaches
+:mod:`repro.analyze.sanitize` on every start-up, and doing so must not
+load the static analyzer or the perturbation tool.
 """
-
-from .lint import Finding, lint_paths, lint_source
-from .perturb import (
-    TIEBREAK_FIFO,
-    TIEBREAK_LIFO,
-    PerturbResult,
-    perturb_cell,
-    perturb_run,
-    shuffle_mask,
-    tiebreak,
-)
-from .sanitize import (
-    InvariantViolation,
-    enable_sanitizers,
-    reset_sanitizers,
-    sanitized,
-    sanitizers_enabled,
-)
-
-__all__ = [
-    "Finding",
-    "lint_paths",
-    "lint_source",
-    "InvariantViolation",
-    "enable_sanitizers",
-    "reset_sanitizers",
-    "sanitized",
-    "sanitizers_enabled",
-    "TIEBREAK_FIFO",
-    "TIEBREAK_LIFO",
-    "PerturbResult",
-    "perturb_cell",
-    "perturb_run",
-    "shuffle_mask",
-    "tiebreak",
-]

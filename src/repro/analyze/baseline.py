@@ -1,9 +1,10 @@
-"""Machine-readable finding baseline for :mod:`repro.analyze.flow`.
+"""Machine-readable baseline of accepted whole-program findings.
 
-The flow analyzer is conservative by design, and a few of its findings
-over this tree are *accepted behaviour* (``REPRO_FULL`` is deliberately
-part of the sweep-cache key; the supervised child's attempt counter is
-child-local by design).  Rather than sprinkle ``allow`` comments for
+The taint and purity rules (:mod:`repro.analyze.flow`) are conservative
+by design, and a few of their findings over this tree are *accepted
+behaviour* (``REPRO_FULL`` is deliberately part of the sweep-cache key;
+the supervised child's attempt counter is child-local by design).
+Rather than sprinkle ``allow`` comments for
 whole-program findings whose anchor line is far from the decision that
 justifies them, accepted findings live in a committed baseline file
 (``ANALYZE_baseline.json`` at the repo root) that CI diffs against:
@@ -15,7 +16,10 @@ Fingerprints are **line-insensitive**: sha256 over (rule, source
 descriptor, sink descriptor, function qualname) — not line numbers — so
 unrelated edits above a finding don't churn the baseline.  Paths are
 likewise excluded because the function qualname already pins the
-location at file-move granularity.
+location at file-move granularity.  A per-line finding (AN1xx) has no
+function, source or sink, so nothing but its rule id would go into a
+fingerprint: those are never baselined — an ``allow`` comment on the
+line is their mechanism.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from .flow import FlowFinding
+from .callgraph import Finding
 
 BASELINE_VERSION = 1
 DEFAULT_BASELINE = "ANALYZE_baseline.json"
 
 
-def fingerprint(finding: FlowFinding) -> str:
+def fingerprint(finding: Finding) -> str:
     """Stable, line-insensitive identity for one finding."""
     payload = "\x1f".join(
         (finding.rule, finding.function, finding.source, finding.sink)
@@ -39,13 +43,15 @@ def fingerprint(finding: FlowFinding) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
-def write_baseline(findings: Sequence[FlowFinding], path: str) -> None:
-    """Write all *findings* as the new accepted baseline (sorted, stable)."""
+def write_baseline(findings: Sequence[Finding], path: str) -> None:
+    """Write the whole-program *findings* as the accepted baseline (stable)."""
     entries = []
     seen = set()
     for finding in sorted(
         findings, key=lambda f: (f.rule, f.function, f.source, f.sink)
     ):
+        if not finding.function:
+            continue
         fp = fingerprint(finding)
         if fp in seen:
             continue
@@ -88,8 +94,8 @@ def load_baseline(path: str) -> Dict[str, Dict]:
 
 
 def apply_baseline(
-    findings: Sequence[FlowFinding], baseline: Dict[str, Dict]
-) -> Tuple[List[FlowFinding], List[str]]:
+    findings: Sequence[Finding], baseline: Dict[str, Dict]
+) -> Tuple[List[Finding], List[str]]:
     """Split findings into (new, unused-baseline-entry descriptions).
 
     A finding whose fingerprint appears in the baseline is suppressed.
@@ -97,10 +103,10 @@ def apply_baseline(
     strings so stale entries surface instead of rotting.
     """
     matched = set()
-    new: List[FlowFinding] = []
+    new: List[Finding] = []
     for finding in findings:
         fp = fingerprint(finding)
-        if fp in baseline:
+        if finding.function and fp in baseline:
             matched.add(fp)
         else:
             new.append(finding)

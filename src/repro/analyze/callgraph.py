@@ -1,17 +1,18 @@
-"""Whole-program model and call graph for the flow analyses.
+"""The program model every static rule reads: sources, names, calls, forks.
 
-:mod:`repro.analyze.lint` sees one file at a time; the interprocedural
-analyses in :mod:`repro.analyze.flow` need to see the *program*: which
-function calls which, what a name resolves to through the import graph,
-and where processes are forked.  This module builds that model once and
-hands it to both the taint engine and the fork-purity engine.
+:class:`Program` is the only thing in :mod:`repro.analyze` that reads,
+parses and tokenizes source.  Each ``.py`` file is read once; what the
+rules need from it is recorded on its :class:`ModuleInfo`: the tree, the
+``# repro: allow[...]`` comments, a syntax error (AN100) if it did not
+parse, the import table, module-level names and every function / method
+indexed by dotted qualname (``repro.network.packet.Packet.describe``).
+The vocabulary the rules share lives here too: one :class:`Finding`,
+one :data:`RULES` table and one nondeterminism-source recogniser
+(:meth:`Program.source_kind`), so the call-site rules (AN101/AN102) and
+the taint sources (AN201-AN205) cannot disagree about what a source is.
 
 The model is deliberately static and conservative:
 
-* a :class:`Program` is every ``.py`` file under one package root,
-  parsed once, with per-module import tables, module-level (global)
-  variable names, and every function/method indexed by dotted qualname
-  (``repro.network.packet.Packet.describe``);
 * call resolution handles the cases that matter in this codebase —
   module-local calls, ``from x import f`` / ``import x as y`` aliases,
   ``self.method()`` within a class (following statically-resolvable
@@ -31,13 +32,105 @@ analysis knows exactly which functions run inside forked children.
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+RULES: Dict[str, str] = {
+    "AN100": "syntax error; the file could not be parsed",
+    "AN101": "wall-clock read; use kernel.now / virtual time",
+    "AN102": "module-level randomness; use kernel.rng(label) or a seeded generator",
+    "AN103": "iteration over a set; order follows PYTHONHASHSEED",
+    "AN104": "id() used for ordering; ids are allocation addresses",
+    "AN105": "kernel heap internals touched outside simkernel/kernel.py",
+    "AN106": "unused suppression; the allow comment matches no finding",
+    "AN201": "wall-clock value flows into a simulation-visible sink",
+    "AN202": "unseeded-randomness value flows into a simulation-visible sink",
+    "AN203": "process-identity value flows into a simulation-visible sink",
+    "AN204": "hash-order-dependent value flows into a simulation-visible sink",
+    "AN205": "environment-derived value flows into a simulation-visible sink",
+    "AN301": "fork-reachable code mutates module-global state",
+    "AN302": "fork-reachable code mutates closure-captured state",
+    "AN303": "fork-reachable code registers a process-wide signal handler",
+    "AN304": "unpicklable callable captured across a fork boundary",
+}
+
+#: source kind -> (rule at the call site, rule when the value reaches a
+#: sink).  Process identity, hash order and environment reads are only a
+#: defect once they flow somewhere simulation-visible.
+SOURCE_RULES: Dict[str, Tuple[Optional[str], str]] = {
+    "wall-clock": ("AN101", "AN201"),
+    "randomness": ("AN102", "AN202"),
+    "process-identity": (None, "AN203"),
+    "hash-order": (None, "AN204"),
+    "environment": (None, "AN205"),
+}
+
+# time-module functions that read the host clock
+_WALL_CLOCK_TIME = {
+    "time", "time_ns", "monotonic", "monotonic_ns",
+    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+}
+# datetime/date constructors that embed "now"
+_WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
+# the only attributes of the random/np.random modules that name a
+# *constructible, seedable* generator rather than the shared global stream
+_SEEDABLE_RANDOM = {"Random", "SystemRandom"}
+_SEEDABLE_NUMPY = {"default_rng", "Generator", "SeedSequence", "RandomState"}
+_OS_SOURCES = {
+    "urandom": "randomness",
+    "getpid": "process-identity",
+    "getppid": "process-identity",
+    "getenv": "environment",
+}
+
+_ALLOW = re.compile(r"#\s*repro:\s*allow(-file)?\[([A-Za-z0-9_,\s-]+)\]")
 
 #: ``obj.method()`` on an unknown receiver matches every known method of
 #: that name — but only when the name is rare enough to be meaningful.
 BY_NAME_CAP = 12
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One hit of one rule, pointing at a file:line:col.
+
+    The whole-program rules (AN2xx/AN3xx) also fill ``function`` (the
+    qualname the finding anchors in), ``source`` / ``sink`` (taint) or
+    mutated name / entry chain (purity) and the step-by-step ``trace``;
+    those four are what a baseline fingerprint is made of.
+    """
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+    function: str = ""
+    source: str = ""
+    sink: str = ""
+    trace: Tuple[str, ...] = ()
+
+    def render(self) -> str:
+        head = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        return "\n".join([head, *(f"    {step}" for step in self.trace)])
+
+
+@dataclass(frozen=True)
+class AllowComment:
+    """One ``# repro: allow[...]`` / ``allow-file[...]`` comment."""
+
+    line: int
+    col: int  # 1-based, pointing at the comment token
+    file_wide: bool
+    rules: Tuple[str, ...]
+
+    def covers(self, rule: str, line: int) -> bool:
+        return rule in self.rules and (self.file_wide or self.line == line)
 
 
 @dataclass(frozen=True)
@@ -80,8 +173,9 @@ class ModuleInfo:
 
     name: str  # dotted module name
     path: str
-    tree: ast.Module = field(repr=False)
-    source: str = field(repr=False, default="")
+    tree: ast.Module = field(repr=False)  # empty when the file did not parse
+    allows: List[AllowComment] = field(default_factory=list)
+    syntax_error: Optional[Finding] = None  # AN100
     # local binding -> fully dotted target ("np" -> "numpy",
     # "Packet" -> "repro.network.packet.Packet")
     imports: Dict[str, str] = field(default_factory=dict)
@@ -96,7 +190,6 @@ class CallEdge:
 
     caller: str
     callee: str
-    path: str
     lineno: int
     by_name: bool  # resolved only by method-name matching
 
@@ -112,24 +205,11 @@ class ForkSite:
     call: ast.Call = field(repr=False, compare=False, hash=False)
 
 
-class CallTarget:
+class CallTarget(NamedTuple):
     """Resolution result for one call expression."""
 
-    __slots__ = ("functions", "display", "resolved", "by_name", "constructs")
-
-    def __init__(
-        self,
-        functions: Sequence[FunctionInfo] = (),
-        display: str = "",
-        resolved: str = "",
-        by_name: bool = False,
-        constructs: Optional[ClassInfo] = None,
-    ) -> None:
-        self.functions = list(functions)
-        self.display = display  # the call as written ("lint.main")
-        self.resolved = resolved  # fully dotted resolution ("repro.analyze.lint.main")
-        self.by_name = by_name
-        self.constructs = constructs
+    functions: List[FunctionInfo]  # candidate callees
+    by_name: bool = False  # resolved only by method-name matching
 
 
 def dotted_name(node: ast.AST) -> str:
@@ -144,13 +224,52 @@ def dotted_name(node: ast.AST) -> str:
     return ""
 
 
-def _module_name(root: Path, package: str, file: Path) -> str:
-    rel = file.relative_to(root)
-    parts = list(rel.parts)
-    parts[-1] = parts[-1][: -len(".py")]
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join([package, *parts]) if parts else package
+def _module_name(file: Path) -> str:
+    """Dotted name read off the chain of ``__init__.py`` packages above *file*."""
+    parts = [] if file.stem == "__init__" else [file.stem]
+    parent = file.absolute().parent
+    while (parent / "__init__.py").exists():
+        parts.append(parent.name)
+        parent = parent.parent
+    return ".".join(reversed(parts))
+
+
+def _parse(
+    path: str, source: str
+) -> Tuple[ast.Module, List[AllowComment], Optional[Finding]]:
+    """Source text to (tree, allow comments, syntax error) — the one place.
+
+    The comments come from the token stream rather than a line regex,
+    which keeps us honest about what is a comment versus a string
+    literal containing one.  A file that does not parse yields an empty
+    tree and no comments: every rule sees nothing and AN100 cannot be
+    suppressed.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as err:
+        finding = Finding(
+            path, err.lineno or 1, (err.offset or 0) + 1, "AN100",
+            f"syntax error: {err.msg}",
+        )
+        return ast.Module(body=[], type_ignores=[]), [], finding
+    allows: List[AllowComment] = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.COMMENT:
+                continue
+            for match in _ALLOW.finditer(tok.string):
+                rules = tuple(
+                    r.strip() for r in match.group(2).split(",") if r.strip()
+                )
+                allows.append(
+                    AllowComment(
+                        tok.start[0], tok.start[1] + 1, bool(match.group(1)), rules
+                    )
+                )
+    except tokenize.TokenError:
+        pass  # the tree parsed; a tokenizer quirk only loses suppressions
+    return tree, allows, None
 
 
 def _resolve_relative(module: str, level: int, target: Optional[str]) -> str:
@@ -213,18 +332,18 @@ class Program:
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
 
     @classmethod
-    def load(cls, root: str, package: str = "repro") -> "Program":
-        """Parse every ``.py`` under ``root`` as package ``package``."""
+    def load(cls, *paths: str) -> "Program":
+        """Read every ``.py`` file under the given files / directories."""
+        files: List[Path] = []
+        for raw in paths:
+            path = Path(raw)
+            files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
         program = cls()
-        root_path = Path(root)
-        for file in sorted(root_path.rglob("*.py")):
-            source = file.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=str(file))
-            except SyntaxError:
-                continue  # the lint reports AN100 for these
-            name = _module_name(root_path, package, file)
-            program._add_module(name, str(file), tree, source)
+        for file in dict.fromkeys(files):  # dedupe overlapping path arguments
+            name = _module_name(file)
+            if name in program.modules:  # two scripts sharing a stem
+                name = ".".join(file.with_suffix("").parts)
+            program._add_module(name, str(file), file.read_text(encoding="utf-8"))
         return program
 
     @classmethod
@@ -238,14 +357,13 @@ class Program:
         """
         program = cls()
         for name in sorted(sources):
-            path, source = sources[name]
-            tree = ast.parse(source, filename=path)
-            program._add_module(name, path, tree, source)
+            program._add_module(name, *sources[name])
         return program
 
     # -- construction ----------------------------------------------------
-    def _add_module(self, name: str, path: str, tree: ast.Module, source: str) -> None:
-        module = ModuleInfo(name=name, path=path, tree=tree, source=source)
+    def _add_module(self, name: str, path: str, source: str) -> None:
+        tree, allows, syntax_error = _parse(path, source)
+        module = ModuleInfo(name, path, tree, allows, syntax_error)
         self.modules[name] = module
         module.global_names = _collect_global_names(tree)
         for stmt in ast.walk(tree):
@@ -335,9 +453,15 @@ class Program:
                 self._add_nested(module, parent, sub, prefix)
 
     # -- resolution ------------------------------------------------------
-    def _package_roots(self) -> set:
+    @cached_property
+    def package_roots(self) -> Set[str]:
         """Top-level package names covered by this program."""
         return {name.split(".")[0] for name in self.modules}
+
+    @cached_property
+    def graph(self) -> "CallGraph":
+        """The call graph, built on first use and shared by the flow rules."""
+        return CallGraph.build(self)
 
     def resolve_name(self, module: ModuleInfo, name: str) -> str:
         """Fully dotted resolution of a bare name in a module ('' if unknown)."""
@@ -360,6 +484,51 @@ class Program:
         if not resolved_head:
             return dotted
         return f"{resolved_head}.{rest}" if sep else resolved_head
+
+    def external_receiver(self, module: ModuleInfo, func: ast.Attribute) -> bool:
+        """Is the receiver a known *external* module (``time.sleep`` with
+        ``import time``)?"""
+        head = dotted_name(func.value).split(".")[0]
+        return (
+            head in module.imports
+            and module.imports[head].split(".")[0] not in self.package_roots
+        )
+
+    def source_kind(
+        self, module: ModuleInfo, call: ast.Call
+    ) -> Optional[Tuple[str, str]]:
+        """(kind, rendered call) if this call reads a nondeterminism source.
+
+        The callee is resolved through the module's import table first,
+        so ``import time as _t; _t.time()``, ``from time import
+        perf_counter as pc; pc()`` and ``from numpy.random import rand;
+        rand()`` are the same sources as their plain spellings; a name
+        the table does not know is matched as written.  The rendering is
+        the resolved name, whatever the call site spells.
+        """
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "hash":
+            return "hash-order", "hash()"
+        resolved = self.resolve_dotted(module, dotted_name(func))
+        base, _, leaf = resolved.rpartition(".")
+        kind = None
+        if base == "time" and leaf in _WALL_CLOCK_TIME:
+            kind = "wall-clock"
+        elif leaf in _WALL_CLOCK_DATETIME and base.split(".")[-1] in (
+            "datetime", "date",
+        ):
+            kind = "wall-clock"
+        elif base == "random" and leaf not in _SEEDABLE_RANDOM:
+            kind = "randomness"
+        elif base in ("numpy.random", "np.random") and leaf not in _SEEDABLE_NUMPY:
+            kind = "randomness"
+        elif base == "uuid" and leaf in ("uuid1", "uuid4"):
+            kind = "randomness"
+        elif base == "os":
+            kind = _OS_SOURCES.get(leaf)
+        elif base.endswith("os.environ"):  # os.environ.get(...) and friends
+            kind = "environment"
+        return (kind, f"{resolved}()") if kind else None
 
     def class_method(
         self, cls_info: Optional[ClassInfo], method: str, _depth: int = 0
@@ -389,26 +558,23 @@ class Program:
         if isinstance(func, ast.Name):
             resolved = self.resolve_name(module, func.id)
             if resolved in self.functions:
-                return CallTarget([self.functions[resolved]], display, resolved)
+                return CallTarget([self.functions[resolved]])
             if resolved in self.classes:
-                cls_info = self.classes[resolved]
-                init = self.class_method(cls_info, "__init__")
-                return CallTarget(
-                    [init] if init else [], display, resolved, constructs=cls_info
-                )
-            return CallTarget([], display, resolved)
+                init = self.class_method(self.classes[resolved], "__init__")
+                return CallTarget([init] if init else [])
+            return CallTarget([])
         if isinstance(func, ast.Attribute):
             attr = func.attr
             # module.func / Class.method through the import table
             if display:
                 resolved = self.resolve_dotted(module, display)
                 if resolved in self.functions:
-                    return CallTarget([self.functions[resolved]], display, resolved)
+                    return CallTarget([self.functions[resolved]])
                 owner = resolved.rsplit(".", 1)[0] if "." in resolved else ""
                 if owner in self.classes:
                     found = self.class_method(self.classes[owner], attr)
                     if found is not None:
-                        return CallTarget([found], display, resolved)
+                        return CallTarget([found])
             # self.method() / cls.method()
             if (
                 isinstance(func.value, ast.Name)
@@ -419,21 +585,16 @@ class Program:
                 own_cls = self.classes.get(f"{enclosing.module}.{enclosing.class_name}")
                 found = self.class_method(own_cls, attr)
                 if found is not None:
-                    return CallTarget([found], display, found.qualname)
-            # receiver is a known *external* module (``time.sleep`` with
-            # ``import time``): the callee lives outside the program, so
-            # by-name matching would be pure noise — stop here
-            base = dotted_name(func.value)
-            head = base.split(".")[0] if base else ""
-            if head and head in module.imports:
-                imported = module.imports[head].split(".")[0]
-                if imported not in self._package_roots():
-                    return CallTarget([], display)
+                    return CallTarget([found])
+            # the callee lives outside the program, so by-name matching
+            # would be pure noise — stop here
+            if self.external_receiver(module, func):
+                return CallTarget([])
             # unknown receiver: every known method of that name
             candidates = self.methods_by_name.get(attr, [])
             if candidates and len(candidates) <= BY_NAME_CAP and not attr.startswith("__"):
-                return CallTarget(list(candidates), display or attr, "", by_name=True)
-        return CallTarget([], display)
+                return CallTarget(list(candidates), by_name=True)
+        return CallTarget([])
 
 
 class CallGraph:
@@ -462,7 +623,6 @@ class CallGraph:
                             CallEdge(
                                 caller=qualname,
                                 callee=callee.qualname,
-                                path=info.path,
                                 lineno=node.lineno,
                                 by_name=target.by_name,
                             )
@@ -478,7 +638,6 @@ class CallGraph:
                         CallEdge(
                             caller=qualname,
                             callee=nested_qual,
-                            path=info.path,
                             lineno=program.functions[nested_qual].lineno,
                             by_name=False,
                         )
@@ -531,7 +690,7 @@ class CallGraph:
         return reverse
 
     def reachable_from(
-        self, entries: Sequence[str], include_by_name: bool = True
+        self, entries: Sequence[str]
     ) -> Dict[str, Tuple[Optional[str], int]]:
         """BFS closure: qualname -> (parent qualname, call line) for chains.
 
@@ -546,8 +705,6 @@ class CallGraph:
             next_frontier: List[str] = []
             for qualname in frontier:
                 for edge in self.edges.get(qualname, []):
-                    if edge.by_name and not include_by_name:
-                        continue
                     if edge.callee not in parents:
                         parents[edge.callee] = (qualname, edge.lineno)
                         next_frontier.append(edge.callee)
@@ -571,10 +728,14 @@ class CallGraph:
 
 __all__ = [
     "BY_NAME_CAP",
+    "RULES",
+    "SOURCE_RULES",
+    "AllowComment",
     "CallEdge",
     "CallGraph",
     "CallTarget",
     "ClassInfo",
+    "Finding",
     "ForkSite",
     "FunctionInfo",
     "ModuleInfo",

@@ -1,37 +1,34 @@
-"""Interprocedural determinism-taint and fork-purity analyses.
+"""The whole-program rules: determinism taint and fork purity.
 
-The per-line lint (:mod:`repro.analyze.lint`) catches a wall-clock read
+A call-site rule (:mod:`repro.analyze.lint`) catches a wall-clock read
 *where it is called*; it cannot see the value flowing through three
-helpers into a packet field.  This module performs the whole-program
-analyses that close that gap, over the :class:`~.callgraph.Program`
-model:
+helpers into a packet field.  The two rule functions here close that
+gap over the same :class:`~.callgraph.Program`:
 
-**Determinism taint (AN201-AN205).**  Nondeterminism *sources* — wall
-clocks, unseeded randomness, process identity, ``hash()`` order,
-environment reads — are propagated through assignments, expressions,
-returns, and call arguments (interprocedurally, via per-function
-summaries iterated to a fixpoint) into *simulation-visible sinks*:
-kernel scheduling arguments (``call_at``/``post_after`` & co.),
+**Determinism taint (AN201-AN205, :func:`check_taint`).**
+Nondeterminism *sources* — wall clocks, unseeded randomness, process
+identity, ``hash()`` order, environment reads, recognised by
+:meth:`Program.source_kind` exactly as AN101/AN102 recognise them — are
+propagated through assignments, expressions, returns, and call
+arguments (interprocedurally, via per-function summaries iterated to a
+fixpoint) into *simulation-visible sinks*: kernel scheduling arguments
+(``call_at``/``post_after``/``timer.restart`` & co.),
 :class:`~repro.network.packet.Packet` fields, metrics values
 (``inc``/``observe``), and sweep-cache digests.  Every finding carries
 the full source→sink trace.  A tainted value that never reaches a sink
-is *not* reported: a wall-clock read that only feeds a progress display
-is fine (that is what the lint's ``allow`` comments assert), but the
-same value laundered into a packet field breaks byte-determinism.
+is *not* reported here: a wall-clock read that only feeds a progress
+display is AN101's business (and what its ``allow`` comments assert),
+but the same value laundered into a packet field breaks
+byte-determinism.
 
-**Fork purity (AN301-AN304).**  Functions reachable from fork
-boundaries (``Process(target=...)`` sites — the PDES shard workers and
-``repro.supervise`` child entries) must not mutate state that would
-diverge between the serial and forked executions: module-global
-rebinding or container mutation (AN301), closure-captured state
-(AN302), process-wide signal handlers (AN303), and unpicklable
-callables passed across the boundary (AN304).  Findings carry the
-entry→function reachability chain.
-
-Both analyses honour the lint's ``# repro: allow[ANxxx]`` comments (at
-the sink line for taint, the mutation line for purity) and the
-machine-readable baseline (:mod:`repro.analyze.baseline`) that lets
-accepted findings ride in CI without blocking it.
+**Fork purity (AN301-AN304, :func:`check_purity`).**  Functions
+reachable from fork boundaries (``Process(target=...)`` sites — the
+PDES shard workers and ``repro.supervise`` child entries) must not
+mutate state that would diverge between the serial and forked
+executions: module-global rebinding or container mutation (AN301),
+closure-captured state (AN302), process-wide signal handlers (AN303),
+and unpicklable callables passed across the boundary (AN304).  Findings
+carry the entry→function reachability chain.
 
 Known limits (deliberate, documented): control-flow taint is not
 tracked (a branch *condition* on ``os.environ`` does not taint the
@@ -44,46 +41,28 @@ from __future__ import annotations
 
 import ast
 import builtins
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, FunctionInfo, ModuleInfo, Program, dotted_name
-from .lint import _suppressions  # same comment grammar as the lint
-
-FLOW_RULES: Dict[str, str] = {
-    "AN201": "wall-clock value flows into a simulation-visible sink",
-    "AN202": "unseeded-randomness value flows into a simulation-visible sink",
-    "AN203": "process-identity value flows into a simulation-visible sink",
-    "AN204": "hash-order-dependent value flows into a simulation-visible sink",
-    "AN205": "environment-derived value flows into a simulation-visible sink",
-    "AN301": "fork-reachable code mutates module-global state",
-    "AN302": "fork-reachable code mutates closure-captured state",
-    "AN303": "fork-reachable code registers a process-wide signal handler",
-    "AN304": "unpicklable callable captured across a fork boundary",
-}
-
-_KIND_RULE = {
-    "wall-clock": "AN201",
-    "randomness": "AN202",
-    "process-identity": "AN203",
-    "hash-order": "AN204",
-    "environment": "AN205",
-}
-
-# -- source tables (shared vocabulary with the lint) -----------------------
-_WALL_CLOCK_TIME = {
-    "time", "time_ns", "monotonic", "monotonic_ns",
-    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-}
-_WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
-_SEEDABLE_RANDOM = {"Random", "SystemRandom"}
-_SEEDABLE_NUMPY = {"default_rng", "Generator", "SeedSequence", "RandomState"}
+from .callgraph import (
+    RULES,
+    SOURCE_RULES,
+    Finding,
+    FunctionInfo,
+    ModuleInfo,
+    Program,
+    dotted_name,
+)
 
 # -- sink tables -----------------------------------------------------------
 #: kernel scheduling entry points: a tainted *when*, *delay*, or callback
-#: argument makes the event schedule itself nondeterministic
-SCHED_SINK_METHODS = {"call_at", "call_after", "post_at", "post_after", "call_window"}
+#: argument makes the event schedule itself nondeterministic.  Every
+#: transport timer is armed through ``kernel.timer(fn, *args)`` and
+#: ``RestartableTimer.restart(delay)``, coroutines through ``sleep``.
+SCHED_SINK_METHODS = {
+    "call_at", "call_after", "post_at", "post_after", "call_window",
+    "timer", "restart", "sleep",
+}
 #: Packet construction/field names: tainted values here go on the wire
 PACKET_FIELDS = {"src", "dst", "proto", "payload", "wire_size", "corrupted", "pkt_id"}
 #: metrics recording methods: tainted values land in --metrics-json output
@@ -137,56 +116,25 @@ class SinkRecord:
     desc: str  # "argument 1 of kernel.post_after"
     path: str
     line: int
+    col: int
     trace: Tuple[str, ...] = field(default=(), compare=False, hash=False)
 
     def via(self, step: str) -> "SinkRecord":
         if len(self.trace) >= 16:
             return self
-        return SinkRecord(self.kind, self.desc, self.path, self.line,
+        return SinkRecord(self.kind, self.desc, self.path, self.line, self.col,
                           (step, *self.trace))
-
-
-@dataclass(frozen=True)
-class FlowFinding:
-    """One interprocedural finding with its source→sink (or chain) trace."""
-
-    rule: str
-    path: str  # where the defect anchors (sink for taint, mutation for purity)
-    line: int
-    function: str  # qualname of the function the finding anchors in
-    source: str  # source description (taint) or mutated name (purity)
-    sink: str  # sink description (taint) or entry chain summary (purity)
-    message: str
-    trace: Tuple[str, ...] = ()
-
-    def render(self) -> str:
-        lines = [f"{self.path}:{self.line}: {self.rule} {self.message}"]
-        lines.extend(f"    {step}" for step in self.trace)
-        return "\n".join(lines)
-
-    def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "function": self.function,
-            "source": self.source,
-            "sink": self.sink,
-            "message": self.message,
-            "trace": list(self.trace),
-        }
 
 
 class _Summary:
     """Per-function taint summary, grown monotonically to a fixpoint."""
 
-    __slots__ = ("ret_tags", "ret_params", "param_sinks", "findings")
+    __slots__ = ("ret_tags", "ret_params", "param_sinks")
 
     def __init__(self) -> None:
         self.ret_tags: Set[Tag] = set()  # source tags reaching the return value
         self.ret_params: Set[str] = set()  # params flowing to the return value
         self.param_sinks: Dict[str, List[SinkRecord]] = {}
-        self.findings: Set[FlowFinding] = set()
 
     def key(self) -> Tuple:
         """Convergence key: the parts callers depend on."""
@@ -210,56 +158,6 @@ class _Summary:
             existing.append(record)
 
 
-def _source_kind(module: ModuleInfo, call: ast.Call, program: Program) -> Optional[Tuple[str, str]]:
-    """(kind, rendered call) if this call reads a nondeterminism source."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        if func.id == "hash":
-            return "hash-order", "hash()"
-        resolved = program.resolve_name(module, func.id)
-        # `from os import urandom` / `from time import time` style imports
-        base, _, leaf = resolved.rpartition(".")
-        if base == "time" and leaf in _WALL_CLOCK_TIME:
-            return "wall-clock", f"time.{leaf}()"
-        if base == "os" and leaf in ("urandom", "getpid", "getppid", "getenv"):
-            kind = {"urandom": "randomness", "getenv": "environment"}.get(
-                leaf, "process-identity"
-            )
-            return kind, f"os.{leaf}()"
-        if base == "random" and leaf not in _SEEDABLE_RANDOM and resolved:
-            return "randomness", f"random.{leaf}()"
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    dotted = dotted_name(func)
-    base = dotted_name(func.value)
-    resolved_base = program.resolve_dotted(module, base) if base else ""
-    attr = func.attr
-    if resolved_base == "time" and attr in _WALL_CLOCK_TIME:
-        return "wall-clock", f"{dotted}()"
-    if attr in _WALL_CLOCK_DATETIME and resolved_base.split(".")[-1] in (
-        "datetime", "date",
-    ):
-        return "wall-clock", f"{dotted}()"
-    if resolved_base == "random" and attr not in _SEEDABLE_RANDOM:
-        return "randomness", f"{dotted}()"
-    if resolved_base in ("numpy.random", "np.random") and attr not in _SEEDABLE_NUMPY:
-        return "randomness", f"{dotted}()"
-    if resolved_base == "os":
-        if attr == "urandom":
-            return "randomness", f"{dotted}()"
-        if attr in ("getpid", "getppid"):
-            return "process-identity", f"{dotted}()"
-        if attr == "getenv":
-            return "environment", f"{dotted}()"
-    if resolved_base == "uuid" and attr in ("uuid1", "uuid4"):
-        return "randomness", f"{dotted}()"
-    if base in ("os.environ",) or resolved_base.endswith("os.environ"):
-        # os.environ.get(...) and friends
-        return "environment", f"{dotted}()"
-    return None
-
-
 def _environ_read(module: ModuleInfo, node: ast.AST, program: Program) -> bool:
     """``os.environ[...]`` subscript reads."""
     if isinstance(node, ast.Subscript):
@@ -277,6 +175,8 @@ def _sink_of_call(
     if isinstance(func, ast.Attribute):
         attr = func.attr
         if attr in SCHED_SINK_METHODS:
+            if program.external_receiver(module, func):
+                return None  # time.sleep() is not the kernel's
             return "kernel scheduling argument", dotted_name(func) or attr
         if attr in METRIC_SINK_METHODS:
             return "metrics value", dotted_name(func) or attr
@@ -295,11 +195,6 @@ def _sink_of_call(
         if resolved.endswith(".Packet") or func.id == "Packet":
             return "packet field", func.id
     return None
-
-
-def _is_packet_field_store(target: ast.Attribute) -> bool:
-    """Attribute stores whose name is a Packet wire field."""
-    return target.attr in PACKET_FIELDS
 
 
 class _TaintPass:
@@ -399,7 +294,7 @@ class _TaintPass:
         return set()
 
     def _eval_call(self, call: ast.Call) -> Set[Tag]:
-        source = _source_kind(self.module, call, self.program)
+        source = self.program.source_kind(self.module, call)
         if source is not None:
             kind, rendered = source
             return {
@@ -432,6 +327,7 @@ class _TaintPass:
                     desc=f"{where} of {callee_display}",
                     path=self.info.path,
                     line=call.lineno,
+                    col=call.col_offset + 1,
                     trace=(
                         f"sink: {where} of {callee_display}() at "
                         f"{self.info.path}:{call.lineno} [{sink_kind}]",
@@ -519,12 +415,13 @@ class _TaintPass:
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, tags)
         elif isinstance(target, ast.Attribute):
-            if tags and _is_packet_field_store(target):
+            if tags and target.attr in PACKET_FIELDS:
                 record = SinkRecord(
                     kind="packet field",
                     desc=f"store to .{target.attr}",
                     path=self.info.path,
                     line=target.lineno,
+                    col=target.col_offset + 1,
                     trace=(
                         f"sink: store to .{target.attr} at "
                         f"{self.info.path}:{target.lineno} [packet field]",
@@ -605,37 +502,38 @@ class _TaintPass:
 class FlowAnalysis:
     """Drives the taint fixpoint over a program and collects findings."""
 
-    def __init__(self, program: Program, graph: Optional[CallGraph] = None) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.graph = graph if graph is not None else CallGraph.build(program)
+        self.graph = program.graph
         self.summaries: Dict[str, _Summary] = {
             q: _Summary() for q in program.functions
         }
-        self._taint_findings: Set[FlowFinding] = set()
+        self._taint_findings: Set[Finding] = set()
 
     # -- taint ------------------------------------------------------------
     def emit_taint(self, info: FunctionInfo, tag: Tag, record: SinkRecord) -> None:
-        rule = _KIND_RULE.get(tag.kind)
-        if rule is None:  # "param" tags never reach here
+        if tag.kind not in SOURCE_RULES:  # "param" tags never reach here
             return
+        rule = SOURCE_RULES[tag.kind][1]
         trace = (*tag.trace, *record.trace)
         self._taint_findings.add(
-            FlowFinding(
+            Finding(
                 rule=rule,
                 path=record.path,
                 line=record.line,
+                col=record.col,
                 function=info.qualname,
                 source=f"{tag.origin} ({tag.path})",
                 sink=f"{record.desc} ({record.path}) [{record.kind}]",
                 message=(
-                    f"{FLOW_RULES[rule]}: {tag.origin} reaches "
+                    f"{RULES[rule]}: {tag.origin} reaches "
                     f"{record.desc} [{record.kind}]"
                 ),
                 trace=trace,
             )
         )
 
-    def run_taint(self) -> List[FlowFinding]:
+    def run_taint(self) -> List[Finding]:
         """Iterate per-function summaries to a fixpoint; return findings."""
         order = sorted(self.program.functions)
         callers = self.graph.callers_of()
@@ -658,27 +556,19 @@ class FlowAnalysis:
                         walker.exec_body(body)
                 if summary.key() != before:
                     pending.update(callers.get(qualname, ()))
-        return self._suppress(sorted(
-            self._taint_findings,
-            key=lambda f: (f.path, f.line, f.rule, f.source, f.sink),
-        ))
+        return list(self._taint_findings)
 
     # -- purity -----------------------------------------------------------
-    def run_purity(self, extra_entries: Sequence[str] = ()) -> List[FlowFinding]:
+    def run_purity(self) -> List[Finding]:
         """Write-set analysis of everything reachable from fork boundaries."""
-        findings: Set[FlowFinding] = set()
+        findings: Set[Finding] = set()
         entries = [
             site.target for site in self.graph.fork_sites if site.target
         ]
-        entries.extend(e for e in extra_entries if e in self.program.functions)
         parents = self.graph.reachable_from(entries) if entries else {}
 
         # AN304: unpicklable callables at the fork sites themselves
         for site in self.graph.fork_sites:
-            caller = self.program.functions.get(site.caller)
-            if caller is None:
-                continue
-            module = self.program.modules[caller.module]
             for kw in site.call.keywords:
                 values = [kw.value]
                 if kw.arg == "args" and isinstance(kw.value, (ast.Tuple, ast.List)):
@@ -693,15 +583,16 @@ class FlowAnalysis:
                             bad = f"nested function {value.id!r}"
                     if bad is not None:
                         findings.add(
-                            FlowFinding(
+                            Finding(
                                 rule="AN304",
                                 path=site.path,
                                 line=value.lineno,
+                                col=value.col_offset + 1,
                                 function=site.caller,
                                 source=bad,
                                 sink=f"Process(...) at {site.path}:{site.lineno}",
                                 message=(
-                                    f"{FLOW_RULES['AN304']}: {bad} passed to "
+                                    f"{RULES['AN304']}: {bad} passed to "
                                     "Process(...) cannot cross a spawn "
                                     "boundary and hides shared state under fork"
                                 ),
@@ -712,28 +603,19 @@ class FlowAnalysis:
                             )
                         )
 
-        for qualname in sorted(parents):
-            info = self.program.functions.get(qualname)
-            if info is None:
-                continue
+        for qualname in sorted(parents):  # every key is a program function
+            info = self.program.functions[qualname]
             chain = self.graph.chain(parents, qualname)
             chain_desc = " -> ".join(
-                self.program.functions[q].shortname if q in self.program.functions
-                else q
-                for q in chain
+                self.program.functions[q].shortname for q in chain
             )
-            trace = tuple(
-                f"reachable: {step}"
-                for step in [f"fork entry chain: {chain_desc}"]
-            )
+            trace = (f"reachable: fork entry chain: {chain_desc}",)
             findings.update(self._purity_scan(info, chain_desc, trace))
-        return self._suppress(sorted(
-            findings, key=lambda f: (f.path, f.line, f.rule, f.source)
-        ))
+        return list(findings)
 
     def _purity_scan(
         self, info: FunctionInfo, chain_desc: str, trace: Tuple[str, ...]
-    ) -> List[FlowFinding]:
+    ) -> List[Finding]:
         module = self.program.modules[info.module]
         node = info.node
         body = getattr(node, "body", [])
@@ -766,7 +648,7 @@ class FlowAnalysis:
         collect(body)
         local_names = (set(info.params) | assigned) - global_decls - nonlocal_decls
 
-        findings: List[FlowFinding] = []
+        findings: List[Finding] = []
 
         def is_module_global(name: str) -> bool:
             if name in local_names:
@@ -790,17 +672,18 @@ class FlowAnalysis:
                 and not name.startswith("__")
             )
 
-        def emit(rule: str, line: int, source: str, detail: str) -> None:
+        def emit(rule: str, at: ast.AST, source: str, detail: str) -> None:
             findings.append(
-                FlowFinding(
+                Finding(
                     rule=rule,
                     path=info.path,
-                    line=line,
+                    line=at.lineno,
+                    col=at.col_offset + 1,
                     function=info.qualname,
                     source=source,
                     sink=f"fork-reachable via {chain_desc.split(' -> ')[0]}",
-                    message=f"{FLOW_RULES[rule]}: {detail}",
-                    trace=(*trace, f"at: {info.path}:{line} in {info.shortname}"),
+                    message=f"{RULES[rule]}: {detail}",
+                    trace=(*trace, f"at: {info.path}:{at.lineno} in {info.shortname}"),
                 )
             )
 
@@ -820,14 +703,14 @@ class FlowAnalysis:
                             continue
                         if name_node.id in global_decls:
                             emit(
-                                "AN301", stmt.lineno, name_node.id,
+                                "AN301", stmt, name_node.id,
                                 f"rebinds module global {name_node.id!r}; the "
                                 "write is invisible to the parent and to "
                                 "sibling shards",
                             )
                         elif name_node.id in nonlocal_decls:
                             emit(
-                                "AN302", stmt.lineno, name_node.id,
+                                "AN302", stmt, name_node.id,
                                 f"rebinds closure variable {name_node.id!r} "
                                 "from fork-reachable code",
                             )
@@ -838,7 +721,7 @@ class FlowAnalysis:
                         name = target.value.id
                         if is_module_global(name):
                             emit(
-                                "AN301", stmt.lineno, name,
+                                "AN301", stmt, name,
                                 f"mutates module-global container "
                                 f"{name!r} by item assignment",
                             )
@@ -852,13 +735,13 @@ class FlowAnalysis:
                                 in self.program.modules
                             ):
                                 emit(
-                                    "AN301", stmt.lineno, f"{base}.{target.attr}",
+                                    "AN301", stmt, f"{base}.{target.attr}",
                                     f"writes attribute {target.attr!r} on "
                                     f"module {base!r} from fork-reachable code",
                                 )
                         elif root and is_module_global(root) and root != "self":
                             emit(
-                                "AN301", stmt.lineno, f"{base}.{target.attr}",
+                                "AN301", stmt, f"{base}.{target.attr}",
                                 f"writes attribute {target.attr!r} on "
                                 f"module-global object {base!r}",
                             )
@@ -869,7 +752,7 @@ class FlowAnalysis:
                     ):
                         if is_module_global(target.value.id):
                             emit(
-                                "AN301", stmt.lineno, target.value.id,
+                                "AN301", stmt, target.value.id,
                                 f"deletes items of module-global container "
                                 f"{target.value.id!r}",
                             )
@@ -883,7 +766,7 @@ class FlowAnalysis:
                     )
                     if resolved_base == "signal" and func.attr == "signal":
                         emit(
-                            "AN303", stmt.lineno, "signal.signal",
+                            "AN303", stmt, "signal.signal",
                             "installs a process-wide signal handler from "
                             "fork-reachable code; handlers must be registered "
                             "by the supervising parent only",
@@ -894,250 +777,34 @@ class FlowAnalysis:
                         name = func.value.id
                         if is_module_global(name):
                             emit(
-                                "AN301", stmt.lineno, name,
+                                "AN301", stmt, name,
                                 f"mutates module-global container {name!r} "
                                 f"via .{func.attr}()",
                             )
                         elif is_free_var(name):
                             emit(
-                                "AN302", stmt.lineno, name,
+                                "AN302", stmt, name,
                                 f"mutates closure-captured object {name!r} "
                                 f"via .{func.attr}()",
                             )
         return findings
 
-    # -- suppression ------------------------------------------------------
-    def _suppress(self, findings: List[FlowFinding]) -> List[FlowFinding]:
-        """Honour ``# repro: allow[ANxxx]`` at each finding's anchor line."""
-        by_path: Dict[str, Tuple[Set[str], Dict[int, Set[str]]]] = {}
-        for module in self.program.modules.values():
-            if module.path not in by_path and module.source:
-                by_path[module.path] = _suppressions(module.source)
-        kept: List[FlowFinding] = []
-        for finding in findings:
-            file_rules, line_rules = by_path.get(finding.path, (set(), {}))
-            if finding.rule in file_rules:
-                continue
-            if finding.rule in line_rules.get(finding.line, set()):
-                continue
-            kept.append(finding)
-        return kept
+
+def check_taint(program: Program) -> List[Finding]:
+    """AN201-AN205 over *program*."""
+    return FlowAnalysis(program).run_taint()
 
 
-def analyze_tree(
-    root: str,
-    package: str = "repro",
-    extra_entries: Sequence[str] = (),
-) -> List[FlowFinding]:
-    """Run both analyses over a source tree; findings sorted for stable diffs."""
-    program = Program.load(root, package)
-    return analyze_program(program, extra_entries)
-
-
-def analyze_program(
-    program: Program, extra_entries: Sequence[str] = ()
-) -> List[FlowFinding]:
-    analysis = FlowAnalysis(program)
-    findings = analysis.run_taint() + analysis.run_purity(extra_entries)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.source, f.sink))
-    return findings
-
-
-# -- SARIF -----------------------------------------------------------------
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
-def _sarif_location(path: str, line: int, message: Optional[str] = None) -> Dict:
-    location: Dict = {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path.replace("\\", "/")},
-            "region": {"startLine": max(1, line)},
-        }
-    }
-    if message is not None:
-        location["message"] = {"text": message}
-    return location
-
-
-def sarif_report(
-    flow_findings: Sequence[FlowFinding] = (),
-    lint_findings: Sequence = (),
-    fingerprints: Optional[Dict[FlowFinding, str]] = None,
-) -> str:
-    """SARIF 2.1.0 document covering flow and (optionally) lint findings.
-
-    Flow findings carry their source→sink traces as SARIF ``codeFlows``
-    so GitHub code scanning renders the interprocedural path inline.
-    """
-    from .lint import RULES as LINT_RULES
-
-    rules = [
-        {
-            "id": rule,
-            "shortDescription": {"text": desc},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule, desc in sorted({**LINT_RULES, **FLOW_RULES}.items())
-    ]
-    results: List[Dict] = []
-    for finding in lint_findings:
-        results.append(
-            {
-                "ruleId": finding.rule,
-                "level": "error",
-                "message": {"text": finding.message},
-                "locations": [_sarif_location(finding.path, finding.line)],
-            }
-        )
-    for finding in flow_findings:
-        result: Dict = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [_sarif_location(finding.path, finding.line)],
-        }
-        if finding.trace:
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": _sarif_location(
-                                        finding.path, finding.line, step
-                                    )
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
-                }
-            ]
-        if fingerprints and finding in fingerprints:
-            result["partialFingerprints"] = {
-                "reproAnalyze/v1": fingerprints[finding]
-            }
-        results.append(result)
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analyze",
-                        "informationUri": "https://example.invalid/repro",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def report_json(findings: Sequence[FlowFinding]) -> str:
-    """Machine-readable flow report (stable key order, newline-terminated)."""
-    payload = {
-        "tool": "repro.analyze.flow",
-        "rules": FLOW_RULES,
-        "findings": [f.to_jsonable() for f in findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI body for ``python -m repro.analyze flow`` (returns exit code)."""
-    import argparse
-    import sys
-    from pathlib import Path
-
-    from . import baseline as baseline_mod
-
-    parser = argparse.ArgumentParser(
-        prog="repro-analyze flow",
-        description=(
-            "interprocedural determinism-taint and fork-purity analysis "
-            "over the simulator sources"
-        ),
-    )
-    parser.add_argument("root", nargs="?", default="src/repro")
-    parser.add_argument("--package", default="repro")
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        metavar="FILE",
-        help="write every current finding to FILE and exit 0",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE", help="machine-readable report ('-' for stdout)"
-    )
-    parser.add_argument(
-        "--sarif", metavar="FILE", help="write a SARIF 2.1.0 report to FILE"
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule, desc in sorted(FLOW_RULES.items()):
-            print(f"{rule}  {desc}")
-        return 0
-
-    findings = analyze_tree(args.root, args.package)
-
-    if args.update_baseline:
-        baseline_mod.write_baseline(findings, args.update_baseline)
-        print(
-            f"repro.analyze flow: wrote {len(findings)} finding(s) to "
-            f"{args.update_baseline}"
-        )
-        return 0
-
-    unused: List[str] = []
-    if args.baseline:
-        base = baseline_mod.load_baseline(args.baseline)
-        findings, unused = baseline_mod.apply_baseline(findings, base)
-
-    fingerprints = {f: baseline_mod.fingerprint(f) for f in findings}
-    if args.sarif:
-        Path(args.sarif).write_text(
-            sarif_report(findings, fingerprints=fingerprints), encoding="utf-8"
-        )
-    if args.json:
-        text = report_json(findings)
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.json).write_text(text, encoding="utf-8")
-    if args.json != "-":
-        for finding in findings:
-            print(finding.render())
-        for entry in unused:
-            print(f"warning: baseline entry no longer matches anything: {entry}")
-        print(
-            f"repro.analyze flow: {len(findings)} new finding(s)"
-            if findings
-            else "repro.analyze flow: clean"
-        )
-    return 1 if findings else 0
+def check_purity(program: Program) -> List[Finding]:
+    """AN301-AN304 over *program*."""
+    return FlowAnalysis(program).run_purity()
 
 
 __all__ = [
-    "FLOW_RULES",
+    "SCHED_SINK_METHODS",
     "FlowAnalysis",
-    "FlowFinding",
     "SinkRecord",
     "Tag",
-    "analyze_program",
-    "analyze_tree",
-    "main",
-    "report_json",
-    "sarif_report",
+    "check_purity",
+    "check_taint",
 ]

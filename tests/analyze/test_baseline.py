@@ -11,14 +11,15 @@ from repro.analyze.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analyze.flow import FlowFinding
+from repro.analyze.callgraph import Finding
 
 
 def finding(rule="AN201", line=10, source="time.time() (a.py)", sink="x"):
-    return FlowFinding(
+    return Finding(
         rule=rule,
         path="src/app/a.py",
         line=line,
+        col=1,
         function="app.a.f",
         source=source,
         sink=sink,

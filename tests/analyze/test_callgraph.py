@@ -1,4 +1,7 @@
-"""Call-graph construction: resolution, fork sites, reachability."""
+"""The program model: one read per file, resolution, fork sites, reachability."""
+
+import ast
+import tokenize
 
 from repro.analyze.callgraph import CallGraph, Program
 
@@ -14,6 +17,37 @@ def edge_pairs(graph):
     return {
         (e.caller, e.callee) for edges in graph.edges.values() for e in edges
     }
+
+
+def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch, capsys):
+    """Every rule, the suppression pass and AN106 read the one model; two
+    scripts sharing a stem are still two modules."""
+    from repro.analyze.__main__ import main
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "tool.py").write_text("import time\nx = time.time()\n")
+    (tmp_path / "b" / "tool.py").write_text("y = 1  # repro: allow[AN301]\n")
+    (tmp_path / "main.py").write_text(
+        "import os\ndef f(m):\n    m.observe(os.getpid())  # repro: allow[AN203]\n"
+    )
+    calls = {"parse": 0, "tokens": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+    monkeypatch.setattr(
+        tokenize, "generate_tokens", counting("tokens", tokenize.generate_tokens)
+    )
+    assert main(["ci", str(tmp_path)]) == 1
+    assert calls == {"parse": 3, "tokens": 3}
+    out = capsys.readouterr().out
+    assert "a/tool.py:2:5: AN101" in out and "b/tool.py:1:8: AN106" in out
+    assert "lint=2 new-flow=0" in out
 
 
 def test_direct_and_imported_calls_resolve():

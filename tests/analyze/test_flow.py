@@ -1,21 +1,29 @@
-"""Interprocedural taint + fork-purity: planted leaks, traces, SARIF."""
+"""Interprocedural taint + fork-purity: planted leaks, traces, the CLI."""
 
+import inspect
 import json
 
-from repro.analyze.callgraph import Program
-from repro.analyze.flow import (
-    FLOW_RULES,
-    analyze_program,
-    analyze_tree,
-    report_json,
-    sarif_report,
-)
+import pytest
+
+from repro.analyze.callgraph import RULES, Program
+from repro.analyze.ci import report_json, run_rules, suppress
+from repro.analyze.flow import SCHED_SINK_METHODS
 
 
 def program(**sources):
     return Program.from_sources(
         {f"app.{name}": (f"src/app/{name}.py", text) for name, text in sources.items()}
     )
+
+
+def analyze_program(p):
+    """The whole-program findings only; the call-site rules that fire on
+    the same planted sources are test_lint's."""
+    return [f for f in suppress(p, run_rules(p), {}).findings if f.function]
+
+
+def analyze_tree(root):
+    return analyze_program(Program.load(root))
 
 
 def rules_of(findings):
@@ -73,6 +81,43 @@ def test_taint_through_call_argument_into_kernel_schedule():
     assert "AN201" in rules_of(findings)
     [f] = [x for x in findings if x.rule == "AN201"]
     assert "kernel scheduling argument" in f.sink
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "self.t.restart(int(time.time()))",
+        "kernel.sleep(int(time.time()))",
+        "kernel.timer(self.fire, time.time())",
+    ],
+)
+def test_timer_restart_sleep_and_timer_args_are_scheduling_sinks(call):
+    """Since PR 13 every transport timer is armed through
+    ``kernel.timer`` + ``restart(delay)``: those are the sinks that matter."""
+    p = program(
+        main=f"import time\nclass C:\n    def arm(self, kernel):\n        {call}\n"
+    )
+    [f] = analyze_program(p)
+    assert f.rule == "AN201" and "kernel scheduling argument" in f.sink
+    assert f.trace[0].startswith("source: time.time()")
+    assert f.trace[-1].startswith("sink:")
+
+
+def test_external_sleep_is_not_a_kernel_sink():
+    p = program(main="import time\ndef nap():\n    time.sleep(time.monotonic())\n")
+    assert analyze_program(p) == []
+
+
+def test_sink_table_names_the_kernels_scheduling_surface():
+    """Pins the table to the code: any public Kernel / RestartableTimer
+    method taking a ``when`` or ``delay`` first is a scheduling sink."""
+    from repro.simkernel.kernel import Kernel, RestartableTimer
+
+    for cls in (Kernel, RestartableTimer):
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            params = list(inspect.signature(fn).parameters)[1:2]
+            if not name.startswith("_") and params and params[0] in ("when", "delay"):
+                assert name in SCHED_SINK_METHODS, f"{cls.__name__}.{name}"
 
 
 def test_taint_through_parameter_summary():
@@ -283,7 +328,7 @@ def test_real_tree_findings_are_all_baselined():
 
 def test_findings_are_deterministically_ordered():
     findings = analyze_tree("src/repro")
-    keys = [(f.path, f.line, f.rule, f.source, f.sink) for f in findings]
+    keys = [(f.path, f.line, f.rule, f.col, f.source, f.sink) for f in findings]
     assert keys == sorted(keys)
     assert findings == analyze_tree("src/repro")
 
@@ -297,36 +342,39 @@ def test_report_json_schema():
         ),
     )
     doc = json.loads(report_json(analyze_program(p)))
-    assert doc["tool"] == "repro.analyze.flow"
-    assert set(doc["rules"]) == set(FLOW_RULES)
+    assert doc["tool"] == "repro.analyze"
+    assert set(doc["rules"]) == set(RULES)
     [finding] = doc["findings"]
     assert finding["rule"] == "AN201" and finding["trace"]
 
 
-def test_sarif_report_carries_code_flows():
-    p = program(
-        main=(
-            "import time\n"
-            "def send(pkt):\n"
-            "    pkt.payload = time.time()\n"
-        ),
-    )
-    findings = analyze_program(p)
-    doc = json.loads(sarif_report(findings))
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro.analyze"
-    [result] = run["results"]
-    assert result["ruleId"] == "AN201"
-    steps = result["codeFlows"][0]["threadFlows"][0]["locations"]
-    assert len(steps) == len(findings[0].trace)
-
-
 def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
+    """One command: `ci` gates (0 clean / 1 findings), the retired `lint`
+    and `flow` subcommands are usage errors (2)."""
     from repro.analyze.__main__ import main
 
-    assert main(["flow", "src/repro", "--baseline", "ANALYZE_baseline.json"]) == 0
-    sarif = tmp_path / "out.sarif"
-    assert main(["ci", "--sarif", str(sarif)]) == 0
+    assert main(["flow", "src/repro"]) == 2
+    assert main(["lint", "src/repro"]) == 2
     capsys.readouterr()
-    assert json.loads(sarif.read_text())["version"] == "2.1.0"
+    assert main(["ci"]) == 0
+    assert "lint=0 new-flow=0 baselined=4 stale-baseline=0 -> OK" in (
+        capsys.readouterr().out
+    )
+
+    planted = tmp_path / "leak.py"
+    planted.write_text(
+        "import time\ndef send(pkt):\n    pkt.payload = time.time()\n"
+    )
+    report = tmp_path / "report.json"
+    assert main(["ci", str(planted), "--json", str(report)]) == 1
+    assert "lint=1 new-flow=1 baselined=0 stale-baseline=0 -> FAIL" in (
+        capsys.readouterr().out
+    )
+    assert [f["rule"] for f in json.loads(report.read_text())["findings"]] == [
+        "AN101", "AN201",
+    ]
+    # accepting the flow finding leaves the per-line one: it cannot be baselined
+    accepted = tmp_path / "base.json"
+    assert main(["ci", str(planted), "--update-baseline", str(accepted)]) == 1
+    assert "lint=1 new-flow=0 baselined=1" in capsys.readouterr().out
+    assert [e["rule"] for e in json.loads(accepted.read_text())["entries"]] == ["AN201"]

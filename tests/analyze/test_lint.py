@@ -1,10 +1,31 @@
-"""Determinism lint: rule detection, suppressions, report format."""
+"""Call-site rules, the one source recogniser, suppressions, report format."""
 
-from repro.analyze.lint import RULES, lint_paths, lint_source, report_json
+import pytest
+
+from repro.analyze.callgraph import RULES, Program
+from repro.analyze.ci import report_json, run_rules, suppress
+
+
+def analyze(program):
+    return suppress(program, run_rules(program), {}).findings
+
+
+def lint_source(source, path):
+    return analyze(Program.from_sources({"x": (path, source)}))
+
+
+def lint_paths(paths):
+    return analyze(Program.load(*paths))
 
 
 def rules_of(findings):
     return [f.rule for f in findings]
+
+
+def test_syntax_error_is_the_files_only_finding_and_cannot_be_allowed():
+    src = "# repro: allow-file[AN100]\nimport time\nt = time.time(\n"
+    [f] = lint_source(src, "x.py")
+    assert f.rule == "AN100" and "syntax error" in f.message
 
 
 def test_wall_clock_flagged():
@@ -45,6 +66,56 @@ def test_from_random_import_flagged():
 def test_numpy_global_stream_flagged():
     src = "import numpy as np\nx = np.random.rand(3)\n"
     assert rules_of(lint_source(src, "x.py")) == ["AN102"]
+
+
+#: (import statement, call as that import spells it, call-site rule)
+SPELLINGS = [
+    ("import time", "time.time()", "AN101"),
+    ("import time as _t", "_t.time()", "AN101"),
+    ("from time import perf_counter", "perf_counter()", "AN101"),
+    ("from time import perf_counter as pc", "pc()", "AN101"),
+    ("from datetime import datetime as dt", "dt.now()", "AN101"),
+    ("import random as r", "r.random()", "AN102"),
+    ("from random import random", "random()", "AN102"),
+    ("import numpy as np", "np.random.rand()", "AN102"),
+    ("from numpy import random as npr", "npr.rand()", "AN102"),
+    ("from numpy.random import rand", "rand()", "AN102"),
+    ("from os import urandom", "urandom(8)", "AN102"),
+    ("import uuid", "uuid.uuid4()", "AN102"),
+]
+
+
+@pytest.mark.parametrize("function_level", [False, True])
+@pytest.mark.parametrize("imp, call, rule", SPELLINGS)
+def test_one_recogniser_under_every_import_spelling(imp, call, rule, function_level):
+    """The same call is the same source however it is imported: alone it
+    is AN101/AN102 at its line, flowing into a scheduling argument it is
+    additionally AN201/AN202 — one recogniser answers both."""
+    head = f"def f(kernel):\n    {imp}\n" if function_level else f"{imp}\ndef f(kernel):\n"
+    alone = lint_source(head + f"    return {call}\n", "x.py")
+    assert [(f.rule, f.line) for f in alone if f.line == 3] == [(rule, 3)]
+    sunk = lint_source(head + f"    kernel.call_after({call}, print)\n", "x.py")
+    taint_rule = rule.replace("AN1", "AN2")
+    assert rules_of(f for f in sunk if f.line == 3) == [rule, taint_rule]
+    [flow] = [f for f in sunk if f.rule == taint_rule]
+    assert flow.trace[0].startswith("source:") and flow.trace[-1].startswith("sink:")
+
+
+@pytest.mark.parametrize(
+    "imp, expr",
+    [
+        ("import random", "random.Random(7).random()"),
+        ("import random as r", "r.Random(7).random()"),
+        ("from random import Random", "Random(7).random()"),
+        ("from random import Random as R", "R(7).random()"),
+        ("import numpy as np", "np.random.default_rng(7).random()"),
+        ("from numpy import random as npr", "npr.default_rng(7).random()"),
+        ("from numpy.random import default_rng", "default_rng(7).random()"),
+    ],
+)
+def test_seeded_generators_are_clean_under_every_import_spelling(imp, expr):
+    src = f"{imp}\ndef f(kernel):\n    kernel.call_after({expr}, print)\n"
+    assert lint_source(src, "x.py") == []
 
 
 def test_set_iteration_flagged():
@@ -142,45 +213,24 @@ def test_used_suppressions_are_not_flagged():
     assert lint_source(src, "x.py") == []
 
 
-def test_flow_rule_suppressions_are_out_of_lint_scope():
-    """allow[AN2xx/AN3xx] belongs to the flow analyzer; the lint must
-    neither honour nor judge it."""
-    src = "import time\nt = time.time()  # repro: allow[AN201]\n"
-    assert rules_of(lint_source(src, "x.py")) == ["AN101"]
+def test_flow_rule_suppressions_are_judged_like_any_other():
+    """AN106 audits every family: a stale allow[AN2xx] is a finding, a
+    used one is honoured and not flagged."""
+    stale = "import time\nt = time.time()  # repro: allow[AN201]\n"
+    assert rules_of(lint_source(stale, "x.py")) == ["AN101", "AN106"]
+    used = (
+        "import time\n"
+        "def f(kernel):\n"
+        "    kernel.call_after(time.time(), print)  # repro: allow[AN101,AN201]\n"
+    )
+    assert lint_source(used, "x.py") == []
+    quiet = "x = 1  # repro: allow[AN201,AN106]\n"
+    assert lint_source(quiet, "x.py") == []
 
 
 def test_an106_is_itself_suppressible():
     src = "x = 1  # repro: allow[AN101,AN106]\n"
     assert lint_source(src, "x.py") == []
-
-
-def test_fix_listing_cli(capsys):
-    import textwrap
-
-    from repro.analyze.lint import main
-
-    def run(tmp, args):
-        return main([str(tmp), *args])
-
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp) / "mod.py"
-        target.write_text(
-            textwrap.dedent(
-                """\
-                x = 1  # repro: allow[AN101]
-                """
-            )
-        )
-        # without --fix the stale comment fails the lint
-        assert run(target, []) == 1
-        capsys.readouterr()
-        # with --fix it becomes a removal listing and the exit is clean
-        assert run(target, ["--fix"]) == 0
-        out = capsys.readouterr().out
-        assert "fix:" in out and "allow[AN101]" in out
 
 
 def test_findings_order_is_independent_of_input_order(tmp_path):
@@ -214,7 +264,7 @@ def test_report_json_schema():
 
     src = "import time\nx = time.time()\n"
     doc = json.loads(report_json(lint_source(src, "x.py")))
-    assert doc["tool"] == "repro.analyze.lint"
+    assert doc["tool"] == "repro.analyze"
     assert set(doc["rules"]) == set(RULES)
     (finding,) = doc["findings"]
     assert finding["rule"] == "AN101"
@@ -223,8 +273,9 @@ def test_report_json_schema():
 
 
 def test_repo_sources_are_clean():
-    """The tree itself must stay lint-clean — the same gate CI runs."""
-    assert lint_paths(["src/repro"]) == []
+    """The tree itself must stay clean of per-line findings (the
+    whole-program ones are test_flow's, against the baseline)."""
+    assert [f for f in lint_paths(["src/repro"]) if not f.function] == []
 
 
 def test_nondeterministic_scheduler_is_caught():

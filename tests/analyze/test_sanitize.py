@@ -417,3 +417,19 @@ def test_full_stacks_run_clean_under_sanitizers():
             s0.sendmsg(aid, 0, RealBlob(b"s" * 4_000))
         msgs = pump_messages(kernel, s1, 10, limit_s=300)
     assert len(msgs) == 10
+
+
+def test_simulator_startup_loads_no_other_analyze_module():
+    """The kernel, both transports and both RPIs import the sanitizers;
+    that must not drag the static analyzer or the perturbation tool in."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.core.world, repro.workloads.farm\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analyze')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "['repro.analyze', 'repro.analyze.sanitize']"
