@@ -286,7 +286,9 @@ class AssociationSanitizer:
     * ``outstanding_bytes`` — total and per path — equals a real sum over
       the in-flight records (the fast paths maintain these incrementally);
     * rules E3/E4: a chunk the peer reported as gap-acked is never handed
-      back to the wire by fast retransmit or T3 bundling.
+      back to the wire by fast retransmit or T3 bundling;
+    * a packet whose wire size the sender passed in (the transmit loop's
+      bundling budget) is exactly its header plus its chunks.
     """
 
     __slots__ = ("_max_cum_acked", "_max_rcv_cum")
@@ -362,6 +364,27 @@ class AssociationSanitizer:
                     "gap-set consistency",
                     f"TSN {tsn} still in the above-cum set at cum={cum}",
                 )
+
+    def on_packet_sized(self, pkt: Any, size: int) -> None:
+        """A packet sent with a caller-supplied wire size: the transmit
+        loop sized it from its bundling budget instead of summing chunks,
+        and its DATA chunks carry the size the bundler handed them."""
+        for chunk in pkt.data_chunks():
+            derived = (chunk.header + chunk.payload.nbytes + 3) // 4 * 4
+            if chunk.wire_size() != derived:
+                _fail(
+                    "sctp",
+                    "DATA chunk wire size",
+                    f"TSN {chunk.tsn} claims {chunk.wire_size()} bytes but its "
+                    f"header and payload pad to {derived}",
+                )
+        expected = pkt.wire_size()  # IP + common header + every chunk's size
+        if size != expected:
+            _fail(
+                "sctp",
+                "packet wire size",
+                f"packet sent as {size} bytes but its chunks make {expected}",
+            )
 
     def on_retransmit(self, records: Any, reason: str) -> None:
         """RFC 4960 §6.3.3 rules E3/E4: gap-acked chunks stay off the wire."""

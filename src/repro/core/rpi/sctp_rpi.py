@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ...analyze.sanitize import option_b_sanitizer
-from ...transport.sctp import OneToManySocket, SCTPConfig
+from ...transport.sctp import OneToManySocket
+from ...transport.sctp.socket import _apply_options
 from ...util.blobs import ChunkList
 from ..constants import (
     FLAG_BARRIER_GO,
@@ -84,18 +85,13 @@ class SCTPRPI(BaseRPI):
         self.long_piece_size = long_piece_size or self.eager_limit
         self.port = port
         self.endpoint = process.sctp_endpoint
-        base = process.world.sctp_config
-        overrides = {
-            "n_out_streams": num_streams,
-            "n_in_streams": num_streams,
-        }
         # RFC 8260 interleaving + stream-scheduler options ride through to
-        # the association config; None keeps the world-level default
-        if interleaving is not None:
-            overrides["interleaving"] = interleaving
-        if scheduler is not None:
-            overrides["scheduler"] = scheduler
-        self.sctp_config = SCTPConfig(**{**base.__dict__, **overrides})
+        # the association config exactly as the socket overlays them; None
+        # keeps the world-level default
+        self.sctp_config = _apply_options(
+            process.world.sctp_config, interleaving, scheduler,
+            n_out_streams=num_streams, n_in_streams=num_streams,
+        )
         self._msg_limit = self.sctp_config.max_message_size
         if self.long_piece_size + ENVELOPE_SIZE > self._msg_limit:
             raise ValueError("long piece size exceeds the sctp_sendmsg limit")
@@ -103,6 +99,7 @@ class SCTPRPI(BaseRPI):
         self._rank_by_assoc: Dict[int, int] = {}
         self._assoc_by_rank: Dict[int, int] = {}
         self._outq: Dict[Tuple[int, int], Deque[_SctpOutUnit]] = {}
+        self._queued_units = 0  # units in _outq, over every queue
         # (rank, stream) -> [seqnum, remaining_bytes] continuation state
         self._rx_cont: Dict[Tuple[int, int], List[int]] = {}
         self._barrier_ready = 0
@@ -134,7 +131,10 @@ class SCTPRPI(BaseRPI):
         sure no rank starts sending before everyone's associations exist."""
         self.sock = OneToManySocket(self.endpoint, self.port, self.sctp_config)
         self.sock.on_readable = self.wake
-        self.sock.on_writable = lambda _aid: self.wake()
+        # freed send room matters only to queued output (the TCP RPI's
+        # write-set rule): with every queue empty the pump has nothing to
+        # send, and inbound data wakes the rank through on_readable
+        self.sock.on_writable = lambda _aid: self._queued_units and self.wake()
         self.sock.on_assoc_up = lambda _aid: self.wake()
 
         for peer in range(self.rank + 1, self.size):
@@ -186,6 +186,7 @@ class SCTPRPI(BaseRPI):
         self._outq.setdefault((dest, stream), deque()).append(
             _SctpOutUnit(env, body, first, on_sent)
         )
+        self._queued_units += 1
         self.stats.units_sent += 1
         self.stats.bytes_sent += ENVELOPE_SIZE + body.nbytes
 
@@ -228,6 +229,7 @@ class SCTPRPI(BaseRPI):
                 free = room[rank] = sock.send_room(assoc_id)
                 if unit.next_size == 0:
                     queue.popleft()
+                    self._queued_units -= 1
                     if unit.on_sent is not None:
                         unit.on_sent()
         return progressed

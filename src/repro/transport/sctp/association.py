@@ -21,9 +21,11 @@ Design choices that matter for the paper's results:
 The data path has one of each: ``_try_send`` is the only loop that builds
 and transmits new-data packets (to the active path, or round-robin to
 every active path under CMT); ``_retransmit_marked`` is the only place
-that picks a retransmission destination (``_flush_marked`` repeats it
-while cwnd has room); and ``_on_sack`` accounts for an acknowledged
-chunk in one body, whether the cumulative point or a gap block covered it.
+that picks a retransmission destination (a SACK repeats it while cwnd
+has room); and ``_on_sack`` accounts for an acknowledged chunk in one
+body, whether the cumulative point or a gap block covered it.  Each SACK
+and each packet is one pass: budgets are read from the config once, and
+a new-data packet's size is the PMTU less the budget its chunks left.
 """
 
 from __future__ import annotations
@@ -126,21 +128,6 @@ class SCTPConfig:
     stream_priorities: Tuple[int, ...] = ()
 
     @property
-    def chunk_payload_budget(self) -> int:
-        """Max user bytes in a single DATA chunk of a full packet."""
-        return self.pmtu - IP_HEADER - COMMON_HEADER - 16
-
-    @property
-    def idata_payload_budget(self) -> int:
-        """Max user bytes in a single I-DATA chunk (20-byte header)."""
-        return self.pmtu - IP_HEADER - COMMON_HEADER - 20
-
-    @property
-    def packet_chunk_budget(self) -> int:
-        """Chunk bytes (headers included) that fit in one packet."""
-        return self.pmtu - IP_HEADER - COMMON_HEADER
-
-    @property
     def max_message_size(self) -> int:
         """sctp_sendmsg limit: one message must fit the send buffer
         (paper §3.4/§3.6 — this is why the middleware re-fragments)."""
@@ -213,7 +200,14 @@ class Association:
         self.host = endpoint.host
         self.local_port = local_port
         self.peer_port = peer_port
-        self.config = config or SCTPConfig()
+        self.config = config = config or SCTPConfig()
+        # budgets read once (the config is frozen; the data path asks per
+        # chunk): chunk bytes per packet, headers included, and the user
+        # bytes of one full DATA / I-DATA chunk
+        self._packet_budget = config.pmtu - IP_HEADER - COMMON_HEADER
+        self._data_budget = self._packet_budget - DATA_CHUNK_HEADER
+        self._idata_budget = self._packet_budget - IDATA_CHUNK_HEADER
+        self._autoclose_ns = max(0, config.autoclose_ns)  # 0 disables
         self.assoc_id = assoc_id
         self.state = CLOSED
         self.stats = AssocStats()
@@ -251,7 +245,7 @@ class Association:
         self._source_cache: Dict[str, str] = {}  # dest addr -> local addr
         self._next_window_probe_ns = 0  # zero-window probes are RTO-paced
         # conservative "any chunk marked for retransmit" flag: lets the
-        # per-SACK _flush_marked skip scanning outstanding in the
+        # per-SACK retransmit flush skip scanning outstanding in the
         # loss-free steady state (stale True just falls back to the scan)
         self._any_marked = False
         self._assoc_error_count = 0
@@ -392,8 +386,8 @@ class Association:
     def _send_cookie_echo(self) -> None:
         chunks: List[Chunk] = [CookieEchoChunk(self._cookie)]
         # user data may ride legs 3 and 4 of the handshake (§3.5.2)
-        budget = self.config.packet_chunk_budget - chunks[0].wire_size()
-        chunks.extend(self._dequeue_for_bundle(budget, self.primary_addr))
+        budget = self._packet_budget - chunks[0].wire_size()
+        chunks.extend(self._dequeue_for_bundle(budget, self.primary_addr)[0])
         self._transmit_chunks(chunks, self.primary_addr)
         self._arm_t1()
 
@@ -444,7 +438,7 @@ class Association:
             return
         self.paths[addr] = PathState(
             addr,
-            mtu_payload=self.config.chunk_payload_budget,
+            mtu_payload=self._data_budget,
             initial_peer_rwnd=self.config.rcvbuf,
             timers=self.config.timers,
             path_max_retrans=self.config.path_max_retrans,
@@ -484,7 +478,8 @@ class Association:
         # (assigning the TSN, and the SSN/MID on the first fragment)
         self.scheduler.push(QueuedMessage(sid, payload, unordered, ppid))
         self.queued_bytes += payload.nbytes
-        self._touch_autoclose()
+        if self._autoclose_ns:
+            self._autoclose_timer.restart(self._autoclose_ns)
         if self.state == ESTABLISHED:
             self._try_send()
         return True
@@ -501,7 +496,7 @@ class Association:
             raise RuntimeError("receive-buffer credit underflow")
         # window-update SACK: if the window was essentially closed and has
         # now meaningfully re-opened, tell the peer (it may be stalled)
-        budget = self.config.chunk_payload_budget
+        budget = self._data_budget
         if (
             self.state == ESTABLISHED
             and before < budget
@@ -527,10 +522,12 @@ class Association:
                 return path
         return None
 
-    def _dequeue_for_bundle(self, budget: int, path_addr: str) -> List[DataChunk]:
+    def _dequeue_for_bundle(
+        self, budget: int, path_addr: str
+    ) -> Tuple[List[DataChunk], int]:
         """Cut DATA/I-DATA fragments from scheduler-chosen messages that
         fit ``budget`` bytes, registering them as outstanding on
-        ``path_addr``.
+        ``path_addr``; returns them with the part of ``budget`` left.
 
         Fragmentation is lazy: the scheduler holds whole messages and
         this loop slices one fragment at a time, assigning the TSN here
@@ -550,10 +547,10 @@ class Association:
         # result is always known here
         idata = self.interleaving_active
         if idata:
-            frag_budget = self.config.idata_payload_budget
+            frag_budget = self._idata_budget
             header = IDATA_CHUNK_HEADER
         else:
-            frag_budget = self.config.chunk_payload_budget
+            frag_budget = self._data_budget
             header = DATA_CHUNK_HEADER
         while True:
             head = sched.peek()
@@ -587,13 +584,13 @@ class Association:
             if head.idata:
                 chunk = IDataChunk(
                     self.next_tsn, head.sid, 0, fragment, begin, end,
-                    head.unordered, head.ppid, mid=head.seq, fsn=head.fsn,
+                    head.unordered, head.ppid, wire, mid=head.seq, fsn=head.fsn,
                 )
                 stats.idata_chunks_sent += 1
             else:
                 chunk = DataChunk(
                     self.next_tsn, head.sid, head.seq, fragment, begin, end,
-                    head.unordered, head.ppid,
+                    head.unordered, head.ppid, wire,
                 )
             self.next_tsn += 1
             sched.consume(take)
@@ -617,7 +614,7 @@ class Association:
             # the stats dataclass mirrors them for probes/summing
             stats.scheduler_decisions = sched.decisions
             stats.messages_interleaved = sched.interleave_switches
-        return chunks
+        return chunks, budget
 
     def _active_paths(self) -> List[PathState]:
         """Every ACTIVE destination (CMT stripes new data over all)."""
@@ -640,51 +637,58 @@ class Association:
                     sent = False  # peer window closed: stop, not just this round
                     break
                 chunks: List[Chunk] = []
-                budget = self.config.packet_chunk_budget
-                if self._sack_is_pending():
+                budget = self._packet_budget
+                if self._packets_since_sack > 0:  # a SACK is pending
                     sack = self._build_sack()
                     chunks.append(sack)
                     budget -= sack.wire_size()
-                data = self._dequeue_for_bundle(budget, path.addr)
+                data, budget = self._dequeue_for_bundle(budget, path.addr)
                 if not chunks and not data:
                     continue
                 # a pending SACK may have left no room for a full-size
                 # chunk: it then goes alone and the next round has the
                 # whole packet budget
                 chunks.extend(data)
-                self._transmit_chunks(chunks, path.addr)
+                # the packet is the PMTU less the budget its chunks left
+                self._transmit_chunks(chunks, path.addr, size=self.config.pmtu - budget)
                 if data:
                     self._arm_t3(path.addr)
                 sent = True
-        self._maybe_send_shutdown()
+        if self._shutdown_requested:
+            self._maybe_send_shutdown()
 
-    def _transmit_chunks(self, chunks: List[Chunk], dest_addr: str, vtag=None) -> None:
+    def _transmit_chunks(
+        self, chunks: List[Chunk], dest_addr: str, vtag=None, size=None
+    ) -> None:
+        """Send one packet; ``size`` is its wire size when the caller has
+        summed the chunks already (the sanitizer re-sums it)."""
         pkt = SCTPPacket(
             src_port=self.local_port,
             dst_port=self.peer_port,
             vtag=self.peer_vtag if vtag is None else vtag,
             chunks=tuple(chunks),
         )
-        src = self._source_for(dest_addr)
+        if size is None:
+            size = pkt.wire_size()
+        elif self._san is not None:
+            self._san.on_packet_sized(pkt, size)
+        src = self._source_cache.get(dest_addr) or self._source_for(dest_addr)
         self.stats.packets_sent += 1
-        self.host.send(Packet(src, dest_addr, "sctp", pkt, pkt.wire_size()))
+        self.host.send(Packet(src, dest_addr, "sctp", pkt, size))
 
     def _source_for(self, dest_addr: str) -> str:
-        """Pick the local address on the same subnet as the destination.
+        """Pick (and cache) the local address on the destination's subnet.
 
-        Cached per destination: host interfaces are fixed before any
-        association exists, and this runs once per transmitted packet.
+        Host interfaces are fixed before any association exists, so each
+        destination is looked up once; every packet reads the cache.
         """
-        src = self._source_cache.get(dest_addr)
-        if src is None:
-            dest_net = dest_addr.rsplit(".", 1)[0]
-            for addr in self.host.addresses():
-                if addr.rsplit(".", 1)[0] == dest_net:
-                    src = addr
-                    break
-            else:
-                src = self.host.primary_address
-            self._source_cache[dest_addr] = src
+        dest_net = dest_addr.rsplit(".", 1)[0]
+        for src in self.host.addresses():
+            if src.rsplit(".", 1)[0] == dest_net:
+                break
+        else:
+            src = self.host.primary_address
+        self._source_cache[dest_addr] = src
         return src
 
     # ------------------------------------------------------------------
@@ -692,7 +696,8 @@ class Association:
     # ------------------------------------------------------------------
     def on_packet(self, pkt: SCTPPacket, src_addr: str) -> None:
         """Process every chunk of one inbound packet."""
-        self._touch_autoclose()
+        if self._autoclose_ns:
+            self._autoclose_timer.restart(self._autoclose_ns)
         has_data = False
         for chunk in pkt.chunks:
             if isinstance(chunk, DataChunk):
@@ -775,9 +780,6 @@ class Association:
         if self.state != CLOSED and self._packets_since_sack > 0:
             self._send_sack()
 
-    def _sack_is_pending(self) -> bool:
-        return self._packets_since_sack > 0
-
     def _gap_blocks(self) -> Tuple[Tuple[int, int], ...]:
         if not self._received_above_cum:
             return ()
@@ -824,12 +826,7 @@ class Association:
         self.stats.sacks_received += 1
         self.stats.gap_blocks_received += len(sack.gaps)
         newly_acked: Dict[str, int] = {}
-        # "cwnd fully utilized" = no room for another full chunk; an exact
-        # >= test never fires because bursts stop one sub-MTU short
-        cwnd_was_full = {
-            addr: p.outstanding_bytes + p.mtu_payload > p.cwnd
-            for addr, p in self.paths.items()
-        }
+        cwnd_was_full: Dict[str, bool] = {}
         cum_advanced = sack.cum_tsn > self.cum_tsn_acked
 
         # what this SACK acknowledges: records at or below the cumulative
@@ -854,7 +851,9 @@ class Association:
         # one accounting body for both kinds — per-TSN hot loop, no
         # helper calls (several chunks are acknowledged per SACK)
         highest_newly_acked = None  # HTNA, RFC 4960 §7.2.4
+        cmt = self.config.cmt
         htna_per_path: Dict[str, int] = {}  # CMT split fast retransmit
+        total_acked = 0
         paths = self.paths
         rtt_probe = self._rtt_probe
         for record in acked:
@@ -863,11 +862,20 @@ class Association:
             if not record.gap_acked:  # else counted when it was gap-acked
                 size = record.chunk.payload.nbytes
                 self.outstanding_bytes -= size
-                path = paths.get(addr)
-                if path is not None:
-                    left = path.outstanding_bytes - size
-                    path.outstanding_bytes = left if left > 0 else 0
-                newly_acked[addr] = newly_acked.get(addr, 0) + size
+                total_acked += size
+                path = paths[addr]
+                on_path = newly_acked.get(addr)
+                if on_path is None:
+                    # read before this SACK touches the path.  "cwnd fully
+                    # utilized" = no room for another full chunk; an exact
+                    # >= test never fires as bursts stop one sub-MTU short
+                    cwnd_was_full[addr] = (
+                        path.outstanding_bytes + path.mtu_payload > path.cwnd
+                    )
+                    on_path = 0
+                newly_acked[addr] = on_path + size
+                left = path.outstanding_bytes - size
+                path.outstanding_bytes = left if left > 0 else 0
                 probe = rtt_probe.get(addr)
                 if probe is not None and tsn == probe[0]:
                     del rtt_probe[addr]
@@ -880,12 +888,11 @@ class Association:
                     record.marked_for_rtx = False
             if highest_newly_acked is None or tsn > highest_newly_acked:
                 highest_newly_acked = tsn
-            if tsn > htna_per_path.get(addr, 0):
+            if cmt and tsn > htna_per_path.get(addr, 0):
                 htna_per_path[addr] = tsn
 
         if cum_advanced:
             self._assoc_error_count = 0
-        total_acked = sum(newly_acked.values())
         if total_acked > 0:
             for addr in newly_acked:
                 self.paths[addr].note_success()
@@ -911,7 +918,7 @@ class Association:
                     or record.transmit_count > 1
                 ):
                     continue
-                if self.config.cmt:
+                if cmt:
                     # split fast retransmit: only same-path evidence counts
                     # (cross-path reordering is normal under CMT)
                     path_htna = htna_per_path.get(record.path_addr)
@@ -951,8 +958,12 @@ class Association:
             self._maybe_send_shutdown()
         # RFC 4960 §6.3.3 rule E4: chunks still marked from a timeout go
         # out as soon as cwnd allows — without this a failed-over message
-        # trickles one packet per backed-off T3 expiry
-        self._flush_marked()
+        # trickles one packet per backed-off T3 expiry.  One bundled packet
+        # per call; a call that sends nothing (no room, or an oversized
+        # chunk) leaves the rest to T3.  Loss-free, nothing is marked.
+        if self._any_marked:
+            while self._retransmit_marked(within_cwnd=True):
+                pass
         self._try_send()
         if self._san is not None:
             self._san.on_sack_processed(self)
@@ -960,20 +971,6 @@ class Association:
             self.on_writable()
 
     # -- retransmission -------------------------------------------------------
-    def _flush_marked(self) -> None:
-        """Retransmit remaining marked chunks while cwnd has room.
-
-        :meth:`_retransmit_marked` sends one bundled packet per call (the
-        RFC's timeout rule); after a SACK frees cwnd the rest must follow
-        immediately rather than wait for further timer expiries.  A call
-        that sends nothing (no room, or an oversized chunk) ends the
-        flush and leaves the rest to T3.
-        """
-        if not self._any_marked:
-            return  # loss-free steady state: skip the outstanding scan
-        while self._retransmit_marked(within_cwnd=True):
-            pass
-
     def _retransmit_marked(self, within_cwnd: bool = False) -> int:
         """Send marked chunks, one bundled packet, preferring an alternate
         active path (paper §4.1.1: retransmissions use alternates).
@@ -998,7 +995,7 @@ class Association:
         # no SACK bundling here: retransmissions must never be crowded out
         chunks: List[Chunk] = []
         sent_records: List[TxRecord] = []
-        budget = self.config.packet_chunk_budget
+        budget = self._packet_budget
         for record in marked:
             size = record.chunk.wire_size()
             if size > budget:
@@ -1191,11 +1188,6 @@ class Association:
         if self.state != CLOSED:
             self._transmit_chunks([AbortChunk(reason)], self.primary_addr)
         self._teardown(reason)
-
-    def _touch_autoclose(self) -> None:
-        if self.config.autoclose_ns <= 0:
-            return
-        self._autoclose_timer.restart(self.config.autoclose_ns)
 
     def _on_autoclose(self) -> None:
         if self.state == ESTABLISHED and not self.outstanding and not self.scheduler.has_pending():

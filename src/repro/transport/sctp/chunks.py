@@ -42,6 +42,7 @@ class DataChunk(Chunk):
     # class flag, not a field: lets the association/stream hot paths
     # branch DATA vs I-DATA without isinstance checks
     is_idata: ClassVar[bool] = False
+    header: ClassVar[int] = DATA_CHUNK_HEADER
 
     tsn: int
     sid: int  # stream identifier (SNo in the paper's Fig. 1)
@@ -51,15 +52,12 @@ class DataChunk(Chunk):
     end: bool = True  # E bit: last fragment
     unordered: bool = False  # U bit
     ppid: int = 0  # payload protocol identifier (§2.3's PID mapping)
-    # cached: DATA wire size is queried on every bundle/budget decision
-    # and on every (re)transmission, and the payload never changes
-    _wire: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._wire = _pad4(DATA_CHUNK_HEADER + self.payload.nbytes)
+    # padded wire size, handed over by the bundler that has just computed
+    # it (the payload never changes); 0 derives it from the payload
+    wire: int = field(default=0, repr=False, compare=False)
 
     def wire_size(self) -> int:
-        return self._wire
+        return self.wire or _pad4(self.header + self.payload.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         frag = ("B" if self.begin else "") + ("E" if self.end else "")
@@ -81,12 +79,10 @@ class IDataChunk(DataChunk):
     """
 
     is_idata: ClassVar[bool] = True
+    header: ClassVar[int] = IDATA_CHUNK_HEADER
 
     mid: int = 0  # 32-bit per-stream message identifier
     fsn: int = 0  # fragment sequence number; 0 on the B fragment
-
-    def __post_init__(self) -> None:
-        self._wire = _pad4(IDATA_CHUNK_HEADER + self.payload.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         frag = ("B" if self.begin else "") + ("E" if self.end else "")

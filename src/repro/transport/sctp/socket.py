@@ -28,9 +28,9 @@ def _apply_options(
     config: SCTPConfig,
     interleaving: Optional[bool],
     scheduler: Optional[str],
+    **overrides,
 ) -> SCTPConfig:
-    """Overlay the socket-level options onto a base config."""
-    overrides = {}
+    """Overlay the socket-level options, and any other fields, onto a config."""
     if interleaving is not None:
         overrides["interleaving"] = interleaving
     if scheduler is not None:

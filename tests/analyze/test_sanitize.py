@@ -294,6 +294,45 @@ def test_sctp_e3_e4_gap_acked_retransmit_trips():
         san.on_retransmit([record(11, gap_acked=True)], "marked")
 
 
+def _sized_packet(wire=0):
+    from repro.transport.sctp.chunks import DataChunk, IDataChunk, SackChunk, SCTPPacket
+    from repro.util.blobs import SyntheticBlob
+
+    chunks = (
+        SackChunk(cum_tsn=5, a_rwnd=10, gaps=((2, 3),)),
+        DataChunk(tsn=6, sid=0, ssn=0, payload=SyntheticBlob(1001), wire=wire or 1020),
+        IDataChunk(tsn=7, sid=1, ssn=0, payload=SyntheticBlob(3), wire=24),
+    )
+    return SCTPPacket(src_port=1, dst_port=2, vtag=3, chunks=chunks)
+
+
+def test_sctp_caller_sized_packet_is_resummed():
+    pkt = _sized_packet()
+    size = 20 + 12 + 20 + 1020 + 24  # IP, common header, SACK, DATA, I-DATA
+    AssociationSanitizer().on_packet_sized(pkt, size)
+    with pytest.raises(InvariantViolation, match="packet wire size"):
+        AssociationSanitizer().on_packet_sized(pkt, size + 4)
+    with pytest.raises(InvariantViolation, match="DATA chunk wire size"):
+        AssociationSanitizer().on_packet_sized(_sized_packet(wire=1016), size - 4)
+
+
+def test_sctp_planted_packet_size_mismatch_trips(monkeypatch):
+    """A transmit loop that sizes a packet 4 bytes long is caught at the
+    first new-data packet (control packets are still summed, not passed)."""
+    from repro.core import run_app
+    from repro.transport.sctp.association import Association
+    from repro.workloads.mpbench import make_pingpong
+
+    transmit = Association._transmit_chunks
+
+    def four_bytes_long(self, chunks, dest_addr, vtag=None, size=None):
+        return transmit(self, chunks, dest_addr, vtag, None if size is None else size + 4)
+
+    monkeypatch.setattr(Association, "_transmit_chunks", four_bytes_long)
+    with sanitized(), pytest.raises(InvariantViolation, match="packet wire size"):
+        run_app(make_pingpong(16 * 1024, 2), n_procs=2, rpi="sctp", seed=1)
+
+
 def test_stream_ssn_order():
     msg = lambda sid, ssn, unordered=False: SimpleNamespace(  # noqa: E731
         sid=sid, ssn=ssn, unordered=unordered

@@ -1,11 +1,14 @@
 """RPI-module specifics: mesh init, stream mapping, demux, select usage."""
 
+from dataclasses import replace
+from functools import cached_property
+
 import pytest
 
 from repro.analyze.sanitize import InvariantViolation, sanitized
 from repro.core import run_app
 from repro.core.world import World, WorldConfig
-from repro.transport.sctp import MessageTooBig
+from repro.transport.sctp import MessageTooBig, SCTPConfig
 from repro.util.blobs import SyntheticBlob
 
 LIMIT = 300_000_000_000
@@ -80,6 +83,34 @@ def test_single_stream_ablation_module():
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, num_streams=1))
     rpi = world.processes[0].rpi
     assert all(rpi.stream_for(c, t) == 0 for c in range(3) for t in range(20))
+
+
+def test_sctp_rpi_config_is_the_socket_overlay():
+    base = SCTPConfig(sndbuf=100 * 1024, stream_weights=(3, 1))
+    world = World(WorldConfig(
+        n_procs=2, rpi="sctp", seed=1, num_streams=4,
+        interleaving=True, scheduler="rr", sctp_config=base,
+    ))
+    assert world.processes[0].rpi.sctp_config == replace(
+        base, n_out_streams=4, n_in_streams=4, interleaving=True, scheduler="rr"
+    )
+
+
+class _CachingConfig(SCTPConfig):
+    """A frozen config that caches a derived value on the instance."""
+
+    @cached_property
+    def chunk_room(self):
+        return self.pmtu - 32
+
+
+def test_sctp_rpi_accepts_a_config_carrying_cached_attributes():
+    base = _CachingConfig(sndbuf=100 * 1024)
+    assert base.chunk_room == 1468  # now an instance attribute, not a field
+    world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, scheduler="rr", sctp_config=base))
+    assert world.run(_noop_app, limit_ns=LIMIT).results == [0, 1]
+    config = world.processes[1].rpi.sctp_config
+    assert (config.sndbuf, config.scheduler) == (100 * 1024, "rr")
 
 
 def test_invalid_stream_count_rejected():
