@@ -522,6 +522,10 @@ class RPISanitizer:
     must find its send in ``S_RNDV_WAIT_ACK``, a synchronous-send ACK in
     ``S_SSEND_WAIT_ACK``, and body bytes must land on a receive that
     posted (``S_RECV_BODY``).
+
+    For the TCP RPI it also checks the selector's ready set: the pump
+    reads only listed sockets, so a readable socket outside the list
+    would have its data left unread (``sock.readable => sock in ready``).
     """
 
     __slots__ = ()
@@ -534,6 +538,17 @@ class RPISanitizer:
                 f"{event} arrived for request {req!r} in state {req.state}, "
                 f"expected {expected}",
             )
+
+    def expect_listed(self, sockets: Any, listed: Any, where: str) -> None:
+        """Every readable one of ``sockets`` is in ``listed`` (pass an
+        empty ``listed`` where nothing may be readable: a blocking step)."""
+        for sock in sockets:
+            if sock.readable and sock not in listed:
+                _fail(
+                    "rpi",
+                    "TCP ready set covers every readable socket",
+                    f"{where}: {sock!r} is readable but not listed",
+                )
 
 
 class OptionBSanitizer:

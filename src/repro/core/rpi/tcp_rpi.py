@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
-from ...simkernel import wait_any
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
 from ..constants import (
@@ -69,7 +68,7 @@ class TCPRPI(BaseRPI):
         super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
         self.port = port
         self.endpoint = process.tcp_endpoint
-        self.selector = Selector(self.host)
+        self.selector = Selector(self.host, self._wake.set)
         # per-chunk hot path: prebind the middleware cost coefficients
         # (fixed for the host's lifetime) so _pump/_send_some do integer
         # arithmetic instead of a cost-model method call per socket op
@@ -78,7 +77,6 @@ class TCPRPI(BaseRPI):
         self._mw_per_kib_ns = cm.tcp_middleware_per_kib_ns
         self._sock_by_rank: Dict[int, TCPSocket] = {}
         self._rank_by_sock: Dict[TCPSocket, int] = {}
-        self._all_sockets: List[TCPSocket] = []
         self._in_state: Dict[TCPSocket, _InState] = {}
         self._outq: Dict[int, Deque[_OutUnit]] = {
             r: deque() for r in range(self.size) if r != self.rank
@@ -126,11 +124,11 @@ class TCPRPI(BaseRPI):
         """Close the mesh."""
         if self._listener is not None:
             self._listener.close()
-        for sock in self._all_sockets:
+        for sock in self.selector.sockets:
             sock.close()
 
     def _register_socket(self, sock: TCPSocket, rank: Optional[int] = None) -> None:
-        self._all_sockets.append(sock)
+        self.selector.register(sock)
         self._in_state[sock] = _InState()
         if rank is not None:
             self._bind(sock, rank)
@@ -160,26 +158,34 @@ class TCPRPI(BaseRPI):
 
     def _pump(self) -> bool:
         progressed = False
-        # inbound: drain every socket
-        for sock in list(self._all_sockets):
-            while True:
-                chunk = sock.recv(RECV_CHUNK)
-                if chunk is None:
-                    break
-                if chunk.nbytes == 0:
-                    # EOF/teardown: a finished peer closed its side; stop
-                    # watching or select() would spin on it forever
-                    self._retire_socket(sock)
-                    break
-                self.host.cpu.charge(
-                    self._mw_base_ns + self._mw_per_kib_ns * chunk.nbytes // 1024
-                )
-                self._feed(sock, chunk)
-                progressed = True
-                if chunk.nbytes < RECV_CHUNK:
-                    # a short read drained the receive buffer; nothing new
-                    # can arrive synchronously, so skip the would-block call
-                    break
+        # inbound: drain the sockets that may be readable, in registration
+        # order; every readable socket is among them (Selector.ready)
+        ready = self.selector.ready
+        if self._san is not None:
+            self._san.expect_listed(self.selector.sockets, ready, f"rank {self.rank} pump")
+        if ready:
+            for sock in list(self.selector.sockets):
+                if sock not in ready:
+                    continue
+                while True:
+                    chunk = sock.recv(RECV_CHUNK)
+                    if chunk is None:
+                        ready.discard(sock)
+                        break
+                    if chunk.nbytes == 0:
+                        # EOF/teardown: a finished peer closed its side; stop
+                        # watching or select() would spin on it forever
+                        self._retire_socket(sock)
+                        break
+                    self.host.cpu.charge(
+                        self._mw_base_ns + self._mw_per_kib_ns * chunk.nbytes // 1024
+                    )
+                    self._feed(sock, chunk)
+                    progressed = True
+                    if chunk.nbytes < RECV_CHUNK:
+                        # a short read drained the receive buffer; nothing new
+                        # can arrive synchronously, so skip the would-block call
+                        break
         # outbound: flush per-peer FIFO queues
         for rank, queue in self._outq.items():
             if not queue:
@@ -200,8 +206,7 @@ class TCPRPI(BaseRPI):
         return progressed
 
     def _retire_socket(self, sock: TCPSocket) -> None:
-        if sock in self._all_sockets:
-            self._all_sockets.remove(sock)
+        self.selector.unregister(sock)
         rank = self._rank_by_sock.pop(sock, None)
         if rank is not None:
             self._sock_by_rank.pop(rank, None)
@@ -252,15 +257,14 @@ class TCPRPI(BaseRPI):
             for r, q in self._outq.items()
             if q and r in self._sock_by_rank
         ]
-        sel_fut = self.selector.wait(self._all_sockets, write_socks)
-        if sel_fut.done():
-            # a socket was already ready: skip the wake-future allocation
-            # (wait_any would return without ever attaching to it)
-            self._wake.clear()
+        if self.selector.select(write_socks):
             return
-        await wait_any([sel_fut, self._wake.wait()])
-        if not sel_fut.done():
-            self.selector.cancel_wait()
+        if self._san is not None:
+            self._san.expect_listed(self.selector.sockets, (), f"rank {self.rank} blocking select")
+        # the selector sets _wake on the first event select() would have
+        # returned for; so does anything else that wakes the rank
+        await self._wake.wait()
+        self.selector.unblock()
         self._wake.clear()
 
     def outstanding_output(self) -> int:

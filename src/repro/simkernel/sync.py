@@ -51,19 +51,6 @@ def wait_any(futures: Sequence[Future]) -> Future:
     futures = list(futures)
     if not futures:
         raise ValueError("wait_any() requires at least one future")
-    # hot path (every select/progress loop builds one): constant name and
-    # direct slot reads — ``fut`` is done by callback contract.
-    # Already-done fast path: resolve with the first finished input (same
-    # winner the callback loop below would pick) without building any
-    # closures or touching the other futures' callback lists.
-    for i, f in enumerate(futures):
-        if f._state is not _PENDING:
-            out = Future(name="wait_any")
-            if f._exception is not None:
-                out.set_exception(f._exception)
-            else:
-                out.set_result((i, f.result()))
-            return out
     out = Future(name="wait_any")
 
     def make_cb(index: int):

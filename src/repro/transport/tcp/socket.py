@@ -9,11 +9,12 @@ socket-per-peer design.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from functools import partial
+from typing import Callable, List, Optional, Set
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
-from .connection import TCPConfig, TCPConnection
+from .connection import TCPConfig, TCPConnection, _noop
 from .endpoint import ListenerHooks, TCPEndpoint
 
 
@@ -23,11 +24,11 @@ class TCPSocket:
     def __init__(self, conn: TCPConnection) -> None:
         self.conn = conn
         self._connect_future: Optional[Future] = None
-        self._watchers: Set["Selector"] = set()
+        # readiness events go to the one Selector this socket is registered
+        # with (see _route_events); nobody listens until then
+        self._report: Callable[[], None] = _noop
         self.closed_error: Optional[str] = None
         conn.on_established = self._on_established
-        conn.on_readable = self._notify_watchers
-        conn.on_writable = self._notify_watchers
         conn.on_closed = self._on_closed
 
     # -- establishment -----------------------------------------------------
@@ -57,7 +58,7 @@ class TCPSocket:
     def _on_established(self) -> None:
         if self._connect_future is not None and not self._connect_future.done():
             self._connect_future.set_result(self)
-        self._notify_watchers()
+        self._report()
 
     def _on_closed(self, error: Optional[str]) -> None:
         self.closed_error = error
@@ -65,7 +66,7 @@ class TCPSocket:
             self._connect_future.set_exception(
                 ConnectionError(error or "connection closed")
             )
-        self._notify_watchers()
+        self._report()
 
     # -- data ---------------------------------------------------------------
     def send(self, blob: Blob) -> int:
@@ -109,17 +110,12 @@ class TCPSocket:
             return True
         return self.conn.state == "ESTABLISHED" and self.conn.writable_bytes() > 0
 
-    def _attach(self, selector: "Selector") -> None:
-        self._watchers.add(selector)
-
-    def _detach(self, selector: "Selector") -> None:
-        self._watchers.discard(selector)
-
-    def _notify_watchers(self) -> None:
-        if not self._watchers:  # common: nobody is selecting on this socket
-            return
-        for watcher in list(self._watchers):
-            watcher._socket_event()
+    def _route_events(self, report: Callable[[], None]) -> None:
+        """Send every readiness event (data delivered, EOF, close,
+        established, send room freed) to ``report``; ``_noop`` stops them."""
+        self._report = report
+        self.conn.on_readable = report
+        self.conn.on_writable = report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TCPSocket {self.conn!r}>"
@@ -144,7 +140,7 @@ class TCPListener:
         sock = TCPSocket(conn)
 
         def when_established() -> None:
-            sock._notify_watchers()
+            sock._report()
             while self._acceptors:
                 fut = self._acceptors.pop(0)
                 if not fut.done():
@@ -169,81 +165,78 @@ class TCPListener:
 
 
 class Selector:
-    """``select()``-alike over TCPSockets, with modelled CPU cost.
+    """``select()`` over the registered TCPSockets, with modelled CPU cost.
 
-    ``wait`` resolves with (readable, writable) lists as soon as any
-    watched socket is ready, charging the host CPU the documented
-    linear-in-sockets cost per invocation (CostModel.select_cost).
+    Every :meth:`select` charges the paper's linear-in-descriptors price
+    (``CostModel.select_cost``) for the registered sockets (the read set)
+    plus the write set.  The implementation is edge-triggered: each
+    registered socket reports its readiness events here, and ``ready``
+    holds the sockets that may be readable.  A socket joins it when
+    registered or when it reports while readable, and leaves only when its
+    reader's ``recv`` would block and discards it: ``sock.readable => sock
+    in ready``.  A task woken by a report resumes inline, inside it
+    (:class:`~repro.simkernel.futures.Task`), so ``ready`` is exact then.
     """
 
-    def __init__(self, host) -> None:
+    def __init__(self, host, wake: Callable[[], None]) -> None:
         self.host = host
-        self._pending: Optional[Future] = None
-        self._read_set: List[TCPSocket] = []
-        self._write_set: List[TCPSocket] = []
+        self._wake = wake
+        self.sockets: List[TCPSocket] = []  # the read set, in registration order
+        self.ready: Set[TCPSocket] = set()
+        # write set of the select() the owner is blocked in; None when not
+        self._blocked_writes: Optional[List[TCPSocket]] = None
         self.calls = 0
 
-    def wait(
-        self,
-        read_sockets: Iterable[TCPSocket],
-        write_sockets: Iterable[TCPSocket] = (),
-    ) -> Future:
-        """Future of (readable_list, writable_list); charges select() cost."""
-        if self._pending is not None and not self._pending.done():
-            raise RuntimeError("selector already waiting")
-        # per-select hot path: the watch sets are rebuilt on every wait
-        # (copied — the caller's socket list can mutate while we watch);
-        # callers never pass duplicates, so plain lists suffice
-        read_set = list(read_sockets)
-        write_set = list(write_sockets)
-        self._read_set = read_set
-        self._write_set = write_set
+    def register(self, sock: TCPSocket) -> None:
+        """Watch ``sock`` for reading from now on (it may be readable)."""
+        self.sockets.append(sock)
+        self.ready.add(sock)
+        sock._route_events(partial(self._socket_event, sock))
+
+    def unregister(self, sock: TCPSocket) -> None:
+        """Stop watching ``sock`` and ignore its further events."""
+        self.sockets.remove(sock)
+        self.ready.discard(sock)
+        sock._route_events(_noop)
+
+    def select(self, write_sockets: List[TCPSocket]) -> bool:
+        """One ``select()`` over every registered socket for reading and
+        ``write_sockets`` for writing; charges its CPU cost.
+
+        True when a socket is ready now.  Otherwise the owner is blocked:
+        the first event that would have made ``select()`` return — a
+        registered socket becoming readable, or one of ``write_sockets``
+        writable — calls ``wake`` once.  :meth:`unblock` ends the wait
+        early (the owner was woken by something else).
+        """
         self.calls += 1
         cm = self.host.cost_model
         self.host.cpu.charge(  # == select_cost(), sans the method call
-            cm.select_base_ns + cm.select_per_socket_ns * (len(read_set) + len(write_set))
+            cm.select_base_ns
+            + cm.select_per_socket_ns * (len(self.sockets) + len(write_sockets))
         )
+        ready = self.ready
+        for sock in self.sockets:
+            if sock in ready and sock.readable:
+                return True
+        for sock in write_sockets:
+            if sock.writable:
+                return True
+        self._blocked_writes = write_sockets
+        return False
 
-        fut = Future(name="select")
-        # already-ready fast path: resolve before attaching watchers, so a
-        # select over a readable socket never pays attach/detach (the lists
-        # are built exactly as _socket_event would build them)
-        readable = [s for s in read_set if s.readable]
-        writable = [s for s in write_set if s.writable]
-        if readable or writable:
-            fut.set_result((readable, writable))
-            return fut
-        self._pending = fut
-        for sock in read_set:
-            sock._attach(self)
-        for sock in write_set:
-            sock._attach(self)
-        return fut
+    def unblock(self) -> None:
+        """The owner is no longer blocked: events stop waking it."""
+        self._blocked_writes = None
 
-    def cancel_wait(self) -> None:
-        """Abandon the current wait (resolves with empty ready sets)."""
-        fut = self._pending
-        if fut is None:
+    def _socket_event(self, sock: TCPSocket) -> None:
+        """``sock`` reported: list it if readable; wake a blocked owner if
+        ``select()`` would now return for it."""
+        blocked_writes = self._blocked_writes
+        if sock.readable:
+            self.ready.add(sock)
+        elif blocked_writes is None or sock not in blocked_writes or not sock.writable:
             return
-        self._pending = None
-        self._detach_all()
-        if not fut.done():
-            fut.set_result(([], []))
-
-    def _detach_all(self) -> None:
-        for sock in self._read_set:
-            sock._detach(self)
-        for sock in self._write_set:
-            sock._detach(self)
-
-    def _socket_event(self) -> None:
-        fut = self._pending
-        if fut is None or fut.done():
-            return
-        readable = [s for s in self._read_set if s.readable]
-        writable = [s for s in self._write_set if s.writable]
-        if not readable and not writable:
-            return
-        self._pending = None
-        self._detach_all()
-        fut.set_result((readable, writable))
+        if blocked_writes is not None:
+            self._blocked_writes = None
+            self._wake()

@@ -406,6 +406,38 @@ def test_rpi_state_legality():
         RPISanitizer().expect_state(req, "recv_body", "body piece")
 
 
+def test_rpi_ready_set_covers_readable_sockets():
+    quiet = SimpleNamespace(readable=False)
+    loud = SimpleNamespace(readable=True)
+    RPISanitizer().expect_listed([quiet, loud], [loud], "pump")
+    with pytest.raises(InvariantViolation, match="pump: namespace"):
+        RPISanitizer().expect_listed([quiet, loud], [quiet], "pump")
+    with pytest.raises(InvariantViolation, match="ready set covers"):
+        RPISanitizer().expect_listed([loud], (), "blocking select")
+
+
+def test_tcp_rpi_trips_on_a_swallowed_report():
+    """A socket whose readiness reports are lost holds data the pump would
+    never read; the armed RPI names it at the next inbound phase."""
+    from repro.core import run_app
+
+    async def app(comm):
+        if comm.rank == 0:
+            await comm.send(b"x", dest=1, tag=0)
+            return None
+        sock = comm.rpi._sock_by_rank[0]
+        sock._route_events(lambda: None)  # planted: its reports go nowhere
+        comm.rpi.poke()
+        assert sock not in comm.rpi.selector.ready
+        await comm.process.kernel.sleep(50_000_000)  # "x" arrives meanwhile
+        return await comm.recv(source=0, tag=0)
+
+    with sanitized(True), pytest.raises(
+        InvariantViolation, match=r"rank 1 pump: <TCPSocket .* is readable but not listed"
+    ):
+        run_app(app, n_procs=2, rpi="tcp", seed=1, limit_ns=10**12, finalize_barrier=False)
+
+
 def test_option_b_non_interleaving():
     san = OptionBSanitizer()
     a, b = object(), object()

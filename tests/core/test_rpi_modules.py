@@ -50,6 +50,22 @@ def test_tcp_rpi_uses_select():
     assert all(calls > 0 for calls in result.results)
 
 
+async def _collective_storm(comm):
+    # benchmarks/bench_ext_select_scaling.py's workload (paper §3.3)
+    for _ in range(8):
+        await comm.allreduce(comm.rank)
+        await comm.alltoall([comm.rank] * comm.size)
+    await comm.barrier()
+
+
+@pytest.mark.parametrize("n_procs, selects", [(4, 321), (8, 1214), (12, 2636)])
+def test_select_calls_pinned(n_procs, selects):
+    """The modelled select() volume the scaling bench prints must not drift."""
+    world = World(WorldConfig(n_procs=n_procs, rpi="tcp", seed=1))
+    world.run(_collective_storm, limit_ns=20_000_000_000_000)
+    assert sum(p.rpi.selector.calls for p in world.processes) == selects
+
+
 def test_sctp_rpi_single_socket_many_assocs():
     world = World(WorldConfig(n_procs=5, rpi="sctp", seed=1))
     world.run(_noop_app, limit_ns=LIMIT)
