@@ -102,6 +102,17 @@ def _fail(layer: str, invariant: str, detail: str) -> None:
     raise InvariantViolation(layer, invariant, detail)
 
 
+def _check_ranges(layer: str, invariant: str, ranges: Any, lowest: int) -> None:
+    """Selective-ack ``(start, end)`` ranges are non-empty and each starts
+    at ``lowest`` or past the end of the one before: sorted, disjoint and
+    not touching, so every range is one maximal block."""
+    for start, end in ranges:
+        if start >= end or start < lowest:
+            detail = f"[{start}, {end}) is empty or starts below {lowest}"
+            _fail(layer, invariant, f"range {detail}: {list(ranges)}")
+        lowest = end + 1
+
+
 # ---------------------------------------------------------------------------
 # kernel: virtual-time monotonicity + timer-heap integrity
 # ---------------------------------------------------------------------------
@@ -184,6 +195,8 @@ class TCPConnectionSanitizer:
       segments with ``SEG.ACK < SND.UNA`` are stale and ignored);
     * ``snd_una <= snd_nxt`` and nothing past the send buffer's tail is
       ever acknowledged (acking unsent data means sequence corruption);
+    * the SACK scoreboard holds sorted, non-empty, disjoint, non-touching
+      ranges, none below ``snd_una``;
     * NewReno bounds: ``cwnd >= 1 MSS`` always, ``ssthresh >= 2 MSS``
       once a loss has set it (RFC 5681 equations (4) and §3.1);
     * the receiver's ``rcv_nxt`` never retreats, and at most one FIN is
@@ -216,6 +229,7 @@ class TCPConnectionSanitizer:
                 f"snd_una={una} passed snd_nxt={conn.snd_nxt}: peer acked "
                 "data never sent",
             )
+        _check_ranges("tcp", "SACK scoreboard", conn._sacked, una)
         buf = conn.send_buffer
         if buf is not None:
             # +1: the FIN occupies one sequence number past the last byte
@@ -280,6 +294,9 @@ class AssociationSanitizer:
 
     * ``cum_tsn_acked`` and the receiver's ``rcv_cum_tsn`` are monotone
       (RFC 4960 §6.3.3: an old SACK "MUST be discarded");
+    * the receiver's TSNs above ``rcv_cum_tsn`` are sorted, non-empty,
+      disjoint, non-touching ranges, the first starting past
+      ``rcv_cum_tsn + 1`` (else the cumulative point should have moved);
     * every in-flight TSN is > the cumulative ACK point and the
       ``outstanding`` map iterates in TSN order (insertion order == TSN
       order is what the T3 and fast-retransmit scans rely on);
@@ -357,13 +374,8 @@ class AssociationSanitizer:
                 f"rcv_cum_tsn retreated from {self._max_rcv_cum} to {cum}",
             )
         self._max_rcv_cum = cum
-        for tsn in assoc._received_above_cum:
-            if tsn <= cum:
-                _fail(
-                    "sctp",
-                    "gap-set consistency",
-                    f"TSN {tsn} still in the above-cum set at cum={cum}",
-                )
+        # a range starting at cum + 1 should have become the cumulative point
+        _check_ranges("sctp", "gap-set consistency", assoc._above_cum, cum + 2)
 
     def on_packet_sized(self, pkt: Any, size: int) -> None:
         """A packet sent with a caller-supplied wire size: the transmit

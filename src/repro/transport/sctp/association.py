@@ -19,13 +19,15 @@ Design choices that matter for the paper's results:
   the BSD TCP 500 ms tick quantisation in :mod:`repro.transport.tcp`.
 
 The data path has one of each: ``_try_send`` is the only loop that builds
-and transmits new-data packets (to the active path, or round-robin to
-every active path under CMT); ``_retransmit_marked`` is the only place
-that picks a retransmission destination (a SACK repeats it while cwnd
-has room); and ``_on_sack`` accounts for an acknowledged chunk in one
-body, whether the cumulative point or a gap block covered it.  Each SACK
-and each packet is one pass: budgets are read from the config once, and
-a new-data packet's size is the PMTU less the budget its chunks left.
+and transmits new-data packets (to the active path); ``_retransmit_marked``
+is the only place that picks a retransmission destination (a SACK repeats
+it while cwnd has room); and ``_on_sack`` accounts for an acknowledged
+chunk in one body, whether the cumulative point or a gap block covered
+it.  The receiver's TSNs above the cumulative point are one
+:class:`~repro.util.ranges.RangeSet`, whose ranges are the gap blocks.
+Each SACK and each packet is one pass: budgets are read from the config
+once, and a new-data packet's size is the PMTU less the budget its chunks
+left.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ...analyze.sanitize import sctp_sanitizer
 from ...network.packet import IP_HEADER, Packet
 from ...simkernel import MILLISECOND, SECOND, RestartableTimer
 from ...util.blobs import Blob
+from ...util.ranges import RangeSet
 from ..base import KAME_SCTP_TIMERS, TimerPersonality
 from .chunks import (
     AbortChunk,
@@ -108,12 +111,6 @@ class SCTPConfig:
     heartbeat_interval_ns: int = 30 * SECOND
     autoclose_ns: int = 0  # 0 disables (the paper's autoclose option)
     retransmit_to_alternate: bool = True
-    # Concurrent Multipath Transfer (the paper's §5 future work, after
-    # Iyengar et al. [13,14]): stripe *new* data across every ACTIVE path
-    # concurrently.  Striking then uses per-path highest-TSN-newly-acked
-    # ("split fast retransmit"), since cross-path reordering would
-    # otherwise trigger constant spurious fast retransmits.
-    cmt: bool = False
     # RFC 8260: offer user-message interleaving (I-DATA).  Active only
     # when *both* sides offer it; otherwise the association falls back to
     # legacy DATA/SSN transparently.
@@ -255,7 +252,7 @@ class Association:
         # receiver
         self.peer_initial_tsn = 0
         self.rcv_cum_tsn = 0
-        self._received_above_cum: set = set()
+        self._above_cum = RangeSet()  # TSNs received above rcv_cum_tsn
         self.inbound: Optional[InboundStreams] = None
         self._owner_buffered = 0  # delivered to socket, not yet read by app
         self._packets_since_sack = 0
@@ -600,7 +597,6 @@ class Association:
             outstanding[chunk.tsn] = TxRecord(chunk, path_addr, now)
             self.outstanding_bytes += take
             path.outstanding_bytes += take
-            path.bytes_sent += take
             rwnd = self.peer_rwnd - take
             self.peer_rwnd = rwnd if rwnd > 0 else 0
             stats.data_chunks_sent += 1
@@ -616,44 +612,31 @@ class Association:
             stats.messages_interleaved = sched.interleave_switches
         return chunks, budget
 
-    def _active_paths(self) -> List[PathState]:
-        """Every ACTIVE destination (CMT stripes new data over all)."""
-        return [p for p in self.paths.values() if p.state == ACTIVE]
-
     def _try_send(self) -> None:
         if self.state not in (ESTABLISHED, SHUTDOWN_PENDING, SHUTDOWN_RECEIVED):
             return
-        # new data goes to the active path or, under CMT, round-robin to
-        # every ACTIVE path: one packet per path with congestion-window
-        # room per round, until a round sends nothing
-        paths = self._active_paths() if self.config.cmt else [self._active_path()]
-        sent = True
-        while sent and self.scheduler.has_pending():
-            sent = False
-            for path in paths:
-                if not path.can_send():
-                    continue
-                if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
-                    sent = False  # peer window closed: stop, not just this round
-                    break
-                chunks: List[Chunk] = []
-                budget = self._packet_budget
-                if self._packets_since_sack > 0:  # a SACK is pending
-                    sack = self._build_sack()
-                    chunks.append(sack)
-                    budget -= sack.wire_size()
-                data, budget = self._dequeue_for_bundle(budget, path.addr)
-                if not chunks and not data:
-                    continue
-                # a pending SACK may have left no room for a full-size
-                # chunk: it then goes alone and the next round has the
-                # whole packet budget
-                chunks.extend(data)
-                # the packet is the PMTU less the budget its chunks left
-                self._transmit_chunks(chunks, path.addr, size=self.config.pmtu - budget)
-                if data:
-                    self._arm_t3(path.addr)
-                sent = True
+        # new data goes to the active path, one packet at a time while
+        # its congestion window has room, until a packet carries nothing
+        path = self._active_path()
+        while self.scheduler.has_pending() and path.can_send():
+            if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
+                break  # peer window closed
+            chunks: List[Chunk] = []
+            budget = self._packet_budget
+            if self._packets_since_sack > 0:  # a SACK is pending
+                sack = self._build_sack()
+                chunks.append(sack)
+                budget -= sack.wire_size()
+            data, budget = self._dequeue_for_bundle(budget, path.addr)
+            if not chunks and not data:
+                break
+            # a pending SACK may have left no room for a full-size chunk:
+            # it then goes alone and the next packet has the whole budget
+            chunks.extend(data)
+            # the packet is the PMTU less the budget its chunks left
+            self._transmit_chunks(chunks, path.addr, size=self.config.pmtu - budget)
+            if data:
+                self._arm_t3(path.addr)
         if self._shutdown_requested:
             self._maybe_send_shutdown()
 
@@ -744,21 +727,23 @@ class Association:
         if self.inbound is None:
             return
         tsn = chunk.tsn
-        if tsn <= self.rcv_cum_tsn or tsn in self._received_above_cum:
+        cum = self.rcv_cum_tsn
+        above = self._above_cum
+        if tsn == cum + 1 and not above:
+            self.rcv_cum_tsn = tsn  # in order with no gap: nothing to record
+        elif tsn <= cum or tsn in above:
             self.stats.duplicate_tsns += 1
             self._dups_since_sack += 1
             return
+        else:
+            start, end = above.add(tsn, tsn + 1)
+            if start == cum + 1:  # the hole above the cumulative point closed
+                self.rcv_cum_tsn = end - 1
+                above.discard_below(end)
         self.stats.data_chunks_received += 1
         self.stats.bytes_received += chunk.payload.nbytes
         if chunk.is_idata:
             self.stats.idata_chunks_received += 1
-        if tsn == self.rcv_cum_tsn + 1 and not self._received_above_cum:
-            self.rcv_cum_tsn = tsn  # in-order, no gap: skip the set churn
-        else:
-            self._received_above_cum.add(tsn)
-            while (self.rcv_cum_tsn + 1) in self._received_above_cum:
-                self.rcv_cum_tsn += 1
-                self._received_above_cum.discard(self.rcv_cum_tsn)
         if self._san is not None:
             self._san.on_data_received(self)
         for message in self.inbound.on_data(chunk):
@@ -768,8 +753,7 @@ class Association:
 
     def _sack_policy(self) -> None:
         self._packets_since_sack += 1
-        out_of_order = bool(self._received_above_cum)
-        if out_of_order or self._dups_since_sack:
+        if self._above_cum or self._dups_since_sack:
             self._send_sack()  # report gaps/dups immediately (RFC 4960 §6.7)
         elif self._packets_since_sack >= self.config.sack_every_packets:
             self._send_sack()
@@ -780,31 +764,17 @@ class Association:
         if self.state != CLOSED and self._packets_since_sack > 0:
             self._send_sack()
 
-    def _gap_blocks(self) -> Tuple[Tuple[int, int], ...]:
-        if not self._received_above_cum:
-            return ()
-        blocks: List[Tuple[int, int]] = []
-        start = prev = None
-        for tsn in sorted(self._received_above_cum):
-            if start is None:
-                start = prev = tsn
-            elif tsn == prev + 1:
-                prev = tsn
-            else:
-                blocks.append((start - self.rcv_cum_tsn, prev - self.rcv_cum_tsn))
-                start = prev = tsn
-        blocks.append((start - self.rcv_cum_tsn, prev - self.rcv_cum_tsn))
-        return tuple(blocks)
-
     def _a_rwnd(self) -> int:
         buffered = (self.inbound.buffered_bytes if self.inbound else 0)
         return max(0, self.config.rcvbuf - buffered - self._owner_buffered)
 
     def _build_sack(self) -> SackChunk:
+        cum = self.rcv_cum_tsn
         sack = SackChunk(
-            cum_tsn=self.rcv_cum_tsn,
+            cum_tsn=cum,
             a_rwnd=self._a_rwnd(),
-            gaps=self._gap_blocks(),
+            # inclusive offsets from cum (RFC 4960 §3.3.4)
+            gaps=tuple((s - cum, e - 1 - cum) for s, e in self._above_cum),
             n_dup_tsns=self._dups_since_sack,
         )
         self.stats.gap_blocks_sent += len(sack.gaps)
@@ -832,8 +802,8 @@ class Association:
         # what this SACK acknowledges: records at or below the cumulative
         # point leave `outstanding` (it is TSN-ordered, so they are at its
         # head); gap-acked ones stay until the cumulative point passes
-        # them.  (The set of gap-acked TSNs is built only when the SACK
-        # carries gap blocks — overwhelmingly it does not.)
+        # them.  Gap blocks are merged first, so blocks that overlap or
+        # repeat ack a TSN once, and walked only over TSNs ever sent.
         outstanding = self.outstanding
         cum_tsn = sack.cum_tsn
         acked: List[TxRecord] = []
@@ -842,17 +812,20 @@ class Association:
             if tsn > cum_tsn:
                 break
             acked.append(outstanding.pop(tsn))
-        for tsn in sack.acked_tsns() if sack.gaps else ():
-            record = outstanding.get(tsn)
-            if record is not None and not record.gap_acked:
-                acked.append(record)
+        if sack.gaps:  # overwhelmingly a SACK carries none
+            gap_acked = RangeSet()
+            for start, end in sack.gaps:
+                gap_acked.add(cum_tsn + max(start, 1), min(cum_tsn + end + 1, self.next_tsn))
+            for lo, hi in gap_acked:
+                for tsn in range(lo, hi):
+                    record = outstanding.get(tsn)
+                    if record is not None and not record.gap_acked:
+                        acked.append(record)
         self.cum_tsn_acked = max(self.cum_tsn_acked, cum_tsn)
 
         # one accounting body for both kinds — per-TSN hot loop, no
         # helper calls (several chunks are acknowledged per SACK)
         highest_newly_acked = None  # HTNA, RFC 4960 §7.2.4
-        cmt = self.config.cmt
-        htna_per_path: Dict[str, int] = {}  # CMT split fast retransmit
         total_acked = 0
         paths = self.paths
         rtt_probe = self._rtt_probe
@@ -888,8 +861,6 @@ class Association:
                     record.marked_for_rtx = False
             if highest_newly_acked is None or tsn > highest_newly_acked:
                 highest_newly_acked = tsn
-            if cmt and tsn > htna_per_path.get(addr, 0):
-                htna_per_path[addr] = tsn
 
         if cum_advanced:
             self._assoc_error_count = 0
@@ -918,12 +889,6 @@ class Association:
                     or record.transmit_count > 1
                 ):
                     continue
-                if cmt:
-                    # split fast retransmit: only same-path evidence counts
-                    # (cross-path reordering is normal under CMT)
-                    path_htna = htna_per_path.get(record.path_addr)
-                    if path_htna is None or tsn >= path_htna:
-                        continue
                 record.missing_reports += 1
                 if record.missing_reports >= self.config.dupthresh:
                     record.marked_for_rtx = True

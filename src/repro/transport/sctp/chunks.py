@@ -106,13 +106,6 @@ class SackChunk(Chunk):
     def wire_size(self) -> int:
         return _pad4(SACK_CHUNK_BASE + 4 * len(self.gaps) + 4 * min(self.n_dup_tsns, 16))
 
-    def acked_tsns(self) -> set:
-        """Expand the gap blocks into the set of gap-acked TSNs."""
-        out = set()
-        for start, end in self.gaps:
-            out.update(range(self.cum_tsn + start, self.cum_tsn + end + 1))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SACK cum={self.cum_tsn} rwnd={self.a_rwnd} gaps={list(self.gaps)}>"
 

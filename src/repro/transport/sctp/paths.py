@@ -46,7 +46,6 @@ class PathState:
         # statistics
         self.fast_retransmits = 0
         self.timeouts = 0
-        self.bytes_sent = 0
         self.failures = 0  # ACTIVE -> INACTIVE transitions
 
     # -- congestion window -------------------------------------------------

@@ -12,6 +12,7 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from ...util.blobs import Blob, ChunkList
+from ...util.ranges import RangeSet
 
 
 class SendBuffer:
@@ -98,7 +99,10 @@ class ReassemblyBuffer:
         self.rcv_nxt = rcv_nxt
         # out-of-order segments: sorted, non-overlapping (start, end, data)
         self._segments: List[Tuple[int, int, ChunkList]] = []
-        self._recent_blocks: List[Tuple[int, int]] = []  # MRU SACK blocks
+        self._parked = RangeSet()  # the bytes those segments hold
+        # the parked ranges, most recently extended first: the order SACK
+        # blocks are reported in (RFC 2018 §4)
+        self._recent: List[Tuple[int, int]] = []
 
     @property
     def out_of_order_bytes(self) -> int:
@@ -125,43 +129,27 @@ class ReassemblyBuffer:
         if seq == rcv_nxt:
             self.rcv_nxt = end
             if not self._segments:
-                # loss-free steady state: nothing parked to drain, so the
-                # segment's own payload is exactly what gets delivered
-                if self._recent_blocks:
-                    self._note_block(seq, end, arrived_in_order=True)
+                # loss-free steady state: nothing parked to drain and no
+                # SACK block to retire, so the segment's own payload is
+                # exactly what gets delivered
                 return data
             delivered = ChunkList()
             delivered.extend(data)
             self._drain_queue(delivered)
-            self._note_block(seq, end, arrived_in_order=True)
+            self._parked.discard_below(self.rcv_nxt)
+            self._recent = [r for r in self._recent if r[1] > self.rcv_nxt]
             return delivered
 
-        self._insert(seq, end, data)
-        self._note_block(seq, end, arrived_in_order=False)
+        # park only the bytes no earlier copy holds (first arrival wins)
+        for start, stop in self._parked.missing(seq, end):
+            self._segments.append((start, stop, data.slice(start - seq, stop - seq)))
+        self._segments.sort(key=lambda item: item[0])
+        merged = self._parked.add(seq, end)
+        # the block holding this segment goes first; those it swallowed go
+        self._recent = [merged] + [
+            r for r in self._recent if r[1] < merged[0] or r[0] > merged[1]
+        ]
         return ChunkList()
-
-    def _insert(self, seq: int, end: int, data: ChunkList) -> None:
-        # trim against existing segments (first arrival wins)
-        for start0, end0, _ in list(self._segments):
-            if end <= start0 or seq >= end0:
-                continue
-            if seq >= start0 and end <= end0:
-                return  # fully covered
-            if seq < start0 < end <= end0:
-                data = data.slice(0, start0 - seq)
-                end = start0
-            elif start0 <= seq < end0 < end:
-                data = data.slice(end0 - seq, data.nbytes)
-                seq = end0
-            elif seq < start0 and end > end0:
-                # split: keep the left piece, recurse on the right
-                right = data.slice(end0 - seq, data.nbytes)
-                data = data.slice(0, start0 - seq)
-                self._insert(end0, end, right)
-                end = start0
-        if end > seq:
-            self._segments.append((seq, end, data))
-            self._segments.sort(key=lambda item: item[0])
 
     def _drain_queue(self, delivered: ChunkList) -> None:
         while self._segments and self._segments[0][0] <= self.rcv_nxt:
@@ -173,29 +161,9 @@ class ReassemblyBuffer:
             delivered.extend(data)
             self.rcv_nxt = end
 
-    # -- SACK block generation --------------------------------------------
-    def _note_block(self, seq: int, end: int, arrived_in_order: bool) -> None:
-        if arrived_in_order:
-            # in-order data invalidates blocks below rcv_nxt
-            self._recent_blocks = [
-                (s, e) for s, e in self._recent_blocks if e > self.rcv_nxt
-            ]
-            return
-        merged = (seq, end)
-        blocks = []
-        for s, e in self._recent_blocks:
-            if e < merged[0] or s > merged[1]:
-                blocks.append((s, e))
-            else:
-                merged = (min(s, merged[0]), max(e, merged[1]))
-        self._recent_blocks = [merged] + blocks
-
     def sack_blocks(self, max_blocks: int) -> Tuple[Tuple[int, int], ...]:
         """Most-recently-updated SACK blocks, capped at ``max_blocks``."""
-        if not self._recent_blocks:  # loss-free steady state
-            return ()
-        live = [(s, e) for s, e in self._recent_blocks if e > self.rcv_nxt]
-        return tuple(live[:max_blocks])
+        return tuple(self._recent[:max_blocks])
 
     @property
     def has_gaps(self) -> bool:

@@ -18,12 +18,13 @@ does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ...analyze.sanitize import tcp_sanitizer
 from ...network.packet import Packet
 from ...simkernel import MILLISECOND
 from ...util.blobs import Blob, ChunkList
+from ...util.ranges import RangeSet
 from ..base import BSD_TCP_TIMERS, RTOEstimator, TimerPersonality
 from .buffers import ReassemblyBuffer, SendBuffer
 from .congestion import NewRenoState
@@ -138,7 +139,7 @@ class TCPConnection:
         self.cc = NewRenoState(self.config.mss)
         self.rto = RTOEstimator(self.config.timers)
         self._dupacks = 0
-        self._sacked: List[Tuple[int, int]] = []  # sender scoreboard
+        self._sacked = RangeSet()  # sender scoreboard: SACKed bytes >= snd_una
         self._fin_queued = False
         self._fin_seq: Optional[int] = None
 
@@ -318,8 +319,14 @@ class TCPConnection:
         if self._persist_timer.deadline is not None and self.snd_wnd > 0:
             self._cancel_persist()
 
-        if seg.sack_blocks:
-            self._merge_sack(seg.sack_blocks)
+        if seg.sack_blocks and self.config.sack_enabled:
+            una = self.snd_una
+            for start, end in seg.sack_blocks:
+                # a malformed block (start >= end) or one wholly below
+                # snd_una carries no news: ignored, and not counted
+                if start < end and end > una:
+                    self.stats.sacked_ranges += 1
+                    self._sacked.add(max(start, una), end)
 
         if ack > self.snd_nxt:
             return  # acks data we never sent; ignore
@@ -340,8 +347,7 @@ class TCPConnection:
         acked = ack - self.snd_una
         self.snd_una = ack
         freed = self.send_buffer.release_below(min(ack, self.send_buffer.tail_seq))
-        if self._sacked:  # loss-free steady state: nothing to trim
-            self._sacked = [(s, e) for s, e in self._sacked if e > ack]
+        self._sacked.discard_below(ack)
         self._dupacks = 0
 
         # RTT sample (Karn: only if the timed range was never retransmitted)
@@ -384,46 +390,16 @@ class TCPConnection:
             self.stats.fast_retransmits += 1
             self._retransmit_hole(self.snd_una)
 
-    def _merge_sack(self, blocks: Tuple[Tuple[int, int], ...]) -> None:
-        if not self.config.sack_enabled:
-            return
-        for start, end in blocks:
-            if end <= self.snd_una:
-                continue
-            self.stats.sacked_ranges += 1
-            merged = (max(start, self.snd_una), end)
-            keep = []
-            for s, e in self._sacked:
-                if e < merged[0] or s > merged[1]:
-                    keep.append((s, e))
-                else:
-                    merged = (min(s, merged[0]), max(e, merged[1]))
-            keep.append(merged)
-            keep.sort()
-            self._sacked = keep
-
-    def _is_sacked(self, seq: int) -> bool:
-        return any(s <= seq < e for s, e in self._sacked)
-
     def _retransmit_hole(self, from_seq: int) -> None:
         """Retransmit the first unsacked segment at/above ``from_seq``."""
-        seq = from_seq
-        limit = self.snd_nxt
-        while seq < limit and self._is_sacked(seq):
-            for s, e in self._sacked:
-                if s <= seq < e:
-                    seq = e
-                    break
-        if seq >= limit:
+        holes = self._sacked.missing(from_seq, self.snd_nxt)
+        if not holes:
             return
+        seq, hole_end = holes[0]
         if self._fin_seq is not None and seq == self._fin_seq:
             self._send_fin_segment()
             return
-        end = min(seq + self.config.mss, self.send_buffer.tail_seq, limit)
-        for s, _e in self._sacked:
-            if seq < s < end:
-                end = s
-                break
+        end = min(seq + self.config.mss, self.send_buffer.tail_seq, hole_end)
         if end <= seq:
             return
         self._emit_data(seq, end - seq, retransmit=True)

@@ -133,13 +133,13 @@ def test_kernel_counter_agreement_audit():
 # ---------------------------------------------------------------------------
 def fake_conn(una=100, nxt=100, tail=100, fin_seq=None,
               cwnd=14_480, mss=1_448, ssthresh=1 << 30,
-              fast_retransmits=0, timeouts=0, rcv_nxt=50):
+              fast_retransmits=0, timeouts=0, rcv_nxt=50, sacked=()):
     cc = SimpleNamespace(
         cwnd=cwnd, mss=mss, ssthresh=ssthresh,
         fast_retransmits=fast_retransmits, timeouts=timeouts,
     )
     return SimpleNamespace(
-        snd_una=una, snd_nxt=nxt, _fin_seq=fin_seq, cc=cc,
+        snd_una=una, snd_nxt=nxt, _fin_seq=fin_seq, cc=cc, _sacked=list(sacked),
         send_buffer=SimpleNamespace(tail_seq=tail),
         reassembly=SimpleNamespace(rcv_nxt=rcv_nxt),
         local_addr="10.0.0.1", local_port=1, remote_addr="10.0.0.2",
@@ -229,7 +229,7 @@ def fake_assoc(cum=10, records=(), outstanding_bytes=None, paths=None,
     return SimpleNamespace(
         cum_tsn_acked=cum, outstanding=outstanding,
         outstanding_bytes=outstanding_bytes, paths=paths,
-        rcv_cum_tsn=rcv_cum, _received_above_cum=set(above_cum),
+        rcv_cum_tsn=rcv_cum, _above_cum=list(above_cum),
     )
 
 
@@ -278,12 +278,25 @@ def test_sctp_per_path_accounting_and_cwnd_floor():
 
 def test_sctp_receiver_gap_set_consistency():
     san = AssociationSanitizer()
-    san.on_data_received(fake_assoc(rcv_cum=5, above_cum=(7, 9)))
+    san.on_data_received(fake_assoc(rcv_cum=5, above_cum=[(7, 8), (9, 11)]))
     with pytest.raises(InvariantViolation, match="receiver cum-TSN"):
         san.on_data_received(fake_assoc(rcv_cum=4))
+    TCPConnectionSanitizer().on_ack_processed(
+        fake_conn(una=7, nxt=20, tail=20, sacked=[(7, 8), (9, 11)])
+    )
+
+
+# lowest legal start 7 (SCTP: rcv_cum_tsn + 2; TCP: snd_una); below it, at
+# cum + 1, empty, unsorted, overlapping, touching (one block held as two)
+@pytest.mark.parametrize(
+    "bad", [[(5, 6)], [(6, 8)], [(7, 7)], [(9, 11), (7, 8)], [(7, 10), (9, 11)], [(7, 9), (9, 11)]]
+)
+def test_selective_ack_range_corruption_trips(bad):
     with pytest.raises(InvariantViolation, match="gap-set"):
-        AssociationSanitizer().on_data_received(
-            fake_assoc(rcv_cum=5, above_cum=(5,))
+        AssociationSanitizer().on_data_received(fake_assoc(rcv_cum=5, above_cum=bad))
+    with pytest.raises(InvariantViolation, match="SACK scoreboard"):
+        TCPConnectionSanitizer().on_ack_processed(
+            fake_conn(una=7, nxt=20, tail=20, sacked=bad)
         )
 
 

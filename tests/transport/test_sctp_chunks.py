@@ -33,11 +33,6 @@ def test_sack_unlimited_gap_blocks():
     assert s.wire_size() == 16 + 400
 
 
-def test_sack_acked_tsns_expansion():
-    s = SackChunk(cum_tsn=100, a_rwnd=0, gaps=((2, 4), (7, 7)))
-    assert s.acked_tsns() == {102, 103, 104, 107}
-
-
 def test_packet_wire_size_sums_chunks():
     data = DataChunk(tsn=1, sid=0, ssn=0, payload=SyntheticBlob(100))
     sack = SackChunk(cum_tsn=5, a_rwnd=10)
