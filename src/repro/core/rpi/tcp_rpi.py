@@ -23,12 +23,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
-from ..constants import (
-    FLAG_BARRIER_GO,
-    FLAG_BARRIER_READY,
-    FLAG_HELLO,
-    MPI_BASE_PORT,
-)
+from ..constants import FLAG_HELLO, MPI_BASE_PORT
 from ..envelope import ENVELOPE_SIZE, Envelope
 from .base import BaseRPI
 
@@ -81,10 +76,7 @@ class TCPRPI(BaseRPI):
         self._outq: Dict[int, Deque[_OutUnit]] = {
             r: deque() for r in range(self.size) if r != self.rank
         }
-        self._barrier_ready = 0
-        self._barrier_go = False
         self._listener: Optional[TCPListener] = None
-        self.set_control_sink(self._handle_control)
 
     # ------------------------------------------------------------------
     # init / finalize
@@ -136,14 +128,6 @@ class TCPRPI(BaseRPI):
     def _bind(self, sock: TCPSocket, rank: int) -> None:
         self._sock_by_rank[rank] = sock
         self._rank_by_sock[sock] = rank
-
-    def _handle_control(self, src_rank: int, env: Envelope) -> None:
-        kind = env.kind()
-        if kind == FLAG_BARRIER_READY:
-            self._barrier_ready += 1
-        elif kind == FLAG_BARRIER_GO:
-            self._barrier_go = True
-        # HELLO itself is consumed by the feed path (socket -> rank binding)
 
     # ------------------------------------------------------------------
     # transport plumbing

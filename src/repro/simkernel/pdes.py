@@ -55,8 +55,8 @@ OutboxEntry = Tuple[int, str, Any]
 # how often the coordinator's supervised recv re-checks worker health
 _POLL_TICK_S = 0.05
 
-# exit code a chaos "kill" strike uses (matches repro.supervise)
-CHAOS_EXIT_CODE = 70
+# exit code a chaos "kill" strike uses (named in degraded_reason)
+KILL_EXIT_CODE = 70
 
 
 class HorizonError(RuntimeError):
@@ -261,7 +261,7 @@ def _chaos_strike(op: str) -> None:  # pragma: no cover - runs in child
     including the pipe, the shape of a wedged worker.
     """
     if op == "kill":
-        os._exit(CHAOS_EXIT_CODE)
+        os._exit(KILL_EXIT_CODE)
     os.kill(os.getpid(), signal.SIGSTOP)
 
 

@@ -8,17 +8,18 @@ shared pool: a crashing task must not take neighbours with it) under a
   without delivering a result (``os._exit``, a signal, an OOM kill) is
   a ``crash`` outcome, not a lost sweep;
 * **hang detection** — a daemon heartbeat thread in the child beats on
-  the result pipe every ``heartbeat_s``; heartbeat silence longer than
-  ``hang_timeout_s`` means the *process* is stuck (SIGSTOP'd, D-state,
-  spinning in a GIL-holding extension) and it is killed and retried.
-  A pure-Python livelock keeps heartbeating — that failure mode is the
-  kernel watchdog's job (:meth:`repro.simkernel.Kernel.arm_watchdog`);
+  the result pipe every :data:`HEARTBEAT_S`; heartbeat silence longer
+  than ``hang_timeout_s`` means the *process* is stuck (SIGSTOP'd,
+  D-state, spinning in a GIL-holding extension) and it is killed and
+  retried.  A pure-Python livelock keeps heartbeating — that failure
+  mode is the kernel watchdog's job
+  (:meth:`repro.simkernel.Kernel.arm_watchdog`);
 * **deadline** — a per-attempt wall-clock cap (``deadline_s``) bounds
   everything else;
-* **bounded deterministic retry** — failed attempts are retried up to
-  ``max_attempts`` with seeded exponential backoff
-  (:func:`backoff_delay`): the delay is a pure function of
-  ``(seed, task id, attempt)`` via the same SHA-256 stream-derivation
+* **bounded deterministic retry** — crashed, hung and timed-out
+  attempts are retried up to ``max_attempts`` with seeded exponential
+  backoff (:func:`backoff_delay`): the delay is a pure function of
+  ``(task id, attempt)`` via the same SHA-256 stream-derivation
   discipline ``repro.faults`` and ``Kernel.rng`` use, so a retry
   schedule is reproducible run to run;
 * **quarantine** — a task that exhausts its attempts is quarantined:
@@ -29,14 +30,9 @@ shared pool: a crashing task must not take neighbours with it) under a
 Results always come back in **input order** (never completion order),
 which is what keeps every merged document byte-identical to its serial
 counterpart.  Deterministic worker *exceptions* (``error`` outcomes)
-are not retried by default — a deterministic simulation fails the same
-way every time — but ``retry_errors=True`` opts in for workloads with
-genuinely transient errors.
-
-Chaos injection (the self-test hook): ``SupervisePolicy.chaos`` maps a
-task id to per-attempt actions (``"crash"``, ``"hang"``, ``"error"``)
-applied in the child *before* the task function runs, so the selftest
-exercises the real detection paths end to end.
+are never retried — a deterministic simulation fails the same way every
+time — and neither is a result that cannot be pickled back to the
+parent, which is reported as an ``error`` naming the pickling failure.
 """
 
 # This module supervises real processes, so it is legitimately
@@ -47,25 +43,28 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
-import signal
+import pickle
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_all_start_methods, get_context
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 # attempt outcomes
 OK = "ok"
 CRASH = "crash"  # process exited without delivering a result
 HANG = "hang"  # heartbeat silence exceeded hang_timeout_s
 DEADLINE = "deadline"  # attempt exceeded deadline_s wall seconds
-ERROR = "error"  # the task function raised (deterministic failure)
+ERROR = "error"  # the task raised, or its result could not be pickled
 
-# exit code used by injected chaos crashes (and visible in manifests)
-CHAOS_EXIT_CODE = 70
+HEARTBEAT_S = 0.2  # child heartbeat period
+# retry backoff: the cap doubles from 50 ms per attempt up to 2 s
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+BACKOFF_SEED = 0  # jitter stream seed
 
 _MONITOR_TICK_S = 0.05  # coordinator poll granularity
 
@@ -78,30 +77,19 @@ class SuperviseError(RuntimeError):
 class SupervisePolicy:
     """How hard to defend one fan-out against failing workers.
 
-    The defaults are deliberately conservative: three attempts, modest
-    backoff, no deadline and no hang detection unless asked for —
-    arming a wall-clock deadline on a machine-speed-dependent workload
-    is a caller decision.
+    The defaults are deliberately conservative: three attempts, no
+    deadline and no hang detection unless asked for — arming a
+    wall-clock limit on a machine-speed-dependent workload is a caller
+    decision.
     """
 
     max_attempts: int = 3
     deadline_s: Optional[float] = None  # per-attempt wall cap
-    heartbeat_s: float = 0.2  # child heartbeat period
     hang_timeout_s: Optional[float] = None  # heartbeat silence => hung
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    seed: int = 0  # backoff jitter stream seed
-    retry_errors: bool = False  # retry deterministic exceptions too
-    # self-test hook: task id -> per-attempt chaos actions ("crash",
-    # "hang", "error"); attempts beyond the tuple run clean
-    chaos: Optional[Mapping[str, Tuple[str, ...]]] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be positive: {self.heartbeat_s}")
 
 
 # the stance for deterministic simulations: a failed attempt would fail
@@ -137,23 +125,18 @@ class SupervisedOutcome:
         return self.results
 
 
-def backoff_delay(policy: SupervisePolicy, task_id: str, attempt: int) -> float:
+def backoff_delay(task_id: str, attempt: int) -> float:
     """Deterministic jittered exponential backoff before retry ``attempt + 1``.
 
-    A pure function of ``(policy.seed, task_id, attempt)``: the cap
-    grows as ``base * factor**(attempt-1)`` (clamped to
-    ``backoff_max_s``) and the jitter fraction comes from a SHA-256
+    A pure function of ``(task_id, attempt)``: the cap grows as
+    ``BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1)`` (clamped to
+    ``BACKOFF_MAX_S``) and the jitter fraction comes from a SHA-256
     derivation — the same discipline ``Kernel.rng`` uses for named
     streams — so two runs of the same failing sweep retry on the same
     schedule.  The delay lands in ``[cap/2, cap)``.
     """
-    cap = min(
-        policy.backoff_base_s * policy.backoff_factor ** (attempt - 1),
-        policy.backoff_max_s,
-    )
-    digest = hashlib.sha256(
-        f"{policy.seed}:{task_id}:{attempt}".encode()
-    ).digest()
+    cap = min(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX_S)
+    digest = hashlib.sha256(f"{BACKOFF_SEED}:{task_id}:{attempt}".encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
     return cap * (0.5 + 0.5 * frac)
 
@@ -162,51 +145,14 @@ def backoff_delay(policy: SupervisePolicy, task_id: str, attempt: int) -> float:
 # child side
 # ---------------------------------------------------------------------------
 
-_current_attempt = 1  # set in the child before the task function runs
 
-
-def current_attempt() -> int:
-    """Which attempt (1-based) the calling child process is running.
-
-    Only meaningful inside a ``supervised_map`` worker; chaos/test task
-    functions use it to fail on early attempts and succeed later.
-    """
-    return _current_attempt
-
-
-class ChaosInjected(RuntimeError):
-    """A chaos plan asked this attempt to fail with an error."""
-
-
-def _apply_chaos(action: str) -> None:
-    if action == "crash":
-        os._exit(CHAOS_EXIT_CODE)
-    if action == "hang":
-        # freeze the whole process, heartbeat thread included: the
-        # parent must notice via heartbeat silence and SIGKILL us
-        os.kill(os.getpid(), signal.SIGSTOP)
-        return
-    if action == "error":
-        raise ChaosInjected("injected deterministic failure")
-    raise ValueError(f"unknown chaos action {action!r}")
-
-
-def _child_main(
-    conn: Any,
-    fn: Callable,
-    item: Any,
-    attempt: int,
-    heartbeat_s: float,
-    chaos_action: Optional[str],
-) -> None:
+def _child_main(conn: Any, fn: Callable, item: Any) -> None:
     """Worker body: heartbeat while running ``fn(item)``, send the result."""
-    global _current_attempt
-    _current_attempt = attempt
     send_lock = threading.Lock()
     stop = threading.Event()
 
     def beat() -> None:
-        while not stop.wait(heartbeat_s):
+        while not stop.wait(HEARTBEAT_S):
             try:
                 with send_lock:
                     conn.send(("hb",))
@@ -215,17 +161,21 @@ def _child_main(
 
     threading.Thread(target=beat, daemon=True, name="supervise-heartbeat").start()
     try:
-        if chaos_action is not None:
-            _apply_chaos(chaos_action)
-        value = fn(item)
+        payload = ("ok", fn(item))
     except BaseException:
-        payload = ("err", traceback.format_exc())
-    else:
-        payload = ("ok", value)
+        payload = ("err", f"task raised:\n{traceback.format_exc()}")
+    # pickle here, not inside send: an unpicklable result is the task's
+    # deterministic error, not a crash to retry
+    try:
+        data = pickle.dumps(payload)
+    except Exception:
+        data = pickle.dumps(
+            ("err", f"result could not be pickled:\n{traceback.format_exc()}")
+        )
     stop.set()
     try:
         with send_lock:
-            conn.send(payload)
+            conn.send_bytes(data)
     except OSError:  # pragma: no cover - parent died first
         pass
     finally:
@@ -311,24 +261,11 @@ def supervised_map(
     delayed: List[Tuple[float, int, int]] = []  # (not_before, index, attempt)
     active: Dict[int, _Active] = {}  # index -> running attempt
 
-    def chaos_action(task_id: str, attempt: int) -> Optional[str]:
-        if policy.chaos is None:
-            return None
-        plan = policy.chaos.get(task_id, ())
-        return plan[attempt - 1] if attempt <= len(plan) else None
-
     def launch(index: int, attempt: int) -> None:
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_child_main,
-            args=(
-                child,
-                fn,
-                items[index],
-                attempt,
-                policy.heartbeat_s,
-                chaos_action(ids[index], attempt),
-            ),
+            args=(child, fn, items[index]),
             daemon=True,
             name=f"supervise-{ids[index]}-a{attempt}",
         )
@@ -353,12 +290,9 @@ def supervised_map(
         attempts_log[index].append(
             {"attempt": worker.attempt, "outcome": outcome, "detail": detail}
         )
-        retryable = outcome in (CRASH, HANG, DEADLINE) or (
-            outcome == ERROR and policy.retry_errors
-        )
-        if retryable and worker.attempt < policy.max_attempts:
+        if outcome != ERROR and worker.attempt < policy.max_attempts:
             not_before = time.monotonic() + backoff_delay(
-                policy, worker.task_id, worker.attempt
+                worker.task_id, worker.attempt
             )
             heapq.heappush(delayed, (not_before, index, worker.attempt + 1))
 
@@ -379,10 +313,8 @@ def supervised_map(
                 worker.last_hb = time.monotonic()
             elif msg[0] == "ok":
                 settle(worker, OK, "completed", value=msg[1])
-            elif msg[0] == "err":
-                settle(worker, ERROR, f"task raised:\n{msg[1]}")
-            else:  # pragma: no cover - protocol bug
-                settle(worker, ERROR, f"unknown worker message {msg[0]!r}")
+            else:  # ("err", detail)
+                settle(worker, ERROR, msg[1])
 
     while ready or delayed or active:
         now = time.monotonic()

@@ -357,7 +357,7 @@ def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
     assert main(["lint", "src/repro"]) == 2
     capsys.readouterr()
     assert main(["ci"]) == 0
-    assert "lint=0 new-flow=0 baselined=4 stale-baseline=0 -> OK" in (
+    assert "lint=0 new-flow=0 baselined=3 stale-baseline=0 -> OK" in (
         capsys.readouterr().out
     )
 

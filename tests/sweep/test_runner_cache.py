@@ -1,8 +1,16 @@
 """Runner + cache contract: digests, invalidation, resumability, and
 byte-stable deterministic merging whatever order cells complete in."""
 
+import dataclasses
+import functools
 import json
+import os
+import signal
 
+import pytest
+
+from repro.bench import harness
+from repro.supervise import SupervisePolicy
 from repro.sweep import (
     SweepCache,
     cell_digest,
@@ -123,9 +131,30 @@ def test_parallel_matches_serial_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 # supervision: retry, quarantine, partial-result salvage
 # ---------------------------------------------------------------------------
-def test_supervised_run_without_failures_is_byte_identical():
-    from repro.supervise import SupervisePolicy
+def _misbehaving_tcp_cell(monkeypatch, action, marker=None):
+    """Make TINY's tcp cell crash (``os._exit``) or hang (SIGSTOP) in its
+    worker: on every attempt, or only while ``marker`` does not exist yet.
 
+    Workers fork, so they see the patched registry entry; ``wraps`` keeps
+    the runner's signature, so the cell resolves and digests as before."""
+    original = harness.MATRICES["pingpong"]
+
+    @functools.wraps(original.run)
+    def run(**params):
+        if params["protocol"] == "tcp" and (marker is None or not marker.exists()):
+            if marker is not None:
+                marker.touch()
+            if action == "crash":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGSTOP)
+        return original.run(**params)
+
+    monkeypatch.setitem(
+        harness.MATRICES, "pingpong", dataclasses.replace(original, run=run)
+    )
+
+
+def test_supervised_run_without_failures_is_byte_identical():
     spec = _tiny_spec()
     plain = run_sweep(spec, cache=None)
     supervised = run_sweep(
@@ -136,41 +165,32 @@ def test_supervised_run_without_failures_is_byte_identical():
     assert dumps_result(supervised.doc) == dumps_result(plain.doc)
 
 
-def test_crash_is_retried_and_document_survives_intact(tmp_path):
-    from repro.supervise import SupervisePolicy
-
+@pytest.mark.parametrize("action", ["crash", "hang"])
+def test_crash_is_retried_and_document_survives_intact(tmp_path, monkeypatch, action):
     spec = _tiny_spec()
     plain = run_sweep(spec, cache=None)
     victim = spec.cells[0].id
-    policy = SupervisePolicy(
-        max_attempts=2,
-        backoff_base_s=0.01,
-        backoff_max_s=0.05,
-        chaos={victim: ("crash",)},
-    )
+    _misbehaving_tcp_cell(monkeypatch, action, marker=tmp_path / "struck")
+    policy = SupervisePolicy(max_attempts=2, hang_timeout_s=1.0)
     result = run_sweep(spec, jobs=2, cache=SweepCache(tmp_path / "c"), supervise=policy)
     assert not result.quarantined
     [rec] = result.manifest
     assert rec["cell"] == victim and rec["outcome"] == "recovered"
+    assert [a["outcome"] for a in rec["attempts"]] == [action, "ok"]
     assert "failures" not in result.doc  # recovered != failed
     assert dumps_result(result.doc) == dumps_result(plain.doc)
 
 
-def test_quarantined_cell_is_salvaged_around(tmp_path):
-    from repro.supervise import SupervisePolicy
-
+def test_quarantined_cell_is_salvaged_around(tmp_path, monkeypatch):
     spec = _tiny_spec()
     plain = run_sweep(spec, cache=None)
     victim = spec.cells[0].id
     survivor = spec.cells[1].id
-    policy = SupervisePolicy(
-        max_attempts=2,
-        backoff_base_s=0.01,
-        backoff_max_s=0.05,
-        chaos={victim: ("crash", "crash")},  # every attempt dies
-    )
+    _misbehaving_tcp_cell(monkeypatch, "crash")  # every attempt dies
     cache = SweepCache(tmp_path / "c")
-    result = run_sweep(spec, jobs=2, cache=cache, supervise=policy)
+    result = run_sweep(
+        spec, jobs=2, cache=cache, supervise=SupervisePolicy(max_attempts=2)
+    )
     assert result.quarantined == [victim]
     assert result.executed == [survivor]
     # the surviving cell merged byte-identically to the unfailed run's
@@ -181,8 +201,9 @@ def test_quarantined_cell_is_salvaged_around(tmp_path):
     [failure] = result.doc["failures"]
     assert failure["cell"] == victim and failure["outcome"] == "quarantined"
     assert len(failure["attempts"]) == 2
-    # the survivor's cache entry is good: a chaos-free resume recomputes
+    # the survivor's cache entry is good: a healthy resume recomputes
     # only the quarantined cell and reproduces the full document
+    monkeypatch.undo()
     healed = run_sweep(spec, cache=cache)
     assert healed.executed == [victim] and healed.cached == [survivor]
     assert dumps_result(healed.doc) == dumps_result(plain.doc)
