@@ -24,7 +24,6 @@ from ..metrics.registry import _coerce
 from ..workloads.farm import FarmParams, run_farm
 from ..workloads.interleave_mix import run_interleave_mix
 from ..workloads.mpbench import make_pingpong, run_pingpong
-from ..workloads.npb import run_npb
 
 LIMIT_NS = 20_000_000_000_000  # hard per-run virtual-time ceiling (watchdog)
 
@@ -165,6 +164,9 @@ FIG9_ORDER = ["LU", "SP", "EP", "CG", "BT", "MG", "IS"]
 
 def _fig9_cell(kernel: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow]:
     """One fig9 cell: both protocols on one NPB kernel."""
+    # the NPB kernels need numpy; no other experiment pays for importing it
+    from ..workloads.npb import run_npb
+
     tcp = run_npb(kernel, cls, rpi="tcp", seed=seed, limit_ns=LIMIT_NS)
     sctp = run_npb(kernel, cls, rpi="sctp", seed=seed, limit_ns=LIMIT_NS)
     return [

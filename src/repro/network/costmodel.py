@@ -19,7 +19,7 @@ rather than hidden inside protocol code.  ``crc32c_per_kib_ns`` defaults to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,15 @@ class CostModel:
     # crossover, SCTP wins above by ~10-25%.
     tcp_middleware_per_kib_ns: int = 11_000
     sctp_middleware_per_kib_ns: int = 5_200
+
+    def __post_init__(self) -> None:
+        # Host.send / Host.deliver skip HostCPU's negative-cost guard on
+        # the strength of this check: a negative charge would complete a
+        # job before the one queued ahead of it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"CostModel.{f.name} must be >= 0, got {value}")
 
     def packet_send_cost(self, proto: str, wire_size: int) -> int:
         """CPU ns to push one packet of ``wire_size`` bytes into the NIC."""

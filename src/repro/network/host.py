@@ -33,51 +33,35 @@ class HostCPU:
     def execute(self, cost_ns: int, fn: Callable, *args: Any) -> int:
         """Run ``fn(*args)`` after ``cost_ns`` of CPU, FIFO-serialised.
 
-        Returns the virtual time at which the work completes.
+        Returns the virtual time at which the work completes.  CPU work is
+        never cancelled, so it goes through the fire-and-forget kernel path.
         """
-        if cost_ns < 0:
-            raise ValueError(f"negative CPU cost: {cost_ns}")
-        # per-packet hot path: avoid max()/property overhead, and schedule
-        # through the fire-and-forget kernel path (CPU work is never
-        # cancelled, so no handle is needed)
-        kernel = self.kernel
-        now = kernel._now
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + cost_ns
-        self._busy_until = done
-        self.total_busy_ns += cost_ns
-        if done == now:
+        done = self.charge(cost_ns)
+        if done == self.kernel._now:
             fn(*args)
         else:
-            kernel.post_at(done, fn, *args)
+            self.kernel.post_at(done, fn, *args)
         return done
 
     def charge(self, cost_ns: int) -> int:
-        """Account CPU time without attaching a callback.
+        """Account ``cost_ns`` of CPU; return when that work completes.
 
-        Same serialisation as ``execute(cost_ns, _noop)`` — the no-op
-        completion event still lands on the heap so clock advance and
-        deadlock detection are unchanged — minus one call frame.
+        Pure FIFO arithmetic: nothing lands in the kernel heap.  A FIFO
+        fixes a job's completion time at submission, so the later jobs
+        queue behind it exactly as if a completion event had been posted,
+        and an event that runs no code changes no virtual-time output
+        (DESIGN §9.3).
         """
         if cost_ns < 0:
             raise ValueError(f"negative CPU cost: {cost_ns}")
-        kernel = self.kernel
-        now = kernel._now
+        now = self.kernel._now
         start = self._busy_until
         if start < now:
             start = now
         done = start + cost_ns
         self._busy_until = done
         self.total_busy_ns += cost_ns
-        if done != now:
-            kernel.post_at(done, _noop)
         return done
-
-
-def _noop() -> None:
-    return None
 
 
 class Host:
@@ -163,8 +147,8 @@ class Host:
         if self.taps:
             for tap in self.taps:
                 tap("tx", self, packet)
-        # per-packet hot path: HostCPU.execute inlined (the cost model
-        # never returns a negative charge, so the guard is skipped)
+        # per-packet hot path: HostCPU.execute inlined (CostModel rejects
+        # negative fields, so the negative-cost guard is skipped)
         cpu = self.cpu
         kernel = cpu.kernel
         now = kernel._now

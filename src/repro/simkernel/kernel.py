@@ -393,9 +393,10 @@ class Kernel:
     def post_after(self, delay: int, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`call_after` (see :meth:`post_at`).
 
-        This is the single hottest scheduling call in a run (every link
-        hop, CPU charge, and pipe transfer lands here), so the
-        :meth:`post_at` body is inlined rather than delegated.
+        Every Dummynet pipe transfer and compute-phase sleep lands here
+        (link hops and packet CPU completions use :meth:`post_at`; a
+        ``HostCPU.charge`` is pure arithmetic and lands in no heap), so
+        the :meth:`post_at` body is inlined rather than delegated.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
@@ -525,7 +526,8 @@ class Kernel:
                 entry = heap[0]
                 when = entry[0]
                 if until is not None and when > until:
-                    self._now = until
+                    if until > self._now:
+                        self._now = until
                     return processed
                 heappop(heap)
                 fn = entry[2]

@@ -205,6 +205,18 @@ def test_fig8_128k_cell_is_schedule_independent():
     assert perturb_cell("fig8", {"size": 131072}, modes=("lifo",)).deterministic
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known loss-free race (ROADMAP item 4): the SCTP leg is identical, the "
+    "TCP leg is not -- tcp_Mops 1847.41 (fifo) vs 1856.39 (lifo), and three "
+    "node0/node1 connections end in TIME_WAIT vs CLOSING with different "
+    "segments_received; IS and CG at class S race too"
+))
+def test_fig9_ep_class_s_cell_is_schedule_independent():
+    from repro.analyze.perturb import perturb_cell
+
+    assert perturb_cell("fig9", {"kernel": "EP", "cls": "S"}, modes=("lifo",)).deterministic
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -84,3 +84,22 @@ def test_profile_table_keeps_dataclass_inits_apart():
     assert sorted(inits.values()) == [30, 70]
     assert any("self, left" in label for label in inits)
     assert any("self, right" in label for label in inits)
+
+
+def test_front_door_imports_numpy_only_for_npb_cells():
+    """``repro.bench`` / ``repro.sweep`` / ``repro.analyze`` start without
+    numpy; the first fig9 cell loads it and still verifies."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.bench, repro.sweep, repro.analyze\n"
+        "print('numpy' in sys.modules)\n"
+        "from repro.bench.harness import run_sweep_cell\n"
+        "[row] = run_sweep_cell('fig9', {'kernel': 'EP', 'cls': 'S'})\n"
+        "print(row.measured['verified'], 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True", "True"]

@@ -1,5 +1,9 @@
 """Cost model arithmetic and documented calibration properties."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.network import CostModel
 
 
@@ -46,3 +50,21 @@ def test_unknown_proto_gets_only_ip_cost():
     cm = CostModel()
     assert cm.packet_send_cost("icmp", 100) == cm.ip_send_ns
     assert cm.packet_recv_cost("icmp", 100) == cm.ip_recv_ns
+
+
+def test_negative_field_is_rejected_by_name():
+    # Host.send / Host.deliver skip the negative-cost guard: a negative
+    # charge would finish a packet before the one queued ahead of it
+    with pytest.raises(ValueError, match="tcp_segment_recv_ns"):
+        CostModel(tcp_segment_recv_ns=-1100)
+    with pytest.raises(ValueError, match="select_per_socket_ns"):
+        CostModel(select_per_socket_ns=-1)
+    assert CostModel(ip_send_ns=0).packet_send_cost("icmp", 100) == 0
+
+
+def test_crc32c_variant_still_validates():
+    cm = CostModel().with_crc32c()
+    assert cm.crc32c_per_kib_ns == CostModel.CRC32C_ENABLED_PER_KIB_NS
+    # variants are built with dataclasses.replace, which validates too
+    with pytest.raises(ValueError, match="crc32c_per_kib_ns"):
+        replace(cm, crc32c_per_kib_ns=-1)

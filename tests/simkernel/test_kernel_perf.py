@@ -71,6 +71,17 @@ def test_run_until_advances_clock_on_empty_heap():
     # a second run with an earlier until must not move the clock back
     assert k.run(until=200) == 0
     assert k.now == 500
+    # ... nor with an event still pending past both limits
+    k = Kernel()
+    fired = []
+    k.post_at(1_000, fired.append, 1)
+    assert k.run(until=500) == 0
+    assert k.run(until=200) == 0
+    assert k.now == 500
+    with pytest.raises(ValueError):
+        k.post_at(300, fired.append, 2)
+    assert k.run() == 1
+    assert fired == [1] and k.now == 1_000
 
 
 def test_run_until_with_max_events_interaction():
