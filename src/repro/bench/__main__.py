@@ -1,7 +1,11 @@
 """Command-line experiment runner: ``python -m repro.bench <figure>``.
 
 Runs one (or all) of the paper's figures — the titled registry entries
-of :mod:`repro.bench.harness` — and prints the paper-vs-measured table.
+of :mod:`repro.bench.harness` — prints the paper-vs-measured table and
+checks the figure's rows against the entry's claim (the paper's
+qualitative result).  A broken claim prints ``CLAIM FAILED <figure>:
+<message>``; the remaining figures still run, ``--metrics-json`` is
+still written, and the command exits 1.
 
     python -m repro.bench fig8
     python -m repro.bench table1 fig10
@@ -163,12 +167,16 @@ def main(argv: list[str]) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     doc = {"schema": METRICS_SCHEMA, "experiments": {}}
+    failures = 0
     started = time.time()  # repro: allow[AN101] — wall display only
     try:
         for name, rows, runs in run_figures(names, args.jobs, args.metrics_json is not None):
             doc["experiments"][name] = {"title": titles[name], "rows": rows, "runs": runs}
             table = [ExperimentRow(**row) for row in rows]
             print(format_table(titles[name], table))
+            for message in MATRICES[name].claim(table):
+                print(f"CLAIM FAILED {name}: {message}")
+                failures += 1
             print()
         # wall time goes to stdout only: the JSON must be run-invariant
         elapsed = time.time() - started  # repro: allow[AN101] — wall display only
@@ -182,7 +190,7 @@ def main(argv: list[str]) -> int:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         print(f"metrics JSON written to {args.metrics_json}")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

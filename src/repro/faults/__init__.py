@@ -29,8 +29,8 @@ Quick example — a 2 s mid-run blackhole of the primary path::
     result = run_app(app, n_procs=2, rpi="sctp", n_paths=2, scenario=scenario)
 
 SCTP rides it out by failing over to path 1 (heartbeat-detected); TCP
-stalls through RTO exponential backoff.  ``benchmarks/
-bench_chaos_matrix.py`` sweeps the whole library against both stacks.
+stalls through RTO exponential backoff.  ``python -m repro.bench
+chaos`` sweeps the library against both stacks.
 """
 
 from .impairments import (

@@ -2,8 +2,8 @@
 
 Each factory returns a fresh :class:`~repro.faults.scenario.FaultScenario`
 mapping onto a protocol mechanism the paper argues about; the chaos
-bench (``benchmarks/bench_chaos_matrix.py``) runs every one against
-both stacks.  All factories take times in nanoseconds and target every
+figure (``python -m repro.bench chaos``) runs them against both
+stacks.  All factories take times in nanoseconds and target every
 host egress pipe by default (``"*"``), path 0 for path-scoped faults.
 """
 

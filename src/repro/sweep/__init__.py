@@ -2,7 +2,7 @@
 
 The paper's evaluation is one big parameter matrix — app x protocol x
 loss x message size x fan-out.  ``repro.sweep`` makes that matrix a
-*document*: a JSON/YAML spec expands into validated cells of the
+*document*: a JSON spec expands into validated cells of the
 :mod:`repro.bench.harness` registry, executes under a concurrency cap
 with per-cell caching keyed by (config digest, code version), and
 merges into one byte-stable result document.  ``repro.sweep report``

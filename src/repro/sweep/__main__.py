@@ -47,7 +47,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run a sweep spec (cache-resumable)")
-    runp.add_argument("spec", help="sweep spec path (.json, or .yaml with PyYAML)")
+    runp.add_argument("spec", help="sweep spec path (JSON)")
     runp.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="shard dirty cells across N worker processes")
     runp.add_argument("--cache", default=".sweep-cache", metavar="DIR",

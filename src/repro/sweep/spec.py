@@ -1,9 +1,8 @@
 """Declarative sweep specs: the parameter matrix as a document.
 
-A spec is a JSON (or YAML, when PyYAML happens to be installed — it is
-deliberately *not* a dependency) document describing one named sweep as
-a list of blocks, each of which expands to cells of one experiment from
-the :mod:`repro.bench.harness` registry::
+A spec is a JSON document describing one named sweep as a list of
+blocks, each of which expands to cells of one experiment from the
+:mod:`repro.bench.harness` registry::
 
     {
       "name": "smoke",
@@ -189,25 +188,14 @@ def _expand_points(block: Mapping, where: str) -> List[Dict[str, Any]]:
 
 
 def load_spec(path: str) -> SweepSpec:
-    """Load a spec file (JSON always; YAML when PyYAML is importable)."""
-    lower = str(path).lower()
+    """Load a JSON spec file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise SweepError(f"cannot read sweep spec {path}: {err}") from None
-    if lower.endswith((".yaml", ".yml")):
-        try:
-            import yaml  # type: ignore[import-not-found]
-        except ImportError:
-            raise SweepError(
-                f"{path}: YAML specs need PyYAML, which is not installed; "
-                "use the JSON form instead"
-            ) from None
-        doc = yaml.safe_load(text)
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise SweepError(f"{path}: invalid JSON: {err}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise SweepError(f"{path}: invalid JSON: {err}") from None
     return spec_from_dict(doc)

@@ -1,5 +1,5 @@
-"""Bench harness plumbing (fast checks; the experiments themselves run
-under `pytest benchmarks/`)."""
+"""Bench harness plumbing (fast checks; the figures themselves, and the
+claims their rows are checked against, run under `python -m repro.bench`)."""
 
 import os
 

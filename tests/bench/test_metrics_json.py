@@ -27,7 +27,9 @@ def _tiny_experiment(seed: int = 5):
     ]
 
 
-TINY = harness.ExperimentMatrix((), _tiny_experiment, title="Tiny exchange")
+TINY = harness.ExperimentMatrix(
+    (), _tiny_experiment, title="Tiny exchange", claim=lambda rows: []
+)
 
 
 def test_same_seed_runs_serialise_byte_identically():

@@ -14,7 +14,7 @@ _FARM_CELLS = [
     for loss in (0.0, 0.01, 0.02)
 ]
 
-# the nine figures' cells, in the order a run merges them; a change here
+# the figures' cells, in the order a run merges them; a change here
 # reorders every --metrics-json document and committed transcript
 DEFAULT_CELLS = {
     "fig8": [
@@ -37,6 +37,9 @@ DEFAULT_CELLS = {
         {"protocol": "sctp", "interleaving": "on", "scheduler": "rr"},
     ],
     "chaos": [{"rpi": "tcp"}, {"rpi": "sctp"}],
+    "fig4": [{"rpi": "tcp"}, {"rpi": "sctp"}],
+    "crc32c": [{}],
+    "select": [{"n_procs": n} for n in (4, 8, 12)],
 }
 
 # resolve_sweep_params() of each entry's first default cell.  Sweep
@@ -52,6 +55,9 @@ GOLDEN_RESOLVED = {
     "fig12": [("size_label", "short"), ("loss", 0.0), ("seeds", (1, 2, 3))],
     "failover": [("seed", 1)],
     "chaos": [("rpi", "tcp"), ("seed", 1)],
+    "fig4": [("rpi", "tcp"), ("seed", 2)],
+    "crc32c": [("seed", 1)],
+    "select": [("n_procs", 4), ("seed", 1)],
     "pingpong": [
         ("protocol", "tcp"), ("size", 1024), ("loss", 0.0), ("seed", 1),
         ("iterations", None), ("scenario", "none"), ("interleaving", "off"),

@@ -132,16 +132,6 @@ def test_load_spec_json_and_missing(tmp_path):
         load_spec(str(bad))
 
 
-def test_load_spec_yaml_when_available(tmp_path):
-    yaml = pytest.importorskip("yaml")
-    path = tmp_path / "s.yaml"
-    path.write_text(yaml.safe_dump(_spec([PINGPONG_BLOCK]), sort_keys=False))
-    spec = load_spec(str(path))
-    assert [cell.id for cell in spec.cells] == [
-        cell.id for cell in spec_from_dict(_spec([PINGPONG_BLOCK])).cells
-    ]
-
-
 def test_committed_smoke_spec_shape():
     """The committed CI spec keeps its acceptance-criteria coverage."""
     spec = load_spec("benchmarks/sweep_smoke.json")

@@ -19,8 +19,9 @@ def test_class_s_verifies(name, rpi):
 
 @pytest.mark.parametrize("name", ALL)
 def test_class_w_verifies(name):
-    r = run_npb(name, "W", rpi="sctp", seed=1, limit_ns=LIMIT)
-    assert r.verified, f"{name}.W failed: {r.detail}"
+    for rpi in ("tcp", "sctp"):
+        r = run_npb(name, "W", rpi=rpi, seed=1, limit_ns=LIMIT)
+        assert r.verified, f"{name}.W failed on {rpi}: {r.detail}"
 
 
 @pytest.mark.parametrize("name", ["EP", "IS", "CG"])
