@@ -43,22 +43,22 @@ class Communicator:
         self._check_peer(dest)
         self._check_tag(tag)
         body, extra = encode_payload(data)
+        rpi = self.rpi
         req = SendRequest(
-            rpi=self.rpi,
-            dest=self._to_world(dest),
-            tag=tag,
-            context=pt2pt_context(self.cid),
-            body=body,
-            flags_extra=extra,
-            synchronous=synchronous,
-            seqnum=self.rpi.next_seq(),
+            rpi, self._to_world(dest), tag, pt2pt_context(self.cid), body,
+            extra, synchronous, rpi.next_seq(),
         )
-        self.rpi.start_send(req)
+        rpi.start_send(req)
         return req
 
     async def send(self, data: Any, dest: int, tag: int = 0) -> None:
         """Blocking standard send."""
-        await self.wait(self.isend(data, dest, tag))
+        # wait()'s loop, inline in send/recv: no coroutine per message for it
+        request = self.isend(data, dest, tag)
+        while not request.done:
+            await self.rpi.advance_once()
+        if request.error is not None:
+            raise request.error
 
     async def ssend(self, data: Any, dest: int, tag: int = 0) -> None:
         """Blocking synchronous send."""
@@ -69,12 +69,7 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_peer(source)
             source = self._to_world(source)
-        req = RecvRequest(
-            rpi=self.rpi,
-            source=source,
-            tag=tag,
-            context=pt2pt_context(self.cid),
-        )
+        req = RecvRequest(self.rpi, source, tag, pt2pt_context(self.cid))
         self.rpi.post_recv(req)
         return req
 
@@ -86,7 +81,10 @@ class Communicator:
     ) -> Any:
         """Blocking receive; returns the decoded payload."""
         req = self.irecv(source, tag)
-        await self.wait(req)
+        while not req.done:
+            await self.rpi.advance_once()
+        if req.error is not None:
+            raise req.error
         if status is not None:
             status.source = self._from_world(req.status.source)
             status.tag = req.status.tag
@@ -100,7 +98,8 @@ class Communicator:
         """Progress the middleware until ``request`` completes."""
         while not request.done:
             await self.rpi.advance_once()
-        request.future.result()  # re-raise failures
+        if request.error is not None:
+            raise request.error
         return request
 
     async def _next_completion(self) -> None:
@@ -119,7 +118,8 @@ class Communicator:
             while not request.done:
                 await self._next_completion()
         for request in requests:
-            request.future.result()
+            if request.error is not None:
+                raise request.error
         return list(requests)
 
     async def waitany(self, requests: Sequence[Request]) -> Tuple[int, Request]:
@@ -129,7 +129,8 @@ class Communicator:
         while True:
             for i, request in enumerate(requests):
                 if request.done:
-                    request.future.result()
+                    if request.error is not None:
+                        raise request.error
                     return i, request
             await self._next_completion()
 

@@ -10,7 +10,7 @@ check framing); bodies may be synthetic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..util.blobs import RealBlob
 from .constants import FLAG_LONG_BODY, FLAG_SHORT, FLAG_SSEND, KIND_MASK
@@ -25,9 +25,12 @@ ENVELOPE_SIZE = _STRUCT.size  # 28 bytes
 _INLINE_BODY_KINDS = frozenset((FLAG_SHORT, FLAG_SSEND, FLAG_LONG_BODY))
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
-    """One middleware envelope."""
+class Envelope(NamedTuple):
+    """One middleware envelope: immutable and equal by value.
+
+    A named tuple, the cheapest immutable record to build: an envelope
+    is built twice per message.
+    """
 
     length: int  # body bytes that follow (0 for pure control envelopes)
     tag: int
@@ -54,8 +57,7 @@ class Envelope:
         """Parse from exactly ENVELOPE_SIZE wire bytes."""
         if len(raw) != ENVELOPE_SIZE:
             raise ValueError(f"envelope must be {ENVELOPE_SIZE} bytes, got {len(raw)}")
-        length, tag, context, rank, flags, seqnum = _unpack(raw)
-        return cls(length, tag, context, rank, flags, seqnum)
+        return cls._make(_unpack(raw))
 
     def kind(self) -> int:
         """The single kind bit set in flags."""

@@ -1,9 +1,11 @@
 """MPI request objects and completion status.
 
 A :class:`Request` is what ``isend``/``irecv`` return; the progression
-engine moves it through its protocol states and completes the underlying
-future.  ``Status`` mirrors MPI_Status: actual source, tag and byte count
-— essential with wildcards.
+engine moves it through its protocol states and marks it ``done`` (a
+failure is kept in ``error``).  Nothing awaits a request: the wait calls
+progress the engine until ``done`` is set, then re-raise ``error``.
+``Status`` mirrors MPI_Status: actual source, tag and byte count —
+essential with wildcards.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..simkernel import Future
 from ..util.blobs import ChunkList
 from .constants import ANY_SOURCE, ANY_TAG
 
@@ -24,10 +25,8 @@ S_RECV_POSTED = "recv_posted"
 S_RECV_BODY = "recv_body"  # long recv: ack sent, body arriving
 S_DONE = "done"
 
-_FUTURE_NAME = {"send": "send-req", "recv": "recv-req"}
 
-
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Completion information (MPI_Status)."""
 
@@ -43,14 +42,16 @@ class Request:
     restart with every world and nothing process-global is written.
     """
 
-    def __init__(self, kind: str, rpi) -> None:
+    __slots__ = ("kind", "rpi", "id", "state", "done", "error", "status", "data")
+
+    def __init__(self, kind: str, rpi, status: Status) -> None:
         self.kind = kind  # "send" | "recv"
         self.rpi = rpi  # the owning rank's progression engine
         self.id = rpi.next_request_id()
         self.state = S_INIT
         self.done = False  # set by complete()/fail(), never cleared
-        self.future = Future(name=_FUTURE_NAME[kind])
-        self.status = Status()
+        self.error: Optional[BaseException] = None  # set by fail()
+        self.status = status
         self.data: Any = None  # decoded payload (recv side)
 
     def complete(self, data: Any = None) -> None:
@@ -61,7 +62,6 @@ class Request:
         self.done = True
         self.data = data
         self.rpi.completions += 1
-        self.future.set_result(self)
 
     def fail(self, exc: BaseException) -> None:
         """Complete the request with an error."""
@@ -69,8 +69,8 @@ class Request:
             return
         self.state = S_DONE
         self.done = True
+        self.error = exc
         self.rpi.completions += 1
-        self.future.set_exception(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request r{self.rpi.rank}#{self.id} {self.kind} {self.state}>"
@@ -78,6 +78,10 @@ class Request:
 
 class SendRequest(Request):
     """Outgoing message: payload plus protocol bookkeeping."""
+
+    __slots__ = (
+        "dest", "tag", "context", "body", "flags_extra", "synchronous", "seqnum"
+    )
 
     def __init__(
         self,
@@ -90,7 +94,7 @@ class SendRequest(Request):
         synchronous: bool,
         seqnum: int,
     ) -> None:
-        super().__init__("send", rpi)
+        super().__init__("send", rpi, Status(rpi.rank, tag, body.nbytes))
         self.dest = dest
         self.tag = tag
         self.context = context
@@ -98,20 +102,22 @@ class SendRequest(Request):
         self.flags_extra = flags_extra
         self.synchronous = synchronous
         self.seqnum = seqnum
-        self.status.source = rpi.rank
-        self.status.tag = tag
-        self.status.length = body.nbytes
 
 
 class RecvRequest(Request):
     """Posted receive: matching criteria plus an accumulation buffer."""
 
+    __slots__ = (
+        "source", "tag", "context", "body", "expected_length", "body_flags",
+        "matched_source", "matched_seqnum",
+    )
+
     def __init__(self, rpi, source: int, tag: int, context: int) -> None:
-        super().__init__("recv", rpi)
+        super().__init__("recv", rpi, Status())
         self.source = source  # may be ANY_SOURCE
         self.tag = tag  # may be ANY_TAG
         self.context = context
-        self.body = ChunkList()
+        self.body: Optional[ChunkList] = None  # a rendezvous body's pieces
         self.expected_length: Optional[int] = None
         self.body_flags = 0
         self.matched_source: Optional[int] = None

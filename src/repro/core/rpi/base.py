@@ -14,9 +14,10 @@ Implements LAM's message delivery protocol (§2.2.2) once, for both RPIs:
 
 Concrete RPIs supply transport plumbing: ``_enqueue_unit`` to queue one
 middleware unit (envelope + optional body) toward a rank, ``_pump`` to
-move queued/inbound data, and ``_wait_for_event`` to block on transport
-readiness.  Inbound traffic re-enters through :meth:`_on_unit` /
-:meth:`_on_body_piece`.
+move queued/inbound data, and ``_wait_for_event`` to decide whether an
+idle step blocks: it consumes a pending :meth:`~BaseRPI.wake`, or returns
+the one future the next wake resolves.  Inbound traffic re-enters through
+:meth:`_on_unit` / :meth:`_on_body_piece`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
 from ...analyze.sanitize import rpi_sanitizer
-from ...simkernel import AsyncEvent
+from ...simkernel import Future
 from ...util.blobs import ChunkList
 from ..constants import (
     EAGER_LIMIT,
@@ -97,7 +98,11 @@ class BaseRPI:
         # requests of this rank completed or failed so far; the waiters in
         # Communicator rescan their lists only when this has moved
         self.completions = 0
-        self._wake = AsyncEvent(name=f"rpi-wake-{self.rank}")
+        # wake() resolves the blocked step's future, or, with no step
+        # blocked, sets _woken for the next one (level-triggered)
+        self._waiter: Optional[Future] = None
+        self._woken = False
+        self._waiter_name = f"rpi-wake-{self.rank}"
         # init-time control hook (world install: hello/barrier bookkeeping)
         self._control_sink: Optional[Callable[[int, Envelope], None]] = None
         # rendezvous state-machine sanitizer; None unless REPRO_SANITIZE is on
@@ -145,9 +150,17 @@ class BaseRPI:
         """Move queued/inbound data without blocking; True if progressed."""
         raise NotImplementedError
 
-    async def _wait_for_event(self) -> None:
-        """Block until the transport reports readiness (or ``_wake``)."""
-        raise NotImplementedError
+    def _wait_for_event(self) -> Optional[Future]:
+        """The future an idle step awaits, or None if a wake is pending."""
+        if self._woken:
+            self._woken = False
+            return None
+        return self._block()
+
+    def _block(self) -> Future:
+        """The future a blocked step awaits; the next :meth:`wake` resolves it."""
+        self._waiter = waiter = Future(self._waiter_name)
+        return waiter
 
     # ------------------------------------------------------------------
     # progression entry points used by the Communicator
@@ -171,12 +184,22 @@ class BaseRPI:
         self.stats.advance_calls += 1
         if self._pump():
             return
-        await self._wait_for_event()
+        waiter = self._wait_for_event()
+        if waiter is not None:
+            await waiter
         self._pump()
 
     def wake(self) -> None:
-        """Release a blocked :meth:`advance_once` (transport callbacks)."""
-        self._wake.set()
+        """Release a blocked :meth:`advance_once` (transport callbacks).
+
+        A wake that arrives while no step is blocked is not lost: the
+        next step that would block returns at once instead."""
+        waiter = self._waiter
+        if waiter is None:
+            self._woken = True
+        else:
+            self._waiter = None
+            waiter.set_result(None)
 
     # ------------------------------------------------------------------
     # send side
@@ -247,6 +270,7 @@ class BaseRPI:
         if self._san is not None:
             self._san.expect_state(req, S_RECV_POSTED, "LONG_RNDV envelope")
         req.state = S_RECV_BODY
+        req.body = ChunkList()
         req.expected_length = env.length
         req.body_flags = env.flags
         req.matched_source = env.rank

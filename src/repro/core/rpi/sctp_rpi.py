@@ -49,7 +49,7 @@ from ..envelope import ENVELOPE_SIZE, Envelope
 from .base import BaseRPI
 
 
-@dataclass
+@dataclass(slots=True)
 class _SctpOutUnit:
     """One middleware unit, transmitted as 1..N SCTP messages."""
 
@@ -203,6 +203,8 @@ class SCTPRPI(BaseRPI):
             )
             self._dispatch(msg)
             progressed = True
+        if not self._queued_units:
+            return progressed
         # outbound: only the head of each (rank, stream) queue may write
         # (Option B).  A head whose next piece exceeds the association's
         # send room is exactly what sendmsg would refuse (EAGAIN): it is
@@ -244,7 +246,8 @@ class SCTPRPI(BaseRPI):
             end = size - ENVELOPE_SIZE
             wire = ChunkList([unit.env.pack()])
             if end:
-                wire.extend(unit.body.slice(0, end))
+                body = unit.body
+                wire.extend(body if end == body.nbytes else body.slice(0, end))
         if not self.sock.sendmsg(assoc_id, stream, wire):
             # sendmsg stays the authority on EAGAIN; _pump's admission
             # test is meant to agree with it and the sanitizer checks that
@@ -277,9 +280,8 @@ class SCTPRPI(BaseRPI):
             self._on_body_piece(rank, seqnum, msg.data)
             return
 
-        head = msg.data.slice(0, ENVELOPE_SIZE).to_bytes()
-        env = Envelope.unpack(head)
-        body = msg.data.slice(ENVELOPE_SIZE, msg.nbytes)
+        body = msg.data  # the socket handed the message over: take from it
+        env = Envelope.unpack(body.take(ENVELOPE_SIZE).to_bytes())
         if rank is None:
             # first unit on an inbound association must identify the peer
             if env.kind() != FLAG_HELLO:
@@ -292,13 +294,6 @@ class SCTPRPI(BaseRPI):
         if env.kind() == FLAG_LONG_BODY and env.length > body.nbytes:
             self._rx_cont[(rank, msg.stream)] = [env.seqnum, env.length - body.nbytes]
         self._on_unit(rank, env, body)
-
-    async def _wait_for_event(self) -> None:
-        if self._wake.is_set():
-            self._wake.clear()
-            return
-        await self._wake.wait()
-        self._wake.clear()
 
     def outstanding_output(self) -> int:
         """Bytes still queued toward peers (diagnostics)."""

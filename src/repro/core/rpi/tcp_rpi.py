@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional
 
+from ...simkernel import Future
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
 from ..constants import FLAG_HELLO, MPI_BASE_PORT
@@ -31,17 +32,13 @@ from .base import BaseRPI
 RECV_CHUNK = 220 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class _OutUnit:
     """One queued middleware unit: envelope + body as a single byte run."""
 
     wire: ChunkList
     on_sent: Optional[Callable[[], None]] = None
-    offset: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.wire.nbytes
+    offset: int = 0  # bytes of ``wire`` the socket has taken
 
 
 class _InState:
@@ -63,7 +60,7 @@ class TCPRPI(BaseRPI):
         super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
         self.port = port
         self.endpoint = process.tcp_endpoint
-        self.selector = Selector(self.host, self._wake.set)
+        self.selector = Selector(self.host, self.wake)
         # per-chunk hot path: prebind the middleware cost coefficients
         # (fixed for the host's lifetime) so _pump/_send_some do integer
         # arithmetic instead of a cost-model method call per socket op
@@ -76,6 +73,7 @@ class TCPRPI(BaseRPI):
         self._outq: Dict[int, Deque[_OutUnit]] = {
             r: deque() for r in range(self.size) if r != self.rank
         }
+        self._queued_units = 0  # units in _outq, over every queue
         self._listener: Optional[TCPListener] = None
 
     # ------------------------------------------------------------------
@@ -136,7 +134,8 @@ class TCPRPI(BaseRPI):
         wire = ChunkList([env.pack()])
         if body is not None:
             wire.extend(body)
-        self._outq[dest].append(_OutUnit(wire=wire, on_sent=on_sent))
+        self._outq[dest].append(_OutUnit(wire, on_sent))
+        self._queued_units += 1
         self.stats.units_sent += 1
         self.stats.bytes_sent += wire.nbytes
 
@@ -156,20 +155,23 @@ class TCPRPI(BaseRPI):
                     if chunk is None:
                         ready.discard(sock)
                         break
-                    if chunk.nbytes == 0:
+                    nbytes = chunk.nbytes  # _feed may take from the run
+                    if nbytes == 0:
                         # EOF/teardown: a finished peer closed its side; stop
                         # watching or select() would spin on it forever
                         self._retire_socket(sock)
                         break
                     self.host.cpu.charge(
-                        self._mw_base_ns + self._mw_per_kib_ns * chunk.nbytes // 1024
+                        self._mw_base_ns + self._mw_per_kib_ns * nbytes // 1024
                     )
                     self._feed(sock, chunk)
                     progressed = True
-                    if chunk.nbytes < RECV_CHUNK:
+                    if nbytes < RECV_CHUNK:
                         # a short read drained the receive buffer; nothing new
                         # can arrive synchronously, so skip the would-block call
                         break
+        if not self._queued_units:
+            return progressed
         # outbound: flush per-peer FIFO queues
         for rank, queue in self._outq.items():
             if not queue:
@@ -181,8 +183,9 @@ class TCPRPI(BaseRPI):
                 unit = queue[0]
                 if self._send_some(sock, unit) > 0:
                     progressed = True
-                if unit.offset >= unit.total:
+                if unit.offset >= unit.wire.nbytes:
                     queue.popleft()
+                    self._queued_units -= 1
                     if unit.on_sent is not None:
                         unit.on_sent()
                 else:
@@ -198,7 +201,7 @@ class TCPRPI(BaseRPI):
 
     def _send_some(self, sock: TCPSocket, unit: _OutUnit) -> int:
         sent = 0
-        while unit.offset < unit.total:
+        while unit.offset < unit.wire.nbytes:
             accepted = sock.send(unit.wire.piece_at(unit.offset))
             if accepted == 0:
                 break
@@ -211,17 +214,19 @@ class TCPRPI(BaseRPI):
 
     def _feed(self, sock: TCPSocket, chunk: ChunkList) -> None:
         state = self._in_state[sock]
-        state.buf.extend(chunk)
+        if state.buf.nbytes:
+            state.buf.extend(chunk)
+        else:
+            state.buf = chunk  # the socket handed this run over: adopt it
         while True:
             if state.env is None:
                 if state.buf.nbytes < ENVELOPE_SIZE:
                     return
-                head, state.buf = state.buf.split(ENVELOPE_SIZE)
-                state.env = Envelope.unpack(head.to_bytes())
+                state.env = Envelope.unpack(state.buf.take(ENVELOPE_SIZE).to_bytes())
             body_len = state.env.wire_body_length()
             if state.buf.nbytes < body_len:
                 return
-            body, state.buf = state.buf.split(body_len)
+            body = state.buf.take(body_len)
             env, state.env = state.env, None
             if sock not in self._rank_by_sock:
                 if env.kind() != FLAG_HELLO:
@@ -232,27 +237,30 @@ class TCPRPI(BaseRPI):
                 self._bind(sock, env.rank)
             self._on_unit(env.rank, env, body)
 
-    async def _wait_for_event(self) -> None:
-        if self._wake.is_set():
-            self._wake.clear()
-            return
+    def _wait_for_event(self) -> Optional[Future]:
+        if self._woken:
+            self._woken = False
+            return None
         write_socks = [
             self._sock_by_rank[r]
             for r, q in self._outq.items()
             if q and r in self._sock_by_rank
-        ]
+        ] if self._queued_units else []
         if self.selector.select(write_socks):
-            return
+            return None
         if self._san is not None:
             self._san.expect_listed(self.selector.sockets, (), f"rank {self.rank} blocking select")
-        # the selector sets _wake on the first event select() would have
-        # returned for; so does anything else that wakes the rank
-        await self._wake.wait()
-        self.selector.unblock()
-        self._wake.clear()
+        # the selector wakes the rank on the first event select() would
+        # have returned for; so does anything else that wakes the rank
+        return self._block()
+
+    def wake(self) -> None:
+        if self._waiter is not None:
+            self.selector.unblock()  # whoever woke the rank ends its select()
+        super().wake()
 
     def outstanding_output(self) -> int:
         """Bytes still queued toward peers (diagnostics)."""
         return sum(
-            sum(u.total - u.offset for u in q) for q in self._outq.values()
+            sum(u.wire.nbytes - u.offset for u in q) for q in self._outq.values()
         )

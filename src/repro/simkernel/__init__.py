@@ -7,9 +7,7 @@ transport protocol timers, MPI processes) runs on.  It provides:
   nanosecond clock and one cancellable, restartable timer handle,
 * :class:`~repro.simkernel.futures.Future` / :class:`~repro.simkernel.futures.Task`
   -- asyncio-like primitives driven by the virtual clock instead of wall time,
-* synchronisation helpers (:func:`~repro.simkernel.sync.wait_all`,
-  :func:`~repro.simkernel.sync.wait_any`, :class:`~repro.simkernel.sync.AsyncEvent`,
-  :class:`~repro.simkernel.sync.AsyncQueue`),
+* :func:`~repro.simkernel.sync.wait_all`, a future over several futures,
 * unit helpers for time and bandwidth arithmetic.
 
 Determinism rules: time is integral (ns), ties are broken by insertion
@@ -20,12 +18,10 @@ simulation is a pure function of its configuration and seed.
 
 from .futures import CancelledError, Future, Task
 from .kernel import Kernel, RestartableTimer, WatchdogExpired
-from .sync import AsyncEvent, AsyncQueue, wait_all, wait_any
+from .sync import wait_all
 from .units import GBIT_PER_S, MBIT_PER_S, MICROSECOND, MILLISECOND, SECOND, tx_time_ns
 
 __all__ = [
-    "AsyncEvent",
-    "AsyncQueue",
     "CancelledError",
     "Future",
     "GBIT_PER_S",
@@ -39,5 +35,4 @@ __all__ = [
     "WatchdogExpired",
     "tx_time_ns",
     "wait_all",
-    "wait_any",
 ]

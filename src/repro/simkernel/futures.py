@@ -108,7 +108,8 @@ class Future:
     # -- awaiting --------------------------------------------------------
     def __await__(self):
         if self._state is _PENDING:
-            yield self
+            # the task resumes us with the result, or throws the failure in
+            return (yield self)
         return self.result()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -126,12 +127,14 @@ class Task(Future):
     timestamp, in deterministic order.
     """
 
-    __slots__ = ("_coro", "_awaiting")
+    __slots__ = ("_coro", "_awaiting", "_resume")
 
     def __init__(self, coro: Coroutine, name: str = "") -> None:
         super().__init__(name=name or getattr(coro, "__name__", "task"))
         self._coro = coro
         self._awaiting: Optional[Future] = None
+        # bound once: every step registers it on the future it awaits
+        self._resume = self._wakeup
 
     def start(self) -> None:
         """Begin executing the coroutine (called by ``Kernel.spawn``)."""
@@ -187,7 +190,7 @@ class Task(Future):
                 "Futures can be awaited inside the simulator"
             )
         self._awaiting = awaited
-        awaited.add_done_callback(self._wakeup)
+        awaited.add_done_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name!r} {self._state}>"

@@ -157,7 +157,7 @@ class InboundStreams:
             # a whole message in one chunk has no neighbours to find: it
             # skips the space (a fast path kept on measurement, DESIGN §9.1)
             head = tail = chunk
-            data = ChunkList([chunk.payload])
+            data = ChunkList.concat((chunk.payload,))
         else:
             if chunk.is_idata:
                 space, index = (chunk.sid, chunk.unordered, chunk.mid), chunk.fsn
@@ -184,7 +184,9 @@ class InboundStreams:
                 return []
             if chunk.is_idata and self._san_idata is not None:
                 self._san_idata.on_assembled(chunk.sid, chunk.mid, frags, last)
-            data = ChunkList([frags.pop(i).payload for i in range(first, last + 1)])
+            data = ChunkList.concat(
+                [frags.pop(i).payload for i in range(first, last + 1)]
+            )
             if not frags:
                 del self._spaces[space]
         return self._offer_complete(

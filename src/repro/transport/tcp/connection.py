@@ -215,7 +215,7 @@ class TCPConnection:
     def app_read(self, nbytes: int) -> ChunkList:
         """Consume up to ``nbytes`` of in-order data (empty at EOF)."""
         take = min(nbytes, self._ready.nbytes)
-        data, self._ready = self._ready.split(take)
+        data = self._ready.take(take)
         if take:
             self.stats.bytes_received += take
             self._maybe_send_window_update()

@@ -124,6 +124,25 @@ class ChunkList:
     def __len__(self) -> int:
         return self.nbytes
 
+    @classmethod
+    def concat(cls, parts: Iterable[Union[Blob, "ChunkList"]]) -> "ChunkList":
+        """One flat run of ``parts`` in order: a chunk list contributes
+        its pieces, never itself, so a piece is always a blob."""
+        kept: List[Blob] = []
+        total = 0
+        for part in parts:
+            n = part.nbytes
+            if n > 0:
+                if isinstance(part, ChunkList):
+                    kept.extend(part.pieces)
+                else:
+                    kept.append(part)
+                total += n
+        out = cls.__new__(cls)
+        out.pieces = kept
+        out.nbytes = total
+        return out
+
     def append(self, blob: Blob) -> None:
         """Add a blob at the end."""
         if blob.nbytes == 0:
@@ -142,8 +161,8 @@ class ChunkList:
         """Byte range [start, end) as a new chunk list."""
         _check_range(start, end, self.nbytes)
         if start == 0 and end == self.nbytes:
-            # whole-run fast path (split() at a boundary, full re-sends):
-            # share the immutable blobs, copy only the list
+            # whole-run fast path (full re-sends): share the immutable
+            # blobs, copy only the list
             out = ChunkList.__new__(ChunkList)
             out.pieces = self.pieces.copy()
             out.nbytes = self.nbytes
@@ -190,13 +209,35 @@ class ChunkList:
         raise ValueError(f"offset {offset} beyond {self.nbytes}-byte payload")
 
     def split(self, at: int) -> tuple["ChunkList", "ChunkList"]:
-        """Split into (first ``at`` bytes, remainder)."""
+        """Split into (first ``at`` bytes, remainder); this run is unchanged."""
+        rest = self.slice(0, self.nbytes)
+        return rest.take(at), rest
+
+    def take(self, at: int) -> "ChunkList":
+        """Remove the first ``at`` bytes from this run and return them.
+
+        Taking everything hands the pieces over and leaves this run
+        empty, and taking exactly the first piece (a framed envelope)
+        moves that one blob, so neither case slices anything.
+        """
         nbytes = self.nbytes
+        out = ChunkList.__new__(ChunkList)
         if at == nbytes:
-            # take-everything fast path (app reads, exact-framing feeds):
-            # the remainder is empty, so skip the general slice scan
-            return self.slice(0, nbytes), ChunkList()
-        return self.slice(0, at), self.slice(at, nbytes)
+            out.pieces = self.pieces
+            out.nbytes = nbytes
+            self.pieces = []
+            self.nbytes = 0
+            return out
+        if 0 < at < nbytes and self.pieces[0].nbytes == at:
+            out.pieces = [self.pieces.pop(0)]
+            out.nbytes = at
+            self.nbytes = nbytes - at
+            return out
+        head = self.slice(0, at)
+        rest = self.slice(at, nbytes)
+        self.pieces = rest.pieces
+        self.nbytes = rest.nbytes
+        return head
 
     def to_bytes(self) -> bytes:
         """Materialise the whole run (synthetic pieces read as zeros)."""

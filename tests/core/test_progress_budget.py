@@ -43,13 +43,16 @@ class _CountedDone:
 
     def __init__(self, request, tally):
         self.request = request
-        self.future = request.future
         self._tally = tally
 
     @property
     def done(self):
         self._tally["done_reads"] += 1
         return self.request.done
+
+    @property
+    def error(self):
+        return self.request.error
 
 
 def _farm_counts(rpi, monkeypatch):

@@ -1,8 +1,8 @@
-"""wait_all / wait_any / AsyncEvent / AsyncQueue."""
+"""wait_all."""
 
 import pytest
 
-from repro.simkernel import AsyncEvent, AsyncQueue, Future, Kernel, wait_all, wait_any
+from repro.simkernel import Future, Kernel, wait_all
 
 
 def test_wait_all_collects_in_order():
@@ -26,95 +26,3 @@ def test_wait_all_propagates_exception():
     futures[1].set_exception(ValueError("bad"))
     with pytest.raises(ValueError):
         done.result()
-
-
-def test_wait_any_returns_first_index():
-    futures = [Future() for _ in range(3)]
-    done = wait_any(futures)
-    futures[1].set_result("winner")
-    assert done.result() == (1, "winner")
-    futures[0].set_result("late")  # must not disturb the settled result
-    assert done.result() == (1, "winner")
-
-
-def test_wait_any_immediate_when_already_done():
-    f = Future()
-    f.set_result(9)
-    assert wait_any([Future(), f]).result() == (1, 9)
-
-
-def test_wait_any_requires_input():
-    with pytest.raises(ValueError):
-        wait_any([])
-
-
-def test_event_releases_current_and_future_waiters():
-    ev = AsyncEvent()
-    w1 = ev.wait()
-    assert not w1.done()
-    ev.set()
-    assert w1.done()
-    assert ev.wait().done()  # post-set waits resolve immediately
-
-
-def test_event_clear_rearms():
-    ev = AsyncEvent()
-    ev.set()
-    ev.clear()
-    assert not ev.is_set()
-    assert not ev.wait().done()
-
-
-def test_event_double_set_is_noop():
-    ev = AsyncEvent()
-    ev.set()
-    ev.set()
-    assert ev.is_set()
-
-
-def test_queue_fifo():
-    q = AsyncQueue()
-    q.put(1)
-    q.put(2)
-    assert q.get().result() == 1
-    assert q.get().result() == 2
-
-
-def test_queue_waiter_served_on_put():
-    q = AsyncQueue()
-    getter = q.get()
-    assert not getter.done()
-    q.put("item")
-    assert getter.result() == "item"
-    assert len(q) == 0
-
-
-def test_queue_get_nowait_raises_when_empty():
-    with pytest.raises(IndexError):
-        AsyncQueue().get_nowait()
-
-
-def test_queue_put_many_preserves_order():
-    q = AsyncQueue()
-    q.put_many("abc")
-    assert [q.get().result() for _ in range(3)] == ["a", "b", "c"]
-
-
-def test_queue_with_kernel_tasks():
-    k = Kernel()
-    q = AsyncQueue()
-    got = []
-
-    async def consumer():
-        for _ in range(3):
-            got.append(await q.get())
-
-    async def producer():
-        for i in range(3):
-            await k.sleep(10)
-            q.put(i)
-
-    k.spawn(consumer())
-    k.spawn(producer())
-    k.run()
-    assert got == [0, 1, 2]

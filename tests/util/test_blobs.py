@@ -59,6 +59,16 @@ def test_chunklist_split():
     assert left.to_bytes() == b"hellowo" and right.to_bytes() == b"rld"
 
 
+def test_chunklist_take_leaves_the_remainder():
+    env, body = RealBlob(b"envelope"), RealBlob(b"body")
+    cl = ChunkList([env, body])
+    head = cl.take(8)  # exactly the first piece: moved, not sliced
+    assert head.pieces == [env] and cl.pieces == [body] and cl.nbytes == 4
+    assert cl.take(2).to_bytes() == b"bo" and cl.to_bytes() == b"dy"
+    rest = cl.take(2)  # everything: handed over, the run is left empty
+    assert rest.to_bytes() == b"dy" and cl.pieces == [] and cl.nbytes == 0
+
+
 def test_chunklist_extend():
     a = ChunkList([RealBlob(b"12")])
     b = ChunkList([RealBlob(b"34")])
