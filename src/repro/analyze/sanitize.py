@@ -25,7 +25,7 @@ simulation's virtual-time behaviour — a property pinned by test.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _FORCED: Optional[bool] = None  # programmatic override; None defers to env
 
@@ -538,6 +538,9 @@ class RPISanitizer:
     For the TCP RPI it also checks the selector's ready set: the pump
     reads only listed sockets, so a readable socket outside the list
     would have its data left unread (``sock.readable => sock in ready``).
+    For both RPIs it checks the stall records: the pump passes over a
+    stalled peer, so one whose send room has grown enough would have its
+    output left unsent.
     """
 
     __slots__ = ()
@@ -560,6 +563,31 @@ class RPISanitizer:
                     "rpi",
                     "TCP ready set covers every readable socket",
                     f"{where}: {sock!r} is readable but not listed",
+                )
+
+    def expect_refused(
+        self, stalled: Dict[Any, int], room: Callable[[Any], int], where: str
+    ) -> None:
+        """Each stalled peer's send room still cannot take the smallest
+        piece it refused (SCTP: ``send_room < need``)."""
+        for peer, need in stalled.items():
+            free = room(peer)
+            if free >= need:
+                _fail(
+                    "rpi",
+                    "a stalled peer's send room is below its next piece",
+                    f"{where}: peer {peer} has room {free} for a {need}-byte piece",
+                )
+
+    def expect_full(self, stalled: Any, where: str) -> None:
+        """Each stalled socket's ``send`` would still accept nothing
+        (TCP: ``sock in stalled => sock.send_blocked``)."""
+        for sock in stalled:
+            if not sock.send_blocked:
+                _fail(
+                    "rpi",
+                    "a stalled TCP socket's send buffer is full",
+                    f"{where}: {sock!r} can take bytes but is stalled",
                 )
 
 

@@ -9,7 +9,9 @@ mapped to the paper section it implements:
   and advances other requests on EAGAIN.  A refused ``sctp_sendmsg``
   costs no virtual time, so the simulator does not make the call: the
   pump reads each association's send room and passes over a queue head
-  that cannot fit, before packing or slicing anything (DESIGN §9.4),
+  that cannot fit, before packing or slicing anything, and remembers the
+  association as stalled until the transport reports room for the
+  smallest head it refused (write readiness, DESIGN §9.4),
 * **TRC -> stream mapping** (§3.2.1): messages hash (context, tag) onto a
   fixed pool of stream numbers (10 by default), so differently-tagged
   messages from the same peer are delivered independently —
@@ -99,7 +101,12 @@ class SCTPRPI(BaseRPI):
         self._rank_by_assoc: Dict[int, int] = {}
         self._assoc_by_rank: Dict[int, int] = {}
         self._outq: Dict[Tuple[int, int], Deque[_SctpOutUnit]] = {}
-        self._queued_units = 0  # units in _outq, over every queue
+        # write readiness: rank -> smallest next piece its send room refused
+        # on the last walk (every head of that rank is bigger than the room,
+        # until on_writable lifts it), and whether anything since that walk
+        # (a unit queued, a rank bound, a stall lifted) may let one progress
+        self._stalled: Dict[int, int] = {}
+        self._walk_due = False
         # (rank, stream) -> [seqnum, remaining_bytes] continuation state
         self._rx_cont: Dict[Tuple[int, int], List[int]] = {}
         self._barrier_ready = 0
@@ -131,11 +138,13 @@ class SCTPRPI(BaseRPI):
         sure no rank starts sending before everyone's associations exist."""
         self.sock = OneToManySocket(self.endpoint, self.port, self.sctp_config)
         self.sock.on_readable = self.wake
-        # freed send room matters only to queued output (the TCP RPI's
-        # write-set rule): with every queue empty the pump has nothing to
-        # send, and inbound data wakes the rank through on_readable
-        self.sock.on_writable = lambda _aid: self._queued_units and self.wake()
-        self.sock.on_assoc_up = lambda _aid: self.wake()
+        self.sock.on_writable = self._on_writable
+        self.sock.on_assoc_up = self._on_assoc_up
+        # a shutting-down or closed association stops refusing (sendmsg
+        # raises instead): lift its stall so the next walk raises where
+        # it always did, but wake nobody, as nothing did before
+        self.sock.on_assoc_shutdown = self._unstall
+        self.sock.on_assoc_down = lambda assoc_id, _error: self._unstall(assoc_id)
 
         for peer in range(self.rank + 1, self.size):
             assoc_id = await self.sock.connect(self.process.addr_of(peer), self.port)
@@ -167,6 +176,30 @@ class SCTPRPI(BaseRPI):
     def _bind(self, assoc_id: int, rank: int) -> None:
         self._rank_by_assoc[assoc_id] = rank
         self._assoc_by_rank[rank] = assoc_id
+        self._walk_due = True
+
+    def _on_assoc_up(self, _assoc_id: int) -> None:
+        self._walk_due = True
+        self.wake()
+
+    def _on_writable(self, assoc_id: int) -> None:
+        """Freed send room wakes the rank only when its pump can use it:
+        the room now takes the rank's smallest stalled head, or a walk is
+        already due (a stall lifted by a shutdown).  Any other wake finds
+        nothing to send, and inbound data wakes through on_readable."""
+        stalled = self._stalled
+        if stalled:
+            rank = self._rank_by_assoc.get(assoc_id)
+            need = stalled.get(rank)
+            if need is not None and self.sock.send_room(assoc_id) >= need:
+                del stalled[rank]
+                self._walk_due = True
+        if self._walk_due:
+            self.wake()
+
+    def _unstall(self, assoc_id: int) -> None:
+        if self._stalled.pop(self._rank_by_assoc.get(assoc_id), None) is not None:
+            self._walk_due = True
 
     def _handle_control(self, src_rank: int, env: Envelope) -> None:
         kind = env.kind()
@@ -186,7 +219,8 @@ class SCTPRPI(BaseRPI):
         self._outq.setdefault((dest, stream), deque()).append(
             _SctpOutUnit(env, body, first, on_sent)
         )
-        self._queued_units += 1
+        self._stalled.pop(dest, None)  # the new head may be smaller
+        self._walk_due = True
         self.stats.units_sent += 1
         self.stats.bytes_sent += ENVELOPE_SIZE + body.nbytes
 
@@ -203,37 +237,52 @@ class SCTPRPI(BaseRPI):
             )
             self._dispatch(msg)
             progressed = True
-        if not self._queued_units:
-            return progressed
+        stalled = self._stalled
+        if self._san is not None:
+            self._san.expect_refused(
+                stalled, lambda r: sock.send_room(self._assoc_by_rank[r]),
+                f"rank {self.rank} pump",
+            )
+        if not self._walk_due:
+            return progressed  # every queued head is stalled (or none is queued)
         # outbound: only the head of each (rank, stream) queue may write
         # (Option B).  A head whose next piece exceeds the association's
         # send room is exactly what sendmsg would refuse (EAGAIN): it is
-        # passed over before anything is built, and the other streams and
-        # associations go on.  An oversize piece is not passed over, so
-        # MessageTooBig still surfaces.
+        # passed over before anything is built, the rank is recorded as
+        # stalled on the smallest such piece, and the other streams and
+        # associations go on.  A rank stalled before this walk is passed
+        # over without reading its room: none of its heads fits.  An
+        # oversize piece is never passed over, so MessageTooBig surfaces.
         limit = self._msg_limit
-        room: Dict[int, int] = {}  # rank -> send room, read once per pump
+        assoc_by_rank = self._assoc_by_rank
+        room: Dict[int, int] = {}  # rank -> send room, read once per walk
         for (rank, stream), queue in self._outq.items():
             if not queue:
                 continue
+            assoc_id = assoc_by_rank.get(rank)
+            if assoc_id is None:
+                continue  # association still coming up (init)
             free = room.get(rank)
             if free is None:
-                assoc_id = self._assoc_by_rank.get(rank)
-                if assoc_id is None:
-                    continue  # association still coming up (init)
+                if rank in stalled:
+                    continue
                 free = room[rank] = sock.send_room(assoc_id)
-            while queue and not free < queue[0].next_size <= limit:
+            while queue:
                 unit = queue[0]
-                assoc_id = self._assoc_by_rank[rank]
-                if not self._send_piece(assoc_id, stream, unit):
+                size = unit.next_size
+                if free < size <= limit or not self._send_piece(assoc_id, stream, unit):
+                    if size < stalled.get(rank, limit + 1):
+                        stalled[rank] = size
                     break
                 progressed = True
                 free = room[rank] = sock.send_room(assoc_id)
                 if unit.next_size == 0:
                     queue.popleft()
-                    self._queued_units -= 1
                     if unit.on_sent is not None:
                         unit.on_sent()
+        # not before the walk: one that raises (a shut-down association)
+        # is due again, so the next pump raises too, as it always did
+        self._walk_due = False
         return progressed
 
     def _send_piece(self, assoc_id: int, stream: int, unit: _SctpOutUnit) -> bool:

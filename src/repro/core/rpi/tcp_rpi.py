@@ -12,7 +12,8 @@ Faithful to §2.2/§3 of the paper:
   (envelope, body-progress) pair per socket suffices (§3.2.4) — this is
   exactly the head-of-line blocking the SCTP module removes,
 * per-peer FIFO write queues: all tags/contexts to the same peer share
-  one byte stream.
+  one byte stream; a socket whose send buffer a write filled is passed
+  over until it reports freed room (the write side of ``select()``).
 """
 
 from __future__ import annotations
@@ -172,13 +173,18 @@ class TCPRPI(BaseRPI):
                         break
         if not self._queued_units:
             return progressed
-        # outbound: flush per-peer FIFO queues
+        # outbound: flush per-peer FIFO queues, passing over the sockets
+        # whose send buffer is still full (Selector.stalled): their send
+        # would accept nothing
+        stalled = self.selector.stalled
+        if self._san is not None:
+            self._san.expect_full(stalled, f"rank {self.rank} pump")
         for rank, queue in self._outq.items():
             if not queue:
                 continue
             sock = self._sock_by_rank.get(rank)
-            if sock is None:
-                continue  # peer not connected yet (only during init)
+            if sock is None or sock in stalled:
+                continue  # peer not connected yet (only during init), or full
             while queue:
                 unit = queue[0]
                 if self._send_some(sock, unit) > 0:
@@ -189,7 +195,8 @@ class TCPRPI(BaseRPI):
                     if unit.on_sent is not None:
                         unit.on_sent()
                 else:
-                    break  # socket would block: move to the next peer
+                    stalled.add(sock)  # the send buffer is full
+                    break
         return progressed
 
     def _retire_socket(self, sock: TCPSocket) -> None:
@@ -200,16 +207,20 @@ class TCPRPI(BaseRPI):
         self._in_state.pop(sock, None)
 
     def _send_some(self, sock: TCPSocket, unit: _OutUnit) -> int:
+        """Write ``unit`` until it is out or the send buffer is full."""
         sent = 0
-        while unit.offset < unit.wire.nbytes:
-            accepted = sock.send(unit.wire.piece_at(unit.offset))
-            if accepted == 0:
-                break
-            self.host.cpu.charge(
-                self._mw_base_ns + self._mw_per_kib_ns * accepted // 1024
-            )
-            unit.offset += accepted
-            sent += accepted
+        wire = unit.wire
+        while unit.offset < wire.nbytes:
+            piece = wire.piece_at(unit.offset)
+            accepted = sock.send(piece)
+            if accepted:
+                self.host.cpu.charge(
+                    self._mw_base_ns + self._mw_per_kib_ns * accepted // 1024
+                )
+                unit.offset += accepted
+                sent += accepted
+            if accepted < piece.nbytes:
+                break  # a short write filled the buffer: the next would take 0
         return sent
 
     def _feed(self, sock: TCPSocket, chunk: ChunkList) -> None:

@@ -274,6 +274,7 @@ class Association:
         self.on_established = _noop
         self.on_message = _noop1  # fn(AssembledMessage)
         self.on_writable = _noop
+        self.on_shutting_down = _noop  # entered a SHUTDOWN state: sends now raise
         self.on_closed = _noop1  # fn(error | None)
 
         # protocol-invariant sanitizer; None unless REPRO_SANITIZE is on
@@ -1111,6 +1112,7 @@ class Association:
         self._shutdown_requested = True
         if self.state == ESTABLISHED:
             self.state = SHUTDOWN_PENDING
+            self.on_shutting_down()
         self._maybe_send_shutdown()
 
     def _maybe_send_shutdown(self) -> None:
@@ -1131,6 +1133,7 @@ class Association:
         if self.state in (ESTABLISHED, SHUTDOWN_PENDING):
             self.state = SHUTDOWN_RECEIVED
             self._shutdown_requested = True
+            self.on_shutting_down()
         self._maybe_send_shutdown()
 
     def _on_shutdown_ack(self, src_addr: str) -> None:

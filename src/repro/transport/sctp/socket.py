@@ -91,6 +91,9 @@ class OneToManySocket:
         self.on_readable: Callable[[], None] = _noop
         self.on_writable: Callable[[int], None] = _noop1
         self.on_assoc_up: Callable[[int], None] = _noop1
+        # the association entered a SHUTDOWN state: ``send_room`` stops
+        # predicting refusals (``sendmsg`` raises instead)
+        self.on_assoc_shutdown: Callable[[int], None] = _noop1
         self.on_assoc_down: Callable[[int, Optional[str]], None] = _noop2
         endpoint.listen(self.port, ListenerHooks(self._adopt, self.config))
 
@@ -102,6 +105,7 @@ class OneToManySocket:
         assoc.on_message = lambda msg, a=assoc: self._deliver(a, msg)
         assoc.on_writable = lambda a=assoc: self.on_writable(a.assoc_id)
         assoc.on_established = lambda a=assoc: self.on_assoc_up(a.assoc_id)
+        assoc.on_shutting_down = lambda a=assoc: self.on_assoc_shutdown(a.assoc_id)
         assoc.on_closed = lambda err, a=assoc: self._assoc_closed(a, err)
 
     def connect(self, peer_addr: str, peer_port: int) -> Future:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Set
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
-from .connection import TCPConfig, TCPConnection, _noop
+from .connection import CLOSE_WAIT, ESTABLISHED, TCPConfig, TCPConnection, _noop
 from .endpoint import ListenerHooks, TCPEndpoint
 
 
@@ -110,6 +110,19 @@ class TCPSocket:
             return True
         return self.conn.state == "ESTABLISHED" and self.conn.writable_bytes() > 0
 
+    @property
+    def send_blocked(self) -> bool:
+        """A ``send`` now would accept nothing (rather than take bytes or
+        raise): the connection takes writes and its send buffer is full.
+        Implies ``not writable``."""
+        conn = self.conn
+        return (
+            self.closed_error is None
+            and conn.state in (ESTABLISHED, CLOSE_WAIT)
+            and not conn._fin_queued
+            and conn.send_buffer.free <= 0
+        )
+
     def _route_events(self, report: Callable[[], None]) -> None:
         """Send every readiness event (data delivered, EOF, close,
         established, send room freed) to ``report``; ``_noop`` stops them."""
@@ -176,6 +189,14 @@ class Selector:
     reader's ``recv`` would block and discards it: ``sock.readable => sock
     in ready``.  A task woken by a report resumes inline, inside it
     (:class:`~repro.simkernel.futures.Task`), so ``ready`` is exact then.
+
+    ``stalled`` is the write-side mirror: the sockets whose last write left
+    a unit unfinished, added by the writer after a short write.  A socket
+    leaves it when it reports while ``send`` could take bytes again (an ACK
+    freed room, or the connection closed) or is unregistered: ``sock in
+    stalled => sock.send_blocked``, which implies ``not sock.writable``.
+    The writer passes over listed sockets; ``select()``'s write set and its
+    charge do not depend on the list.
     """
 
     def __init__(self, host, wake: Callable[[], None]) -> None:
@@ -183,6 +204,7 @@ class Selector:
         self._wake = wake
         self.sockets: List[TCPSocket] = []  # the read set, in registration order
         self.ready: Set[TCPSocket] = set()
+        self.stalled: Set[TCPSocket] = set()
         # write set of the select() the owner is blocked in; None when not
         self._blocked_writes: Optional[List[TCPSocket]] = None
         self.calls = 0
@@ -197,6 +219,7 @@ class Selector:
         """Stop watching ``sock`` and ignore its further events."""
         self.sockets.remove(sock)
         self.ready.discard(sock)
+        self.stalled.discard(sock)
         sock._route_events(_noop)
 
     def select(self, write_sockets: List[TCPSocket]) -> bool:
@@ -230,8 +253,12 @@ class Selector:
         self._blocked_writes = None
 
     def _socket_event(self, sock: TCPSocket) -> None:
-        """``sock`` reported: list it if readable; wake a blocked owner if
+        """``sock`` reported: list it if readable, unlist it from
+        ``stalled`` if it can take bytes; wake a blocked owner if
         ``select()`` would now return for it."""
+        stalled = self.stalled
+        if stalled and sock in stalled and not sock.send_blocked:
+            stalled.discard(sock)
         blocked_writes = self._blocked_writes
         if sock.readable:
             self.ready.add(sock)

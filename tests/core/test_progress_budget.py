@@ -14,9 +14,10 @@ small send buffer:
   to progression steps (before: 57,757 reads on TCP, 32,666 on SCTP),
 * and none of this adds a progression step: ``advance_calls`` per rank
   equals what that commit counted on TCP, and on SCTP is lower by
-  exactly the steps whose pump had nothing queued and nothing to read —
-  the ones a SACK freeing send room would wake while every
-  ``(rank, stream)`` queue is empty.
+  exactly the steps whose pump could neither send nor read — the ones a
+  SACK freeing send room would wake while every ``(rank, stream)`` queue
+  was empty (manager 770 → 744), and, with write readiness, while the
+  freed room still could not take any stalled head (744 → 155).
 """
 
 import pytest
@@ -31,10 +32,11 @@ from repro.workloads.farm import FarmParams, make_farm
 SNDBUF = 72 * 1024  # just above one eager-limit piece: queues block constantly
 
 # per-rank stats.advance_calls: the commit before the rework (TCP), and
-# that count less the empty-queue writable wake-ups (SCTP)
+# that count less the writable wake-ups whose pump could neither send nor
+# read (SCTP; 744 before write readiness, 770 before the empty-queue gate)
 ADVANCE_CALLS = {
     "tcp": [926, 89, 101, 29],
-    "sctp": [744, 11, 15, 17],
+    "sctp": [155, 11, 15, 17],
 }
 
 
