@@ -411,12 +411,14 @@ class AssociationSanitizer:
 
 
 class StreamOrderSanitizer:
-    """Per-stream SSN in-order delivery (RFC 4960 §6.5).
+    """Per-stream SSN in-order delivery (RFC 4960 §6.5) and reassembly
+    tiling.
 
     Watches the messages :class:`InboundStreams` releases to the
     application: within one stream, ordered messages must surface with
     consecutive SSNs (mod 2**16) starting at 0.  Unordered messages are
-    exempt.
+    exempt.  Before a completed multi-fragment run hands over its
+    message, its fragment views must tile that message exactly.
     """
 
     __slots__ = ("_next_ssn",)
@@ -427,6 +429,31 @@ class StreamOrderSanitizer:
     def seed(self, sid: int, ssn: int) -> None:
         """``InboundStreams.seed`` moved the stream's starting point."""
         self._next_ssn[sid] = ssn
+
+    def on_reassembled(self, frags: Any, first: int, last: int) -> None:
+        """``frags[first..last]`` completed a message: their views must
+        run contiguously from offset 0 to the end of the message (each
+        fragment may carry its own copy of it, so sizes are compared, not
+        identities)."""
+        pos = 0
+        for index in range(first, last + 1):
+            view = frags[index].payload
+            if view.offset != pos:
+                _fail(
+                    "sctp",
+                    "reassembly tiling",
+                    f"fragment {index} starts at byte {view.offset} of its "
+                    f"message, expected {pos}",
+                )
+            pos += view.nbytes
+        size = frags[last].payload.source.nbytes
+        if pos != size:
+            _fail(
+                "sctp",
+                "reassembly tiling",
+                f"fragments {first}..{last} cover {pos} bytes of a "
+                f"{size}-byte message",
+            )
 
     def on_deliver(self, messages: Any) -> None:
         for message in messages:

@@ -4,17 +4,27 @@ A :class:`Host` is where the transport stacks live.  Transports register as
 protocol handlers; inbound packets are charged receive CPU (via
 :class:`HostCPU`, which serialises work like a real single core) and then
 demultiplexed by protocol; outbound packets are charged send CPU and routed
-out of the NIC owning the packet's source address.
+out of the NIC owning the packet's source address.  A host reads each
+protocol's per-packet charge from a table it derives once from its frozen
+:class:`CostModel`, so a packet pays a dictionary read and a multiply.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simkernel import Kernel
 from .costmodel import CostModel
 from .nic import NIC
 from .packet import Packet
+
+
+def _cost_terms(cost: Callable[[str, int], int], proto: str) -> Tuple[int, int]:
+    """``(fixed ns, ns per KiB)`` of one of :class:`CostModel`'s per-packet
+    formulas, each of which is ``fixed + per_kib * wire_size // 1024``:
+    evaluated at 0 and 1,024 bytes, the formula gives both terms."""
+    fixed = cost(proto, 0)
+    return fixed, cost(proto, 1024) - fixed
 
 
 class HostCPU:
@@ -75,7 +85,11 @@ class Host:
     ) -> None:
         self.kernel = kernel
         self.name = name
-        self.cost_model = cost_model or CostModel()
+        self._cost_model = cost_model or CostModel()
+        # per-protocol (fixed ns, ns per KiB) of the send charge, filled
+        # when a handler registers (or on an unregistered protocol's first
+        # packet); the receive terms sit beside each handler
+        self._send_terms: Dict[str, Tuple[int, int]] = {}
         self.cpu = HostCPU(kernel)
         self.interfaces: List[NIC] = []
         self._nic_by_addr: Dict[str, NIC] = {}
@@ -83,7 +97,7 @@ class Host:
         # data path schedules these once per packet, and looking up a
         # stored bound method is cheaper than re-binding it each time
         self._nic_send_by_addr: Dict[str, Callable[[Packet], None]] = {}
-        self._handler_recv: Dict[str, Callable[[Packet], None]] = {}
+        self._handler_recv: Dict[str, Tuple[Callable[[Packet], None], int, int]] = {}
         self._handlers: Dict[str, Any] = {}
         self.rx_packets = 0
         self.tx_packets = 0
@@ -94,6 +108,12 @@ class Host:
         scope.probe("rx_packets", lambda: self.rx_packets)
         scope.probe("tx_packets", lambda: self.tx_packets)
         scope.probe("cpu_busy_ns", lambda: self.cpu.total_busy_ns)
+
+    @property
+    def cost_model(self) -> CostModel:
+        """The host's CPU charges (read-only: the per-packet terms are
+        derived from it once)."""
+        return self._cost_model
 
     # -- interfaces ------------------------------------------------------
     def add_interface(self, nic: NIC) -> NIC:
@@ -129,7 +149,11 @@ class Host:
         if proto in self._handlers:
             raise ValueError(f"host {self.name}: protocol {proto} already registered")
         self._handlers[proto] = handler
-        self._handler_recv[proto] = handler.receive
+        self._send_terms[proto] = _cost_terms(self._cost_model.packet_send_cost, proto)
+        self._handler_recv[proto] = (
+            handler.receive,
+            *_cost_terms(self._cost_model.packet_recv_cost, proto),
+        )
 
     def protocol_handler(self, proto: str) -> Any:
         """Look up a previously registered handler."""
@@ -142,7 +166,13 @@ class Host:
         nic_send = self._nic_send_by_addr.get(packet.src)
         if nic_send is None:
             nic_send = self.interfaces[0].send  # unknown src: primary NIC
-        cost = self.cost_model.packet_send_cost(packet.proto, packet.wire_size)
+        terms = self._send_terms.get(packet.proto)
+        if terms is None:  # no handler registered for this protocol
+            terms = self._send_terms[packet.proto] = _cost_terms(
+                self._cost_model.packet_send_cost, packet.proto
+            )
+        fixed, per_kib = terms
+        cost = fixed + per_kib * packet.wire_size // 1024 if per_kib else fixed
         self.tx_packets += 1
         if self.taps:
             for tap in self.taps:
@@ -165,14 +195,15 @@ class Host:
 
     def deliver(self, packet: Packet) -> None:
         """Ingress path: charge receive CPU, then demux to the transport."""
-        handler_recv = self._handler_recv.get(packet.proto)
-        if handler_recv is None:
+        entry = self._handler_recv.get(packet.proto)
+        if entry is None:
             return  # no listener: silently dropped, like an unhandled proto
+        handler_recv, fixed, per_kib = entry
         self.rx_packets += 1
         if self.taps:
             for tap in self.taps:
                 tap("rx", self, packet)
-        cost = self.cost_model.packet_recv_cost(packet.proto, packet.wire_size)
+        cost = fixed + per_kib * packet.wire_size // 1024 if per_kib else fixed
         cpu = self.cpu
         kernel = cpu.kernel
         now = kernel._now

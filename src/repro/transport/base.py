@@ -51,7 +51,12 @@ KAME_SCTP_TIMERS = TimerPersonality(
 
 
 class RTOEstimator:
-    """Jacobson/Karels smoothed RTT -> RTO, with exponential backoff."""
+    """Jacobson/Karels smoothed RTT -> RTO, with exponential backoff.
+
+    ``rto_ns`` is held, not derived: every timer arm reads it, so the
+    three methods that change its inputs recompute it, and always as
+    ``personality.clamp(base << backoff_exponent)``.
+    """
 
     def __init__(self, personality: TimerPersonality) -> None:
         self.personality = personality
@@ -59,6 +64,8 @@ class RTOEstimator:
         self.rttvar_ns = 0
         self._base_rto_ns = personality.initial_rto_ns
         self.backoff_exponent = 0
+        #: current retransmission timeout including backoff
+        self.rto_ns = personality.clamp(self._base_rto_ns)
 
     def observe(self, rtt_ns: int) -> None:
         """Feed one RTT sample (only from unretransmitted data — Karn)."""
@@ -76,18 +83,18 @@ class RTOEstimator:
             self.personality.granularity_ns or 1, 4 * self.rttvar_ns
         )
         self.backoff_exponent = 0
-
-    @property
-    def rto_ns(self) -> int:
-        """Current retransmission timeout including backoff."""
-        rto = self._base_rto_ns << self.backoff_exponent
-        return self.personality.clamp(rto)
+        self.rto_ns = self.personality.clamp(self._base_rto_ns)
 
     def back_off(self) -> None:
         """Double the RTO after a timeout (capped by the personality max)."""
         if (self._base_rto_ns << self.backoff_exponent) < self.personality.max_rto_ns:
             self.backoff_exponent += 1
+            self.rto_ns = self.personality.clamp(
+                self._base_rto_ns << self.backoff_exponent
+            )
 
     def reset_backoff(self) -> None:
         """Clear backoff after successful delivery progress."""
-        self.backoff_exponent = 0
+        if self.backoff_exponent:
+            self.backoff_exponent = 0
+            self.rto_ns = self.personality.clamp(self._base_rto_ns)

@@ -26,8 +26,11 @@ chunk in one body, whether the cumulative point or a gap block covered
 it.  The receiver's TSNs above the cumulative point are one
 :class:`~repro.util.ranges.RangeSet`, whose ranges are the gap blocks.
 Each SACK and each packet is one pass: budgets are read from the config
-once, and a new-data packet's size is the PMTU less the budget its chunks
-left.
+once, a new-data or SACK-only packet is sized by the code that built it,
+and the per-path bookkeeping a SACK would repeat (error count, RTO
+backoff, fast-recovery exit) is written only when it changes.  A fragment
+of a multi-fragment message is a :class:`~repro.util.blobs.BlobView` of
+that message, never a copy.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from ...analyze.sanitize import sctp_sanitizer
 from ...network.packet import IP_HEADER, Packet
 from ...simkernel import MILLISECOND, SECOND, RestartableTimer
-from ...util.blobs import Blob
+from ...util.blobs import Blob, BlobView
 from ...util.ranges import RangeSet
 from ..base import KAME_SCTP_TIMERS, TimerPersonality
 from .chunks import (
@@ -575,10 +578,10 @@ class Association:
                 head.idata = idata
                 head.seq = self.outbound.next_seq(head.sid, head.unordered, idata)
             if begin and end:
-                # single-fragment fast path: no slicing
+                # single-fragment fast path: the message is the payload
                 fragment = head.payload
             else:
-                fragment = head.payload.slice(head.offset, head.offset + take)
+                fragment = BlobView(head.payload, head.offset, take)
             if head.idata:
                 chunk = IDataChunk(
                     self.next_tsn, head.sid, 0, fragment, begin, end,
@@ -790,7 +793,10 @@ class Association:
         if dest is None:
             path = self._active_path()
             dest = path.addr if path is not None else self.primary_addr
-        self._transmit_chunks([self._build_sack()], dest)
+        sack = self._build_sack()
+        self._transmit_chunks(
+            [sack], dest, size=IP_HEADER + COMMON_HEADER + sack.wire_size()
+        )
 
     # -- sender side: SACK processing -----------------------------------------
     def _on_sack(self, sack: SackChunk, src_addr: str) -> None:
@@ -866,9 +872,14 @@ class Association:
         if cum_advanced:
             self._assoc_error_count = 0
         if total_acked > 0:
+            # reachability and backoff are written only when there is
+            # something to clear: loss-free, neither is ever set
             for addr in newly_acked:
-                self.paths[addr].note_success()
-                self.paths[addr].rto.reset_backoff()
+                path = paths[addr]
+                if path.error_count or path.state != ACTIVE:
+                    path.note_success()
+                if path.rto.backoff_exponent:
+                    path.rto.reset_backoff()
 
         # flow control: a_rwnd minus what is still in flight
         self.peer_rwnd = max(0, sack.a_rwnd - self.outstanding_bytes)
@@ -914,7 +925,8 @@ class Association:
         # pass (the two are independent per path; timer creation order
         # across paths is unchanged — same dict iteration order)
         for addr, path in self.paths.items():
-            path.on_cum_advance(self.cum_tsn_acked)
+            if path.fast_recovery_exit_tsn is not None:
+                path.on_cum_advance(self.cum_tsn_acked)
             if path.outstanding_bytes <= 0:
                 self._t3_timers[addr].cancel()
             elif cum_advanced:
@@ -933,7 +945,10 @@ class Association:
         self._try_send()
         if self._san is not None:
             self._san.on_sack_processed(self)
-        if total_acked > 0 and self.sndbuf_free() > 0:
+        if (
+            total_acked > 0
+            and self.config.sndbuf > self.queued_bytes + self.outstanding_bytes
+        ):
             self.on_writable()
 
     # -- retransmission -------------------------------------------------------

@@ -28,6 +28,8 @@ message instead, so messages may interleave freely.
 :class:`InboundStreams` keeps, per space, the fragments by index and the
 two open ends of every run, so an arrival joins its neighbours with a
 constant number of dictionary operations whatever the arrival order.
+A fragment's payload is a view of its whole message (the sender cuts no
+copies), so a completed run hands over the message the views share.
 Ordered delivery then follows one per-stream succession — SSN or MID,
 wrapped through its mask — and unordered messages deliver the moment
 they are complete.  :class:`OutboundStreams` is the matching allocator.
@@ -184,9 +186,14 @@ class InboundStreams:
                 return []
             if chunk.is_idata and self._san_idata is not None:
                 self._san_idata.on_assembled(chunk.sid, chunk.mid, frags, last)
-            data = ChunkList.concat(
-                [frags.pop(i).payload for i in range(first, last + 1)]
-            )
+            # every fragment is a view of the message and a complete run
+            # tiles it, so the message is handed over once, whole (under
+            # PDES each fragment carries its own copy: any one will do)
+            if self._san is not None:
+                self._san.on_reassembled(frags, first, last)
+            for i in range(first, last + 1):
+                del frags[i]
+            data = ChunkList.concat((tail.payload.source,))
             if not frags:
                 del self._spaces[space]
         return self._offer_complete(

@@ -9,7 +9,10 @@ benchmark message bodies, exactly like MPBench's throwaway buffers).  A
 synthetic blob reads as zero bytes if ever materialised.
 
 :class:`ChunkList` is an ordered run of blobs with O(pieces) slicing —
-transports use it for segment payloads and reassembled data.
+transports use it for segment payloads and reassembled data.  A
+:class:`BlobView` names a byte range of a blob or chunk list without
+cutting it: SCTP fragments are views of their message, so a fragment
+costs one small object and reassembly hands over the message itself.
 """
 
 from __future__ import annotations
@@ -94,6 +97,40 @@ class SyntheticBlob(Blob):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SyntheticBlob({self.nbytes}B, {self.label!r})"
+
+
+class BlobView(Blob):
+    """Bytes ``[offset, offset + nbytes)`` of ``source``, uncut.
+
+    ``source`` is a blob or a chunk list and, like every payload here, is
+    never mutated once handed to a transport, so the view stays valid for
+    as long as it is held.  The range is not checked here: the one
+    production caller (the SCTP bundler) cuts it from the message's own
+    size, once per fragment.
+    """
+
+    __slots__ = ("source", "offset", "nbytes")
+
+    def __init__(self, source: Union[Blob, "ChunkList"], offset: int, nbytes: int) -> None:
+        self.source = source
+        self.offset = offset
+        self.nbytes = nbytes
+
+    def slice(self, start: int, end: int) -> "BlobView":
+        _check_range(start, end, self.nbytes)
+        return BlobView(self.source, self.offset + start, end - start)
+
+    def to_bytes(self) -> bytes:
+        """Only this view's range of the source is materialised."""
+        offset = self.offset
+        return self.source.slice(offset, offset + self.nbytes).to_bytes()
+
+    @property
+    def is_real(self) -> bool:
+        return self.source.is_real
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BlobView({self.offset}+{self.nbytes}B of {self.source!r})"
 
 
 def as_blob(value: Union[Blob, bytes, bytearray, memoryview]) -> Blob:

@@ -22,6 +22,9 @@ from repro.analyze.sanitize import (
     stream_sanitizer,
     tcp_sanitizer,
 )
+from repro.transport.sctp.chunks import DataChunk
+from repro.transport.sctp.streams import InboundStreams
+from repro.util.blobs import BlobView, RealBlob
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +397,28 @@ def test_idata_fsn_contiguity():
         san.on_assembled(0, 2, {0: frag(), 1: frag(end=True)}, 1)
     with pytest.raises(InvariantViolation, match="E bit"):
         san.on_assembled(0, 3, {0: frag(begin=True), 1: frag()}, 1)
+
+
+def test_reassembly_must_tile_the_message():
+    """A completed multi-fragment run hands over the message its views
+    share; under the sanitizer the views must cover it exactly."""
+    message = RealBlob(b"aabbcc")
+
+    def run(*spans):
+        inb = InboundStreams(1)
+        last = len(spans) - 1
+        for i, (offset, nbytes) in enumerate(spans):
+            out = inb.on_data(
+                DataChunk(i + 1, 0, 0, BlobView(message, offset, nbytes), i == 0, i == last)
+            )
+        return [m.data.to_bytes() for m in out]
+
+    with sanitized():
+        assert run((0, 2), (2, 2), (4, 2)) == [b"aabbcc"]
+        with pytest.raises(InvariantViolation, match="tiling.*starts at byte 3"):
+            run((0, 2), (3, 2), (5, 1))
+        with pytest.raises(InvariantViolation, match="tiling.*cover 4 bytes"):
+            run((0, 2), (2, 2))
 
 
 def test_idata_per_stream_mid_order():

@@ -8,6 +8,7 @@ from repro.network import ClusterConfig, build_cluster
 from repro.simkernel import Kernel
 from repro.transport.sctp import OneToManySocket, SCTPConfig, SCTPEndpoint
 from repro.transport.tcp import TCPConfig, TCPEndpoint, TCPListener, TCPSocket
+from repro.util.blobs import BlobView, RealBlob
 
 
 def make_cluster(n_hosts=2, loss_rate=0.0, seed=1, n_paths=1, **kw):
@@ -20,6 +21,18 @@ def make_cluster(n_hosts=2, loss_rate=0.0, seed=1, n_paths=1, **kw):
         ),
     )
     return kernel, cluster
+
+
+def fragments(message, *sizes):
+    """``message`` (bytes) cut the way the SCTP bundler cuts a message of
+    several fragments: consecutive views of ``sizes`` bytes each."""
+    source = RealBlob(message)
+    assert sum(sizes) == source.nbytes, "fragments must tile the message"
+    views, offset = [], 0
+    for size in sizes:
+        views.append(BlobView(source, offset, size))
+        offset += size
+    return views
 
 
 def tcp_pair(kernel, cluster, port=5000, config=None):

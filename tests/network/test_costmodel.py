@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.network import CostModel
+from repro.network import NIC, CostModel, Host, Packet
+from repro.simkernel import Kernel
 
 
 def test_tcp_cheaper_per_packet_than_sctp():
@@ -68,3 +69,42 @@ def test_crc32c_variant_still_validates():
     # variants are built with dataclasses.replace, which validates too
     with pytest.raises(ValueError, match="crc32c_per_kib_ns"):
         replace(cm, crc32c_per_kib_ns=-1)
+
+
+class _Sink:
+    def receive(self, packet):
+        pass
+
+
+# send and receive charges differ only in the third model, so a host that
+# read one direction's terms for the other would pass the first two
+ASYMMETRIC = CostModel(ip_send_ns=900, tcp_segment_recv_ns=1_700, sctp_packet_send_ns=2_500)
+
+
+@pytest.mark.parametrize(
+    "cm",
+    [CostModel(), CostModel().with_crc32c(), ASYMMETRIC.with_crc32c()],
+    ids=["plain", "crc32c", "asymmetric-crc32c"],
+)
+def test_host_charges_exactly_the_cost_model(cm):
+    """Drift guard: a host reads its per-packet charge from a table built
+    once from its cost model; the table must give what the formulas give
+    for every wire size a packet can have, registered protocol or not."""
+    kernel = Kernel(seed=1)
+    host = Host(kernel, "h", cm)
+    host.add_interface(NIC("10.0.0.1", egress=lambda packet: None))
+    for proto in ("tcp", "sctp"):
+        host.register_protocol(proto, _Sink())
+    cpu = host.cpu
+    for proto in ("tcp", "sctp", "udp"):  # udp: no handler registered
+        for size in range(1, 9001):
+            packet = Packet("10.0.0.1", "10.0.0.2", proto, None, size)
+            before = cpu.total_busy_ns
+            host.send(packet)
+            assert cpu.total_busy_ns - before == cm.packet_send_cost(proto, size)
+            before = cpu.total_busy_ns
+            host.deliver(packet)
+            # an unhandled protocol is dropped before any receive work
+            expected = cm.packet_recv_cost(proto, size) if proto != "udp" else 0
+            assert cpu.total_busy_ns - before == expected
+        kernel.run()

@@ -1,6 +1,7 @@
 """RTT estimation and RTO policy (RFC 6298 arithmetic + personalities)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import MILLISECOND, SECOND
 from repro.transport.base import (
@@ -86,3 +87,30 @@ def test_clamp_respects_granularity_and_bounds():
     assert p.clamp(101) == 120  # rounded up to a 30 ns tick
     assert p.clamp(5) == 100  # min clamp
     assert p.clamp(10_000) == 1_000  # max clamp
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 5 * SECOND)),
+    st.tuples(st.just("back_off")),
+    st.tuples(st.just("reset_backoff")),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    personality=st.sampled_from([BSD_TCP_TIMERS, KAME_SCTP_TIMERS, FINE]),
+    ops=st.lists(_OPS, max_size=40),
+)
+def test_held_rto_is_always_the_clamped_backed_off_base(personality, ops):
+    """Drift guard: ``rto_ns`` is held and recomputed only by the methods
+    that change its inputs; after any sequence of them it must equal what
+    deriving it on every read would give."""
+    est = RTOEstimator(personality)
+
+    def derived():
+        return personality.clamp(est._base_rto_ns << est.backoff_exponent)
+
+    assert est.rto_ns == derived()
+    for name, *args in ops:
+        getattr(est, name)(*args)
+        assert est.rto_ns == derived()

@@ -15,14 +15,16 @@ from repro.transport.sctp.streams import (
     InboundStreams,
     OutboundStreams,
 )
-from repro.util.blobs import RealBlob
+from repro.util.blobs import RealBlob, as_blob
 
-from ..conftest import make_cluster
+from ..conftest import fragments, make_cluster
 
 
 def idchunk(tsn, sid, mid, fsn=0, data=b"x", begin=True, end=True, unordered=False):
+    """One I-DATA chunk; ``data`` is bytes for a whole message, or one of
+    the message's :func:`fragments`."""
     return IDataChunk(
-        tsn=tsn, sid=sid, ssn=0, payload=RealBlob(data),
+        tsn=tsn, sid=sid, ssn=0, payload=as_blob(data),
         begin=begin, end=end, unordered=unordered, mid=mid, fsn=fsn,
     )
 
@@ -82,18 +84,20 @@ def test_interleaved_fragments_out_of_order():
     the normal case with I-DATA."""
     inb = InboundStreams(1)
     # message mid=0 = "aabbcc", mid=1 = "xxyy"; wire order mixes them
-    assert inb.on_data(idchunk(1, 0, mid=0, fsn=0, data=b"aa", end=False)) == []
-    assert inb.on_data(idchunk(2, 0, mid=1, fsn=0, data=b"xx", end=False)) == []
+    aa, bb, cc = fragments(b"aabbcc", 2, 2, 2)
+    xx, yy = fragments(b"xxyy", 2, 2)
+    assert inb.on_data(idchunk(1, 0, mid=0, fsn=0, data=aa, end=False)) == []
+    assert inb.on_data(idchunk(2, 0, mid=1, fsn=0, data=xx, end=False)) == []
     # mid=1's E fragment arrives before its own middle... nothing yet
     assert inb.on_data(
-        idchunk(3, 0, mid=0, fsn=2, data=b"cc", begin=False, end=True)
+        idchunk(3, 0, mid=0, fsn=2, data=cc, begin=False, end=True)
     ) == []
     assert inb.on_data(
-        idchunk(4, 0, mid=1, fsn=1, data=b"yy", begin=False, end=True)
+        idchunk(4, 0, mid=1, fsn=1, data=yy, begin=False, end=True)
     ) == []
     # completing mid=0 releases both, in MID order
     msgs = inb.on_data(
-        idchunk(5, 0, mid=0, fsn=1, data=b"bb", begin=False, end=False)
+        idchunk(5, 0, mid=0, fsn=1, data=bb, begin=False, end=False)
     )
     assert [m.data.to_bytes() for m in msgs] == [b"aabbcc", b"xxyy"]
     assert [m.mid for m in msgs] == [0, 1]

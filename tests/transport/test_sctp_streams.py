@@ -9,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 from repro.analyze.sanitize import sanitized
 from repro.transport.sctp.chunks import DataChunk, IDataChunk
 from repro.transport.sctp.streams import InboundStreams, OutboundStreams
-from repro.util.blobs import RealBlob
+from repro.util.blobs import as_blob
+
+from ..conftest import fragments
 
 
 def chunk(tsn, sid, ssn, data=b"x", begin=True, end=True, unordered=False):
+    """One DATA chunk; ``data`` is bytes for a whole message, or one of
+    the message's :func:`fragments`."""
     return DataChunk(
-        tsn=tsn, sid=sid, ssn=ssn, payload=RealBlob(data),
+        tsn=tsn, sid=sid, ssn=ssn, payload=as_blob(data),
         begin=begin, end=end, unordered=unordered,
     )
 
@@ -37,9 +41,10 @@ def test_single_chunk_message_delivers_immediately():
 
 def test_fragmented_message_reassembles():
     inb = InboundStreams(1)
-    assert inb.on_data(chunk(1, 0, 0, b"aa", begin=True, end=False)) == []
-    assert inb.on_data(chunk(3, 0, 0, b"cc", begin=False, end=True)) == []
-    msgs = inb.on_data(chunk(2, 0, 0, b"bb", begin=False, end=False))
+    aa, bb, cc = fragments(b"aabbcc", 2, 2, 2)
+    assert inb.on_data(chunk(1, 0, 0, aa, begin=True, end=False)) == []
+    assert inb.on_data(chunk(3, 0, 0, cc, begin=False, end=True)) == []
+    msgs = inb.on_data(chunk(2, 0, 0, bb, begin=False, end=False))
     assert len(msgs) == 1
     assert msgs[0].data.to_bytes() == b"aabbcc"
     assert msgs[0].first_tsn == 1 and msgs[0].last_tsn == 3
@@ -75,12 +80,14 @@ def _two_unordered_messages():
     """Two unordered 3-fragment messages on one stream, TSNs 10-12 and
     13-15.  Unordered DATA carries no usable SSN (here both say 0), so
     only TSN contiguity between B and E tells the two apart."""
+    views = fragments(bytes(range(10, 13)), 1, 1, 1)
+    views += fragments(bytes(range(13, 16)), 1, 1, 1)
     return {
         tsn: chunk(
-            tsn, 0, 0, bytes([tsn]), begin=tsn in (10, 13), end=tsn in (12, 15),
+            tsn, 0, 0, view, begin=tsn in (10, 13), end=tsn in (12, 15),
             unordered=True,
         )
-        for tsn in range(10, 16)
+        for tsn, view in zip(range(10, 16), views)
     }
 
 
@@ -124,7 +131,8 @@ def test_any_arrival_order_delivers_each_stream_in_ssn_order(data):
         body = data.draw(st.binary(min_size=1, max_size=12))
         expected[sid].append(body)
         frag_at = data.draw(st.integers(0, len(body)))
-        pieces = [p for p in (body[:frag_at], body[frag_at:]) if p]
+        sizes = [n for n in (frag_at, len(body) - frag_at) if n]
+        pieces = fragments(body, *sizes)
         for i, piece in enumerate(pieces):
             tsn += 1
             chunks.append(
@@ -186,16 +194,18 @@ def test_one_engine_under_both_encodings(data):
     owner, sent = [], []
     for n, (sid, n_frags, unordered) in enumerate(specs):
         seq = {idata: out[idata].next_seq(sid, unordered, idata) for idata in out}
-        for fsn in range(n_frags):
+        body = bytes(b for f in range(n_frags) for b in (n, f))
+        views = fragments(body, *[2] * n_frags)
+        for fsn, view in enumerate(views):
             # TSNs run on through each message: DATA fragments are contiguous
             common = dict(
-                tsn=len(owner), sid=sid, payload=RealBlob(bytes([n, fsn])),
+                tsn=len(owner), sid=sid, payload=view,
                 begin=fsn == 0, end=fsn == n_frags - 1, unordered=unordered,
             )
             wire[False].append(DataChunk(ssn=seq[False], **common))
             wire[True].append(IDataChunk(ssn=0, mid=seq[True], fsn=fsn, **common))
             owner.append(n)
-        sent.append((sid, unordered, bytes(b for f in range(n_frags) for b in (n, f))))
+        sent.append((sid, unordered, body))
     order = data.draw(st.permutations(range(len(owner))))
     ordered = [not unordered for _, _, unordered in specs]
     with sanitized():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.blobs import ChunkList, RealBlob, SyntheticBlob, as_blob
+from repro.util.blobs import BlobView, ChunkList, RealBlob, SyntheticBlob, as_blob
 
 
 def test_real_blob_basics():
@@ -104,3 +104,25 @@ def test_chunklist_split_partitions(pair, data):
     left, right = cl.split(at)
     assert left.to_bytes() + right.to_bytes() == raw
     assert left.nbytes == at
+
+
+@given(st.binary(min_size=1, max_size=64), st.data())
+def test_blob_view_materialises_its_own_range(message, data):
+    """An SCTP fragment is a view of its message: its bytes are exactly
+    that range of the message, whether the message is one blob or a run
+    of them, and a view of a view is a narrower range of the same one."""
+    start = data.draw(st.integers(0, len(message)))
+    end = data.draw(st.integers(start, len(message)))
+    cut = data.draw(st.integers(0, len(message)))
+    sources = [
+        RealBlob(message),
+        ChunkList([RealBlob(message[:cut]), RealBlob(message[cut:])]),
+    ]
+    for source in sources:
+        view = BlobView(source, start, end - start)
+        assert view.nbytes == end - start and view.is_real
+        assert view.to_bytes() == message[start:end]
+        inner = view.slice(0, view.nbytes // 2)
+        assert inner.source is source
+        assert inner.to_bytes() == message[start:start + view.nbytes // 2]
+    assert not BlobView(SyntheticBlob(len(message)), start, end - start).is_real
