@@ -200,7 +200,10 @@ class TCPConnectionSanitizer:
     * NewReno bounds: ``cwnd >= 1 MSS`` always, ``ssthresh >= 2 MSS``
       once a loss has set it (RFC 5681 equations (4) and §3.1);
     * the receiver's ``rcv_nxt`` never retreats, and at most one FIN is
-      counted into it (a retransmitted FIN must not re-advance it).
+      counted into it (a retransmitted FIN must not re-advance it);
+    * the receiver's ``out_of_order_bytes`` counter equals what its parked
+      segments hold, and a segment's stored ``wire_len`` equals a fresh
+      :meth:`~repro.transport.tcp.segment.TCPSegment.wire_size` sum.
     """
 
     __slots__ = ("_max_una", "_max_rcv_nxt", "_fin_counted")
@@ -256,10 +259,19 @@ class TCPConnectionSanitizer:
             )
 
     def on_delivery(self, conn: Any) -> None:
-        """Receive path: in-order point only ever advances."""
+        """Receive path: in-order point only ever advances, and the parked
+        byte count is what the parked segments hold."""
         reassembly = conn.reassembly
         if reassembly is None:
             return
+        parked = sum(end - start for start, end, _ in reassembly._segments)
+        if reassembly.out_of_order_bytes != parked:
+            _fail(
+                "tcp",
+                "out-of-order byte count",
+                f"out_of_order_bytes={reassembly.out_of_order_bytes} but the "
+                f"parked segments hold {parked} bytes",
+            )
         rcv_nxt = reassembly.rcv_nxt
         if rcv_nxt < self._max_rcv_nxt:
             _fail(
@@ -269,6 +281,18 @@ class TCPConnectionSanitizer:
                 f"to {rcv_nxt}",
             )
         self._max_rcv_nxt = rcv_nxt
+
+    def on_segment_sized(self, seg: Any) -> None:
+        """A segment goes out with the wire size it computed when built:
+        that size must equal a fresh sum of its headers, options and data."""
+        fresh = seg.wire_size()
+        if seg.wire_len != fresh:
+            _fail(
+                "tcp",
+                "segment wire size",
+                f"segment seq={seg.seq} sent as {seg.wire_len} bytes but its "
+                f"headers, options and data make {fresh}",
+            )
 
     def on_fin_accepted(self, conn: Any) -> None:
         """A FIN was consumed into rcv_nxt; doing so twice corrupts ACKs."""
@@ -567,7 +591,9 @@ class RPISanitizer:
     would have its data left unread (``sock.readable => sock in ready``).
     For both RPIs it checks the stall records: the pump passes over a
     stalled peer, so one whose send room has grown enough would have its
-    output left unsent.
+    output left unsent.  And a blocked rank resumes only through the wake
+    that found what it waits for done: anything else resolving its
+    future would hand the MPI call back unfinished.
     """
 
     __slots__ = ()
@@ -579,6 +605,17 @@ class RPISanitizer:
                 "rendezvous state legality",
                 f"{event} arrived for request {req!r} in state {req.state}, "
                 f"expected {expected}",
+            )
+
+    def expect_resumed_done(self, resumed: Any, where: str) -> None:
+        """A blocked ``progress_until`` resumed: its predicate held (its
+        future was resolved by the wake whose steps saw ``done()`` true)."""
+        if resumed is not True:
+            _fail(
+                "rpi",
+                "a blocked rank resumes only when done",
+                f"{where}: progress_until resumed with {resumed!r} before "
+                "its predicate held",
             )
 
     def expect_listed(self, sockets: Any, listed: Any, where: str) -> None:

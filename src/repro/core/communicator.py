@@ -53,10 +53,10 @@ class Communicator:
 
     async def send(self, data: Any, dest: int, tag: int = 0) -> None:
         """Blocking standard send."""
-        # wait()'s loop, inline in send/recv: no coroutine per message for it
+        # wait(), inline in send/recv: no coroutine for a finished request
         request = self.isend(data, dest, tag)
-        while not request.done:
-            await self.rpi.advance_once()
+        if not request.done:
+            await self.rpi.progress_until(lambda: request.done)
         if request.error is not None:
             raise request.error
 
@@ -81,8 +81,8 @@ class Communicator:
     ) -> Any:
         """Blocking receive; returns the decoded payload."""
         req = self.irecv(source, tag)
-        while not req.done:
-            await self.rpi.advance_once()
+        if not req.done:
+            await self.rpi.progress_until(lambda: req.done)
         if req.error is not None:
             raise req.error
         if status is not None:
@@ -96,8 +96,8 @@ class Communicator:
     # ------------------------------------------------------------------
     async def wait(self, request: Request) -> Request:
         """Progress the middleware until ``request`` completes."""
-        while not request.done:
-            await self.rpi.advance_once()
+        if not request.done:
+            await self.rpi.progress_until(lambda: request.done)
         if request.error is not None:
             raise request.error
         return request
@@ -109,8 +109,7 @@ class Communicator:
         ``waitany`` look at their lists again only after this returns."""
         rpi = self.rpi
         seen = rpi.completions
-        while rpi.completions == seen:
-            await rpi.advance_once()
+        await rpi.progress_until(lambda: rpi.completions != seen)
 
     async def waitall(self, requests: Sequence[Request]) -> List[Request]:
         """MPI_Waitall."""
@@ -154,20 +153,26 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Non-blocking probe of the unexpected-message table."""
         self.rpi.poke()
+        return self._peek(source, tag)
+
+    async def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
+        """Blocking probe."""
+
+        def found() -> bool:  # each check pumps first, as iprobe does
+            self.rpi.poke()
+            return self._peek(source, tag) is not None
+
+        await self.rpi.progress_until(found)
+        return self._peek(source, tag)
+
+    def _peek(self, source: int, tag: int) -> Optional[Status]:
+        """The unexpected message a probe would report now, if any."""
         if source != ANY_SOURCE:
             source = self._to_world(source)
         env = self.rpi.unexpected.peek_match(source, tag, pt2pt_context(self.cid))
         if env is None:
             return None
         return Status(source=self._from_world(env.rank), tag=env.tag, length=env.length)
-
-    async def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe."""
-        while True:
-            status = self.iprobe(source, tag)
-            if status is not None:
-                return status
-            await self.rpi.advance_once()
 
     # ------------------------------------------------------------------
     # collectives (implementations in collectives.py)

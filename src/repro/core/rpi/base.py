@@ -14,10 +14,11 @@ Implements LAM's message delivery protocol (§2.2.2) once, for both RPIs:
 
 Concrete RPIs supply transport plumbing: ``_enqueue_unit`` to queue one
 middleware unit (envelope + optional body) toward a rank, ``_pump`` to
-move queued/inbound data, and ``_wait_for_event`` to decide whether an
-idle step blocks: it consumes a pending :meth:`~BaseRPI.wake`, or returns
-the one future the next wake resolves.  Inbound traffic re-enters through
-:meth:`_on_unit` / :meth:`_on_body_piece`.
+move queued/inbound data, and ``_must_block`` to decide whether an idle
+step blocks: False consumes a pending :meth:`~BaseRPI.wake` (or, on TCP,
+a ``select()`` that found something ready).  A blocked rank resumes only
+once what it waits for is done (:meth:`~BaseRPI.progress_until`).
+Inbound traffic re-enters through :meth:`_on_unit` / :meth:`_on_body_piece`.
 """
 
 from __future__ import annotations
@@ -98,9 +99,12 @@ class BaseRPI:
         # requests of this rank completed or failed so far; the waiters in
         # Communicator rescan their lists only when this has moved
         self.completions = 0
-        # wake() resolves the blocked step's future, or, with no step
-        # blocked, sets _woken for the next one (level-triggered)
+        # a blocked progress_until's future and predicate: wake() steps on
+        # its behalf and resolves the future only once the predicate holds;
+        # with no rank blocked, wake() sets _woken for the next idle step
+        # (level-triggered)
         self._waiter: Optional[Future] = None
+        self._until: Optional[Callable[[], bool]] = None
         self._woken = False
         self._waiter_name = f"rpi-wake-{self.rank}"
         # init-time control hook (world install: hello/barrier bookkeeping)
@@ -150,17 +154,12 @@ class BaseRPI:
         """Move queued/inbound data without blocking; True if progressed."""
         raise NotImplementedError
 
-    def _wait_for_event(self) -> Optional[Future]:
-        """The future an idle step awaits, or None if a wake is pending."""
+    def _must_block(self) -> bool:
+        """Whether an idle step blocks; False consumes a pending wake."""
         if self._woken:
             self._woken = False
-            return None
-        return self._block()
-
-    def _block(self) -> Future:
-        """The future a blocked step awaits; the next :meth:`wake` resolves it."""
-        self._waiter = waiter = Future(self._waiter_name)
-        return waiter
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # progression entry points used by the Communicator
@@ -179,27 +178,66 @@ class BaseRPI:
         """One non-blocking progression step (MPI_Test's pump)."""
         return self._pump()
 
-    async def advance_once(self) -> None:
-        """One progression step: pump; if idle, block for an event."""
-        self.stats.advance_calls += 1
-        if self._pump():
+    async def progress_until(self, done: Callable[[], bool]) -> None:
+        """Progress until ``done()`` holds: the one way a rank blocks.
+
+        Each step counts one ``advance_calls``, pumps, and when idle
+        either pumps again (a wake was pending, or ``select()`` found
+        something ready) or blocks.  A blocked rank's steps then run
+        inside :meth:`wake`, at the instant and in the order they ran
+        when every wake resumed the rank, and the rank resumes only once
+        ``done()`` holds, or with the exception a pump raised."""
+        if self._steps(done):
             return
-        waiter = self._wait_for_event()
-        if waiter is not None:
-            await waiter
-        self._pump()
+        self._until = done
+        self._waiter = waiter = Future(self._waiter_name)
+        try:
+            resumed = await waiter
+        finally:
+            self._until = None
+        if self._san is not None:
+            self._san.expect_resumed_done(resumed, f"rank {self.rank}")
+
+    def _steps(self, done: Callable[[], bool]) -> bool:
+        """Run progression steps until ``done()`` (True) or one must
+        block (False)."""
+        pump = self._pump
+        stats = self.stats
+        while not done():
+            stats.advance_calls += 1
+            if pump():
+                continue
+            if self._must_block():
+                return False
+            pump()
+        return True
 
     def wake(self) -> None:
-        """Release a blocked :meth:`advance_once` (transport callbacks).
+        """Release a blocked :meth:`progress_until` (transport callbacks).
 
-        A wake that arrives while no step is blocked is not lost: the
-        next step that would block returns at once instead."""
+        The blocked rank's post-wake pump and further steps run here; a
+        step that must block again keeps the same future armed, so the
+        rank resumes only when what it waits for is done.  A wake that
+        arrives while no rank is blocked is not lost: the next step that
+        would block pumps again instead."""
         waiter = self._waiter
         if waiter is None:
             self._woken = True
-        else:
-            self._waiter = None
+            return
+        self._waiter = None
+        done = self._until
+        if done is None:  # its rank was cancelled while blocked
             waiter.set_result(None)
+            return
+        try:
+            self._pump()
+            if not self._steps(done):
+                self._waiter = waiter  # still blocked: the same wait goes on
+                return
+        except Exception as exc:  # surfaces at the rank's await
+            waiter.set_exception(exc)
+            return
+        waiter.set_result(True)
 
     # ------------------------------------------------------------------
     # send side

@@ -152,21 +152,17 @@ class SCTPRPI(BaseRPI):
             self.send_control(peer, FLAG_HELLO)
 
         # lower ranks connect to us; their HELLOs bind assoc -> rank
-        while len(self._assoc_by_rank) < self.size - 1:
-            await self.advance_once()
+        await self.progress_until(lambda: len(self._assoc_by_rank) >= self.size - 1)
 
         # association-setup barrier (§3.4, final paragraph)
         if self.rank == 0:
-            while self._barrier_ready < self.size - 1:
-                await self.advance_once()
+            await self.progress_until(lambda: self._barrier_ready >= self.size - 1)
             for peer in range(1, self.size):
                 self.send_control(peer, FLAG_BARRIER_GO)
-            while self.outstanding_output() > 0:
-                await self.advance_once()
+            await self.progress_until(lambda: self.outstanding_output() == 0)
         else:
             self.send_control(0, FLAG_BARRIER_READY)
-            while not self._barrier_go:
-                await self.advance_once()
+            await self.progress_until(lambda: self._barrier_go)
 
     def finalize(self) -> None:
         """Gracefully shut every association down."""

@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional
 
-from ...simkernel import Future
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
 from ..constants import FLAG_HELLO, MPI_BASE_PORT
@@ -61,7 +60,9 @@ class TCPRPI(BaseRPI):
         super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
         self.port = port
         self.endpoint = process.tcp_endpoint
-        self.selector = Selector(self.host, self.wake)
+        # the selector ends a blocked select() itself before it wakes the
+        # rank, so it calls the base wake, without this class's unblock()
+        self.selector = Selector(self.host, super().wake)
         # per-chunk hot path: prebind the middleware cost coefficients
         # (fixed for the host's lifetime) so _pump/_send_some do integer
         # arithmetic instead of a cost-model method call per socket op
@@ -107,8 +108,7 @@ class TCPRPI(BaseRPI):
             self.send_control(peer, FLAG_HELLO)
 
         # wait until every lower rank has said hello
-        while len(self._sock_by_rank) < self.size - 1:
-            await self.advance_once()
+        await self.progress_until(lambda: len(self._sock_by_rank) >= self.size - 1)
         await accept_task
 
     def finalize(self) -> None:
@@ -248,22 +248,22 @@ class TCPRPI(BaseRPI):
                 self._bind(sock, env.rank)
             self._on_unit(env.rank, env, body)
 
-    def _wait_for_event(self) -> Optional[Future]:
+    def _must_block(self) -> bool:
         if self._woken:
             self._woken = False
-            return None
+            return False
         write_socks = [
             self._sock_by_rank[r]
             for r, q in self._outq.items()
             if q and r in self._sock_by_rank
         ] if self._queued_units else []
         if self.selector.select(write_socks):
-            return None
+            return False
         if self._san is not None:
             self._san.expect_listed(self.selector.sockets, (), f"rank {self.rank} blocking select")
         # the selector wakes the rank on the first event select() would
         # have returned for; so does anything else that wakes the rank
-        return self._block()
+        return True
 
     def wake(self) -> None:
         if self._waiter is not None:

@@ -8,7 +8,9 @@ blocks, and releases in-order data to the application.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from operator import itemgetter
 from typing import Deque, List, Tuple
 
 from ...util.blobs import Blob, ChunkList
@@ -92,6 +94,9 @@ class SendBuffer:
         return freed
 
 
+_START = itemgetter(0)  # a parked segment's sort key: its start
+
+
 class ReassemblyBuffer:
     """Receiver-side sequencing: in-order release + SACK generation."""
 
@@ -99,18 +104,13 @@ class ReassemblyBuffer:
         self.rcv_nxt = rcv_nxt
         # out-of-order segments: sorted, non-overlapping (start, end, data)
         self._segments: List[Tuple[int, int, ChunkList]] = []
+        #: bytes those segments hold, above the in-order point (they
+        #: consume receive buffer); kept as segments are parked and drained
+        self.out_of_order_bytes = 0
         self._parked = RangeSet()  # the bytes those segments hold
-        # the parked ranges, most recently extended first: the order SACK
-        # blocks are reported in (RFC 2018 §4)
-        self._recent: List[Tuple[int, int]] = []
-
-    @property
-    def out_of_order_bytes(self) -> int:
-        """Bytes parked above the in-order point (consume receive buffer)."""
-        segments = self._segments
-        if not segments:  # loss-free steady state: skip the genexp setup
-            return 0
-        return sum(end - start for start, end, _ in segments)
+        #: the parked ranges, most recently extended first: the order SACK
+        #: blocks are reported in (RFC 2018 §4); empty while nothing is parked
+        self.recent: List[Tuple[int, int]] = []
 
     def offer(self, seq: int, data: ChunkList) -> ChunkList:
         """Accept a segment; returns newly in-order data (possibly empty).
@@ -137,23 +137,27 @@ class ReassemblyBuffer:
             delivered.extend(data)
             self._drain_queue(delivered)
             self._parked.discard_below(self.rcv_nxt)
-            self._recent = [r for r in self._recent if r[1] > self.rcv_nxt]
+            self.recent = [r for r in self.recent if r[1] > self.rcv_nxt]
             return delivered
 
         # park only the bytes no earlier copy holds (first arrival wins)
         for start, stop in self._parked.missing(seq, end):
-            self._segments.append((start, stop, data.slice(start - seq, stop - seq)))
-        self._segments.sort(key=lambda item: item[0])
+            insort(
+                self._segments, (start, stop, data.slice(start - seq, stop - seq)),
+                key=_START,
+            )
+            self.out_of_order_bytes += stop - start
         merged = self._parked.add(seq, end)
         # the block holding this segment goes first; those it swallowed go
-        self._recent = [merged] + [
-            r for r in self._recent if r[1] < merged[0] or r[0] > merged[1]
+        self.recent = [merged] + [
+            r for r in self.recent if r[1] < merged[0] or r[0] > merged[1]
         ]
         return ChunkList()
 
     def _drain_queue(self, delivered: ChunkList) -> None:
         while self._segments and self._segments[0][0] <= self.rcv_nxt:
             start, end, data = self._segments.pop(0)
+            self.out_of_order_bytes -= end - start
             if end <= self.rcv_nxt:
                 continue  # stale duplicate
             if start < self.rcv_nxt:
@@ -163,7 +167,7 @@ class ReassemblyBuffer:
 
     def sack_blocks(self, max_blocks: int) -> Tuple[Tuple[int, int], ...]:
         """Most-recently-updated SACK blocks, capped at ``max_blocks``."""
-        return tuple(self._recent[:max_blocks])
+        return tuple(self.recent[:max_blocks])
 
     @property
     def has_gaps(self) -> bool:

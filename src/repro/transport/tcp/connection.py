@@ -346,7 +346,8 @@ class TCPConnection:
     def _on_new_ack(self, seg: TCPSegment, ack: int) -> None:
         acked = ack - self.snd_una
         self.snd_una = ack
-        freed = self.send_buffer.release_below(min(ack, self.send_buffer.tail_seq))
+        send_buffer = self.send_buffer
+        freed = send_buffer.release_below(min(ack, send_buffer._tail_seq))
         self._sacked.discard_below(ack)
         self._dupacks = 0
 
@@ -354,7 +355,8 @@ class TCPConnection:
         if self._rtt_seq is not None and ack >= self._rtt_seq:
             self.rto.observe(self.kernel._now - self._rtt_sent_at)
             self._rtt_seq = None
-        self.rto.reset_backoff()
+        if self.rto.backoff_exponent:
+            self.rto.reset_backoff()
 
         if self.cc.in_recovery:
             if ack > self.cc.recover:
@@ -371,12 +373,14 @@ class TCPConnection:
         if self._fin_seq is not None and ack >= self._fin_seq + 1:
             self._on_fin_acked()
 
-        if self._flight_size() > 0:
-            self._arm_rtx(restart=True)
+        if self.snd_nxt > self.snd_una:  # _flight_size() > 0, inline
+            self._rtx_timer.restart(self.rto.rto_ns)  # == _arm_rtx(restart=True)
         else:
             self._rtx_timer.cancel()
 
-        if freed > 0 and self.writable_bytes() > 0:
+        # writable_bytes() > 0, inline: bytes just freed leave room, so the
+        # state and a queued FIN are all that can say otherwise
+        if freed > 0 and self.state in (ESTABLISHED, CLOSE_WAIT) and not self._fin_queued:
             self.on_writable()
 
     def _on_dupack(self) -> None:
@@ -407,19 +411,21 @@ class TCPConnection:
 
     # -- data reception ---------------------------------------------------
     def _process_data(self, seg: TCPSegment) -> None:
-        if self.reassembly is None:
+        reassembly = self.reassembly
+        if reassembly is None:
             return
-        before_nxt = self.reassembly.rcv_nxt
-        had_gaps = self.reassembly.has_gaps
-        delivered = self.reassembly.offer(seg.seq, seg.data)
+        before_nxt = reassembly.rcv_nxt
+        # has_gaps, sans the property call: parked bytes are the gaps' data
+        had_gaps = reassembly.out_of_order_bytes > 0
+        delivered = reassembly.offer(seg.seq, seg.data)
         if delivered.nbytes:
             self._ready.extend(delivered)
-        in_order = self.reassembly.rcv_nxt > before_nxt
+        in_order = reassembly.rcv_nxt > before_nxt
 
-        if not in_order or (had_gaps and self.reassembly.has_gaps):
+        if not in_order or (had_gaps and reassembly.out_of_order_bytes > 0):
             # out-of-order or still-gapped: immediate (duplicate) ACK w/ SACK
             self._send_ack_now()
-        elif had_gaps and not self.reassembly.has_gaps:
+        elif had_gaps:
             self._send_ack_now()  # gap just filled: ack immediately
         else:
             self._segs_since_ack += 1
@@ -483,6 +489,7 @@ class TCPConnection:
         if self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, LAST_ACK, CLOSING):
             return
         send_buffer = self.send_buffer
+        rtx = self._rtx_timer
         while True:
             avail = send_buffer._tail_seq - self.snd_nxt  # == bytes_after()
             if avail <= 0:
@@ -502,7 +509,8 @@ class TCPConnection:
                 break  # Nagle: hold sub-MSS data until everything is acked
             self._emit_data(self.snd_nxt, seg_len, retransmit=False)
             self.snd_nxt += seg_len
-            self._arm_rtx()
+            if rtx.deadline is None:  # == _arm_rtx(), sans the call
+                rtx.restart(self.rto.rto_ns)
         # FIN goes out once all buffered data has been sent
         if (
             self._fin_queued
@@ -516,7 +524,7 @@ class TCPConnection:
 
     def _emit_data(self, seq: int, length: int, retransmit: bool) -> None:
         data = self.send_buffer.read_range(seq, length)
-        seg = self._make_segment(ACK, seq=seq, ack=self._rcv_nxt(), data=data)
+        seg = self._make_segment(ACK, seq=seq, data=data)
         if retransmit:
             self.stats.retransmitted_segments += 1
             # Karn: a retransmitted range must not produce an RTT sample
@@ -531,7 +539,7 @@ class TCPConnection:
         self._ack_sent()
 
     def _send_fin_segment(self) -> None:
-        seg = self._make_segment(FIN | ACK, seq=self._fin_seq, ack=self._rcv_nxt())
+        seg = self._make_segment(FIN | ACK, seq=self._fin_seq)
         self._transmit(seg)
         self._ack_sent()
 
@@ -540,15 +548,17 @@ class TCPConnection:
         self._transmit(seg)
 
     def _send_ack_now(self) -> None:
-        self._delack_timer.cancel()
+        if self._delack_timer.deadline is not None:
+            self._delack_timer.cancel()
         self._segs_since_ack = 0
-        seg = self._make_segment(ACK, seq=self.snd_nxt, ack=self._rcv_nxt())
+        seg = self._make_segment(ACK, seq=self.snd_nxt)
         self._transmit(seg)
         self._last_advertised_wnd = seg.window
 
     def _ack_sent(self) -> None:
         # data segments carry the current ack: cancel any delayed ACK
-        self._delack_timer.cancel()
+        if self._delack_timer.deadline is not None:
+            self._delack_timer.cancel()
         self._segs_since_ack = 0
 
     def _rcv_nxt(self) -> int:
@@ -583,11 +593,21 @@ class TCPConnection:
             self._send_ack_now()
 
     def _make_segment(
-        self, flags: int, seq: int, ack: int, data: Optional[ChunkList] = None
+        self,
+        flags: int,
+        seq: int,
+        ack: Optional[int] = None,
+        data: Optional[ChunkList] = None,
     ) -> TCPSegment:
+        """A segment from this end; ``ack`` defaults to the current
+        ``_rcv_nxt()``."""
         sack = ()
-        if self.config.sack_enabled and self.reassembly is not None:
-            sack = self.reassembly.sack_blocks(self.config.max_sack_blocks)
+        reassembly = self.reassembly
+        if ack is None:
+            ack = reassembly.rcv_nxt if reassembly is not None else 0
+        # SACK blocks exist only while data is parked (``recent`` non-empty)
+        if reassembly is not None and reassembly.recent and self.config.sack_enabled:
+            sack = reassembly.sack_blocks(self.config.max_sack_blocks)
         return TCPSegment(
             src_port=self.local_port,
             dst_port=self.remote_port,
@@ -601,8 +621,10 @@ class TCPConnection:
 
     def _transmit(self, seg: TCPSegment) -> None:
         self.stats.segments_sent += 1
+        if self._san is not None:
+            self._san.on_segment_sized(seg)
         self.host.send(
-            Packet(self.local_addr, self.remote_addr, "tcp", seg, seg.wire_size())
+            Packet(self.local_addr, self.remote_addr, "tcp", seg, seg.wire_len)
         )
 
     # ------------------------------------------------------------------

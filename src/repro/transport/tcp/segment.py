@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ...network.packet import IP_HEADER
@@ -21,24 +20,45 @@ ACK = 0x10
 SackBlock = Tuple[int, int]  # [start, end) sequence range
 
 
-@dataclass(slots=True)
 class TCPSegment:
-    """One TCP segment; ``data`` is a ChunkList of payload blobs."""
+    """One TCP segment; ``data`` is a ChunkList of payload blobs.
 
-    src_port: int
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    data: Optional[ChunkList] = None
-    sack_blocks: Tuple[SackBlock, ...] = ()
-    ts_echo: int = 0  # echoed send timestamp (ns) for RTT sampling
+    A segment is immutable once built, so its payload length and its
+    on-the-wire size are computed once, here: ``data_len`` and
+    ``wire_len`` (what :meth:`wire_size` sums afresh)."""
 
-    data_len: int = field(init=False)
+    __slots__ = (
+        "src_port", "dst_port", "seq", "ack", "flags", "window", "data",
+        "sack_blocks", "ts_echo", "data_len", "wire_len",
+    )
 
-    def __post_init__(self) -> None:
-        self.data_len = self.data.nbytes if self.data is not None else 0
+    def __init__(
+        self,
+        src_port: int,
+        dst_port: int,
+        seq: int,
+        ack: int,
+        flags: int,
+        window: int,
+        data: Optional[ChunkList] = None,
+        sack_blocks: Tuple[SackBlock, ...] = (),
+        ts_echo: int = 0,  # echoed send timestamp (ns) for RTT sampling
+    ) -> None:
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.data = data
+        self.sack_blocks = sack_blocks
+        self.ts_echo = ts_echo
+        self.data_len = data_len = data.nbytes if data is not None else 0
+        # == wire_size(), sans the call
+        wire_len = IP_HEADER + TCP_HEADER + TIMESTAMP_OPTION + data_len
+        if sack_blocks:
+            wire_len += (2 + 8 * len(sack_blocks) + 3) // 4 * 4
+        self.wire_len = wire_len
 
     # -- helpers -----------------------------------------------------------
     @property

@@ -80,7 +80,8 @@ class TCPSocket:
         conn = self.conn
         if conn._ready.nbytes > 0:  # == app_readable_bytes(), sans the call
             return conn.app_read(nbytes)
-        if conn.eof_pending or self.closed_error is not None:
+        # nothing buffered: eof_pending is _eof
+        if conn._eof or self.closed_error is not None:
             return ChunkList()
         return None
 
@@ -190,6 +191,9 @@ class Selector:
     in ready``.  A task woken by a report resumes inline, inside it
     (:class:`~repro.simkernel.futures.Task`), so ``ready`` is exact then.
 
+    The charge's two terms are derived once, when the selector is built,
+    from the host's frozen cost model (``select_cost`` at 0 and 1 sockets).
+
     ``stalled`` is the write-side mirror: the sockets whose last write left
     a unit unfinished, added by the writer after a short write.  A socket
     leaves it when it reports while ``send`` could take bytes again (an ACK
@@ -208,6 +212,9 @@ class Selector:
         # write set of the select() the owner is blocked in; None when not
         self._blocked_writes: Optional[List[TCPSocket]] = None
         self.calls = 0
+        cost_model = host.cost_model
+        self._charge_base_ns = base = cost_model.select_cost(0)
+        self._charge_per_socket_ns = cost_model.select_cost(1) - base
 
     def register(self, sock: TCPSocket) -> None:
         """Watch ``sock`` for reading from now on (it may be readable)."""
@@ -233,10 +240,9 @@ class Selector:
         early (the owner was woken by something else).
         """
         self.calls += 1
-        cm = self.host.cost_model
         self.host.cpu.charge(  # == select_cost(), sans the method call
-            cm.select_base_ns
-            + cm.select_per_socket_ns * (len(self.sockets) + len(write_sockets))
+            self._charge_base_ns
+            + self._charge_per_socket_ns * (len(self.sockets) + len(write_sockets))
         )
         ready = self.ready
         for sock in self.sockets:
@@ -260,7 +266,10 @@ class Selector:
         if stalled and sock in stalled and not sock.send_blocked:
             stalled.discard(sock)
         blocked_writes = self._blocked_writes
-        if sock.readable:
+        conn = sock.conn
+        # == sock.readable, sans the property calls (with nothing buffered,
+        # eof_pending is _eof)
+        if conn._ready.nbytes > 0 or conn._eof or sock.closed_error is not None:
             self.ready.add(sock)
         elif blocked_writes is None or sock not in blocked_writes or not sock.writable:
             return

@@ -136,7 +136,8 @@ def test_kernel_counter_agreement_audit():
 # ---------------------------------------------------------------------------
 def fake_conn(una=100, nxt=100, tail=100, fin_seq=None,
               cwnd=14_480, mss=1_448, ssthresh=1 << 30,
-              fast_retransmits=0, timeouts=0, rcv_nxt=50, sacked=()):
+              fast_retransmits=0, timeouts=0, rcv_nxt=50, sacked=(),
+              parked=(), out_of_order_bytes=None):
     cc = SimpleNamespace(
         cwnd=cwnd, mss=mss, ssthresh=ssthresh,
         fast_retransmits=fast_retransmits, timeouts=timeouts,
@@ -144,7 +145,14 @@ def fake_conn(una=100, nxt=100, tail=100, fin_seq=None,
     return SimpleNamespace(
         snd_una=una, snd_nxt=nxt, _fin_seq=fin_seq, cc=cc, _sacked=list(sacked),
         send_buffer=SimpleNamespace(tail_seq=tail),
-        reassembly=SimpleNamespace(rcv_nxt=rcv_nxt),
+        reassembly=SimpleNamespace(
+            rcv_nxt=rcv_nxt,
+            _segments=[(start, end, None) for start, end in parked],
+            out_of_order_bytes=(
+                sum(end - start for start, end in parked)
+                if out_of_order_bytes is None else out_of_order_bytes
+            ),
+        ),
         local_addr="10.0.0.1", local_port=1, remote_addr="10.0.0.2",
         remote_port=2,
     )
@@ -190,6 +198,26 @@ def test_tcp_rcv_nxt_retreat_trips():
     san.on_delivery(fake_conn(rcv_nxt=500))
     with pytest.raises(InvariantViolation, match="rcv_nxt"):
         san.on_delivery(fake_conn(rcv_nxt=499))
+
+
+def test_tcp_out_of_order_count_drift_trips():
+    san = TCPConnectionSanitizer()
+    san.on_delivery(fake_conn(parked=((60, 80), (90, 95))))  # 25 bytes, counted
+    with pytest.raises(InvariantViolation, match="out-of-order byte count"):
+        san.on_delivery(fake_conn(parked=((60, 80), (90, 95)), out_of_order_bytes=20))
+
+
+def test_tcp_segment_wire_size_drift_trips():
+    from repro.transport.tcp.segment import ACK, TCPSegment
+    from repro.util.blobs import ChunkList, SyntheticBlob
+
+    san = TCPConnectionSanitizer()
+    seg = TCPSegment(1, 2, 0, 0, ACK, 0, ChunkList([SyntheticBlob(100)]),
+                     sack_blocks=((10, 20), (30, 40)))
+    san.on_segment_sized(seg)  # as built: agrees with the fresh sum
+    seg.sack_blocks = ((10, 20),)  # changed after it was sized
+    with pytest.raises(InvariantViolation, match="segment wire size"):
+        san.on_segment_sized(seg)
 
 
 def test_tcp_double_fin_trips():
@@ -474,6 +502,34 @@ def test_tcp_rpi_trips_on_a_swallowed_report():
         InvariantViolation, match=r"rank 1 pump: <TCPSocket .* is readable but not listed"
     ):
         run_app(app, n_procs=2, rpi="tcp", seed=1, limit_ns=10**12, finalize_barrier=False)
+
+
+def test_rpi_resumes_only_when_done():
+    RPISanitizer().expect_resumed_done(True, "rank 1")
+    with pytest.raises(InvariantViolation, match="resumes only when done"):
+        RPISanitizer().expect_resumed_done(None, "rank 1")
+
+
+@pytest.mark.parametrize("rpi", ["tcp", "sctp"])
+def test_rank_resumed_before_done_trips(rpi):
+    """Something other than the rank's wake resolves its blocked future:
+    the rank would return from recv unfinished; the armed RPI names it."""
+    from repro.core import run_app
+
+    async def app(comm):
+        kernel = comm.process.kernel
+        if comm.rank == 0:
+            await kernel.sleep(50_000_000)
+            await comm.send(b"x", dest=1, tag=0)
+            return None
+        rpi_ = comm.rpi
+        kernel.call_after(5_000_000, lambda: rpi_._waiter.set_result(None))  # planted
+        return await comm.recv(source=0, tag=0)
+
+    with sanitized(True), pytest.raises(
+        InvariantViolation, match=r"rank 1: progress_until resumed with None"
+    ):
+        run_app(app, n_procs=2, rpi=rpi, seed=1, limit_ns=10**12, finalize_barrier=False)
 
 
 def test_option_b_non_interleaving():

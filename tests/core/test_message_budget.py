@@ -3,11 +3,13 @@
 A 64-byte MPI message must pay only for itself.  On a 2-rank ping-pong
 of 500 round trips (1,000 messages, no warm-up, seed 1):
 
-* a blocked progression step awaits one future that ``wake`` resolves,
-  and a request holds none: TCP builds 2.013 ``Future``s per message and
-  SCTP 1.011 (before, every request carried a completion future nothing
-  awaited and every blocked step went through an ``AsyncEvent``: 4.017
-  and 3.015),
+* a blocked MPI call awaits one future, which ``wake`` resolves once the
+  call is done, and a request holds none: TCP builds 1.010 ``Future``s
+  per message and SCTP 1.009 (2.013 and 1.011 while every wake resumed
+  the rank, and TCP's envelope and body, arriving in separate segments,
+  woke it twice; 4.017 and 3.015 while every request carried a
+  completion future nothing awaited and every blocked step went through
+  an ``AsyncEvent``),
 * SCTP reassembly hands the RPI flat runs of blobs (before, every
   delivered message was a chunk list wrapping the sender's chunk list:
   1.005 nested pieces per message),
@@ -25,9 +27,9 @@ from repro.workloads.mpbench import make_pingpong
 
 ROUND_TRIPS = 500
 MESSAGES = 2 * ROUND_TRIPS
-# measured 2.013 / 1.011: one blocked-step future per message on SCTP,
-# two on TCP (the envelope and the body arrive in separate segments)
-FUTURES_PER_MESSAGE_MAX = {"tcp": 2.02, "sctp": 1.02}
+# measured 1.010 / 1.009: one future per blocking call on either stack,
+# however many segments wake the rank before the call is done
+FUTURES_PER_MESSAGE_MAX = {"tcp": 1.02, "sctp": 1.02}
 EVENTS = {"tcp": 12_039, "sctp": 4_044}
 
 

@@ -136,8 +136,7 @@ def test_sctp_option_b_no_interleave_on_stream(monkeypatch):
         # 220 KB sndbuf, so the head is mid-body and blocked, and nothing
         # of the parked one has begun or been built -- its envelope is not
         # even packed, whereas the head's and the other stream's are
-        while not any(len(q) == 2 for q in rpi._outq.values()):
-            await rpi.advance_once()
+        await rpi.progress_until(lambda: any(len(q) == 2 for q in rpi._outq.values()))
         (head, parked), = [q for q in rpi._outq.values() if len(q) == 2]
         assert head.env_sent and head.next_size > 0
         assert not parked.env_sent  # Option B: strictly FIFO

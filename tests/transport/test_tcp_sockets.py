@@ -1,6 +1,11 @@
 """Socket facade + Selector (select() semantics, costs and the ready set)."""
 
-from repro.simkernel import SECOND
+from types import SimpleNamespace
+
+import pytest
+
+from repro.network import CostModel, Host
+from repro.simkernel import SECOND, Kernel
 from repro.transport.tcp import Selector
 from repro.util.blobs import RealBlob, SyntheticBlob
 
@@ -100,6 +105,24 @@ def test_selector_writable_wake_only_for_the_write_set():
     assert selector.select([client]) is False
     kernel.run(until=kernel.now + 1 * SECOND)
     assert len(woken) == 1
+
+
+@pytest.mark.parametrize(
+    "cm",
+    [CostModel(), CostModel(select_base_ns=3_100, select_per_socket_ns=77)],
+    ids=["default", "custom"],
+)
+def test_selector_charges_exactly_select_cost(cm):
+    """Drift guard: a Selector derives its select() charge once from its
+    host's cost model; for 0-64 descriptors it must charge exactly what
+    ``CostModel.select_cost`` gives."""
+    host = Host(Kernel(seed=1), "h", cm)
+    selector = Selector(host, lambda: None)
+    idle = SimpleNamespace(writable=False)
+    for n in range(65):
+        before = host.cpu.total_busy_ns
+        assert selector.select([idle] * n) is False
+        assert host.cpu.total_busy_ns - before == cm.select_cost(n)
 
 
 def test_selector_unblock_and_unregister_stop_wakes():
