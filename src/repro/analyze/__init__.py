@@ -7,8 +7,8 @@ protocol conformance *checkable* instead of assumed:
   (:mod:`~repro.analyze.callgraph`), the syntactic rules
   (:mod:`~repro.analyze.lint`: wall clocks, global randomness, set
   iteration, ``id()`` ordering, kernel-internal pokes) and the
-  whole-program rules (:mod:`~repro.analyze.flow`: determinism taint,
-  fork purity), one suppression pass, one report;
+  whole-program rule (:mod:`~repro.analyze.flow`: determinism taint),
+  one suppression pass, one report;
 * :mod:`repro.analyze.sanitize` — opt-in runtime invariant checkers for
   the kernel, both transports, and both RPIs (``REPRO_SANITIZE=1``);
 * :mod:`repro.analyze.perturb` — schedule-perturbation race detector

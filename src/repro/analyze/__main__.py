@@ -5,9 +5,8 @@ Subcommands
 
 ``ci [paths...] [--baseline FILE] [--update-baseline FILE] [--json FILE] [--list-rules]``
     The static analyzer (:mod:`repro.analyze.ci`) over the given files /
-    directories (default ``src/repro``): call-site rules (AN10x),
-    determinism taint (AN20x) and fork purity (AN30x) against the
-    committed baseline.  Exits 1 on any finding that is neither allowed
+    directories (default ``src/repro``): call-site rules (AN10x) and
+    determinism taint (AN20x) against the committed baseline.  Exits 1 on any finding that is neither allowed
     by a comment nor baselined.  This is the CI gate.
 
 ``perturb EXPERIMENT name=value ... [--modes lifo,shuffle:7] [--json FILE]``

@@ -1,9 +1,8 @@
 """Machine-readable baseline of accepted whole-program findings.
 
-The taint and purity rules (:mod:`repro.analyze.flow`) are conservative
-by design, and a few of their findings over this tree are *accepted
-behaviour* (``REPRO_FULL`` is deliberately part of the sweep-cache key;
-the supervised child's attempt counter is child-local by design).
+The taint rules (:mod:`repro.analyze.flow`) are conservative by
+design, and a few of their findings over this tree are *accepted
+behaviour* (``REPRO_FULL`` is deliberately part of the sweep-cache key).
 Rather than sprinkle ``allow`` comments for
 whole-program findings whose anchor line is far from the decision that
 justifies them, accepted findings live in a committed baseline file

@@ -1,4 +1,4 @@
-"""The program model every static rule reads: sources, names, calls, forks.
+"""The program model every static rule reads: sources, names, calls.
 
 :class:`Program` is the only thing in :mod:`repro.analyze` that reads,
 parses and tokenizes source.  Each ``.py`` file is read once; what the
@@ -23,10 +23,6 @@ The model is deliberately static and conservative:
 * calls that cannot be resolved at all (``fn(*args)`` through a
   variable, the kernel's event dispatch) produce no edges: the engines
   treat them conservatively at the call site instead.
-
-Fork boundaries are first-class: every ``*.Process(target=...)``
-construction site is recorded as a :class:`ForkSite` so the purity
-analysis knows exactly which functions run inside forked children.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import tokenize
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 RULES: Dict[str, str] = {
     "AN100": "syntax error; the file could not be parsed",
@@ -53,10 +49,6 @@ RULES: Dict[str, str] = {
     "AN203": "process-identity value flows into a simulation-visible sink",
     "AN204": "hash-order-dependent value flows into a simulation-visible sink",
     "AN205": "environment-derived value flows into a simulation-visible sink",
-    "AN301": "fork-reachable code mutates module-global state",
-    "AN302": "fork-reachable code mutates closure-captured state",
-    "AN303": "fork-reachable code registers a process-wide signal handler",
-    "AN304": "unpicklable callable captured across a fork boundary",
 }
 
 #: source kind -> (rule at the call site, rule when the value reaches a
@@ -99,10 +91,10 @@ BY_NAME_CAP = 12
 class Finding:
     """One hit of one rule, pointing at a file:line:col.
 
-    The whole-program rules (AN2xx/AN3xx) also fill ``function`` (the
-    qualname the finding anchors in), ``source`` / ``sink`` (taint) or
-    mutated name / entry chain (purity) and the step-by-step ``trace``;
-    those four are what a baseline fingerprint is made of.
+    The whole-program rules (AN2xx) also fill ``function`` (the qualname
+    the finding anchors in), ``source`` / ``sink`` and the step-by-step
+    ``trace``; the rule, ``function``, ``source`` and ``sink`` are what a
+    baseline fingerprint is made of.
     """
 
     path: str
@@ -192,17 +184,6 @@ class CallEdge:
     callee: str
     lineno: int
     by_name: bool  # resolved only by method-name matching
-
-
-@dataclass(frozen=True)
-class ForkSite:
-    """One ``Process(target=...)`` construction: a fork boundary."""
-
-    caller: str  # qualname of the function containing the call
-    target: Optional[str]  # qualname of the resolved target function
-    path: str
-    lineno: int
-    call: ast.Call = field(repr=False, compare=False, hash=False)
 
 
 class CallTarget(NamedTuple):
@@ -419,9 +400,9 @@ class Program:
             cls_info = module.classes.get(class_name)
             if cls_info is not None:
                 cls_info.methods[node.name] = info
-        # register nested defs too, so fork-reachability can descend into
-        # worker closures (they are conservatively reachable from their
-        # parent; see CallGraph.build)
+        # register nested defs too, so taint summaries cover callbacks and
+        # worker closures (each is conservatively called by its parent;
+        # see CallGraph.build)
         for sub in getattr(node, "body", []):
             self._add_nested(module, node, sub, prefix=f"{module.name}.{local}")
 
@@ -598,25 +579,22 @@ class Program:
 
 
 class CallGraph:
-    """Resolved call edges plus fork sites over one :class:`Program`."""
+    """Resolved call edges over one :class:`Program`."""
 
-    def __init__(self, program: Program) -> None:
-        self.program = program
+    def __init__(self) -> None:
         self.edges: Dict[str, List[CallEdge]] = {}
-        self.fork_sites: List[ForkSite] = []
 
     @classmethod
     def build(cls, program: Program) -> "CallGraph":
-        graph = cls(program)
+        graph = cls()
         for qualname, info in program.functions.items():
             module = program.modules[info.module]
             edges: List[CallEdge] = []
             # ast.walk descends into nested defs too; their calls appear on
             # both the parent and the nested function's own edge list,
-            # which only over-approximates reachability (safe direction)
+            # which only over-approximates the graph (safe direction)
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Call):
-                    graph._note_fork_site(module, info, node)
                     target = program.resolve_call(module, node, info)
                     for callee in target.functions:
                         edges.append(
@@ -629,7 +607,7 @@ class CallGraph:
                         )
             # a nested def is conservatively "called" by its parent: it
             # only exists to run on the parent's behalf (callback, worker
-            # loop body), so reachability must descend into it
+            # loop body), so a summary that grows there re-runs the parent
             for nested_qual in program.functions:
                 if nested_qual.startswith(f"{qualname}.<locals>.") and (
                     nested_qual.count(".<locals>.") == qualname.count(".<locals>.") + 1
@@ -645,42 +623,6 @@ class CallGraph:
             graph.edges[qualname] = edges
         return graph
 
-    def _note_fork_site(
-        self, module: ModuleInfo, info: FunctionInfo, call: ast.Call
-    ) -> None:
-        func = call.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if name != "Process":
-            return
-        target_qual: Optional[str] = None
-        for kw in call.keywords:
-            if kw.arg == "target":
-                resolved = ""
-                if isinstance(kw.value, ast.Name):
-                    resolved = self.program.resolve_name(module, kw.value.id)
-                    if not resolved:
-                        # a function nested in the enclosing caller
-                        nested = f"{info.qualname}.<locals>.{kw.value.id}"
-                        if nested in self.program.functions:
-                            resolved = nested
-                elif isinstance(kw.value, ast.Attribute):
-                    resolved = self.program.resolve_dotted(
-                        module, dotted_name(kw.value)
-                    )
-                if resolved in self.program.functions:
-                    target_qual = resolved
-        self.fork_sites.append(
-            ForkSite(
-                caller=info.qualname,
-                target=target_qual,
-                path=info.path,
-                lineno=call.lineno,
-                call=call,
-            )
-        )
-
     def callers_of(self) -> Dict[str, List[str]]:
         """Reverse adjacency: callee qualname -> caller qualnames."""
         reverse: Dict[str, List[str]] = {}
@@ -688,42 +630,6 @@ class CallGraph:
             for edge in edges:
                 reverse.setdefault(edge.callee, []).append(caller)
         return reverse
-
-    def reachable_from(
-        self, entries: Sequence[str]
-    ) -> Dict[str, Tuple[Optional[str], int]]:
-        """BFS closure: qualname -> (parent qualname, call line) for chains.
-
-        Entry points map to ``(None, 0)``.  Deterministic: the worklist
-        is processed in sorted insertion order.
-        """
-        parents: Dict[str, Tuple[Optional[str], int]] = {}
-        frontier = sorted(set(e for e in entries if e in self.program.functions))
-        for entry in frontier:
-            parents[entry] = (None, 0)
-        while frontier:
-            next_frontier: List[str] = []
-            for qualname in frontier:
-                for edge in self.edges.get(qualname, []):
-                    if edge.callee not in parents:
-                        parents[edge.callee] = (qualname, edge.lineno)
-                        next_frontier.append(edge.callee)
-            frontier = sorted(set(next_frontier))
-        return parents
-
-    def chain(
-        self, parents: Dict[str, Tuple[Optional[str], int]], qualname: str
-    ) -> List[str]:
-        """Entry-to-function qualname chain for a reachability result."""
-        chain: List[str] = []
-        cursor: Optional[str] = qualname
-        seen: Set[str] = set()
-        while cursor is not None and cursor not in seen:
-            seen.add(cursor)
-            chain.append(cursor)
-            cursor = parents.get(cursor, (None, 0))[0]
-        chain.reverse()
-        return chain
 
 
 __all__ = [
@@ -736,7 +642,6 @@ __all__ = [
     "CallTarget",
     "ClassInfo",
     "Finding",
-    "ForkSite",
     "FunctionInfo",
     "ModuleInfo",
     "Program",

@@ -5,10 +5,10 @@ every function in :data:`CHECKS`, suppress, report.  Suppression is
 explicit and auditable, modelled on ``noqa``:
 
 * ``# repro: allow[AN101]`` on the finding's line (the sink line for a
-  taint finding, the mutation line for a purity finding), or
+  taint finding), or
 * ``# repro: allow-file[AN101]`` anywhere, for the whole file; both
   accept a comma-separated rule list;
-* whole-program findings (AN2xx/AN3xx) whose justification lives far
+* whole-program findings (AN2xx) whose justification lives far
   from their anchor line ride in the committed baseline instead
   (:mod:`repro.analyze.baseline`);
 * an allow entry that matched no finding of *any* rule is itself a
@@ -28,7 +28,7 @@ from . import flow, lint
 from .callgraph import RULES, Finding, Program
 
 #: the rule registry: plain functions ``Program -> findings``
-CHECKS = (lint.check, flow.check_taint, flow.check_purity)
+CHECKS = (lint.check, flow.check_taint)
 
 
 class Verdict(NamedTuple):
@@ -115,7 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-analyze ci",
         description=(
             "static determinism analysis of the simulator sources: "
-            "call-site rules, interprocedural taint and fork purity"
+            "call-site rules and interprocedural taint"
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"])

@@ -1,11 +1,10 @@
-"""The whole-program rules: determinism taint and fork purity.
+"""The whole-program rule: determinism taint (AN201-AN205).
 
 A call-site rule (:mod:`repro.analyze.lint`) catches a wall-clock read
 *where it is called*; it cannot see the value flowing through three
-helpers into a packet field.  The two rule functions here close that
-gap over the same :class:`~.callgraph.Program`:
+helpers into a packet field.  :func:`check_taint` closes that gap over
+the same :class:`~.callgraph.Program`.
 
-**Determinism taint (AN201-AN205, :func:`check_taint`).**
 Nondeterminism *sources* — wall clocks, unseeded randomness, process
 identity, ``hash()`` order, environment reads, recognised by
 :meth:`Program.source_kind` exactly as AN101/AN102 recognise them — are
@@ -21,14 +20,9 @@ display is AN101's business (and what its ``allow`` comments assert),
 but the same value laundered into a packet field breaks
 byte-determinism.
 
-**Fork purity (AN301-AN304, :func:`check_purity`).**  Functions
-reachable from fork boundaries (``Process(target=...)`` sites — the
-PDES shard workers and ``repro.supervise`` child entries) must not
-mutate state that would diverge between the serial and forked
-executions: module-global rebinding or container mutation (AN301),
-closure-captured state (AN302), process-wide signal handlers (AN303),
-and unpicklable callables passed across the boundary (AN304).  Findings
-carry the entry→function reachability chain.
+What code run in a forked worker mutates is not a rule here: a forked
+run must give the same bytes as the serial one, and CI checks exactly
+that by running both and comparing the outputs with ``cmp``.
 
 Known limits (deliberate, documented): control-flow taint is not
 tracked (a branch *condition* on ``os.environ`` does not taint the
@@ -40,7 +34,6 @@ sink-checked but not tracked as taint carriers.
 from __future__ import annotations
 
 import ast
-import builtins
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -77,13 +70,6 @@ MAX_FIXPOINT_ROUNDS = 12
 #: statement re-walk bound inside one function (handles loops where a
 #: name is assigned after its first textual use)
 INTRA_PASSES = 3
-
-#: container methods that mutate their receiver in place
-MUTATING_METHODS = {
-    "append", "extend", "insert", "add", "update", "pop", "popitem",
-    "popleft", "appendleft", "remove", "discard", "clear", "setdefault",
-    "sort", "reverse", "write",
-}
 
 
 @dataclass(frozen=True)
@@ -510,7 +496,6 @@ class FlowAnalysis:
         }
         self._taint_findings: Set[Finding] = set()
 
-    # -- taint ------------------------------------------------------------
     def emit_taint(self, info: FunctionInfo, tag: Tag, record: SinkRecord) -> None:
         if tag.kind not in SOURCE_RULES:  # "param" tags never reach here
             return
@@ -558,246 +543,10 @@ class FlowAnalysis:
                     pending.update(callers.get(qualname, ()))
         return list(self._taint_findings)
 
-    # -- purity -----------------------------------------------------------
-    def run_purity(self) -> List[Finding]:
-        """Write-set analysis of everything reachable from fork boundaries."""
-        findings: Set[Finding] = set()
-        entries = [
-            site.target for site in self.graph.fork_sites if site.target
-        ]
-        parents = self.graph.reachable_from(entries) if entries else {}
-
-        # AN304: unpicklable callables at the fork sites themselves
-        for site in self.graph.fork_sites:
-            for kw in site.call.keywords:
-                values = [kw.value]
-                if kw.arg == "args" and isinstance(kw.value, (ast.Tuple, ast.List)):
-                    values = list(kw.value.elts)
-                for value in values:
-                    bad = None
-                    if isinstance(value, ast.Lambda):
-                        bad = "a lambda"
-                    elif isinstance(value, ast.Name):
-                        nested = f"{site.caller}.<locals>.{value.id}"
-                        if nested in self.program.functions:
-                            bad = f"nested function {value.id!r}"
-                    if bad is not None:
-                        findings.add(
-                            Finding(
-                                rule="AN304",
-                                path=site.path,
-                                line=value.lineno,
-                                col=value.col_offset + 1,
-                                function=site.caller,
-                                source=bad,
-                                sink=f"Process(...) at {site.path}:{site.lineno}",
-                                message=(
-                                    f"{RULES['AN304']}: {bad} passed to "
-                                    "Process(...) cannot cross a spawn "
-                                    "boundary and hides shared state under fork"
-                                ),
-                                trace=(
-                                    f"fork site: Process(...) at "
-                                    f"{site.path}:{site.lineno} in {site.caller}",
-                                ),
-                            )
-                        )
-
-        for qualname in sorted(parents):  # every key is a program function
-            info = self.program.functions[qualname]
-            chain = self.graph.chain(parents, qualname)
-            chain_desc = " -> ".join(
-                self.program.functions[q].shortname for q in chain
-            )
-            trace = (f"reachable: fork entry chain: {chain_desc}",)
-            findings.update(self._purity_scan(info, chain_desc, trace))
-        return list(findings)
-
-    def _purity_scan(
-        self, info: FunctionInfo, chain_desc: str, trace: Tuple[str, ...]
-    ) -> List[Finding]:
-        module = self.program.modules[info.module]
-        node = info.node
-        body = getattr(node, "body", [])
-        global_decls: Set[str] = set()
-        nonlocal_decls: Set[str] = set()
-        assigned: Set[str] = set()
-
-        def collect(stmts: Sequence[ast.stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    continue  # nested scopes are their own functions
-                if isinstance(stmt, ast.Global):
-                    global_decls.update(stmt.names)
-                elif isinstance(stmt, ast.Nonlocal):
-                    nonlocal_decls.update(stmt.names)
-                else:
-                    for child in ast.walk(stmt):
-                        if isinstance(child, ast.Name) and isinstance(
-                            child.ctx, ast.Store
-                        ):
-                            assigned.add(child.id)
-                for block in ("body", "orelse", "finalbody"):
-                    sub = getattr(stmt, block, [])
-                    if sub and isinstance(sub[0], ast.stmt):
-                        collect(sub)
-                for handler in getattr(stmt, "handlers", []):
-                    collect(handler.body)
-
-        collect(body)
-        local_names = (set(info.params) | assigned) - global_decls - nonlocal_decls
-
-        findings: List[Finding] = []
-
-        def is_module_global(name: str) -> bool:
-            if name in local_names:
-                return False
-            return (
-                name in module.global_names
-                or name in module.functions
-                or name in module.classes
-            )
-
-        def is_free_var(name: str) -> bool:
-            if "<locals>" not in info.qualname:
-                return False  # only nested functions have closures
-            return (
-                name not in local_names
-                and name not in module.global_names
-                and name not in module.imports
-                and name not in module.functions
-                and name not in module.classes
-                and not hasattr(builtins, name)
-                and not name.startswith("__")
-            )
-
-        def emit(rule: str, at: ast.AST, source: str, detail: str) -> None:
-            findings.append(
-                Finding(
-                    rule=rule,
-                    path=info.path,
-                    line=at.lineno,
-                    col=at.col_offset + 1,
-                    function=info.qualname,
-                    source=source,
-                    sink=f"fork-reachable via {chain_desc.split(' -> ')[0]}",
-                    message=f"{RULES[rule]}: {detail}",
-                    trace=(*trace, f"at: {info.path}:{at.lineno} in {info.shortname}"),
-                )
-            )
-
-        for stmt in ast.walk(node):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stmt is not node:
-                    # nested defs are scanned as their own reachable functions
-                    continue
-            # rebinding a declared global / nonlocal
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if not isinstance(name_node, ast.Name):
-                            continue
-                        if name_node.id in global_decls:
-                            emit(
-                                "AN301", stmt, name_node.id,
-                                f"rebinds module global {name_node.id!r}; the "
-                                "write is invisible to the parent and to "
-                                "sibling shards",
-                            )
-                        elif name_node.id in nonlocal_decls:
-                            emit(
-                                "AN302", stmt, name_node.id,
-                                f"rebinds closure variable {name_node.id!r} "
-                                "from fork-reachable code",
-                            )
-                    # mutation through subscript/attribute of a global
-                    if isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        name = target.value.id
-                        if is_module_global(name):
-                            emit(
-                                "AN301", stmt, name,
-                                f"mutates module-global container "
-                                f"{name!r} by item assignment",
-                            )
-                    if isinstance(target, ast.Attribute):
-                        base = dotted_name(target.value)
-                        root = base.split(".")[0] if base else ""
-                        if root and root in module.imports and "." not in base:
-                            resolved = module.imports.get(root, "")
-                            if resolved in self.program.modules or (
-                                resolved and resolved.rsplit(".", 1)[0]
-                                in self.program.modules
-                            ):
-                                emit(
-                                    "AN301", stmt, f"{base}.{target.attr}",
-                                    f"writes attribute {target.attr!r} on "
-                                    f"module {base!r} from fork-reachable code",
-                                )
-                        elif root and is_module_global(root) and root != "self":
-                            emit(
-                                "AN301", stmt, f"{base}.{target.attr}",
-                                f"writes attribute {target.attr!r} on "
-                                f"module-global object {base!r}",
-                            )
-            if isinstance(stmt, ast.Delete):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        if is_module_global(target.value.id):
-                            emit(
-                                "AN301", stmt, target.value.id,
-                                f"deletes items of module-global container "
-                                f"{target.value.id!r}",
-                            )
-            if isinstance(stmt, ast.Call):
-                func = stmt.func
-                if isinstance(func, ast.Attribute):
-                    dotted = dotted_name(func)
-                    base = dotted_name(func.value)
-                    resolved_base = (
-                        self.program.resolve_dotted(module, base) if base else ""
-                    )
-                    if resolved_base == "signal" and func.attr == "signal":
-                        emit(
-                            "AN303", stmt, "signal.signal",
-                            "installs a process-wide signal handler from "
-                            "fork-reachable code; handlers must be registered "
-                            "by the supervising parent only",
-                        )
-                    elif func.attr in MUTATING_METHODS and isinstance(
-                        func.value, ast.Name
-                    ):
-                        name = func.value.id
-                        if is_module_global(name):
-                            emit(
-                                "AN301", stmt, name,
-                                f"mutates module-global container {name!r} "
-                                f"via .{func.attr}()",
-                            )
-                        elif is_free_var(name):
-                            emit(
-                                "AN302", stmt, name,
-                                f"mutates closure-captured object {name!r} "
-                                f"via .{func.attr}()",
-                            )
-        return findings
-
 
 def check_taint(program: Program) -> List[Finding]:
     """AN201-AN205 over *program*."""
     return FlowAnalysis(program).run_taint()
-
-
-def check_purity(program: Program) -> List[Finding]:
-    """AN301-AN304 over *program*."""
-    return FlowAnalysis(program).run_purity()
 
 
 __all__ = [
@@ -805,6 +554,5 @@ __all__ = [
     "FlowAnalysis",
     "SinkRecord",
     "Tag",
-    "check_purity",
     "check_taint",
 ]

@@ -733,6 +733,14 @@ def _interleave_flag(value: Any) -> str:
     return text
 
 
+def _int_axis(value: Any) -> int:
+    """Coerce an integer axis value without silently changing it: ints,
+    integral floats and digit strings pass; bools and fractions do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _pingpong_cell(
     protocol: str,
     size: int,
@@ -941,14 +949,14 @@ _FARM_LOSS = Axis("loss", (0.0, 0.01, 0.02), float)
 
 MATRICES: Dict[str, ExperimentMatrix] = {
     "fig8": ExperimentMatrix(
-        (Axis("size", tuple(FIG8_SIZES), int),),
+        (Axis("size", tuple(FIG8_SIZES), _int_axis),),
         _fig8_cell,
         title="Fig. 8: ping-pong throughput (no loss)",
         claim=fig8_claim,
     ),
     "table1": ExperimentMatrix(
         (
-            Axis("size", (30 * 1024, 300 * 1024), int),
+            Axis("size", (30 * 1024, 300 * 1024), _int_axis),
             Axis("loss", (0.01, 0.02), float),
         ),
         _table1_cell,
@@ -1017,7 +1025,7 @@ MATRICES: Dict[str, ExperimentMatrix] = {
         claim=crc32c_claim,
     ),
     "select": ExperimentMatrix(
-        (Axis("n_procs", (4, 8, scaled(12, 16)), int),),
+        (Axis("n_procs", (4, 8, scaled(12, 16)), _int_axis),),
         _select_cell,
         title="§3.3: select() volume vs job size (collective storm)",
         claim=select_claim,
@@ -1025,7 +1033,7 @@ MATRICES: Dict[str, ExperimentMatrix] = {
     "pingpong": ExperimentMatrix(
         (
             Axis("protocol", ("tcp", "sctp"), str, choices=("tcp", "sctp")),
-            Axis("size", (1024, 30 * 1024), int),
+            Axis("size", (1024, 30 * 1024), _int_axis),
             Axis("loss", (0.0,), float),
         ),
         _pingpong_cell,

@@ -139,14 +139,6 @@ class Communicator:
             self.rpi.poke()
         return request.done
 
-    def testany(self, requests: Sequence[Request]) -> Optional[int]:
-        """MPI_Testany: index of a completed request, or None."""
-        self.rpi.poke()
-        for i, request in enumerate(requests):
-            if request.done:
-                return i
-        return None
-
     # ------------------------------------------------------------------
     # probing
     # ------------------------------------------------------------------

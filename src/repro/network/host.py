@@ -155,10 +155,6 @@ class Host:
             *_cost_terms(self._cost_model.packet_recv_cost, proto),
         )
 
-    def protocol_handler(self, proto: str) -> Any:
-        """Look up a previously registered handler."""
-        return self._handlers[proto]
-
     # -- data path ---------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` out of the NIC owning ``packet.src``,

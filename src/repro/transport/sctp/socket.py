@@ -145,10 +145,6 @@ class OneToManySocket:
         """Look up an owned association by id."""
         return self._assocs[assoc_id]
 
-    def assoc_id_for(self, peer_addr: str, peer_port: int) -> Optional[int]:
-        """Reverse lookup: peer address/port -> association id."""
-        return self._by_peer.get((peer_addr, peer_port))
-
     def _assoc_closed(self, assoc: Association, error: Optional[str]) -> None:
         self._assocs.pop(assoc.assoc_id, None)
         self._by_peer.pop((assoc.primary_addr, assoc.peer_port), None)
@@ -235,13 +231,6 @@ class OneToManySocket:
         self.endpoint.unlisten(self.port)
         for assoc in list(self._assocs.values()):
             assoc.close()
-
-    def abort_all(self, reason: str = "socket aborted") -> None:
-        """Hard-abort every association."""
-        self.closed = True
-        self.endpoint.unlisten(self.port)
-        for assoc in list(self._assocs.values()):
-            assoc.abort(reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OneToManySocket port={self.port} assocs={len(self._assocs)}>"

@@ -1,9 +1,13 @@
-"""The program model: one read per file, resolution, fork sites, reachability."""
+"""The program model: one read per file, resolution, call edges."""
 
 import ast
+import re
 import tokenize
+from pathlib import Path
 
-from repro.analyze.callgraph import CallGraph, Program
+from repro.analyze.callgraph import RULES, CallGraph, Program
+
+DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 
 def program(**sources):
@@ -27,7 +31,7 @@ def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     (tmp_path / "a" / "tool.py").write_text("import time\nx = time.time()\n")
-    (tmp_path / "b" / "tool.py").write_text("y = 1  # repro: allow[AN301]\n")
+    (tmp_path / "b" / "tool.py").write_text("y = 1  # repro: allow[AN103]\n")
     (tmp_path / "main.py").write_text(
         "import os\ndef f(m):\n    m.observe(os.getpid())  # repro: allow[AN203]\n"
     )
@@ -116,44 +120,26 @@ def test_unknown_receiver_matches_methods_by_name():
     assert edge.by_name
 
 
-def test_fork_site_with_local_target_function():
+def test_nested_def_is_called_by_its_parent():
+    """The parent -> nested edge is what re-runs a parent's taint summary
+    when a callback or worker closure's summary grows."""
     p = program(
         work=(
-            "import multiprocessing\n"
-            "def _worker(conn):\n"
-            "    conn.send(1)\n"
-            "def launch(ctx, conn):\n"
-            "    p = ctx.Process(target=_worker, args=(conn,))\n"
-            "    p.start()\n"
-        ),
-    )
-    graph = CallGraph.build(p)
-    [site] = graph.fork_sites
-    assert site.target == "app.work._worker"
-    assert site.caller == "app.work.launch"
-
-
-def test_reachability_descends_nested_defs_and_reports_chain():
-    p = program(
-        work=(
-            "def leaf():\n"
-            "    return 1\n"
             "def entry():\n"
             "    def inner():\n"
-            "        return leaf()\n"
-            "    return inner()\n"
+            "        return 1\n"
+            "    return 2\n"
         ),
     )
     graph = CallGraph.build(p)
-    parents = graph.reachable_from(["app.work.entry"])
-    assert "app.work.leaf" in parents
-    chain = graph.chain(parents, "app.work.leaf")
-    assert chain[0] == "app.work.entry" and chain[-1] == "app.work.leaf"
+    assert ("app.work.entry", "app.work.entry.<locals>.inner") in edge_pairs(graph)
+    assert graph.callers_of()["app.work.entry.<locals>.inner"] == ["app.work.entry"]
 
 
-def test_real_tree_loads_and_finds_the_fork_boundaries():
-    p = Program.load("src/repro")
-    graph = CallGraph.build(p)
-    targets = {s.target for s in graph.fork_sites}
-    assert "repro.simkernel.pdes._worker_main" in targets
-    assert "repro.supervise.executor._child_main" in targets
+def test_design_rule_table_lists_exactly_the_rules():
+    """DESIGN §6.1's ``| ANnnn |`` rows are RULES' keys, so a rule cannot be
+    added or removed without its row."""
+    text = DESIGN.read_text(encoding="utf-8")
+    section = text[text.index("### 6.1 ") : text.index("### 6.2 ")]
+    rows = re.findall(r"^\| (AN\d{3}) \|", section, flags=re.MULTILINE)
+    assert rows == sorted(RULES)

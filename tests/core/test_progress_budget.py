@@ -1,6 +1,6 @@
 """Progression-step cost budget (DESIGN §9.4): counts only, no wall clock.
 
-One ``advance_once`` must cost what is ready, not what is queued or
+One progression step must cost what is ready, not what is queued or
 posted.  On a farm whose manager keeps several send queues blocked on a
 small send buffer:
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bench.harness import resolve_sweep_params
 from repro.sweep import SweepError, load_spec, spec_from_dict
 
 PINGPONG_BLOCK = {
@@ -105,6 +106,15 @@ def test_bare_block_is_single_cell():
             lambda d: d["sweeps"][0]["matrix"].pop("protocol"),
             "missing axis",
         ),
+        # int() would run another size than the cell id names
+        (
+            lambda d: d["sweeps"][0]["params"].update(size=1024.7),
+            "bad value for 'pingpong' axis 'size'",
+        ),
+        (
+            lambda d: d["sweeps"][0]["params"].update(size=True),
+            "bad value for 'pingpong' axis 'size'",
+        ),
     ],
 )
 def test_malformed_specs_raise(mutate, match):
@@ -112,6 +122,31 @@ def test_malformed_specs_raise(mutate, match):
     mutate(doc)
     with pytest.raises(SweepError, match=match):
         spec_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("fig8", {"size": 1024.5}),
+        ("fig8", {"size": False}),
+        ("table1", {"size": 30720.25, "loss": 0.01}),
+        ("table1", {"size": True, "loss": 0.01}),
+        ("select", {"n_procs": 4.5}),
+        ("select", {"n_procs": True}),
+    ],
+)
+def test_every_integer_axis_is_strict(experiment, params):
+    axis = next(iter(params))
+    with pytest.raises(ValueError, match=f"bad value for {experiment!r} axis {axis!r}"):
+        resolve_sweep_params(experiment, params)
+
+
+@pytest.mark.parametrize("raw", [1024, "1024", 1024.0])
+def test_integer_axis_keeps_ints_and_digit_strings(raw):
+    """The perturb CLI passes digit strings; a JSON 1024.0 is 1024."""
+    resolved = resolve_sweep_params("fig8", {"size": raw})
+    assert resolved["size"] == 1024 and type(resolved["size"]) is int
+    assert resolve_sweep_params("select", {"n_procs": "4"})["n_procs"] == 4
 
 
 def test_duplicate_cell_ids_rejected():
