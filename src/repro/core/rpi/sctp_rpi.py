@@ -33,12 +33,11 @@ mapped to the paper section it implements:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ...analyze.sanitize import option_b_sanitizer
 from ...transport.sctp import OneToManySocket
-from ...transport.sctp.socket import _apply_options
 from ...util.blobs import ChunkList
 from ..constants import (
     FLAG_BARRIER_GO,
@@ -75,8 +74,8 @@ class SCTPRPI(BaseRPI):
         eager_limit=None,
         long_piece_size: Optional[int] = None,
         port: int = MPI_BASE_PORT,
-        interleaving: Optional[bool] = None,
-        scheduler: Optional[str] = None,
+        interleaving: bool = False,
+        scheduler: str = "fcfs",
     ) -> None:
         super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
         if num_streams < 1:
@@ -87,12 +86,14 @@ class SCTPRPI(BaseRPI):
         self.long_piece_size = long_piece_size or self.eager_limit
         self.port = port
         self.endpoint = process.sctp_endpoint
-        # RFC 8260 interleaving + stream-scheduler options ride through to
-        # the association config exactly as the socket overlays them; None
-        # keeps the world-level default
-        self.sctp_config = _apply_options(
-            process.world.sctp_config, interleaving, scheduler,
-            n_out_streams=num_streams, n_in_streams=num_streams,
+        # the world's association config with this module's stream pool
+        # and its RFC 8260 interleaving + stream-scheduler options
+        self.sctp_config = replace(
+            process.world.sctp_config,
+            interleaving=interleaving,
+            scheduler=scheduler,
+            n_out_streams=num_streams,
+            n_in_streams=num_streams,
         )
         self._msg_limit = self.sctp_config.max_message_size
         if self.long_piece_size + ENVELOPE_SIZE > self._msg_limit:

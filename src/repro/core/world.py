@@ -30,14 +30,13 @@ class WorldConfig:
     n_procs: int = 8
     rpi: str = "sctp"  # "sctp" | "tcp"
     seed: int = 0
-    loss_rate: float = 0.0
+    loss_rate: float = 0.0  # Dummynet plr on every host egress pipe
     n_paths: int = 1
     # datacenter-style pod topology (1 = the paper's flat single switch);
     # pods are also the sharding unit for parallel DES (repro.simkernel.pdes)
     n_pods: int = 1
     bandwidth_bps: int = GBIT_PER_S
     prop_delay_ns: int = 5 * MICROSECOND
-    extra_delay_ns: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
     num_streams: int = 10  # SCTP RPI stream pool (1 = ablation module)
     eager_limit: int = EAGER_LIMIT
@@ -53,7 +52,8 @@ class WorldConfig:
     # force metric collection on; an enclosing MetricsCollector also enables
     metrics_enabled: bool = False
     # fault-injection timeline (repro.faults.FaultScenario), armed onto the
-    # cluster before any process starts; None = healthy network
+    # same host egress pipes before any process starts; None = healthy
+    # network.  With loss_rate, the only way to impair the network
     scenario: Optional[Any] = None
 
 
@@ -128,7 +128,6 @@ class World:
                 n_pods=cfg.n_pods,
                 bandwidth_bps=cfg.bandwidth_bps,
                 prop_delay_ns=cfg.prop_delay_ns,
-                extra_delay_ns=cfg.extra_delay_ns,
                 loss_rate=cfg.loss_rate,
                 cost_model=cfg.cost_model,
             ),

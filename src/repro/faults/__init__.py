@@ -7,11 +7,11 @@ This package turns those one-off setups into a first-class subsystem:
 
 * :mod:`~repro.faults.impairments` — composable per-packet impairment
   models (Bernoulli and Gilbert-Elliott loss, blackhole, corruption,
-  duplication, reordering, delay/jitter) behind one interface;
+  duplication, reordering) behind one interface;
 * :mod:`~repro.faults.scenario` — a declarative ``FaultScenario``
   timeline of ``(t_start, t_end, target, impairment)`` entries, armed
-  onto a cluster via seeded per-impairment RNG streams so same-seed
-  runs are byte-identical;
+  onto the cluster's host egress pipes via seeded per-impairment RNG
+  streams so same-seed runs are byte-identical;
 * :mod:`~repro.faults.observers` — packet-tap probes measuring what the
   application felt (delivery stalls, recovery time);
 * :mod:`~repro.faults.library` — the canonical chaos-matrix scenarios.
@@ -34,11 +34,9 @@ chaos`` sweeps the library against both stacks.
 """
 
 from .impairments import (
-    IMPAIRMENT_KINDS,
     BernoulliLoss,
     Blackhole,
     Corrupt,
-    Delay,
     Duplicate,
     GilbertElliott,
     Impairment,
@@ -59,13 +57,11 @@ __all__ = [
     "BernoulliLoss",
     "Blackhole",
     "Corrupt",
-    "Delay",
     "DeliveryWatch",
     "Duplicate",
     "FaultEvent",
     "FaultScenario",
     "GilbertElliott",
-    "IMPAIRMENT_KINDS",
     "Impairment",
     "Reorder",
     "bernoulli_loss",

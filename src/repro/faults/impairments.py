@@ -2,7 +2,7 @@
 
 Every impairment is one small state machine behind a single interface:
 :meth:`Impairment.process` takes one packet and returns the list of
-``(packet, extra_delay_ns)`` pairs to forward downstream — an empty list
+``(packet, delay_ns)`` pairs to forward downstream — an empty list
 drops the packet, two entries duplicate it, a non-zero delay lets later
 packets overtake it (reordering).  Impairments are configuration
 dataclasses; all runtime state (RNG stream, counters, Markov state) is
@@ -25,15 +25,15 @@ The models map onto the mechanisms the paper's evaluation exercises:
   heartbeat-based failover (§3.5.1) vs TCP RTO backoff.
 * :class:`Corrupt` — on-wire bit corruption; rejected by SCTP's CRC32c
   / verification-tag validation and TCP's checksum (§3.5.2).
-* :class:`Duplicate` / :class:`Reorder` / :class:`Delay` — duplicate
-  TSN reporting, SACK reordering robustness, and path-delay asymmetry.
+* :class:`Duplicate` / :class:`Reorder` — duplicate TSN reporting and
+  SACK reordering robustness.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Type
+from typing import List, Tuple
 
 from ..network.packet import Packet
 
@@ -67,7 +67,7 @@ class Impairment:
     :meth:`clone` can stamp out independent per-target copies.
     """
 
-    #: registry key used by from_dict/to_dict
+    #: short name used in the RNG stream label of a pipe-armed copy
     kind = "impairment"
 
     def bind(self, kernel, stream: str) -> "Impairment":
@@ -96,26 +96,6 @@ class Impairment:
     def process(self, packet: Packet) -> List[Emit]:
         """Transform one packet into the list of packets to forward."""
         raise NotImplementedError
-
-    # -- serialisation ----------------------------------------------------
-    def to_dict(self) -> Dict:
-        """Plain-dict form: ``{"kind": ..., <config fields>}``."""
-        out = {"kind": self.kind}
-        out.update(dataclasses.asdict(self))
-        return out
-
-    @staticmethod
-    def from_dict(spec: Dict) -> "Impairment":
-        """Instantiate the impairment described by ``spec``."""
-        spec = dict(spec)
-        kind = spec.pop("kind", None)
-        cls = IMPAIRMENT_KINDS.get(kind)
-        if cls is None:
-            raise ValueError(
-                f"unknown impairment kind {kind!r} "
-                f"(known: {', '.join(sorted(IMPAIRMENT_KINDS))})"
-            )
-        return cls(**spec)
 
 
 @dataclass
@@ -272,43 +252,3 @@ class Reorder(Impairment):
             self.packets_affected += 1
             return [(packet, self.delay_ns)]
         return [(packet, 0)]
-
-
-@dataclass
-class Delay(Impairment):
-    """Add fixed latency plus optional uniform jitter to every packet.
-
-    With ``jitter_ns`` large enough relative to inter-packet spacing
-    this is another reordering source (jittered packets can leapfrog).
-    """
-
-    kind = "delay"
-    delay_ns: int = 0
-    jitter_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if self.delay_ns < 0 or self.jitter_ns < 0:
-            raise ValueError("delay/jitter cannot be negative")
-
-    def process(self, packet: Packet) -> List[Emit]:
-        self.packets_seen += 1
-        extra = self.delay_ns
-        if self.jitter_ns:
-            extra += self.rng.randrange(self.jitter_ns + 1)
-        if extra:
-            self.packets_affected += 1
-        return [(packet, extra)]
-
-
-IMPAIRMENT_KINDS: Dict[str, Type[Impairment]] = {
-    cls.kind: cls
-    for cls in (
-        BernoulliLoss,
-        GilbertElliott,
-        Blackhole,
-        Corrupt,
-        Duplicate,
-        Reorder,
-        Delay,
-    )
-}

@@ -4,29 +4,25 @@ A :class:`FaultScenario` is a named list of :class:`FaultEvent` entries
 ``(t_start_ns, t_end_ns, target, impairment)``.  Arming a scenario on a
 cluster schedules kernel timers that install each impairment on every
 matched target at ``t_start_ns`` and remove it at ``t_end_ns``
-(``None`` = until the end of the run).  Targets select Dummynet pipes
-by ``fnmatch`` pattern over their keys (``"h0p0"``, ``"h*p0"``,
-``"*"``); the prefix ``link:`` instead matches raw links by name and
-administratively downs them for the window (impairment must be a
-:class:`~repro.faults.impairments.Blackhole`).
+(``None`` = until the end of the run).  Targets select host egress
+Dummynet pipes by ``fnmatch`` pattern over their keys (``"h0p0"``,
+``"h*p0"``, ``"*"``): the pipes are the only place a fault is injected,
+so a dead path is a :class:`~repro.faults.impairments.Blackhole` window
+on that path's pipes.
 
 Every armed impairment is an independent :meth:`clone` of the event's
 prototype, bound to its own RNG stream
 ``faults:<scenario>:e<idx>:<target>`` — so the same scenario object can
 arm many worlds, and arming never perturbs any other random stream.
-Scenarios round-trip through plain dicts/JSON for config files.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .impairments import Blackhole, Impairment
-
-LINK_PREFIX = "link:"
+from .impairments import Impairment
 
 
 @dataclass(frozen=True)
@@ -46,30 +42,6 @@ class FaultEvent:
             raise ValueError(
                 f"event window is empty: [{self.t_start_ns}, {self.t_end_ns})"
             )
-        if self.target.startswith(LINK_PREFIX) and not isinstance(
-            self.impairment, Blackhole
-        ):
-            raise ValueError(
-                f"link targets only support blackhole (link down), got "
-                f"{self.impairment.kind!r} on {self.target!r}"
-            )
-
-    def to_dict(self) -> Dict:
-        return {
-            "t_start_ns": self.t_start_ns,
-            "t_end_ns": self.t_end_ns,
-            "target": self.target,
-            "impairment": self.impairment.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, spec: Dict) -> "FaultEvent":
-        return cls(
-            t_start_ns=spec["t_start_ns"],
-            t_end_ns=spec.get("t_end_ns"),
-            target=spec["target"],
-            impairment=Impairment.from_dict(spec["impairment"]),
-        )
 
 
 @dataclass
@@ -84,56 +56,25 @@ class FaultScenario:
             raise ValueError("scenario needs a name")
         self.events = tuple(self.events)
 
-    # -- serialisation ----------------------------------------------------
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "events": [ev.to_dict() for ev in self.events]}
-
-    @classmethod
-    def from_dict(cls, spec: Dict) -> "FaultScenario":
-        return cls(
-            name=spec["name"],
-            events=tuple(FaultEvent.from_dict(e) for e in spec.get("events", ())),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultScenario":
-        return cls.from_dict(json.loads(text))
-
     # -- arming -----------------------------------------------------------
-    def arm(self, kernel, pipes: Dict, links: Optional[Dict] = None) -> "ArmedScenario":
-        """Schedule this timeline against ``pipes`` (and ``links``).
+    def arm(self, kernel, pipes: Dict) -> "ArmedScenario":
+        """Schedule this timeline against ``pipes``.
 
         Raises ``ValueError`` for targets that match nothing — a typo'd
         target silently doing nothing would be a debugging trap.
         """
         armed = ArmedScenario(self, kernel)
         for idx, event in enumerate(self.events):
-            if event.target.startswith(LINK_PREFIX):
-                pattern = event.target[len(LINK_PREFIX):]
-                matched = sorted(
-                    name for name in (links or {}) if fnmatch(name, pattern)
+            matched = sorted(k for k in pipes if fnmatch(k, event.target))
+            if not matched:
+                raise ValueError(
+                    f"scenario {self.name!r} event {idx}: target "
+                    f"{event.target!r} matches no Dummynet pipe"
                 )
-                if not matched:
-                    raise ValueError(
-                        f"scenario {self.name!r} event {idx}: link target "
-                        f"{pattern!r} matches no link"
-                    )
-                for name in matched:
-                    armed.add_link_window(event, links[name])
-            else:
-                matched = sorted(k for k in pipes if fnmatch(k, event.target))
-                if not matched:
-                    raise ValueError(
-                        f"scenario {self.name!r} event {idx}: target "
-                        f"{event.target!r} matches no Dummynet pipe"
-                    )
-                for key in matched:
-                    imp = event.impairment.clone()
-                    imp.bind(kernel, f"faults:{self.name}:e{idx}:{key}")
-                    armed.add_pipe_window(event, idx, key, pipes[key], imp)
+            for key in matched:
+                imp = event.impairment.clone()
+                imp.bind(kernel, f"faults:{self.name}:e{idx}:{key}")
+                armed.add_pipe_window(event, idx, key, pipes[key], imp)
         return armed
 
 
@@ -142,7 +83,7 @@ class ArmedScenario:
 
     Registers probes under ``faults.<scenario>.e<idx>.<target>.*`` so
     ``--metrics-json`` snapshots carry per-impairment seen/dropped/
-    affected counts, plus a ``faults.<scenario>.active`` gauge.
+    affected counts, plus a ``faults.<scenario>.active`` probe.
     """
 
     def __init__(self, scenario: FaultScenario, kernel) -> None:
@@ -150,17 +91,9 @@ class ArmedScenario:
         self.kernel = kernel
         self.impairments: List[Tuple[str, Impairment]] = []  # (pipe key, imp)
         self.active = 0
-        self._timers: List = []
         self._scope = kernel.metrics.scope(f"faults.{scenario.name}")
         self._scope.probe("active", lambda: self.active)
         self._scope.probe("impairments_armed", lambda: len(self.impairments))
-
-    def _schedule(self, t_start_ns: int, t_end_ns: Optional[int], on, off) -> None:
-        start, end = self.kernel.call_window(t_start_ns, t_end_ns, on, off)
-        if start is not None:
-            self._timers.append(start)
-        if end is not None:
-            self._timers.append(end)
 
     def add_pipe_window(
         self, event: FaultEvent, idx: int, key: str, pipe, imp: Impairment
@@ -180,26 +113,7 @@ class ArmedScenario:
             pipe.disarm(imp)
             self.active -= 1
 
-        self._schedule(event.t_start_ns, event.t_end_ns, on, off)
-
-    def add_link_window(self, event: FaultEvent, link) -> None:
-        """Administratively down ``link`` for the event's time window."""
-
-        def on() -> None:
-            link.set_up(False)
-            self.active += 1
-
-        def off() -> None:
-            link.set_up(True)
-            self.active -= 1
-
-        self._schedule(event.t_start_ns, event.t_end_ns, on, off)
-
-    def cancel(self) -> None:
-        """Cancel every not-yet-fired arm/disarm timer."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
+        self.kernel.call_window(event.t_start_ns, event.t_end_ns, on, off)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,24 +8,11 @@ See :mod:`repro.metrics.registry` for the metric types,
 """
 
 from .collect import MetricsCollector, active_collector
-from .registry import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-)
+from .registry import Counter, Histogram, MetricsRegistry, MetricsScope
 from .taps import MetricsPacketTap, PacketTap
 
 __all__ = [
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsCollector",
     "MetricsPacketTap",

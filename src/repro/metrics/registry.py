@@ -1,14 +1,17 @@
-"""The unified metrics registry: counters, gauges, histograms, probes.
+"""The unified metrics registry: counters, histograms, probes.
 
 Every layer of the stack — kernel, links, Dummynet pipes, both transport
 protocols, the RPI progression engines — registers into one hierarchical
 :class:`MetricsRegistry` owned by the :class:`~repro.simkernel.Kernel`.
 The registry is built for two properties the benchmarks depend on:
 
-* **zero cost when disabled** — a disabled registry hands out shared
-  no-op metric singletons and ignores probe registration, so the hot
-  paths of an instrumented simulation pay nothing beyond an occasional
-  ``None`` check;
+* **zero cost when disabled** — every push-metric site checks
+  :attr:`MetricsRegistry.enabled` when it is built and creates no
+  instrument when it is off (the histograms hold ``None``; the world
+  never attaches a :class:`~repro.metrics.taps.MetricsPacketTap`), so an
+  uninstrumented simulation pays one ``None`` check per push site.  A
+  disabled registry also drops probe registrations and snapshots to
+  ``{}``;
 * **deterministic snapshots** — histograms use fixed bucket edges,
   snapshot keys are sorted, and every value derives from virtual time or
   event counts, so two runs with the same seed serialise to
@@ -16,9 +19,9 @@ The registry is built for two properties the benchmarks depend on:
 
 Two metric styles coexist:
 
-* **push** metrics (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
-  record transient values at event time — congestion-window samples,
-  queue occupancy, timer-heap depth;
+* **push** metrics (:class:`Counter`, :class:`Histogram`) record
+  transient values at event time — congestion-window samples, queue
+  occupancy, timer-heap depth;
 * **pull** probes (:meth:`MetricsRegistry.probe`) are callbacks read at
   snapshot time.  Layers that already keep cheap stats structs (TCP's
   ``ConnStats``, SCTP's ``AssocStats``, the RPI's ``RPIStats``) register
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -48,24 +51,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative increment {amount}")
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value that can move both ways (rwnd, queue depth)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value: Number) -> None:
-        """Replace the current value."""
-        self.value = value
-
-    def add(self, delta: Number) -> None:
-        """Move the current value by ``delta`` (may be negative)."""
-        self.value += delta
 
 
 class Histogram:
@@ -104,48 +89,6 @@ class Histogram:
         return list(self.counts)
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        return None
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def set(self, value: Number) -> None:
-        return None
-
-    def add(self, delta: Number) -> None:
-        return None
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "<null>"
-    edges: Tuple[Number, ...] = (0,)
-    total_count = 0
-    total_sum = 0
-
-    def observe(self, value: Number) -> None:
-        return None
-
-    def bucket_counts(self) -> List[int]:
-        return [0, 0]
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 def _coerce(value: Any) -> Any:
     """Make a probe/row value JSON-stable (handles numpy scalars)."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -181,9 +124,6 @@ class MetricsScope:
     def counter(self, name: str) -> Counter:
         return self._registry.counter(self._join(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(self._join(name))
-
     def histogram(self, name: str, edges: Iterable[Number]) -> Histogram:
         return self._registry.histogram(self._join(name), edges)
 
@@ -208,7 +148,7 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self._enabled = enabled
-        self._metrics: Dict[str, Union[Counter, Gauge, Histogram]] = {}
+        self._metrics: Dict[str, Union[Counter, Histogram]] = {}
         self._probes: Dict[str, Callable[[], Any]] = {}
 
     @property
@@ -233,20 +173,10 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter called ``name``."""
-        if not self._enabled:
-            return NULL_COUNTER
         return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        if not self._enabled:
-            return NULL_GAUGE
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
     def histogram(self, name: str, edges: Iterable[Number]) -> Histogram:
         """Get or create a fixed-edge histogram called ``name``."""
-        if not self._enabled:
-            return NULL_HISTOGRAM
         hist = self._get_or_create(name, Histogram, lambda: Histogram(name, edges))
         if hist.edges != tuple(edges):
             raise ValueError(

@@ -3,18 +3,18 @@
 The paper's testbed ran FreeBSD Dummynet on every node to inject a
 configurable packet loss rate (0%, 1%, 2%) on the links between nodes.
 :class:`DummynetPipe` reproduces the ``plr`` behaviour — an independent
-Bernoulli drop per packet, drawn from a named, seeded RNG stream so
-experiments are reproducible, plus an optional fixed extra delay — and,
-since the fault-injection subsystem (:mod:`repro.faults`), doubles as
-the arming point for scenario impairments: a pipe owns a chain of
-:class:`~repro.faults.impairments.Impairment` objects (the base
-Bernoulli loss first, armed impairments after, in arming order) that
-each packet flows through.
+Bernoulli drop per packet at a rate fixed when the pipe is built, drawn
+from a named, seeded RNG stream so experiments are reproducible.  It is
+also the one place the network is impaired: every fault a
+:mod:`repro.faults` scenario injects is an
+:class:`~repro.faults.impairments.Impairment` armed on a pipe's chain
+(the base Bernoulli loss first, armed impairments after, in arming
+order) that each packet flows through.
 
-Determinism: the base loss draws from the same ``dummynet:<name>``
-stream (one draw per packet, only while ``loss_rate > 0``) as before
-the refactor; every armed impairment draws from its own stream, so
-arming a scenario never perturbs the base loss pattern.
+Determinism: the base loss draws from the ``dummynet:<name>`` stream
+(one draw per packet, only while ``loss_rate > 0``); every armed
+impairment draws from its own stream, so arming a scenario never
+perturbs the base loss pattern.
 """
 
 from __future__ import annotations
@@ -36,22 +36,18 @@ class DummynetPipe:
         kernel: Kernel,
         name: str,
         loss_rate: float = 0.0,
-        extra_delay_ns: int = 0,
         sink: Optional[Sink] = None,
     ) -> None:
-        if extra_delay_ns < 0:
-            raise ValueError("extra delay cannot be negative")
         self.kernel = kernel
         self.name = name
-        self.extra_delay_ns = extra_delay_ns
         self.sink = sink
         # loss_rate validation happens in BernoulliLoss ([0, 1]; 1.0 is a
         # legitimate full blackhole, the degenerate link-down case)
         self._base = BernoulliLoss(loss_rate).bind(kernel, f"dummynet:{name}")
         self._armed: List[Impairment] = []
         # the per-packet chain is cached and rebuilt only when the armed
-        # set or the base loss rate changes (hot-path: one tuple read
-        # instead of a list construction per packet)
+        # set changes (hot-path: one tuple read instead of a list
+        # construction per packet)
         self._chain: tuple = ()
         self._rebuild_chain()
         self.passed_packets = 0
@@ -70,13 +66,6 @@ class DummynetPipe:
     def loss_rate(self) -> float:
         """Base Bernoulli drop probability (Dummynet ``plr``)."""
         return self._base.rate
-
-    @loss_rate.setter
-    def loss_rate(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1]: {rate}")
-        self._base.rate = rate
-        self._rebuild_chain()
 
     def connect(self, sink: Sink) -> None:
         """Attach the downstream element (usually a Link)."""
@@ -123,10 +112,7 @@ class DummynetPipe:
             self.passed_packets += 1
             if packet.corrupted:
                 self.corrupted_packets += 1
-            if self.extra_delay_ns:
-                self.kernel.post_after(self.extra_delay_ns, sink, packet)
-            else:
-                sink(packet)
+            sink(packet)
             return
         entries = [(packet, 0)]
         for impairment in chain:
@@ -145,8 +131,7 @@ class DummynetPipe:
             self.passed_packets += 1
             if pkt.corrupted:
                 self.corrupted_packets += 1
-            total_delay = delay + self.extra_delay_ns
-            if total_delay:
-                self.kernel.post_after(total_delay, sink, pkt)
+            if delay:
+                self.kernel.post_after(delay, sink, pkt)
             else:
                 sink(pkt)

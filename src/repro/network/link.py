@@ -56,7 +56,6 @@ class Link:
         # through queued_bytes, which settles first
         self._queued_bytes = 0
         self._serialising: Deque[Tuple[int, int]] = deque()  # (done, size)
-        self.up = True  # administrative state (repro.faults link: targets)
         # PDES hook: when set, an accepted packet is handed here as
         # ``(link, packet, deliver_at)`` instead of being scheduled onto
         # the local sink — the packet is leaving this shard and will be
@@ -68,13 +67,11 @@ class Link:
         self.tx_bytes = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
-        self.admin_down_drops = 0
         scope = kernel.metrics.scope(f"net.link.{name}")
         scope.probe("tx_packets", lambda: self.tx_packets)
         scope.probe("tx_bytes", lambda: self.tx_bytes)
         scope.probe("dropped_packets", lambda: self.dropped_packets)
         scope.probe("dropped_bytes", lambda: self.dropped_bytes)
-        scope.probe("admin_down_drops", lambda: self.admin_down_drops)
         scope.probe("queued_bytes", lambda: self.queued_bytes)
         self._occupancy_hist = (
             scope.histogram("queue_occupancy_bytes", QUEUE_OCCUPANCY_EDGES)
@@ -85,10 +82,6 @@ class Link:
     def connect(self, sink: Sink) -> None:
         """Attach the receiving end (host NIC ingress or switch port)."""
         self.sink = sink
-
-    def set_up(self, up: bool) -> None:
-        """Administratively enable/disable the link (cable pull)."""
-        self.up = up
 
     @property
     def queued_bytes(self) -> int:
@@ -114,9 +107,6 @@ class Link:
         sink = self.sink
         if sink is None:
             raise RuntimeError(f"link {self.name} has no sink connected")
-        if not self.up:
-            self.admin_down_drops += 1
-            return False
         kernel = self.kernel
         now = kernel._now
         size = packet.wire_size

@@ -21,7 +21,6 @@ class NIC:
         self.addr = addr
         self.egress = egress
         self.host = None  # set by Host.add_interface
-        self.up = True
         self.tx_packets = 0
         self.rx_packets = 0
 
@@ -30,9 +29,7 @@ class NIC:
         self.egress = egress
 
     def send(self, packet: Packet) -> None:
-        """Transmit if the interface is up; silently drop otherwise."""
-        if not self.up:
-            return
+        """Hand the packet to the egress chain."""
         if self.egress is None:
             raise RuntimeError(f"NIC {self.addr} has no egress connected")
         self.tx_packets += 1
@@ -40,15 +37,10 @@ class NIC:
 
     def receive(self, packet: Packet) -> None:
         """Ingress from the wire; hands the packet to the owning host."""
-        if not self.up or self.host is None:
+        if self.host is None:
             return
         self.rx_packets += 1
         self.host.deliver(packet)
 
-    def set_up(self, up: bool) -> None:
-        """Administratively enable/disable the interface (failover tests)."""
-        self.up = up
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "down"
-        return f"<NIC {self.addr} {state}>"
+        return f"<NIC {self.addr}>"

@@ -23,7 +23,6 @@ class Switch:
         self._ports: Dict[str, Link] = {}
         self.forwarded = 0
         self.unroutable = 0
-        self.up = True
 
     def attach(self, addr: str, out_link: Link) -> None:
         """Bind ``addr`` to the link leading to that address's NIC."""
@@ -36,18 +35,12 @@ class Switch:
         return self._forward
 
     def _forward(self, packet: Packet) -> None:
-        if not self.up:
-            return
         out = self._ports.get(packet.dst)
         if out is None:
             self.unroutable += 1
             return
         self.forwarded += 1
         out.send(packet)
-
-    def set_up(self, up: bool) -> None:
-        """Kill/revive the whole switch (multihoming failover scenarios)."""
-        self.up = up
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name} ports={len(self._ports)}>"

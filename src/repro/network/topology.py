@@ -45,8 +45,9 @@ class ClusterConfig:
     # paper's testbed showed no loss at 0% Dummynet loss, so ours must not
     # invent any.
     queue_bytes: int = 2 * 1024 * 1024
+    # Dummynet ``plr`` on every host egress pipe, fixed for the run; every
+    # other fault is a repro.faults scenario armed on the same pipes
     loss_rate: float = 0.0
-    extra_delay_ns: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
 
     def address(self, host_index: int, path: int = 0) -> str:
@@ -83,34 +84,9 @@ class Cluster:
         """The egress Dummynet pipe of one host interface."""
         return self.pipes[f"h{host_index}p{path}"]
 
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Reconfigure every Dummynet pipe (like re-running ``ipfw pipe``)."""
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1]: {loss_rate}")
-        for pipe in self.pipes.values():
-            pipe.loss_rate = loss_rate
-
     def arm_scenario(self, scenario: "FaultScenario") -> "ArmedScenario":
-        """Arm a fault-injection timeline onto this cluster's pipes/links."""
-        return scenario.arm(self.kernel, self.pipes, links=self.links)
-
-    def pod_of(self, host_index: int) -> int:
-        """Pod (sharding unit) a host belongs to."""
-        return self.config.pod_of(host_index)
-
-    def switch_for(self, path: int, pod: int = 0) -> Switch:
-        """The switch serving one (path, pod)."""
-        return self.switches[path * self.config.n_pods + pod]
-
-    def fail_path(self, path: int) -> None:
-        """Take an entire subnet down (kills its switches)."""
-        for pod in range(self.config.n_pods):
-            self.switch_for(path, pod).set_up(False)
-
-    def restore_path(self, path: int) -> None:
-        """Bring a previously failed subnet back."""
-        for pod in range(self.config.n_pods):
-            self.switch_for(path, pod).set_up(True)
+        """Arm a fault-injection timeline onto this cluster's egress pipes."""
+        return scenario.arm(self.kernel, self.pipes)
 
     def total_dropped(self) -> int:
         """Packets dropped by all Dummynet pipes (not queue drops)."""
@@ -172,7 +148,6 @@ def build_cluster(kernel: Kernel, config: Optional[ClusterConfig] = None) -> Clu
                 kernel,
                 f"h{h}p{p}",
                 loss_rate=cfg.loss_rate,
-                extra_delay_ns=cfg.extra_delay_ns,
                 sink=up.send,
             )
             pipes[f"h{h}p{p}"] = pipe

@@ -14,7 +14,6 @@ buffer cannot take the whole message.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Callable, Deque, Dict, Optional
 
 from ...simkernel import Future
@@ -22,20 +21,6 @@ from ...util.blobs import Blob, ChunkList
 from .association import SHUTDOWN_STATES, Association, SCTPConfig
 from .endpoint import ListenerHooks, SCTPEndpoint
 from .streams import AssembledMessage
-
-
-def _apply_options(
-    config: SCTPConfig,
-    interleaving: Optional[bool],
-    scheduler: Optional[str],
-    **overrides,
-) -> SCTPConfig:
-    """Overlay the socket-level options, and any other fields, onto a config."""
-    if interleaving is not None:
-        overrides["interleaving"] = interleaving
-    if scheduler is not None:
-        overrides["scheduler"] = scheduler
-    return replace(config, **overrides) if overrides else config
 
 
 class ReceivedMessage:
@@ -70,15 +55,10 @@ class OneToManySocket:
         endpoint: SCTPEndpoint,
         port: Optional[int] = None,
         config: Optional[SCTPConfig] = None,
-        *,
-        interleaving: Optional[bool] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         self.endpoint = endpoint
         self.kernel = endpoint.kernel
-        self.config = _apply_options(
-            config or endpoint.default_config, interleaving, scheduler
-        )
+        self.config = config or endpoint.default_config
         self.port = port if port is not None else endpoint.allocate_port()
         self._assocs: Dict[int, Association] = {}
         self._by_peer: Dict[tuple, int] = {}  # (addr, port) -> assoc_id

@@ -1,8 +1,6 @@
 """Bench harness plumbing (fast checks; the figures themselves, and the
 claims their rows are checked against, run under `python -m repro.bench`)."""
 
-import os
-
 from repro.bench import ExperimentRow, format_table
 from repro.bench.harness import FIG8_SIZES, TABLE1_PAPER, full_scale, scaled
 

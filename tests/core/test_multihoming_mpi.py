@@ -1,7 +1,8 @@
 """Multihoming at the MPI level: an application survives path failure."""
 
 from repro.core.world import World, WorldConfig
-from repro.simkernel import SECOND
+from repro.faults import primary_blackhole
+from repro.simkernel import MILLISECOND, SECOND
 from repro.transport.sctp import SCTPConfig
 
 LIMIT = 600_000_000_000
@@ -14,6 +15,8 @@ def test_mpi_app_survives_primary_path_failure():
         n_paths=2,
         seed=4,
         sctp_config=SCTPConfig(path_max_retrans=1, heartbeat_interval_ns=2 * SECOND),
+        # the primary subnet goes dark 2 ms in and stays dark
+        scenario=primary_blackhole(start_ns=2 * MILLISECOND, duration_ns=0),
     )
     world = World(config)
 
@@ -28,7 +31,6 @@ def test_mpi_app_survives_primary_path_failure():
                 await comm.send(b"y" * 20_000, dest=peer, tag=2)
         return True
 
-    world.kernel.call_after(2_000_000, world.cluster.fail_path, 0)
     result = world.run(app, limit_ns=LIMIT)
     assert all(result.results)
     # at least one side redirected traffic to the alternate subnet

@@ -1,16 +1,11 @@
-"""MetricsRegistry semantics: counters, gauges, histograms, probes,
-scopes, snapshots, and the zero-cost disabled mode."""
+"""MetricsRegistry semantics: counters, histograms, probes, scopes,
+snapshots, and the zero-cost disabled mode."""
 
 import json
 
 import pytest
 
-from repro.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    MetricsRegistry,
-)
+from repro.metrics import MetricsRegistry
 from repro.simkernel import Kernel
 
 
@@ -32,14 +27,6 @@ def test_counter_get_or_create_shares_instance():
     assert reg.counter("shared") is reg.counter("shared")
     reg.counter("shared").inc(3)
     assert reg.snapshot()["shared"] == 3
-
-
-def test_gauge_semantics():
-    reg = MetricsRegistry()
-    g = reg.gauge("depth")
-    g.set(10)
-    g.add(-3)
-    assert g.value == 7
 
 
 def test_histogram_semantics():
@@ -76,7 +63,7 @@ def test_name_type_collision_raises():
     reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(TypeError):
-        reg.gauge("x")
+        reg.histogram("x", edges=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +106,7 @@ def test_scope_prefixes_and_nesting():
 def test_snapshot_is_sorted_and_expands_histograms():
     reg = MetricsRegistry()
     reg.counter("z").inc()
-    reg.gauge("a").set(2)
+    reg.counter("a").inc(2)
     h = reg.histogram("m", edges=(10, 20))
     h.observe(15)
     snap = reg.snapshot()
@@ -158,16 +145,15 @@ def test_snapshot_coerces_numpy_scalars():
 # ---------------------------------------------------------------------------
 # disabled mode
 # ---------------------------------------------------------------------------
-def test_disabled_registry_returns_null_singletons():
+def test_disabled_registry_registers_no_probes_and_snapshots_empty():
     reg = MetricsRegistry(enabled=False)
-    assert reg.counter("a") is NULL_COUNTER
-    assert reg.gauge("b") is NULL_GAUGE
-    assert reg.histogram("c", edges=(1, 2)) is NULL_HISTOGRAM
+    assert not reg.enabled and not reg.scope("s").enabled
     reg.probe("d", lambda: 1 / 0)  # never evaluated
-    # null instruments swallow updates without allocating
-    NULL_COUNTER.inc(5)
-    NULL_GAUGE.set(3)
-    NULL_HISTOGRAM.observe(9)
+    reg.scope("s").probe("e", lambda: 1 / 0)
+    # push sites check ``enabled`` before creating instruments; one that
+    # did not would still show nothing
+    reg.counter("a").inc(5)
+    reg.histogram("c", edges=(1, 2)).observe(9)
     assert reg.snapshot() == {}
 
 

@@ -1,4 +1,4 @@
-"""Dummynet pipe: seeded Bernoulli loss + extra delay."""
+"""Dummynet pipe: seeded Bernoulli loss."""
 
 import pytest
 
@@ -43,26 +43,12 @@ def test_same_seed_same_drops():
     assert run(7) != run(8)
 
 
-def test_extra_delay():
-    k = Kernel(seed=1)
-    times = []
-    pipe = DummynetPipe(k, "p", extra_delay_ns=500, sink=lambda p: times.append(k.now))
-    pipe(pkt())
-    k.run()
-    assert times == [500]
-
-
 def test_invalid_config_rejected():
     k = Kernel()
     with pytest.raises(ValueError):
         DummynetPipe(k, "p", loss_rate=1.1)
     with pytest.raises(ValueError):
         DummynetPipe(k, "p", loss_rate=-0.1)
-    with pytest.raises(ValueError):
-        DummynetPipe(k, "p", extra_delay_ns=-1)
-    pipe = DummynetPipe(k, "p2")
-    with pytest.raises(ValueError):
-        pipe.loss_rate = 2.0
 
 
 def test_total_loss_allowed():

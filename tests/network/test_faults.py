@@ -1,6 +1,6 @@
 """DummynetPipe impairment chain: arm/disarm, corrupt/dup/reorder flow."""
 
-from repro.faults import BernoulliLoss, Corrupt, Delay, Duplicate, Reorder
+from repro.faults import BernoulliLoss, Corrupt, Duplicate, Reorder
 from repro.network import DummynetPipe, Packet
 from repro.simkernel import Kernel
 
@@ -56,12 +56,11 @@ def test_reorder_delays_via_kernel():
     assert times == [(0, 1), (5000, 0)]
 
 
-def test_delay_stacks_with_base_extra_delay():
+def test_armed_delays_stack():
     k, times = Kernel(seed=1), []
-    pipe = DummynetPipe(
-        k, "p", extra_delay_ns=100, sink=lambda p: times.append(k.now)
-    )
-    pipe.arm(Delay(delay_ns=400))
+    pipe = DummynetPipe(k, "p", sink=lambda p: times.append(k.now))
+    pipe.arm(Reorder(rate=1.0, delay_ns=100))
+    pipe.arm(Reorder(rate=1.0, delay_ns=400))
     pipe(pkt())
     k.run()
     assert times == [500]

@@ -1,9 +1,10 @@
-"""Host demux, CPU serialization, switch forwarding, NIC state."""
+"""Host demux, CPU serialization, switch forwarding, path failure."""
 
 import pytest
 
-from repro.network import ClusterConfig, Host, HostCPU, NIC, Packet, build_cluster
-from repro.simkernel import Kernel
+from repro.faults import primary_blackhole
+from repro.network import ClusterConfig, Host, HostCPU, Packet, build_cluster
+from repro.simkernel import MILLISECOND, Kernel
 
 
 class Recorder:
@@ -102,24 +103,6 @@ def test_switch_drops_unroutable():
     assert cluster.switches[0].unroutable == 1
 
 
-def test_nic_down_blocks_traffic():
-    k, cluster = _cluster()
-    sink = Recorder()
-    cluster.hosts[1].register_protocol("t", sink)
-    cluster.hosts[1].interfaces[0].set_up(False)
-    cluster.hosts[0].send(
-        Packet(
-            src=cluster.host_address(0),
-            dst=cluster.host_address(1),
-            proto="t",
-            payload=None,
-            wire_size=64,
-        )
-    )
-    k.run()
-    assert sink.packets == []
-
-
 def test_multihomed_addressing():
     k, cluster = _cluster(n_hosts=2, n_paths=3)
     host = cluster.hosts[0]
@@ -131,7 +114,9 @@ def test_multihomed_addressing():
 
 
 def test_fail_and_restore_path():
+    """A path fails and comes back as a blackhole window on its pipes."""
     k, cluster = _cluster(n_hosts=2, n_paths=2)
+    cluster.arm_scenario(primary_blackhole(start_ns=0, duration_ns=MILLISECOND))
     sink = Recorder()
     cluster.hosts[1].register_protocol("t", sink)
 
@@ -146,12 +131,10 @@ def test_fail_and_restore_path():
             )
         )
 
-    cluster.fail_path(0)
     send_on(0)
     send_on(1)
-    k.run()
+    k.run(until=MILLISECOND)
     assert len(sink.packets) == 1  # only path 1 delivered
-    cluster.restore_path(0)
     send_on(0)
     k.run()
     assert len(sink.packets) == 2

@@ -115,19 +115,12 @@ class TwoEventLink:
         self.prop_delay_ns = prop_delay_ns
         self.queue_bytes = queue_bytes
         self.sink = sink
-        self.up = True
         self._ready_at = 0
         self.queued_bytes = 0
         self.tx_packets = self.tx_bytes = 0
-        self.dropped_packets = self.dropped_bytes = self.admin_down_drops = 0
-
-    def set_up(self, up):
-        self.up = up
+        self.dropped_packets = self.dropped_bytes = 0
 
     def send(self, packet):
-        if not self.up:
-            self.admin_down_drops += 1
-            return False
         size = packet.wire_size
         if self.queued_bytes + size > self.queue_bytes:
             self.dropped_packets += 1
@@ -151,7 +144,7 @@ class TwoEventLink:
 
 
 def _schedule(rng, n_ops):
-    """Seeded arrivals, admin flips and queue reads on a 1 Gbit/s link.
+    """Seeded arrivals and queue reads on a 1 Gbit/s link.
 
     Sizes are multiples of 125 B, i.e. whole microseconds on the wire, and
     instants are whole microseconds, so arrivals keep landing exactly on
@@ -164,10 +157,10 @@ def _schedule(rng, n_ops):
         roll = rng.random()
         if roll < 0.75:
             ops.append((t, "send", rng.choice((125, 250, 500, 1000, 1500)), i))
-        elif roll < 0.9:
-            ops.append((t, "read", 0, i))
         else:
-            ops.append((t, "up", rng.random() < 0.5, i))
+            if roll >= 0.9:
+                rng.random()  # keeps the draws of the seeded schedules
+            ops.append((t, "read", 0, i))
     return ops
 
 
@@ -180,10 +173,8 @@ def _drive(make_link, ops):
     def act(kind, arg, ident):
         if kind == "send":
             log.append(("tx", k.now, ident, link.send(pkt(arg, payload=ident))))
-        elif kind == "read":
-            log.append(("queued", k.now, link.queued_bytes))
         else:
-            link.set_up(arg)
+            log.append(("queued", k.now, link.queued_bytes))
 
     # Two stages, so that an action at instant T draws its tie-break
     # sequence number *at* T and therefore runs after every link event
@@ -193,7 +184,7 @@ def _drive(make_link, ops):
         k.post_at(when, k.post_at, when, act, kind, arg, ident)
     k.run()
     log.append(("counters", link.tx_packets, link.tx_bytes, link.dropped_packets,
-                link.dropped_bytes, link.admin_down_drops, link.queued_bytes))
+                link.dropped_bytes, link.queued_bytes))
     return log
 
 
@@ -214,4 +205,4 @@ def test_matches_two_event_reference(seed, prop_delay_ns):
     assert got == want
     kinds = {entry[0] for entry in got} | {("tx", entry[3]) for entry in got if entry[0] == "tx"}
     assert {"rx", "queued", ("tx", True), ("tx", False)} <= kinds  # not vacuous
-    assert got[-1][3] > 0 and got[-1][5] > 0  # tail drops and admin-down drops
+    assert got[-1][3] > 0  # tail drops

@@ -1,4 +1,4 @@
-"""Cluster builder structure and runtime controls."""
+"""Cluster builder structure and configuration."""
 
 import pytest
 
@@ -30,15 +30,6 @@ def test_deterministic_addressing():
     k = Kernel()
     c = build_cluster(k, ClusterConfig(n_hosts=3, n_paths=2))
     assert c.host_address(2, 1) == "10.1.0.3"
-
-
-def test_set_loss_rate_applies_to_all_pipes():
-    k = Kernel()
-    c = build_cluster(k, ClusterConfig(n_hosts=2))
-    c.set_loss_rate(0.05)
-    assert all(p.loss_rate == 0.05 for p in c.pipes.values())
-    with pytest.raises(ValueError):
-        c.set_loss_rate(1.5)
 
 
 def test_invalid_configs_rejected():

@@ -1,7 +1,5 @@
 """Four-way handshake, cookies, verification tags (paper §3.5.2)."""
 
-import dataclasses
-
 from repro.network import Packet
 from repro.simkernel import SECOND
 from repro.transport.sctp import (

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analyze.sanitize import sanitized
 from repro.faults.impairments import copy_packet
 from repro.simkernel import SECOND
-from repro.transport.sctp import SCTPConfig
 from repro.util.blobs import RealBlob
 
 from ..conftest import make_cluster, sctp_pair

@@ -1,5 +1,6 @@
 """Path state, multihoming, heartbeats, failover (paper §3.5.1)."""
 
+from repro.faults import primary_blackhole
 from repro.simkernel import SECOND
 from repro.transport.sctp import SCTPConfig
 from repro.transport.sctp.paths import ACTIVE, INACTIVE, PathState
@@ -105,8 +106,8 @@ def test_failover_to_alternate_path():
     kernel, cluster = make_cluster(n_hosts=2, n_paths=2)
     s0, s1, aid = sctp_pair(kernel, cluster, config=failover_config())
     assoc = s0.association(aid)
-    # sever the primary subnet, then send
-    cluster.fail_path(0)
+    # black out the primary subnet for the rest of the run, then send
+    cluster.arm_scenario(primary_blackhole(start_ns=kernel.now, duration_ns=0))
     sent = 0
     bodies = 6
 
@@ -206,9 +207,15 @@ def test_fast_retransmit_strikes_are_hash_order_independent():
     assert first["frtx"] > 0  # the strike pass actually ran
 
 
+OUTAGE_NS = 20 * SECOND  # failover completes about 9.4 s into it
+
+
 def _drive_failover(kernel, cluster, s0, s1, aid, bodies=6):
-    """Sever the primary subnet and push traffic until it fails over."""
-    cluster.fail_path(0)
+    """Black out the primary subnet for ``OUTAGE_NS`` and push traffic
+    until the association fails over; returns the instant the window
+    closes."""
+    outage_end = kernel.now + OUTAGE_NS
+    cluster.arm_scenario(primary_blackhole(start_ns=kernel.now, duration_ns=OUTAGE_NS))
     sent = 0
 
     async def sender():
@@ -222,6 +229,8 @@ def _drive_failover(kernel, cluster, s0, s1, aid, bodies=6):
     kernel.spawn(sender())
     msgs = pump_messages(kernel, s1, bodies, limit_s=300)
     assert len(msgs) == bodies
+    assert kernel.now < outage_end, "failover must finish inside the outage"
+    return outage_end
 
 
 def test_heartbeat_ack_resets_error_count_after_failover():
@@ -231,28 +240,30 @@ def test_heartbeat_ack_resets_error_count_after_failover():
     kernel, cluster = make_cluster(n_hosts=2, n_paths=2)
     s0, s1, aid = sctp_pair(kernel, cluster, config=failover_config())
     assoc = s0.association(aid)
-    _drive_failover(kernel, cluster, s0, s1, aid)
+    outage_end = _drive_failover(kernel, cluster, s0, s1, aid)
     primary = assoc.paths["10.0.0.2"]
     assert primary.state == INACTIVE and primary.error_count > 0
+    assert assoc._active_path().addr == "10.1.0.2"  # data on the alternate
+    kernel.run(until=outage_end)
+    assert primary.state == INACTIVE  # no heartbeat got through the outage
     acks_before = assoc.stats.heartbeat_acks_received
-    cluster.restore_path(0)
-    kernel.run(until=kernel.now + 60 * SECOND)
+    kernel.run(until=outage_end + 60 * SECOND)
     assert assoc.stats.heartbeat_acks_received > acks_before
     assert primary.error_count == 0
     assert primary.state == ACTIVE
 
 
 def test_failback_to_primary_after_path_restore():
-    """Failback: once heartbeats reactivate the restored primary, data
-    selection prefers it over the alternate that carried the failover
-    traffic, and transfers complete on the failback path."""
+    """Failback: once the outage window closes and heartbeats reactivate
+    the primary, data selection prefers it over the alternate that
+    carried the failover traffic, and transfers complete on it."""
     kernel, cluster = make_cluster(n_hosts=2, n_paths=2)
     s0, s1, aid = sctp_pair(kernel, cluster, config=failover_config())
     assoc = s0.association(aid)
-    _drive_failover(kernel, cluster, s0, s1, aid)
+    outage_end = _drive_failover(kernel, cluster, s0, s1, aid)
+    assert assoc.paths["10.0.0.2"].state == INACTIVE
     assert assoc._active_path().addr == "10.1.0.2"  # data on the alternate
-    cluster.restore_path(0)
-    kernel.run(until=kernel.now + 60 * SECOND)
+    kernel.run(until=outage_end + 60 * SECOND)
     assert assoc.paths["10.0.0.2"].state == ACTIVE
     assert assoc.primary_addr == "10.0.0.2"  # failover never moved primary
     assert assoc._active_path().addr == "10.0.0.2"  # selection is back on it

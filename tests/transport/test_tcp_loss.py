@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import SECOND
-from repro.transport.tcp import TCPConfig
 
 from ..conftest import make_cluster, tcp_pair
 from .test_tcp_connection import transfer
