@@ -9,8 +9,10 @@ protocol conformance *checkable* instead of assumed:
   iteration, ``id()`` ordering, kernel-internal pokes) and the
   whole-program rule (:mod:`~repro.analyze.flow`: determinism taint),
   one suppression pass, one report;
-* :mod:`repro.analyze.sanitize` — opt-in runtime invariant checkers for
-  the kernel, both transports, and both RPIs (``REPRO_SANITIZE=1``);
+* :mod:`repro.analyze.sanitize` — the switch for opt-in runtime invariant
+  checkers on the kernel, both transports, and both RPIs
+  (``REPRO_SANITIZE=1``); the checkers are in
+  :mod:`repro.analyze.checkers`;
 * :mod:`repro.analyze.perturb` — schedule-perturbation race detector
   that re-runs scenarios under reversed/shuffled same-time tie-breaking.
 
@@ -19,5 +21,6 @@ the ``repro-analyze`` console script).
 
 Nothing is re-exported here: the simulator reaches
 :mod:`repro.analyze.sanitize` on every start-up, and doing so must not
-load the static analyzer or the perturbation tool.
+load the static analyzer or the perturbation tool.  It loads
+:mod:`repro.analyze.checkers` only when sanitizers are armed.
 """

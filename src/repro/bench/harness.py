@@ -430,20 +430,19 @@ def _chaos_world(rpi: str, seed: int, scenario, fault_start_ns: int):
 
 def _transport_counters(world, rpi: str) -> Dict[str, int]:
     """Recovery-relevant counters summed over every host endpoint."""
+    totals = [ep.total_stats() for ep in world.endpoints]
     if rpi == "tcp":
-        totals = [ep.total_stats() for ep in world.tcp_endpoints]
         return {
             "rto_events": sum(t.rto_events for t in totals),
             "fast_rtx": sum(t.fast_retransmits for t in totals),
             "failovers": 0,
-            "integrity_drops": sum(ep.checksum_drops for ep in world.tcp_endpoints),
+            "integrity_drops": sum(ep.checksum_drops for ep in world.endpoints),
         }
-    totals = [ep.total_stats() for ep in world.sctp_endpoints]
     return {
         "rto_events": sum(t.rto_events for t in totals),
         "fast_rtx": sum(t.fast_retransmits for t in totals),
         "failovers": sum(t.failovers for t in totals),
-        "integrity_drops": sum(ep.crc32c_drops for ep in world.sctp_endpoints),
+        "integrity_drops": sum(ep.crc32c_drops for ep in world.endpoints),
     }
 
 
@@ -477,7 +476,7 @@ def multihoming_failover(seed: int = 1) -> List[ExperimentRow]:
                 "recovery_s": recovery_s,
                 "failover_retransmits": counters["failovers"],
                 "path_failures": sum(
-                    ep.total_stats().path_failures for ep in world.sctp_endpoints
+                    ep.total_stats().path_failures for ep in world.endpoints
                 ),
             },
             paper={"shape": "transparent failover (§3.5.1)"},

@@ -85,11 +85,11 @@ class SCTPRPI(BaseRPI):
         # send buffer (the sctp_sendmsg limit, §3.4)
         self.long_piece_size = long_piece_size or self.eager_limit
         self.port = port
-        self.endpoint = process.sctp_endpoint
+        self.endpoint = process.endpoint
         # the world's association config with this module's stream pool
         # and its RFC 8260 interleaving + stream-scheduler options
         self.sctp_config = replace(
-            process.world.sctp_config,
+            process.world.config.sctp_config,
             interleaving=interleaving,
             scheduler=scheduler,
             n_out_streams=num_streams,

@@ -59,7 +59,7 @@ class TCPRPI(BaseRPI):
     def __init__(self, process, eager_limit=None, port: int = MPI_BASE_PORT) -> None:
         super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
         self.port = port
-        self.endpoint = process.tcp_endpoint
+        self.endpoint = process.endpoint
         # the selector ends a blocked select() itself before it wakes the
         # rank, so it calls the base wake, without this class's unblock()
         self.selector = Selector(self.host, super().wake)
@@ -101,7 +101,7 @@ class TCPRPI(BaseRPI):
                 self.endpoint,
                 self.process.addr_of(peer),
                 self.port,
-                config=self.process.world.tcp_config,
+                config=self.process.world.config.tcp_config,
             )
             await sock.connected()
             self._register_socket(sock, rank=peer)

@@ -10,17 +10,15 @@ virtual wall-clock time plus per-layer statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..metrics import MetricsPacketTap, MetricsRegistry, active_collector
 from ..network import ClusterConfig, CostModel, build_cluster
 from ..simkernel import Future, GBIT_PER_S, Kernel, MICROSECOND, wait_all
-from ..transport.sctp import SCTPConfig, SCTPEndpoint
-from ..transport.tcp import TCPConfig, TCPEndpoint
+from ..transport.base import SCTPConfig, TCPConfig
 from .communicator import Communicator
 from .constants import EAGER_LIMIT, WORLD_CONTEXT
-from .rpi.sctp_rpi import SCTPRPI
-from .rpi.tcp_rpi import TCPRPI
 
 
 @dataclass
@@ -71,29 +69,55 @@ class WorldResult:
         return self.duration_ns / 1e9
 
 
+# A stack is (endpoint factory: host -> endpoint, RPI factory: process ->
+# RPI).  Each loader imports its transport and RPI itself, so a world loads
+# only the stack its config names (LAM loads one RPI per job, §2.2.1).
+Stack = Tuple[Callable[[Any], Any], Callable[["MPIProcess"], Any]]
+
+
+def _tcp_stack(cfg: WorldConfig) -> Stack:
+    from ..transport.tcp import TCPEndpoint
+    from .rpi.tcp_rpi import TCPRPI
+
+    return (
+        partial(TCPEndpoint, default_config=cfg.tcp_config),
+        partial(TCPRPI, eager_limit=cfg.eager_limit),
+    )
+
+
+def _sctp_stack(cfg: WorldConfig) -> Stack:
+    from ..transport.sctp import SCTPEndpoint
+    from .rpi.sctp_rpi import SCTPRPI
+
+    return (
+        partial(SCTPEndpoint, default_config=cfg.sctp_config),
+        partial(
+            SCTPRPI,
+            num_streams=cfg.num_streams,
+            eager_limit=cfg.eager_limit,
+            interleaving=cfg.interleaving,
+            scheduler=cfg.scheduler,
+        ),
+    )
+
+
+#: ``WorldConfig.rpi`` -> the loader of that stack
+STACKS: Dict[str, Callable[[WorldConfig], Stack]] = {"sctp": _sctp_stack, "tcp": _tcp_stack}
+
+
 class MPIProcess:
     """One simulated MPI process pinned to one host."""
 
-    def __init__(self, world: "World", rank: int) -> None:
+    def __init__(
+        self, world: "World", rank: int, make_rpi: Callable[["MPIProcess"], Any]
+    ) -> None:
         self.world = world
         self.rank = rank
         self.size = world.config.n_procs
         self.kernel = world.kernel
         self.host = world.cluster.hosts[rank]
-        self.tcp_endpoint = world.tcp_endpoints[rank]
-        self.sctp_endpoint = world.sctp_endpoints[rank]
-        if world.config.rpi == "tcp":
-            self.rpi = TCPRPI(self, eager_limit=world.config.eager_limit)
-        elif world.config.rpi == "sctp":
-            self.rpi = SCTPRPI(
-                self,
-                num_streams=world.config.num_streams,
-                eager_limit=world.config.eager_limit,
-                interleaving=world.config.interleaving,
-                scheduler=world.config.scheduler,
-            )
-        else:
-            raise ValueError(f"unknown rpi {world.config.rpi!r}")
+        self.endpoint = world.endpoints[rank]  # the one transport the RPI uses
+        self.rpi = make_rpi(self)
 
     def addr_of(self, rank: int, path: int = 0) -> str:
         """Primary (or path-``path``) address of a peer rank."""
@@ -112,11 +136,16 @@ class MPIProcess:
 
 
 class World:
-    """A full experiment: cluster, transports, processes."""
+    """A full experiment: cluster, one transport stack, processes."""
 
     def __init__(self, config: Optional[WorldConfig] = None) -> None:
         self.config = config or WorldConfig()
         cfg = self.config
+        # resolve the stack first: an unknown rpi fails before anything is built
+        loader = STACKS.get(cfg.rpi)
+        if loader is None:
+            raise ValueError(f"unknown rpi {cfg.rpi!r}: expected one of {sorted(STACKS)}")
+        make_endpoint, make_rpi = loader(cfg)
         self._collector = active_collector()
         enabled = cfg.metrics_enabled or self._collector is not None
         self.kernel = Kernel(seed=cfg.seed, metrics=MetricsRegistry(enabled=enabled))
@@ -132,19 +161,13 @@ class World:
                 cost_model=cfg.cost_model,
             ),
         )
-        self.tcp_config = cfg.tcp_config
-        self.sctp_config = cfg.sctp_config
-        self.tcp_endpoints = [
-            TCPEndpoint(host, cfg.tcp_config) for host in self.cluster.hosts
-        ]
-        self.sctp_endpoints = [
-            SCTPEndpoint(host, cfg.sctp_config) for host in self.cluster.hosts
-        ]
+        # one endpoint per host, of the configured stack only
+        self.endpoints = [make_endpoint(host) for host in self.cluster.hosts]
         # arm faults before processes exist so t=0 events see every packet
         self.armed_scenario = (
             self.cluster.arm_scenario(cfg.scenario) if cfg.scenario is not None else None
         )
-        self.processes = [MPIProcess(self, r) for r in range(cfg.n_procs)]
+        self.processes = [MPIProcess(self, r, make_rpi) for r in range(cfg.n_procs)]
         self._init_done_ns = 0
         self._app_done_ns: Dict[int, int] = {}
         if enabled:

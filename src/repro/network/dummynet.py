@@ -12,18 +12,24 @@ also the one place the network is impaired: every fault a
 order) that each packet flows through.
 
 Determinism: the base loss draws from the ``dummynet:<name>`` stream
-(one draw per packet, only while ``loss_rate > 0``); every armed
-impairment draws from its own stream, so arming a scenario never
-perturbs the base loss pattern.
+(one draw per packet); every armed impairment draws from its own stream,
+so arming a scenario never perturbs the base loss pattern.
+
+A pipe builds its base loss, binds that stream and imports
+:mod:`repro.faults` only when ``loss_rate`` is non-zero (at 0 the base
+would drop nothing and stays out of the chain), so a loss-free,
+scenario-free network runs without loading the fault library at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from ..faults.impairments import BernoulliLoss, Impairment
 from ..simkernel import Kernel
 from .packet import Packet
+
+if TYPE_CHECKING:  # a clean pipe never loads the fault library
+    from ..faults.impairments import BernoulliLoss, Impairment
 
 Sink = Callable[[Packet], None]
 
@@ -41,9 +47,15 @@ class DummynetPipe:
         self.kernel = kernel
         self.name = name
         self.sink = sink
-        # loss_rate validation happens in BernoulliLoss ([0, 1]; 1.0 is a
-        # legitimate full blackhole, the degenerate link-down case)
-        self._base = BernoulliLoss(loss_rate).bind(kernel, f"dummynet:{name}")
+        # the base loss exists only at a non-zero rate: a loss-free pipe
+        # imports no fault library and binds no ``dummynet:<name>`` stream.
+        # BernoulliLoss validates the rate ([0, 1]; 1.0 is a legitimate
+        # full blackhole, the degenerate link-down case)
+        self._base: Optional[BernoulliLoss] = None
+        if loss_rate != 0.0:
+            from ..faults.impairments import BernoulliLoss
+
+            self._base = BernoulliLoss(loss_rate).bind(kernel, f"dummynet:{name}")
         self._armed: List[Impairment] = []
         # the per-packet chain is cached and rebuilt only when the armed
         # set changes (hot-path: one tuple read instead of a list
@@ -65,7 +77,7 @@ class DummynetPipe:
     @property
     def loss_rate(self) -> float:
         """Base Bernoulli drop probability (Dummynet ``plr``)."""
-        return self._base.rate
+        return 0.0 if self._base is None else self._base.rate
 
     def connect(self, sink: Sink) -> None:
         """Attach the downstream element (usually a Link)."""
@@ -74,7 +86,7 @@ class DummynetPipe:
     # -- impairment chain --------------------------------------------------
     def _rebuild_chain(self) -> None:
         """Recompute the cached per-packet impairment chain."""
-        if self._base.rate == 0.0:
+        if self._base is None:
             self._chain = tuple(self._armed)
         else:
             self._chain = (self._base, *self._armed)

@@ -41,10 +41,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ...analyze.sanitize import sctp_sanitizer
 from ...network.packet import IP_HEADER, Packet
-from ...simkernel import MILLISECOND, SECOND, RestartableTimer
+from ...simkernel import RestartableTimer
 from ...util.blobs import Blob, BlobView
 from ...util.ranges import RangeSet
-from ..base import KAME_SCTP_TIMERS, TimerPersonality
+from ..base import SCTPConfig
 from .chunks import (
     AbortChunk,
     Chunk,
@@ -91,47 +91,6 @@ SHUTDOWN_STATES = (
 
 class MessageTooBig(ValueError):
     """Message exceeds the sctp_sendmsg limit (the send buffer size)."""
-
-
-@dataclass(frozen=True)
-class SCTPConfig:
-    """Tunables; defaults match the paper's setup (220 KiB buffers, 10
-    streams, SACK, KAME timer behaviour)."""
-
-    pmtu: int = 1500
-    sndbuf: int = 220 * 1024
-    rcvbuf: int = 220 * 1024
-    n_out_streams: int = 10
-    n_in_streams: int = 10
-    sack_delay_ns: int = 200 * MILLISECOND
-    sack_every_packets: int = 2
-    dupthresh: int = 3  # missing reports before fast retransmit
-    timers: TimerPersonality = KAME_SCTP_TIMERS
-    path_max_retrans: int = 5
-    assoc_max_retrans: int = 10
-    max_init_retrans: int = 8
-    cookie_lifetime_ns: int = 60 * SECOND
-    heartbeat_interval_ns: int = 30 * SECOND
-    autoclose_ns: int = 0  # 0 disables (the paper's autoclose option)
-    retransmit_to_alternate: bool = True
-    # RFC 8260: offer user-message interleaving (I-DATA).  Active only
-    # when *both* sides offer it; otherwise the association falls back to
-    # legacy DATA/SSN transparently.
-    interleaving: bool = False
-    # sender-side stream scheduler: fcfs | rr | wfq | prio (repro.
-    # transport.sctp.sched).  fcfs reproduces pre-scheduler behaviour
-    # bit-for-bit.
-    scheduler: str = "fcfs"
-    # per-stream weights (wfq) / priorities (prio); short tuples are
-    # padded with weight 1 / priority 0
-    stream_weights: Tuple[int, ...] = ()
-    stream_priorities: Tuple[int, ...] = ()
-
-    @property
-    def max_message_size(self) -> int:
-        """sctp_sendmsg limit: one message must fit the send buffer
-        (paper §3.4/§3.6 — this is why the middleware re-fragments)."""
-        return self.sndbuf
 
 
 @dataclass(slots=True)

@@ -22,10 +22,9 @@ from typing import Callable, Optional
 
 from ...analyze.sanitize import tcp_sanitizer
 from ...network.packet import Packet
-from ...simkernel import MILLISECOND
 from ...util.blobs import Blob, ChunkList
 from ...util.ranges import RangeSet
-from ..base import BSD_TCP_TIMERS, RTOEstimator, TimerPersonality
+from ..base import RTOEstimator, TCPConfig
 from .buffers import ReassemblyBuffer, SendBuffer
 from .congestion import NewRenoState
 from .segment import ACK, FIN, RST, SYN, TCPSegment
@@ -42,23 +41,6 @@ CLOSE_WAIT = "CLOSE_WAIT"
 CLOSING = "CLOSING"
 LAST_ACK = "LAST_ACK"
 TIME_WAIT = "TIME_WAIT"
-
-
-@dataclass(frozen=True)
-class TCPConfig:
-    """Tunables; defaults match the paper's experimental settings (§4)."""
-
-    mss: int = 1448
-    sndbuf: int = 220 * 1024  # paper sets both buffers to 220 KiB
-    rcvbuf: int = 220 * 1024
-    nagle: bool = False  # LAM-TCP disables Nagle by default
-    sack_enabled: bool = True  # enabled on all nodes per the paper
-    max_sack_blocks: int = 3  # IP option space limits reporting (§4.1.1)
-    dupack_threshold: int = 3
-    delayed_ack_ns: int = 100 * MILLISECOND
-    timers: TimerPersonality = BSD_TCP_TIMERS
-    max_syn_retries: int = 5
-    time_wait_ns: int = 1_000 * MILLISECOND  # shortened 2MSL for simulation
 
 
 @dataclass

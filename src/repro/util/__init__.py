@@ -1,14 +1,15 @@
-"""Small shared utilities (payload blobs, chunk lists, packet tracing)."""
+"""Small shared utilities (payload blobs, chunk lists, range sets, packet tracing).
+
+Nothing from :mod:`~repro.util.trace` is re-exported: a run that traces
+no packets should not load it.
+"""
 
 from .blobs import Blob, ChunkList, RealBlob, SyntheticBlob, as_blob
-from .trace import PacketTrace, TraceEntry
 
 __all__ = [
     "Blob",
     "ChunkList",
-    "PacketTrace",
     "RealBlob",
     "SyntheticBlob",
-    "TraceEntry",
     "as_blob",
 ]

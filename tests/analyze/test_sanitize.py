@@ -4,17 +4,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analyze.sanitize import (
+from repro.analyze.checkers import (
     AssociationSanitizer,
     IDataSanitizer,
-    InvariantViolation,
     KernelSanitizer,
     OptionBSanitizer,
     RPISanitizer,
     StreamOrderSanitizer,
     TCPConnectionSanitizer,
+)
+from repro.analyze.sanitize import (
+    InvariantViolation,
     kernel_sanitizer,
     idata_sanitizer,
+    option_b_sanitizer,
     rpi_sanitizer,
     sanitized,
     sanitizers_enabled,
@@ -22,8 +25,12 @@ from repro.analyze.sanitize import (
     stream_sanitizer,
     tcp_sanitizer,
 )
+from repro.core.world import World, WorldConfig
+from repro.transport.sctp.association import Association
 from repro.transport.sctp.chunks import DataChunk
 from repro.transport.sctp.streams import InboundStreams
+from repro.transport.tcp.connection import TCPConnection
+from repro.workloads.mpbench import make_pingpong
 from repro.util.blobs import BlobView, RealBlob
 
 
@@ -39,6 +46,7 @@ def test_factories_return_none_when_disabled():
         assert sctp_sanitizer() is None
         assert stream_sanitizer() is None
         assert rpi_sanitizer() is None
+        assert option_b_sanitizer() is None
 
 
 def test_factories_return_checkers_when_enabled():
@@ -50,6 +58,62 @@ def test_factories_return_checkers_when_enabled():
         assert isinstance(stream_sanitizer(), StreamOrderSanitizer)
         assert isinstance(rpi_sanitizer(), RPISanitizer)
         assert isinstance(idata_sanitizer(), IDataSanitizer)
+        assert isinstance(option_b_sanitizer(), OptionBSanitizer)
+
+
+def _world_hooks(rpi, monkeypatch):
+    """Every sanitizer hook of a 2-rank job on ``rpi`` (SCTP with I-DATA
+    interleaving on), as ``(hook, value, checker class)`` triples: the
+    kernel's, each RPI's, and those of every association, inbound-stream
+    engine and TCP connection the job created."""
+    created = {Association: [], InboundStreams: [], TCPConnection: []}
+    for cls, instances in created.items():
+        init = cls.__init__
+
+        def recording_init(self, *args, _init=init, _instances=instances, **kwargs):
+            _init(self, *args, **kwargs)
+            _instances.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    world = World(WorldConfig(n_procs=2, rpi=rpi, interleaving=rpi == "sctp"))
+    world.run(make_pingpong(30 * 1024, 2, warmup=0))
+    monkeypatch.undo()
+    hooks = [("kernel._san", world.kernel._san, KernelSanitizer)]
+    for proc in world.processes:
+        hooks.append(("rpi._san", proc.rpi._san, RPISanitizer))
+        if rpi == "sctp":
+            hooks.append(("rpi._san_b", proc.rpi._san_b, OptionBSanitizer))
+    for assoc in created[Association]:
+        hooks.append(("association._san", assoc._san, AssociationSanitizer))
+    for inbound in created[InboundStreams]:
+        hooks.append(("inbound._san", inbound._san, StreamOrderSanitizer))
+        hooks.append(("inbound._san_idata", inbound._san_idata, IDataSanitizer))
+    for conn in created[TCPConnection]:
+        hooks.append(("connection._san", conn._san, TCPConnectionSanitizer))
+    per_stack = {
+        "sctp": {"association._san", "inbound._san", "inbound._san_idata", "rpi._san_b"},
+        "tcp": {"connection._san"},
+    }
+    assert {name for name, _, _ in hooks} == {"kernel._san", "rpi._san"} | per_stack[rpi]
+    return hooks
+
+
+@pytest.mark.parametrize("rpi", ["sctp", "tcp"])
+def test_armed_world_holds_a_live_checker_in_every_hook(rpi, monkeypatch):
+    """A factory that answered None while armed would let a
+    ``REPRO_SANITIZE=1`` run pass with nothing checked."""
+    with sanitized(True):
+        hooks = _world_hooks(rpi, monkeypatch)
+    for name, checker, cls in hooks:
+        assert isinstance(checker, cls), f"{name} is {checker!r} with sanitizers on"
+
+
+@pytest.mark.parametrize("rpi", ["sctp", "tcp"])
+def test_disarmed_world_holds_no_checker(rpi, monkeypatch):
+    with sanitized(False):
+        hooks = _world_hooks(rpi, monkeypatch)
+    for name, checker, _ in hooks:
+        assert checker is None, f"{name} is {checker!r} with sanitizers off"
 
 
 def test_sanitized_context_restores_previous_state():

@@ -133,6 +133,21 @@ def test_unknown_rpi_rejected():
         World(WorldConfig(n_procs=2, rpi="carrier-pigeon"))
 
 
+def test_unknown_rpi_fails_before_anything_is_built(monkeypatch):
+    """The stack table rejects the name before it builds the cluster or
+    loads (imports) either stack, and the message names both stacks."""
+    from repro.core import world as world_mod
+
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("built or loaded something for an unknown rpi")
+
+    monkeypatch.setattr(world_mod, "build_cluster", must_not_run)
+    monkeypatch.setattr(world_mod, "STACKS", dict.fromkeys(world_mod.STACKS, must_not_run))
+    with pytest.raises(ValueError, match="unknown rpi 'udp'") as err:
+        World(WorldConfig(n_procs=2, rpi="udp"))
+    assert "sctp" in str(err.value) and "tcp" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # world-level behaviour
 # ---------------------------------------------------------------------------

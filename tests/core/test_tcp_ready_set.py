@@ -89,7 +89,7 @@ def _run(name, monkeypatch):
         "rpi_stats": [asdict(proc.rpi.stats) for proc in world.processes],
         "selects": [proc.rpi.selector.calls for proc in world.processes],
         "conn_stats": [
-            [asdict(s) for s in ep._all_conn_stats] for ep in world.tcp_endpoints
+            [asdict(s) for s in ep._all_conn_stats] for ep in world.endpoints
         ],
         "cpu_busy_ns": [host.cpu.total_busy_ns for host in world.cluster.hosts],
     }

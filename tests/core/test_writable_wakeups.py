@@ -115,9 +115,9 @@ def _run(name, monkeypatch):
     result = world.run(app())
     stats = [proc.rpi.stats for proc in world.processes]
     if config["rpi"] == "sctp":
-        counters = [asdict(ep.total_stats()) for ep in world.sctp_endpoints]
+        counters = [asdict(ep.total_stats()) for ep in world.endpoints]
     else:
-        counters = [[asdict(s) for s in ep._all_conn_stats] for ep in world.tcp_endpoints]
+        counters = [[asdict(s) for s in ep._all_conn_stats] for ep in world.endpoints]
     outputs = {
         "results": repr(result.results),
         "units_sent": [s.units_sent for s in stats],

@@ -57,7 +57,7 @@ def tcp_run():
 def test_sctp_fails_over(sctp_run):
     world, watch, result = sctp_run
     assert result.results[0] is not None, "run must complete despite the hole"
-    totals = [ep.total_stats() for ep in world.sctp_endpoints]
+    totals = [ep.total_stats() for ep in world.endpoints]
     assert sum(t.failovers for t in totals) > 0, (
         "retransmissions must migrate to the alternate path"
     )
@@ -75,7 +75,7 @@ def test_sctp_fails_over(sctp_run):
 def test_tcp_stalls_through_backoff(tcp_run):
     world, watch, result = tcp_run
     assert result.results[0] is not None, "the hole closes; TCP must finish"
-    totals = [ep.total_stats() for ep in world.tcp_endpoints]
+    totals = [ep.total_stats() for ep in world.endpoints]
     assert sum(t.rto_events for t in totals) > 0, (
         "single-homed TCP can only retransmit into the hole and back off"
     )

@@ -67,11 +67,14 @@ RUNS = {
 def _world_outputs(world):
     return {
         "rpi_stats": [asdict(proc.rpi.stats) for proc in world.processes],
-        "conn_stats": [
-            [asdict(s) for s in ep._all_conn_stats] for ep in world.tcp_endpoints
-        ],
-        "assoc_stats": [
-            [asdict(s) for s in ep._all_assoc_stats] for ep in world.sctp_endpoints
+        "transport_stats": [
+            [
+                asdict(s)
+                for s in (
+                    ep._all_conn_stats if world.config.rpi == "tcp" else ep._all_assoc_stats
+                )
+            ]
+            for ep in world.endpoints
         ],
         "cpu_busy_ns": [host.cpu.total_busy_ns for host in world.cluster.hosts],
         "now": world.kernel.now,

@@ -93,9 +93,8 @@ def _pingpong_counts(rpi):
             patch.setattr(SCTPPacket, "wire_size", summed_wire_size)
             world.run(make_pingpong(MESSAGE, ROUND_TRIPS, warmup=0))
     tally["events"] = world.kernel.events_processed
-    tally["data_chunks"] = sum(
-        e.total_stats().data_chunks_sent for e in world.sctp_endpoints
-    )
+    if rpi == "sctp":
+        tally["data_chunks"] = sum(e.total_stats().data_chunks_sent for e in world.endpoints)
     return tally
 
 

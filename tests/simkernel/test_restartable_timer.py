@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.analyze.sanitize import KernelSanitizer, sanitized
+from repro.analyze.checkers import KernelSanitizer
+from repro.analyze.sanitize import sanitized
 from repro.simkernel import Kernel, RestartableTimer, WatchdogExpired
 from repro.simkernel.futures import Future
 from repro.simkernel.kernel import DeadlockError

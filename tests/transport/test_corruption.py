@@ -26,18 +26,17 @@ def test_corrupted_packets_dropped_and_recovered(rpi):
     world = World(config)
     result = world.run(make_pingpong(30 * 1024, 10), limit_ns=LIMIT_NS)
     assert result.results[0] is not None, "reliability must mask corruption"
-    endpoints = world.sctp_endpoints if rpi == "sctp" else world.tcp_endpoints
     if rpi == "sctp":
-        drops = sum(ep.crc32c_drops for ep in endpoints)
+        drops = sum(ep.crc32c_drops for ep in world.endpoints)
     else:
-        drops = sum(ep.checksum_drops for ep in endpoints)
+        drops = sum(ep.checksum_drops for ep in world.endpoints)
     assert drops > 0, "the integrity check must have fired"
 
 
 @pytest.mark.parametrize("rpi", ["sctp", "tcp"])
 def test_corrupted_packet_never_reaches_demux(rpi):
     world = World(WorldConfig(n_procs=2, rpi=rpi))
-    ep = (world.sctp_endpoints if rpi == "sctp" else world.tcp_endpoints)[0]
+    ep = world.endpoints[0]
     # payload is garbage on purpose: the drop must happen before parsing
     bad = Packet(
         src="10.0.0.1", dst="10.0.0.2", proto=rpi, payload=object(), wire_size=60
