@@ -26,8 +26,8 @@ def main():
           f"7 workers, fanout={params.fanout}")
     print(f"{'loss':>6} {'tcp (s)':>10} {'sctp (s)':>10} {'tcp/sctp':>9}")
     for loss in (0.0, 0.01, 0.02):
-        tcp = run_farm("tcp", params, loss_rate=loss, seed=7)
-        sctp = run_farm("sctp", params, loss_rate=loss, seed=7)
+        tcp = run_farm(params, rpi="tcp", loss_rate=loss, seed=7)
+        sctp = run_farm(params, rpi="sctp", loss_rate=loss, seed=7)
         print(
             f"{loss:>6.0%} {tcp.elapsed_s:>10.2f} {sctp.elapsed_s:>10.2f} "
             f"{tcp.elapsed_s / sctp.elapsed_s:>8.1f}x"

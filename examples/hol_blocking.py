@@ -20,7 +20,7 @@ from repro.workloads.hol_micro import run_hol_micro
 def main():
     print("-- Fig. 4/5 microscenario: Waitany on two tags, 2% loss --")
     for rpi in ("tcp", "sctp"):
-        r = run_hol_micro(rpi, iterations=40, loss_rate=0.02, seed=2)
+        r = run_hol_micro(iterations=40, rpi=rpi, loss_rate=0.02, seed=2)
         print(
             f"  {rpi:>4}: second-sent message arrived first in "
             f"{r.b_first_fraction:5.1%} of rounds; mean wait for the first "
@@ -30,8 +30,8 @@ def main():
     print()
     print("-- Fig. 12 ablation: SCTP with 10 streams vs 1 stream, 2% loss --")
     params = FarmParams(num_tasks=150, task_size=30 * 1024, fanout=10)
-    multi = run_farm("sctp", params, loss_rate=0.02, seed=3, num_streams=10)
-    single = run_farm("sctp", params, loss_rate=0.02, seed=3, num_streams=1)
+    multi = run_farm(params, rpi="sctp", loss_rate=0.02, seed=3, num_streams=10)
+    single = run_farm(params, rpi="sctp", loss_rate=0.02, seed=3, num_streams=1)
     print(f"  10 streams: {multi.elapsed_s:7.2f} s")
     print(
         f"   1 stream : {single.elapsed_s:7.2f} s "

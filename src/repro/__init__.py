@@ -19,35 +19,37 @@ See README.md for the guided tour, DESIGN.md for the system inventory,
 and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from .core import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Communicator,
-    EAGER_LIMIT,
-    Request,
-    Status,
-    World,
-    WorldConfig,
-    WorldResult,
-    run_app,
-)
-from .util.blobs import ChunkList, RealBlob, SyntheticBlob
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "ChunkList",
-    "Communicator",
-    "EAGER_LIMIT",
-    "RealBlob",
-    "Request",
-    "Status",
-    "SyntheticBlob",
-    "World",
-    "WorldConfig",
-    "WorldResult",
-    "run_app",
-    "__version__",
-]
+#: public name -> the submodule that defines it.  Resolved on first
+#: access (PEP 562), so importing a subpackage such as ``repro.analyze``
+#: does not load the simulator.
+_EXPORTS = {
+    "ANY_SOURCE": ".core",
+    "ANY_TAG": ".core",
+    "ChunkList": ".util.blobs",
+    "Communicator": ".core",
+    "EAGER_LIMIT": ".core",
+    "RealBlob": ".util.blobs",
+    "Request": ".core",
+    "Status": ".core",
+    "SyntheticBlob": ".util.blobs",
+    "World": ".core",
+    "WorldConfig": ".core",
+    "WorldResult": ".core",
+    "run_app": ".core",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from ..core.world import WorldConfig
 from ..metrics import MetricsCollector
 from ..metrics.registry import _coerce
+from ..transport.base import SCTPConfig
 from ..workloads.farm import FarmParams, run_farm
 from ..workloads.interleave_mix import run_interleave_mix
 from ..workloads.mpbench import make_pingpong, run_pingpong
@@ -101,8 +102,8 @@ def _fig8_cell(
 ) -> List[ExperimentRow]:
     """One fig8 matrix cell: both protocols at one message size."""
     iters = iterations or scaled(16, 50)
-    tcp = run_pingpong("tcp", size, iterations=iters, seed=seed, limit_ns=LIMIT_NS)
-    sctp = run_pingpong("sctp", size, iterations=iters, seed=seed, limit_ns=LIMIT_NS)
+    tcp = run_pingpong(size, iterations=iters, limit_ns=LIMIT_NS, rpi="tcp", seed=seed)
+    sctp = run_pingpong(size, iterations=iters, limit_ns=LIMIT_NS, rpi="sctp", seed=seed)
     ratio = sctp.throughput_bytes_per_s / tcp.throughput_bytes_per_s
     return [
         ExperimentRow(
@@ -151,12 +152,10 @@ def _table1_cell(size: int, loss: float, seeds=(1, 2, 3, 4, 5)) -> List[Experime
     tcp_bps = sctp_bps = 0.0
     for seed in seeds:
         tcp_bps += run_pingpong(
-            "tcp", size, iterations=iters, loss_rate=loss, seed=seed,
-            limit_ns=LIMIT_NS,
+            size, iterations=iters, limit_ns=LIMIT_NS, rpi="tcp", loss_rate=loss, seed=seed
         ).throughput_bytes_per_s
         sctp_bps += run_pingpong(
-            "sctp", size, iterations=iters, loss_rate=loss, seed=seed,
-            limit_ns=LIMIT_NS,
+            size, iterations=iters, limit_ns=LIMIT_NS, rpi="sctp", loss_rate=loss, seed=seed
         ).throughput_bytes_per_s
     tcp_bps /= len(seeds)
     sctp_bps /= len(seeds)
@@ -205,8 +204,8 @@ def _fig9_cell(kernel: str, cls: str = "B", seed: int = 1) -> List[ExperimentRow
     # the NPB kernels need numpy; no other experiment pays for importing it
     from ..workloads.npb import run_npb
 
-    tcp = run_npb(kernel, cls, rpi="tcp", seed=seed, limit_ns=LIMIT_NS)
-    sctp = run_npb(kernel, cls, rpi="sctp", seed=seed, limit_ns=LIMIT_NS)
+    tcp = run_npb(kernel, cls, limit_ns=LIMIT_NS, rpi="tcp", seed=seed)
+    sctp = run_npb(kernel, cls, limit_ns=LIMIT_NS, rpi="sctp", seed=seed)
     return [
         ExperimentRow(
             label=f"NPB {kernel}.{cls}",
@@ -285,8 +284,8 @@ def _farm_cell(
     """One farm cell: both protocols at one (size, loss) for a fanout."""
     paper = FIG10_PAPER if fanout == 1 else FIG11_PAPER
     params = _farm_params(size_label, fanout)
-    sctp = run_farm("sctp", params, loss_rate=loss, seed=seed, limit_ns=LIMIT_NS)
-    tcp = run_farm("tcp", params, loss_rate=loss, seed=seed, limit_ns=LIMIT_NS)
+    sctp = run_farm(params, limit_ns=LIMIT_NS, rpi="sctp", loss_rate=loss, seed=seed)
+    tcp = run_farm(params, limit_ns=LIMIT_NS, rpi="tcp", loss_rate=loss, seed=seed)
     p_sctp, p_tcp = paper[(size_label, loss)]
     return [
         ExperimentRow(
@@ -359,12 +358,10 @@ def _fig12_cell(size_label: str, loss: float, seeds=(1, 2, 3)) -> List[Experimen
     use_seeds = seeds if loss > 0 else seeds[:1]
     for seed in use_seeds:
         multi_s += run_farm(
-            "sctp", params, loss_rate=loss, seed=seed, num_streams=10,
-            limit_ns=LIMIT_NS,
+            params, limit_ns=LIMIT_NS, rpi="sctp", loss_rate=loss, seed=seed, num_streams=10
         ).elapsed_s
         single_s += run_farm(
-            "sctp", params, loss_rate=loss, seed=seed, num_streams=1,
-            limit_ns=LIMIT_NS,
+            params, limit_ns=LIMIT_NS, rpi="sctp", loss_rate=loss, seed=seed, num_streams=1
         ).elapsed_s
     multi_s /= len(use_seeds)
     single_s /= len(use_seeds)
@@ -410,7 +407,6 @@ def _chaos_world(rpi: str, seed: int, scenario, fault_start_ns: int):
     from ..core.world import World
     from ..faults import DeliveryWatch
     from ..simkernel import SECOND
-    from ..transport.sctp import SCTPConfig
 
     # tuned failure detection, as §3.5.1 recommends for MPI deployments
     sctp_config = SCTPConfig(path_max_retrans=1, heartbeat_interval_ns=2 * SECOND)
@@ -606,7 +602,7 @@ def _fig4_cell(rpi: str, seed: int = 2) -> List[ExperimentRow]:
     from ..workloads.hol_micro import run_hol_micro
 
     iters = scaled(50, 200)
-    result = run_hol_micro(rpi, iterations=iters, loss_rate=0.02, seed=seed, limit_ns=LIMIT_NS)
+    result = run_hol_micro(iterations=iters, limit_ns=LIMIT_NS, rpi=rpi, loss_rate=0.02, seed=seed)
     measured = {
         "B_first": result.b_first_fraction,
         "first_wait_ms": result.mean_first_completion_ns / 1e6,
@@ -634,17 +630,16 @@ def fig4_claim(rows: List[ExperimentRow]) -> List[str]:
 # ---------------------------------------------------------------------------
 # §3.6 — the CRC32c checksum cost
 # ---------------------------------------------------------------------------
-def _crc32c_cell(seed: int = 1) -> List[ExperimentRow]:
+def _crc32c_cell() -> List[ExperimentRow]:
     """SCTP 128 KiB ping-pong with CRC32c off (the paper's setup: TCP
     offloads its checksum to the NIC, CRC32c burned CPU) and on (the cost
-    model's documented per-KiB charge)."""
+    model's documented per-KiB charge), on seed 0."""
     from ..network import CostModel
 
     iters = scaled(12, 50)
     off, on = (
         run_pingpong(
-            "sctp", 128 * 1024, iterations=iters, seed=seed, limit_ns=LIMIT_NS,
-            config=WorldConfig(n_procs=2, rpi="sctp", cost_model=cost_model),
+            128 * 1024, iterations=iters, limit_ns=LIMIT_NS, rpi="sctp", cost_model=cost_model
         ).throughput_bytes_per_s / 1e6
         for cost_model in (CostModel(), CostModel().with_crc32c())
     )
@@ -732,6 +727,11 @@ def _interleave_flag(value: Any) -> str:
     return text
 
 
+def _sctp_options(interleaving: Any, scheduler: str) -> SCTPConfig:
+    """The association options an interleaving/scheduler axis pair names."""
+    return SCTPConfig(interleaving=_interleave_flag(interleaving) == "on", scheduler=scheduler)
+
+
 def _int_axis(value: Any) -> int:
     """Coerce an integer axis value without silently changing it: ints,
     integral floats and digit strings pass; bools and fractions do not."""
@@ -752,17 +752,15 @@ def _pingpong_cell(
 ) -> List[ExperimentRow]:
     """One single-protocol ping-pong point (the sweepable fig8/table1 atom)."""
     iters = iterations or scaled(16, 50)
-    config = WorldConfig(
-        n_procs=2,
+    result = run_pingpong(
+        size,
+        iterations=iters,
+        limit_ns=LIMIT_NS,
         rpi=protocol,
         loss_rate=loss,
         seed=seed,
         scenario=_named_scenario(scenario),
-        interleaving=_interleave_flag(interleaving) == "on",
-        scheduler=scheduler,
-    )
-    result = run_pingpong(
-        protocol, size, iterations=iters, config=config, limit_ns=LIMIT_NS
+        sctp_config=_sctp_options(interleaving, scheduler),
     )
     label = f"pingpong {protocol} {size}B loss={loss:g}"
     if scenario != "none":
@@ -799,17 +797,17 @@ def _farm_sweep_cell(
     params = _farm_params(size_label, fanout)
     if num_tasks is not None:
         params = replace(params, num_tasks=num_tasks)
-    config = WorldConfig(
+    result = run_farm(
+        params,
+        limit_ns=LIMIT_NS,
         n_procs=8,
         rpi=protocol,
         loss_rate=loss,
         seed=seed,
         num_streams=num_streams,
         scenario=_named_scenario(scenario),
-        interleaving=_interleave_flag(interleaving) == "on",
-        scheduler=scheduler,
+        sctp_config=_sctp_options(interleaving, scheduler),
     )
-    result = run_farm(protocol, params, config=config, limit_ns=LIMIT_NS)
     label = f"farm {protocol} {size_label} fanout={fanout} loss={loss:g}"
     if scenario != "none":
         label += f" {scenario}"
@@ -851,16 +849,15 @@ def _interleave_cell(
     flag = _interleave_flag(interleaving)
     n_rounds = rounds or scaled(6, 24)
     result = run_interleave_mix(
-        protocol,
         bulk_size=bulk_kib * 1024,
         small_size=small_bytes,
         rounds=n_rounds,
         bulks_per_round=bulks_per_round,
-        interleaving=flag == "on",
-        scheduler=scheduler,
+        limit_ns=LIMIT_NS,
+        rpi=protocol,
         loss_rate=loss,
         seed=seed,
-        limit_ns=LIMIT_NS,
+        sctp_config=_sctp_options(flag, scheduler),
     )
     label = f"mix {protocol} idata={flag} sched={scheduler} loss={loss:g}"
     return [

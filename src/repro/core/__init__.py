@@ -12,7 +12,7 @@ collectives built over point-to-point — with two interchangeable RPI
   a single one-to-many SCTP socket, associations mapped to ranks, message
   (tag, rank, context) mapped onto a pool of SCTP streams, two-level
   demultiplexing, per-stream state, and the "Option B" fix for the long
-  message race (§3.4.2).  ``SCTPRPI(num_streams=1)`` is the single-stream
+  message race (§3.4.2).  ``WorldConfig(num_streams=1)`` is the single-stream
   ablation used for the head-of-line-blocking experiment (§4.2.2).
 
 Applications are coroutines receiving a :class:`Communicator` whose API

@@ -30,7 +30,6 @@ from ...analyze.sanitize import rpi_sanitizer
 from ...simkernel import Future
 from ...util.blobs import ChunkList
 from ..constants import (
-    EAGER_LIMIT,
     FLAG_BARRIER_GO,
     FLAG_BARRIER_READY,
     FLAG_HELLO,
@@ -79,13 +78,13 @@ class BaseRPI:
 
     name = "base"
 
-    def __init__(self, process, eager_limit: int = EAGER_LIMIT) -> None:
+    def __init__(self, process) -> None:
         self.process = process
         self.kernel = process.kernel
         self.host = process.host
         self.rank = process.rank
         self.size = process.size
-        self.eager_limit = eager_limit
+        self.eager_limit = process.world.config.eager_limit
         self.stats = RPIStats()
 
         self.posted = PostedReceiveQueue()

@@ -15,7 +15,8 @@ mapped to the paper section it implements:
 * **TRC -> stream mapping** (§3.2.1): messages hash (context, tag) onto a
   fixed pool of stream numbers (10 by default), so differently-tagged
   messages from the same peer are delivered independently —
-  ``num_streams=1`` builds the single-stream ablation module of §4.2.2,
+  ``WorldConfig(num_streams=1)`` builds the single-stream ablation module
+  of §4.2.2,
 * **two-level demultiplexing** (§3.1): association id -> rank, then stream
   number -> per-stream receive state,
 * **per-stream state** (§3.2.4): long bodies arrive as a series of SCTP
@@ -67,37 +68,22 @@ class SCTPRPI(BaseRPI):
 
     name = "sctp"
 
-    def __init__(
-        self,
-        process,
-        num_streams: int = 10,
-        eager_limit=None,
-        long_piece_size: Optional[int] = None,
-        port: int = MPI_BASE_PORT,
-        interleaving: bool = False,
-        scheduler: str = "fcfs",
-    ) -> None:
-        super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
-        if num_streams < 1:
+    def __init__(self, process) -> None:
+        super().__init__(process)
+        cfg = process.world.config
+        if cfg.num_streams < 1:
             raise ValueError("need at least one stream")
-        self.num_streams = num_streams
-        # pieces of a long body per sctp_sendmsg; must not exceed the
-        # send buffer (the sctp_sendmsg limit, §3.4)
-        self.long_piece_size = long_piece_size or self.eager_limit
-        self.port = port
+        self.num_streams = cfg.num_streams
         self.endpoint = process.endpoint
         # the world's association config with this module's stream pool
-        # and its RFC 8260 interleaving + stream-scheduler options
         self.sctp_config = replace(
-            process.world.config.sctp_config,
-            interleaving=interleaving,
-            scheduler=scheduler,
-            n_out_streams=num_streams,
-            n_in_streams=num_streams,
+            cfg.sctp_config, n_out_streams=cfg.num_streams, n_in_streams=cfg.num_streams
         )
+        # a long body goes out in eager-limit-sized pieces, each one
+        # sctp_sendmsg, which takes at most a send buffer (§3.4)
         self._msg_limit = self.sctp_config.max_message_size
-        if self.long_piece_size + ENVELOPE_SIZE > self._msg_limit:
-            raise ValueError("long piece size exceeds the sctp_sendmsg limit")
+        if self.eager_limit + ENVELOPE_SIZE > self._msg_limit:
+            raise ValueError("eager limit exceeds the sctp_sendmsg limit")
         self.sock: Optional[OneToManySocket] = None
         self._rank_by_assoc: Dict[int, int] = {}
         self._assoc_by_rank: Dict[int, int] = {}
@@ -137,7 +123,7 @@ class SCTPRPI(BaseRPI):
 
         One-to-many sockets need no accept(); the explicit barrier makes
         sure no rank starts sending before everyone's associations exist."""
-        self.sock = OneToManySocket(self.endpoint, self.port, self.sctp_config)
+        self.sock = OneToManySocket(self.endpoint, MPI_BASE_PORT, self.sctp_config)
         self.sock.on_readable = self.wake
         self.sock.on_writable = self._on_writable
         self.sock.on_assoc_up = self._on_assoc_up
@@ -148,7 +134,7 @@ class SCTPRPI(BaseRPI):
         self.sock.on_assoc_down = lambda assoc_id, _error: self._unstall(assoc_id)
 
         for peer in range(self.rank + 1, self.size):
-            assoc_id = await self.sock.connect(self.process.addr_of(peer), self.port)
+            assoc_id = await self.sock.connect(self.process.addr_of(peer), MPI_BASE_PORT)
             self._bind(assoc_id, peer)
             self.send_control(peer, FLAG_HELLO)
 
@@ -212,7 +198,7 @@ class SCTPRPI(BaseRPI):
         stream = self.stream_for(env.context, env.tag)
         if body is None:
             body = ChunkList()
-        first = ENVELOPE_SIZE + min(self.long_piece_size, body.nbytes)
+        first = ENVELOPE_SIZE + min(self.eager_limit, body.nbytes)
         self._outq.setdefault((dest, stream), deque()).append(
             _SctpOutUnit(env, body, first, on_sent)
         )
@@ -303,7 +289,7 @@ class SCTPRPI(BaseRPI):
         self.host.cpu.charge(self._mw_base_ns + self._mw_per_kib_ns * size // 1024)
         unit.env_sent = True
         unit.body_offset = end
-        unit.next_size = min(self.long_piece_size, unit.body.nbytes - end)
+        unit.next_size = min(self.eager_limit, unit.body.nbytes - end)
         if self._san_b is not None:
             self._san_b.on_piece_sent((assoc_id, stream), unit, unit.next_size == 0)
         return True

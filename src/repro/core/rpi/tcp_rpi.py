@@ -56,9 +56,8 @@ class TCPRPI(BaseRPI):
 
     name = "tcp"
 
-    def __init__(self, process, eager_limit=None, port: int = MPI_BASE_PORT) -> None:
-        super().__init__(process, **({} if eager_limit is None else {"eager_limit": eager_limit}))
-        self.port = port
+    def __init__(self, process) -> None:
+        super().__init__(process)
         self.endpoint = process.endpoint
         # the selector ends a blocked select() itself before it wakes the
         # rank, so it calls the base wake, without this class's unblock()
@@ -86,7 +85,7 @@ class TCPRPI(BaseRPI):
 
         TCP's connect/accept ordering makes an explicit barrier
         unnecessary (§3.4, last paragraph)."""
-        self._listener = TCPListener(self.endpoint, self.port)
+        self._listener = TCPListener(self.endpoint, MPI_BASE_PORT)
 
         async def acceptor() -> None:
             for _ in range(self.rank):  # every lower rank dials us
@@ -100,7 +99,7 @@ class TCPRPI(BaseRPI):
             sock = TCPSocket.connect(
                 self.endpoint,
                 self.process.addr_of(peer),
-                self.port,
+                MPI_BASE_PORT,
                 config=self.process.world.config.tcp_config,
             )
             await sock.connected()

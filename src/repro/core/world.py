@@ -37,15 +37,11 @@ class WorldConfig:
     prop_delay_ns: int = 5 * MICROSECOND
     cost_model: CostModel = field(default_factory=CostModel)
     num_streams: int = 10  # SCTP RPI stream pool (1 = ablation module)
-    eager_limit: int = EAGER_LIMIT
-    # RFC 8260 message interleaving (I-DATA) + stream scheduling policy;
-    # the scheduler runs either way, but only "fcfs" matches legacy DATA
-    # transmission order bit-for-bit
-    interleaving: bool = False
-    scheduler: str = "fcfs"  # "fcfs" | "rr" | "wfq" | "prio"
+    eager_limit: int = EAGER_LIMIT  # also the SCTP RPI's long-body piece size
     tcp_config: TCPConfig = field(default_factory=TCPConfig)
+    # the SCTP RPI's association options (RFC 8260 interleaving, stream
+    # scheduler, buffers, ...); the RPI overrides only the stream counts
     sctp_config: SCTPConfig = field(default_factory=SCTPConfig)
-    compute_rate_flops: float = 1.0e9  # virtual node speed for NPB kernels
     finalize_barrier: bool = True
     # force metric collection on; an enclosing MetricsCollector also enables
     metrics_enabled: bool = False
@@ -69,9 +65,10 @@ class WorldResult:
         return self.duration_ns / 1e9
 
 
-# A stack is (endpoint factory: host -> endpoint, RPI factory: process ->
-# RPI).  Each loader imports its transport and RPI itself, so a world loads
-# only the stack its config names (LAM loads one RPI per job, §2.2.1).
+# A stack is (endpoint factory: host -> endpoint, RPI class).  Each loader
+# imports its transport and RPI itself, so a world loads only the stack its
+# config names (LAM loads one RPI per job, §2.2.1).  An RPI reads what it
+# needs of the config from ``process.world.config``.
 Stack = Tuple[Callable[[Any], Any], Callable[["MPIProcess"], Any]]
 
 
@@ -79,37 +76,29 @@ def _tcp_stack(cfg: WorldConfig) -> Stack:
     from ..transport.tcp import TCPEndpoint
     from .rpi.tcp_rpi import TCPRPI
 
-    return (
-        partial(TCPEndpoint, default_config=cfg.tcp_config),
-        partial(TCPRPI, eager_limit=cfg.eager_limit),
-    )
+    return partial(TCPEndpoint, default_config=cfg.tcp_config), TCPRPI
 
 
 def _sctp_stack(cfg: WorldConfig) -> Stack:
     from ..transport.sctp import SCTPEndpoint
     from .rpi.sctp_rpi import SCTPRPI
 
-    return (
-        partial(SCTPEndpoint, default_config=cfg.sctp_config),
-        partial(
-            SCTPRPI,
-            num_streams=cfg.num_streams,
-            eager_limit=cfg.eager_limit,
-            interleaving=cfg.interleaving,
-            scheduler=cfg.scheduler,
-        ),
-    )
+    return partial(SCTPEndpoint, default_config=cfg.sctp_config), SCTPRPI
 
 
 #: ``WorldConfig.rpi`` -> the loader of that stack
 STACKS: Dict[str, Callable[[WorldConfig], Stack]] = {"sctp": _sctp_stack, "tcp": _tcp_stack}
 
 
+#: virtual node speed for the NPB kernels' operation counts
+COMPUTE_RATE_FLOPS = 1.0e9
+
+
 class MPIProcess:
     """One simulated MPI process pinned to one host."""
 
     def __init__(
-        self, world: "World", rank: int, make_rpi: Callable[["MPIProcess"], Any]
+        self, world: "World", rank: int, rpi_class: Callable[["MPIProcess"], Any]
     ) -> None:
         self.world = world
         self.rank = rank
@@ -117,7 +106,7 @@ class MPIProcess:
         self.kernel = world.kernel
         self.host = world.cluster.hosts[rank]
         self.endpoint = world.endpoints[rank]  # the one transport the RPI uses
-        self.rpi = make_rpi(self)
+        self.rpi = rpi_class(self)
 
     def addr_of(self, rank: int, path: int = 0) -> str:
         """Primary (or path-``path``) address of a peer rank."""
@@ -132,7 +121,7 @@ class MPIProcess:
 
     def compute_flops(self, flops: float) -> Future:
         """Compute time derived from an operation count (NPB kernels)."""
-        return self.compute(flops / self.world.config.compute_rate_flops)
+        return self.compute(flops / COMPUTE_RATE_FLOPS)
 
 
 class World:
@@ -145,7 +134,7 @@ class World:
         loader = STACKS.get(cfg.rpi)
         if loader is None:
             raise ValueError(f"unknown rpi {cfg.rpi!r}: expected one of {sorted(STACKS)}")
-        make_endpoint, make_rpi = loader(cfg)
+        make_endpoint, rpi_class = loader(cfg)
         self._collector = active_collector()
         enabled = cfg.metrics_enabled or self._collector is not None
         self.kernel = Kernel(seed=cfg.seed, metrics=MetricsRegistry(enabled=enabled))
@@ -167,7 +156,7 @@ class World:
         self.armed_scenario = (
             self.cluster.arm_scenario(cfg.scenario) if cfg.scenario is not None else None
         )
-        self.processes = [MPIProcess(self, r, make_rpi) for r in range(cfg.n_procs)]
+        self.processes = [MPIProcess(self, r, rpi_class) for r in range(cfg.n_procs)]
         self._init_done_ns = 0
         self._app_done_ns: Dict[int, int] = {}
         if enabled:
@@ -231,27 +220,14 @@ class World:
             world=self,
         )
 
-    # -- diagnostics ---------------------------------------------------------
-    def rpi_stats(self, rank: int):
-        """Progression-engine counters of one rank."""
-        return self.processes[rank].rpi.stats
-
 
 def run_app(
-    app: Callable,
-    *args: Any,
-    config: Optional[WorldConfig] = None,
-    limit_ns: Optional[int] = None,
-    **config_overrides: Any,
+    app: Callable, *args: Any, limit_ns: Optional[int] = None, **world: Any
 ) -> WorldResult:
     """One-call experiment: build a world, run ``app`` on every rank.
 
-    ``config_overrides`` are WorldConfig fields, e.g.
-    ``run_app(pingpong, rpi="tcp", loss_rate=0.01, seed=3)``.
+    ``world`` are WorldConfig fields, e.g.
+    ``run_app(pingpong, rpi="tcp", loss_rate=0.01, seed=3)``; a caller
+    that already holds a config calls ``World(config).run``.
     """
-    if config is None:
-        config = WorldConfig(**config_overrides)
-    elif config_overrides:
-        raise ValueError("pass either config or keyword overrides, not both")
-    world = World(config)
-    return world.run(app, *args, limit_ns=limit_ns)
+    return World(WorldConfig(**world)).run(app, *args, limit_ns=limit_ns)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Union
 
 Number = Union[int, float]
 
@@ -83,10 +83,6 @@ class Histogram:
         self.counts[bisect_left(self.edges, value)] += 1
         self.total_count += 1
         self.total_sum += value
-
-    def bucket_counts(self) -> List[int]:
-        """Counts per bucket, overflow bucket last."""
-        return list(self.counts)
 
 
 def _coerce(value: Any) -> Any:

@@ -28,10 +28,10 @@ task type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.constants import ANY_SOURCE, ANY_TAG
-from ..core.world import WorldConfig, run_app
+from ..core.world import run_app
 from ..util.blobs import SyntheticBlob
 
 REQUEST_TAG = 900
@@ -201,26 +201,14 @@ async def _worker(comm, p: FarmParams):
 
 
 def run_farm(
-    rpi: str,
-    params: Optional[FarmParams] = None,
-    n_procs: int = 8,
-    loss_rate: float = 0.0,
-    seed: int = 0,
-    num_streams: int = 10,
-    config: Optional[WorldConfig] = None,
-    limit_ns: Optional[int] = None,
+    params: Optional[FarmParams] = None, limit_ns: Optional[int] = None, **world: Any
 ) -> FarmResult:
-    """Run one farm configuration and return the manager's FarmResult."""
+    """Run one farm configuration and return the manager's FarmResult.
+
+    ``world`` are WorldConfig fields (``rpi``, ``n_procs``, ``loss_rate``,
+    ``num_streams``, ...)."""
     p = params or FarmParams()
-    if config is None:
-        config = WorldConfig(
-            n_procs=n_procs,
-            rpi=rpi,
-            loss_rate=loss_rate,
-            seed=seed,
-            num_streams=num_streams,
-        )
-    result = run_app(make_farm(p), config=config, limit_ns=limit_ns)
+    result = run_app(make_farm(p), limit_ns=limit_ns, **world)
     farm_result: FarmResult = result.results[0]
     assert farm_result.tasks_done == p.num_tasks, (
         f"farm lost work: {farm_result.tasks_done}/{p.num_tasks}"

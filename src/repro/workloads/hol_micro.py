@@ -17,9 +17,9 @@ message was available (the latency the compute phase actually waits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..core.world import WorldConfig, run_app
+from ..core.world import run_app
 from ..util.blobs import SyntheticBlob
 
 TAG_A = 11
@@ -33,8 +33,6 @@ class HolMicroResult:
     iterations: int
     b_completed_first: int
     mean_first_completion_ns: float
-    rpi: str
-    loss_rate: float
 
     @property
     def b_first_fraction(self) -> float:
@@ -71,30 +69,24 @@ def make_hol_micro(message_size: int, iterations: int):
             iterations=iterations,
             b_completed_first=b_first,
             mean_first_completion_ns=total_wait_ns / iterations,
-            rpi="",
-            loss_rate=0.0,
         )
 
     return app
 
 
 def run_hol_micro(
-    rpi: str,
     message_size: int = 8 * 1024,
     iterations: int = 30,
-    loss_rate: float = 0.02,
-    seed: int = 0,
-    num_streams: int = 10,
     limit_ns: Optional[int] = None,
+    **world: Any,
 ) -> HolMicroResult:
-    """Run the Fig. 4 microscenario; returns rank 0's observations."""
-    config = WorldConfig(
-        n_procs=2, rpi=rpi, loss_rate=loss_rate, seed=seed, num_streams=num_streams
-    )
+    """Run the Fig. 4 microscenario; returns rank 0's observations.
+
+    ``world`` are WorldConfig fields; the world has two processes and
+    2 % loss unless they say otherwise."""
     world_result = run_app(
-        make_hol_micro(message_size, iterations), config=config, limit_ns=limit_ns
+        make_hol_micro(message_size, iterations),
+        limit_ns=limit_ns,
+        **{"n_procs": 2, "loss_rate": 0.02, **world},
     )
-    result: HolMicroResult = world_result.results[0]
-    result.rpi = rpi
-    result.loss_rate = loss_rate
-    return result
+    return world_result.results[0]

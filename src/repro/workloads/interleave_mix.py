@@ -19,9 +19,9 @@ behind the bulk (the paper's §3.2 argument).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
-from ..core.world import WorldConfig, run_app
+from ..core.world import run_app
 from ..util.blobs import SyntheticBlob
 
 TAG_SMALL = 3  # -> stream (0*31+3) % 10 = 3
@@ -33,9 +33,6 @@ TAG_BULK = 7  # -> stream (0*31+7) % 10 = 7
 class InterleaveMixResult:
     """Latency of small messages measured under concurrent bulk traffic."""
 
-    rpi: str
-    interleaving: bool
-    scheduler: str
     rounds: int
     bulk_size: int
     bulks_per_round: int
@@ -117,46 +114,32 @@ def make_interleave_mix(
 
 
 def run_interleave_mix(
-    rpi: str,
     bulk_size: int = 128 * 1024,
     small_size: int = 1024,
     rounds: int = 6,
     bulks_per_round: int = 1,
-    interleaving: bool = False,
-    scheduler: str = "fcfs",
-    loss_rate: float = 0.0,
-    seed: int = 1,
     warmup: int = 1,
-    config: Optional[WorldConfig] = None,
     limit_ns: Optional[int] = None,
+    **world: Any,
 ) -> InterleaveMixResult:
-    """Run one mixed-traffic configuration on a fresh two-node world.
+    """Run one mixed-traffic configuration on a fresh world.
 
-    The eager limit is raised above the bulk size so the bulk goes out
-    as one transport message immediately (no rendezvous round-trip) —
-    that is what makes it monopolise a FIFO send path and what the
-    interleaving run has to break up.
+    ``world`` are WorldConfig fields; RFC 8260 interleaving and the
+    stream scheduler are ``sctp_config`` options.  Unless ``world`` says
+    otherwise the world has two processes, seed 1, and an eager limit
+    raised above the bulk size, so the bulk goes out as one transport
+    message immediately (no rendezvous round-trip) — that is what makes
+    it monopolise a FIFO send path and what the interleaving run has to
+    break up.
     """
-    if config is None:
-        config = WorldConfig(
-            n_procs=2,
-            rpi=rpi,
-            loss_rate=loss_rate,
-            seed=seed,
-            eager_limit=max(192 * 1024, bulk_size + 4096),
-            interleaving=interleaving,
-            scheduler=scheduler,
-        )
+    defaults = {"n_procs": 2, "seed": 1, "eager_limit": max(192 * 1024, bulk_size + 4096)}
     result = run_app(
         make_interleave_mix(bulk_size, small_size, rounds, bulks_per_round, warmup),
-        config=config,
         limit_ns=limit_ns,
+        **{**defaults, **world},
     )
     latencies, _ = result.results[0]
     return InterleaveMixResult(
-        rpi=rpi,
-        interleaving=interleaving,
-        scheduler=scheduler,
         rounds=rounds,
         bulk_size=bulk_size,
         bulks_per_round=bulks_per_round,

@@ -10,9 +10,9 @@ directions over the measured interval, MPBench-style.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from ..core.world import WorldConfig, run_app
+from ..core.world import run_app
 from ..util.blobs import SyntheticBlob
 
 PING_TAG = 1
@@ -25,8 +25,6 @@ class PingPongResult:
     message_size: int
     iterations: int
     elapsed_ns: int
-    rpi: str
-    loss_rate: float
 
     @property
     def throughput_bytes_per_s(self) -> float:
@@ -65,28 +63,24 @@ def make_pingpong(message_size: int, iterations: int, warmup: int = 2):
 
 
 def run_pingpong(
-    rpi: str,
     message_size: int,
     iterations: int = 20,
-    loss_rate: float = 0.0,
-    seed: int = 0,
     warmup: int = 2,
-    config: Optional[WorldConfig] = None,
     limit_ns: Optional[int] = None,
+    **world: Any,
 ) -> PingPongResult:
-    """Run one ping-pong configuration on a fresh two-node world."""
-    if config is None:
-        config = WorldConfig(n_procs=2, rpi=rpi, loss_rate=loss_rate, seed=seed)
+    """Run one ping-pong configuration on a fresh world.
+
+    ``world`` are WorldConfig fields (``rpi``, ``loss_rate``, ``seed``,
+    ...); the world has two processes unless ``n_procs`` says otherwise
+    (ranks above 1 idle)."""
     result = run_app(
         make_pingpong(message_size, iterations, warmup),
-        config=config,
         limit_ns=limit_ns,
+        **{"n_procs": 2, **world},
     )
-    elapsed = result.results[0]
     return PingPongResult(
         message_size=message_size,
         iterations=iterations,
-        elapsed_ns=elapsed,
-        rpi=rpi,
-        loss_rate=loss_rate,
+        elapsed_ns=result.results[0],
     )

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from ...core.world import WorldConfig, run_app
+from ...core.world import run_app
 
 #: Problem-size parameter per (kernel, class).  These are scaled-down
 #: "mini" sizes chosen so each class keeps the paper's message-size mix:
@@ -78,19 +78,12 @@ def npb_app(name: str, cls: str):
 
 
 def run_npb(
-    name: str,
-    cls: str,
-    rpi: str,
-    n_procs: int = 8,
-    loss_rate: float = 0.0,
-    seed: int = 0,
-    config: Optional[WorldConfig] = None,
-    limit_ns: Optional[int] = None,
+    name: str, cls: str, limit_ns: Optional[int] = None, **world: Any
 ) -> NPBResult:
-    """Run one kernel on a fresh world; aggregates rank results."""
-    if config is None:
-        config = WorldConfig(n_procs=n_procs, rpi=rpi, loss_rate=loss_rate, seed=seed)
-    world_result = run_app(npb_app(name, cls), config=config, limit_ns=limit_ns)
+    """Run one kernel on a fresh world; aggregates rank results.
+
+    ``world`` are WorldConfig fields (``rpi``, ``n_procs``, ``seed``, ...)."""
+    world_result = run_app(npb_app(name, cls), limit_ns=limit_ns, **world)
     per_rank = world_result.results
     total_flops = sum(r.total_flops for r in per_rank)
     elapsed = max(r.elapsed_ns for r in per_rank)

@@ -26,6 +26,7 @@ from repro.analyze.sanitize import (
     tcp_sanitizer,
 )
 from repro.core.world import World, WorldConfig
+from repro.transport.sctp import SCTPConfig
 from repro.transport.sctp.association import Association
 from repro.transport.sctp.chunks import DataChunk
 from repro.transport.sctp.streams import InboundStreams
@@ -75,7 +76,8 @@ def _world_hooks(rpi, monkeypatch):
             _instances.append(self)
 
         monkeypatch.setattr(cls, "__init__", recording_init)
-    world = World(WorldConfig(n_procs=2, rpi=rpi, interleaving=rpi == "sctp"))
+    options = SCTPConfig(interleaving=rpi == "sctp")
+    world = World(WorldConfig(n_procs=2, rpi=rpi, sctp_config=options))
     world.run(make_pingpong(30 * 1024, 2, warmup=0))
     monkeypatch.undo()
     hooks = [("kernel._san", world.kernel._san, KernelSanitizer)]

@@ -96,14 +96,20 @@ def test_single_stream_ablation_module():
 
 
 def test_sctp_rpi_config_is_the_socket_overlay():
-    base = SCTPConfig(sndbuf=100 * 1024, stream_weights=(3, 1))
-    world = World(WorldConfig(
-        n_procs=2, rpi="sctp", seed=1, num_streams=4,
-        interleaving=True, scheduler="rr", sctp_config=base,
-    ))
-    assert world.processes[0].rpi.sctp_config == replace(
-        base, n_out_streams=4, n_in_streams=4, interleaving=True, scheduler="rr"
+    """The world's sctp_config is what the RPI's associations run with:
+    num_streams sets the stream counts, and interleaving, the scheduler
+    and every other option pass through as given."""
+    base = SCTPConfig(
+        sndbuf=100 * 1024, stream_weights=(3, 1), interleaving=True, scheduler="rr"
     )
+    world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, num_streams=4, sctp_config=base))
+    assert world.processes[0].rpi.sctp_config == replace(base, n_out_streams=4, n_in_streams=4)
+
+    async def app(comm):
+        await comm.barrier()
+        return [(a.interleaving_active, a.scheduler.name) for a in comm.rpi.sock._assocs.values()]
+
+    assert world.run(app, limit_ns=LIMIT).results == [[(True, "rr")]] * 2
 
 
 class _CachingConfig(SCTPConfig):
@@ -115,9 +121,9 @@ class _CachingConfig(SCTPConfig):
 
 
 def test_sctp_rpi_accepts_a_config_carrying_cached_attributes():
-    base = _CachingConfig(sndbuf=100 * 1024)
+    base = _CachingConfig(sndbuf=100 * 1024, scheduler="rr")
     assert base.chunk_room == 1468  # now an instance attribute, not a field
-    world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, scheduler="rr", sctp_config=base))
+    world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, sctp_config=base))
     assert world.run(_noop_app, limit_ns=LIMIT).results == [0, 1]
     config = world.processes[1].rpi.sctp_config
     assert (config.sndbuf, config.scheduler) == (100 * 1024, "rr")
@@ -190,11 +196,6 @@ def test_compute_advances_virtual_time_only():
     assert all(250_000_000 <= el < 260_000_000 for el in r.results)
 
 
-def test_run_app_rejects_config_plus_overrides():
-    with pytest.raises(ValueError):
-        run_app(_noop_app, config=WorldConfig(), n_procs=2)
-
-
 def test_world_result_reports_duration():
     r = run_app(_noop_app, n_procs=2, rpi="tcp", seed=1, limit_ns=LIMIT)
     assert r.duration_ns >= 0
@@ -243,7 +244,7 @@ def test_oversize_piece_still_raises_message_too_big():
     or not."""
     async def app(comm):
         if comm.rank == 0:
-            comm.rpi.long_piece_size = 300 * 1024  # above the 220 KiB limit
+            # eager, and one piece above the 220 KiB limit
             comm.rpi.eager_limit = 400 * 1024
             with pytest.raises(MessageTooBig):
                 comm.isend(SyntheticBlob(300 * 1024), dest=1, tag=0)

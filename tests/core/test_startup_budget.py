@@ -11,6 +11,12 @@ message, and pins the exact sorted set of ``repro`` modules it loaded:
   (its ``__init__`` imports all four of its modules);
 * ``REPRO_SANITIZE=1`` adds exactly :mod:`repro.analyze.checkers`.
 
+A fresh ``import repro.analyze.ci`` (the static analyzer, which never
+simulates) loads the root package, ``repro.analyze`` and its five static
+modules: the root resolves its public names on first access, so no
+subpackage import pulls in the simulator (36 modules while the root
+imported ``repro.core`` eagerly).
+
 Counts only, no wall clock: with ``PYTHONDONTWRITEBYTECODE=1`` every
 process compiles what it imports, so each module left out here is
 start-up time saved on every run.
@@ -21,6 +27,8 @@ import subprocess
 import sys
 
 import pytest
+
+LOADED = 'print(" ".join(sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))))'
 
 PROBE = """
 import sys
@@ -33,8 +41,7 @@ async def app(comm):
         await comm.recv(source=0)
 
 run_app(app, n_procs=2, rpi=sys.argv[1], loss_rate=float(sys.argv[2]))
-print(" ".join(sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))))
-"""
+""" + LOADED
 
 COMMON = (
     "repro",
@@ -106,6 +113,15 @@ FAULTS = (
     "repro.faults.scenario",
 )
 CHECKERS = ("repro.analyze.checkers",)
+ANALYZER = (
+    "repro",
+    "repro.analyze",
+    "repro.analyze.baseline",
+    "repro.analyze.callgraph",
+    "repro.analyze.ci",
+    "repro.analyze.flow",
+    "repro.analyze.lint",
+)
 
 
 def _loaded(rpi, loss_rate=0.0, sanitize="0"):
@@ -141,3 +157,11 @@ def test_armed_sanitizers_add_exactly_the_checkers(clean):
     checked = _loaded(rpi, sanitize="1")
     assert sorted(set(checked) - set(loaded)) == list(CHECKERS)
     assert set(loaded) <= set(checked)
+
+
+def test_the_static_analyzer_loads_no_simulator():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.analyze.ci\n" + LOADED],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == list(ANALYZER)

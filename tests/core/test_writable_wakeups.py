@@ -41,7 +41,7 @@ WORLDS = {
     "interleave_rr": (
         dict(
             rpi="sctp", n_procs=2, seed=1, eager_limit=192 * 1024,
-            interleaving=True, scheduler="rr",
+            sctp_config=SCTPConfig(interleaving=True, scheduler="rr"),
         ),
         lambda: make_interleave_mix(128 * 1024, 1024, rounds=4, bulks_per_round=2),
     ),

@@ -2,7 +2,7 @@
 the packet-tap bus serves both metrics and tracing, and MetricsCollector
 turns collection on without touching workload signatures."""
 
-from repro.core.world import WorldConfig, run_app
+from repro.core.world import run_app
 from repro.metrics import MetricsCollector, MetricsPacketTap, MetricsRegistry
 from repro.util.trace import PacketTrace
 
@@ -70,10 +70,7 @@ def test_metrics_disabled_world_has_no_overhead_paths():
 
 
 def test_worldconfig_flag_enables_without_collector():
-    result = run_app(
-        _exchange, config=WorldConfig(n_procs=2, rpi="tcp", seed=2,
-                                      metrics_enabled=True)
-    )
+    result = run_app(_exchange, n_procs=2, rpi="tcp", seed=2, metrics_enabled=True)
     snap = result.world.metrics.snapshot()
     assert snap["transport.tcp.node0.connections_total"] >= 1
 

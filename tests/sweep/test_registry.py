@@ -56,7 +56,7 @@ GOLDEN_RESOLVED = {
     "failover": [("seed", 1)],
     "chaos": [("rpi", "tcp"), ("seed", 1)],
     "fig4": [("rpi", "tcp"), ("seed", 2)],
-    "crc32c": [("seed", 1)],
+    "crc32c": [],
     "select": [("n_procs", 4), ("seed", 1)],
     "pingpong": [
         ("protocol", "tcp"), ("size", 1024), ("loss", 0.0), ("seed", 1),
@@ -91,9 +91,12 @@ def test_default_cells_of_every_figure_are_frozen():
 
 
 def test_every_experiment_is_sweep_addressable():
-    for name in harness.MATRICES:
+    """Every default cell resolves to its axes plus every free parameter
+    (crc32c, with neither, to the empty mapping)."""
+    for name, matrix in harness.MATRICES.items():
+        free = {key for key, _default in matrix.free}
         for cell in harness.default_cells(name):
-            assert harness.resolve_sweep_params(name, cell), name
+            assert set(harness.resolve_sweep_params(name, cell)) == set(cell) | free, name
 
 
 def test_resolved_params_match_the_golden_mappings():

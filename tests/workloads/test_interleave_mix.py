@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.transport.sctp import SCTPConfig
 from repro.workloads.interleave_mix import run_interleave_mix
 
 LIMIT = 2_000_000_000_000
@@ -10,7 +11,7 @@ BOTH = pytest.mark.parametrize("rpi", ["tcp", "sctp"])
 
 @BOTH
 def test_mix_basic_metrics(rpi):
-    r = run_interleave_mix(rpi, rounds=3, seed=1, limit_ns=LIMIT)
+    r = run_interleave_mix(rounds=3, limit_ns=LIMIT, rpi=rpi, seed=1)
     assert r.rounds == 3
     assert len(r.small_latency_ns) == 3
     assert r.small_latency_mean_ns > 0
@@ -24,10 +25,12 @@ def test_interleaving_with_rr_cuts_small_latency():
     improves small-message latency under concurrent bulk, at no bulk
     throughput cost worth mentioning."""
     base = run_interleave_mix(
-        "sctp", interleaving=False, scheduler="fcfs", seed=1, limit_ns=LIMIT
+        limit_ns=LIMIT, rpi="sctp", seed=1,
+        sctp_config=SCTPConfig(interleaving=False, scheduler="fcfs"),
     )
     idata = run_interleave_mix(
-        "sctp", interleaving=True, scheduler="rr", seed=1, limit_ns=LIMIT
+        limit_ns=LIMIT, rpi="sctp", seed=1,
+        sctp_config=SCTPConfig(interleaving=True, scheduler="rr"),
     )
     assert idata.small_latency_mean_ns < base.small_latency_mean_ns
     assert idata.small_latency_max_ns < base.small_latency_max_ns
@@ -38,10 +41,10 @@ def test_interleaving_off_matches_legacy_virtual_time():
     """interleaving=False + fcfs must be the legacy wire schedule — the
     same run with the flags at their defaults lands on the identical
     virtual-time result."""
-    default = run_interleave_mix("sctp", rounds=3, seed=1, limit_ns=LIMIT)
+    default = run_interleave_mix(rounds=3, limit_ns=LIMIT, rpi="sctp", seed=1)
     explicit = run_interleave_mix(
-        "sctp", rounds=3, interleaving=False, scheduler="fcfs", seed=1,
-        limit_ns=LIMIT,
+        rounds=3, limit_ns=LIMIT, rpi="sctp", seed=1,
+        sctp_config=SCTPConfig(interleaving=False, scheduler="fcfs"),
     )
     assert default.elapsed_ns == explicit.elapsed_ns
     assert default.small_latency_ns == explicit.small_latency_ns

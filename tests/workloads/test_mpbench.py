@@ -10,7 +10,7 @@ BOTH = pytest.mark.parametrize("rpi", ["tcp", "sctp"])
 
 @BOTH
 def test_pingpong_basic_metrics(rpi):
-    r = run_pingpong(rpi, 8192, iterations=10, seed=1, limit_ns=LIMIT)
+    r = run_pingpong(8192, iterations=10, limit_ns=LIMIT, rpi=rpi, seed=1)
     assert r.message_size == 8192
     assert r.elapsed_ns > 0
     assert r.throughput_bytes_per_s > 0
@@ -19,29 +19,26 @@ def test_pingpong_basic_metrics(rpi):
 
 @BOTH
 def test_throughput_grows_with_message_size(rpi):
-    small = run_pingpong(rpi, 1024, iterations=10, seed=1, limit_ns=LIMIT)
-    large = run_pingpong(rpi, 65536, iterations=10, seed=1, limit_ns=LIMIT)
+    small = run_pingpong(1024, iterations=10, limit_ns=LIMIT, rpi=rpi, seed=1)
+    large = run_pingpong(65536, iterations=10, limit_ns=LIMIT, rpi=rpi, seed=1)
     assert large.throughput_bytes_per_s > 2 * small.throughput_bytes_per_s
 
 
 @BOTH
 def test_loss_reduces_throughput(rpi):
-    clean = run_pingpong(rpi, 30 * 1024, iterations=20, seed=2, limit_ns=LIMIT)
+    clean = run_pingpong(30 * 1024, iterations=20, limit_ns=LIMIT, rpi=rpi, seed=2)
     lossy = run_pingpong(
-        rpi, 30 * 1024, iterations=20, loss_rate=0.02, seed=2, limit_ns=LIMIT
+        30 * 1024, iterations=20, limit_ns=LIMIT, rpi=rpi, loss_rate=0.02, seed=2
     )
     assert lossy.throughput_bytes_per_s < clean.throughput_bytes_per_s
 
 
 def test_pingpong_ignores_extra_ranks():
-    from repro.core.world import WorldConfig
-
-    cfg = WorldConfig(n_procs=4, rpi="sctp", seed=1)
-    r = run_pingpong("sctp", 4096, iterations=5, config=cfg, limit_ns=LIMIT)
+    r = run_pingpong(4096, iterations=5, limit_ns=LIMIT, n_procs=4, rpi="sctp", seed=1)
     assert r.elapsed_ns > 0  # ranks 2,3 idle without deadlocking the run
 
 
 def test_deterministic_given_seed():
-    a = run_pingpong("sctp", 16384, iterations=10, loss_rate=0.02, seed=5, limit_ns=LIMIT)
-    b = run_pingpong("sctp", 16384, iterations=10, loss_rate=0.02, seed=5, limit_ns=LIMIT)
+    a = run_pingpong(16384, iterations=10, limit_ns=LIMIT, rpi="sctp", loss_rate=0.02, seed=5)
+    b = run_pingpong(16384, iterations=10, limit_ns=LIMIT, rpi="sctp", loss_rate=0.02, seed=5)
     assert a.elapsed_ns == b.elapsed_ns

@@ -75,8 +75,5 @@ def test_class_scaling_increases_work():
 
 
 def test_two_rank_run():
-    from repro.core.world import WorldConfig
-
-    cfg = WorldConfig(n_procs=2, rpi="sctp", seed=1)
-    r = run_npb("EP", "S", rpi="sctp", n_procs=2, config=cfg, limit_ns=LIMIT)
+    r = run_npb("EP", "S", limit_ns=LIMIT, n_procs=2, rpi="sctp", seed=1)
     assert r.verified
