@@ -3,11 +3,11 @@
 Subcommands
 ===========
 
-``ci [paths...] [--baseline FILE] [--update-baseline FILE] [--json FILE] [--list-rules]``
+``ci [paths...]``
     The static analyzer (:mod:`repro.analyze.ci`) over the given files /
     directories (default ``src/repro``): call-site rules (AN10x) and
-    determinism taint (AN20x) against the committed baseline.  Exits 1 on any finding that is neither allowed
-    by a comment nor baselined.  This is the CI gate.
+    determinism taint (AN20x).  Exits 1 on any finding that no
+    ``# repro: allow[...]`` comment accepts.  This is the CI gate.
 
 ``perturb EXPERIMENT name=value ... [--modes lifo,shuffle:7] [--json FILE]``
     Schedule-perturbation race detector on one bench cell.  Exits 1 when

@@ -93,8 +93,8 @@ class Finding:
 
     The whole-program rules (AN2xx) also fill ``function`` (the qualname
     the finding anchors in), ``source`` / ``sink`` and the step-by-step
-    ``trace``; the rule, ``function``, ``source`` and ``sink`` are what a
-    baseline fingerprint is made of.
+    ``trace``.  An allow comment on ``line`` (the sink line for a taint
+    finding) is the one way to accept it.
     """
 
     path: str

@@ -387,8 +387,8 @@ class _TaintPass:
     # -- statements -------------------------------------------------------
     def _bind(self, name: str, tags: Set[Tag]) -> None:
         # weak update (union): branch joins never lose taint; the cost is
-        # that a genuinely-overwritten taint lingers, which the baseline
-        # absorbs if it ever produces a spurious finding
+        # that a genuinely-overwritten taint lingers; a spurious finding
+        # that produces is accepted by an allow comment on its sink line
         if tags:
             self.env.setdefault(name, set()).update(tags)
 

@@ -35,9 +35,7 @@ time — and neither is a result that cannot be pickled back to the
 parent, which is reported as an ``error`` naming the pickling failure.
 """
 
-# This module supervises real processes, so it is legitimately
-# wall-clock-driven; nothing here runs inside a simulated world.
-# repro: allow-file[AN101]
+# repro: allow-file[AN101] — supervises real processes; nothing here is simulated
 
 from __future__ import annotations
 
@@ -90,6 +88,11 @@ class SupervisePolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1: {self.max_attempts}")
+        # a non-positive limit would settle every attempt as timed out or hung
+        for name in ("deadline_s", "hang_timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0: {value}")
 
 
 # the stance for deterministic simulations: a failed attempt would fail

@@ -101,14 +101,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}")
         return 2
-    cache = None if args.no_cache else SweepCache(args.cache)
     policy = None
     if args.supervise:
-        policy = SupervisePolicy(
-            max_attempts=args.max_attempts,
-            deadline_s=args.deadline_s,
-            hang_timeout_s=args.hang_timeout_s,
-        )
+        try:
+            policy = SupervisePolicy(
+                max_attempts=args.max_attempts,
+                deadline_s=args.deadline_s,
+                hang_timeout_s=args.hang_timeout_s,
+            )
+        except ValueError as err:
+            print(f"--supervise: {err}")
+            return 2
+    cache = None if args.no_cache else SweepCache(args.cache)
     result = run_sweep(spec, jobs=args.jobs, cache=cache, supervise=policy)
     for cell in result.doc["cells"]:
         rows = [ExperimentRow(**row) for row in cell["rows"]]
@@ -150,7 +154,10 @@ def _cmd_cells(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
-    failures = verify_spec(spec, jobs=max(2, args.jobs))
+    if args.jobs < 2:
+        print(f"--jobs must be >= 2 (serial is compared against it), got {args.jobs}")
+        return 2
+    failures = verify_spec(spec, jobs=args.jobs)
     if failures:
         print("SWEEP VERIFY FAILED:")
         for failure in failures:
@@ -158,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     print(
         f"sweep verify OK: {len(spec.cells)} cells byte-identical serial vs "
-        f"--jobs {max(2, args.jobs)}, warm resume recomputed 0 cells, "
+        f"--jobs {args.jobs}, warm resume recomputed 0 cells, "
         "cache-kill rerun reproduced the document"
     )
     return 0

@@ -65,7 +65,6 @@ class OneToManySocket:
         # delivered messages in arrival order (the paper: "messages are
         # received by the application in the order they arrive")
         self._inbox: Deque[ReceivedMessage] = deque()
-        self._readers: Deque[Future] = deque()
         self.closed = False
         # notification hooks
         self.on_readable: Callable[[], None] = _noop
@@ -179,29 +178,13 @@ class OneToManySocket:
             assoc.credit_receive_buffer(msg.nbytes)
         return msg
 
-    def recvmsg_wait(self) -> Future:
-        """Future resolving to the next message (for coroutine consumers)."""
-        fut = Future(name="sctp-recvmsg")
-        if self._inbox:
-            fut.set_result(self.recvmsg())
-        else:
-            self._readers.append(fut)
-        return fut
-
     @property
     def readable(self) -> bool:
         """Whether recvmsg would return a message right now."""
         return bool(self._inbox)
 
     def _deliver(self, assoc: Association, message: AssembledMessage) -> None:
-        received = ReceivedMessage(assoc.assoc_id, message)
-        while self._readers:
-            fut = self._readers.popleft()
-            if not fut.done():
-                assoc.credit_receive_buffer(received.nbytes)
-                fut.set_result(received)
-                return
-        self._inbox.append(received)
+        self._inbox.append(ReceivedMessage(assoc.assoc_id, message))
         self.on_readable()
 
     # -- teardown ---------------------------------------------------------------

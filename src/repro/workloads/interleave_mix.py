@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from ..core.envelope import ENVELOPE_SIZE
 from ..core.world import run_app
+from ..transport.base import SCTPConfig
 from ..util.blobs import SyntheticBlob
 
 TAG_SMALL = 3  # -> stream (0*31+3) % 10 = 3
@@ -130,9 +132,13 @@ def run_interleave_mix(
     raised above the bulk size, so the bulk goes out as one transport
     message immediately (no rendezvous round-trip) — that is what makes
     it monopolise a FIFO send path and what the interleaving run has to
-    break up.
+    break up.  The raise stops at the SCTP RPI's limit (one envelope and
+    piece per ``sctp_sendmsg``), so on both stacks a bulk above it goes
+    rendezvous in eager-limit pieces.
     """
-    defaults = {"n_procs": 2, "seed": 1, "eager_limit": max(192 * 1024, bulk_size + 4096)}
+    sctp_limit = (world.get("sctp_config") or SCTPConfig()).max_message_size - ENVELOPE_SIZE
+    eager_limit = min(max(192 * 1024, bulk_size + 4096), sctp_limit)
+    defaults = {"n_procs": 2, "seed": 1, "eager_limit": eager_limit}
     result = run_app(
         make_interleave_mix(bulk_size, small_size, rounds, bulks_per_round, warmup),
         limit_ns=limit_ns,

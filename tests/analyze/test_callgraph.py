@@ -51,7 +51,7 @@ def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch
     assert calls == {"parse": 3, "tokens": 3}
     out = capsys.readouterr().out
     assert "a/tool.py:2:5: AN101" in out and "b/tool.py:1:8: AN106" in out
-    assert "lint=2 new-flow=0" in out
+    assert "lint=2 flow=0" in out
 
 
 def test_direct_and_imported_calls_resolve():

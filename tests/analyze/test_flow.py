@@ -1,12 +1,12 @@
 """Interprocedural taint: planted leaks, traces, the CLI."""
 
 import inspect
-import json
+from pathlib import Path
 
 import pytest
 
-from repro.analyze.callgraph import RULES, Program
-from repro.analyze.ci import report_json, run_rules, suppress
+from repro.analyze.callgraph import Program
+from repro.analyze.ci import run_rules, suppress
 from repro.analyze.flow import SCHED_SINK_METHODS
 
 
@@ -19,7 +19,7 @@ def program(**sources):
 def analyze_program(p):
     """The whole-program findings only; the call-site rules that fire on
     the same planted sources are test_lint's."""
-    return [f for f in suppress(p, run_rules(p), {}).findings if f.function]
+    return [f for f in suppress(p, run_rules(p)) if f.function]
 
 
 def analyze_tree(root):
@@ -238,66 +238,86 @@ def test_global_mutation_outside_fork_reachable_code_is_clean():
 # ---------------------------------------------------------------------------
 # the real tree, reports, CLI
 # ---------------------------------------------------------------------------
-def test_real_tree_findings_are_all_baselined():
-    """Every finding over src/repro must be in the committed baseline —
-    the exact gate CI runs via `python -m repro.analyze ci`."""
-    from repro.analyze.baseline import apply_baseline, load_baseline
-
-    findings = analyze_tree("src/repro")
-    new, unused = apply_baseline(findings, load_baseline("ANALYZE_baseline.json"))
-    assert new == []
-    assert unused == []
+ENV_TO_DIGEST = (
+    "os.environ.get() (src/repro/bench/harness.py)",
+    "argument scale of cell_digest (src/repro/sweep/runner.py) [sweep-cache digest]",
+)
 
 
-def test_findings_are_deterministically_ordered():
-    findings = analyze_tree("src/repro")
-    keys = [(f.path, f.line, f.rule, f.col, f.source, f.sink) for f in findings]
-    assert keys == sorted(keys)
-    assert findings == analyze_tree("src/repro")
+def test_real_tree_findings_are_all_allowed():
+    """The tree's raw whole-program findings are the three accepted
+    REPRO_FULL-into-cache-key flows (sweep/digest.py), and the allow
+    comments on their sink lines leave nothing — the exact gate CI runs
+    via `python -m repro.analyze ci`."""
+    p = Program.load("src/repro")
+    raw = run_rules(p)
+    flows = sorted((f.rule, f.function, f.source, f.sink) for f in raw if f.function)
+    assert flows == [
+        ("AN205", "repro.sweep.runner.merge_cells", *ENV_TO_DIGEST),
+        ("AN205", "repro.sweep.runner.run_sweep", *ENV_TO_DIGEST),
+        ("AN205", "repro.sweep.runner.run_sweep", *ENV_TO_DIGEST),
+    ]
+    assert suppress(p, raw) == []
 
 
-def test_report_json_schema():
-    p = program(
-        main=(
-            "import time\n"
-            "def send(pkt):\n"
-            "    pkt.payload = time.time()\n"
-        ),
-    )
-    doc = json.loads(report_json(analyze_program(p)))
-    assert doc["tool"] == "repro.analyze"
-    assert set(doc["rules"]) == set(RULES)
-    [finding] = doc["findings"]
-    assert finding["rule"] == "AN201" and finding["trace"]
+def test_every_allow_comment_says_why():
+    """An accepted finding carries its reason on the allow comment's own
+    line, after the bracket."""
+    p = Program.load("src/repro")
+    allows = [(m.path, c) for m in p.modules.values() for c in m.allows]
+    assert len(allows) >= 12
+    for path, comment in allows:
+        line = Path(path).read_text(encoding="utf-8").splitlines()[comment.line - 1]
+        rest = line[comment.col - 1:].split("]", 1)[1]
+        assert rest.strip(" —-:;,").strip(), f"{path}:{comment.line}: allow without a reason"
+
+
+def test_findings_are_deterministically_ordered(tmp_path):
+    """The real tree with its allow comments disarmed, so suppression has
+    findings to order: the same order, sorted, on every run."""
+    for src in Path("src/repro").rglob("*.py"):
+        dst = tmp_path / "repro" / src.relative_to("src/repro")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        text = src.read_text(encoding="utf-8")
+        dst.write_text(text.replace("repro: allow", "repro: disarmed"), encoding="utf-8")
+    findings = analyze_tree(str(tmp_path / "repro"))
+    keys = [(f.path, f.line, f.rule, f.col, f.source, f.sink, f.function) for f in findings]
+    assert len(keys) == 3 and keys == sorted(keys)
+    assert findings == analyze_tree(str(tmp_path / "repro"))
 
 
 def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
-    """One command: `ci` gates (0 clean / 1 findings), the retired `lint`
-    and `flow` subcommands are usage errors (2)."""
+    """One command: `ci` gates (0 clean / 1 findings); an allow comment
+    on the line is the one way to accept a finding; the retired `lint`
+    and `flow` subcommands and the retired `ci` options are usage
+    errors (2)."""
     from repro.analyze.__main__ import main
 
     assert main(["flow", "src/repro"]) == 2
     assert main(["lint", "src/repro"]) == 2
+    for retired in (["--baseline", "b.json"], ["--update-baseline", "b.json"],
+                    ["--json", "r.json"], ["--list-rules"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["ci", *retired])
+        assert exit_.value.code == 2
     capsys.readouterr()
     assert main(["ci"]) == 0
-    assert "lint=0 new-flow=0 baselined=3 stale-baseline=0 -> OK" in (
-        capsys.readouterr().out
-    )
+    assert "lint=0 flow=0 -> OK" in capsys.readouterr().out
 
     planted = tmp_path / "leak.py"
-    planted.write_text(
-        "import time\ndef send(pkt):\n    pkt.payload = time.time()\n"
-    )
-    report = tmp_path / "report.json"
-    assert main(["ci", str(planted), "--json", str(report)]) == 1
-    assert "lint=1 new-flow=1 baselined=0 stale-baseline=0 -> FAIL" in (
-        capsys.readouterr().out
-    )
-    assert [f["rule"] for f in json.loads(report.read_text())["findings"]] == [
-        "AN101", "AN201",
-    ]
-    # accepting the flow finding leaves the per-line one: it cannot be baselined
-    accepted = tmp_path / "base.json"
-    assert main(["ci", str(planted), "--update-baseline", str(accepted)]) == 1
-    assert "lint=1 new-flow=0 baselined=1" in capsys.readouterr().out
-    assert [e["rule"] for e in json.loads(accepted.read_text())["entries"]] == ["AN201"]
+    leak = "import time\ndef send(pkt):\n    pkt.payload = time.time()"
+    planted.write_text(leak + "\n")
+    assert main(["ci", str(planted)]) == 1
+    out = capsys.readouterr().out
+    assert "leak.py:3:19: AN101" in out and "leak.py:3:5: AN201" in out
+    assert "lint=1 flow=1 -> FAIL" in out
+    # accepted on its line, with the reason beside it
+    planted.write_text(leak + "  # repro: allow[AN101,AN201] — test fixture\n")
+    assert main(["ci", str(planted)]) == 0
+    assert "lint=0 flow=0 -> OK" in capsys.readouterr().out
+    # an allow that matches nothing is itself a finding
+    planted.write_text(leak + "  # repro: allow[AN101,AN201,AN102] — test fixture\n")
+    assert main(["ci", str(planted)]) == 1
+    out = capsys.readouterr().out
+    assert "AN106 unused suppression: allow[AN102]" in out
+    assert "lint=1 flow=0 -> FAIL" in out

@@ -116,7 +116,6 @@ CHECKERS = ("repro.analyze.checkers",)
 ANALYZER = (
     "repro",
     "repro.analyze",
-    "repro.analyze.baseline",
     "repro.analyze.callgraph",
     "repro.analyze.ci",
     "repro.analyze.flow",

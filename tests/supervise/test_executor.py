@@ -174,5 +174,10 @@ def test_backoff_delay_is_deterministic_and_bounded():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SupervisePolicy(max_attempts=0)
+    for limit in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="deadline_s must be > 0"):
+            SupervisePolicy(deadline_s=limit)
+        with pytest.raises(ValueError, match="hang_timeout_s must be > 0"):
+            SupervisePolicy(hang_timeout_s=limit)
     with pytest.raises(ValueError):
         supervised_map(square, [1, 2], task_ids=["only-one"])

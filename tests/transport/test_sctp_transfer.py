@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import SECOND
+from repro.simkernel import SECOND, Future
 from repro.transport.sctp import MessageTooBig, SCTPConfig
 from repro.util.blobs import RealBlob, SyntheticBlob
 
@@ -10,16 +10,27 @@ from ..conftest import make_cluster, sctp_pair
 
 
 def pump_messages(kernel, sock, count, limit_s=120):
-    """Collect `count` messages from a socket, driving the kernel."""
+    """Collect `count` messages from a socket, driving the kernel: drain
+    with `recvmsg` on every `on_readable`, as the SCTP RPI reads."""
     out = []
-    deadline = kernel.now + limit_s * SECOND
+    done = Future(name="pumped")
+    previous = sock.on_readable
 
-    async def reader():
+    def drain():
         while len(out) < count:
-            out.append(await sock.recvmsg_wait())
+            msg = sock.recvmsg()
+            if msg is None:
+                return
+            out.append(msg)
+        if not done.done():
+            done.set_result(None)
 
-    task = kernel.spawn(reader())
-    kernel.run_until(task, limit=deadline)
+    sock.on_readable = drain
+    try:
+        drain()
+        kernel.run_until(done, limit=kernel.now + limit_s * SECOND)
+    finally:
+        sock.on_readable = previous
     return out
 
 

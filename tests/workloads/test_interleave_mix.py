@@ -48,3 +48,26 @@ def test_interleaving_off_matches_legacy_virtual_time():
     )
     assert default.elapsed_ns == explicit.elapsed_ns
     assert default.small_latency_ns == explicit.small_latency_ns
+
+
+@BOTH
+def test_bulk_above_the_sctp_message_limit_runs(rpi):
+    """The raised eager limit stops at the SCTP RPI's sctp_sendmsg limit,
+    so a 256 KiB bulk goes rendezvous in eager-limit pieces on both
+    stacks instead of failing at world construction."""
+    from repro.bench.harness import run_sweep_cell
+
+    [row] = run_sweep_cell("interleave", {
+        "protocol": rpi, "interleaving": "off", "scheduler": "fcfs",
+        "bulk_kib": 256, "rounds": 1,
+    })
+    assert row.measured["small_us"] > 0 and row.measured["bulk_MBps"] > 0
+
+
+def test_eager_limit_stops_at_the_worlds_sctp_config():
+    """The cap is read from the world's own sctp_config: a 64 KiB send
+    buffer caps the default 128 KiB bulk's eager limit below it."""
+    r = run_interleave_mix(
+        rounds=1, limit_ns=LIMIT, rpi="sctp", sctp_config=SCTPConfig(sndbuf=64 * 1024),
+    )
+    assert len(r.small_latency_ns) == 1 and r.bulk_throughput_mbps > 0
