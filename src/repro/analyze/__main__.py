@@ -7,7 +7,8 @@ Subcommands
     The static analyzer (:mod:`repro.analyze.ci`) over the given files /
     directories (default ``src/repro``): call-site rules (AN10x) and
     determinism taint (AN20x).  Exits 1 on any finding that no
-    ``# repro: allow[...]`` comment accepts.  This is the CI gate.
+    ``# repro: allow[...]`` comment accepts, 2 on a usage error (a path
+    that is missing or cannot be read included).  This is the CI gate.
 
 ``perturb EXPERIMENT name=value ... [--modes lifo,shuffle:7] [--json FILE]``
     Schedule-perturbation race detector on one bench cell.  Exits 1 when

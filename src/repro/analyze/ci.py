@@ -16,6 +16,7 @@ it accepts:
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, List, Optional, Sequence
 
 from . import flow, lint
@@ -86,7 +87,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src/repro"])
     args = parser.parse_args(argv)
 
-    program = Program.load(*args.paths)
+    try:
+        program = Program.load(*args.paths)
+    except OSError as exc:  # a missing or unreadable path: usage, not findings
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     findings = suppress(program, run_rules(program))
     for finding in findings:
         print(finding.render())

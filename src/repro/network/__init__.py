@@ -1,6 +1,6 @@
 """Packet-level network substrate.
 
-Models the paper's testbed: eight hosts with one or more gigabit NICs,
+Models the paper's testbed: eight hosts with one or more gigabit interfaces,
 connected through a layer-2 switch, with Dummynet-style seeded Bernoulli
 loss pipes on host egress.  Everything is built from four small pieces:
 
@@ -9,7 +9,7 @@ loss pipes on host egress.  Everything is built from four small pieces:
 * :class:`~repro.network.link.Link` — unidirectional serialisation +
   propagation + FIFO drop-tail queue,
 * :class:`~repro.network.switch.Switch` — static L2 forwarding,
-* :class:`~repro.network.host.Host` — NICs, protocol demux, and a
+* :class:`~repro.network.host.Host` — addresses, protocol demux, and a
   :class:`~repro.network.costmodel.CostModel`-driven CPU.
 
 :func:`~repro.network.topology.build_cluster` assembles the whole testbed in
@@ -20,7 +20,6 @@ from .costmodel import CostModel
 from .dummynet import DummynetPipe
 from .host import Host, HostCPU
 from .link import Link
-from .nic import NIC
 from .packet import Packet
 from .switch import Switch
 from .topology import Cluster, ClusterConfig, build_cluster
@@ -33,7 +32,6 @@ __all__ = [
     "Host",
     "HostCPU",
     "Link",
-    "NIC",
     "Packet",
     "Switch",
     "build_cluster",

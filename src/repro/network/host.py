@@ -1,10 +1,13 @@
-"""Hosts: NICs, a serialised CPU, and protocol demultiplexing.
+"""Hosts: addresses, a serialised CPU, and protocol demultiplexing.
 
 A :class:`Host` is where the transport stacks live.  Transports register as
 protocol handlers; inbound packets are charged receive CPU (via
 :class:`HostCPU`, which serialises work like a real single core) and then
-demultiplexed by protocol; outbound packets are charged send CPU and routed
-out of the NIC owning the packet's source address.  A host reads each
+demultiplexed by protocol; outbound packets are charged send CPU and handed
+straight to the egress (the Dummynet pipe) of the packet's source address.
+A multihomed host (paper §2.1) owns one address per subnet, each with its
+own egress, so losing one path only kills the packets sent from that
+address.  A host reads each
 protocol's per-packet charge from a table it derives once from its frozen
 :class:`CostModel`, so a packet pays a dictionary read and a multiply.
 """
@@ -15,8 +18,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simkernel import Kernel
 from .costmodel import CostModel
-from .nic import NIC
 from .packet import Packet
+
+Sink = Callable[[Packet], None]
 
 
 def _cost_terms(cost: Callable[[str, int], int], proto: str) -> Tuple[int, int]:
@@ -75,7 +79,7 @@ class HostCPU:
 
 
 class Host:
-    """A cluster node: interfaces + CPU + registered transport handlers."""
+    """A cluster node: addresses + CPU + registered transport handlers."""
 
     def __init__(
         self,
@@ -91,12 +95,11 @@ class Host:
         # packet); the receive terms sit beside each handler
         self._send_terms: Dict[str, Tuple[int, int]] = {}
         self.cpu = HostCPU(kernel)
-        self.interfaces: List[NIC] = []
-        self._nic_by_addr: Dict[str, NIC] = {}
-        # prebound per-address NIC.send / per-proto handler.receive: the
-        # data path schedules these once per packet, and looking up a
-        # stored bound method is cheaper than re-binding it each time
-        self._nic_send_by_addr: Dict[str, Callable[[Packet], None]] = {}
+        # local address -> its egress (the address's Dummynet pipe),
+        # primary first.  The data path schedules the egress and the
+        # prebound per-proto handler.receive once per packet (a stored
+        # bound method is cheaper to look up than to re-bind)
+        self.egress: Dict[str, Sink] = {}
         self._handler_recv: Dict[str, Tuple[Callable[[Packet], None], int, int]] = {}
         self._handlers: Dict[str, Any] = {}
         self.rx_packets = 0
@@ -115,33 +118,24 @@ class Host:
         derived from it once)."""
         return self._cost_model
 
-    # -- interfaces ------------------------------------------------------
-    def add_interface(self, nic: NIC) -> NIC:
-        """Attach a NIC; the first attached NIC is the primary address."""
-        nic.host = self
-        self.interfaces.append(nic)
-        if nic.addr not in self._nic_by_addr:
-            self._nic_by_addr[nic.addr] = nic
-            self._nic_send_by_addr[nic.addr] = nic.send
-        return nic
+    # -- addresses ---------------------------------------------------------
+    def add_address(self, addr: str, egress: Sink) -> None:
+        """Own ``addr`` and send its packets into ``egress``; the first
+        address added is the primary."""
+        if addr in self.egress:
+            raise ValueError(f"host {self.name}: {addr} already added")
+        self.egress[addr] = egress
 
     def addresses(self) -> List[str]:
         """All local addresses, primary first."""
-        return [nic.addr for nic in self.interfaces]
+        return list(self.egress)
 
     @property
     def primary_address(self) -> str:
-        """The address of the first (primary) interface."""
-        if not self.interfaces:
-            raise RuntimeError(f"host {self.name} has no interfaces")
-        return self.interfaces[0].addr
-
-    def nic_for(self, addr: str) -> NIC:
-        """The NIC bound to ``addr`` (falls back to the primary NIC)."""
-        nic = self._nic_by_addr.get(addr)
-        if nic is not None:
-            return nic
-        return self.interfaces[0]
+        """The first address added."""
+        for addr in self.egress:
+            return addr
+        raise RuntimeError(f"host {self.name} has no addresses")
 
     # -- protocol handlers -------------------------------------------------
     def register_protocol(self, proto: str, handler: Any) -> None:
@@ -157,11 +151,11 @@ class Host:
 
     # -- data path ---------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Transmit ``packet`` out of the NIC owning ``packet.src``,
-        charging the protocol's per-packet send CPU first."""
-        nic_send = self._nic_send_by_addr.get(packet.src)
-        if nic_send is None:
-            nic_send = self.interfaces[0].send  # unknown src: primary NIC
+        """Transmit ``packet`` into the egress of ``packet.src``, charging
+        the protocol's per-packet send CPU first."""
+        egress = self.egress.get(packet.src)
+        if egress is None:  # unknown source: the primary address's egress
+            egress = self.egress[self.primary_address]
         terms = self._send_terms.get(packet.proto)
         if terms is None:  # no handler registered for this protocol
             terms = self._send_terms[packet.proto] = _cost_terms(
@@ -185,12 +179,13 @@ class Host:
         cpu._busy_until = done
         cpu.total_busy_ns += cost
         if done == now:
-            nic_send(packet)
+            egress(packet)
         else:
-            kernel.post_at(done, nic_send, packet)
+            kernel.post_at(done, egress, packet)
 
     def deliver(self, packet: Packet) -> None:
-        """Ingress path: charge receive CPU, then demux to the transport."""
+        """Ingress from the wire (every downlink's sink): charge receive
+        CPU, then demux to the transport."""
         entry = self._handler_recv.get(packet.proto)
         if entry is None:
             return  # no listener: silently dropped, like an unhandled proto

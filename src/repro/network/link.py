@@ -80,7 +80,7 @@ class Link:
         )
 
     def connect(self, sink: Sink) -> None:
-        """Attach the receiving end (host NIC ingress or switch port)."""
+        """Attach the receiving end (`Host.deliver` or a switch port)."""
         self.sink = sink
 
     @property

@@ -25,7 +25,7 @@ class Switch:
         self.unroutable = 0
 
     def attach(self, addr: str, out_link: Link) -> None:
-        """Bind ``addr`` to the link leading to that address's NIC."""
+        """Bind ``addr`` to the link leading to that address's host."""
         if addr in self._ports:
             raise ValueError(f"switch {self.name}: {addr} already attached")
         self._ports[addr] = out_link

@@ -1,10 +1,11 @@
 """Cluster topology builder.
 
 Reproduces the paper's testbed in one call: N hosts, each with
-``n_paths`` gigabit NICs, one switch per path (so multihomed paths are
-fully independent), full-duplex links, and a Dummynet loss pipe on every
-host egress.  The paper used 8 nodes, 3 NICs each, 1 Gbit/s, and loss
-rates of 0%, 1%, 2%; those are the defaults here.
+``n_paths`` gigabit interfaces (one address each), one switch per path
+(so multihomed paths are fully independent), full-duplex links, and a
+Dummynet loss pipe on every host egress.  The paper used 8 nodes, 3 NICs
+each, 1 Gbit/s, and loss rates of 0%, 1%, 2%; those are the defaults
+here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .costmodel import CostModel
 from .dummynet import DummynetPipe
 from .host import Host
 from .link import Link
-from .nic import NIC
 from .switch import Switch
 
 
@@ -121,9 +121,6 @@ def build_cluster(kernel: Kernel, config: Optional[ClusterConfig] = None) -> Clu
         for h, host in enumerate(hosts):
             switch = pod_switches[cfg.pod_of(h)]
             addr = cfg.address(h, p)
-            nic = NIC(addr)
-            host.add_interface(nic)
-
             up = Link(
                 kernel,
                 f"h{h}p{p}->{switch.name}",
@@ -138,7 +135,7 @@ def build_cluster(kernel: Kernel, config: Optional[ClusterConfig] = None) -> Clu
                 cfg.bandwidth_bps,
                 cfg.prop_delay_ns,
                 cfg.queue_bytes,
-                sink=nic.receive,
+                sink=host.deliver,
             )
             links[up.name] = up
             links[down.name] = down
@@ -151,7 +148,7 @@ def build_cluster(kernel: Kernel, config: Optional[ClusterConfig] = None) -> Clu
                 sink=up.send,
             )
             pipes[f"h{h}p{p}"] = pipe
-            nic.connect(pipe)
+            host.add_address(addr, pipe)
         # full-mesh trunks between the pod switches of this path: the
         # sending pod's switch routes every address of the remote pod
         # down one trunk link (Switch.attach maps many addrs -> one Link)

@@ -65,7 +65,6 @@ from .chunks import (
     ShutdownChunk,
     ShutdownCompleteChunk,
     StateCookie,
-    _pad4,
 )
 from .paths import ACTIVE, PathState
 from .sched import QueuedMessage, make_scheduler
@@ -513,12 +512,14 @@ class Association:
             frag_budget = self._data_budget
             header = DATA_CHUNK_HEADER
         while True:
-            head = sched.peek()
+            head = sched.current  # mid-message: the head is already chosen
             if head is None:
-                break
+                head = sched.peek()
+                if head is None:
+                    break
             remaining = head.nbytes - head.offset
             take = frag_budget if frag_budget < remaining else remaining
-            wire = _pad4(header + take)
+            wire = (header + take + 3) & ~3  # padded to 4 bytes
             if wire > budget:
                 break
             if self.peer_rwnd < take:
@@ -579,9 +580,17 @@ class Association:
         if self.state not in (ESTABLISHED, SHUTDOWN_PENDING, SHUTDOWN_RECEIVED):
             return
         # new data goes to the active path, one packet at a time while
-        # its congestion window has room, until a packet carries nothing
+        # its congestion window has room (PathState.can_send's 1-byte
+        # rule), until a packet carries nothing.  A packet that carries
+        # data starts T3 when it is idle
         path = self._active_path()
-        while self.scheduler.has_pending() and path.can_send():
+        sched = self.scheduler
+        t3 = self._t3_timers[path.addr]
+        while (
+            sched.n_pending
+            and path.state == ACTIVE
+            and path.outstanding_bytes < path.cwnd
+        ):
             if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
                 break  # peer window closed
             chunks: List[Chunk] = []
@@ -598,8 +607,8 @@ class Association:
             chunks.extend(data)
             # the packet is the PMTU less the budget its chunks left
             self._transmit_chunks(chunks, path.addr, size=self.config.pmtu - budget)
-            if data:
-                self._arm_t3(path.addr)
+            if data and t3.deadline is None:
+                t3.restart(path.rto.rto_ns)
         if self._shutdown_requested:
             self._maybe_send_shutdown()
 
@@ -692,7 +701,7 @@ class Association:
         tsn = chunk.tsn
         cum = self.rcv_cum_tsn
         above = self._above_cum
-        if tsn == cum + 1 and not above:
+        if tsn == cum + 1 and not above.starts:
             self.rcv_cum_tsn = tsn  # in order with no gap: nothing to record
         elif tsn <= cum or tsn in above:
             self.stats.duplicate_tsns += 1
@@ -716,7 +725,7 @@ class Association:
 
     def _sack_policy(self) -> None:
         self._packets_since_sack += 1
-        if self._above_cum or self._dups_since_sack:
+        if self._above_cum.starts or self._dups_since_sack:
             self._send_sack()  # report gaps/dups immediately (RFC 4960 §6.7)
         elif self._packets_since_sack >= self.config.sack_every_packets:
             self._send_sack()
@@ -733,14 +742,16 @@ class Association:
 
     def _build_sack(self) -> SackChunk:
         cum = self.rcv_cum_tsn
+        above = self._above_cum
+        # gap blocks as inclusive offsets from cum (RFC 4960 §3.3.4)
+        gaps = tuple((s - cum, e - 1 - cum) for s, e in above) if above.starts else ()
         sack = SackChunk(
             cum_tsn=cum,
             a_rwnd=self._a_rwnd(),
-            # inclusive offsets from cum (RFC 4960 §3.3.4)
-            gaps=tuple((s - cum, e - 1 - cum) for s, e in self._above_cum),
+            gaps=gaps,
             n_dup_tsns=self._dups_since_sack,
         )
-        self.stats.gap_blocks_sent += len(sack.gaps)
+        self.stats.gap_blocks_sent += len(gaps)
         self._packets_since_sack = 0
         self._dups_since_sack = 0
         self._sack_timer.cancel()
@@ -761,8 +772,6 @@ class Association:
     def _on_sack(self, sack: SackChunk, src_addr: str) -> None:
         self.stats.sacks_received += 1
         self.stats.gap_blocks_received += len(sack.gaps)
-        newly_acked: Dict[str, int] = {}
-        cwnd_was_full: Dict[str, bool] = {}
         cum_advanced = sack.cum_tsn > self.cum_tsn_acked
 
         # what this SACK acknowledges: records at or below the cumulative
@@ -790,7 +799,9 @@ class Association:
         self.cum_tsn_acked = max(self.cum_tsn_acked, cum_tsn)
 
         # one accounting body for both kinds — per-TSN hot loop, no
-        # helper calls (several chunks are acknowledged per SACK)
+        # helper calls (several chunks are acknowledged per SACK).  What
+        # this SACK newly acknowledges on a path is summed on the path
+        # itself (PathState.sack_acked) and taken back by the growth loop
         highest_newly_acked = None  # HTNA, RFC 4960 §7.2.4
         total_acked = 0
         paths = self.paths
@@ -803,23 +814,23 @@ class Association:
                 self.outstanding_bytes -= size
                 total_acked += size
                 path = paths[addr]
-                on_path = newly_acked.get(addr)
+                on_path = path.sack_acked
                 if on_path is None:
                     # read before this SACK touches the path.  "cwnd fully
                     # utilized" = no room for another full chunk; an exact
                     # >= test never fires as bursts stop one sub-MTU short
-                    cwnd_was_full[addr] = (
+                    path.sack_cwnd_was_full = (
                         path.outstanding_bytes + path.mtu_payload > path.cwnd
                     )
                     on_path = 0
-                newly_acked[addr] = on_path + size
+                path.sack_acked = on_path + size
                 left = path.outstanding_bytes - size
                 path.outstanding_bytes = left if left > 0 else 0
                 probe = rtt_probe.get(addr)
                 if probe is not None and tsn == probe[0]:
                     del rtt_probe[addr]
                     if record.transmit_count == 1:  # Karn's rule
-                        paths[addr].rto.observe(self.kernel._now - probe[1])
+                        path.rto.observe(self.kernel._now - probe[1])
                 if tsn > cum_tsn:
                     record.gap_acked = True
                     # a gap-acked chunk is no longer outstanding anywhere:
@@ -833,8 +844,9 @@ class Association:
         if total_acked > 0:
             # reachability and backoff are written only when there is
             # something to clear: loss-free, neither is ever set
-            for addr in newly_acked:
-                path = paths[addr]
+            for path in paths.values():
+                if path.sack_acked is None:
+                    continue
                 if path.error_count or path.state != ACTIVE:
                     path.note_success()
                 if path.rto.backoff_exponent:
@@ -875,21 +887,24 @@ class Association:
             self.stats.fast_retransmits += 1
             self._retransmit_marked()
 
-        # congestion window growth
-        for addr, acked in newly_acked.items():
-            self.paths[addr].on_bytes_acked(acked, cwnd_was_full[addr])
-            if self._cwnd_hist is not None:
-                self._cwnd_hist.observe(self.paths[addr].cwnd)
-        # per-path cum-advance bookkeeping + T3 timer management in one
-        # pass (the two are independent per path; timer creation order
-        # across paths is unchanged — same dict iteration order)
-        for addr, path in self.paths.items():
+        # per-path congestion window growth, cum-advance bookkeeping and
+        # T3 timer management in one pass (the three are independent
+        # across paths; T3 restarts keep the paths' order)
+        cwnd_hist = self._cwnd_hist
+        t3_timers = self._t3_timers
+        for addr, path in paths.items():
+            acked_here = path.sack_acked
+            if acked_here is not None:
+                path.sack_acked = None
+                path.on_bytes_acked(acked_here, path.sack_cwnd_was_full)
+                if cwnd_hist is not None:
+                    cwnd_hist.observe(path.cwnd)
             if path.fast_recovery_exit_tsn is not None:
                 path.on_cum_advance(self.cum_tsn_acked)
             if path.outstanding_bytes <= 0:
-                self._t3_timers[addr].cancel()
+                t3_timers[addr].cancel()
             elif cum_advanced:
-                self._arm_t3(addr, restart=True)
+                t3_timers[addr].restart(path.rto.rto_ns)
 
         if self._shutdown_requested:
             self._maybe_send_shutdown()
@@ -964,13 +979,8 @@ class Association:
             if self._san is not None:
                 self._san.on_retransmit(sent_records, "marked")
             self._transmit_chunks(chunks, dest_path.addr)
-            self._arm_t3(dest_path.addr, restart=True)
+            self._t3_timers[dest_path.addr].restart(dest_path.rto.rto_ns)
         return len(chunks)
-
-    def _arm_t3(self, addr: str, restart: bool = False) -> None:
-        timer = self._t3_timers[addr]
-        if restart or timer.deadline is None:
-            timer.restart(self.paths[addr].rto.rto_ns)
 
     def _on_t3(self, addr: str) -> None:
         path = self.paths.get(addr)
@@ -1092,7 +1102,7 @@ class Association:
     def _maybe_send_shutdown(self) -> None:
         if not self._shutdown_requested:
             return
-        if self.scheduler.has_pending() or self.outstanding:
+        if self.scheduler.n_pending or self.outstanding:
             return
         if self.state == SHUTDOWN_PENDING:
             self.state = SHUTDOWN_SENT
@@ -1132,7 +1142,7 @@ class Association:
         self._teardown(reason)
 
     def _on_autoclose(self) -> None:
-        if self.state == ESTABLISHED and not self.outstanding and not self.scheduler.has_pending():
+        if self.state == ESTABLISHED and not self.outstanding and not self.scheduler.n_pending:
             self.close()
 
     def _teardown(self, error: Optional[str]) -> None:

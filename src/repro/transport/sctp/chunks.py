@@ -104,7 +104,8 @@ class SackChunk(Chunk):
     n_dup_tsns: int = 0
 
     def wire_size(self) -> int:
-        return _pad4(SACK_CHUNK_BASE + 4 * len(self.gaps) + 4 * min(self.n_dup_tsns, 16))
+        # every term is a multiple of 4 already: nothing to pad
+        return SACK_CHUNK_BASE + 4 * len(self.gaps) + 4 * min(self.n_dup_tsns, 16)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SACK cum={self.cum_tsn} rwnd={self.a_rwnd} gaps={list(self.gaps)}>"

@@ -43,6 +43,11 @@ class PathState:
         self.outstanding_bytes = 0
         # once-per-loss-event guard for fast retransmit halving
         self.fast_recovery_exit_tsn: int | None = None
+        # the SACK being processed: bytes it newly acknowledged here (None:
+        # none yet) and whether cwnd was full before it touched the path;
+        # Association._on_sack sets both and clears sack_acked again
+        self.sack_acked: int | None = None
+        self.sack_cwnd_was_full = False
         # statistics
         self.fast_retransmits = 0
         self.timeouts = 0
@@ -62,7 +67,7 @@ class PathState:
         """Grow cwnd per RFC 4960 §7.2.1/7.2.2 (byte counting)."""
         if acked <= 0:
             return
-        if self.in_slow_start:
+        if self.cwnd <= self.ssthresh:  # in_slow_start, inlined
             if cwnd_was_full:
                 self.cwnd += min(acked, self.mtu_payload)
         else:

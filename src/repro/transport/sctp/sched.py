@@ -74,6 +74,10 @@ class StreamScheduler:
         ...cut one fragment of `take` payload bytes from head...
         sched.consume(take)          # advance; True when head completed
 
+    ``n_pending`` counts queued messages not yet fully fragmented, and
+    ``current`` is the message ``peek`` chose and ``consume`` has not
+    finished (None: the next ``peek`` chooses); the per-packet send path
+    reads both instead of calling.
     Subclasses implement ``_enqueue`` / ``_choose`` / ``_serve``.
     ``_choose`` must be deterministic and must return a message whenever
     one is queued (a None with pending data would stall the association).
@@ -84,8 +88,8 @@ class StreamScheduler:
     def __init__(self, n_streams: int) -> None:
         self.n_streams = n_streams
         self.interleave = False
-        self._current: Optional[QueuedMessage] = None
-        self._n_pending = 0
+        self.current: Optional[QueuedMessage] = None
+        self.n_pending = 0
         # observability: every consume() is one scheduler decision; an
         # "interleave switch" is consuming message X immediately after
         # leaving a different message Y unfinished (only possible with
@@ -100,23 +104,20 @@ class StreamScheduler:
         I-DATA result; before that the scheduler stays message-sticky."""
         self.interleave = bool(on)
 
-    def has_pending(self) -> bool:
-        return self._n_pending > 0
-
     def push(self, msg: QueuedMessage) -> None:
-        self._n_pending += 1
+        self.n_pending += 1
         self._enqueue(msg)
 
     def peek(self) -> Optional[QueuedMessage]:
-        cur = self._current
+        cur = self.current
         if cur is None:
-            cur = self._current = self._choose()
+            cur = self.current = self._choose()
         return cur
 
     def consume(self, take: int) -> bool:
         """The association encoded ``take`` payload bytes of the peeked
         message into one fragment; returns True when the message is done."""
-        msg = self._current
+        msg = self.current
         msg.offset += take
         msg.fsn += 1
         done = msg.offset >= msg.nbytes
@@ -127,10 +128,10 @@ class StreamScheduler:
         self._last_unfinished = not done
         self._serve(msg, take, done)
         if done:
-            self._n_pending -= 1
-            self._current = None
+            self.n_pending -= 1
+            self.current = None
         elif self.interleave:
-            self._current = None  # re-decide at the next fragment boundary
+            self.current = None  # re-decide at the next fragment boundary
         return done
 
     # -- policy hooks ------------------------------------------------------

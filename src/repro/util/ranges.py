@@ -11,30 +11,35 @@ from typing import Iterator, List, Optional, Tuple
 
 class RangeSet:
     """Ranges ``[start, end)`` kept sorted and disjoint; an insert merges
-    every range it overlaps or touches, so each range is a maximal run."""
+    every range it overlaps or touches, so each range is a maximal run.
 
-    __slots__ = ("_starts", "_ends")
+    ``starts`` and ``ends`` are the ranges' bounds, ascending (read-only
+    outside this class): a per-packet caller tests ``starts`` for
+    emptiness rather than paying a ``__len__`` call.
+    """
+
+    __slots__ = ("starts", "ends")
 
     def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._ends: List[int] = []
+        self.starts: List[int] = []
+        self.ends: List[int] = []
 
     def __len__(self) -> int:  # the number of ranges
-        return len(self._starts)
+        return len(self.starts)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:  # ascending
-        return zip(self._starts, self._ends)
+        return zip(self.starts, self.ends)
 
     def __contains__(self, x: int) -> bool:
-        i = bisect_right(self._starts, x) - 1
-        return i >= 0 and x < self._ends[i]
+        i = bisect_right(self.starts, x) - 1
+        return i >= 0 and x < self.ends[i]
 
     def add(self, start: int, end: int) -> Optional[Tuple[int, int]]:
         """Insert ``[start, end)``; returns the range now holding it (None,
         and nothing changes, when ``start >= end``)."""
         if start >= end:
             return None
-        starts, ends = self._starts, self._ends
+        starts, ends = self.starts, self.ends
         lo = bisect_left(ends, start)  # first range ending at or after start
         hi = bisect_right(starts, end)  # past the last starting at or before end
         if lo < hi:
@@ -46,7 +51,7 @@ class RangeSet:
 
     def missing(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """The parts of ``[lo, hi)`` no range covers, ascending."""
-        starts, ends = self._starts, self._ends
+        starts, ends = self.starts, self.ends
         out = []
         i = bisect_right(ends, lo)  # first range ending after lo
         while lo < hi and i < len(starts) and starts[i] < hi:
@@ -60,8 +65,8 @@ class RangeSet:
 
     def discard_below(self, x: int) -> None:
         """Forget every integer below ``x``."""
-        starts = self._starts
-        i = bisect_right(self._ends, x)  # ranges ending at or below x go whole
-        del starts[:i], self._ends[:i]
+        starts = self.starts
+        i = bisect_right(self.ends, x)  # ranges ending at or below x go whole
+        del starts[:i], self.ends[:i]
         if starts and starts[0] < x:
             starts[0] = x

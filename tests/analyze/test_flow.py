@@ -289,8 +289,8 @@ def test_findings_are_deterministically_ordered(tmp_path):
 def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
     """One command: `ci` gates (0 clean / 1 findings); an allow comment
     on the line is the one way to accept a finding; the retired `lint`
-    and `flow` subcommands and the retired `ci` options are usage
-    errors (2)."""
+    and `flow` subcommands, the retired `ci` options and a path that
+    cannot be read are usage errors (2)."""
     from repro.analyze.__main__ import main
 
     assert main(["flow", "src/repro"]) == 2
@@ -301,6 +301,11 @@ def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
             main(["ci", *retired])
         assert exit_.value.code == 2
     capsys.readouterr()
+    # a path that cannot be read is a usage error too, in one line
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["ci", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
     assert main(["ci"]) == 0
     assert "lint=0 flow=0 -> OK" in capsys.readouterr().out
 

@@ -194,7 +194,7 @@ def test_perturb_restores_fifo_default_after_run():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known race (ROADMAP item 4): at 2,176,706 ns on node0 NIC.receive of "
+    "known race (ROADMAP item 4): at 2,176,706 ns on node0 Host.deliver of "
     "one packet ties with SCTPEndpoint.receive of the previous one, and the "
     "shared HostCPU FIFO takes their jobs in tie order; rows and event counts "
     "agree, the SCTP run ends at 66,742,460 ns (fifo) vs 66,734,460 ns (lifo)"

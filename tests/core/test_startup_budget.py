@@ -5,7 +5,7 @@ message, and pins the exact sorted set of ``repro`` modules it loaded:
 
 * a loss-free run loads one transport stack and one RPI, the ones
   ``WorldConfig.rpi`` names (LAM loads one RPI per job, paper §2.2.1):
-  46 modules on SCTP and 45 on TCP, where every run loaded 60 while each
+  45 modules on SCTP and 44 on TCP, where every run loaded 60 while each
   ``World`` built both stacks;
 * a non-zero ``loss_rate`` adds exactly the :mod:`repro.faults` package
   (its ``__init__`` imports all four of its modules);
@@ -67,7 +67,6 @@ COMMON = (
     "repro.network.dummynet",
     "repro.network.host",
     "repro.network.link",
-    "repro.network.nic",
     "repro.network.packet",
     "repro.network.switch",
     "repro.network.topology",
@@ -141,7 +140,7 @@ def clean(request):
 def test_a_clean_run_loads_one_stack_and_nothing_else(clean):
     rpi, loaded = clean
     assert loaded == sorted(COMMON + STACK[rpi])
-    assert len(loaded) == {"sctp": 46, "tcp": 45}[rpi]
+    assert len(loaded) == {"sctp": 45, "tcp": 44}[rpi]
 
 
 def test_loss_adds_exactly_the_fault_library(clean):

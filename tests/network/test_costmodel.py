@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.network import NIC, CostModel, Host, Packet
+from repro.network import CostModel, Host, Packet
 from repro.simkernel import Kernel
 
 
@@ -92,7 +92,7 @@ def test_host_charges_exactly_the_cost_model(cm):
     for every wire size a packet can have, registered protocol or not."""
     kernel = Kernel(seed=1)
     host = Host(kernel, "h", cm)
-    host.add_interface(NIC("10.0.0.1", egress=lambda packet: None))
+    host.add_address("10.0.0.1", lambda packet: None)
     for proto in ("tcp", "sctp"):
         host.register_protocol(proto, _Sink())
     cpu = host.cpu

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import primary_blackhole
-from repro.network import ClusterConfig, Host, HostCPU, Packet, build_cluster
+from repro.network import ClusterConfig, HostCPU, Packet, build_cluster
 from repro.simkernel import MILLISECOND, Kernel
 
 
@@ -108,9 +108,22 @@ def test_multihomed_addressing():
     host = cluster.hosts[0]
     assert host.addresses() == ["10.0.0.1", "10.1.0.1", "10.2.0.1"]
     assert host.primary_address == "10.0.0.1"
-    assert host.nic_for("10.1.0.1").addr == "10.1.0.1"
-    # unknown source falls back to the primary NIC
-    assert host.nic_for("1.2.3.4").addr == "10.0.0.1"
+    with pytest.raises(ValueError):
+        host.add_address("10.1.0.1", lambda packet: None)
+    sink = Recorder()
+    cluster.hosts[1].register_protocol("t", sink)
+
+    def send_from(src, dst):
+        host.send(Packet(src=src, dst=dst, proto="t", payload=None, wire_size=64))
+
+    # a known source leaves on its own path's uplink; an unknown source
+    # leaves on the primary path's
+    send_from("10.1.0.1", cluster.host_address(1, 1))
+    send_from("1.2.3.4", cluster.host_address(1, 0))
+    k.run()
+    uplinks = [cluster.links[f"h0p{p}->sw{p}"].tx_packets for p in range(3)]
+    assert uplinks == [1, 1, 0]
+    assert [pkt.src for pkt in sink.packets] == ["10.1.0.1", "1.2.3.4"]
 
 
 def test_fail_and_restore_path():

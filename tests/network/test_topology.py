@@ -20,7 +20,7 @@ def test_structure_counts():
     assert len(c.pipes) == 8  # one egress pipe per host per path
     assert len(c.links) == 16  # up+down per host per path
     for h in c.hosts:
-        assert len(h.interfaces) == 2
+        assert len(h.addresses()) == 2
 
 
 def test_deterministic_addressing():

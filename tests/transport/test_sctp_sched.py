@@ -142,10 +142,10 @@ def test_prio_equal_priorities_tie_break_on_sid():
 
 def test_decisions_and_pending_bookkeeping():
     sched = make_scheduler("rr", 2)
-    assert not sched.has_pending()
+    assert sched.n_pending == 0
     sched.push(qm(0, 2 * FRAG))
     sched.push(qm(1, FRAG))
-    assert sched.has_pending()
+    assert sched.n_pending == 2
     drain(sched)
-    assert not sched.has_pending()
+    assert sched.n_pending == 0
     assert sched.decisions == 3
