@@ -44,11 +44,12 @@ class _OutUnit:
 class _InState:
     """Read state machine for one socket (one in-flight message max)."""
 
-    __slots__ = ("buf", "env")
+    __slots__ = ("buf", "env", "body_len")
 
     def __init__(self) -> None:
         self.buf = ChunkList()
         self.env: Optional[Envelope] = None
+        self.body_len = 0  # wire body bytes ``env`` announces
 
 
 class TCPRPI(BaseRPI):
@@ -143,11 +144,13 @@ class TCPRPI(BaseRPI):
         progressed = False
         # inbound: drain the sockets that may be readable, in registration
         # order; every readable socket is among them (Selector.ready)
-        ready = self.selector.ready
+        selector = self.selector
+        ready = selector.ready
         if self._san is not None:
-            self._san.expect_listed(self.selector.sockets, ready, f"rank {self.rank} pump")
+            self._san.expect_listed(selector.sockets, ready, f"rank {self.rank} pump")
         if ready:
-            for sock in list(self.selector.sockets):
+            # retiring a socket rebuilds the tuple: this walk holds still
+            for sock in selector.sockets:
                 if sock not in ready:
                     continue
                 while True:
@@ -167,8 +170,11 @@ class TCPRPI(BaseRPI):
                     self._feed(sock, chunk)
                     progressed = True
                     if nbytes < RECV_CHUNK:
-                        # a short read drained the receive buffer; nothing new
-                        # can arrive synchronously, so skip the would-block call
+                        # a short read drained the receive buffer and nothing
+                        # new arrives synchronously: unless EOF or an error is
+                        # left to read, the next recv would block, so unlist
+                        if not sock.conn._eof and sock.closed_error is None:
+                            ready.discard(sock)
                         break
         if not self._queued_units:
             return progressed
@@ -232,11 +238,11 @@ class TCPRPI(BaseRPI):
             if state.env is None:
                 if state.buf.nbytes < ENVELOPE_SIZE:
                     return
-                state.env = Envelope.unpack(state.buf.take(ENVELOPE_SIZE).to_bytes())
-            body_len = state.env.wire_body_length()
-            if state.buf.nbytes < body_len:
+                state.env = env = Envelope.unpack(state.buf.take(ENVELOPE_SIZE).to_bytes())
+                state.body_len = env.wire_body_length()
+            if state.buf.nbytes < state.body_len:
                 return
-            body = state.buf.take(body_len)
+            body = state.buf.take(state.body_len)
             env, state.env = state.env, None
             if sock not in self._rank_by_sock:
                 if env.kind() != FLAG_HELLO:
@@ -268,9 +274,3 @@ class TCPRPI(BaseRPI):
         if self._waiter is not None:
             self.selector.unblock()  # whoever woke the rank ends its select()
         super().wake()
-
-    def outstanding_output(self) -> int:
-        """Bytes still queued toward peers (diagnostics)."""
-        return sum(
-            sum(u.wire.nbytes - u.offset for u in q) for q in self._outq.values()
-        )

@@ -43,10 +43,12 @@ class SendBuffer:
 
     def write(self, blob: Blob) -> int:
         """Append as much of ``blob`` as fits; returns bytes accepted."""
-        accept = min(blob.nbytes, self.free)
+        nbytes = blob.nbytes
+        free = self.capacity - (self._tail_seq - self._head_seq)  # == free
+        accept = nbytes if nbytes < free else free
         if accept <= 0:
             return 0
-        piece = blob if accept == blob.nbytes else blob.slice(0, accept)
+        piece = blob if accept == nbytes else blob.slice(0, accept)
         self._pieces.append((self._tail_seq, piece))
         self._tail_seq += accept
         return accept
@@ -57,40 +59,54 @@ class SendBuffer:
         return avail if avail > 0 else 0
 
     def read_range(self, seq: int, nbytes: int) -> ChunkList:
-        """Materialise payload for [seq, seq+nbytes) — used for (re)sends."""
-        if seq < self._head_seq or seq + nbytes > self._tail_seq:
+        """Materialise payload for the non-empty [seq, seq+nbytes) — used
+        for (re)sends.  A stored blob wholly inside the range is shared,
+        not sliced."""
+        end = seq + nbytes
+        if seq < self._head_seq or end > self._tail_seq:
             raise ValueError(
-                f"range [{seq},{seq + nbytes}) outside buffered "
+                f"range [{seq},{end}) outside buffered "
                 f"[{self._head_seq},{self._tail_seq})"
             )
-        out = ChunkList()
-        end = seq + nbytes
+        pieces = []
         for start, blob in self._pieces:
             blob_end = start + blob.nbytes
             if blob_end <= seq:
                 continue
             if start >= end:
                 break
-            lo = max(seq, start) - start
-            hi = min(end, blob_end) - start
-            out.append(blob.slice(lo, hi))
+            if seq <= start and blob_end <= end:
+                pieces.append(blob)
+            else:
+                lo = seq - start if seq > start else 0
+                hi = (end if end < blob_end else blob_end) - start
+                pieces.append(blob.slice(lo, hi))
+        # every piece overlaps the range, so none is empty: the run is
+        # built as is, without the constructor's per-piece filtering
+        out = ChunkList.__new__(ChunkList)
+        out.pieces = pieces
+        out.nbytes = nbytes
         return out
 
     def release_below(self, seq: int) -> int:
         """Drop fully acknowledged bytes below ``seq``; returns bytes freed."""
-        seq = min(seq, self._tail_seq)
-        freed = max(0, seq - self._head_seq)
-        while self._pieces:
-            start, blob = self._pieces[0]
+        if seq > self._tail_seq:
+            seq = self._tail_seq
+        freed = seq - self._head_seq
+        if freed <= 0:
+            return 0
+        pieces = self._pieces  # the first one starts at _head_seq
+        while pieces:
+            start, blob = pieces[0]
             if start + blob.nbytes <= seq:
-                self._pieces.popleft()
+                pieces.popleft()
             elif start < seq:
                 # partial ack inside a blob: trim its acked prefix
-                self._pieces[0] = (seq, blob.slice(seq - start, blob.nbytes))
+                pieces[0] = (seq, blob.slice(seq - start, blob.nbytes))
                 break
             else:
                 break
-        self._head_seq = max(self._head_seq, seq)
+        self._head_seq = seq
         return freed
 
 

@@ -30,9 +30,9 @@ class NewRenoState:
 
     def on_new_ack(self, acked_bytes: int) -> None:
         """Cumulative ACK advancing snd_una outside fast recovery."""
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # in_slow_start, sans the property
             # classic: one MSS per ACK (capped by what was acked)
-            self.cwnd += min(self.mss, acked_bytes)
+            self.cwnd += acked_bytes if acked_bytes < self.mss else self.mss
         else:
             # congestion avoidance: ~one MSS per RTT
             self.cwnd += max(1, self.mss * self.mss // self.cwnd)

@@ -162,7 +162,7 @@ class TCPConnection:
         if self.state != CLOSED:
             raise RuntimeError(f"open_active in state {self.state}")
         self.state = SYN_SENT
-        self._send_control(SYN, seq=self.iss)
+        self._send(SYN, self.iss)
         self.snd_nxt = self.iss + 1
         self._arm_rtx()
 
@@ -170,7 +170,7 @@ class TCPConnection:
         """Respond to a received SYN (server side, via the endpoint)."""
         self.state = SYN_RCVD
         self._init_receiver(syn)
-        self._send_control(SYN | ACK, seq=self.iss, ack=self.reassembly.rcv_nxt)
+        self._send(SYN | ACK, self.iss)
         self.snd_nxt = self.iss + 1
         self._arm_rtx()
 
@@ -185,10 +185,6 @@ class TCPConnection:
             self._try_send()
         return accepted
 
-    def app_readable_bytes(self) -> int:
-        """Bytes ready for the application to read."""
-        return self._ready.nbytes
-
     @property
     def eof_pending(self) -> bool:
         """True when the peer's FIN has been consumed up to the stream end."""
@@ -196,11 +192,15 @@ class TCPConnection:
 
     def app_read(self, nbytes: int) -> ChunkList:
         """Consume up to ``nbytes`` of in-order data (empty at EOF)."""
-        take = min(nbytes, self._ready.nbytes)
-        data = self._ready.take(take)
+        ready = self._ready
+        take = nbytes if nbytes < ready.nbytes else ready.nbytes
+        data = ready.take(take)
         if take:
             self.stats.bytes_received += take
-            self._maybe_send_window_update()
+            # re-open the window if the read grew it meaningfully
+            grew = self._recv_window() - self._last_advertised_wnd
+            if grew >= 2 * self.config.mss or grew >= self.config.rcvbuf // 2:
+                self._send_ack_now()
         return data
 
     def writable_bytes(self) -> int:
@@ -226,7 +226,7 @@ class TCPConnection:
     def abort(self) -> None:
         """Send RST and drop all state."""
         if self.state not in (CLOSED, TIME_WAIT):
-            self._send_control(RST | ACK, seq=self.snd_nxt, ack=self._rcv_nxt())
+            self._send(RST | ACK, self.snd_nxt)
         self._teardown("connection aborted")
 
     # ------------------------------------------------------------------
@@ -253,9 +253,7 @@ class TCPConnection:
                 # fall through: the ACK may carry data
             elif flags & SYN:
                 # duplicate SYN: re-send SYN|ACK
-                self._send_control(
-                    SYN | ACK, seq=self.iss, ack=self.reassembly.rcv_nxt
-                )
+                self._send(SYN | ACK, self.iss)
                 return
         if self.state == CLOSED:
             return
@@ -265,7 +263,33 @@ class TCPConnection:
             return
 
         if flags & ACK:
-            self._process_ack(seg)
+            ack = seg.ack
+            prev_wnd = self.snd_wnd
+            self.snd_wnd = window = seg.window
+            if self._persist_timer.deadline is not None and window > 0:
+                self._cancel_persist()
+            if seg.sack_blocks and self.config.sack_enabled:
+                una = self.snd_una
+                for start, end in seg.sack_blocks:
+                    # a malformed block (start >= end) or one wholly below
+                    # snd_una carries no news: ignored, and not counted
+                    if start < end and end > una:
+                        self.stats.sacked_ranges += 1
+                        self._sacked.add(max(start, una), end)
+            if ack > self.snd_nxt:
+                pass  # acks data we never sent: ignored
+            elif ack > self.snd_una:
+                self._on_new_ack(ack)
+            elif (
+                ack == self.snd_una
+                and self.snd_nxt > self.snd_una  # flight size > 0
+                and seg.data_len == 0
+                # the classic BSD test: window updates are not dupacks (the
+                # no-shrink right-edge rule keeps real dupack windows equal)
+                and window == prev_wnd
+                and not flags & (SYN | FIN)
+            ):
+                self._on_dupack()
             if self._san is not None:
                 self._san.on_ack_processed(self)
         if seg.data_len > 0:
@@ -274,7 +298,11 @@ class TCPConnection:
                 self._san.on_delivery(self)
         if flags & FIN:
             self._process_fin(seg)
-        self._try_send()
+        # output, when any is waiting: data past snd_nxt or an unsent FIN
+        if self.send_buffer._tail_seq > self.snd_nxt or (
+            self._fin_queued and self._fin_seq is None
+        ):
+            self._try_send()
 
     def _on_segment_syn_sent(self, seg: TCPSegment) -> None:
         if seg.has(SYN) and seg.has(ACK) and seg.ack == self.snd_nxt:
@@ -294,43 +322,13 @@ class TCPConnection:
         self.snd_wnd = seg.window
 
     # -- ACK processing -------------------------------------------------
-    def _process_ack(self, seg: TCPSegment) -> None:
-        ack = seg.ack
-        prev_wnd = self.snd_wnd
-        self.snd_wnd = seg.window
-        if self._persist_timer.deadline is not None and self.snd_wnd > 0:
-            self._cancel_persist()
-
-        if seg.sack_blocks and self.config.sack_enabled:
-            una = self.snd_una
-            for start, end in seg.sack_blocks:
-                # a malformed block (start >= end) or one wholly below
-                # snd_una carries no news: ignored, and not counted
-                if start < end and end > una:
-                    self.stats.sacked_ranges += 1
-                    self._sacked.add(max(start, una), end)
-
-        if ack > self.snd_nxt:
-            return  # acks data we never sent; ignore
-        if ack > self.snd_una:
-            self._on_new_ack(seg, ack)
-        elif (
-            ack == self.snd_una
-            and self.snd_nxt > self.snd_una  # flight size > 0
-            and seg.data_len == 0
-            # the classic BSD test: window updates are not dupacks (the
-            # no-shrink right-edge rule keeps real dupack windows equal)
-            and seg.window == prev_wnd
-            and not seg.flags & (SYN | FIN)
-        ):
-            self._on_dupack()
-
-    def _on_new_ack(self, seg: TCPSegment, ack: int) -> None:
+    def _on_new_ack(self, ack: int) -> None:
         acked = ack - self.snd_una
         self.snd_una = ack
-        send_buffer = self.send_buffer
-        freed = send_buffer.release_below(min(ack, send_buffer._tail_seq))
-        self._sacked.discard_below(ack)
+        freed = self.send_buffer.release_below(ack)
+        sacked = self._sacked
+        if sacked.starts:  # the scoreboard holds ranges only after a loss
+            sacked.discard_below(ack)
         self._dupacks = 0
 
         # RTT sample (Karn: only if the timed range was never retransmitted)
@@ -413,8 +411,8 @@ class TCPConnection:
             self._segs_since_ack += 1
             if self._segs_since_ack >= 2:
                 self._send_ack_now()
-            else:
-                self._arm_delack()
+            elif self._delack_timer.deadline is None:
+                self._delack_timer.restart(self.config.delayed_ack_ns)
         if delivered.nbytes:
             self.on_readable()
 
@@ -464,30 +462,28 @@ class TCPConnection:
     def _flight_size(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _usable_window(self) -> int:
-        return min(self.cc.cwnd, self.snd_wnd) - self._flight_size()
-
     def _try_send(self) -> None:
         if self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, LAST_ACK, CLOSING):
             return
         send_buffer = self.send_buffer
         rtx = self._rtx_timer
+        mss = self.config.mss
         while True:
             avail = send_buffer._tail_seq - self.snd_nxt  # == bytes_after()
             if avail <= 0:
                 break
-            # usable window, _usable_window()/_flight_size() inlined
-            usable = min(self.cc.cwnd, self.snd_wnd) - (self.snd_nxt - self.snd_una)
+            # usable window: min(cwnd, peer window) - flight size
+            cwnd, wnd = self.cc.cwnd, self.snd_wnd
+            usable = (cwnd if cwnd < wnd else wnd) - (self.snd_nxt - self.snd_una)
             if usable <= 0:
-                if self.snd_wnd == 0 and self.snd_nxt == self.snd_una:
+                if wnd == 0 and self.snd_nxt == self.snd_una:
                     self._arm_persist()
                 break
-            seg_len = min(self.config.mss, avail, usable)
-            if (
-                self.config.nagle
-                and seg_len < self.config.mss
-                and self._flight_size() > 0
-            ):
+            # min(mss, avail, usable)
+            seg_len = mss if mss < avail else avail
+            if usable < seg_len:
+                seg_len = usable
+            if self.config.nagle and seg_len < mss and self.snd_nxt > self.snd_una:
                 break  # Nagle: hold sub-MSS data until everything is acked
             self._emit_data(self.snd_nxt, seg_len, retransmit=False)
             self.snd_nxt += seg_len
@@ -506,7 +502,6 @@ class TCPConnection:
 
     def _emit_data(self, seq: int, length: int, retransmit: bool) -> None:
         data = self.send_buffer.read_range(seq, length)
-        seg = self._make_segment(ACK, seq=seq, data=data)
         if retransmit:
             self.stats.retransmitted_segments += 1
             # Karn: a retransmitted range must not produce an RTT sample
@@ -517,34 +512,23 @@ class TCPConnection:
             if self._rtt_seq is None:
                 self._rtt_seq = seq + length
                 self._rtt_sent_at = self.kernel._now
-        self._transmit(seg)
-        self._ack_sent()
+        self._send(ACK, seq, data)
+        # the segment carries the current ack: cancel any delayed ACK
+        if self._delack_timer.deadline is not None:
+            self._delack_timer.cancel()
+        self._segs_since_ack = 0
 
     def _send_fin_segment(self) -> None:
-        seg = self._make_segment(FIN | ACK, seq=self._fin_seq)
-        self._transmit(seg)
-        self._ack_sent()
-
-    def _send_control(self, flags: int, seq: int, ack: int = 0) -> None:
-        seg = self._make_segment(flags, seq=seq, ack=ack)
-        self._transmit(seg)
+        self._send(FIN | ACK, self._fin_seq)
+        if self._delack_timer.deadline is not None:
+            self._delack_timer.cancel()
+        self._segs_since_ack = 0
 
     def _send_ack_now(self) -> None:
         if self._delack_timer.deadline is not None:
             self._delack_timer.cancel()
         self._segs_since_ack = 0
-        seg = self._make_segment(ACK, seq=self.snd_nxt)
-        self._transmit(seg)
-        self._last_advertised_wnd = seg.window
-
-    def _ack_sent(self) -> None:
-        # data segments carry the current ack: cancel any delayed ACK
-        if self._delack_timer.deadline is not None:
-            self._delack_timer.cancel()
-        self._segs_since_ack = 0
-
-    def _rcv_nxt(self) -> int:
-        return self.reassembly.rcv_nxt if self.reassembly is not None else 0
+        self._last_advertised_wnd = self._send(ACK, self.snd_nxt).window
 
     def _recv_window(self) -> int:
         """Advertised window, honouring RFC 793's no-shrink rule.
@@ -567,47 +551,29 @@ class TCPConnection:
             self._rcv_adv = right_edge
         return window
 
-    def _maybe_send_window_update(self) -> None:
-        """After the app reads, re-open the window if it grew meaningfully."""
-        wnd = self._recv_window()
-        grew = wnd - self._last_advertised_wnd
-        if grew >= 2 * self.config.mss or grew >= self.config.rcvbuf // 2:
-            self._send_ack_now()
-
-    def _make_segment(
-        self,
-        flags: int,
-        seq: int,
-        ack: Optional[int] = None,
-        data: Optional[ChunkList] = None,
-    ) -> TCPSegment:
-        """A segment from this end; ``ack`` defaults to the current
-        ``_rcv_nxt()``."""
+    def _send(self, flags: int, seq: int, data: Optional[ChunkList] = None) -> TCPSegment:
+        """Build a segment from this end, count it and hand it to the host.
+        It acknowledges the receive in-order point (0 before the peer's
+        SYN arrived) and carries the current window."""
+        ack = 0
         sack = ()
         reassembly = self.reassembly
-        if ack is None:
-            ack = reassembly.rcv_nxt if reassembly is not None else 0
-        # SACK blocks exist only while data is parked (``recent`` non-empty)
-        if reassembly is not None and reassembly.recent and self.config.sack_enabled:
-            sack = reassembly.sack_blocks(self.config.max_sack_blocks)
-        return TCPSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=self._recv_window(),
-            data=data,
-            sack_blocks=sack,
+        if reassembly is not None:
+            ack = reassembly.rcv_nxt
+            # SACK blocks exist only while data is parked (``recent`` non-empty)
+            if reassembly.recent and self.config.sack_enabled:
+                sack = reassembly.sack_blocks(self.config.max_sack_blocks)
+        seg = TCPSegment(
+            self.local_port, self.remote_port, seq, ack, flags,
+            self._recv_window(), data, sack,
         )
-
-    def _transmit(self, seg: TCPSegment) -> None:
         self.stats.segments_sent += 1
         if self._san is not None:
             self._san.on_segment_sized(seg)
         self.host.send(
             Packet(self.local_addr, self.remote_addr, "tcp", seg, seg.wire_len)
         )
+        return seg
 
     # ------------------------------------------------------------------
     # timers
@@ -625,13 +591,13 @@ class TCPConnection:
                 return
             self.rto.back_off()
             self.stats.rto_events += 1
-            self._send_control(SYN, seq=self.iss)
+            self._send(SYN, self.iss)
             self._arm_rtx()
             return
         if self.state == SYN_RCVD:
             self.rto.back_off()
             self.stats.rto_events += 1
-            self._send_control(SYN | ACK, seq=self.iss, ack=self._rcv_nxt())
+            self._send(SYN | ACK, self.iss)
             self._arm_rtx()
             return
         if self._flight_size() <= 0:
@@ -653,11 +619,6 @@ class TCPConnection:
             elif self._fin_seq is not None:
                 self._send_fin_segment()
         self._arm_rtx()
-
-    def _arm_delack(self) -> None:
-        timer = self._delack_timer
-        if timer.deadline is None:
-            timer.restart(self.config.delayed_ack_ns)
 
     def _on_delack(self) -> None:
         if self.state != CLOSED:

@@ -10,7 +10,7 @@ socket-per-peer design.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
@@ -106,10 +106,10 @@ class TCPSocket:
 
     @property
     def writable(self) -> bool:
-        """Send buffer has room (or the socket is dead: writes will raise)."""
-        if self.closed_error is not None:
-            return True
-        return self.conn.state == "ESTABLISHED" and self.conn.writable_bytes() > 0
+        """Send buffer has room (or the socket is dead: writes will raise).
+        A half-closed socket (the peer's FIN arrived, ``CLOSE_WAIT``) still
+        takes bytes, so it is writable too, as under ``select()``."""
+        return self.closed_error is not None or self.conn.writable_bytes() > 0
 
     @property
     def send_blocked(self) -> bool:
@@ -187,12 +187,15 @@ class Selector:
     registered socket reports its readiness events here, and ``ready``
     holds the sockets that may be readable.  A socket joins it when
     registered or when it reports while readable, and leaves only when its
-    reader's ``recv`` would block and discards it: ``sock.readable => sock
-    in ready``.  A task woken by a report resumes inline, inside it
-    (:class:`~repro.simkernel.futures.Task`), so ``ready`` is exact then.
+    reader finds it drained and discards it (a ``recv`` would block, or a
+    short read left neither data, EOF nor an error to read):
+    ``sock.readable => sock in ready``.  A task woken by a report resumes
+    inline, inside it (:class:`~repro.simkernel.futures.Task`), so
+    ``ready`` is exact then.
 
     The charge's two terms are derived once, when the selector is built,
-    from the host's frozen cost model (``select_cost`` at 0 and 1 sockets).
+    from the host's frozen cost model (``select_cost`` at 0 and 1 sockets);
+    the read set's part is kept as sockets are registered and unregistered.
 
     ``stalled`` is the write-side mirror: the sockets whose last write left
     a unit unfinished, added by the writer after a short write.  A socket
@@ -206,25 +209,33 @@ class Selector:
     def __init__(self, host, wake: Callable[[], None]) -> None:
         self.host = host
         self._wake = wake
-        self.sockets: List[TCPSocket] = []  # the read set, in registration order
+        # the read set, in registration order; a new tuple on every
+        # (un)registration, so a walk over it holds still while it runs
+        self.sockets: Tuple[TCPSocket, ...] = ()
         self.ready: Set[TCPSocket] = set()
         self.stalled: Set[TCPSocket] = set()
         # write set of the select() the owner is blocked in; None when not
         self._blocked_writes: Optional[List[TCPSocket]] = None
         self.calls = 0
         cost_model = host.cost_model
-        self._charge_base_ns = base = cost_model.select_cost(0)
+        base = cost_model.select_cost(0)
         self._charge_per_socket_ns = cost_model.select_cost(1) - base
+        # select_cost(len(sockets)), kept as sockets are (un)registered
+        self._read_set_charge_ns = base
 
     def register(self, sock: TCPSocket) -> None:
         """Watch ``sock`` for reading from now on (it may be readable)."""
-        self.sockets.append(sock)
+        self.sockets += (sock,)
+        self._read_set_charge_ns += self._charge_per_socket_ns
         self.ready.add(sock)
         sock._route_events(partial(self._socket_event, sock))
 
     def unregister(self, sock: TCPSocket) -> None:
         """Stop watching ``sock`` and ignore its further events."""
-        self.sockets.remove(sock)
+        sockets = list(self.sockets)
+        sockets.remove(sock)
+        self.sockets = tuple(sockets)
+        self._read_set_charge_ns -= self._charge_per_socket_ns
         self.ready.discard(sock)
         self.stalled.discard(sock)
         sock._route_events(_noop)
@@ -240,10 +251,10 @@ class Selector:
         early (the owner was woken by something else).
         """
         self.calls += 1
-        self.host.cpu.charge(  # == select_cost(), sans the method call
-            self._charge_base_ns
-            + self._charge_per_socket_ns * (len(self.sockets) + len(write_sockets))
-        )
+        charge = self._read_set_charge_ns  # == select_cost(), sans the call
+        if write_sockets:
+            charge += self._charge_per_socket_ns * len(write_sockets)
+        self.host.cpu.charge(charge)
         ready = self.ready
         for sock in self.sockets:
             if sock in ready and sock.readable:

@@ -217,6 +217,28 @@ def test_fig9_ep_class_s_cell_is_schedule_independent():
     assert perturb_cell("fig9", {"kernel": "EP", "cls": "S"}, modes=("lifo",)).deterministic
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known loss-free race (ROADMAP 3(b)): the short farm on TCP digests "
+    "703dd1a1... (fifo), f6d492fd... (lifo) and 60ee43ae... (shuffle:7)"
+))
+def test_farm_short_tcp_loss_free_cell_is_schedule_independent():
+    from repro.analyze.perturb import perturb_cell
+
+    params = {"protocol": "tcp", "size_label": "short", "loss": 0}
+    assert perturb_cell("farm", params, modes=("lifo",)).deterministic
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known loss-free race (ROADMAP 3(b)): the short farm on SCTP digests "
+    "6c57e167... (fifo), d47e0538... (lifo) and bf99f43d... (shuffle:7)"
+))
+def test_farm_short_sctp_loss_free_cell_is_schedule_independent():
+    from repro.analyze.perturb import perturb_cell
+
+    params = {"protocol": "sctp", "size_label": "short", "loss": 0}
+    assert perturb_cell("farm", params, modes=("lifo",)).deterministic
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -41,9 +41,12 @@ def _blob(n):
 
 
 class _TcpStub:
-    """A socket with one chunk to read that takes every write whole."""
+    """A socket with one chunk to read that takes every write whole; no
+    EOF or error is left to read once it is drained."""
 
     chunk = None
+    conn = SimpleNamespace(_eof=False)
+    closed_error = None
 
     def recv(self, _max):
         chunk, self.chunk = self.chunk, None

@@ -21,7 +21,8 @@ def test_tcp_malformed_sack_blocks_are_ignored():
     conn = tcp_pair(kernel, cluster)[0].conn
     mss, sent = conn.config.mss, []
     conn.app_write(SyntheticBlob(8 * mss))
-    conn._transmit = sent.append  # capture from here on; the wire stays idle
+    # capture what the host sends from here on; the wire stays idle
+    conn.host.send = lambda packet: sent.append(packet.payload)
     una = conn.snd_una
     blocks = ((una + 500, una + 100), (una - 300, una))
     for _ in range(conn.config.dupack_threshold):

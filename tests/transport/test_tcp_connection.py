@@ -90,13 +90,13 @@ def test_flow_control_blocks_sender_when_receiver_slow():
     kernel.spawn(push())
     kernel.run(until=kernel.now + 2 * SECOND)
     # receiver never reads: delivery must stall near the 32 KB window
-    buffered = server.conn.app_readable_bytes()
+    buffered = server.conn._ready.nbytes
     assert buffered <= 32_000 + 16  # window + at most a few persist probes
     assert buffered >= 16_000
     # now drain and confirm the window reopens and more data flows
     server.conn.app_read(1 << 20)
     kernel.run(until=kernel.now + 5 * SECOND)
-    assert server.conn.app_readable_bytes() > 0
+    assert server.conn._ready.nbytes > 0
 
 
 def test_zero_window_persist_probe():

@@ -137,7 +137,7 @@ def test_selector_unblock_and_unregister_stop_wakes():
     kernel.run(until=kernel.now + 1 * SECOND)
     assert woken == [] and server in selector.ready
     selector.unregister(server)
-    assert selector.sockets == [] and server not in selector.ready
+    assert selector.sockets == () and server not in selector.ready
     client.send(RealBlob(b"more"))
     kernel.run(until=kernel.now + 1 * SECOND)
     assert server.readable and server not in selector.ready
@@ -150,3 +150,16 @@ def test_eof_makes_socket_readable():
     kernel.run(until=kernel.now + 2 * SECOND)
     assert server.readable
     assert server.recv(10).nbytes == 0  # EOF
+
+
+def test_half_closed_socket_is_writable():
+    """After the peer's FIN (CLOSE_WAIT) the send buffer still takes bytes,
+    so the socket is writable, as a real select() reports it."""
+    kernel, cluster = make_cluster()
+    client, server, _ = tcp_pair(kernel, cluster)
+    client.close()
+    kernel.run(until=kernel.now + 2 * SECOND)
+    assert server.conn.state == "CLOSE_WAIT"
+    assert server.conn.writable_bytes() > 0 and not server.send_blocked
+    assert server.writable
+    assert server.send(RealBlob(b"hello")) == 5
