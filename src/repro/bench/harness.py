@@ -118,15 +118,41 @@ def _fig8_cell(
     ]
 
 
+#: where sctp/tcp must cross 1.0: the paper's ~22 KiB, within a factor of two
+FIG8_CROSSOVER_BAND = (11 * 1024, 44 * 1024)
+
+
+def fig8_crossover(ratios: Dict[int, float]) -> Optional[float]:
+    """The message size at which sctp/tcp first reaches 1.0, interpolated
+    linearly between the two measured sizes around it (None: never)."""
+    below = None
+    for size in sorted(ratios):
+        ratio = ratios[size]
+        if ratio >= 1.0:
+            if below is None:
+                return float(size)
+            lo, lo_ratio = below
+            return lo + (size - lo) * (1.0 - lo_ratio) / (ratio - lo_ratio)
+        below = (size, ratio)
+    return None
+
+
 def fig8_claim(rows: List[ExperimentRow]) -> List[str]:
     """Fig. 8, paper shape: TCP wins for small messages, SCTP wins for large
     ones, with the crossover near 22 KiB."""
     ratios = {int(r.label.split()[1][:-1]): r.measured["sctp/tcp"] for r in rows}
+    crossover = fig8_crossover(ratios)
+    lo, hi = FIG8_CROSSOVER_BAND
     return _failed(
         (ratios[1] < 1.0, "TCP must win tiny messages"),
         (ratios[4096] < 1.05, "TCP competitive through small sizes"),
         (ratios[98302] > 1.0, "SCTP must win large messages"),
         (ratios[131069] > 1.05, "SCTP clearly ahead at 128K"),
+        (
+            crossover is not None and lo <= crossover <= hi,
+            f"sctp/tcp must cross 1.0 within {lo // 1024}-{hi // 1024} KiB"
+            f" (crosses at {'none' if crossover is None else f'{crossover / 1024:.1f} KiB'})",
+        ),
     )
 
 

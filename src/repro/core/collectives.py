@@ -31,13 +31,12 @@ def _coll_isend(comm, data: Any, dest: int, tag: int) -> SendRequest:
     body, extra = encode_payload(data)
     req = SendRequest(
         rpi=comm.rpi,
-        dest=comm._to_world(dest),
+        dest=comm.world_ranks[dest],
         tag=tag,
         context=collective_context(comm.cid),
         body=body,
         flags_extra=extra,
         synchronous=False,
-        seqnum=comm.rpi.next_seq(),
     )
     comm.rpi.start_send(req)
     return req
@@ -46,7 +45,7 @@ def _coll_isend(comm, data: Any, dest: int, tag: int) -> SendRequest:
 def _coll_irecv(comm, source: int, tag: int) -> RecvRequest:
     req = RecvRequest(
         rpi=comm.rpi,
-        source=comm._to_world(source),
+        source=comm.world_ranks[source],
         tag=tag,
         context=collective_context(comm.cid),
     )

@@ -10,26 +10,35 @@ check framing); bodies may be synthetic.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import NamedTuple
 
 from ..util.blobs import RealBlob
-from .constants import FLAG_LONG_BODY, FLAG_SHORT, FLAG_SSEND, KIND_MASK
+from .constants import FLAG_LONG_BODY, FLAG_SHORT, FLAG_SSEND
 
 _FORMAT = "<qiiiii"  # length, tag, context, rank, flags, seqnum
 _STRUCT = struct.Struct(_FORMAT)  # prebound: skips the format-cache lookup
 _pack = _STRUCT.pack
-_unpack = _STRUCT.unpack
 ENVELOPE_SIZE = _STRUCT.size  # 28 bytes
 
-# envelope kinds that carry their body inline (all others travel alone)
-_INLINE_BODY_KINDS = frozenset((FLAG_SHORT, FLAG_SSEND, FLAG_LONG_BODY))
+#: parsing exactly ENVELOPE_SIZE wire bytes is
+#: ``envelope_of(unpack_fields(raw))``: two C callables, so framing an
+#: inbound envelope costs no Python frame (``unpack_fields`` raises
+#: ``struct.error`` on any other length)
+unpack_fields = _STRUCT.unpack
+
+#: envelope kinds (``flags & KIND_MASK``) whose body follows them on the
+#: wire; ``length`` always holds the full message body size, but a
+#: rendezvous envelope (and the ACK/control envelopes) travels alone —
+#: the body comes later, under a LONG_BODY envelope
+INLINE_BODY_KINDS = frozenset((FLAG_SHORT, FLAG_SSEND, FLAG_LONG_BODY))
 
 
 class Envelope(NamedTuple):
     """One middleware envelope: immutable and equal by value.
 
     A named tuple, the cheapest immutable record to build: an envelope
-    is built twice per message.
+    is built twice per message (once to send, once parsed on arrival).
     """
 
     length: int  # body bytes that follow (0 for pure control envelopes)
@@ -52,30 +61,13 @@ class Envelope(NamedTuple):
             )
         )
 
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Envelope":
-        """Parse from exactly ENVELOPE_SIZE wire bytes."""
-        if len(raw) != ENVELOPE_SIZE:
-            raise ValueError(f"envelope must be {ENVELOPE_SIZE} bytes, got {len(raw)}")
-        return cls._make(_unpack(raw))
-
-    def kind(self) -> int:
-        """The single kind bit set in flags."""
-        return self.flags & KIND_MASK
-
-    def wire_body_length(self) -> int:
-        """Bytes that follow this envelope *on the wire*.
-
-        ``length`` always holds the full message body size, but a
-        rendezvous envelope (and the various ACK/control envelopes)
-        travels alone — the body comes later, under a LONG_BODY envelope.
-        """
-        if self.flags & KIND_MASK in _INLINE_BODY_KINDS:
-            return self.length
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Env len={self.length} tag={self.tag} ctx={self.context} "
             f"rank={self.rank} flags={self.flags:#x} seq={self.seqnum}>"
         )
+
+
+#: the six unpacked fields as an :class:`Envelope`, without namedtuple's
+#: Python-level ``__new__`` or ``_make``
+envelope_of = partial(tuple.__new__, Envelope)

@@ -1,8 +1,9 @@
-"""Encoding application data to wire bodies and back.
+"""Encoding application data to wire bodies.
 
 Follows mpi4py's split: generic Python objects travel pickled; callers
 moving raw sized payloads (benchmarks) pass a :class:`Blob`/:class:`ChunkList`
-directly and get one back, paying only byte *accounting*.
+directly and get one back, paying only byte *accounting*.  The inverse is
+the receive's completion step, :meth:`~repro.core.request.RecvRequest.deliver`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,3 @@ def encode_payload(data: Any) -> Tuple[ChunkList, int]:
         return ChunkList([RealBlob(bytes(data))]), 0
     return ChunkList([RealBlob(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))]), FLAG_PICKLED
 
-
-def decode_payload(body: ChunkList, flags: int) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if flags & FLAG_PICKLED:
-        return pickle.loads(body.to_bytes())
-    return body

@@ -1,20 +1,25 @@
 """MPI request objects and completion status.
 
 A :class:`Request` is what ``isend``/``irecv`` return; the progression
-engine moves it through its protocol states and marks it ``done`` (a
-failure is kept in ``error``).  Nothing awaits a request: the wait calls
-progress the engine until ``done`` is set, then re-raise ``error``.
+engine moves it through its protocol states and marks it ``done``.
+Nothing awaits a request: the wait calls progress the engine until
+``done`` is set.  A request never fails: an error in the engine raises
+out of the pump, and so out of the blocked MPI call (DESIGN §9.4).
 ``Status`` mirrors MPI_Status: actual source, tag and byte count —
 essential with wildcards.
+
+A request is built in one frame: its constructor draws its id (and a
+send its sequence number) from the owning rank's RPI itself.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..util.blobs import ChunkList
-from .constants import ANY_SOURCE, ANY_TAG
+from .constants import FLAG_PICKLED
 
 # request protocol states
 S_INIT = "init"
@@ -38,39 +43,14 @@ class Status:
 class Request:
     """One in-flight communication request.
 
-    Ids and the completion count live on the owning rank's RPI, so they
-    restart with every world and nothing process-global is written.
+    Ids, sequence numbers and the completion count live on the owning
+    rank's RPI, so they restart with every world and nothing
+    process-global is written.
     """
 
-    __slots__ = ("kind", "rpi", "id", "state", "done", "error", "status", "data")
+    __slots__ = ("rpi", "id", "state", "done", "data")
 
-    def __init__(self, kind: str, rpi, status: Status) -> None:
-        self.kind = kind  # "send" | "recv"
-        self.rpi = rpi  # the owning rank's progression engine
-        self.id = rpi.next_request_id()
-        self.state = S_INIT
-        self.done = False  # set by complete()/fail(), never cleared
-        self.error: Optional[BaseException] = None  # set by fail()
-        self.status = status
-        self.data: Any = None  # decoded payload (recv side)
-
-    def complete(self, data: Any = None) -> None:
-        """Mark done and tell the rank's waiters something completed."""
-        if self.done:
-            return
-        self.state = S_DONE
-        self.done = True
-        self.data = data
-        self.rpi.completions += 1
-
-    def fail(self, exc: BaseException) -> None:
-        """Complete the request with an error."""
-        if self.done:
-            return
-        self.state = S_DONE
-        self.done = True
-        self.error = exc
-        self.rpi.completions += 1
+    kind: str  # "send" | "recv", set by each subclass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request r{self.rpi.rank}#{self.id} {self.kind} {self.state}>"
@@ -79,9 +59,9 @@ class Request:
 class SendRequest(Request):
     """Outgoing message: payload plus protocol bookkeeping."""
 
-    __slots__ = (
-        "dest", "tag", "context", "body", "flags_extra", "synchronous", "seqnum"
-    )
+    __slots__ = ("dest", "tag", "context", "body", "flags_extra", "synchronous", "seqnum")
+
+    kind = "send"
 
     def __init__(
         self,
@@ -92,43 +72,67 @@ class SendRequest(Request):
         body: ChunkList,
         flags_extra: int,
         synchronous: bool,
-        seqnum: int,
     ) -> None:
-        super().__init__("send", rpi, Status(rpi.rank, tag, body.nbytes))
+        rpi.request_ids += 1
+        self.id = rpi.request_ids
+        rpi.seq += 1
+        self.seqnum = rpi.seq  # sender-unique: pairs ACKs and bodies with it
+        self.rpi = rpi
+        self.state = S_INIT
+        self.done = False  # set by complete(), never cleared
+        self.data = None
         self.dest = dest
         self.tag = tag
         self.context = context
         self.body = body
         self.flags_extra = flags_extra
         self.synchronous = synchronous
-        self.seqnum = seqnum
+
+    @property
+    def status(self) -> Status:
+        """What a send reports: this rank, the tag and the body size."""
+        return Status(self.rpi.rank, self.tag, self.body.nbytes)
+
+    def complete(self) -> None:
+        """Mark done and tell the rank's waiters something completed."""
+        if self.done:
+            return
+        self.state = S_DONE
+        self.done = True
+        self.rpi.completions += 1
 
 
 class RecvRequest(Request):
     """Posted receive: matching criteria plus an accumulation buffer."""
 
-    __slots__ = (
-        "source", "tag", "context", "body", "expected_length", "body_flags",
-        "matched_source", "matched_seqnum",
-    )
+    __slots__ = ("source", "tag", "context", "env", "body")
+
+    kind = "recv"
 
     def __init__(self, rpi, source: int, tag: int, context: int) -> None:
-        super().__init__("recv", rpi, Status())
+        rpi.request_ids += 1
+        self.id = rpi.request_ids
+        self.rpi = rpi
+        self.state = S_INIT
+        self.done = False  # set by deliver(), never cleared
+        self.data: Any = None  # the decoded payload
         self.source = source  # may be ANY_SOURCE
         self.tag = tag  # may be ANY_TAG
         self.context = context
+        self.env = None  # the envelope matched: eager, or a rendezvous's
         self.body: Optional[ChunkList] = None  # a rendezvous body's pieces
-        self.expected_length: Optional[int] = None
-        self.body_flags = 0
-        self.matched_source: Optional[int] = None
-        self.matched_seqnum: Optional[int] = None
 
-    def matches(self, env_tag: int, env_context: int, env_rank: int) -> bool:
-        """MPI matching rule with wildcards."""
-        if self.context != env_context:
-            return False
-        if self.source != ANY_SOURCE and self.source != env_rank:
-            return False
-        if self.tag != ANY_TAG and self.tag != env_tag:
-            return False
-        return True
+    @property
+    def status(self) -> Status:
+        """Source, tag and length of the message matched (empty before)."""
+        env = self.env
+        return Status() if env is None else Status(env.rank, env.tag, env.length)
+
+    def deliver(self, env, body: ChunkList) -> None:
+        """Complete with the message ``env`` announced: ``body`` decoded
+        (unpickled when the sender pickled it)."""
+        self.env = env
+        self.data = pickle.loads(body.to_bytes()) if env.flags & FLAG_PICKLED else body
+        self.state = S_DONE
+        self.done = True
+        self.rpi.completions += 1

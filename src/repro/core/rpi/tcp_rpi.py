@@ -24,8 +24,8 @@ from typing import Callable, Deque, Dict, Optional
 
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
-from ..constants import FLAG_HELLO, MPI_BASE_PORT
-from ..envelope import ENVELOPE_SIZE, Envelope
+from ..constants import FLAG_HELLO, KIND_MASK, MPI_BASE_PORT
+from ..envelope import ENVELOPE_SIZE, INLINE_BODY_KINDS, Envelope, envelope_of, unpack_fields
 from .base import BaseRPI
 
 #: bytes asked of the socket per recv call (LAM posts the whole buffer)
@@ -64,7 +64,7 @@ class TCPRPI(BaseRPI):
         # rank, so it calls the base wake, without this class's unblock()
         self.selector = Selector(self.host, super().wake)
         # per-chunk hot path: prebind the middleware cost coefficients
-        # (fixed for the host's lifetime) so _pump/_send_some do integer
+        # (fixed for the host's lifetime) so _pump does integer
         # arithmetic instead of a cost-model method call per socket op
         cm = self.host.cost_model
         self._mw_base_ns = cm.tcp_syscall_ns
@@ -132,9 +132,8 @@ class TCPRPI(BaseRPI):
     # transport plumbing
     # ------------------------------------------------------------------
     def _enqueue_unit(self, dest, env, body, on_sent=None) -> None:
-        wire = ChunkList([env.pack()])
-        if body is not None:
-            wire.extend(body)
+        # envelope and body as one byte run, built once
+        wire = ChunkList([env.pack()] if body is None else [env.pack(), *body.pieces])
         self._outq[dest].append(_OutUnit(wire, on_sent))
         self._queued_units += 1
         self.stats.units_sent += 1
@@ -192,9 +191,21 @@ class TCPRPI(BaseRPI):
                 continue  # peer not connected yet (only during init), or full
             while queue:
                 unit = queue[0]
-                if self._send_some(sock, unit) > 0:
-                    progressed = True
-                if unit.offset >= unit.wire.nbytes:
+                wire = unit.wire
+                # write the unit a piece at a time, until it is out or a
+                # short write filled the send buffer (the next would take 0)
+                while unit.offset < wire.nbytes:
+                    piece = wire.piece_at(unit.offset)
+                    accepted = sock.send(piece)
+                    if accepted:
+                        self.host.cpu.charge(
+                            self._mw_base_ns + self._mw_per_kib_ns * accepted // 1024
+                        )
+                        unit.offset += accepted
+                        progressed = True
+                    if accepted < piece.nbytes:
+                        break
+                if unit.offset >= wire.nbytes:
                     queue.popleft()
                     self._queued_units -= 1
                     if unit.on_sent is not None:
@@ -211,23 +222,6 @@ class TCPRPI(BaseRPI):
             self._sock_by_rank.pop(rank, None)
         self._in_state.pop(sock, None)
 
-    def _send_some(self, sock: TCPSocket, unit: _OutUnit) -> int:
-        """Write ``unit`` until it is out or the send buffer is full."""
-        sent = 0
-        wire = unit.wire
-        while unit.offset < wire.nbytes:
-            piece = wire.piece_at(unit.offset)
-            accepted = sock.send(piece)
-            if accepted:
-                self.host.cpu.charge(
-                    self._mw_base_ns + self._mw_per_kib_ns * accepted // 1024
-                )
-                unit.offset += accepted
-                sent += accepted
-            if accepted < piece.nbytes:
-                break  # a short write filled the buffer: the next would take 0
-        return sent
-
     def _feed(self, sock: TCPSocket, chunk: ChunkList) -> None:
         state = self._in_state[sock]
         if state.buf.nbytes:
@@ -238,14 +232,17 @@ class TCPRPI(BaseRPI):
             if state.env is None:
                 if state.buf.nbytes < ENVELOPE_SIZE:
                     return
-                state.env = env = Envelope.unpack(state.buf.take(ENVELOPE_SIZE).to_bytes())
-                state.body_len = env.wire_body_length()
+                state.env = env = envelope_of(
+                    unpack_fields(state.buf.take(ENVELOPE_SIZE).to_bytes())
+                )
+                # the body bytes that follow this envelope on the wire
+                state.body_len = env.length if env.flags & KIND_MASK in INLINE_BODY_KINDS else 0
             if state.buf.nbytes < state.body_len:
                 return
             body = state.buf.take(state.body_len)
             env, state.env = state.env, None
             if sock not in self._rank_by_sock:
-                if env.kind() != FLAG_HELLO:
+                if env.flags & KIND_MASK != FLAG_HELLO:
                     raise RuntimeError(
                         f"rank {self.rank}: first unit on a socket must be "
                         f"HELLO, got {env!r}"

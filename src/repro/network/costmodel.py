@@ -15,6 +15,24 @@ simulated crossover lands near the paper's ~22 KiB and documented here
 rather than hidden inside protocol code.  ``crc32c_per_kib_ns`` defaults to
 0 because the paper disabled CRC32c in the kernel for all experiments
 (§4 setup item 5); tests re-enable it to check the documented overhead.
+
+What is charged where, and in which order.  Every charge goes into the
+host's one CPU FIFO (:class:`~repro.network.host.HostCPU`), so it delays
+whatever is charged after it:
+
+* per packet, at ``Host.send`` (:meth:`CostModel.packet_send_cost`; the
+  packet enters its egress pipe when the CPU reaches it) and at
+  ``Host.deliver`` (:meth:`CostModel.packet_recv_cost`; the transport
+  gets the packet when the CPU is done with it);
+* per socket call in each RPI — ``send``/``recv`` on TCP,
+  ``sendmsg``/``recvmsg`` on SCTP — :meth:`CostModel.middleware_io_cost`
+  of the bytes the call moved, after the call returns (a call that moved
+  nothing costs nothing).  So the packets a write emits are charged, and
+  leave, before the CPU pays for copying the message;
+* per ``select()`` (TCP RPI only), :meth:`CostModel.select_cost` of the
+  read and write sets, charged inside the call.
+
+``tests/core/test_middleware_charge.py`` pins that order on both stacks.
 """
 
 from __future__ import annotations

@@ -54,11 +54,6 @@ class PathState:
         self.failures = 0  # ACTIVE -> INACTIVE transitions
 
     # -- congestion window -------------------------------------------------
-    @property
-    def in_slow_start(self) -> bool:
-        """RFC 4960 enters slow start when cwnd <= ssthresh (paper §4.1.1)."""
-        return self.cwnd <= self.ssthresh
-
     def can_send(self) -> bool:
         """The 1-byte rule: any cwnd space at all admits a full PMTU."""
         return self.state == ACTIVE and self.outstanding_bytes < self.cwnd
@@ -67,7 +62,8 @@ class PathState:
         """Grow cwnd per RFC 4960 §7.2.1/7.2.2 (byte counting)."""
         if acked <= 0:
             return
-        if self.cwnd <= self.ssthresh:  # in_slow_start, inlined
+        # slow start: RFC 4960 is in it while cwnd <= ssthresh (paper §4.1.1)
+        if self.cwnd <= self.ssthresh:
             if cwnd_was_full:
                 self.cwnd += min(acked, self.mtu_payload)
         else:

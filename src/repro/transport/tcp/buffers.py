@@ -184,8 +184,3 @@ class ReassemblyBuffer:
     def sack_blocks(self, max_blocks: int) -> Tuple[Tuple[int, int], ...]:
         """Most-recently-updated SACK blocks, capped at ``max_blocks``."""
         return tuple(self.recent[:max_blocks])
-
-    @property
-    def has_gaps(self) -> bool:
-        """Whether any out-of-order data is parked."""
-        return bool(self._segments)

@@ -23,14 +23,9 @@ class NewRenoState:
         self.fast_retransmits = 0
         self.timeouts = 0
 
-    @property
-    def in_slow_start(self) -> bool:
-        """Exponential-growth phase."""
-        return self.cwnd < self.ssthresh
-
     def on_new_ack(self, acked_bytes: int) -> None:
         """Cumulative ACK advancing snd_una outside fast recovery."""
-        if self.cwnd < self.ssthresh:  # in_slow_start, sans the property
+        if self.cwnd < self.ssthresh:  # slow start: the exponential phase
             # classic: one MSS per ACK (capped by what was acked)
             self.cwnd += acked_bytes if acked_bytes < self.mss else self.mss
         else:

@@ -395,7 +395,7 @@ class TCPConnection:
         if reassembly is None:
             return
         before_nxt = reassembly.rcv_nxt
-        # has_gaps, sans the property call: parked bytes are the gaps' data
+        # parked bytes are the gaps' data: none parked, no gaps
         had_gaps = reassembly.out_of_order_bytes > 0
         delivered = reassembly.offer(seg.seq, seg.data)
         if delivered.nbytes:

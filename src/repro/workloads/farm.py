@@ -116,7 +116,8 @@ async def _manager(comm, p: FarmParams):
         if ready_res is not None:
             req = result_recvs.pop(ready_res)
             results_got += 1
-            per_worker[req.status.source] = per_worker.get(req.status.source, 0) + 1
+            source = req.status.source
+            per_worker[source] = per_worker.get(source, 0) + 1
             outstanding_results = results_expected - results_got
             if len(result_recvs) < outstanding_results:
                 result_recvs.append(comm.irecv(source=ANY_SOURCE, tag=RESULT_TAG))

@@ -97,6 +97,31 @@ def test_claim_rejects_counterexample(figure):
     assert any(fragment in message for message in failures), failures
 
 
+def _fig8_rows(crossing_at):
+    """Fig. 8 rows that hold every point check, with sctp/tcp reaching 1.0
+    exactly at ``crossing_at`` bytes."""
+    sizes = harness.FIG8_SIZES
+    ratios = {1: 0.4, 1024: 0.6, 4096: 0.9, 98302: 1.1, 131069: 1.2}
+    for size in sizes:
+        if size not in ratios:
+            ratios[size] = 0.95 if size < crossing_at else (1.0 if size == crossing_at else 1.05)
+    return _rows("sctp/tcp", {f"pingpong {size}B": ratios[size] for size in sizes})
+
+
+@pytest.mark.parametrize("crossing_at, holds", [(8192, False), (16384, True), (65536, False)])
+def test_fig8_claim_pins_the_crossover(crossing_at, holds):
+    failures = MATRICES["fig8"].claim(_fig8_rows(crossing_at))
+    assert harness.fig8_crossover(
+        {int(r.label.split()[1][:-1]): r.measured["sctp/tcp"] for r in _fig8_rows(crossing_at)}
+    ) == crossing_at
+    if holds:
+        assert failures == []
+    else:
+        assert len(failures) == 1 and "must cross 1.0 within 11-44 KiB" in failures[0]
+    # interpolated between the measured sizes around the crossing
+    assert harness.fig8_crossover({8192: 0.9, 16384: 1.1}) == pytest.approx(12288)
+
+
 def _figure(name, failures):
     return harness.ExperimentMatrix(
         (), lambda: [ExperimentRow(name, {"value": 1.0})],

@@ -3,8 +3,14 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import run_app
-from repro.core.constants import FLAG_SHORT
-from repro.core.envelope import ENVELOPE_SIZE, Envelope
+from repro.core.constants import FLAG_SHORT, KIND_MASK
+from repro.core.envelope import (
+    ENVELOPE_SIZE,
+    INLINE_BODY_KINDS,
+    Envelope,
+    envelope_of,
+    unpack_fields,
+)
 
 LIMIT = 600_000_000_000
 
@@ -42,10 +48,12 @@ def test_tcp_feed_reconstructs_units_from_any_segmentation(data):
                 if state.buf.nbytes < ENVELOPE_SIZE:
                     return
                 head, state.buf = state.buf.split(ENVELOPE_SIZE)
-                state.env = Envelope.unpack(head.to_bytes())
-            if state.buf.nbytes < state.env.wire_body_length():
+                state.env = envelope_of(unpack_fields(head.to_bytes()))
+                inline = state.env.flags & KIND_MASK in INLINE_BODY_KINDS
+                state.body_len = state.env.length if inline else 0
+            if state.buf.nbytes < state.body_len:
                 return
-            body, state.buf = state.buf.split(state.env.wire_body_length())
+            body, state.buf = state.buf.split(state.body_len)
             received.append((state.env, body.to_bytes()))
             state.env = None
 

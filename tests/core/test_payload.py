@@ -3,9 +3,24 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.core.constants import FLAG_PICKLED
-from repro.core.payload import decode_payload, encode_payload
+from repro.core.constants import FLAG_PICKLED, FLAG_SHORT
+from repro.core.envelope import Envelope
+from repro.core.payload import encode_payload
+from repro.core.request import RecvRequest
 from repro.util.blobs import ChunkList, RealBlob, SyntheticBlob
+
+
+class _StubRPI:
+    rank = 0
+    completions = 0
+    request_ids = 0
+
+
+def decode_payload(body, flags):
+    """What a matched receive hands the application (``RecvRequest.deliver``)."""
+    req = RecvRequest(_StubRPI(), source=1, tag=0, context=0)
+    req.deliver(Envelope(body.nbytes, 0, 0, 1, FLAG_SHORT | flags, 1), body)
+    return req.data
 
 
 def test_bytes_pass_through_unpickled():

@@ -1,23 +1,20 @@
 """Progression-step cost budget (DESIGN §9.4): counts only, no wall clock.
 
 One progression step must cost what is ready, not what is queued or
-posted.  On a farm whose manager keeps several send queues blocked on a
-small send buffer:
+posted.  On the budget table's ``farm_*`` world (4 ranks, 60 tasks,
+fanout 10, ten streams, 72 KiB send buffers, so the manager's send
+queues block constantly):
 
 * the SCTP RPI never makes a ``sendmsg`` call the association refuses —
   a queue head that cannot fit is passed over before anything is built
-  (the commit before the readiness rework made 20,583 refused calls in
-  this world, each with a packed envelope and a sliced body: 20,793
-  packs for 210 units),
+  (before the readiness rework: 20,583 refused calls, 20,793 packs for
+  210 units),
 * an envelope is packed exactly once per unit, on either stack,
 * ``waitany``/``waitall`` read ``done`` in proportion to completions, not
   to progression steps (before: 57,757 reads on TCP, 32,666 on SCTP),
-* and none of this adds a progression step: ``advance_calls`` per rank
-  equals what that commit counted on TCP, and on SCTP is lower by
-  exactly the steps whose pump could neither send nor read — the ones a
-  SACK freeing send room would wake while every ``(rank, stream)`` queue
-  was empty (manager 770 → 744), and, with write readiness, while the
-  freed room still could not take any stalled head (744 → 155).
+* and the progression steps per rank are the table's exactly (the
+  TCP counts of the commit before the rework; on SCTP fewer by the steps
+  whose pump could neither send nor read: manager 770 → 744 → 155).
 """
 
 import pytest
@@ -29,15 +26,9 @@ from repro.transport.sctp import OneToManySocket, SCTPConfig
 from repro.transport.tcp import TCPConfig
 from repro.workloads.farm import FarmParams, make_farm
 
-SNDBUF = 72 * 1024  # just above one eager-limit piece: queues block constantly
+from ..budget import budget
 
-# per-rank stats.advance_calls: the commit before the rework (TCP), and
-# that count less the writable wake-ups whose pump could neither send nor
-# read (SCTP; 744 before write readiness, 770 before the empty-queue gate)
-ADVANCE_CALLS = {
-    "tcp": [926, 89, 101, 29],
-    "sctp": [155, 11, 15, 17],
-}
+SNDBUF = 72 * 1024  # just above one eager-limit piece: queues block constantly
 
 
 class _CountedDone:
@@ -51,10 +42,6 @@ class _CountedDone:
     def done(self):
         self._tally["done_reads"] += 1
         return self.request.done
-
-    @property
-    def error(self):
-        return self.request.error
 
 
 def _farm_counts(rpi, monkeypatch):
@@ -131,4 +118,4 @@ def test_done_reads_follow_completions_not_steps(counts):
 
 def test_progression_steps_unchanged(counts):
     rpi, tally = counts
-    assert tally["advance_calls"] == ADVANCE_CALLS[rpi]
+    assert tally["advance_calls"] == budget.pinned(f"farm_{rpi}")["advance_calls"]

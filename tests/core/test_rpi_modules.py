@@ -8,6 +8,8 @@ import pytest
 from repro.analyze.sanitize import InvariantViolation, sanitized
 from repro.bench.harness import _collective_storm
 from repro.core import run_app
+from repro.core.constants import FLAG_SHORT
+from repro.core.envelope import Envelope
 from repro.core.world import World, WorldConfig
 from repro.transport.sctp import MessageTooBig, SCTPConfig
 from repro.util.blobs import SyntheticBlob
@@ -73,10 +75,18 @@ def test_sctp_rpi_single_socket_many_assocs():
 # ---------------------------------------------------------------------------
 # SCTP RPI stream mapping (§3.2.1)
 # ---------------------------------------------------------------------------
+def _stream_for(rpi, context, tag):
+    """The stream the RPI queues a (context, tag) unit on (§3.2.1)."""
+    rpi._outq.clear()
+    rpi._enqueue_unit(1, Envelope(0, tag, context, 0, FLAG_SHORT, 0), None)
+    ((_rank, stream),) = rpi._outq
+    return stream
+
+
 def test_stream_mapping_spreads_tags():
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, num_streams=10))
     rpi = world.processes[0].rpi
-    streams = {rpi.stream_for(context=0, tag=t) for t in range(10)}
+    streams = {_stream_for(rpi, context=0, tag=t) for t in range(10)}
     assert len(streams) == 10  # ten tags -> ten distinct streams
     assert all(0 <= s < 10 for s in streams)
 
@@ -84,15 +94,15 @@ def test_stream_mapping_spreads_tags():
 def test_stream_mapping_same_trc_same_stream():
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1))
     rpi = world.processes[0].rpi
-    assert rpi.stream_for(0, 5) == rpi.stream_for(0, 5)
+    assert _stream_for(rpi, 0, 5) == _stream_for(rpi, 0, 5)
     # different contexts may differ even at equal tags
-    assert rpi.stream_for(1, 5) in range(10)
+    assert _stream_for(rpi, 1, 5) in range(10)
 
 
 def test_single_stream_ablation_module():
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, num_streams=1))
     rpi = world.processes[0].rpi
-    assert all(rpi.stream_for(c, t) == 0 for c in range(3) for t in range(20))
+    assert all(_stream_for(rpi, c, t) == 0 for c in range(3) for t in range(20))
 
 
 def test_sctp_rpi_config_is_the_socket_overlay():

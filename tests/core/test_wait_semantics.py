@@ -10,10 +10,6 @@ LIMIT = 120_000_000_000
 MS = 1_000_000
 
 
-class Boom(RuntimeError):
-    pass
-
-
 def _run(app, rpi):
     return run_app(app, n_procs=2, rpi=rpi, seed=1, limit_ns=LIMIT).results
 
@@ -78,51 +74,3 @@ def test_completion_inside_isend_is_seen(rpi):
 
     results = _run(app, rpi)
     assert results == [(0, 0), "eager"]
-
-
-@BOTH_RPIS
-def test_failed_request_reraises_from_every_wait_call(rpi):
-    async def app(comm):
-        if comm.rank == 0:
-            await comm.send("ok", dest=1, tag=1)
-            return None
-        good = comm.irecv(source=0, tag=1)
-        await comm.wait(good)
-        bad = comm.irecv(source=0, tag=99)  # never sent
-        bad.fail(Boom("link down"))
-        raised = []
-        for call in (
-            lambda: comm.wait(bad),
-            lambda: comm.waitany([bad, good]),
-            lambda: comm.waitall([good, bad]),
-        ):
-            try:
-                await call()
-            except Boom:
-                raised.append(True)
-        # lowest index still wins: a finished request ahead of the failed one
-        index, _req = await comm.waitany([good, bad])
-        return raised, index
-
-    assert _run(app, rpi)[1] == ([True, True, True], 0)
-
-
-@BOTH_RPIS
-def test_failure_while_blocked_wakes_the_waiter(rpi):
-    async def app(comm):
-        if comm.rank == 0:
-            return None
-        never = [comm.irecv(source=0, tag=50), comm.irecv(source=0, tag=51)]
-
-        def cut():
-            never[1].fail(Boom("late"))
-            comm.rpi.wake()
-
-        comm.process.kernel.call_after(5 * MS, cut)
-        with pytest.raises(Boom):
-            await comm.waitall(never[1:])
-        with pytest.raises(Boom):
-            await comm.waitany(never)
-        return never[0].done, never[1].done
-
-    assert _run(app, rpi)[1] == (False, True)

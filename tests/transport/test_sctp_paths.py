@@ -22,7 +22,7 @@ def make_path(**kw):
 def test_initial_cwnd_rfc4960():
     p = make_path()
     assert p.cwnd == min(4 * MTU, max(2 * MTU, 4380))
-    assert p.in_slow_start  # cwnd <= ssthresh
+    assert p.cwnd <= p.ssthresh  # in slow start
 
 
 def test_one_byte_rule():

@@ -11,7 +11,7 @@ MSS = 1448
 def test_initial_window_three_segments():
     cc = NewRenoState(MSS)
     assert cc.cwnd == 3 * MSS
-    assert cc.in_slow_start
+    assert cc.cwnd < cc.ssthresh  # in slow start
 
 
 def test_slow_start_grows_per_ack():
