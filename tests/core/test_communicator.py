@@ -158,6 +158,25 @@ def test_probe_and_iprobe(rpi):
 
 
 @BOTH_RPIS
+def test_probe_rejects_a_source_outside_the_communicator(rpi):
+    async def app(comm):
+        if comm.rank == 2:
+            await comm.send("from two", dest=0, tag=7)
+        elif comm.rank == 0:
+            await comm.probe(source=2, tag=7)  # buffered now
+            for source in (-2, comm.size):  # -2 must not wrap to rank 2
+                with pytest.raises(ValueError, match="outside communicator"):
+                    comm.iprobe(source=source)
+                with pytest.raises(ValueError, match="outside communicator"):
+                    await comm.probe(source=source)
+            return await comm.recv(source=2, tag=7)
+        return None
+
+    r = run_app(app, n_procs=4, rpi=rpi, seed=1, limit_ns=LIMIT)
+    assert r.results[0] == "from two"
+
+
+@BOTH_RPIS
 def test_comm_dup_isolates_contexts(rpi):
     async def app(comm):
         comm2 = comm.dup()
