@@ -63,8 +63,9 @@ class OneToManySocket:
         self._assocs: Dict[int, Association] = {}
         self._by_peer: Dict[tuple, int] = {}  # (addr, port) -> assoc_id
         # delivered messages in arrival order (the paper: "messages are
-        # received by the application in the order they arrive")
-        self._inbox: Deque[ReceivedMessage] = deque()
+        # received by the application in the order they arrive"); the
+        # owner may test it for emptiness, ``recvmsg`` alone takes from it
+        self.inbox: Deque[ReceivedMessage] = deque()
         self.closed = False
         # notification hooks
         self.on_readable: Callable[[], None] = _noop
@@ -169,9 +170,9 @@ class OneToManySocket:
 
     def recvmsg(self) -> Optional[ReceivedMessage]:
         """Next whole message in arrival order, or None (would block)."""
-        if not self._inbox:
+        if not self.inbox:
             return None
-        msg = self._inbox.popleft()
+        msg = self.inbox.popleft()
         # the application has taken the data: re-open the peer's window
         assoc = self._assocs.get(msg.assoc_id)
         if assoc is not None:
@@ -181,10 +182,10 @@ class OneToManySocket:
     @property
     def readable(self) -> bool:
         """Whether recvmsg would return a message right now."""
-        return bool(self._inbox)
+        return bool(self.inbox)
 
     def _deliver(self, assoc: Association, message: AssembledMessage) -> None:
-        self._inbox.append(ReceivedMessage(assoc.assoc_id, message))
+        self.inbox.append(ReceivedMessage(assoc.assoc_id, message))
         self.on_readable()
 
     # -- teardown ---------------------------------------------------------------

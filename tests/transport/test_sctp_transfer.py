@@ -158,7 +158,7 @@ def test_flow_control_rwnd_throttles_sender():
             sent += 1
     kernel.run(until=kernel.now + 10 * SECOND)
     assoc = s0.association(aid)
-    delivered_not_read = sum(m.nbytes for m in s1._inbox)
+    delivered_not_read = sum(m.nbytes for m in s1.inbox)
     # everything delivered so far is parked in the (bounded) receive buffer,
     # plus at most a few RTO-paced zero-window probe chunks
     assert delivered_not_read <= 60_000 + 12 * 1452
