@@ -5,7 +5,7 @@ parses and tokenizes source.  Each ``.py`` file is read once; what the
 rules need from it is recorded on its :class:`ModuleInfo`: the tree, the
 ``# repro: allow[...]`` comments, a syntax error (AN100) if it did not
 parse, the import table, module-level names and every function / method
-indexed by dotted qualname (``repro.network.packet.Packet.describe``).
+indexed by dotted qualname (``repro.network.host.Host.send``).
 The vocabulary the rules share lives here too: one :class:`Finding`,
 one :data:`RULES` table and one nondeterminism-source recogniser
 (:meth:`Program.source_kind`), so the call-site rules (AN101/AN102) and
@@ -44,6 +44,7 @@ RULES: Dict[str, str] = {
     "AN104": "id() used for ordering; ids are allocation addresses",
     "AN105": "kernel heap internals touched outside simkernel/kernel.py",
     "AN106": "unused suppression; the allow comment matches no finding",
+    "AN107": "definition referenced nowhere else in the program",
     "AN201": "wall-clock value flows into a simulation-visible sink",
     "AN202": "unseeded-randomness value flows into a simulation-visible sink",
     "AN203": "process-identity value flows into a simulation-visible sink",
@@ -129,10 +130,10 @@ class AllowComment:
 class FunctionInfo:
     """One function or method definition in the program."""
 
-    qualname: str  # "repro.network.packet.Packet.describe"
-    module: str  # "repro.network.packet"
+    qualname: str  # "repro.network.host.Host.send"
+    module: str  # "repro.network.host"
     path: str  # source file (as given to Program.load)
-    name: str  # bare name ("describe")
+    name: str  # bare name ("send")
     class_name: Optional[str]  # enclosing class, None for module-level
     params: Tuple[str, ...]  # positional-or-keyword parameter names, in order
     lineno: int
@@ -328,7 +329,7 @@ class Program:
         return program
 
     @classmethod
-    def from_sources(
+    def from_sources(  # repro: allow[AN107] — test seam for planted programs
         cls, sources: Dict[str, Tuple[str, str]]
     ) -> "Program":
         """Build from in-memory sources: ``{module_name: (path, source)}``.

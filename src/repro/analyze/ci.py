@@ -23,7 +23,7 @@ from . import flow, lint
 from .callgraph import Finding, Program
 
 #: the rule registry: plain functions ``Program -> findings``
-CHECKS = (lint.check, flow.check_taint)
+CHECKS = (lint.check, lint.check_unreferenced, flow.check_taint)
 
 
 def run_rules(program: Program) -> List[Finding]:

@@ -1,4 +1,4 @@
-"""The syntactic rules: hazards visible in one file's tree (AN101-AN105).
+"""The syntactic rules: hazards in the trees (AN101-AN105, AN107).
 
 The whole reproduction stands on bit-determinism (same seed, same
 figure), so the classic ways Python code goes nondeterministic are
@@ -23,20 +23,23 @@ AN104     ``id()`` used for ordering (inside ``sorted``/``min``/``max`` or
 AN105     touching kernel heap internals (``kernel._heap``, ``._seq``,
           writes to ``._now`` ...) outside ``simkernel/kernel.py`` —
           event order is the kernel's alone to maintain
+AN107     a function, method or class whose name nothing else in the
+          program mentions — code that no caller reaches
 ========  ==================================================================
 
 :func:`check` is one rule function over the
 :class:`~.callgraph.Program`: it walks each module's already-parsed tree
 and asks :meth:`Program.source_kind` what a call reads, so AN101/AN102
 fire on exactly the calls the taint engine treats as sources, under any
-import spelling.  Suppression and AN106 happen after every rule has run
+import spelling.  :func:`check_unreferenced` (AN107) reads the same
+trees as one program.  Suppression and AN106 happen after every rule has run
 (:mod:`repro.analyze.ci`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List
+from typing import Dict, List, Set, Tuple
 
 from .callgraph import (
     _SEEDABLE_RANDOM,
@@ -257,4 +260,65 @@ def check(program: Program) -> List[Finding]:
     return findings
 
 
-__all__ = ["check"]
+def _visitor_methods(node: ast.ClassDef) -> List[ast.AST]:
+    """``visit_*`` methods of an ``ast.NodeVisitor`` subclass: ``ast``
+    calls them by a name built at run time, so no source mentions them."""
+    if not any(dotted_name(b).endswith("NodeVisitor") for b in node.bases):
+        return []
+    return [
+        stmt
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("visit_")
+    ]
+
+
+def check_unreferenced(program: Program) -> List[Finding]:
+    """AN107: a definition whose name appears nowhere else in *program*.
+
+    A mention is a name, an attribute, an import (name or alias) or a
+    string that is an identifier (an ``__all__`` entry, a ``getattr``
+    name).  Dunders and ``ast.NodeVisitor`` callbacks are called by the
+    interpreter, so they are exempt.  Matching by bare name over-counts
+    mentions, which errs towards silence: a method shares its fate with
+    every other attribute of that name.
+    """
+    mentioned: Set[str] = set()
+    defs: List[Tuple[ModuleInfo, ast.AST]] = []
+    exempt: Set[ast.AST] = set()
+    for module in program.modules.values():
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.add(node.name.rpartition(".")[2])
+                if node.asname:
+                    mentioned.add(node.asname)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    mentioned.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((module, node))
+                if isinstance(node, ast.ClassDef):
+                    exempt.update(_visitor_methods(node))
+    findings: List[Finding] = []
+    for module, node in defs:
+        name = node.name
+        if name in mentioned or node in exempt or (
+            name.startswith("__") and name.endswith("__")
+        ):
+            continue
+        kind = "class" if isinstance(node, ast.ClassDef) else "function"
+        findings.append(
+            Finding(
+                module.path, node.lineno, node.col_offset + 1, "AN107",
+                f"{kind} {name!r} is referenced nowhere in the program; delete "
+                "it, or accept it with allow[AN107] and the reason it stays",
+            )
+        )
+    return findings
+
+
+__all__ = ["check", "check_unreferenced"]

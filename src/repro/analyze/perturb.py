@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Mask bits available for tie-break perturbation.  Sequence numbers are
 #: monotonically increasing ints; 62 bits keeps masked keys well inside
@@ -140,11 +140,6 @@ class PerturbResult:
         """True when every mode digested identically to the baseline."""
         base = self.digests.get(self.baseline)
         return all(d == base for d in self.digests.values())
-
-    @property
-    def divergent_modes(self) -> List[str]:
-        base = self.digests.get(self.baseline)
-        return sorted(m for m, d in self.digests.items() if d != base)
 
     def report(self) -> str:
         lines = [f"perturb {self.label}: "

@@ -70,7 +70,11 @@ class UnexpectedMessageTable:
         self.held += 1
         msg = UnexpectedMessage(env, body, self._arrivals)
         key = (env.context, env.rank, env.tag)
-        self._buckets.setdefault(key, deque()).append(msg)
+        buckets = self._buckets
+        if key in buckets:
+            buckets[key].append(msg)
+        else:  # a deque only for a new bucket, not one per message
+            buckets[key] = deque((msg,))
         if body is not None:
             self.buffered_bytes += body.nbytes
             self.max_buffered_bytes = max(self.max_buffered_bytes, self.buffered_bytes)

@@ -60,10 +60,6 @@ class WorldResult:
     total_ns: int  # includes init
     world: "World"
 
-    @property
-    def duration_s(self) -> float:
-        return self.duration_ns / 1e9
-
 
 # A stack is (endpoint factory: host -> endpoint, RPI class).  Each loader
 # imports its transport and RPI itself, so a world loads only the stack its

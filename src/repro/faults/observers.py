@@ -46,7 +46,6 @@ class DeliveryWatch(PacketTap):
         fault_start_ns: int = 0,
         min_stall_ns: int = 1 * MILLISECOND,
     ) -> None:
-        super().__init__()
         self.proto = proto
         self.fault_start_ns = fault_start_ns
         self.min_stall_ns = min_stall_ns

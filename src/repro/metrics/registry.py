@@ -30,9 +30,8 @@ Two metric styles coexist:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Optional, Union
+from typing import Any, Callable, Dict, Iterable, Union
 
 Number = Union[int, float]
 
@@ -218,7 +217,3 @@ class MetricsRegistry:
         for name, fn in self._probes.items():
             out[name] = _coerce(fn())
         return dict(sorted(out.items()))
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Stable JSON rendering of :meth:`snapshot`."""
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)

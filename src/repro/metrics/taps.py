@@ -1,7 +1,7 @@
 """Packet-tap infrastructure shared by tracing and metrics.
 
 Hosts publish every transmitted/received packet to the callbacks in
-``host.taps``.  :class:`PacketTap` is the attach/detach plumbing every
+``host.taps``.  :class:`PacketTap` is the attach plumbing every
 consumer shares; :class:`repro.util.trace.PacketTrace` (the tcpdump-like
 recorder) and :class:`MetricsPacketTap` (per-host, per-protocol packet
 and byte counters) are both consumers of the same bus, so a benchmark
@@ -10,7 +10,7 @@ can count *and* trace without the host knowing either exists.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .registry import Counter, MetricsScope
 
@@ -23,22 +23,11 @@ class PacketTap:
     ``packet`` the :class:`~repro.network.packet.Packet` on the wire.
     """
 
-    def __init__(self) -> None:
-        self._attached: List = []
-
     def attach(self, hosts: Iterable) -> "PacketTap":
         """Start observing ``hosts``; returns self for chaining."""
         for host in hosts:
             host.taps.append(self._tap)
-            self._attached.append(host)
         return self
-
-    def detach(self) -> None:
-        """Stop observing everything."""
-        for host in self._attached:
-            if self._tap in host.taps:
-                host.taps.remove(self._tap)
-        self._attached.clear()
 
     def _tap(self, direction: str, host, packet) -> None:
         self.on_packet(direction, host, packet)
@@ -57,7 +46,6 @@ class MetricsPacketTap(PacketTap):
     """
 
     def __init__(self, scope: MetricsScope) -> None:
-        super().__init__()
         self._scope = scope
         self._counters: Dict[Tuple[str, str, str], Tuple[Counter, Counter]] = {}
 

@@ -45,11 +45,3 @@ class Packet:
             f"payload={self.payload!r}, wire_size={self.wire_size!r}, "
             f"pkt_id={self.pkt_id!r}, corrupted={self.corrupted!r})"
         )
-
-    def describe(self) -> str:
-        """Short human-readable trace line for logging/tests."""
-        flag = " CORRUPT" if self.corrupted else ""
-        return (
-            f"#{self.pkt_id} {self.proto} {self.src}->{self.dst} "
-            f"{self.wire_size}B{flag} {self.payload!r}"
-        )

@@ -80,17 +80,9 @@ class Cluster:
         """Address of host ``host_index`` on ``path``."""
         return self.config.address(host_index, path)
 
-    def pipe_for(self, host_index: int, path: int = 0) -> DummynetPipe:
-        """The egress Dummynet pipe of one host interface."""
-        return self.pipes[f"h{host_index}p{path}"]
-
     def arm_scenario(self, scenario: "FaultScenario") -> "ArmedScenario":
         """Arm a fault-injection timeline onto this cluster's egress pipes."""
         return scenario.arm(self.kernel, self.pipes)
-
-    def total_dropped(self) -> int:
-        """Packets dropped by all Dummynet pipes (not queue drops)."""
-        return sum(p.dropped_packets for p in self.pipes.values())
 
 
 def build_cluster(kernel: Kernel, config: Optional[ClusterConfig] = None) -> Cluster:

@@ -498,10 +498,6 @@ class Kernel:
             self, max_wall_s, max_events, max_stall_events, check_every
         )
 
-    def disarm_watchdog(self) -> None:
-        """Remove any armed watchdog (effective at the next run entry)."""
-        self._watchdog = None
-
     # -- running ---------------------------------------------------------
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the earliest queued entry, or None when idle.

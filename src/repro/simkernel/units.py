@@ -28,12 +28,3 @@ def tx_time_ns(nbytes: int, bits_per_second: int) -> int:
     bits = nbytes * 8
     return max(1, (bits * SECOND + bits_per_second - 1) // bits_per_second)
 
-
-def ns_to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds into float seconds for reporting."""
-    return ns / SECOND
-
-
-def seconds_to_ns(seconds: float) -> int:
-    """Convert (possibly fractional) seconds into integer nanoseconds."""
-    return int(round(seconds * SECOND))

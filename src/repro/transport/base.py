@@ -9,16 +9,16 @@ much more expensive for TCP in the paper's loss experiments, so it is
 modelled explicitly here rather than buried in each stack.
 
 :class:`TCPConfig` and :class:`SCTPConfig` live here too (and are
-re-exported by their stacks): they are frozen tunables that need only the
-timer personalities and the simulator's time units, so a
-:class:`~repro.core.world.WorldConfig` can carry both while a world
-imports just the stack its RPI runs on.
+re-exported by their stacks): they are frozen settings that need only the
+simulator's time units, so a :class:`~repro.core.world.WorldConfig` can
+carry both while a world imports just the stack its RPI runs on.  A
+setting is a field only where a caller sets it; the rest are constants
+of the one module that reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..simkernel import MILLISECOND, SECOND
 
@@ -109,42 +109,31 @@ class RTOEstimator:
 
 @dataclass(frozen=True)
 class TCPConfig:
-    """Tunables; defaults match the paper's experimental settings (§4)."""
+    """The TCP settings a caller sets: the paper's 220 KiB buffers (§4).
 
-    mss: int = 1448
+    Every other TCP setting is a constant of
+    :mod:`repro.transport.tcp.connection`, the one module that reads it.
+    """
+
     sndbuf: int = 220 * 1024  # paper sets both buffers to 220 KiB
     rcvbuf: int = 220 * 1024
-    nagle: bool = False  # LAM-TCP disables Nagle by default
-    sack_enabled: bool = True  # enabled on all nodes per the paper
-    max_sack_blocks: int = 3  # IP option space limits reporting (§4.1.1)
-    dupack_threshold: int = 3
-    delayed_ack_ns: int = 100 * MILLISECOND
-    timers: TimerPersonality = BSD_TCP_TIMERS
-    max_syn_retries: int = 5
-    time_wait_ns: int = 1_000 * MILLISECOND  # shortened 2MSL for simulation
 
 
 @dataclass(frozen=True)
 class SCTPConfig:
-    """Tunables; defaults match the paper's setup (220 KiB buffers, 10
-    streams, SACK, KAME timer behaviour)."""
+    """The SCTP settings a caller sets; defaults match the paper's setup
+    (220 KiB buffers, 10 streams).  The fixed ones (PMTU, SACK policy,
+    KAME timers, retransmission limits) are constants of
+    :mod:`repro.transport.sctp.association` and
+    :mod:`repro.transport.sctp.endpoint`."""
 
-    pmtu: int = 1500
     sndbuf: int = 220 * 1024
     rcvbuf: int = 220 * 1024
     n_out_streams: int = 10
     n_in_streams: int = 10
-    sack_delay_ns: int = 200 * MILLISECOND
-    sack_every_packets: int = 2
-    dupthresh: int = 3  # missing reports before fast retransmit
-    timers: TimerPersonality = KAME_SCTP_TIMERS
     path_max_retrans: int = 5
-    assoc_max_retrans: int = 10
-    max_init_retrans: int = 8
-    cookie_lifetime_ns: int = 60 * SECOND
     heartbeat_interval_ns: int = 30 * SECOND
     autoclose_ns: int = 0  # 0 disables (the paper's autoclose option)
-    retransmit_to_alternate: bool = True
     # RFC 8260: offer user-message interleaving (I-DATA).  Active only
     # when *both* sides offer it; otherwise the association falls back to
     # legacy DATA/SSN transparently.
@@ -153,10 +142,6 @@ class SCTPConfig:
     # transport.sctp.sched).  fcfs reproduces pre-scheduler behaviour
     # bit-for-bit.
     scheduler: str = "fcfs"
-    # per-stream weights (wfq) / priorities (prio); short tuples are
-    # padded with weight 1 / priority 0
-    stream_weights: Tuple[int, ...] = ()
-    stream_priorities: Tuple[int, ...] = ()
 
     @property
     def max_message_size(self) -> int:

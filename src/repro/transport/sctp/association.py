@@ -25,7 +25,7 @@ it while cwnd has room); and ``_on_sack`` accounts for an acknowledged
 chunk in one body, whether the cumulative point or a gap block covered
 it.  The receiver's TSNs above the cumulative point are one
 :class:`~repro.util.ranges.RangeSet`, whose ranges are the gap blocks.
-Each SACK and each packet is one pass: budgets are read from the config
+Each SACK and each packet is one pass: budgets are computed from PMTU
 once, a new-data or SACK-only packet is sized by the code that built it,
 and the per-path bookkeeping a SACK would repeat (error count, RTO
 backoff, fast-recovery exit) is written only when it changes.  A fragment
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...analyze.sanitize import sctp_sanitizer
 from ...network.packet import IP_HEADER, Packet
-from ...simkernel import RestartableTimer
+from ...simkernel import MILLISECOND, RestartableTimer
 from ...util.blobs import Blob, BlobView
 from ...util.ranges import RangeSet
 from ..base import SCTPConfig
@@ -69,6 +69,17 @@ from .chunks import (
 from .paths import ACTIVE, PathState
 from .sched import QueuedMessage, make_scheduler
 from .streams import InboundStreams, OutboundStreams
+
+# Fixed settings (§4: every experiment runs them; none is an SCTPConfig
+# field, because no caller sets one).  The timers are KAME_SCTP_TIMERS
+# (repro.transport.sctp.paths) and a retransmission always prefers an
+# alternate active path (§4.1.1).
+PMTU = 1500
+SACK_DELAY_NS = 200 * MILLISECOND
+SACK_EVERY_PACKETS = 2
+DUPTHRESH = 3  # missing reports before fast retransmit
+ASSOC_MAX_RETRANS = 10
+MAX_INIT_RETRANS = 8
 
 # association states
 CLOSED = "CLOSED"
@@ -159,10 +170,9 @@ class Association:
         self.local_port = local_port
         self.peer_port = peer_port
         self.config = config = config or SCTPConfig()
-        # budgets read once (the config is frozen; the data path asks per
-        # chunk): chunk bytes per packet, headers included, and the user
+        # budgets: chunk bytes per packet, headers included, and the user
         # bytes of one full DATA / I-DATA chunk
-        self._packet_budget = config.pmtu - IP_HEADER - COMMON_HEADER
+        self._packet_budget = PMTU - IP_HEADER - COMMON_HEADER
         self._data_budget = self._packet_budget - DATA_CHUNK_HEADER
         self._idata_budget = self._packet_budget - IDATA_CHUNK_HEADER
         self._autoclose_ns = max(0, config.autoclose_ns)  # 0 disables
@@ -187,12 +197,7 @@ class Association:
         # fragments (and their TSN/SSN/MID) are cut at dequeue time
         self.next_tsn = self.my_initial_tsn
         self.outbound = OutboundStreams(self.config.n_out_streams)
-        self.scheduler = make_scheduler(
-            self.config.scheduler,
-            self.config.n_out_streams,
-            self.config.stream_weights,
-            self.config.stream_priorities,
-        )
+        self.scheduler = make_scheduler(self.config.scheduler, self.config.n_out_streams)
         self.interleaving_active = False  # negotiated at establishment
         self.queued_bytes = 0
         self.outstanding: "OrderedDict[int, TxRecord]" = OrderedDict()
@@ -399,7 +404,6 @@ class Association:
             addr,
             mtu_payload=self._data_budget,
             initial_peer_rwnd=self.config.rcvbuf,
-            timers=self.config.timers,
             path_max_retrans=self.config.path_max_retrans,
         )
         self._t3_timers[addr] = self.kernel.timer(self._on_t3, addr)
@@ -606,7 +610,7 @@ class Association:
             # it then goes alone and the next packet has the whole budget
             chunks.extend(data)
             # the packet is the PMTU less the budget its chunks left
-            self._transmit_chunks(chunks, path.addr, size=self.config.pmtu - budget)
+            self._transmit_chunks(chunks, path.addr, size=PMTU - budget)
             if data and t3.deadline is None:
                 t3.restart(path.rto.rto_ns)
         if self._shutdown_requested:
@@ -727,10 +731,10 @@ class Association:
         self._packets_since_sack += 1
         if self._above_cum.starts or self._dups_since_sack:
             self._send_sack()  # report gaps/dups immediately (RFC 4960 §6.7)
-        elif self._packets_since_sack >= self.config.sack_every_packets:
+        elif self._packets_since_sack >= SACK_EVERY_PACKETS:
             self._send_sack()
         elif self._sack_timer.deadline is None:
-            self._sack_timer.restart(self.config.sack_delay_ns)
+            self._sack_timer.restart(SACK_DELAY_NS)
 
     def _on_sack_timer(self) -> None:
         if self.state != CLOSED and self._packets_since_sack > 0:
@@ -873,7 +877,7 @@ class Association:
                 ):
                     continue
                 record.missing_reports += 1
-                if record.missing_reports >= self.config.dupthresh:
+                if record.missing_reports >= DUPTHRESH:
                     record.marked_for_rtx = True
                     self._any_marked = True
                     to_fast_rtx.append(record)
@@ -940,9 +944,7 @@ class Association:
             self._any_marked = False
             return 0
         origin = marked[0].path_addr
-        dest_path = None
-        if self.config.retransmit_to_alternate:
-            dest_path = self._alternate_path(origin)
+        dest_path = self._alternate_path(origin)
         if dest_path is None:
             dest_path = self.paths.get(origin) or self._active_path()
         if dest_path is None or (within_cwnd and not dest_path.can_send()):
@@ -1003,7 +1005,7 @@ class Association:
         path.rto.back_off()
         self._note_path_error(path)
         self._assoc_error_count += 1
-        if self._assoc_error_count > self.config.assoc_max_retrans:
+        if self._assoc_error_count > ASSOC_MAX_RETRANS:
             self.abort("association retransmission limit exceeded")
             return
         for record in on_path:
@@ -1062,19 +1064,13 @@ class Association:
             path.note_success()
             path.rto.observe(self.kernel.now - chunk.sent_at_ns)
 
-    def set_primary(self, addr: str) -> None:
-        """SCTP_PRIMARY_ADDR-style override."""
-        if addr not in self.paths:
-            raise ValueError(f"{addr} is not a peer address of this association")
-        self.primary_addr = addr
-
     # -- T1 (handshake) timer ---------------------------------------------------
     def _arm_t1(self) -> None:
         self._t1_timer.restart(self.paths[self.primary_addr].rto.rto_ns)
 
     def _on_t1(self) -> None:
         self._init_retries += 1
-        if self._init_retries > self.config.max_init_retrans:
+        if self._init_retries > MAX_INIT_RETRANS:
             self._teardown("handshake timed out")
             return
         self.paths[self.primary_addr].rto.back_off()

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ...network.host import Host
 from ...network.packet import Packet
+from ...simkernel import SECOND
 from .association import ASSOC_STAT_FIELDS, AssocStats, Association, SCTPConfig
 from .chunks import (
     AbortChunk,
@@ -26,6 +27,9 @@ from .chunks import (
 )
 
 ConnKey = Tuple[int, str, int]  # (local_port, peer_addr, peer_port)
+
+#: a COOKIE-ECHO older than this is stale (RFC 4960's Valid.Cookie.Life)
+COOKIE_LIFETIME_NS = 60 * SECOND
 
 
 class ListenerHooks:
@@ -174,13 +178,13 @@ class SCTPEndpoint:
         cookie.signature = self._sign(cookie)
         return cookie
 
-    def validate_cookie(self, cookie: StateCookie, config: SCTPConfig) -> Optional[str]:
+    def validate_cookie(self, cookie: StateCookie) -> Optional[str]:
         """Returns an error string, or None when the cookie is good."""
         unsigned = StateCookie(*cookie.body())
         if self._sign(unsigned) != cookie.signature:
             self.bad_signature_cookies += 1
             return "invalid cookie signature"
-        if self.kernel.now - cookie.created_at_ns > config.cookie_lifetime_ns:
+        if self.kernel.now - cookie.created_at_ns > COOKIE_LIFETIME_NS:
             self.stale_cookies += 1
             return "stale cookie"
         return None
@@ -254,8 +258,7 @@ class SCTPEndpoint:
         if hooks is None:
             self.ootb_packets += 1
             return
-        config = hooks.config or self.default_config
-        error = self.validate_cookie(echo.cookie, config)
+        error = self.validate_cookie(echo.cookie)
         if error is not None:
             abort = SCTPPacket(
                 src_port=pkt.dst_port,
@@ -268,7 +271,8 @@ class SCTPEndpoint:
             )
             return
         assoc = Association.from_cookie(
-            self, echo.cookie, config=config, assoc_id=self.next_assoc_id()
+            self, echo.cookie, config=hooks.config or self.default_config,
+            assoc_id=self.next_assoc_id(),
         )
         self.register_association(assoc, echo.cookie.peer_addresses)
         hooks.on_new_association(assoc)

@@ -13,7 +13,7 @@ loss recovery:
 
 from __future__ import annotations
 
-from ..base import KAME_SCTP_TIMERS, RTOEstimator, TimerPersonality
+from ..base import KAME_SCTP_TIMERS, RTOEstimator
 
 ACTIVE = "ACTIVE"
 INACTIVE = "INACTIVE"
@@ -27,7 +27,6 @@ class PathState:
         addr: str,
         mtu_payload: int,
         initial_peer_rwnd: int,
-        timers: TimerPersonality = KAME_SCTP_TIMERS,
         path_max_retrans: int = 5,
     ) -> None:
         self.addr = addr
@@ -36,7 +35,7 @@ class PathState:
         self.cwnd = min(4 * mtu_payload, max(2 * mtu_payload, 4380))
         self.ssthresh = initial_peer_rwnd
         self.partial_bytes_acked = 0
-        self.rto = RTOEstimator(timers)
+        self.rto = RTOEstimator(KAME_SCTP_TIMERS)
         self.path_max_retrans = path_max_retrans
         self.error_count = 0
         self.state = ACTIVE

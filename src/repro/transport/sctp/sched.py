@@ -29,12 +29,12 @@ Key design points, all load-bearing for determinism and byte-identity:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ...util.blobs import Blob
 
-#: DRR quantum per unit of weight: one full PMTU payload's worth, so a
-#: weight-1 stream sends at least one full fragment per round.
+#: DRR quantum: one full PMTU payload's worth, so a stream sends at
+#: least one full fragment per round.
 WFQ_QUANTUM = 1452
 
 SCHEDULER_NAMES: Tuple[str, ...] = ("fcfs", "rr", "wfq", "prio")
@@ -205,28 +205,22 @@ class RoundRobinScheduler(StreamScheduler):
 
 
 class WeightedFairScheduler(StreamScheduler):
-    """Deficit-round-robin weighted fairness (RFC 8260's "weighted fair
-    queueing" scheduler, realised as byte-deficit DRR).
+    """Deficit round robin (RFC 8260's "weighted fair queueing" scheduler,
+    realised as byte-deficit DRR with every stream at weight one).
 
     Each stream holds a byte deficit; a visit tops it up by
-    ``weight * WFQ_QUANTUM`` and the stream may transmit while the
-    deficit is positive.  With interleaving active and equal fragment
-    sizes, long-run served bytes converge to the weight ratios; without
-    interleaving, fairness is message-granular (a message once started
-    runs to completion and may overdraw its deficit).
+    ``WFQ_QUANTUM`` and the stream may transmit while the deficit is
+    positive.  With interleaving active, long-run served bytes converge to
+    equal shares whatever the message sizes; without interleaving,
+    fairness is message-granular (a message once started runs to
+    completion and may overdraw its deficit).
     """
 
     name = "wfq"
 
-    def __init__(self, n_streams: int, weights: Sequence[int] = ()) -> None:
+    def __init__(self, n_streams: int) -> None:
         super().__init__(n_streams)
-        w = [int(x) for x in weights[:n_streams]]
-        w += [1] * (n_streams - len(w))
-        if any(x < 1 for x in w):
-            raise ValueError(f"wfq stream weights must be >= 1, got {w}")
-        self.weights = w
         self._queues: List[Deque[QueuedMessage]] = [deque() for _ in range(n_streams)]
-        self._quantum = [x * WFQ_QUANTUM for x in w]
         self._deficit = [0] * n_streams
         self._cursor = 0
 
@@ -240,7 +234,7 @@ class WeightedFairScheduler(StreamScheduler):
         nonempty = [sid for sid in range(n) if queues[sid]]
         if not nonempty:
             return None
-        # every refill pass adds >= one quantum per backlogged stream, so
+        # every refill pass adds one quantum per backlogged stream, so
         # this terminates even when a sticky bulk message overdrew badly
         while True:
             for i in range(n):
@@ -248,7 +242,7 @@ class WeightedFairScheduler(StreamScheduler):
                 if queues[sid] and deficit[sid] > 0:
                     return queues[sid][0]
             for sid in nonempty:
-                deficit[sid] += self._quantum[sid]
+                deficit[sid] += WFQ_QUANTUM
 
     def _serve(self, msg: QueuedMessage, take: int, done: bool) -> None:
         sid = msg.sid
@@ -263,56 +257,43 @@ class WeightedFairScheduler(StreamScheduler):
 
 
 class PriorityScheduler(StreamScheduler):
-    """Strict priority: lowest priority value wins, sid breaks ties.
+    """Strict priority in stream-id order: the lowest backlogged sid wins.
 
-    With interleaving active a newly queued high-priority message
-    preempts a lower-priority bulk transfer at the next fragment
+    With interleaving active a newly queued message on a lower sid
+    preempts a bulk transfer on a higher one at the next fragment
     boundary; without it, at the next message boundary.
     """
 
     name = "prio"
 
-    def __init__(self, n_streams: int, priorities: Sequence[int] = ()) -> None:
+    def __init__(self, n_streams: int) -> None:
         super().__init__(n_streams)
-        p = [int(x) for x in priorities[:n_streams]]
-        p += [0] * (n_streams - len(p))
-        self.priorities = p
         self._queues: List[Deque[QueuedMessage]] = [deque() for _ in range(n_streams)]
 
     def _enqueue(self, msg: QueuedMessage) -> None:
         self._queues[msg.sid].append(msg)
 
     def _choose(self) -> Optional[QueuedMessage]:
-        best_sid = -1
-        best_prio = 0
-        for sid in range(self.n_streams):
-            if self._queues[sid]:
-                prio = self.priorities[sid]
-                if best_sid < 0 or prio < best_prio:
-                    best_sid = sid
-                    best_prio = prio
-        return self._queues[best_sid][0] if best_sid >= 0 else None
+        for q in self._queues:
+            if q:
+                return q[0]
+        return None
 
     def _serve(self, msg: QueuedMessage, take: int, done: bool) -> None:
         if done:
             self._queues[msg.sid].popleft()
 
 
-def make_scheduler(
-    name: str,
-    n_streams: int,
-    weights: Sequence[int] = (),
-    priorities: Sequence[int] = (),
-) -> StreamScheduler:
+def make_scheduler(name: str, n_streams: int) -> StreamScheduler:
     """Build the named scheduler sized for ``n_streams`` outbound streams."""
     if name == "fcfs":
         return FCFSScheduler(n_streams)
     if name == "rr":
         return RoundRobinScheduler(n_streams)
     if name == "wfq":
-        return WeightedFairScheduler(n_streams, weights)
+        return WeightedFairScheduler(n_streams)
     if name == "prio":
-        return PriorityScheduler(n_streams, priorities)
+        return PriorityScheduler(n_streams)
     raise ValueError(
         f"unknown scheduler {name!r} (choices: {', '.join(SCHEDULER_NAMES)})"
     )

@@ -121,7 +121,7 @@ class OneToManySocket:
         assoc.connect()
         return fut
 
-    def association(self, assoc_id: int) -> Association:
+    def association(self, assoc_id: int) -> Association:  # repro: allow[AN107] — test seam
         """Look up an owned association by id."""
         return self._assocs[assoc_id]
 

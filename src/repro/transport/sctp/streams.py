@@ -242,8 +242,3 @@ class InboundStreams:
         if san is not None:
             san.on_deliver(out)
         return out
-
-    @property
-    def has_undelivered(self) -> bool:
-        """Data parked waiting for fragments or earlier SSNs/MIDs."""
-        return bool(self._spaces or self._parked_at)

@@ -5,8 +5,8 @@ byte-stream sequencing, cumulative + selective acknowledgements (3 SACK
 blocks, as IP option space allowed in 2005 stacks — §4.1.1), NewReno
 slow-start / congestion-avoidance / fast-retransmit / fast-recovery, BSD
 coarse-grained retransmission timers with exponential backoff, delayed
-ACKs, advertised-window flow control with persist probes, Nagle (disabled
-by default, matching LAM-TCP), and half-close (§3.5.2).
+ACKs, advertised-window flow control with persist probes, and half-close
+(§3.5.2).  There is no Nagle path: LAM-TCP disables Nagle.
 """
 
 from .congestion import NewRenoState

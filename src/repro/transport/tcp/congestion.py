@@ -13,9 +13,9 @@ from __future__ import annotations
 class NewRenoState:
     """cwnd/ssthresh arithmetic for a NewReno sender."""
 
-    def __init__(self, mss: int, initial_cwnd_segments: int = 3) -> None:
+    def __init__(self, mss: int) -> None:
         self.mss = mss
-        self.cwnd = initial_cwnd_segments * mss
+        self.cwnd = 3 * mss  # RFC 5681 initial window for this MSS
         self.ssthresh = 1 << 30  # "infinite" until the first loss
         self.in_recovery = False
         self.recover = 0  # highest seq outstanding when loss was detected

@@ -22,9 +22,10 @@ from typing import Callable, Optional
 
 from ...analyze.sanitize import tcp_sanitizer
 from ...network.packet import Packet
+from ...simkernel import MILLISECOND, SECOND
 from ...util.blobs import Blob, ChunkList
 from ...util.ranges import RangeSet
-from ..base import RTOEstimator, TCPConfig
+from ..base import BSD_TCP_TIMERS, RTOEstimator, TCPConfig
 from .buffers import ReassemblyBuffer, SendBuffer
 from .congestion import NewRenoState
 from .segment import ACK, FIN, RST, SYN, TCPSegment
@@ -41,6 +42,16 @@ CLOSE_WAIT = "CLOSE_WAIT"
 CLOSING = "CLOSING"
 LAST_ACK = "LAST_ACK"
 TIME_WAIT = "TIME_WAIT"
+
+# Fixed settings (§4: every experiment runs them; none is a TCPConfig
+# field, because no caller sets one).  SACK is always on and Nagle always
+# off, as on the paper's nodes; the timers are BSD_TCP_TIMERS.
+MSS = 1448
+MAX_SACK_BLOCKS = 3  # IP option space limits reporting (§4.1.1)
+DUPACK_THRESHOLD = 3
+DELAYED_ACK_NS = 100 * MILLISECOND
+MAX_SYN_RETRIES = 5
+TIME_WAIT_NS = 1 * SECOND  # shortened 2MSL for simulation
 
 
 @dataclass
@@ -68,7 +79,7 @@ class ConnStats:
 CONN_STAT_FIELDS = tuple(f.name for f in fields(ConnStats))
 
 # cwnd sample buckets: MSS doublings from 2 up past the 220 KiB buffers
-CWND_SAMPLE_EDGES = tuple(1448 * 2**k for k in range(1, 9))
+CWND_SAMPLE_EDGES = tuple(MSS * 2**k for k in range(1, 9))
 
 
 class TCPConnection:
@@ -118,8 +129,8 @@ class TCPConnection:
         self.snd_nxt = self.iss
         self.snd_wnd = self.config.rcvbuf  # peer advertised window
         self.send_buffer = SendBuffer(self.iss + 1, self.config.sndbuf)
-        self.cc = NewRenoState(self.config.mss)
-        self.rto = RTOEstimator(self.config.timers)
+        self.cc = NewRenoState(MSS)
+        self.rto = RTOEstimator(BSD_TCP_TIMERS)
         self._dupacks = 0
         self._sacked = RangeSet()  # sender scoreboard: SACKed bytes >= snd_una
         self._fin_queued = False
@@ -199,7 +210,7 @@ class TCPConnection:
             self.stats.bytes_received += take
             # re-open the window if the read grew it meaningfully
             grew = self._recv_window() - self._last_advertised_wnd
-            if grew >= 2 * self.config.mss or grew >= self.config.rcvbuf // 2:
+            if grew >= 2 * MSS or grew >= self.config.rcvbuf // 2:
                 self._send_ack_now()
         return data
 
@@ -268,7 +279,7 @@ class TCPConnection:
             self.snd_wnd = window = seg.window
             if self._persist_timer.deadline is not None and window > 0:
                 self._cancel_persist()
-            if seg.sack_blocks and self.config.sack_enabled:
+            if seg.sack_blocks:
                 una = self.snd_una
                 for start, end in seg.sack_blocks:
                     # a malformed block (start >= end) or one wholly below
@@ -369,7 +380,7 @@ class TCPConnection:
         if self.cc.in_recovery:
             self.cc.on_dupack_in_recovery()
             return
-        if self._dupacks == self.config.dupack_threshold:
+        if self._dupacks == DUPACK_THRESHOLD:
             self.cc.enter_fast_recovery(self._flight_size(), self.snd_nxt)
             self.stats.fast_retransmits += 1
             self._retransmit_hole(self.snd_una)
@@ -383,7 +394,7 @@ class TCPConnection:
         if self._fin_seq is not None and seq == self._fin_seq:
             self._send_fin_segment()
             return
-        end = min(seq + self.config.mss, self.send_buffer.tail_seq, hole_end)
+        end = min(seq + MSS, self.send_buffer.tail_seq, hole_end)
         if end <= seq:
             return
         self._emit_data(seq, end - seq, retransmit=True)
@@ -412,7 +423,7 @@ class TCPConnection:
             if self._segs_since_ack >= 2:
                 self._send_ack_now()
             elif self._delack_timer.deadline is None:
-                self._delack_timer.restart(self.config.delayed_ack_ns)
+                self._delack_timer.restart(DELAYED_ACK_NS)
         if delivered.nbytes:
             self.on_readable()
 
@@ -454,7 +465,7 @@ class TCPConnection:
     def _enter_time_wait(self) -> None:
         self.state = TIME_WAIT
         self._rtx_timer.cancel()
-        self.kernel.call_after(self.config.time_wait_ns, self._teardown, None)
+        self.kernel.call_after(TIME_WAIT_NS, self._teardown, None)
 
     # ------------------------------------------------------------------
     # output
@@ -467,7 +478,6 @@ class TCPConnection:
             return
         send_buffer = self.send_buffer
         rtx = self._rtx_timer
-        mss = self.config.mss
         while True:
             avail = send_buffer._tail_seq - self.snd_nxt  # == bytes_after()
             if avail <= 0:
@@ -480,11 +490,9 @@ class TCPConnection:
                     self._arm_persist()
                 break
             # min(mss, avail, usable)
-            seg_len = mss if mss < avail else avail
+            seg_len = MSS if MSS < avail else avail
             if usable < seg_len:
                 seg_len = usable
-            if self.config.nagle and seg_len < mss and self.snd_nxt > self.snd_una:
-                break  # Nagle: hold sub-MSS data until everything is acked
             self._emit_data(self.snd_nxt, seg_len, retransmit=False)
             self.snd_nxt += seg_len
             if rtx.deadline is None:  # == _arm_rtx(), sans the call
@@ -561,8 +569,8 @@ class TCPConnection:
         if reassembly is not None:
             ack = reassembly.rcv_nxt
             # SACK blocks exist only while data is parked (``recent`` non-empty)
-            if reassembly.recent and self.config.sack_enabled:
-                sack = reassembly.sack_blocks(self.config.max_sack_blocks)
+            if reassembly.recent:
+                sack = reassembly.sack_blocks(MAX_SACK_BLOCKS)
         seg = TCPSegment(
             self.local_port, self.remote_port, seq, ack, flags,
             self._recv_window(), data, sack,
@@ -586,7 +594,7 @@ class TCPConnection:
     def _on_rtx_timeout(self) -> None:
         if self.state == SYN_SENT:
             self._syn_retries += 1
-            if self._syn_retries > self.config.max_syn_retries:
+            if self._syn_retries > MAX_SYN_RETRIES:
                 self._teardown("connection timed out")
                 return
             self.rto.back_off()
@@ -613,7 +621,7 @@ class TCPConnection:
         if self._fin_seq is not None and self.snd_una == self._fin_seq:
             self._send_fin_segment()
         else:
-            end = min(self.snd_una + self.config.mss, self.send_buffer.tail_seq)
+            end = min(self.snd_una + MSS, self.send_buffer.tail_seq)
             if end > self.snd_una:
                 self._emit_data(self.snd_una, end - self.snd_una, retransmit=True)
             elif self._fin_seq is not None:

@@ -40,7 +40,7 @@ class TraceEntry:
         )
 
 
-class PacketTrace(PacketTap):
+class PacketTrace(PacketTap):  # repro: allow[AN107] — the documented debugging aid
     """Records packet events from the hosts it is attached to.
 
     One consumer of the shared :class:`~repro.metrics.taps.PacketTap`
@@ -50,7 +50,6 @@ class PacketTrace(PacketTap):
     """
 
     def __init__(self, kernel, max_entries: int = 100_000) -> None:
-        super().__init__()
         self.kernel = kernel
         self.max_entries = max_entries
         self.entries: List[TraceEntry] = []
@@ -94,11 +93,9 @@ class PacketTrace(PacketTap):
         """Number of matching entries."""
         return len(self.select(**filters))
 
-    def bytes_on_wire(self, **filters) -> int:
-        """Total wire bytes over matching transmit events."""
-        return sum(e.wire_size for e in self.select(**filters) if e.direction == "tx")
-
-    def to_text(self, limit: int = 200, **filters) -> str:
+    def to_text(  # repro: allow[AN107] — the debugging aid's dump
+        self, limit: int = 200, **filters
+    ) -> str:
         """Human-readable dump of (up to ``limit``) matching entries."""
         lines = [e.format() for e in self.select(**filters)[:limit]]
         if self.dropped:

@@ -34,6 +34,7 @@ def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch
     (tmp_path / "b" / "tool.py").write_text("y = 1  # repro: allow[AN103]\n")
     (tmp_path / "main.py").write_text(
         "import os\ndef f(m):\n    m.observe(os.getpid())  # repro: allow[AN203]\n"
+        '__all__ = ["f"]\n'  # an exported name is referenced (AN107)
     )
     calls = {"parse": 0, "tokens": 0}
 

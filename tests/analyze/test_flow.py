@@ -311,17 +311,18 @@ def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
 
     planted = tmp_path / "leak.py"
     leak = "import time\ndef send(pkt):\n    pkt.payload = time.time()"
-    planted.write_text(leak + "\n")
+    exported = '\n__all__ = ["send"]\n'  # so that send is referenced (AN107)
+    planted.write_text(leak + exported)
     assert main(["ci", str(planted)]) == 1
     out = capsys.readouterr().out
     assert "leak.py:3:19: AN101" in out and "leak.py:3:5: AN201" in out
     assert "lint=1 flow=1 -> FAIL" in out
     # accepted on its line, with the reason beside it
-    planted.write_text(leak + "  # repro: allow[AN101,AN201] — test fixture\n")
+    planted.write_text(leak + "  # repro: allow[AN101,AN201] — test fixture" + exported)
     assert main(["ci", str(planted)]) == 0
     assert "lint=0 flow=0 -> OK" in capsys.readouterr().out
     # an allow that matches nothing is itself a finding
-    planted.write_text(leak + "  # repro: allow[AN101,AN201,AN102] — test fixture\n")
+    planted.write_text(leak + "  # repro: allow[AN101,AN201,AN102] — test fixture" + exported)
     assert main(["ci", str(planted)]) == 1
     out = capsys.readouterr().out
     assert "AN106 unused suppression: allow[AN102]" in out

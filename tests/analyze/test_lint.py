@@ -1,4 +1,5 @@
-"""Call-site rules, the one source recogniser, suppressions, report format."""
+"""Call-site rules, the one source recogniser, unreferenced definitions,
+suppressions, report format."""
 
 import pytest
 
@@ -6,12 +7,25 @@ from repro.analyze.callgraph import Program
 from repro.analyze.ci import run_rules, suppress
 
 
-def analyze(program):
+def findings_of(program):
     return suppress(program, run_rules(program))
+
+
+def analyze(program):
+    """The findings of the rules under test.  A planted snippet's own
+    functions are called from nowhere in it, so AN107 (tested on its own
+    below) is left out."""
+    return [f for f in findings_of(program) if f.rule != "AN107"]
 
 
 def lint_source(source, path):
     return analyze(Program.from_sources({"x": (path, source)}))
+
+
+def unreferenced(**sources):
+    """Every finding over a program of ``name=source`` modules."""
+    program = Program.from_sources({n: (f"{n}.py", src) for n, src in sources.items()})
+    return [(f.path, f.line, f.rule) for f in findings_of(program)]
 
 
 def lint_paths(paths):
@@ -262,7 +276,7 @@ def test_findings_order_is_independent_of_input_order(tmp_path):
 def test_repo_sources_are_clean():
     """The tree itself must stay clean: every finding is accepted by an
     allow comment on its line, and every allow comment accepts one."""
-    assert lint_paths(["src/repro"]) == []
+    assert findings_of(Program.load("src/repro")) == []
 
 
 def test_nondeterministic_scheduler_is_caught():
@@ -278,3 +292,63 @@ def test_nondeterministic_scheduler_is_caught():
     )
     assert rules_of(lint_source(planted, "sched.py")) == ["AN103"]
     assert lint_paths(["src/repro/transport/sctp/sched.py"]) == []
+
+
+# ---------------------------------------------------------------------------
+# AN107: a definition nothing else in the program mentions
+# ---------------------------------------------------------------------------
+def test_unreferenced_definition_is_a_finding():
+    src = "def used():\n    return 1\n\ndef orphan():\n    return used()\n"
+    assert unreferenced(m=src) == [("m.py", 4, "AN107")]
+    [f] = findings_of(Program.from_sources({"m": ("m.py", src)}))
+    assert "'orphan'" in f.message and f.col == 1
+    # a class and a method are definitions too
+    cls = "class Orphan:\n    def lonely(self):\n        pass\n"
+    assert unreferenced(m=cls) == [("m.py", 1, "AN107"), ("m.py", 2, "AN107")]
+
+
+def test_allowed_unreferenced_definition_is_not_a_finding():
+    src = "def orphan():  # repro: allow[AN107] — public API\n    return 1\n"
+    assert unreferenced(m=src) == []
+
+
+def test_stale_an107_allow_is_an_an106_finding():
+    src = (
+        "def used():  # repro: allow[AN107] — stale\n"
+        "    return 1\n"
+        "x = used()\n"
+    )
+    assert unreferenced(m=src) == [("m.py", 1, "AN106")]
+
+
+@pytest.mark.parametrize(
+    "mention",
+    [
+        "x = orphan()",  # a name
+        "x = obj.orphan",  # an attribute
+        "from m import orphan as o",  # an import (and its alias)
+        '__all__ = ["orphan"]',  # an identifier string
+        'f = getattr(obj, "orphan")',
+    ],
+)
+def test_any_mention_in_another_module_references_a_definition(mention):
+    src = "def orphan():\n    return 1\n"
+    assert unreferenced(m=src, other=mention + "\n") == []
+
+
+def test_interpreter_called_names_are_exempt():
+    """Dunders and ``ast.NodeVisitor`` callbacks are called by a name no
+    source spells; a ``visit_`` method elsewhere is an ordinary one."""
+    src = (
+        "import ast\n"
+        "class V(ast.NodeVisitor):\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def visit_Call(self, node):\n"
+        "        pass\n"
+        "class Plain:\n"
+        "    def visit_Name(self, node):\n"
+        "        pass\n"
+        "x = V(), Plain()\n"
+    )
+    assert unreferenced(m=src) == [("m.py", 8, "AN107")]

@@ -21,7 +21,7 @@ def _tiny_experiment(seed: int = 5):
     return [
         ExperimentRow(
             label="tiny exchange",
-            measured={"duration_s": result.duration_s},
+            measured={"duration_s": result.duration_ns / 1e9},
             paper={"shape": "n/a"},
         )
     ]

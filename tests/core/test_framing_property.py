@@ -3,14 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import run_app
-from repro.core.constants import FLAG_SHORT, KIND_MASK
-from repro.core.envelope import (
-    ENVELOPE_SIZE,
-    INLINE_BODY_KINDS,
-    Envelope,
-    envelope_of,
-    unpack_fields,
-)
+from repro.core.constants import FLAG_SHORT
+from repro.core.envelope import Envelope
 
 LIMIT = 600_000_000_000
 
@@ -18,9 +12,10 @@ LIMIT = 600_000_000_000
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_tcp_feed_reconstructs_units_from_any_segmentation(data):
-    """The TCP RPI's read state machine must recover exact middleware
-    units no matter how the byte stream is chopped into recv() chunks."""
-    from repro.core.rpi.tcp_rpi import _InState
+    """The TCP RPI's read state machine (``TCPRPI._feed``) must recover
+    exact middleware units no matter how the byte stream is chopped into
+    recv() chunks."""
+    from repro.core.rpi.tcp_rpi import TCPRPI, _InState
     from repro.util.blobs import ChunkList, RealBlob
 
     # build a wire image of several units
@@ -37,29 +32,18 @@ def test_tcp_feed_reconstructs_units_from_any_segmentation(data):
     bounds = [0] + cuts + [len(wire)]
     chunks = [wire[bounds[j] : bounds[j + 1]] for j in range(len(bounds) - 1)]
 
-    # drive the state machine directly (no sockets needed)
+    # a bare RPI with one connected (fake) socket; no world, no kernel
+    rpi = TCPRPI.__new__(TCPRPI)
+    sock = object()
     state = _InState()
+    rpi._in_state = {sock: state}
+    rpi._rank_by_sock = {sock: 1}
     received = []
-
-    def feed(chunk: bytes) -> None:
-        state.buf.extend(ChunkList([RealBlob(chunk)]))
-        while True:
-            if state.env is None:
-                if state.buf.nbytes < ENVELOPE_SIZE:
-                    return
-                head, state.buf = state.buf.split(ENVELOPE_SIZE)
-                state.env = envelope_of(unpack_fields(head.to_bytes()))
-                inline = state.env.flags & KIND_MASK in INLINE_BODY_KINDS
-                state.body_len = state.env.length if inline else 0
-            if state.buf.nbytes < state.body_len:
-                return
-            body, state.buf = state.buf.split(state.body_len)
-            received.append((state.env, body.to_bytes()))
-            state.env = None
+    rpi._on_unit = lambda src, env, body: received.append((env, body.to_bytes()))
 
     for chunk in chunks:
         if chunk:
-            feed(chunk)
+            rpi._feed(sock, ChunkList([RealBlob(chunk)]))
 
     assert received == messages
     assert state.buf.nbytes == 0 and state.env is None

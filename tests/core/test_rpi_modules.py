@@ -109,9 +109,7 @@ def test_sctp_rpi_config_is_the_socket_overlay():
     """The world's sctp_config is what the RPI's associations run with:
     num_streams sets the stream counts, and interleaving, the scheduler
     and every other option pass through as given."""
-    base = SCTPConfig(
-        sndbuf=100 * 1024, stream_weights=(3, 1), interleaving=True, scheduler="rr"
-    )
+    base = SCTPConfig(sndbuf=100 * 1024, interleaving=True, scheduler="rr")
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, num_streams=4, sctp_config=base))
     assert world.processes[0].rpi.sctp_config == replace(base, n_out_streams=4, n_in_streams=4)
 
@@ -127,12 +125,12 @@ class _CachingConfig(SCTPConfig):
 
     @cached_property
     def chunk_room(self):
-        return self.pmtu - 32
+        return self.rcvbuf - 32
 
 
 def test_sctp_rpi_accepts_a_config_carrying_cached_attributes():
     base = _CachingConfig(sndbuf=100 * 1024, scheduler="rr")
-    assert base.chunk_room == 1468  # now an instance attribute, not a field
+    assert base.chunk_room == 220 * 1024 - 32  # now an instance attribute, not a field
     world = World(WorldConfig(n_procs=2, rpi="sctp", seed=1, sctp_config=base))
     assert world.run(_noop_app, limit_ns=LIMIT).results == [0, 1]
     config = world.processes[1].rpi.sctp_config
@@ -210,7 +208,6 @@ def test_world_result_reports_duration():
     r = run_app(_noop_app, n_procs=2, rpi="tcp", seed=1, limit_ns=LIMIT)
     assert r.duration_ns >= 0
     assert r.total_ns >= r.duration_ns
-    assert r.duration_s == r.duration_ns / 1e9
 
 
 # ---------------------------------------------------------------------------

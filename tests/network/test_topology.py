@@ -56,4 +56,4 @@ def test_total_dropped_counts_pipe_drops():
             )
         )
     k.run()
-    assert 20 < c.total_dropped() < 80
+    assert 20 < sum(p.dropped_packets for p in c.pipes.values()) < 80

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.simkernel import GBIT_PER_S, MBIT_PER_S, SECOND, tx_time_ns
-from repro.simkernel.units import ns_to_seconds, seconds_to_ns
 
 
 def test_known_serialization_times():
@@ -36,7 +35,3 @@ def test_tx_time_rounds_up(nbytes, rate):
     # t is the smallest ns count whose transmitted bits cover the payload
     assert t * rate >= nbytes * 8 * SECOND or t == 1
 
-
-@given(st.integers(min_value=0, max_value=10**15))
-def test_seconds_roundtrip(ns):
-    assert seconds_to_ns(ns_to_seconds(ns)) == pytest.approx(ns, abs=1)

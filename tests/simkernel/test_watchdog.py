@@ -96,10 +96,11 @@ def test_watchdog_fires_in_run_until_too():
 def test_disarm_and_validation():
     kernel = Kernel(seed=1)
     kernel.arm_watchdog(max_events=5)
-    kernel.disarm_watchdog()
     for i in range(20):
         kernel.post_at(i, lambda: None)
-    assert kernel.run() == 20  # no expiry once disarmed
+    with pytest.raises(WatchdogExpired):
+        kernel.run()
+    assert kernel.run() == 15  # expiry disarms it: the rest runs unwatched
     with pytest.raises(ValueError):
         kernel.arm_watchdog()  # at least one limit required
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from repro.transport.sctp import (
     OneToManySocket,
 )
 from repro.transport.sctp.chunks import StateCookie
+from repro.transport.sctp.endpoint import COOKIE_LIFETIME_NS
 from repro.util.blobs import RealBlob
 
 from ..conftest import make_cluster, sctp_pair
@@ -94,7 +95,7 @@ def test_tampered_cookie_rejected():
 
 def test_stale_cookie_rejected():
     kernel, cluster = make_cluster()
-    cfg = SCTPConfig(cookie_lifetime_ns=1 * SECOND)
+    cfg = SCTPConfig()
     e1 = SCTPEndpoint(cluster.hosts[1], cfg)
     from repro.transport.sctp.chunks import InitChunk
 
@@ -104,9 +105,9 @@ def test_stale_cookie_rejected():
     )
     fake_pkt = SCTPPacket(src_port=5555, dst_port=6000, vtag=0, chunks=(init,))
     cookie = e1.make_cookie(init, fake_pkt, "10.0.0.1", cfg)
-    kernel.call_after(2 * SECOND, lambda: None)
-    kernel.run()  # 2 virtual seconds pass: cookie now stale
-    assert e1.validate_cookie(cookie, cfg) == "stale cookie"
+    kernel.call_after(COOKIE_LIFETIME_NS + 1 * SECOND, lambda: None)
+    kernel.run()  # 61 virtual seconds pass: cookie now stale
+    assert e1.validate_cookie(cookie) == "stale cookie"
     assert e1.stale_cookies == 1
 
 
@@ -122,7 +123,7 @@ def test_fresh_cookie_validates():
     )
     fake_pkt = SCTPPacket(src_port=5555, dst_port=6000, vtag=0, chunks=(init,))
     cookie = e1.make_cookie(init, fake_pkt, "10.0.0.1", cfg)
-    assert e1.validate_cookie(cookie, cfg) is None
+    assert e1.validate_cookie(cookie) is None
 
 
 def test_blind_injection_dropped_by_verification_tag():

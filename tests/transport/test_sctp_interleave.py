@@ -102,13 +102,13 @@ def test_interleaved_fragments_out_of_order():
     assert [m.data.to_bytes() for m in msgs] == [b"aabbcc", b"xxyy"]
     assert [m.mid for m in msgs] == [0, 1]
     assert inb.buffered_bytes == 0
-    assert not inb.has_undelivered
+    assert not (inb._spaces or inb._parked_at)
 
 
 def test_mid_ordering_parks_later_messages():
     inb = InboundStreams(1)
     assert inb.on_data(idchunk(2, 0, mid=1, data=b"second")) == []
-    assert inb.has_undelivered
+    assert inb._spaces or inb._parked_at
     msgs = inb.on_data(idchunk(1, 0, mid=0, data=b"first"))
     assert [m.data.to_bytes() for m in msgs] == [b"first", b"second"]
 
@@ -148,7 +148,7 @@ def test_wrapped_mid_parks_across_boundary(idata, mask):
     assert inb.on_data(seqchunk(idata, 1, 0, b"after")) == []
     msgs = inb.on_data(seqchunk(idata, 2, mask, b"before"))
     assert [m.data.to_bytes() for m in msgs] == [b"before", b"after"]
-    assert not inb.has_undelivered
+    assert not (inb._spaces or inb._parked_at)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_duplicate_tsns_detected_not_delivered_twice():
     kernel, cluster = make_cluster(seed=2)
     s0, s1, aid = sctp_pair(kernel, cluster)
     # duplicate every data packet on the wire
-    pipe = cluster.pipe_for(0)
+    pipe = cluster.pipes["h0p0"]
     sink = pipe.sink
 
     def duplicator(pkt):
@@ -106,7 +106,7 @@ def test_tail_loss_repaired_by_t3():
     kernel, cluster = make_cluster(seed=1)
     s0, s1, aid = sctp_pair(kernel, cluster)
     # drop the very last data packet of the burst once
-    pipe = cluster.pipe_for(0)
+    pipe = cluster.pipes["h0p0"]
     sink = pipe.sink
     state = {"seen": 0}
 

@@ -283,15 +283,3 @@ def test_heartbeats_probe_idle_paths():
     alt = assoc.paths["10.1.0.2"]
     assert alt.rto.srtt_ns is not None  # heartbeat-ack produced an RTT sample
     assert alt.state == ACTIVE
-
-
-def test_set_primary():
-    import pytest
-
-    kernel, cluster = make_cluster(n_hosts=2, n_paths=2)
-    s0, s1, aid = sctp_pair(kernel, cluster)
-    assoc = s0.association(aid)
-    assoc.set_primary("10.1.0.2")
-    assert assoc.primary_addr == "10.1.0.2"
-    with pytest.raises(ValueError):
-        assoc.set_primary("10.9.9.9")

@@ -67,7 +67,7 @@ def test_streams_deliver_independently():
     assert inb.on_data(chunk(10, sid=0, ssn=1, data=b"blocked")) == []
     out = inb.on_data(chunk(11, sid=1, ssn=0, data=b"flows"))
     assert [m.data.to_bytes() for m in out] == [b"flows"]
-    assert inb.has_undelivered  # stream 0's ssn 1 still parked
+    assert inb._spaces or inb._parked_at  # stream 0's ssn 1 still parked
 
 
 def test_unordered_bypasses_ssn():
@@ -97,7 +97,7 @@ def test_unordered_fragmented_messages_do_not_merge():
     got = [m for tsn in (10, 13, 11, 12, 14, 15) for m in inb.on_data(frags[tsn])]
     assert [m.data.to_bytes() for m in got] == [b"\x0a\x0b\x0c", b"\x0d\x0e\x0f"]
     assert inb.buffered_bytes == 0
-    assert not inb.has_undelivered
+    assert not (inb._spaces or inb._parked_at)
 
 
 def test_unordered_fragmented_messages_any_arrival_order():
@@ -106,7 +106,7 @@ def test_unordered_fragmented_messages_any_arrival_order():
         inb = InboundStreams(1)
         got = [m.data.to_bytes() for tsn in order for m in inb.on_data(frags[tsn])]
         assert sorted(got) == [b"\x0a\x0b\x0c", b"\x0d\x0e\x0f"], order
-        assert inb.buffered_bytes == 0 and not inb.has_undelivered, order
+        assert inb.buffered_bytes == 0 and not (inb._spaces or inb._parked_at), order
 
 
 def test_stream_id_out_of_range_rejected():
@@ -171,7 +171,7 @@ def _feed(chunks, order, owner, ordered):
         assert inb.parked_messages_max <= peak
         got.extend(msgs)
     assert inb.buffered_bytes == 0
-    assert not inb.has_undelivered
+    assert not (inb._spaces or inb._parked_at)
     return [(m.sid, m.unordered, m.data.to_bytes()) for m in got]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analyze.sanitize import sanitized
 from repro.transport.sctp.chunks import DataChunk, SackChunk
 from repro.transport.tcp.buffers import ReassemblyBuffer
+from repro.transport.tcp.connection import DUPACK_THRESHOLD, MSS
 from repro.transport.tcp.segment import ACK, TCPSegment
 from repro.util.blobs import ChunkList, RealBlob, SyntheticBlob
 
@@ -19,18 +20,18 @@ def test_tcp_malformed_sack_blocks_are_ignored():
     held, and do not cut the fast retransmission short."""
     kernel, cluster = make_cluster()
     conn = tcp_pair(kernel, cluster)[0].conn
-    mss, sent = conn.config.mss, []
-    conn.app_write(SyntheticBlob(8 * mss))
+    sent = []
+    conn.app_write(SyntheticBlob(8 * MSS))
     # capture what the host sends from here on; the wire stays idle
     conn.host.send = lambda packet: sent.append(packet.payload)
     una = conn.snd_una
     blocks = ((una + 500, una + 100), (una - 300, una))
-    for _ in range(conn.config.dupack_threshold):
+    for _ in range(DUPACK_THRESHOLD):
         conn.on_segment(TCPSegment(conn.remote_port, conn.local_port, 0, una, ACK,
                                    conn.snd_wnd, sack_blocks=blocks))
     assert (conn.stats.fast_retransmits, conn.stats.sacked_ranges) == (1, 0)
     assert list(conn._sacked) == []
-    assert [s.data_len for s in sent if s.seq == una] == [mss]
+    assert [s.data_len for s in sent if s.seq == una] == [MSS]
 
 
 def test_sctp_gap_blocks_ack_each_tsn_once():

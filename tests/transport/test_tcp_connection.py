@@ -130,26 +130,6 @@ def test_zero_window_persist_probe():
     kernel.check_tasks()
 
 
-def test_nagle_coalesces_small_writes():
-    kernel, cluster = make_cluster()
-    on = TCPConfig(nagle=True)
-    client, server, _ = tcp_pair(kernel, cluster, config=on)
-    for _ in range(20):
-        client.send(RealBlob(b"tiny"))
-    kernel.run(until=kernel.now + 1 * SECOND)
-    nagle_segments = client.conn.stats.segments_sent
-
-    kernel2, cluster2 = make_cluster()
-    off = TCPConfig(nagle=False)
-    client2, server2, _ = tcp_pair(kernel2, cluster2, config=off)
-    for _ in range(20):
-        client2.send(RealBlob(b"tiny"))
-    kernel2.run(until=kernel2.now + 1 * SECOND)
-    no_nagle_segments = client2.conn.stats.segments_sent
-
-    assert nagle_segments < no_nagle_segments
-
-
 def test_delayed_ack_reduces_pure_acks():
     kernel, cluster = make_cluster()
     client, server, _ = tcp_pair(kernel, cluster)

@@ -38,7 +38,7 @@ def test_timestamps_monotone():
 
 def test_bytes_on_wire_accounting():
     kernel, cluster, trace = traced_exchange()
-    tx_bytes = trace.bytes_on_wire(host="node0")
+    tx_bytes = sum(e.wire_size for e in trace.select(host="node0", direction="tx"))
     assert tx_bytes > 7  # payload + headers
 
 
@@ -47,17 +47,6 @@ def test_to_text_and_format():
     text = trace.to_text(limit=5)
     assert "node0" in text and "tcp" in text
     assert len(text.splitlines()) <= 5
-
-
-def test_detach_stops_recording():
-    kernel, cluster = make_cluster()
-    trace = PacketTrace(kernel).attach(cluster.hosts)
-    client, server, _ = tcp_pair(kernel, cluster)
-    trace.detach()
-    n = trace.count()
-    client.send(RealBlob(b"after detach"))
-    kernel.run(until=kernel.now + 500_000_000)
-    assert trace.count() == n
 
 
 def test_max_entries_cap():
