@@ -243,9 +243,10 @@ class AssociationSanitizer:
     * the receiver's TSNs above ``rcv_cum_tsn`` are sorted, non-empty,
       disjoint, non-touching ranges, the first starting past
       ``rcv_cum_tsn + 1`` (else the cumulative point should have moved);
-    * every in-flight TSN is > the cumulative ACK point and the
-      ``outstanding`` map iterates in TSN order (insertion order == TSN
-      order is what the T3 and fast-retransmit scans rely on);
+    * ``outstanding`` holds exactly the TSNs ``cum_tsn_acked + 1`` ..
+      ``next_tsn - 1`` in TSN order (insertion order == TSN order is what
+      the T3 and fast-retransmit scans rely on, and the SACK path retires
+      the cumulatively acked records by count);
     * ``outstanding_bytes`` — total and per path — equals a real sum over
       the in-flight records (the fast paths maintain these incrementally);
     * rules E3/E4: a chunk the peer reported as gap-acked is never handed
@@ -286,6 +287,17 @@ class AssociationSanitizer:
                 size = record.chunk.payload.nbytes
                 total += size
                 by_path[record.path_addr] = by_path.get(record.path_addr, 0) + size
+        # ascending, so exactly cum+1 .. next_tsn-1 when it ends at
+        # next_tsn-1 and holds that many TSNs
+        held = len(assoc.outstanding)
+        if prev_tsn != assoc.next_tsn - 1 or held != prev_tsn - cum:
+            _fail(
+                "sctp",
+                "outstanding TSN range",
+                f"{held} TSNs in flight, the last {prev_tsn}, but cum={cum} and "
+                f"next_tsn={assoc.next_tsn}: a cumulative ack would retire "
+                "the wrong records",
+            )
         if total != assoc.outstanding_bytes:
             _fail(
                 "sctp",

@@ -48,6 +48,12 @@ class Link:
         self.kernel = kernel
         self.name = name
         self.bandwidth_bps = bandwidth_bps
+        # whole nanoseconds per byte when the rate divides 8 Gbit/s (8 at
+        # 1 Gbit/s), else 0: serialising then takes one product, the value
+        # the rounded-up division below gives
+        self._ns_per_byte = (
+            0 if 8_000_000_000 % bandwidth_bps else 8_000_000_000 // bandwidth_bps
+        )
         self.prop_delay_ns = prop_delay_ns
         self.queue_bytes = queue_bytes
         self.sink = sink
@@ -89,11 +95,8 @@ class Link:
         now = self.kernel._now
         if self._ready_at <= now:
             return 0
-        return self._settle(now)
-
-    def _settle(self, now: int) -> int:
-        """Transmitter busy past ``now``: drop what has been serialised by
-        ``now`` from the byte count."""
+        # transmitter busy past now: drop what has been serialised by now
+        # from the byte count (``send`` settles the same way, inline)
         serialising = self._serialising
         queued = self._queued_bytes
         # terminates: the last entry ends at _ready_at, which is > now
@@ -111,14 +114,22 @@ class Link:
         now = kernel._now
         size = packet.wire_size
         start = self._ready_at
+        serialising = self._serialising
         if start <= now:
             # transmitter idle: everything accepted earlier has left
             start = now
             queued = size
-            self._serialising.clear()
+            serialising.clear()
         else:
-            queued = self._settle(now) + size
+            # busy: settle what has been serialised by now (as
+            # ``queued_bytes`` does; the last entry ends at start > now)
+            queued = self._queued_bytes
+            while serialising[0][0] <= now:
+                queued -= serialising.popleft()[1]
+            queued += size
         if queued > self.queue_bytes:
+            # the queue keeps its settled count; the packet never joined
+            self._queued_bytes = queued - size
             self.dropped_packets += 1
             self.dropped_bytes += size
             return False
@@ -128,11 +139,13 @@ class Link:
         # hot path: serialisation delay inlined (identical arithmetic to
         # simkernel.units.tx_time_ns) and delivery scheduled through the
         # fire-and-forget kernel path — a transmission is never cancelled
-        bandwidth = self.bandwidth_bps
-        tx_ns = (size * 8_000_000_000 + bandwidth - 1) // bandwidth
-        done = start + (tx_ns if tx_ns > 0 else 1)
+        tx_ns = size * self._ns_per_byte
+        if not tx_ns:
+            bandwidth = self.bandwidth_bps
+            tx_ns = (size * 8_000_000_000 + bandwidth - 1) // bandwidth or 1
+        done = start + tx_ns
         self._ready_at = done
-        self._serialising.append((done, size))
+        serialising.append((done, size))
         self.tx_packets += 1
         self.tx_bytes += size
         divert = self.divert

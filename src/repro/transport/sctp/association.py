@@ -52,6 +52,7 @@ from .chunks import (
     CookieEchoChunk,
     COMMON_HEADER,
     DATA_CHUNK_HEADER,
+    DATA_PAYLOAD,
     DataChunk,
     HeartbeatAckChunk,
     HeartbeatChunk,
@@ -59,6 +60,7 @@ from .chunks import (
     IDataChunk,
     InitAckChunk,
     InitChunk,
+    PMTU,
     SackChunk,
     SCTPPacket,
     ShutdownAckChunk,
@@ -71,10 +73,10 @@ from .sched import QueuedMessage, make_scheduler
 from .streams import InboundStreams, OutboundStreams
 
 # Fixed settings (§4: every experiment runs them; none is an SCTPConfig
-# field, because no caller sets one).  The timers are KAME_SCTP_TIMERS
-# (repro.transport.sctp.paths) and a retransmission always prefers an
-# alternate active path (§4.1.1).
-PMTU = 1500
+# field, because no caller sets one).  PMTU sits in .chunks beside the
+# header sizes the chunk budgets are cut from, the timers are
+# KAME_SCTP_TIMERS (repro.transport.sctp.paths) and a retransmission
+# always prefers an alternate active path (§4.1.1).
 SACK_DELAY_NS = 200 * MILLISECOND
 SACK_EVERY_PACKETS = 2
 DUPTHRESH = 3  # missing reports before fast retransmit
@@ -149,7 +151,7 @@ ASSOC_STAT_FIELDS = tuple(f.name for f in fields(AssocStats))
 
 # cwnd histogram edges: powers of two of the chunk budget, like TCP's
 # CWND_SAMPLE_EDGES but anchored at the SCTP initial cwnd (2 MTU)
-CWND_SAMPLE_EDGES = tuple(1452 * 2**k for k in range(1, 9))
+CWND_SAMPLE_EDGES = tuple(DATA_PAYLOAD * 2**k for k in range(1, 9))
 
 
 class Association:
@@ -173,7 +175,7 @@ class Association:
         # budgets: chunk bytes per packet, headers included, and the user
         # bytes of one full DATA / I-DATA chunk
         self._packet_budget = PMTU - IP_HEADER - COMMON_HEADER
-        self._data_budget = self._packet_budget - DATA_CHUNK_HEADER
+        self._data_budget = DATA_PAYLOAD
         self._idata_budget = self._packet_budget - IDATA_CHUNK_HEADER
         self._autoclose_ns = max(0, config.autoclose_ns)  # 0 disables
         self.assoc_id = assoc_id
@@ -504,7 +506,12 @@ class Association:
         now = self.kernel._now
         sched = self.scheduler
         outstanding = self.outstanding
-        stats = self.stats
+        # the counters a chunk moves are kept in locals and written once,
+        # after the loop: nothing the loop calls reads them
+        tsn = self.next_tsn
+        peer_rwnd = self.peer_rwnd
+        on_path = path.outstanding_bytes
+        taken = 0
         # the encoding is fixed per message at its first fragment; every
         # dequeue happens after INIT-ACK processing, so the negotiated
         # result is always known here
@@ -526,7 +533,7 @@ class Association:
             wire = (header + take + 3) & ~3  # padded to 4 bytes
             if wire > budget:
                 break
-            if self.peer_rwnd < take:
+            if peer_rwnd < take:
                 if self.outstanding_bytes > 0 or chunks:
                     break  # window closed: at most one probe chunk in flight
                 if now < self._next_window_probe_ns:
@@ -548,36 +555,43 @@ class Association:
                 fragment = BlobView(head.payload, head.offset, take)
             if head.idata:
                 chunk = IDataChunk(
-                    self.next_tsn, head.sid, 0, fragment, begin, end,
+                    tsn, head.sid, 0, fragment, begin, end,
                     head.unordered, head.ppid, wire, mid=head.seq, fsn=head.fsn,
                 )
-                stats.idata_chunks_sent += 1
             else:
                 chunk = DataChunk(
-                    self.next_tsn, head.sid, head.seq, fragment, begin, end,
+                    tsn, head.sid, head.seq, fragment, begin, end,
                     head.unordered, head.ppid, wire,
                 )
-            self.next_tsn += 1
+            outstanding[tsn] = TxRecord(chunk, path_addr, now)
+            tsn += 1
             sched.consume(take)
             chunks.append(chunk)
             budget -= wire
-            self.queued_bytes -= take
-            outstanding[chunk.tsn] = TxRecord(chunk, path_addr, now)
-            self.outstanding_bytes += take
-            path.outstanding_bytes += take
-            rwnd = self.peer_rwnd - take
-            self.peer_rwnd = rwnd if rwnd > 0 else 0
-            stats.data_chunks_sent += 1
-            stats.bytes_sent += take
-            if path.outstanding_bytes >= path.cwnd:
+            taken += take
+            on_path += take
+            peer_rwnd -= take
+            if peer_rwnd < 0:
+                peer_rwnd = 0
+            if on_path >= path.cwnd:
                 break
         if chunks:
-            if path_addr not in self._rtt_probe:
-                self._rtt_probe[path_addr] = (chunks[-1].tsn, now)
+            stats = self.stats
+            stats.data_chunks_sent += tsn - self.next_tsn
+            stats.bytes_sent += taken
+            if idata:  # every message takes the negotiated encoding
+                stats.idata_chunks_sent += tsn - self.next_tsn
             # scheduler observability: counters live on the scheduler,
             # the stats dataclass mirrors them for probes/summing
             stats.scheduler_decisions = sched.decisions
             stats.messages_interleaved = sched.interleave_switches
+            self.next_tsn = tsn
+            self.queued_bytes -= taken
+            self.outstanding_bytes += taken
+            path.outstanding_bytes = on_path
+            self.peer_rwnd = peer_rwnd
+            if path_addr not in self._rtt_probe:
+                self._rtt_probe[path_addr] = (tsn - 1, now)
         return chunks, budget
 
     def _try_send(self) -> None:
@@ -597,20 +611,21 @@ class Association:
         ):
             if self.peer_rwnd <= 0 and self.outstanding_bytes > 0:
                 break  # peer window closed
-            chunks: List[Chunk] = []
-            budget = self._packet_budget
             if self._packets_since_sack > 0:  # a SACK is pending
                 sack = self._build_sack()
-                chunks.append(sack)
-                budget -= sack.wire_size()
-            data, budget = self._dequeue_for_bundle(budget, path.addr)
-            if not chunks and not data:
-                break
-            # a pending SACK may have left no room for a full-size chunk:
-            # it then goes alone and the next packet has the whole budget
-            chunks.extend(data)
+                data, budget = self._dequeue_for_bundle(
+                    self._packet_budget - sack.wire, path.addr
+                )
+                # it may have left no room for a full-size chunk: the SACK
+                # then goes alone and the next packet has the whole budget
+                chunks: List[Chunk] = [sack, *data]
+            else:
+                data, budget = self._dequeue_for_bundle(self._packet_budget, path.addr)
+                if not data:
+                    break
+                chunks = data
             # the packet is the PMTU less the budget its chunks left
-            self._transmit_chunks(chunks, path.addr, size=PMTU - budget)
+            self._transmit_chunks(chunks, path.addr, None, PMTU - budget)
             if data and t3.deadline is None:
                 t3.restart(path.rto.rto_ns)
         if self._shutdown_requested:
@@ -622,16 +637,19 @@ class Association:
         """Send one packet; ``size`` is its wire size when the caller has
         summed the chunks already (the sanitizer re-sums it)."""
         pkt = SCTPPacket(
-            src_port=self.local_port,
-            dst_port=self.peer_port,
-            vtag=self.peer_vtag if vtag is None else vtag,
-            chunks=tuple(chunks),
+            self.local_port,
+            self.peer_port,
+            self.peer_vtag if vtag is None else vtag,
+            tuple(chunks),
         )
         if size is None:
             size = pkt.wire_size()
         elif self._san is not None:
             self._san.on_packet_sized(pkt, size)
-        src = self._source_cache.get(dest_addr) or self._source_for(dest_addr)
+        try:
+            src = self._source_cache[dest_addr]
+        except KeyError:
+            src = self._source_for(dest_addr)
         self.stats.packets_sent += 1
         self.host.send(Packet(src, dest_addr, "sctp", pkt, size))
 
@@ -659,11 +677,14 @@ class Association:
             self._autoclose_timer.restart(self._autoclose_ns)
         has_data = False
         for chunk in pkt.chunks:
-            if isinstance(chunk, DataChunk):
+            # the bulk path's chunks by class identity, the control chunks
+            # through the isinstance chain
+            kind = type(chunk)
+            if kind is DataChunk or kind is IDataChunk:
                 self._on_data(chunk)
                 self._last_data_src = src_addr
                 has_data = True
-            elif isinstance(chunk, SackChunk):
+            elif kind is SackChunk:
                 self._on_sack(chunk, src_addr)
             elif isinstance(chunk, InitAckChunk):
                 if self.state == COOKIE_WAIT:
@@ -696,7 +717,17 @@ class Association:
                 self._teardown(f"aborted by peer: {chunk.reason}")
                 return
         if has_data:
-            self._sack_policy()
+            # gaps and duplicates are reported at once (RFC 4960 §6.7),
+            # else every SACK_EVERY_PACKETS packets or after SACK_DELAY_NS
+            self._packets_since_sack += 1
+            if (
+                self._above_cum.starts
+                or self._dups_since_sack
+                or self._packets_since_sack >= SACK_EVERY_PACKETS
+            ):
+                self._send_sack()
+            elif self._sack_timer.deadline is None:
+                self._sack_timer.restart(SACK_DELAY_NS)
 
     # -- receiver side ----------------------------------------------------
     def _on_data(self, chunk: DataChunk) -> None:
@@ -727,15 +758,6 @@ class Association:
             self.stats.messages_delivered += 1
             self.on_message(message)
 
-    def _sack_policy(self) -> None:
-        self._packets_since_sack += 1
-        if self._above_cum.starts or self._dups_since_sack:
-            self._send_sack()  # report gaps/dups immediately (RFC 4960 §6.7)
-        elif self._packets_since_sack >= SACK_EVERY_PACKETS:
-            self._send_sack()
-        elif self._sack_timer.deadline is None:
-            self._sack_timer.restart(SACK_DELAY_NS)
-
     def _on_sack_timer(self) -> None:
         if self.state != CLOSED and self._packets_since_sack > 0:
             self._send_sack()
@@ -747,19 +769,23 @@ class Association:
     def _build_sack(self) -> SackChunk:
         cum = self.rcv_cum_tsn
         above = self._above_cum
+        stats = self.stats
         # gap blocks as inclusive offsets from cum (RFC 4960 §3.3.4)
-        gaps = tuple((s - cum, e - 1 - cum) for s, e in above) if above.starts else ()
-        sack = SackChunk(
-            cum_tsn=cum,
-            a_rwnd=self._a_rwnd(),
-            gaps=gaps,
-            n_dup_tsns=self._dups_since_sack,
+        if above.starts:
+            gaps = tuple((s - cum, e - 1 - cum) for s, e in above)
+            stats.gap_blocks_sent += len(gaps)
+        else:
+            gaps = ()
+        # the window _a_rwnd() computes, inline: every SACK reads it
+        inbound = self.inbound
+        rwnd = self.config.rcvbuf - self._owner_buffered - (
+            inbound.buffered_bytes if inbound is not None else 0
         )
-        self.stats.gap_blocks_sent += len(gaps)
+        sack = SackChunk(cum, rwnd if rwnd > 0 else 0, gaps, self._dups_since_sack)
         self._packets_since_sack = 0
         self._dups_since_sack = 0
         self._sack_timer.cancel()
-        self.stats.sacks_sent += 1
+        stats.sacks_sent += 1
         return sack
 
     def _send_sack(self) -> None:
@@ -768,39 +794,50 @@ class Association:
             path = self._active_path()
             dest = path.addr if path is not None else self.primary_addr
         sack = self._build_sack()
-        self._transmit_chunks(
-            [sack], dest, size=IP_HEADER + COMMON_HEADER + sack.wire_size()
-        )
+        self._transmit_chunks([sack], dest, size=IP_HEADER + COMMON_HEADER + sack.wire)
 
     # -- sender side: SACK processing -----------------------------------------
     def _on_sack(self, sack: SackChunk, src_addr: str) -> None:
-        self.stats.sacks_received += 1
-        self.stats.gap_blocks_received += len(sack.gaps)
-        cum_advanced = sack.cum_tsn > self.cum_tsn_acked
+        cum_tsn = sack.cum_tsn
+        if cum_tsn >= self.next_tsn:
+            # acks a TSN never sent: forged or corrupt, and taking it
+            # would retire every record in flight.  Dropped whole
+            return
+        stats = self.stats
+        stats.sacks_received += 1
+        gaps = sack.gaps
+        if gaps:
+            stats.gap_blocks_received += len(gaps)
 
         # what this SACK acknowledges: records at or below the cumulative
-        # point leave `outstanding` (it is TSN-ordered, so they are at its
-        # head); gap-acked ones stay until the cumulative point passes
-        # them.  Gap blocks are merged first, so blocks that overlap or
-        # repeat ack a TSN once, and walked only over TSNs ever sent.
+        # point leave `outstanding`, gap-acked ones stay until the
+        # cumulative point passes them.  `outstanding` holds exactly the
+        # TSNs cum_tsn_acked+1 .. next_tsn-1 in order, so the first
+        # cum_tsn - cum_tsn_acked records are the ones the cumulative
+        # point passed.  Gap blocks are merged first, so blocks that
+        # overlap or repeat ack a TSN once, and walked only over TSNs
+        # ever sent.
         outstanding = self.outstanding
-        cum_tsn = sack.cum_tsn
         acked: List[TxRecord] = []
-        while outstanding:
-            tsn = next(iter(outstanding))
-            if tsn > cum_tsn:
-                break
-            acked.append(outstanding.pop(tsn))
-        if sack.gaps:  # overwhelmingly a SACK carries none
+        n_cum = cum_tsn - self.cum_tsn_acked
+        cum_advanced = n_cum > 0
+        if cum_advanced:
+            self.cum_tsn_acked = cum_tsn
+            if n_cum > len(outstanding):
+                n_cum = len(outstanding)
+            pop = outstanding.popitem
+            append = acked.append
+            for _ in range(n_cum):
+                append(pop(last=False)[1])
+        if gaps:  # overwhelmingly a SACK carries none
             gap_acked = RangeSet()
-            for start, end in sack.gaps:
+            for start, end in gaps:
                 gap_acked.add(cum_tsn + max(start, 1), min(cum_tsn + end + 1, self.next_tsn))
             for lo, hi in gap_acked:
                 for tsn in range(lo, hi):
                     record = outstanding.get(tsn)
                     if record is not None and not record.gap_acked:
                         acked.append(record)
-        self.cum_tsn_acked = max(self.cum_tsn_acked, cum_tsn)
 
         # one accounting body for both kinds — per-TSN hot loop, no
         # helper calls (several chunks are acknowledged per SACK).  What
@@ -815,7 +852,6 @@ class Association:
             addr = record.path_addr
             if not record.gap_acked:  # else counted when it was gap-acked
                 size = record.chunk.payload.nbytes
-                self.outstanding_bytes -= size
                 total_acked += size
                 path = paths[addr]
                 on_path = path.sack_acked
@@ -842,6 +878,7 @@ class Association:
                     record.marked_for_rtx = False
             if highest_newly_acked is None or tsn > highest_newly_acked:
                 highest_newly_acked = tsn
+        self.outstanding_bytes -= total_acked
 
         if cum_advanced:
             self._assoc_error_count = 0
@@ -857,7 +894,8 @@ class Association:
                     path.rto.reset_backoff()
 
         # flow control: a_rwnd minus what is still in flight
-        self.peer_rwnd = max(0, sack.a_rwnd - self.outstanding_bytes)
+        rwnd = sack.a_rwnd - self.outstanding_bytes
+        self.peer_rwnd = rwnd if rwnd > 0 else 0
 
         # missing reports -> fast retransmit.  RFC 4960 §7.2.4 (HTNA): a
         # chunk is struck only when this SACK *newly* acknowledged a TSN
@@ -865,9 +903,11 @@ class Association:
         # (retransmission loss is the timer's job) — without these rules a
         # single hole is struck by every later SACK and retransmitted over
         # and over, each event halving cwnd.
+        # Every outstanding TSN is above the cumulative point, so only a
+        # gap-acked TSN can have one below it to strike.
         to_fast_rtx: List[TxRecord] = []
-        if highest_newly_acked is not None:
-            for tsn, record in self.outstanding.items():
+        if highest_newly_acked is not None and highest_newly_acked > self.cum_tsn_acked:
+            for tsn, record in outstanding.items():
                 if tsn >= highest_newly_acked:
                     break  # outstanding is TSN-ordered
                 if (
@@ -885,10 +925,12 @@ class Association:
             # dict.fromkeys, not a set: strike order must follow strike
             # (TSN) order, not PYTHONHASHSEED string-hash order
             struck_paths = dict.fromkeys(r.path_addr for r in to_fast_rtx)
-            highest_out = max(self.outstanding) if self.outstanding else self.cum_tsn_acked
+            # the highest TSN outstanding (or the cumulative point, which
+            # is the same TSN when nothing is)
+            highest_out = self.next_tsn - 1
             for addr in struck_paths:
                 self.paths[addr].on_fast_retransmit(highest_out)
-            self.stats.fast_retransmits += 1
+            stats.fast_retransmits += 1
             self._retransmit_marked()
 
         # per-path congestion window growth, cum-advance bookkeeping and

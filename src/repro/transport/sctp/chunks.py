@@ -15,11 +15,16 @@ from typing import ClassVar, Tuple
 from ...network.packet import IP_HEADER
 from ...util.blobs import Blob
 
+PMTU = 1500  # fixed (§4): every experiment runs Ethernet-sized packets
 COMMON_HEADER = 12
 DATA_CHUNK_HEADER = 16
 IDATA_CHUNK_HEADER = 20  # RFC 8260 §2.1: DATA + 32-bit MID + 32-bit FSN/PPID
 SACK_CHUNK_BASE = 16
 CONTROL_CHUNK_BASE = 20
+# user bytes of one full DATA chunk in one PMTU-sized packet: 1452.  The
+# association cuts fragments to it, the DRR quantum is one of it and the
+# cwnd histogram's edges are powers of two of it
+DATA_PAYLOAD = PMTU - IP_HEADER - COMMON_HEADER - DATA_CHUNK_HEADER
 
 
 def _pad4(n: int) -> int:
@@ -94,7 +99,11 @@ class IDataChunk(DataChunk):
 
 @dataclass(slots=True)
 class SackChunk(Chunk):
-    """Selective acknowledgement: cumulative TSN + gap-ack blocks."""
+    """Selective acknowledgement: cumulative TSN + gap-ack blocks.
+
+    The padded wire size is computed once, when the chunk is built, and
+    read as ``wire`` by the sender that bundles it.
+    """
 
     cum_tsn: int
     a_rwnd: int
@@ -102,10 +111,24 @@ class SackChunk(Chunk):
     # block (s, e) acknowledges TSNs cum_tsn+s .. cum_tsn+e inclusive.
     gaps: Tuple[Tuple[int, int], ...] = ()
     n_dup_tsns: int = 0
+    wire: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __init__(
+        self, cum_tsn: int, a_rwnd: int, gaps: Tuple[Tuple[int, int], ...] = (),
+        n_dup_tsns: int = 0,
+    ) -> None:
+        self.cum_tsn = cum_tsn
+        self.a_rwnd = a_rwnd
+        self.gaps = gaps
+        self.n_dup_tsns = n_dup_tsns
+        # every term is a multiple of 4 already: nothing to pad.  At most
+        # 16 duplicate TSNs are listed
+        self.wire = SACK_CHUNK_BASE + 4 * (
+            len(gaps) + (n_dup_tsns if n_dup_tsns < 16 else 16)
+        )
 
     def wire_size(self) -> int:
-        # every term is a multiple of 4 already: nothing to pad
-        return SACK_CHUNK_BASE + 4 * len(self.gaps) + 4 * min(self.n_dup_tsns, 16)
+        return self.wire
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SACK cum={self.cum_tsn} rwnd={self.a_rwnd} gaps={list(self.gaps)}>"

@@ -32,10 +32,11 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ...util.blobs import Blob
+from .chunks import DATA_PAYLOAD
 
 #: DRR quantum: one full PMTU payload's worth, so a stream sends at
 #: least one full fragment per round.
-WFQ_QUANTUM = 1452
+WFQ_QUANTUM = DATA_PAYLOAD
 
 SCHEDULER_NAMES: Tuple[str, ...] = ("fcfs", "rr", "wfq", "prio")
 

@@ -304,8 +304,10 @@ def record(tsn, nbytes=1_000, path="10.0.0.2", gap_acked=False):
 
 
 def fake_assoc(cum=10, records=(), outstanding_bytes=None, paths=None,
-               rcv_cum=0, above_cum=()):
+               rcv_cum=0, above_cum=(), next_tsn=None):
     outstanding = {r.chunk.tsn: r for r in records}
+    if next_tsn is None:  # the TSN after the last one in flight
+        next_tsn = max(outstanding, default=cum) + 1
     if outstanding_bytes is None:
         outstanding_bytes = sum(
             r.chunk.payload.nbytes for r in records if not r.gap_acked
@@ -324,7 +326,7 @@ def fake_assoc(cum=10, records=(), outstanding_bytes=None, paths=None,
             for addr, nbytes in by_path.items()
         }
     return SimpleNamespace(
-        cum_tsn_acked=cum, outstanding=outstanding,
+        cum_tsn_acked=cum, next_tsn=next_tsn, outstanding=outstanding,
         outstanding_bytes=outstanding_bytes, paths=paths,
         rcv_cum_tsn=rcv_cum, _above_cum=list(above_cum),
     )
@@ -353,6 +355,22 @@ def test_sctp_outstanding_order_and_stale_tsn_trip():
         AssociationSanitizer().on_sack_processed(
             fake_assoc(cum=10, records=[record(10)])
         )
+
+
+def test_sctp_outstanding_tsn_range_trips():
+    # a hole: 12 never left, yet 13 is in flight
+    with pytest.raises(InvariantViolation, match="2 TSNs in flight, the last 13"):
+        AssociationSanitizer().on_sack_processed(
+            fake_assoc(cum=10, records=[record(11), record(13)])
+        )
+    # the tail: 12 was sent (next_tsn 13) but is not outstanding
+    with pytest.raises(InvariantViolation, match="the last 11, but cum=10 and next_tsn=13"):
+        AssociationSanitizer().on_sack_processed(
+            fake_assoc(cum=10, records=[record(11)], next_tsn=13)
+        )
+    # the cumulative point past every TSN sent
+    with pytest.raises(InvariantViolation, match="outstanding TSN range"):
+        AssociationSanitizer().on_sack_processed(fake_assoc(cum=10, next_tsn=5))
 
 
 def test_sctp_outstanding_bytes_mismatch_trips():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.transport.sctp.chunks import DATA_PAYLOAD
 from repro.transport.sctp.sched import (
     SCHEDULER_NAMES,
     FCFSScheduler,
@@ -10,7 +11,7 @@ from repro.transport.sctp.sched import (
 )
 from repro.util.blobs import SyntheticBlob
 
-FRAG = 1452  # one PMTU payload's worth, like the association cuts
+FRAG = DATA_PAYLOAD  # one PMTU payload's worth, like the association cuts
 
 
 def qm(sid, nbytes, unordered=False):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simkernel import SECOND, Future
 from repro.transport.sctp import MessageTooBig, SCTPConfig
+from repro.transport.sctp.chunks import DATA_PAYLOAD
 from repro.util.blobs import RealBlob, SyntheticBlob
 
 from ..conftest import make_cluster, sctp_pair
@@ -161,8 +162,8 @@ def test_flow_control_rwnd_throttles_sender():
     delivered_not_read = sum(m.nbytes for m in s1.inbox)
     # everything delivered so far is parked in the (bounded) receive buffer,
     # plus at most a few RTO-paced zero-window probe chunks
-    assert delivered_not_read <= 60_000 + 12 * 1452
-    assert assoc.peer_rwnd <= 1452  # window essentially closed
+    assert delivered_not_read <= 60_000 + 12 * DATA_PAYLOAD
+    assert assoc.peer_rwnd <= DATA_PAYLOAD  # window essentially closed
     # reading reopens the window and the rest flows
     total_expected = sent
     got = pump_messages(kernel, s1, total_expected)

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.analyze.sanitize import sanitized
-from repro.transport.sctp.chunks import DataChunk, SackChunk
+from repro.simkernel import MICROSECOND, SECOND
+from repro.transport.sctp.association import ESTABLISHED
+from repro.transport.sctp.chunks import DataChunk, SackChunk, SCTPPacket
 from repro.transport.tcp.buffers import ReassemblyBuffer
 from repro.transport.tcp.connection import DUPACK_THRESHOLD, MSS
 from repro.transport.tcp.segment import ACK, TCPSegment
@@ -32,6 +34,35 @@ def test_tcp_malformed_sack_blocks_are_ignored():
     assert (conn.stats.fast_retransmits, conn.stats.sacked_ranges) == (1, 0)
     assert list(conn._sacked) == []
     assert [s.data_len for s in sent if s.seq == una] == [MSS]
+
+
+def test_sctp_sack_of_a_tsn_never_sent_is_dropped():
+    """A SACK whose cumulative TSN acks data never sent, injected while
+    messages are in flight, retires no record and moves neither the
+    cumulative point nor the peer's window: the transfer completes."""
+    bodies = [bytes([i]) * 20_000 for i in range(1, 6)]
+    with sanitized():
+        kernel, cluster = make_cluster()
+        s0, s1, aid = sctp_pair(kernel, cluster)
+        for body in bodies:
+            assert s0.sendmsg(aid, 0, RealBlob(body))
+        assoc = s0.association(aid)
+        kernel.run(until=kernel.now + 200 * MICROSECOND)
+        assert assoc.outstanding and assoc.cum_tsn_acked >= assoc.my_initial_tsn
+        before = (list(assoc.outstanding), assoc.cum_tsn_acked, assoc.peer_rwnd)
+        forged = SackChunk(assoc.next_tsn + 1_000, 1 << 20)
+        assoc.on_packet(
+            SCTPPacket(assoc.peer_port, assoc.local_port, assoc.my_vtag, (forged,)),
+            assoc.primary_addr,
+        )
+        assert (list(assoc.outstanding), assoc.cum_tsn_acked, assoc.peer_rwnd) == before
+        kernel.run(until=kernel.now + SECOND)
+    received = []
+    while (msg := s1.recvmsg()) is not None:
+        received.append(msg.data.to_bytes())
+    assert received == bodies
+    assert assoc.state == ESTABLISHED
+    assert assoc.cum_tsn_acked < assoc.next_tsn
 
 
 def test_sctp_gap_blocks_ack_each_tsn_once():
