@@ -588,6 +588,33 @@ class RPISanitizer:
                     f"{where}: {sock!r} can take bytes but is stalled",
                 )
 
+    def expect_write_idle(
+        self, queues: Dict[Any, Any], sock_of: Dict[Any, Any], stalled: Any,
+        write_set: Any, where: str,
+    ) -> None:
+        """A skipped TCP walk would have sent nothing: each non-empty
+        queue's peer is unbound or its socket stalled, and the write set
+        the last walk built lists exactly the bound ones, in queue order."""
+        expected = []
+        for peer, queue in queues.items():
+            sock = sock_of.get(peer)
+            if not queue or sock is None:
+                continue
+            if sock not in stalled:
+                _fail(
+                    "rpi",
+                    "a skipped TCP walk has no socket that can take bytes",
+                    f"{where}: the queue to peer {peer} holds {len(queue)} "
+                    f"unit(s) and {sock!r} is not stalled",
+                )
+            expected.append(sock)
+        if list(write_set) != expected:
+            _fail(
+                "rpi",
+                "the TCP write set is the bound sockets with output",
+                f"{where}: write set {list(write_set)!r}, expected {expected!r}",
+            )
+
 
 class OptionBSanitizer:
     """Paper §3.4.2 Option B: one message at a time per (association, stream).

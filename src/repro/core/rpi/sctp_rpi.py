@@ -92,7 +92,11 @@ class SCTPRPI(BaseRPI):
         # write readiness: rank -> smallest next piece its send room refused
         # on the last walk (every head of that rank is bigger than the room,
         # until on_writable lifts it), and whether anything since that walk
-        # (a unit queued, a rank bound, a stall lifted) may let one progress
+        # (a unit queued, a rank bound, a stall lifted) may let one progress.
+        # Freed send room is of use only then, or once it lifts a stall, so
+        # the socket reports only that: ``sock.writable_wanted`` is set with
+        # ``_walk_due`` and cleared after a walk, and each stall recorded
+        # sets its association's need (``report_room_at``)
         self._stalled: Dict[int, int] = {}
         self._walk_due = False
         # (rank, stream) -> [seqnum, remaining_bytes] continuation state
@@ -153,17 +157,19 @@ class SCTPRPI(BaseRPI):
     def _bind(self, assoc_id: int, rank: int) -> None:
         self._rank_by_assoc[assoc_id] = rank
         self._assoc_by_rank[rank] = assoc_id
-        self._walk_due = True
+        self._walk_due = self.sock.writable_wanted = True
 
     def _on_assoc_up(self, _assoc_id: int) -> None:
-        self._walk_due = True
+        self._walk_due = self.sock.writable_wanted = True
         self.wake()
 
     def _on_writable(self, assoc_id: int) -> None:
         """Freed send room wakes the rank only when its pump can use it:
         the room now takes the rank's smallest stalled head, or a walk is
         already due (a stall lifted by a shutdown).  Any other wake finds
-        nothing to send, and inbound data wakes through on_readable."""
+        nothing to send, and inbound data wakes through on_readable.  The
+        socket calls this only then (a stall lifted by an enqueue or a
+        shutdown may leave a need behind: a call that does nothing)."""
         stalled = self._stalled
         if stalled:
             rank = self._rank_by_assoc.get(assoc_id)
@@ -176,7 +182,7 @@ class SCTPRPI(BaseRPI):
 
     def _unstall(self, assoc_id: int) -> None:
         if self._stalled.pop(self._rank_by_assoc.get(assoc_id), None) is not None:
-            self._walk_due = True
+            self._walk_due = self.sock.writable_wanted = True
 
     def _handle_control(self, src_rank: int, env: Envelope) -> None:
         kind = env.flags & KIND_MASK
@@ -205,6 +211,8 @@ class SCTPRPI(BaseRPI):
             self._outq[key] = deque((unit,))
         self._stalled.pop(dest, None)  # the new head may be smaller
         self._walk_due = True
+        if self.sock is not None:  # (a unit queued before init finds none)
+            self.sock.writable_wanted = True
         self.stats.units_sent += 1
         self.stats.bytes_sent += ENVELOPE_SIZE + nbytes
 
@@ -280,6 +288,7 @@ class SCTPRPI(BaseRPI):
                 if refused:
                     if size < stalled.get(rank, limit + 1):
                         stalled[rank] = size
+                        sock.report_room_at(assoc_id, size)
                     break
                 self.host.cpu.charge(self._mw_base_ns + self._mw_per_kib_ns * size // 1024)
                 unit.env_sent = True
@@ -296,7 +305,7 @@ class SCTPRPI(BaseRPI):
                         unit.on_sent()
         # not before the walk: one that raises (a shut-down association)
         # is due again, so the next pump raises too, as it always did
-        self._walk_due = False
+        self._walk_due = sock.writable_wanted = False
         return progressed
 
     def _dispatch(self, msg) -> None:

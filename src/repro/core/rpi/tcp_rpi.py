@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ...transport.tcp import Selector, TCPListener, TCPSocket
 from ...util.blobs import ChunkList
@@ -75,7 +75,13 @@ class TCPRPI(BaseRPI):
         self._outq: Dict[int, Deque[_OutUnit]] = {
             r: deque() for r in range(self.size) if r != self.rank
         }
-        self._queued_units = 0  # units in _outq, over every queue
+        # write readiness: whether anything since the last outbound walk
+        # (a unit queued, a rank bound) may let a queue progress; a socket
+        # leaving Selector.stalled raises the selector's ``lifted`` instead.
+        # After a walk every non-empty queue is unbound or stalled, and
+        # ``_write_socks`` (select()'s write set) lists the bound ones
+        self._walk_due = False
+        self._write_socks: Tuple[TCPSocket, ...] = ()
         self._listener: Optional[TCPListener] = None
 
     # ------------------------------------------------------------------
@@ -127,6 +133,8 @@ class TCPRPI(BaseRPI):
     def _bind(self, sock: TCPSocket, rank: int) -> None:
         self._sock_by_rank[rank] = sock
         self._rank_by_sock[sock] = rank
+        if self._outq[rank]:  # units queued before the peer was known
+            self._walk_due = True
 
     # ------------------------------------------------------------------
     # transport plumbing
@@ -135,7 +143,7 @@ class TCPRPI(BaseRPI):
         # envelope and body as one byte run, built once
         wire = ChunkList([env.pack()] if body is None else [env.pack(), *body.pieces])
         self._outq[dest].append(_OutUnit(wire, on_sent))
-        self._queued_units += 1
+        self._walk_due = True
         self.stats.units_sent += 1
         self.stats.bytes_sent += wire.nbytes
 
@@ -175,20 +183,31 @@ class TCPRPI(BaseRPI):
                         if not sock.conn._eof and sock.closed_error is None:
                             ready.discard(sock)
                         break
-        if not self._queued_units:
+        if not self._walk_due and not selector.lifted:
+            # nothing was queued, bound or un-stalled since the last walk:
+            # every non-empty queue is still unbound or stalled
+            if self._san is not None:
+                self._san.expect_write_idle(
+                    self._outq, self._sock_by_rank, selector.stalled,
+                    self._write_socks, f"rank {self.rank} pump",
+                )
             return progressed
         # outbound: flush per-peer FIFO queues, passing over the sockets
         # whose send buffer is still full (Selector.stalled): their send
         # would accept nothing
-        stalled = self.selector.stalled
+        stalled = selector.stalled
         if self._san is not None:
             self._san.expect_full(stalled, f"rank {self.rank} pump")
+        write_socks = ()  # select()'s write set: bound sockets with output
         for rank, queue in self._outq.items():
             if not queue:
                 continue
             sock = self._sock_by_rank.get(rank)
-            if sock is None or sock in stalled:
-                continue  # peer not connected yet (only during init), or full
+            if sock is None:
+                continue  # peer not connected yet (only during init)
+            if sock in stalled:
+                write_socks += (sock,)  # full: its send would take nothing
+                continue
             while queue:
                 unit = queue[0]
                 wire = unit.wire
@@ -207,12 +226,16 @@ class TCPRPI(BaseRPI):
                         break
                 if unit.offset >= wire.nbytes:
                     queue.popleft()
-                    self._queued_units -= 1
                     if unit.on_sent is not None:
                         unit.on_sent()
                 else:
                     stalled.add(sock)  # the send buffer is full
+                    write_socks += (sock,)
                     break
+        # not before the walk: one that raises (a closed connection) is
+        # due again, so the next pump raises too, as it always did
+        self._write_socks = write_socks
+        self._walk_due = selector.lifted = False
         return progressed
 
     def _retire_socket(self, sock: TCPSocket) -> None:
@@ -254,12 +277,9 @@ class TCPRPI(BaseRPI):
         if self._woken:
             self._woken = False
             return False
-        write_socks = [
-            self._sock_by_rank[r]
-            for r, q in self._outq.items()
-            if q and r in self._sock_by_rank
-        ] if self._queued_units else []
-        if self.selector.select(write_socks):
+        # the walk that last changed the queues built the write set (this
+        # step's pump ran the walk if one was due)
+        if self.selector.select(self._write_socks):
             return False
         if self._san is not None:
             self._san.expect_listed(self.selector.sockets, (), f"rank {self.rank} blocking select")

@@ -13,7 +13,9 @@ order) that each packet flows through.
 
 Determinism: the base loss draws from the ``dummynet:<name>`` stream
 (one draw per packet); every armed impairment draws from its own stream,
-so arming a scenario never perturbs the base loss pattern.
+so arming a scenario never perturbs the base loss pattern.  While nothing
+is armed, a lossy pipe makes that draw inline instead of running the
+chain: the same draw, counters and forwarding, without its lists.
 
 A pipe builds its base loss, binds that stream and imports
 :mod:`repro.faults` only when ``loss_rate`` is non-zero (at 0 the base
@@ -61,6 +63,7 @@ class DummynetPipe:
         # set changes (hot-path: one tuple read instead of a list
         # construction per packet)
         self._chain: tuple = ()
+        self._base_only = False  # the chain is the base loss alone
         self._rebuild_chain()
         self.passed_packets = 0
         self.dropped_packets = 0
@@ -85,11 +88,13 @@ class DummynetPipe:
 
     # -- impairment chain --------------------------------------------------
     def _rebuild_chain(self) -> None:
-        """Recompute the cached per-packet impairment chain."""
+        """Recompute the cached per-packet impairment chain, and whether it
+        is the base loss alone (the pipe then draws inline)."""
         if self._base is None:
             self._chain = tuple(self._armed)
         else:
             self._chain = (self._base, *self._armed)
+        self._base_only = self._base is not None and not self._armed
 
     def arm(self, impairment: Impairment) -> Impairment:
         """Append an impairment to the chain (bound here if needed)."""
@@ -121,6 +126,21 @@ class DummynetPipe:
         chain = self._chain
         if not chain:
             # clean-pipe fast path: nothing armed, no base loss
+            self.passed_packets += 1
+            if packet.corrupted:
+                self.corrupted_packets += 1
+            sink(packet)
+            return
+        if self._base_only:
+            # Dummynet's plr alone: BernoulliLoss.process inline (a base
+            # exists only at a non-zero rate, so it always draws), the same
+            # one draw from its stream and the same counters, no lists
+            base = self._base
+            base.packets_seen += 1
+            if base.rng.random() < base.rate:
+                base.packets_dropped += 1
+                self.dropped_packets += 1
+                return
             self.passed_packets += 1
             if packet.corrupted:
                 self.corrupted_packets += 1

@@ -242,6 +242,12 @@ class Association:
         self.on_established = _noop
         self.on_message = _noop1  # fn(AssembledMessage)
         self.on_writable = _noop
+        # when on_writable runs: after a SACK that acks data and leaves at
+        # least ``writable_need`` bytes of send room, or any room while the
+        # owner's ``writable_gate.writable_wanted`` holds.  An owner that
+        # raises the need above 1 (any room) sets the gate
+        self.writable_need = 1
+        self.writable_gate = None
         self.on_shutting_down = _noop  # entered a SHUTDOWN state: sends now raise
         self.on_closed = _noop1  # fn(error | None)
 
@@ -965,11 +971,10 @@ class Association:
         self._try_send()
         if self._san is not None:
             self._san.on_sack_processed(self)
-        if (
-            total_acked > 0
-            and self.config.sndbuf > self.queued_bytes + self.outstanding_bytes
-        ):
-            self.on_writable()
+        if total_acked > 0:
+            room = self.config.sndbuf - self.queued_bytes - self.outstanding_bytes
+            if room >= self.writable_need or (room > 0 and self.writable_gate.writable_wanted):
+                self.on_writable()
 
     # -- retransmission -------------------------------------------------------
     def _retransmit_marked(self, within_cwnd: bool = False) -> int:

@@ -70,6 +70,10 @@ class OneToManySocket:
         # notification hooks
         self.on_readable: Callable[[], None] = _noop
         self.on_writable: Callable[[int], None] = _noop1
+        # whether the owner reads any freed send room; while false, an
+        # association reports it only once it reaches the need set with
+        # ``report_room_at`` (none set: never)
+        self.writable_wanted = True
         self.on_assoc_up: Callable[[int], None] = _noop1
         # the association entered a SHUTDOWN state: ``send_room`` stops
         # predicting refusals (``sendmsg`` raises instead)
@@ -84,6 +88,8 @@ class OneToManySocket:
         self._by_peer[(assoc.primary_addr, assoc.peer_port)] = assoc.assoc_id
         assoc.on_message = lambda msg, a=assoc: self._deliver(a, msg)
         assoc.on_writable = lambda a=assoc: self.on_writable(a.assoc_id)
+        assoc.writable_gate = self
+        assoc.writable_need = assoc.config.sndbuf + 1  # more than can free up
         assoc.on_established = lambda a=assoc: self.on_assoc_up(a.assoc_id)
         assoc.on_shutting_down = lambda a=assoc: self.on_assoc_shutdown(a.assoc_id)
         assoc.on_closed = lambda err, a=assoc: self._assoc_closed(a, err)
@@ -120,6 +126,11 @@ class OneToManySocket:
         assoc.on_closed = lambda err: (once_down(assoc.assoc_id, err), prev_closed(err))[-1]
         assoc.connect()
         return fut
+
+    def report_room_at(self, assoc_id: int, nbytes: int) -> None:
+        """While ``writable_wanted`` is off, report freed send room on
+        ``assoc_id`` only once it reaches ``nbytes``."""
+        self._assocs[assoc_id].writable_need = nbytes
 
     def association(self, assoc_id: int) -> Association:  # repro: allow[AN107] — test seam
         """Look up an owned association by id."""

@@ -25,6 +25,9 @@ class SendBuffer:
         self._head_seq = start_seq  # sequence of the first byte still stored
         self._tail_seq = start_seq  # sequence just past the last stored byte
         self._pieces: Deque[Tuple[int, Blob]] = deque()  # (start_seq, blob)
+        # index in _pieces of the piece the last read_range ended in: the
+        # next new data starts there (0 when nothing was read)
+        self._cursor = 0
 
     @property
     def tail_seq(self) -> int:
@@ -68,19 +71,33 @@ class SendBuffer:
                 f"range [{seq},{end}) outside buffered "
                 f"[{self._head_seq},{self._tail_seq})"
             )
-        pieces = []
-        for start, blob in self._pieces:
+        # start at the piece holding seq: the one the last read ended in
+        # holds the next new data; a resend below it starts at the first
+        stored = self._pieces
+        i = self._cursor
+        start, blob = stored[i]
+        if start > seq:
+            i = 0
+            start, blob = stored[0]
+        blob_end = start + blob.nbytes
+        while blob_end <= seq:
+            i += 1
+            start, blob = stored[i]
             blob_end = start + blob.nbytes
-            if blob_end <= seq:
-                continue
-            if start >= end:
-                break
+        pieces = []
+        while True:
             if seq <= start and blob_end <= end:
                 pieces.append(blob)
             else:
                 lo = seq - start if seq > start else 0
                 hi = (end if end < blob_end else blob_end) - start
                 pieces.append(blob.slice(lo, hi))
+            if blob_end >= end:
+                break
+            i += 1
+            start, blob = stored[i]
+            blob_end = start + blob.nbytes
+        self._cursor = i
         # every piece overlaps the range, so none is empty: the run is
         # built as is, without the constructor's per-piece filtering
         out = ChunkList.__new__(ChunkList)
@@ -100,6 +117,8 @@ class SendBuffer:
             start, blob = pieces[0]
             if start + blob.nbytes <= seq:
                 pieces.popleft()
+                if self._cursor:
+                    self._cursor -= 1
             elif start < seq:
                 # partial ack inside a blob: trim its acked prefix
                 pieces[0] = (seq, blob.slice(seq - start, blob.nbytes))

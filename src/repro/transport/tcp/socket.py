@@ -10,7 +10,7 @@ socket-per-peer design.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ...simkernel import Future
 from ...util.blobs import Blob, ChunkList
@@ -202,8 +202,11 @@ class Selector:
     leaves it when it reports while ``send`` could take bytes again (an ACK
     freed room, or the connection closed) or is unregistered: ``sock in
     stalled => sock.send_blocked``, which implies ``not sock.writable``.
-    The writer passes over listed sockets; ``select()``'s write set and its
-    charge do not depend on the list.
+    The writer passes over listed sockets, and so does ``select()``'s
+    writability test (a listed socket is not writable); its write set and
+    charge do not depend on the list.  ``lifted`` records that a socket
+    left the list since the writer last cleared it, so the writer walks
+    its queues again only when one may take bytes.
     """
 
     def __init__(self, host, wake: Callable[[], None]) -> None:
@@ -214,8 +217,9 @@ class Selector:
         self.sockets: Tuple[TCPSocket, ...] = ()
         self.ready: Set[TCPSocket] = set()
         self.stalled: Set[TCPSocket] = set()
+        self.lifted = False  # a socket left ``stalled``; the writer clears it
         # write set of the select() the owner is blocked in; None when not
-        self._blocked_writes: Optional[List[TCPSocket]] = None
+        self._blocked_writes: Optional[Sequence[TCPSocket]] = None
         self.calls = 0
         cost_model = host.cost_model
         base = cost_model.select_cost(0)
@@ -237,10 +241,12 @@ class Selector:
         self.sockets = tuple(sockets)
         self._read_set_charge_ns -= self._charge_per_socket_ns
         self.ready.discard(sock)
-        self.stalled.discard(sock)
+        if sock in self.stalled:
+            self.stalled.discard(sock)
+            self.lifted = True
         sock._route_events(_noop)
 
-    def select(self, write_sockets: List[TCPSocket]) -> bool:
+    def select(self, write_sockets: Sequence[TCPSocket]) -> bool:
         """One ``select()`` over every registered socket for reading and
         ``write_sockets`` for writing; charges its CPU cost.
 
@@ -259,8 +265,10 @@ class Selector:
         for sock in self.sockets:
             if sock in ready and sock.readable:
                 return True
+        stalled = self.stalled
         for sock in write_sockets:
-            if sock.writable:
+            # sock in stalled => send_blocked => not writable: not asked
+            if sock not in stalled and sock.writable:
                 return True
         self._blocked_writes = write_sockets
         return False
@@ -276,6 +284,7 @@ class Selector:
         stalled = self.stalled
         if stalled and sock in stalled and not sock.send_blocked:
             stalled.discard(sock)
+            self.lifted = True
         blocked_writes = self._blocked_writes
         conn = sock.conn
         # == sock.readable, sans the property calls (with nothing buffered,

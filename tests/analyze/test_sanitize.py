@@ -588,6 +588,48 @@ def test_tcp_rpi_trips_on_a_swallowed_report():
         run_app(app, n_procs=2, rpi="tcp", seed=1, limit_ns=10**12, finalize_barrier=False)
 
 
+def test_rpi_skipped_tcp_walk_finds_every_queue_stalled():
+    full, free = object(), object()
+    queues = {1: ["unit"], 2: [], 3: ["unit"]}
+    sock_of = {1: full, 2: free, 3: free}
+    RPISanitizer().expect_write_idle({1: ["unit"], 2: []}, sock_of, {full}, [full], "pump")
+    RPISanitizer().expect_write_idle({4: ["unit"]}, sock_of, set(), [], "pump")  # unbound
+    with pytest.raises(InvariantViolation, match="pump: the queue to peer 3 holds 1 unit"):
+        RPISanitizer().expect_write_idle(queues, sock_of, {full}, [full, free], "pump")
+    with pytest.raises(InvariantViolation, match="write set is the bound sockets"):
+        RPISanitizer().expect_write_idle({1: ["unit"]}, sock_of, {full}, [], "pump")
+
+
+def test_tcp_rpi_trips_on_a_stall_lifted_behind_its_back():
+    """A socket dropped from ``Selector.stalled`` without the selector's
+    lift flag would keep its queue unsent; the armed RPI names it at the
+    next pump that skips the walk."""
+    from repro.core import run_app
+    from repro.transport.tcp import TCPConfig
+
+    async def app(comm):
+        if comm.rank == 1:
+            return None
+        rpi = comm.rpi
+        for tag in range(4):
+            comm.isend(b"x" * 60000, dest=1, tag=tag)
+        rpi.poke()
+        sock = rpi._sock_by_rank[1]
+        assert sock in rpi.selector.stalled
+        rpi.selector.stalled.discard(sock)  # planted: no lift recorded
+        rpi.poke()
+        return None
+
+    with sanitized(True), pytest.raises(
+        InvariantViolation,
+        match=r"rank 0 pump: the queue to peer 1 holds \d+ unit\(s\) and <TCPSocket .* is not stalled",
+    ):
+        run_app(
+            app, n_procs=2, rpi="tcp", seed=1, limit_ns=10**12, finalize_barrier=False,
+            tcp_config=TCPConfig(sndbuf=72 * 1024),
+        )
+
+
 def test_rpi_resumes_only_when_done():
     RPISanitizer().expect_resumed_done(True, "rank 1")
     with pytest.raises(InvariantViolation, match="resumes only when done"):

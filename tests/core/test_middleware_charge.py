@@ -76,7 +76,7 @@ def test_tcp_rpi_charges_exactly_the_cost_model(cm):
     can move (a 0-byte read is EOF and a 0-byte write is never made)."""
     rpi = _rank0_rpi("tcp", cm)
     sock = _TcpStub()
-    rpi.selector = SimpleNamespace(ready=set(), sockets=[sock], stalled=set())
+    rpi.selector = SimpleNamespace(ready=set(), sockets=[sock], stalled=set(), lifted=False)
     rpi._feed = lambda sock, chunk: None
     rpi._sock_by_rank[1] = sock
     for n in SIZES[1:]:
@@ -84,7 +84,7 @@ def test_tcp_rpi_charges_exactly_the_cost_model(cm):
         rpi.selector.ready = {sock}
         assert _charged(rpi, rpi._pump) == cm.middleware_io_cost("tcp", n)
         rpi._outq[1].append(_OutUnit(_blob(n)))
-        rpi._queued_units = 1
+        rpi._walk_due = True  # the queue was filled behind the RPI's back
         assert _charged(rpi, rpi._pump) == cm.middleware_io_cost("tcp", n)
 
 

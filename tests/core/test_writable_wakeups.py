@@ -3,9 +3,11 @@
 Each RPI keeps a stall record per peer: the SCTP RPI the smallest next
 piece an association's send room refused on the last outbound walk, the
 TCP RPI the sockets whose last write filled the send buffer
-(``Selector.stalled``).  The pump passes over a stalled peer, the SCTP
-pump skips the walk when nothing could progress, and freed send room
-wakes an SCTP rank only when it lifts a stall.  Each world below runs
+(``Selector.stalled``).  The pump passes over a stalled peer, both
+pumps skip the walk when nothing could progress, and freed send room
+wakes an SCTP rank only when it lifts a stall (the socket reports it
+only while a walk is due or once it reaches a stalled head's size).
+Each world below runs
 twice -- with stall records, and with stalls disabled (nothing is ever
 recorded, every walk is due, every freed room wakes the rank) -- and
 must produce the same ranks' results, units, kernel events and
@@ -21,6 +23,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.rpi.sctp_rpi import SCTPRPI
+from repro.core.rpi.tcp_rpi import TCPRPI
 from repro.core.world import World, WorldConfig
 from repro.transport.sctp import OneToManySocket, SCTPConfig
 from repro.transport.tcp import Selector, TCPSocket
@@ -74,6 +77,14 @@ class _NeverStalledSockets(set):
         pass
 
 
+def _always(_self):
+    return True
+
+
+def _ignored(_self, _value):
+    pass
+
+
 def _stalls_disabled(monkeypatch):
     sctp_init = SCTPRPI.__init__
     selector_init = Selector.__init__
@@ -87,12 +98,15 @@ def _stalls_disabled(monkeypatch):
         self.stalled = _NeverStalledSockets()
 
     monkeypatch.setattr(SCTPRPI, "__init__", sctp_init_never_stalling)
-    # every walk is due, so every freed send room wakes the rank
+    # every walk is due, so every freed send room wakes the rank: the
+    # socket reports all of it
+    monkeypatch.setattr(SCTPRPI, "_walk_due", property(_always, _ignored), raising=False)
     monkeypatch.setattr(
-        SCTPRPI, "_walk_due", property(lambda self: True, lambda self, _v: None),
-        raising=False,
+        OneToManySocket, "writable_wanted", property(_always, _ignored), raising=False
     )
     monkeypatch.setattr(Selector, "__init__", selector_init_never_stalling)
+    # and every TCP pump walks the queues, as when nothing was stalled
+    monkeypatch.setattr(TCPRPI, "_walk_due", property(_always, _ignored), raising=False)
 
 
 def _run(name, monkeypatch):

@@ -51,6 +51,42 @@ def test_sendbuffer_bytes_after():
     assert sb.bytes_after(200) == 0
 
 
+def test_sendbuffer_resend_below_the_last_read():
+    """A read starts at the piece the last one ended in; a resend below
+    it, and a read after the acked pieces are released, start over."""
+    sb = SendBuffer(0, capacity=100)
+    for piece in (b"abc", b"defg", b"hi", b"jklmn"):
+        sb.write(RealBlob(piece))
+    assert sb.read_range(5, 4).to_bytes() == b"fghi"
+    assert sb.read_range(9, 5).to_bytes() == b"jklmn"
+    assert sb.read_range(1, 3).to_bytes() == b"bcd"  # a resend
+    assert sb.read_range(8, 2).to_bytes() == b"ij"
+    sb.release_below(8)
+    assert sb.read_range(8, 6).to_bytes() == b"ijklmn"
+    assert sb.read_range(12, 2).to_bytes() == b"mn"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sendbuffer_reads_match_the_written_stream(data):
+    """Any mix of writes, reads anywhere in the buffered range and
+    releases reads exactly the bytes written there."""
+    sb = SendBuffer(7, capacity=64)
+    stream = b""  # every byte written, from sequence 7
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(("write", "read", "release")))
+        head, tail = sb.tail_seq - sb.used, sb.tail_seq
+        if op == "write":
+            piece = data.draw(st.binary(min_size=1, max_size=12))
+            stream += piece[: sb.write(RealBlob(piece))]
+        elif op == "read" and tail > head:
+            seq = data.draw(st.integers(head, tail - 1))
+            nbytes = data.draw(st.integers(1, tail - seq))
+            assert sb.read_range(seq, nbytes).to_bytes() == stream[seq - 7 : seq - 7 + nbytes]
+        elif op == "release":
+            sb.release_below(data.draw(st.integers(head, tail)))
+
+
 # ---------------------------------------------------------------------------
 # ReassemblyBuffer
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Socket facade + Selector (select() semantics, costs and the ready set)."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.network import CostModel, Host
@@ -107,6 +105,12 @@ def test_selector_writable_wake_only_for_the_write_set():
     assert len(woken) == 1
 
 
+class _Idle:
+    """A write-set socket whose send buffer is full (hashable, as sockets are)."""
+
+    writable = False
+
+
 @pytest.mark.parametrize(
     "cm",
     [CostModel(), CostModel(select_base_ns=3_100, select_per_socket_ns=77)],
@@ -118,7 +122,7 @@ def test_selector_charges_exactly_select_cost(cm):
     ``CostModel.select_cost`` gives."""
     host = Host(Kernel(seed=1), "h", cm)
     selector = Selector(host, lambda: None)
-    idle = SimpleNamespace(writable=False)
+    idle = _Idle()
     for n in range(65):
         before = host.cpu.total_busy_ns
         assert selector.select([idle] * n) is False
