@@ -50,8 +50,8 @@ COUNTEREXAMPLES = {
         "multistreaming must help under loss",
     ),
     "failover": (
-        [ExperimentRow("failover", {"completed": True, "failover_retransmits": 5,
-                                    "path_failures": 1, "recovery_s": 3.5})],
+        [ExperimentRow("pingpong w/ primary-path failure", {
+            "completed": True, "failover_retransmits": 5, "path_failures": 1, "recovery_s": 3.5})],
         "should recover within 2.0s",
     ),
     "interleave": (
@@ -95,6 +95,14 @@ def test_claim_rejects_counterexample(figure):
     rows, fragment = COUNTEREXAMPLES[figure]
     failures = MATRICES[figure].claim(rows)
     assert any(fragment in message for message in failures), failures
+
+
+@pytest.mark.parametrize("figure", [name for name, m in MATRICES.items() if m.claim])
+def test_claim_messages_ignore_row_order(figure):
+    """A claim names its rows by label: reversed rows give the same messages."""
+    rows, _ = COUNTEREXAMPLES[figure]
+    claim = MATRICES[figure].claim
+    assert claim(rows[::-1]) == claim(rows)
 
 
 def _fig8_rows(crossing_at):

@@ -3,7 +3,7 @@ no wall clock.
 
 A send that the transport would refuse costs no virtual time, so the
 host should not make it.  On the 4-rank farm of the progression-step
-budget (``tests/core/test_progress_budget.py``: 60 tasks, fanout 10, ten
+budget (``test_progress_budget.py``: 60 tasks, fanout 10, ten
 streams, 72 KiB send buffers) with 1 % loss, seed 1:
 
 * no ``TCPSocket.send`` call accepts 0 bytes: a short write lists the
