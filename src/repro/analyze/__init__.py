@@ -4,11 +4,10 @@ Three instruments, one goal — making the simulator's determinism and
 protocol conformance *checkable* instead of assumed:
 
 * :mod:`repro.analyze.ci` — the static analyzer: one parsed program
-  (:mod:`~repro.analyze.callgraph`), the syntactic rules
+  (:mod:`~repro.analyze.program`), the call-site rules
   (:mod:`~repro.analyze.lint`: wall clocks, global randomness, set
-  iteration, ``id()`` ordering, kernel-internal pokes) and the
-  whole-program rule (:mod:`~repro.analyze.flow`: determinism taint),
-  one suppression pass, one report;
+  iteration, ``id()`` ordering, kernel-internal pokes, process-state
+  reads, unreferenced definitions), one suppression pass, one report;
 * :mod:`repro.analyze.sanitize` — the switch for opt-in runtime invariant
   checkers on the kernel, both transports, and both RPIs
   (``REPRO_SANITIZE=1``); the checkers are in

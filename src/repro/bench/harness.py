@@ -33,7 +33,7 @@ LIMIT_NS = 20_000_000_000_000  # hard per-run virtual-time ceiling (watchdog)
 
 def full_scale() -> bool:
     """Whether to run paper-scale parameters (REPRO_FULL=1)."""
-    return os.environ.get("REPRO_FULL", "") == "1"
+    return os.environ.get("REPRO_FULL", "") == "1"  # repro: allow[AN108] — the scale keys the sweep cache by design
 
 
 def scaled(default: int, full: int) -> int:

@@ -127,7 +127,7 @@ class Communicator:
                     return i, request
             await self._next_completion()
 
-    def test(self, request: Request) -> bool:
+    def test(self, request: Request) -> bool:  # repro: allow[AN107] — public MPI API
         """MPI_Test: one non-blocking progression step, then check."""
         if not request.done:
             self.rpi.poke()

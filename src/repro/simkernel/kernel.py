@@ -262,7 +262,7 @@ def _watchdog_env() -> Optional[dict]:
     auto-arms with these limits (the CI/sweep "no run hangs forever"
     safety net — per-kernel :meth:`Kernel.arm_watchdog` overrides it).
     """
-    spec = os.environ.get("REPRO_WATCHDOG", "").strip()
+    spec = os.environ.get("REPRO_WATCHDOG", "").strip()  # repro: allow[AN108] — only aborts a hung run
     if not spec:
         return None
     limits: dict = {"wall": None, "events": None, "stall": None, "every": 1024}

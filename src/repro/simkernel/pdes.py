@@ -262,7 +262,7 @@ def _chaos_strike(op: str) -> None:  # pragma: no cover - runs in child
     """
     if op == "kill":
         os._exit(KILL_EXIT_CODE)
-    os.kill(os.getpid(), signal.SIGSTOP)
+    os.kill(os.getpid(), signal.SIGSTOP)  # repro: allow[AN108] — a shard stops itself; the pid never reaches simulation state
 
 
 def _worker_main(conn: Any, config: Any, plan: ShardPlan, shard_id: int,

@@ -70,9 +70,7 @@ def run_sweep(
     code = code_version()
     scale = current_scale()
     digests = [
-        cell_digest(  # repro: allow[AN205] — REPRO_FULL keys the cache by design
-            cell.experiment, cell.resolved, code=code, scale=scale
-        )
+        cell_digest(cell.experiment, cell.resolved, code=code, scale=scale)
         for cell in spec.cells
     ]
     rows_by_digest: Dict[str, List[Dict[str, Any]]] = {}
@@ -159,9 +157,7 @@ def merge_cells(
     scale = scale if scale is not None else current_scale()
     cells = []
     for cell in spec.cells:
-        digest = cell_digest(  # repro: allow[AN205] — REPRO_FULL keys the cache by design
-            cell.experiment, cell.resolved, code=code, scale=scale
-        )
+        digest = cell_digest(cell.experiment, cell.resolved, code=code, scale=scale)
         if failures is not None and digest not in rows_by_digest:
             continue  # quarantined: recorded in the manifest instead
         cells.append(

@@ -1,10 +1,17 @@
 """Call-site rules, the one source recogniser, unreferenced definitions,
-suppressions, report format."""
+suppressions, report format, the CLI."""
+
+import ast
+import re
+import tokenize
+from pathlib import Path
 
 import pytest
 
-from repro.analyze.callgraph import Program
 from repro.analyze.ci import run_rules, suppress
+from repro.analyze.program import RULES, Program
+
+DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 
 def findings_of(program):
@@ -20,6 +27,17 @@ def analyze(program):
 
 def lint_source(source, path):
     return analyze(Program.from_sources({"x": (path, source)}))
+
+
+def program(**sources):
+    """Assemble an in-memory program: ``name="source"`` per module."""
+    return Program.from_sources(
+        {f"app.{name}": (f"src/app/{name}.py", text) for name, text in sources.items()}
+    )
+
+
+def where(findings):
+    return [(f.path, f.line, f.rule) for f in findings]
 
 
 def unreferenced(**sources):
@@ -102,17 +120,39 @@ SPELLINGS = [
 @pytest.mark.parametrize("function_level", [False, True])
 @pytest.mark.parametrize("imp, call, rule", SPELLINGS)
 def test_one_recogniser_under_every_import_spelling(imp, call, rule, function_level):
-    """The same call is the same source however it is imported: alone it
-    is AN101/AN102 at its line, flowing into a scheduling argument it is
-    additionally AN201/AN202 — one recogniser answers both."""
+    """The same call is the same source however it is imported, at
+    module or at function level: AN101/AN102 at its line."""
     head = f"def f(kernel):\n    {imp}\n" if function_level else f"{imp}\ndef f(kernel):\n"
-    alone = lint_source(head + f"    return {call}\n", "x.py")
-    assert [(f.rule, f.line) for f in alone if f.line == 3] == [(rule, 3)]
-    sunk = lint_source(head + f"    kernel.call_after({call}, print)\n", "x.py")
-    taint_rule = rule.replace("AN1", "AN2")
-    assert rules_of(f for f in sunk if f.line == 3) == [rule, taint_rule]
-    [flow] = [f for f in sunk if f.rule == taint_rule]
-    assert flow.trace[0].startswith("source:") and flow.trace[-1].startswith("sink:")
+    found = lint_source(head + f"    return {call}\n", "x.py")
+    assert [(f.rule, f.line) for f in found if f.line == 3] == [(rule, 3)]
+
+
+#: (import line, a read of process state as that import spells it,
+#: the rendered read)
+PROCESS_STATE = [
+    ("import os", "x = os.environ['X']", "os.environ"),
+    ("import os", "x = os.environ.get('X', '')", "os.environ"),
+    ("import os", "kernel.call_after(1 if 'X' in os.environ else 2, print)", "os.environ"),
+    ("import os", "m.inc(len(dict(os.environ)))", "os.environ"),
+    ("from os import environ", "x = environ['X']", "os.environ"),
+    ("import os", "x = os.getenv('X')", "os.getenv()"),
+    ("from os import getpid as gp", "x = gp()", "os.getpid()"),
+    ("import os", "x = hash(kernel)", "hash()"),
+]
+
+
+@pytest.mark.parametrize(
+    "imp, read, rendered",
+    PROCESS_STATE,
+    ids=["subscript", "get", "in", "dict", "from-import", "getenv", "getpid-alias", "hash"],
+)
+def test_every_process_state_read_is_flagged_where_it_is_made(imp, read, rendered):
+    """AN108 flags any name that resolves to ``os.environ``, whatever
+    surrounds it, and the getenv / getpid / hash() calls, exactly once at
+    the read."""
+    [f] = lint_source(f"{imp}\ndef f(kernel, m):\n    {read}\n", "x.py")
+    assert (f.rule, f.line) == ("AN108", 3)
+    assert f.message.startswith(f"{rendered}: ")
 
 
 @pytest.mark.parametrize(
@@ -227,18 +267,18 @@ def test_used_suppressions_are_not_flagged():
     assert lint_source(src, "x.py") == []
 
 
-def test_flow_rule_suppressions_are_judged_like_any_other():
-    """AN106 audits every family: a stale allow[AN2xx] is a finding, a
-    used one is honoured and not flagged."""
-    stale = "import time\nt = time.time()  # repro: allow[AN201]\n"
+def test_process_state_suppressions_are_judged_like_any_other():
+    """AN106 audits AN108 as any other rule: a stale allow[AN108] is a
+    finding, a used one is honoured and not flagged."""
+    stale = "import time\nt = time.time()  # repro: allow[AN108]\n"
     assert rules_of(lint_source(stale, "x.py")) == ["AN101", "AN106"]
     used = (
-        "import time\n"
+        "import os, time\n"
         "def f(kernel):\n"
-        "    kernel.call_after(time.time(), print)  # repro: allow[AN101,AN201]\n"
+        "    kernel.call_after(time.time(), os.getpid())  # repro: allow[AN101,AN108]\n"
     )
     assert lint_source(used, "x.py") == []
-    quiet = "x = 1  # repro: allow[AN201,AN106]\n"
+    quiet = "x = 1  # repro: allow[AN108,AN106]\n"
     assert lint_source(quiet, "x.py") == []
 
 
@@ -275,8 +315,46 @@ def test_findings_order_is_independent_of_input_order(tmp_path):
 
 def test_repo_sources_are_clean():
     """The tree itself must stay clean: every finding is accepted by an
-    allow comment on its line, and every allow comment accepts one."""
-    assert findings_of(Program.load("src/repro")) == []
+    allow comment on its line, and every allow comment accepts one.  It
+    reads process state at four places, each accepted that way:
+    REPRO_WATCHDOG (only aborts a hung run), REPRO_SANITIZE (the checkers
+    only watch), REPRO_FULL (the scale keys the sweep cache by design)
+    and a PDES shard's own pid (it stops itself)."""
+    p = Program.load("src/repro")
+    raw = run_rules(p)
+    assert sorted(where(f for f in raw if f.rule == "AN108")) == [
+        ("src/repro/analyze/sanitize.py", 51, "AN108"),
+        ("src/repro/bench/harness.py", 36, "AN108"),
+        ("src/repro/simkernel/kernel.py", 265, "AN108"),
+        ("src/repro/simkernel/pdes.py", 265, "AN108"),
+    ]
+    assert suppress(p, raw) == []
+
+
+def test_every_allow_comment_says_why():
+    """An accepted finding carries its reason on the allow comment's own
+    line, after the bracket."""
+    p = Program.load("src/repro")
+    allows = [(m.path, c) for m in p.modules.values() for c in m.allows]
+    assert len(allows) >= 12
+    for path, comment in allows:
+        line = Path(path).read_text(encoding="utf-8").splitlines()[comment.line - 1]
+        rest = line[comment.col - 1:].split("]", 1)[1]
+        assert rest.strip(" —-:;,").strip(), f"{path}:{comment.line}: allow without a reason"
+
+
+def test_findings_are_deterministically_ordered(tmp_path):
+    """The real tree with its allow comments disarmed, so suppression has
+    findings of every rule to order: the same order, sorted, on every run."""
+    for src in Path("src/repro").rglob("*.py"):
+        dst = tmp_path / "repro" / src.relative_to("src/repro")
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        text = src.read_text(encoding="utf-8")
+        dst.write_text(text.replace("repro: allow", "repro: disarmed"), encoding="utf-8")
+    findings = findings_of(Program.load(str(tmp_path / "repro")))
+    keys = [(f.path, f.line, f.rule, f.col, f.message) for f in findings]
+    assert len(keys) == 30 and keys == sorted(keys)
+    assert findings == findings_of(Program.load(str(tmp_path / "repro")))
 
 
 def test_nondeterministic_scheduler_is_caught():
@@ -352,3 +430,178 @@ def test_interpreter_called_names_are_exempt():
         "x = V(), Plain()\n"
     )
     assert unreferenced(m=src) == [("m.py", 8, "AN107")]
+
+
+# ---------------------------------------------------------------------------
+# a source laundered towards the simulation is caught where it is read
+# ---------------------------------------------------------------------------
+def test_wall_clock_laundered_through_two_helpers_is_caught_at_the_read():
+    """A wall-clock value passed through two helpers into a packet field
+    is AN101 at the ``time.time()`` call, and nowhere else."""
+    p = program(
+        clock="import time\ndef stamp():\n    return time.time()\n",
+        wrap="from .clock import stamp\ndef tag():\n    return stamp() * 1000\n",
+        net=(
+            "from .wrap import tag\n"
+            "class Packet:\n"
+            "    pass\n"
+            "def send(pkt):\n"
+            "    pkt.payload = tag()\n"
+        ),
+    )
+    assert where(analyze(p)) == [("src/app/clock.py", 3, "AN101")]
+
+
+def test_wall_clock_into_a_kernel_schedule_is_caught_at_the_read():
+    p = program(
+        main=(
+            "import time\n"
+            "def jitter():\n"
+            "    return time.monotonic()\n"
+            "def schedule(kernel):\n"
+            "    kernel.call_after(jitter(), print)\n"
+        ),
+    )
+    assert where(analyze(p)) == [("src/app/main.py", 3, "AN101")]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "self.t.restart(int(time.time()))",
+        "kernel.sleep(int(time.time()))",
+        "kernel.timer(self.fire, time.time())",
+    ],
+    ids=["restart", "sleep", "timer"],
+)
+def test_wall_clock_into_a_timer_is_caught_at_the_read(call):
+    """Every transport timer is armed through ``kernel.timer`` and
+    ``restart(delay)``, coroutines wait through ``sleep``."""
+    p = program(
+        main=f"import time\nclass C:\n    def arm(self, kernel):\n        {call}\n"
+    )
+    assert where(analyze(p)) == [("src/app/main.py", 4, "AN101")]
+
+
+def test_pid_passed_to_a_metric_helper_is_caught_at_the_read():
+    p = program(
+        main=(
+            "import os\n"
+            "def record(metric, value):\n"
+            "    metric.observe(value)\n"
+            "def run(metric):\n"
+            "    record(metric, os.getpid())\n"
+        ),
+    )
+    assert where(analyze(p)) == [("src/app/main.py", 5, "AN108")]
+
+
+def test_env_read_through_a_ternary_into_a_digest_is_caught_at_the_read():
+    """The REPRO_FULL pattern: an environment read selects a string via
+    a ternary, which goes two calls deep into a cache-digest argument."""
+    p = program(
+        scale=(
+            "import os\n"
+            "def full():\n"
+            "    return os.environ.get('FULL', '') == '1'\n"
+            "def label():\n"
+            "    return 'full' if full() else 'smoke'\n"
+        ),
+        cache=(
+            "from .scale import label\n"
+            "def cell_digest(experiment, scale):\n"
+            "    return (experiment, scale)\n"
+            "def key(experiment):\n"
+            "    return cell_digest(experiment, label())\n"
+        ),
+    )
+    assert where(analyze(p)) == [("src/app/scale.py", 3, "AN108")]
+
+
+# ---------------------------------------------------------------------------
+# the model, the rule table, the CLI
+# ---------------------------------------------------------------------------
+def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch, capsys):
+    """Every rule, the suppression pass and AN106 read the one model; two
+    scripts sharing a stem are still two modules."""
+    from repro.analyze.__main__ import main
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "tool.py").write_text("import time\nx = time.time()\n")
+    (tmp_path / "b" / "tool.py").write_text("y = 1  # repro: allow[AN103]\n")
+    (tmp_path / "main.py").write_text(
+        "import os\ndef f(m):\n    m.observe(os.getpid())  # repro: allow[AN108]\n"
+        '__all__ = ["f"]\n'  # an exported name is referenced (AN107)
+    )
+    calls = {"parse": 0, "tokens": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ast, "parse", counting("parse", ast.parse))
+    monkeypatch.setattr(
+        tokenize, "generate_tokens", counting("tokens", tokenize.generate_tokens)
+    )
+    assert main(["ci", str(tmp_path)]) == 1
+    assert calls == {"parse": 3, "tokens": 3}
+    out = capsys.readouterr().out
+    assert "a/tool.py:2:5: AN101" in out and "b/tool.py:1:8: AN106" in out
+    assert "findings=2 -> FAIL" in out
+
+
+def test_design_rule_table_lists_exactly_the_rules():
+    """DESIGN §6.1's ``| ANnnn |`` rows are RULES' keys, so a rule cannot be
+    added or removed without its row."""
+    text = DESIGN.read_text(encoding="utf-8")
+    section = text[text.index("### 6.1 ") : text.index("### 6.2 ")]
+    rows = re.findall(r"^\| (AN\d{3}) \|", section, flags=re.MULTILINE)
+    assert rows == sorted(RULES)
+
+
+def test_cli_flow_and_ci_exit_codes(tmp_path, capsys):
+    """One command: `ci` gates (0 clean / 1 findings); an allow comment
+    on the line is the one way to accept a finding; the retired `lint`
+    and `flow` subcommands, the retired `ci` options and a path that
+    cannot be read are usage errors (2)."""
+    from repro.analyze.__main__ import main
+
+    assert main(["flow", "src/repro"]) == 2
+    assert main(["lint", "src/repro"]) == 2
+    for retired in (["--baseline", "b.json"], ["--update-baseline", "b.json"],
+                    ["--json", "r.json"], ["--list-rules"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["ci", *retired])
+        assert exit_.value.code == 2
+    capsys.readouterr()
+    # a path that cannot be read is a usage error too, in one line
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["ci", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
+    assert main(["ci"]) == 0
+    assert capsys.readouterr().out == "repro.analyze ci: findings=0 -> OK\n"
+
+    planted = tmp_path / "leak.py"
+    leak = "import time\ndef send(pkt):\n    pkt.payload = time.time()"
+    exported = '\n__all__ = ["send"]\n'  # so that send is referenced (AN107)
+    planted.write_text(leak + exported)
+    assert main(["ci", str(planted)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        f"{planted}:3:19: AN101 time.time(): {RULES['AN101']}",
+        "repro.analyze ci: findings=1 -> FAIL",
+    ]
+    # accepted on its line, with the reason beside it
+    planted.write_text(leak + "  # repro: allow[AN101] — test fixture" + exported)
+    assert main(["ci", str(planted)]) == 0
+    assert "findings=0 -> OK" in capsys.readouterr().out
+    # an allow that matches nothing is itself a finding
+    planted.write_text(leak + "  # repro: allow[AN101,AN102] — test fixture" + exported)
+    assert main(["ci", str(planted)]) == 1
+    out = capsys.readouterr().out
+    assert "AN106 unused suppression: allow[AN102]" in out
+    assert "findings=1 -> FAIL" in out
