@@ -139,9 +139,10 @@ def _parse(
 
     The comments come from the token stream rather than a line regex,
     which keeps us honest about what is a comment versus a string
-    literal containing one.  A file that does not parse yields an empty
-    tree and no comments: every rule sees nothing and AN100 cannot be
-    suppressed.
+    literal containing one; only a file whose text holds an allow
+    comment's pattern is tokenized.  A file that does not parse yields
+    an empty tree and no comments: every rule sees nothing and AN100
+    cannot be suppressed.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -152,6 +153,8 @@ def _parse(
         )
         return ast.Module(body=[], type_ignores=[]), [], finding
     allows: List[AllowComment] = []
+    if not _ALLOW.search(source):
+        return tree, allows, None
     try:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type != tokenize.COMMENT:

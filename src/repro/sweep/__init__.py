@@ -26,6 +26,7 @@ from .digest import canonical_json, cell_digest, code_version, current_scale
 from .report import (
     BEGIN_MARK,
     END_MARK,
+    TrajectoryError,
     append_trajectory,
     build_entry,
     derive_summaries,
@@ -45,6 +46,7 @@ __all__ = [
     "SweepError",
     "SweepRunResult",
     "SweepSpec",
+    "TrajectoryError",
     "append_trajectory",
     "build_entry",
     "canonical_json",

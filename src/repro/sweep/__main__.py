@@ -17,7 +17,8 @@
         --ledger results.json --trajectory BENCH_trajectory.json \\
         --experiments-md EXPERIMENTS.md
 
-Exit codes: 0 success, 1 gate/verify failure, 2 usage/spec error.
+Exit codes: 0 success, 1 gate/verify failure, 2 usage/spec error or an
+unreadable trajectory (left as it is).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from ..bench.harness import ExperimentRow, format_table
 from ..supervise import SupervisePolicy
 from .cache import SweepCache
 from .report import (
+    TrajectoryError,
     append_trajectory,
     build_entry,
     update_experiments_md,
@@ -205,6 +207,9 @@ def main(argv: list[str]) -> int:
         return commands[args.command](args)
     except SweepError as err:
         print(f"sweep spec error: {err}")
+        return 2
+    except TrajectoryError as err:
+        print(f"trajectory error: {err}")
         return 2
     except OSError as err:
         print(f"i/o error: {err}")

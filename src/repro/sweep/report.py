@@ -209,14 +209,22 @@ def build_entry(
     return entry
 
 
+class TrajectoryError(ValueError):
+    """A trajectory file exists but cannot be read as one."""
+
+
 def load_trajectory(path: str) -> Dict[str, Any]:
-    """The trajectory document at ``path``, or a fresh empty one."""
+    """The trajectory document at ``path``, or a fresh empty one when no
+    file is there.  A file that cannot be read, or holds no ``entries``
+    list, raises :class:`TrajectoryError`, so nothing overwrites it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
         return {"schema": TRAJECTORY_SCHEMA, "entries": []}
+    except (OSError, ValueError) as err:
+        raise TrajectoryError(f"{path}: not a readable trajectory ({err})") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        return {"schema": TRAJECTORY_SCHEMA, "entries": []}
+        raise TrajectoryError(f"{path}: not a trajectory (no 'entries' list)")
     return doc
 
 

@@ -227,6 +227,11 @@ def test_line_suppression():
     assert rules_of(lint_source(other, "x.py")) == ["AN101", "AN106"]
 
 
+def test_allow_comment_inside_a_string_literal_suppresses_nothing():
+    src = 'import time\nt = (time.time(), "# repro: allow[AN101] — in a string")\n'
+    assert where(lint_source(src, "x.py")) == [("x.py", 2, "AN101")]
+
+
 def test_file_suppression():
     src = (
         "# repro: allow-file[AN101]\n"
@@ -523,7 +528,8 @@ def test_env_read_through_a_ternary_into_a_digest_is_caught_at_the_read():
 # ---------------------------------------------------------------------------
 def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch, capsys):
     """Every rule, the suppression pass and AN106 read the one model; two
-    scripts sharing a stem are still two modules."""
+    scripts sharing a stem are still two modules.  Only the two files
+    that hold an allow comment are tokenized."""
     from repro.analyze.__main__ import main
 
     (tmp_path / "a").mkdir()
@@ -547,7 +553,7 @@ def test_each_file_is_parsed_and_tokenized_once_per_ci_run(tmp_path, monkeypatch
         tokenize, "generate_tokens", counting("tokens", tokenize.generate_tokens)
     )
     assert main(["ci", str(tmp_path)]) == 1
-    assert calls == {"parse": 3, "tokens": 3}
+    assert calls == {"parse": 3, "tokens": 2}
     out = capsys.readouterr().out
     assert "a/tool.py:2:5: AN101" in out and "b/tool.py:1:8: AN106" in out
     assert "findings=2 -> FAIL" in out

@@ -1,12 +1,16 @@
 """Trajectory reporting: normalized entries, the ledger's end-to-end
 medians, and the generated EXPERIMENTS.md trend table."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.sweep import (
     BEGIN_MARK,
     END_MARK,
+    TrajectoryError,
     append_trajectory,
     build_entry,
     derive_summaries,
@@ -14,6 +18,7 @@ from repro.sweep import (
     render_trend_table,
     update_experiments_md,
 )
+from repro.sweep.__main__ import main
 
 SWEEP_DOC = {
     "schema": 1,
@@ -84,6 +89,25 @@ def test_append_and_load_roundtrip(tmp_path):
     assert len(doc["entries"]) == 1
     doc = append_trajectory(path, _entry(ledger_doc=LEDGER_DOC))
     assert len(load_trajectory(path)["entries"]) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no entries list"])
+def test_report_leaves_a_trajectory_it_cannot_read_as_it_is(tmp_path, capsys, damage):
+    path = tmp_path / "BENCH_trajectory.json"
+    for _ in range(2):
+        append_trajectory(str(path), _entry())
+    whole = path.read_bytes()
+    damaged = {"truncated": whole[: len(whole) // 2], "no entries list": b'{"runs": []}'}[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(TrajectoryError):
+        load_trajectory(str(path))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(SWEEP_DOC))
+    argv = ["report", "--sweep", str(sweep), "--trajectory", str(path),
+            "--git-sha", "deadbeef", "--date", "2026-08-07"]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().out
+    assert path.read_bytes() == damaged
 
 
 def test_trend_table_renders_entries():
