@@ -28,7 +28,7 @@ from ..workloads.farm import FarmParams, run_farm
 from ..workloads.interleave_mix import run_interleave_mix
 from ..workloads.mpbench import make_pingpong, run_pingpong
 
-LIMIT_NS = 20_000_000_000_000  # hard per-run virtual-time ceiling (watchdog)
+LIMIT_NS = 20_000_000_000_000  # hard per-run virtual-time ceiling
 
 
 def full_scale() -> bool:
@@ -604,7 +604,7 @@ def _chaos_cell(rpi: str, seed: int = 1) -> List[ExperimentRow]:
 # via failover while TCP sits through RTO backoff; both stacks drop
 # corruption; duplication and reordering cost no timeout.
 chaos_claim = Claim([
-    Check(len, "==", 10, "every cell must finish inside the watchdog (rows)"),
+    Check(len, "==", 10, "every cell must finish inside the virtual-time limit (rows)"),
     Check(("sctp blackhole 2s", "failovers"), ">", 0, "SCTP must migrate to the alternate path"),
     Check(("tcp blackhole 2s", "rto_events"), ">", 0, "TCP can only wait out its RTO backoff"),
     Check(("sctp blackhole 2s", "recovery_s"), "<", ("tcp blackhole 2s", "recovery_s", 1),

@@ -17,7 +17,7 @@ simulation is a pure function of its configuration and seed.
 """
 
 from .futures import CancelledError, Future, Task
-from .kernel import Kernel, RestartableTimer, WatchdogExpired
+from .kernel import Kernel, LivelockError, RestartableTimer
 from .sync import wait_all
 from .units import GBIT_PER_S, MBIT_PER_S, MICROSECOND, MILLISECOND, SECOND, tx_time_ns
 
@@ -26,13 +26,13 @@ __all__ = [
     "Future",
     "GBIT_PER_S",
     "Kernel",
+    "LivelockError",
     "MBIT_PER_S",
     "MICROSECOND",
     "MILLISECOND",
     "RestartableTimer",
     "SECOND",
     "Task",
-    "WatchdogExpired",
     "tx_time_ns",
     "wait_all",
 ]

@@ -28,14 +28,17 @@ Hot-path design (the simulator spends most of its wall-clock time here):
 * live-event accounting is O(1): a counter is incremented on schedule
   and decremented on fire/cancel, so the ``pending_timers`` metrics
   probe never scans the heap.
+* the livelock guard costs one integer compare per event: every
+  :data:`STALL_EVENTS` events the run loops check that the clock has
+  moved, and raise :class:`LivelockError` if it has not.  It has no
+  setting and is always on, so a zero-delay callback that keeps
+  rescheduling itself fails by name instead of spinning forever.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import time
 from collections import Counter
 from heapq import heappop, heappush
 from typing import Any, Callable, Coroutine, Iterable, Optional
@@ -56,6 +59,10 @@ HEAP_DEPTH_EDGES = (4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 # override via ``tiebreak_mask=``.
 DEFAULT_TIEBREAK_MASK = 0
 
+# Events between two livelock checks (module docstring); the longest run
+# of same-instant events measured in real traffic is 15 (DESIGN.md §10.4).
+STALL_EVENTS = 1 << 20
+
 
 class RestartableTimer:
     """The kernel's one cancellable handle.
@@ -74,10 +81,10 @@ class RestartableTimer:
     * the handle tracks at most one heap entry.  Restarting to a later
       deadline, or cancelling, leaves that entry alone: when it surfaces
       the kernel re-posts it at the current deadline (or drops it if the
-      timer is idle) without counting an event, ticking the watchdog or
-      touching ``pending_events``.  Only a restart to an *earlier*
-      position pushes a fresh entry; the superseded one is recognised by
-      its key and dropped.
+      timer is idle) without counting an event (for ``events_processed``
+      or the livelock check) or touching ``pending_events``.  Only a
+      restart to an *earlier* position pushes a fresh entry; the
+      superseded one is recognised by its key and dropped.
     * tie-break: every ``restart`` draws one sequence number, and the
       entry that finally fires carries the number of the last restart.
       The whole run therefore pops events in the same ``(when, seq)``
@@ -154,21 +161,10 @@ class RestartableTimer:
         return True
 
 
-class WatchdogExpired(RuntimeError):
-    """An armed kernel progress watchdog tripped.
-
-    The message names the limit that expired (wall clock, event budget,
-    or virtual-time stall), the virtual time and event count at expiry,
-    and the hottest callback labels still queued — enough to tell a
-    retransmission storm from a livelocked barrier without re-running
-    under a profiler.
-    """
-
-
 def _hot_heap_labels(heap: list, top: int = 5) -> str:
     """The most common live callback labels queued in ``heap``.
 
-    Diagnostic for :class:`WatchdogExpired`: the machinery flooding the
+    Diagnostic for :class:`LivelockError`: the machinery flooding the
     heap is almost always the machinery that livelocked.
     """
     counts: Counter = Counter()
@@ -182,105 +178,6 @@ def _hot_heap_labels(heap: list, top: int = 5) -> str:
     if not counts:
         return "(heap empty)"
     return ", ".join(f"{name} x{n}" for name, n in counts.most_common(top))
-
-
-class _Watchdog:
-    """Armed progress limits for one kernel (:meth:`Kernel.arm_watchdog`).
-
-    One ``tick(when)`` per fired event, guarded by the same is-None test
-    the sanitizer uses, so a kernel without a watchdog pays nothing.
-    Wall-clock reads are amortised over ``check_every`` events; the
-    event and stall counters are plain integer arithmetic.
-    """
-
-    __slots__ = ("kernel", "max_wall_s", "started", "max_events", "count",
-                 "max_stall_events", "stall", "last_now", "check_every",
-                 "until_wall")
-
-    def __init__(self, kernel: "Kernel", max_wall_s: Optional[float],
-                 max_events: Optional[int], max_stall_events: Optional[int],
-                 check_every: int) -> None:
-        self.kernel = kernel
-        self.max_wall_s = max_wall_s
-        self.started = (
-            time.monotonic()  # repro: allow[AN101] — watchdog wall budget
-            if max_wall_s is not None else 0.0
-        )
-        self.max_events = max_events
-        self.count = 0
-        self.max_stall_events = max_stall_events
-        self.stall = 0
-        self.last_now = -1
-        self.check_every = check_every
-        self.until_wall = check_every
-
-    def tick(self, when: int) -> None:
-        self.count += 1
-        if self.max_stall_events is not None:
-            if when != self.last_now:
-                self.last_now = when
-                self.stall = 0
-            else:
-                self.stall += 1
-                if self.stall >= self.max_stall_events:
-                    self._expire(
-                        f"virtual time stalled: {self.stall + 1} consecutive "
-                        f"events at t={when}ns (livelock — something is "
-                        "rescheduling itself with zero delay)"
-                    )
-        if self.max_events is not None and self.count >= self.max_events:
-            self._expire(f"event budget exhausted ({self.max_events} events)")
-        if self.max_wall_s is not None:
-            self.until_wall -= 1
-            if self.until_wall <= 0:
-                self.until_wall = self.check_every
-                elapsed = (
-                    time.monotonic()  # repro: allow[AN101] — watchdog wall budget
-                    - self.started
-                )
-                if elapsed > self.max_wall_s:
-                    self._expire(
-                        f"wall-clock budget exhausted "
-                        f"({elapsed:.1f}s > {self.max_wall_s:g}s)"
-                    )
-
-    def _expire(self, reason: str) -> None:
-        kernel = self.kernel
-        kernel._watchdog = None  # disarm so cleanup code can't re-trip it
-        raise WatchdogExpired(
-            f"kernel watchdog expired at t={kernel.now}ns after "
-            f"{self.count} events: {reason}; pending events: "
-            f"{kernel.pending_events()}, hot heap labels: "
-            f"{_hot_heap_labels(kernel._heap)}"
-        )
-
-
-def _watchdog_env() -> Optional[dict]:
-    """Parse ``REPRO_WATCHDOG=wall=30,events=1e6,stall=100000[,every=N]``.
-
-    Evaluated once at import; every kernel constructed in the process
-    auto-arms with these limits (the CI/sweep "no run hangs forever"
-    safety net — per-kernel :meth:`Kernel.arm_watchdog` overrides it).
-    """
-    spec = os.environ.get("REPRO_WATCHDOG", "").strip()  # repro: allow[AN108] — only aborts a hung run
-    if not spec:
-        return None
-    limits: dict = {"wall": None, "events": None, "stall": None, "every": 1024}
-    for part in spec.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in limits:
-            raise ValueError(
-                f"REPRO_WATCHDOG: expected wall=/events=/stall=/every= "
-                f"terms, got {part!r}"
-            )
-        limits[key] = float(value) if key == "wall" else int(float(value))
-    if all(limits[k] is None for k in ("wall", "events", "stall")):
-        raise ValueError("REPRO_WATCHDOG: set at least one of wall/events/stall")
-    return limits
-
-
-_ENV_WATCHDOG = _watchdog_env()
 
 
 class Kernel:
@@ -307,15 +204,6 @@ class Kernel:
         # None unless REPRO_SANITIZE / enable_sanitizers() is on, so the
         # run loops pay one is-None test per event (the metrics pattern)
         self._san = kernel_sanitizer(self)
-        # None unless armed (arm_watchdog / REPRO_WATCHDOG): same pattern
-        self._watchdog: Optional[_Watchdog] = None
-        if _ENV_WATCHDOG is not None:
-            self.arm_watchdog(
-                max_wall_s=_ENV_WATCHDOG["wall"],
-                max_events=_ENV_WATCHDOG["events"],
-                max_stall_events=_ENV_WATCHDOG["stall"],
-                check_every=_ENV_WATCHDOG["every"],
-            )
         self._events_processed = 0
         self._live_events = 0  # scheduled, not yet fired or cancelled
         self._tasks: list[Task] = []
@@ -453,51 +341,6 @@ class Kernel:
         task.start()
         return task
 
-    # -- watchdog --------------------------------------------------------
-    def arm_watchdog(
-        self,
-        *,
-        max_wall_s: Optional[float] = None,
-        max_events: Optional[int] = None,
-        max_stall_events: Optional[int] = None,
-        check_every: int = 1024,
-    ) -> None:
-        """Arm opt-in progress limits checked from inside the run loops.
-
-        * ``max_wall_s`` — real seconds this kernel may spend firing
-          events (read every ``check_every`` events, so granularity is
-          coarse by design);
-        * ``max_events`` — total events this watchdog will allow;
-        * ``max_stall_events`` — consecutive events at an *unchanged*
-          virtual ``now`` before the run is declared livelocked (pick a
-          value well above legitimate same-timestamp bursts — barriers
-          firing a whole rank set at one instant are normal);
-
-        Tripping any limit raises :class:`WatchdogExpired` with the hot
-        heap labels, instead of the run spinning forever.  This is the
-        layer that catches *pure-Python* livelocks, which the process
-        supervisor's heartbeat cannot see (a spinning event loop still
-        heartbeats); conversely a SIGSTOP'd or C-stuck process never
-        reaches these checks, which is the heartbeat's job — the two are
-        complements, not alternatives.
-
-        Arming takes effect when a run loop is next entered; determinism
-        is unaffected (the watchdog observes, and either raises or
-        changes nothing).
-        """
-        if max_wall_s is None and max_events is None and max_stall_events is None:
-            raise ValueError("arm_watchdog: set at least one limit")
-        for name, value in (("max_wall_s", max_wall_s),
-                            ("max_events", max_events),
-                            ("max_stall_events", max_stall_events)):
-            if value is not None and value <= 0:
-                raise ValueError(f"arm_watchdog: {name} must be positive: {value}")
-        if check_every < 1:
-            raise ValueError(f"arm_watchdog: check_every must be >= 1: {check_every}")
-        self._watchdog = _Watchdog(
-            self, max_wall_s, max_events, max_stall_events, check_every
-        )
-
     # -- running ---------------------------------------------------------
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the earliest queued entry, or None when idle.
@@ -510,12 +353,13 @@ class Kernel:
         heap = self._heap
         return heap[0][0] if heap else None
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Process events until the heap drains, ``until`` is reached, or
-        ``max_events`` fire.  Returns the number of events processed."""
+    def run(self, until: Optional[int] = None) -> int:
+        """Process events until the heap drains or ``until`` is reached.
+        Returns the number of events processed."""
         heap = self._heap
         san = self._san
-        wd = self._watchdog
+        check_at = STALL_EVENTS
+        mark = self._now
         processed = 0
         try:
             while heap:
@@ -539,12 +383,13 @@ class Kernel:
                 self._now = when
                 fn(*args)
                 processed += 1
-                # ticked after the event fired so the heap shows its
-                # effects (a livelock's re-post is visible in the dump)
-                if wd is not None:
-                    wd.tick(when)
-                if max_events is not None and processed >= max_events:
-                    return processed
+                # checked after the event fired so the heap shows its
+                # effects (a livelock's re-post is in the labels)
+                if processed == check_at:
+                    if when == mark:
+                        raise self._livelock(when)
+                    mark = when
+                    check_at += STALL_EVENTS
             if until is not None and until > self._now:
                 self._now = until
             return processed
@@ -556,12 +401,13 @@ class Kernel:
 
         This is the driver every ``World.run`` sits in, so the one-event
         step is inlined rather than paying a full :meth:`run` call per
-        event (frame setup, try/finally, loop re-entry); semantics and
-        event order are identical to ``run(max_events=1)`` in a loop.
+        event (frame setup, try/finally, loop re-entry); event order and
+        the livelock check are :meth:`run`'s.
         """
         heap = self._heap
         san = self._san
-        wd = self._watchdog
+        check_at = STALL_EVENTS
+        mark = self._now
         ceiling = float("inf") if limit is None else limit
         processed = 0
         try:
@@ -592,11 +438,23 @@ class Kernel:
                 self._now = when
                 fn(*args)
                 processed += 1
-                if wd is not None:
-                    wd.tick(when)
+                if processed == check_at:
+                    if when == mark:
+                        raise self._livelock(when)
+                    mark = when
+                    check_at += STALL_EVENTS
         finally:
             self._events_processed += processed
         return fut.result()
+
+    def _livelock(self, when: int) -> "LivelockError":
+        return LivelockError(
+            f"virtual time stalled at t={when}ns: the last {STALL_EVENTS} "
+            "events all fired at that instant (livelock: something "
+            "reschedules itself with zero delay); pending events: "
+            f"{self._live_events}, hot heap labels: "
+            f"{_hot_heap_labels(self._heap)}"
+        )
 
     @property
     def events_processed(self) -> int:
@@ -623,3 +481,11 @@ class Kernel:
 
 class DeadlockError(RuntimeError):
     """The event heap drained while some awaited future was still pending."""
+
+
+class LivelockError(RuntimeError):
+    """A run loop fired :data:`STALL_EVENTS` events without the clock moving.
+
+    The message names the instant and the hottest callback labels still
+    queued, which usually name the component rescheduling itself.
+    """

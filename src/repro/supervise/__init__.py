@@ -17,8 +17,9 @@ through it — strictly (:data:`STRICT` plus
 :meth:`SupervisedOutcome.unwrap`) unless ``sweep run --supervise``
 supplies a retry/quarantine policy.
 
-In-process livelocks, which keep heartbeating, are the kernel progress
-watchdog's job (:meth:`repro.simkernel.Kernel.arm_watchdog`).
+In-process livelocks, which keep heartbeating, are the kernel's job: its
+run loops raise :class:`repro.simkernel.LivelockError` when the clock
+stops moving.
 """
 
 from .executor import (

@@ -12,8 +12,8 @@ shared pool: a crashing task must not take neighbours with it) under a
   than ``hang_timeout_s`` means the *process* is stuck (SIGSTOP'd,
   D-state, spinning in a GIL-holding extension) and it is killed and
   retried.  A pure-Python livelock keeps heartbeating — that failure
-  mode is the kernel watchdog's job
-  (:meth:`repro.simkernel.Kernel.arm_watchdog`);
+  mode is the kernel's job (its run loops raise
+  :class:`repro.simkernel.LivelockError`);
 * **deadline** — a per-attempt wall-clock cap (``deadline_s``) bounds
   everything else;
 * **bounded deterministic retry** — crashed, hung and timed-out

@@ -321,16 +321,15 @@ def test_findings_order_is_independent_of_input_order(tmp_path):
 def test_repo_sources_are_clean():
     """The tree itself must stay clean: every finding is accepted by an
     allow comment on its line, and every allow comment accepts one.  It
-    reads process state at four places, each accepted that way:
-    REPRO_WATCHDOG (only aborts a hung run), REPRO_SANITIZE (the checkers
-    only watch), REPRO_FULL (the scale keys the sweep cache by design)
-    and a PDES shard's own pid (it stops itself)."""
+    reads process state at three places, each accepted that way:
+    REPRO_SANITIZE (the checkers only watch), REPRO_FULL (the scale keys
+    the sweep cache by design) and a PDES shard's own pid (it stops
+    itself)."""
     p = Program.load("src/repro")
     raw = run_rules(p)
     assert sorted(where(f for f in raw if f.rule == "AN108")) == [
         ("src/repro/analyze/sanitize.py", 51, "AN108"),
         ("src/repro/bench/harness.py", 36, "AN108"),
-        ("src/repro/simkernel/kernel.py", 265, "AN108"),
         ("src/repro/simkernel/pdes.py", 265, "AN108"),
     ]
     assert suppress(p, raw) == []
@@ -358,7 +357,7 @@ def test_findings_are_deterministically_ordered(tmp_path):
         dst.write_text(text.replace("repro: allow", "repro: disarmed"), encoding="utf-8")
     findings = findings_of(Program.load(str(tmp_path / "repro")))
     keys = [(f.path, f.line, f.rule, f.col, f.message) for f in findings]
-    assert len(keys) == 30 and keys == sorted(keys)
+    assert len(keys) == 27 and keys == sorted(keys)
     assert findings == findings_of(Program.load(str(tmp_path / "repro")))
 
 

@@ -104,14 +104,6 @@ def test_run_until_time_limit():
     assert fired == [1, 2]
 
 
-def test_run_max_events():
-    k = Kernel()
-    for i in range(5):
-        k.call_after(i + 1, lambda: None)
-    assert k.run(max_events=3) == 3
-    assert k.run() == 2
-
-
 def test_nested_scheduling():
     k = Kernel()
     seen = []

@@ -84,18 +84,6 @@ def test_run_until_advances_clock_on_empty_heap():
     assert fired == [1] and k.now == 1_000
 
 
-def test_run_until_with_max_events_interaction():
-    k = Kernel()
-    fired = []
-    for i in range(5):
-        k.call_after(i + 1, fired.append, i)
-    assert k.run(until=3, max_events=2) == 2
-    assert fired == [0, 1] and k.now == 2  # stopped by max_events first
-    assert k.run(until=3) == 1
-    assert fired == [0, 1, 2] and k.now == 3
-    assert k.run() == 2
-
-
 def test_run_until_skips_cancelled_without_counting():
     k = Kernel()
     fired = []

@@ -14,9 +14,10 @@ import pytest
 
 from repro.analyze.checkers import KernelSanitizer
 from repro.analyze.sanitize import sanitized
-from repro.simkernel import Kernel, RestartableTimer, WatchdogExpired
+from repro.simkernel import Kernel, RestartableTimer
+from repro.simkernel import kernel as kernel_module
 from repro.simkernel.futures import Future
-from repro.simkernel.kernel import DeadlockError
+from repro.simkernel.kernel import DeadlockError, _hot_heap_labels
 
 
 def _recording(k):
@@ -93,18 +94,25 @@ def test_cancel_leaves_no_live_event():
     assert fired == [] and k.events_processed == 0 and not k._heap
 
 
-def test_stale_entries_neither_count_nor_tick_the_watchdog():
+def test_stale_entries_neither_count_nor_tick_the_watchdog(monkeypatch):
     k = Kernel()
     fired, timer = _recording(k)
-    k.arm_watchdog(max_events=2)
     timer.restart(10)
     timer.restart(20)
     timer.restart(30)  # surfaces at 10, re-posts at 30: one event in all
     k.run()
     assert fired == [30] and k.events_processed == 1
-    timer.restart(5)
-    with pytest.raises(WatchdogExpired):
-        k.run()  # the second real event exhausts the budget
+    # with the livelock check on every event, each counted event must move
+    # the clock; five dead entries at the real event's instant count for
+    # nothing, so nothing trips
+    monkeypatch.setattr(kernel_module, "STALL_EVENTS", 1)
+    for _ in range(5):
+        dead = k.timer(lambda: None)
+        dead.restart(10)
+        dead.cancel()
+    k.post_after(10, lambda: None)
+    k.post_after(20, lambda: None)
+    assert k.run() == 2 and k.events_processed == 3
 
 
 def test_watchdog_dump_labels_armed_timers_only():
@@ -116,16 +124,14 @@ def test_watchdog_dump_labels_armed_timers_only():
     def delayed_ack():
         pass
 
-    k.arm_watchdog(max_events=1)
     k.timer(retransmit).restart(50)
     idle = k.timer(delayed_ack)
     idle.restart(60)
     idle.cancel()  # its entry is still queued, but it is not pending work
     k.post_at(1, lambda: None)
-    with pytest.raises(WatchdogExpired) as err:
-        k.run()
-    assert "retransmit x1" in str(err.value)
-    assert "delayed_ack" not in str(err.value)
+    labels = _hot_heap_labels(k._heap)
+    assert "retransmit x1" in labels and "<lambda> x1" in labels
+    assert "delayed_ack" not in labels
 
 
 def test_negative_delay_rejected():

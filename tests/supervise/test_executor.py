@@ -59,7 +59,7 @@ def return_lock(_x):
 
 
 def sleep_forever(_x):
-    time.sleep(600)  # repro: allow[AN101] — deliberately hung worker body
+    time.sleep(600)
 
 
 def test_plain_map_results_in_input_order():
