@@ -77,9 +77,9 @@ class tiebreak:
     """Context manager installing a tie-break mask as the kernel default.
 
     Every :class:`~repro.simkernel.kernel.Kernel` constructed inside the
-    block (without an explicit ``tiebreak_mask=``) uses ``mask``, which
-    is how the detector reaches kernels built deep inside the bench
-    harness without threading a parameter through every layer.
+    block uses ``mask``; it is the one way to set a kernel's mask, and
+    how the detector reaches kernels built deep inside the bench harness
+    without threading a parameter through every layer.
     """
 
     def __init__(self, mask: int) -> None:

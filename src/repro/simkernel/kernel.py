@@ -55,8 +55,7 @@ HEAP_DEPTH_EDGES = (4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 # (reversal, seed-shuffle) to prove results don't depend on the order of
 # equal-timestamp events.  XOR is a bijection, so keys stay unique under
 # any mask.  Module-level so the race detector reaches kernels
-# constructed deep inside the bench harness; individual kernels can
-# override via ``tiebreak_mask=``.
+# constructed deep inside the bench harness.
 DEFAULT_TIEBREAK_MASK = 0
 
 # Events between two livelock checks (module docstring); the longest run
@@ -187,7 +186,6 @@ class Kernel:
         self,
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        tiebreak_mask: Optional[int] = None,
     ) -> None:
         self.seed = seed
         self._now = 0
@@ -198,9 +196,7 @@ class Kernel:
         # never compared
         self._heap: list[tuple] = []
         self._seq = 0
-        self._seq_mask = (
-            DEFAULT_TIEBREAK_MASK if tiebreak_mask is None else tiebreak_mask
-        )
+        self._seq_mask = DEFAULT_TIEBREAK_MASK
         # None unless REPRO_SANITIZE / enable_sanitizers() is on, so the
         # run loops pay one is-None test per event (the metrics pattern)
         self._san = kernel_sanitizer(self)

@@ -29,7 +29,6 @@ from .report import (
     TrajectoryError,
     append_trajectory,
     build_entry,
-    derive_summaries,
     load_trajectory,
     render_trend_table,
     update_experiments_md,
@@ -54,7 +53,6 @@ __all__ = [
     "cell_id",
     "code_version",
     "current_scale",
-    "derive_summaries",
     "dumps_result",
     "load_spec",
     "load_trajectory",

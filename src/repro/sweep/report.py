@@ -18,22 +18,20 @@ instead of a single latest number.  Each entry records:
   ``benchmarks/ledger/run.py --out`` writes.  They are calibrated wall
   seconds on whatever machine ran them: a curve to read, never a gate
   (entries of schema 1 carry a ``simperf`` block of events/s scores
-  instead, kept in the file and no longer rendered);
-* ``derived`` — cross-cell summaries distilled from the cells: the
-  SCTP/TCP metric ratio of every protocol-paired cell, and the loss
-  values where a ratio crosses 1.0 (the paper's protocol-crossover
-  points).  These are *recomputed* from the cells, never measured, so
-  older entries without the field render identically.
+  instead, and older entries a ``derived`` block; both are kept in the
+  file and no longer read).
+
+Whether a result holds is the figure's ``Claim`` (``repro.bench``), not
+a summary of this file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import statistics
 import subprocess
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .digest import canonical_json, source_lines
 
@@ -60,100 +58,6 @@ def _git(args: List[str]) -> Optional[str]:
         return None
     value = out.stdout.strip()
     return value if out.returncode == 0 and value else None
-
-
-def _parse_cell_id(cell_id: str) -> Tuple[str, Dict[str, str]]:
-    """Split ``"exp[k=v,...]"`` into (experiment, params)."""
-    if "[" not in cell_id or not cell_id.endswith("]"):
-        return cell_id, {}
-    experiment, _, rest = cell_id.partition("[")
-    params: Dict[str, str] = {}
-    for part in rest[:-1].split(","):
-        key, sep, value = part.partition("=")
-        if sep:
-            params[key] = value
-    return experiment, params
-
-
-def _family_key(experiment: str, params: Dict[str, str], drop: Tuple[str, ...]) -> str:
-    kept = ",".join(f"{k}={v}" for k, v in params.items() if k not in drop)
-    return f"{experiment}[{kept}]"
-
-
-def _cell_metrics(scores: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """Flatten a cell's label->metric->value rows (first label wins)."""
-    flat: Dict[str, float] = {}
-    for label in sorted(scores):
-        for metric, value in scores[label].items():
-            flat.setdefault(metric, value)
-    return flat
-
-
-def derive_summaries(
-    cells: Dict[str, Dict[str, Dict[str, float]]],
-) -> Dict[str, Any]:
-    """Cross-cell summaries: SCTP/TCP ratios and loss-crossover points.
-
-    * ``sctp_tcp_ratio`` — for every pair of cells identical except for
-      ``protocol=``, the per-metric ratio sctp/tcp, keyed by the cell id
-      with the protocol param removed.
-    * ``loss_crossover`` — within a ratio family identical except for
-      ``loss=``, the adjacent loss values between which a metric's ratio
-      crosses 1.0 — i.e. where one protocol overtakes the other, the
-      quantity the paper's loss sweeps exist to locate.
-    """
-    pairs: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for cid, scores in cells.items():
-        experiment, params = _parse_cell_id(cid)
-        proto = params.get("protocol")
-        if proto not in ("sctp", "tcp"):
-            continue
-        key = _family_key(experiment, params, drop=("protocol",))
-        pairs.setdefault(key, {})[proto] = _cell_metrics(scores)
-
-    ratios: Dict[str, Dict[str, float]] = {}
-    for key in sorted(pairs):
-        pair = pairs[key]
-        if "sctp" not in pair or "tcp" not in pair:
-            continue
-        cell_ratios = {
-            metric: sctp_value / pair["tcp"][metric]
-            for metric, sctp_value in sorted(pair["sctp"].items())
-            if pair["tcp"].get(metric)  # shared metric, nonzero denominator
-        }
-        if cell_ratios:
-            ratios[key] = cell_ratios
-
-    families: Dict[str, List[Tuple[float, Dict[str, float]]]] = {}
-    for key, cell_ratios in ratios.items():
-        experiment, params = _parse_cell_id(key)
-        try:
-            loss = float(params["loss"])
-        except (KeyError, ValueError):
-            continue
-        family = _family_key(experiment, params, drop=("loss",))
-        families.setdefault(family, []).append((loss, cell_ratios))
-
-    crossovers: Dict[str, List[Dict[str, float]]] = {}
-    for family in sorted(families):
-        points = sorted(families[family])
-        found = []
-        for metric in sorted({m for _, r in points for m in r}):
-            series = [(loss, r[metric]) for loss, r in points if metric in r]
-            for (lo_loss, lo_ratio), (hi_loss, hi_ratio) in zip(series, series[1:]):
-                if (lo_ratio - 1.0) * (hi_ratio - 1.0) < 0:
-                    found.append(
-                        {
-                            "metric": metric,
-                            "loss_below": lo_loss,
-                            "loss_above": hi_loss,
-                            "ratio_below": lo_ratio,
-                            "ratio_above": hi_ratio,
-                        }
-                    )
-        if found:
-            crossovers[family] = found
-    return {"sctp_tcp_ratio": ratios, "loss_crossover": crossovers}
 
 
 def build_entry(
@@ -190,7 +94,6 @@ def build_entry(
         "scale": sweep_doc.get("scale", "?"),
         "code_version": sweep_doc.get("code_version", "?"),
         "cells": cells,
-        "derived": derive_summaries(cells),
         "lines": source_lines(),
     }
     failures = sweep_doc.get("failures")
@@ -242,8 +145,7 @@ def append_trajectory(path: str, entry: Dict[str, Any]) -> Dict[str, Any]:
 def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
     """Markdown trend table over the trajectory's most recent entries."""
     entries = trajectory.get("entries", [])[-limit:]
-    header = ["run", "date", "git", "scale", "cells", "src lines",
-              "sctp/tcp (med)", "crossovers"]
+    header = ["run", "date", "git", "scale", "cells", "src lines"]
     header += [f"{name} run_s" for name in _LEDGER_COLUMNS]
     lines = [
         "| " + " | ".join(header) + " |",
@@ -251,16 +153,6 @@ def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
     ]
     for entry in entries:
         ledger = entry.get("ledger") or {}
-        # entries predating the derived field are summarized on the fly
-        derived = entry.get("derived") or derive_summaries(entry.get("cells") or {})
-        ratio_values = [
-            value
-            for cell in derived.get("sctp_tcp_ratio", {}).values()
-            for value in cell.values()
-        ]
-        n_crossovers = sum(
-            len(points) for points in derived.get("loss_crossover", {}).values()
-        )
         row = [
             entry.get("run_id", "?"),
             entry.get("date", "?"),
@@ -269,8 +161,6 @@ def render_trend_table(trajectory: Dict[str, Any], limit: int = 12) -> str:
             str(len(entry.get("cells", {}))),
             # entries predating the lines field leave the column blank
             f"{sum(entry['lines'].values()):,}" if entry.get("lines") else "",
-            f"{statistics.median(ratio_values):.3f}" if ratio_values else "—",
-            str(n_crossovers) if ratio_values else "—",
         ]
         for name in _LEDGER_COLUMNS:
             value = ledger.get(name, {}).get("run_s")

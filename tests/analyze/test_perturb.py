@@ -42,14 +42,13 @@ def test_tiebreak_context_sets_and_restores_default():
         assert kernel_mod.DEFAULT_TIEBREAK_MASK == TIEBREAK_LIFO
         assert Kernel(seed=1)._seq_mask == TIEBREAK_LIFO
     assert kernel_mod.DEFAULT_TIEBREAK_MASK == TIEBREAK_FIFO
-    # an explicit constructor argument always wins over the ambient default
-    with tiebreak(TIEBREAK_LIFO):
-        assert Kernel(seed=1, tiebreak_mask=0)._seq_mask == 0
+    assert Kernel(seed=1)._seq_mask == TIEBREAK_FIFO
 
 
 def same_time_order(mask):
     """Fire five events at one timestamp; report the order they ran in."""
-    kernel = Kernel(seed=1, tiebreak_mask=mask)
+    with tiebreak(mask):
+        kernel = Kernel(seed=1)
     order = []
     for i in range(5):
         kernel.call_at(1_000, order.append, i)
@@ -61,7 +60,8 @@ def test_mask_reverses_only_same_time_ties():
     assert same_time_order(TIEBREAK_FIFO) == [0, 1, 2, 3, 4]
     assert same_time_order(TIEBREAK_LIFO) == [4, 3, 2, 1, 0]
     # events at distinct times are untouched by any mask
-    kernel = Kernel(seed=1, tiebreak_mask=TIEBREAK_LIFO)
+    with tiebreak(TIEBREAK_LIFO):
+        kernel = Kernel(seed=1)
     order = []
     for i in range(5):
         kernel.call_at(1_000 * (i + 1), order.append, i)

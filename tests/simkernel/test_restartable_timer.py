@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.analyze.checkers import KernelSanitizer
+from repro.analyze.perturb import tiebreak
 from repro.analyze.sanitize import sanitized
 from repro.simkernel import Kernel, RestartableTimer
 from repro.simkernel import kernel as kernel_module
@@ -168,7 +169,8 @@ class _CancelAndCallAfter:
 def _churn(make_timer, seed, tiebreak_mask):
     """Several timers restarted/cancelled at random among plain events,
     with delays drawn from a tiny set so same-instant ties are constant."""
-    k = Kernel(tiebreak_mask=tiebreak_mask)
+    with tiebreak(tiebreak_mask):
+        k = Kernel()
     rng = random.Random(seed)
     log = []
     timers = [make_timer(k, log.append, ("timer", i)) for i in range(4)]
