@@ -17,7 +17,7 @@ still written, and the command exits 1.
 
 A figure is its entry's ``default_cells``: isolated deterministic
 simulations, merged in enumeration order.  ``--jobs N`` only changes
-*where* they run (N supervised worker processes instead of this one),
+*where* they run (N worker processes instead of this one),
 so tables and ``--metrics-json`` are byte-identical for every N (CI's
 parallel determinism gate relies on this).
 
@@ -45,7 +45,7 @@ import sys
 import time
 from typing import Iterator, List, Tuple
 
-from ..supervise import STRICT, supervised_map
+from ..supervise import supervised_map
 from .harness import MATRICES, ExperimentRow, cell_id, default_cells, format_table, run_cell_task
 
 METRICS_SCHEMA = 1
@@ -92,7 +92,7 @@ def run_figures(
 
     All figures' cells form one task list, run in this process (lazily:
     a figure is yielded as soon as its last cell finishes) or by ``jobs``
-    supervised workers (strictly: a lost worker raises naming its cell),
+    worker processes (a lost worker raises naming its cell),
     and concatenated per figure in enumeration, never completion, order.
     """
     cells = {name: default_cells(name) for name in names}
@@ -101,8 +101,7 @@ def run_figures(
         outputs = map(run_cell_task, items)
     else:
         ids = [cell_id(name, params) for name, params, _ in items]
-        fanned = supervised_map(run_cell_task, items, jobs=jobs, policy=STRICT, task_ids=ids)
-        outputs = iter(fanned.unwrap())
+        outputs = iter(supervised_map(run_cell_task, items, jobs=jobs, task_ids=ids).results)
     for name in names:
         rows: List[dict] = []
         runs: List[dict] = []

@@ -1,51 +1,20 @@
-"""Supervised execution: crash/hang-tolerant cell fan-out.
-
-The paper's case for SCTP is a robustness argument — the transport that
-keeps making progress under loss and path failure wins for MPI.  This
-package holds the harness to the same standard: a multi-cell run must
-survive a crashed or hung worker the way an SCTP association survives
-a dead path — retry, salvage, and keep the surviving results
-byte-identical.
+"""Supervised execution: the strict cell fan-out.
 
 It is one primitive, :func:`supervised_map`
-(:mod:`repro.supervise.executor`): one child process per attempt, crash
-detection by exit code, hang detection by heartbeat, a per-attempt wall
-deadline, bounded retry with seeded deterministic backoff, and
-quarantine of persistently failing tasks into a structured failure
-manifest.  ``python -m repro.bench --jobs`` and ``repro.sweep`` fan out
-through it — strictly (:data:`STRICT` plus
-:meth:`SupervisedOutcome.unwrap`) unless ``sweep run --supervise``
-supplies a retry/quarantine policy.
+(:mod:`repro.supervise.executor`): one child process per task, up to
+``jobs`` at a time, results in input order, and a lost task — one that
+raised, returned an unpicklable result, or exited without a result —
+raised as :class:`SuperviseError` naming it once the other tasks have
+run.  ``python -m repro.bench --jobs`` and ``repro.sweep`` fan out
+through it.  Every cell is a deterministic simulation, so nothing is
+retried: the sweep cache keeps each finished cell, and re-running the
+sweep recomputes only what was lost.
 
-In-process livelocks, which keep heartbeating, are the kernel's job: its
-run loops raise :class:`repro.simkernel.LivelockError` when the clock
-stops moving.
+Hangs are the kernel's job: its run loops raise
+:class:`repro.simkernel.LivelockError` when the clock stops moving, and
+``run_until``'s limit bounds virtual time.
 """
 
-from .executor import (
-    CRASH,
-    DEADLINE,
-    ERROR,
-    HANG,
-    OK,
-    STRICT,
-    SupervisedOutcome,
-    SuperviseError,
-    SupervisePolicy,
-    backoff_delay,
-    supervised_map,
-)
+from .executor import SupervisedOutcome, SuperviseError, supervised_map
 
-__all__ = [
-    "CRASH",
-    "DEADLINE",
-    "ERROR",
-    "HANG",
-    "OK",
-    "STRICT",
-    "SuperviseError",
-    "SupervisePolicy",
-    "SupervisedOutcome",
-    "backoff_delay",
-    "supervised_map",
-]
+__all__ = ["SuperviseError", "SupervisedOutcome", "supervised_map"]

@@ -17,7 +17,7 @@ Layers (each its own module, composable from Python as well as the CLI):
 ``cache``      digest-keyed per-cell result cache (atomic, resumable)
 ``runner``     cache-aware fan-out + deterministic spec-order merge
 ``report``     trajectory entries (sweep cells + ledger medians), trend table
-``verify``     the run-twice/cmp + warm-resume CI gate as one call
+``verify``     serial vs ``--jobs`` parity, warm resume, cache-kill rerun
 =============  ==========================================================
 """
 

@@ -28,7 +28,6 @@ import json
 import sys
 
 from ..bench.harness import ExperimentRow, format_table
-from ..supervise import SupervisePolicy
 from .cache import SweepCache
 from .report import (
     TrajectoryError,
@@ -58,16 +57,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                       help="recompute every cell; do not read or write the cache")
     runp.add_argument("--out", metavar="PATH", default=None,
                       help="write the merged result document (byte-stable JSON)")
-    runp.add_argument("--supervise", action="store_true",
-                      help="run dirty cells under supervision: crash/hang "
-                      "detection, bounded deterministic retry, and quarantine "
-                      "of persistently failing cells (partial-result salvage)")
-    runp.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                      help="supervised retry budget per cell (default: 3)")
-    runp.add_argument("--deadline-s", type=float, default=None, metavar="SEC",
-                      help="supervised per-attempt wall-clock deadline")
-    runp.add_argument("--hang-timeout-s", type=float, default=None, metavar="SEC",
-                      help="kill a worker whose heartbeat goes silent this long")
 
     cellsp = sub.add_parser("cells", help="list a spec's expanded cells")
     cellsp.add_argument("spec")
@@ -103,19 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}")
         return 2
-    policy = None
-    if args.supervise:
-        try:
-            policy = SupervisePolicy(
-                max_attempts=args.max_attempts,
-                deadline_s=args.deadline_s,
-                hang_timeout_s=args.hang_timeout_s,
-            )
-        except ValueError as err:
-            print(f"--supervise: {err}")
-            return 2
     cache = None if args.no_cache else SweepCache(args.cache)
-    result = run_sweep(spec, jobs=args.jobs, cache=cache, supervise=policy)
+    result = run_sweep(spec, jobs=args.jobs, cache=cache)
     for cell in result.doc["cells"]:
         rows = [ExperimentRow(**row) for row in cell["rows"]]
         print(format_table(cell["id"], rows))
@@ -124,22 +102,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"({len(result.executed)} executed, {len(result.cached)} from cache), "
         f"code {result.doc['code_version']}, scale {result.doc['scale']}"
     )
-    for rec in result.manifest:
-        attempts = ", ".join(
-            f"#{a['attempt']} {a['outcome']}" for a in rec["attempts"]
-        )
-        print(f"  [{rec['outcome']}] {rec['cell']}: {attempts}")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_result(result.doc))
         print(f"merged result written to {args.out}")
-    if result.quarantined:
-        print(
-            f"QUARANTINED {len(result.quarantined)} cell(s) after exhausting "
-            f"retries: {', '.join(result.quarantined)} — surviving cells were "
-            "salvaged into the document's 'cells'; details under 'failures'"
-        )
-        return 1
     return 0
 
 

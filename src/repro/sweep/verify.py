@@ -1,9 +1,7 @@
-"""The "run it twice and cmp" CI idiom as one reusable call.
+"""The sweep's determinism and cache contract as one call.
 
-Before ``repro.sweep``, every determinism gate in CI copy-pasted the
-same shell: run a bench twice, ``cmp`` the outputs, maybe run it again
-with ``--jobs`` and ``cmp`` that too.  :func:`verify_spec` is that
-idiom for sweeps, plus the cache contract:
+:func:`verify_spec` runs one spec four ways and compares the merged
+documents byte for byte:
 
 1. **cold serial** run into a fresh cache — the reference bytes;
 2. **cold parallel** run (``--jobs N``, separate fresh cache) — merged

@@ -1,8 +1,9 @@
 """Bench fan-out: cell decomposition and serial/parallel parity.
 
-The CI gate diffs full serial vs ``--jobs 4`` metrics documents byte for
-byte; these tests cover the same contract at unit scale so a parity
-break is caught in seconds, not at the end of a matrix run.
+CI checks a full ``--jobs 4`` metrics document against the table in
+``tests/identity/IDENTITY.json``, which is written from a serial run;
+these tests cover the same contract at unit scale so a parity break is
+caught in seconds, not at the end of a matrix run.
 """
 
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from repro.bench import __main__ as bench_main
 from repro.bench import harness, multihoming_failover
-from repro.supervise import STRICT, SuperviseError, supervised_map
+from repro.supervise import SuperviseError, supervised_map
 
 
 def test_default_cells_are_stable_and_ordered():
@@ -63,11 +64,11 @@ def test_failing_cell_reports_experiment_and_params():
 
 def test_parallel_worker_crash_is_attributed():
     """The strict executor raises naming the lost task, not a hung join."""
-    outcome = supervised_map(
-        _crash_item, [1, 2], jobs=2, policy=STRICT, task_ids=["cell-a", "cell-b"]
-    )
-    with pytest.raises(SuperviseError, match="cell-b"):
-        outcome.unwrap()
+    with pytest.raises(SuperviseError) as err:
+        supervised_map(_crash_item, [1, 2], jobs=2, task_ids=["cell-a", "cell-b"])
+    message = str(err.value)
+    assert "task cell-b failed (1 of 2 tasks lost)" in message
+    assert "exited with code 3" in message
 
 
 def _crash_item(x):

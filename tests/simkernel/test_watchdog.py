@@ -2,10 +2,9 @@
 
 Every ``STALL_EVENTS`` events fired, a run loop checks that the clock
 has moved and raises :class:`LivelockError` if it has not.  This is the
-layer that catches *pure-Python* livelocks — a spinning event loop still
-heartbeats, so the process supervisor in :mod:`repro.supervise` cannot
-see them (and, conversely, cannot be replaced by this: a SIGSTOP'd
-process never reaches these checks).
+layer that catches *pure-Python* livelocks: the cell fan-out in
+:mod:`repro.supervise` has no wall-clock limit, so a spinning event
+loop is turned into an error here, which the fan-out then names.
 """
 
 import time

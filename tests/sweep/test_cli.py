@@ -23,10 +23,14 @@ def spec(tmp_path):
     ["--deadline-s", "-1"],
     ["--hang-timeout-s", "0"],
 ])
-def test_run_rejects_a_supervision_limit_that_settles_every_attempt(spec, tmp_path, capsys, flags):
+def test_run_rejects_a_supervision_limit_that_settles_every_attempt(spec, tmp_path, flags):
+    """Cells are not retried, so there is no supervision limit to set:
+    the retired ``--supervise`` flags are usage errors before any cell
+    runs, not options silently ignored."""
     cache = tmp_path / "cache"
-    assert main(["run", spec, "--supervise", "--cache", str(cache), *flags]) == 2
-    assert "--supervise:" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", spec, "--supervise", "--cache", str(cache), *flags])
+    assert exit_.value.code == 2
     assert not cache.exists()
 
 

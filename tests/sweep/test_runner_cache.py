@@ -5,12 +5,14 @@ import dataclasses
 import functools
 import json
 import os
-import signal
+import re
 
 import pytest
 
 from repro.bench import harness
-from repro.supervise import SupervisePolicy
+from repro.simkernel import Kernel
+from repro.simkernel import kernel as kernel_module
+from repro.supervise import SuperviseError
 from repro.sweep import (
     SweepCache,
     cell_digest,
@@ -129,11 +131,23 @@ def test_parallel_matches_serial_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# supervision: retry, quarantine, partial-result salvage
+# a lost cell: named in the error, finished cells kept in the cache
 # ---------------------------------------------------------------------------
-def _misbehaving_tcp_cell(monkeypatch, action, marker=None):
-    """Make TINY's tcp cell crash (``os._exit``) or hang (SIGSTOP) in its
-    worker: on every attempt, or only while ``marker`` does not exist yet.
+def _livelock():
+    """A zero-delay self-rescheduling callback: the kernel's guard raises."""
+    kernel = Kernel(seed=1)
+
+    def spin():
+        kernel.post_after(0, spin)
+
+    kernel.post_after(0, spin)
+    kernel.run()
+
+
+def _misbehaving_cell(monkeypatch, action, victim, marker=None):
+    """Make the pingpong cells whose params match ``victim`` crash
+    (``os._exit``), livelock (``hang``) or raise in their worker: on every
+    run, or only while ``marker`` does not exist yet.
 
     Workers fork, so they see the patched registry entry; ``wraps`` keeps
     the runner's signature, so the cell resolves and digests as before."""
@@ -141,12 +155,15 @@ def _misbehaving_tcp_cell(monkeypatch, action, marker=None):
 
     @functools.wraps(original.run)
     def run(**params):
-        if params["protocol"] == "tcp" and (marker is None or not marker.exists()):
+        struck = all(params[key] == value for key, value in victim.items())
+        if struck and (marker is None or not marker.exists()):
             if marker is not None:
                 marker.touch()
             if action == "crash":
                 os._exit(3)
-            os.kill(os.getpid(), signal.SIGSTOP)
+            if action == "hang":
+                _livelock()
+            raise RuntimeError("planted cell failure")
         return original.run(**params)
 
     monkeypatch.setitem(
@@ -154,59 +171,105 @@ def _misbehaving_tcp_cell(monkeypatch, action, marker=None):
     )
 
 
-def test_supervised_run_without_failures_is_byte_identical():
-    spec = _tiny_spec()
-    plain = run_sweep(spec, cache=None)
-    supervised = run_sweep(
-        spec, jobs=2, cache=None, supervise=SupervisePolicy(max_attempts=2)
-    )
-    assert not supervised.quarantined and not supervised.manifest
-    assert "failures" not in supervised.doc
-    assert dumps_result(supervised.doc) == dumps_result(plain.doc)
-
-
 @pytest.mark.parametrize("action", ["crash", "hang"])
 def test_crash_is_retried_and_document_survives_intact(tmp_path, monkeypatch, action):
+    """A cell that crashes, or livelocks until the kernel's guard raises,
+    is named in the error; re-running the sweep is the retry, and the
+    document equals an unfailed run's."""
+    monkeypatch.setattr(kernel_module, "STALL_EVENTS", 4096)
     spec = _tiny_spec()
     plain = run_sweep(spec, cache=None)
     victim = spec.cells[0].id
-    _misbehaving_tcp_cell(monkeypatch, action, marker=tmp_path / "struck")
-    policy = SupervisePolicy(max_attempts=2, hang_timeout_s=1.0)
-    result = run_sweep(spec, jobs=2, cache=SweepCache(tmp_path / "c"), supervise=policy)
-    assert not result.quarantined
-    [rec] = result.manifest
-    assert rec["cell"] == victim and rec["outcome"] == "recovered"
-    assert [a["outcome"] for a in rec["attempts"]] == [action, "ok"]
-    assert "failures" not in result.doc  # recovered != failed
-    assert dumps_result(result.doc) == dumps_result(plain.doc)
+    _misbehaving_cell(monkeypatch, action, {"protocol": "tcp"}, tmp_path / "struck")
+    cache = SweepCache(tmp_path / "c")
+    with pytest.raises(SuperviseError) as err:
+        run_sweep(spec, jobs=2, cache=cache)
+    message = str(err.value)
+    assert f"task {victim} failed (1 of 2 tasks lost)" in message
+    expected = "exited with code 3" if action == "crash" else "LivelockError"
+    assert expected in message
+    retried = run_sweep(spec, jobs=2, cache=cache)
+    assert retried.executed == [victim]
+    assert dumps_result(retried.doc) == dumps_result(plain.doc)
 
 
 def test_quarantined_cell_is_salvaged_around(tmp_path, monkeypatch):
+    """A cell that always crashes raises naming it; the survivor is
+    already in the cache, so a healthy resume runs only the victim."""
     spec = _tiny_spec()
     plain = run_sweep(spec, cache=None)
     victim = spec.cells[0].id
     survivor = spec.cells[1].id
-    _misbehaving_tcp_cell(monkeypatch, "crash")  # every attempt dies
+    _misbehaving_cell(monkeypatch, "crash", {"protocol": "tcp"})  # every run dies
     cache = SweepCache(tmp_path / "c")
-    result = run_sweep(
-        spec, jobs=2, cache=cache, supervise=SupervisePolicy(max_attempts=2)
-    )
-    assert result.quarantined == [victim]
-    assert result.executed == [survivor]
-    # the surviving cell merged byte-identically to the unfailed run's
-    [survived] = result.doc["cells"]
-    [reference] = [c for c in plain.doc["cells"] if c["id"] == survivor]
-    assert json.dumps(survived, sort_keys=True) == json.dumps(reference, sort_keys=True)
-    # the failure manifest is embedded, attempts and all
-    [failure] = result.doc["failures"]
-    assert failure["cell"] == victim and failure["outcome"] == "quarantined"
-    assert len(failure["attempts"]) == 2
-    # the survivor's cache entry is good: a healthy resume recomputes
-    # only the quarantined cell and reproduces the full document
+    with pytest.raises(SuperviseError, match=rf"task {re.escape(victim)} failed"):
+        run_sweep(spec, jobs=2, cache=cache)
+    [entry] = cache.root.glob("*.json")
+    assert json.loads(entry.read_text())["cell"] == survivor
     monkeypatch.undo()
     healed = run_sweep(spec, cache=cache)
     assert healed.executed == [victim] and healed.cached == [survivor]
     assert dumps_result(healed.doc) == dumps_result(plain.doc)
+
+
+THREE = {
+    "name": "three",
+    "sweeps": [
+        {
+            "experiment": "pingpong",
+            "matrix": {"size": [64, 128, 256]},
+            "params": {"protocol": "sctp", "loss": 0.0, "iterations": 2},
+        }
+    ],
+}
+
+
+def test_serial_sweep_keeps_finished_cells_when_a_later_cell_fails(tmp_path, monkeypatch):
+    """Each cell is cached as it finishes: after the third of three
+    serial cells raises, a resume executes only that cell."""
+    spec = spec_from_dict(THREE)
+    plain = run_sweep(spec, cache=None)
+    _misbehaving_cell(monkeypatch, "raise", {"size": 256})
+    cache = SweepCache(tmp_path / "c")
+    with pytest.raises(harness.CellError, match="planted cell failure"):
+        run_sweep(spec, jobs=1, cache=cache)
+    assert len(list(cache.root.glob("*.json"))) == 2
+    monkeypatch.undo()
+    resumed = run_sweep(spec, jobs=1, cache=cache)
+    assert resumed.executed == [spec.cells[2].id]
+    assert resumed.cached == [cell.id for cell in spec.cells[:2]]
+    assert dumps_result(resumed.doc) == dumps_result(plain.doc)
+
+
+def test_cells_with_one_digest_run_once(monkeypatch):
+    """Two cells that resolve to the same computation (an explicit seed
+    restating the default) run once and share its rows, cache or not."""
+    spec = spec_from_dict({
+        "name": "twins",
+        "sweeps": [{
+            "experiment": "pingpong",
+            "cells": [{"protocol": "tcp"}, {"protocol": "tcp", "seed": 1}],
+            "params": {"size": 512, "loss": 0.0, "iterations": 2},
+        }],
+    })
+    first, second = spec.cells
+    assert first.id != second.id and first.resolved == second.resolved
+    calls = []
+    original = harness.MATRICES["pingpong"]
+
+    @functools.wraps(original.run)
+    def run(**params):
+        calls.append(params)
+        return original.run(**params)
+
+    monkeypatch.setitem(
+        harness.MATRICES, "pingpong", dataclasses.replace(original, run=run)
+    )
+    result = run_sweep(spec, jobs=1, cache=None)
+    assert len(calls) == 1
+    assert result.executed == [first.id, second.id] and not result.cached
+    one, two = result.doc["cells"]
+    assert one["digest"] == two["digest"] and one["rows"] == two["rows"]
 
 
 def test_corrupt_cache_entry_recovers_with_warning(tmp_path, caplog):
